@@ -82,12 +82,11 @@ Counter& Registry::counter(std::string_view name) {
   return counters_.emplace(std::string(name), Counter{}).first->second;
 }
 
-Histogram& Registry::histogram(std::string_view name,
-                               std::vector<std::uint64_t> upper_bounds) {
+Histogram& Registry::histogram(
+    std::string_view name, const std::vector<std::uint64_t>& upper_bounds) {
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
-  return histograms_
-      .emplace(std::string(name), Histogram(std::move(upper_bounds)))
+  return histograms_.emplace(std::string(name), Histogram(upper_bounds))
       .first->second;
 }
 

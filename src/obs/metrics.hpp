@@ -79,9 +79,10 @@ class Registry {
   /// Get or create the counter at `name`.
   Counter& counter(std::string_view name);
 
-  /// Get or create a histogram; `upper_bounds` is used on creation only.
+  /// Get or create a histogram; `upper_bounds` is used (and copied)
+  /// on creation only, so a lookup of an existing one copies nothing.
   Histogram& histogram(std::string_view name,
-                       std::vector<std::uint64_t> upper_bounds);
+                       const std::vector<std::uint64_t>& upper_bounds);
 
   /// Insert a prebuilt histogram under `name` (replaces any existing).
   void put_histogram(std::string_view name, Histogram h);

@@ -1,6 +1,5 @@
 #include "rt/runtime.hpp"
 
-#include <cstdio>
 #include <exception>
 #include <utility>
 
@@ -20,20 +19,33 @@ std::size_t resolve_workers(std::size_t requested) {
 
 /// Bucket bounds for the per-worker job-cycle histogram: powers of
 /// two up to 1M simulated cycles.
-std::vector<std::uint64_t> job_cycle_bounds() {
-  std::vector<std::uint64_t> bounds;
-  for (std::uint64_t b = 64; b <= (1u << 20); b <<= 1) bounds.push_back(b);
+const std::vector<std::uint64_t>& job_cycle_bounds() {
+  static const std::vector<std::uint64_t> bounds = [] {
+    std::vector<std::uint64_t> b;
+    for (std::uint64_t v = 64; v <= (1u << 20); v <<= 1) b.push_back(v);
+    return b;
+  }();
   return bounds;
 }
 
 }  // namespace
+
+Runtime::Worker::Names::Names(std::size_t index) {
+  const std::string p = "rt.worker." + std::to_string(index) + ".";
+  jobs = p + "jobs";
+  jobs_failed = p + "jobs_failed";
+  sim_cycles = p + "sim_cycles";
+  pool_fast_resets = p + "pool.fast_resets";
+  pool_full_loads = p + "pool.full_loads";
+  pool_systems = p + "pool.systems";
+}
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(std::move(config)), queue_(config_.queue_capacity) {
   const std::size_t n = resolve_workers(config_.workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto w = std::make_unique<Worker>(config_.pool_systems_per_worker);
+    auto w = std::make_unique<Worker>(i, config_.pool_systems_per_worker);
     if (config_.sink_factory) w->sink = config_.sink_factory(i);
     workers_.push_back(std::move(w));
   }
@@ -109,22 +121,20 @@ void Runtime::worker_main(std::size_t index) {
 
     {  // job-boundary accounting; the simulation itself ran lock-free
       std::lock_guard lock(w.mu);
-      char name[64];
-      std::snprintf(name, sizeof(name), "rt.worker.%zu.", index);
-      const std::string p(name);
+      const Worker::Names& names = w.names;
       obs::Registry& reg = w.registry;
       reg.counter("rt.jobs").add(1);
-      reg.counter(p + "jobs").add(1);
+      reg.counter(names.jobs).add(1);
       if (!result.ok) {
         reg.counter("rt.jobs_failed").add(1);
-        reg.counter(p + "jobs_failed").add(1);
+        reg.counter(names.jobs_failed).add(1);
       } else {
         const SystemStats& s = result.report.stats;
         reg.counter("rt.sim_cycles").add(s.cycles);
         reg.counter("rt.dnode_ops").add(s.dnode_ops);
         reg.counter("rt.host_words_in").add(s.host_words_in);
         reg.counter("rt.host_words_out").add(s.host_words_out);
-        reg.counter(p + "sim_cycles").add(s.cycles);
+        reg.counter(names.sim_cycles).add(s.cycles);
         reg.histogram("rt.job_cycles", job_cycle_bounds())
             .record(s.cycles);
         // Plan-cache / superstep effectiveness per deployment, not
@@ -156,9 +166,9 @@ void Runtime::worker_main(std::size_t index) {
       // (rt.pool.*) sum across the fleet at snapshot time.
       reg.counter("rt.pool.fast_resets").set(w.pool.fast_resets());
       reg.counter("rt.pool.full_loads").set(w.pool.full_loads());
-      reg.counter(p + "pool.fast_resets").set(w.pool.fast_resets());
-      reg.counter(p + "pool.full_loads").set(w.pool.full_loads());
-      reg.counter(p + "pool.systems").set(w.pool.systems_constructed());
+      reg.counter(names.pool_fast_resets).set(w.pool.fast_resets());
+      reg.counter(names.pool_full_loads).set(w.pool.full_loads());
+      reg.counter(names.pool_systems).set(w.pool.systems_constructed());
     }
 
     env->result.set_value(std::move(result));

@@ -28,6 +28,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,13 +117,22 @@ class Runtime {
 
  private:
   struct Worker {
+    /// This worker's rt.worker.<i>.* counter names, built once.
+    struct Names {
+      explicit Names(std::size_t index);
+      std::string jobs, jobs_failed, sim_cycles;
+      std::string pool_fast_resets, pool_full_loads, pool_systems;
+    };
+
     std::thread thread;
     SystemPool pool;
     std::unique_ptr<obs::EventSink> sink;
     mutable std::mutex mu;    ///< guards registry; taken per job, not per cycle
     obs::Registry registry;
+    const Names names;
 
-    explicit Worker(std::size_t pool_size) : pool(pool_size) {}
+    Worker(std::size_t index, std::size_t pool_size)
+        : pool(pool_size), names(index) {}
   };
 
   void worker_main(std::size_t index);

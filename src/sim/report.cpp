@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "obs/host_shape.hpp"
-#include "sim/system.hpp"
 
 namespace sring {
 
@@ -61,11 +60,8 @@ RunReport RunReport::from_system(std::string_view name, const System& sys) {
   r.lanes = g.lanes;
   r.has_stats = true;
   r.stats = sys.stats();
-  r.issue_per_dnode = sys.ring().ops_per_dnode();
-  r.mac_per_dnode = sys.ring().mac_ops_per_dnode();
-  r.route_changes_per_switch = sys.config().route_changes_per_switch();
-  r.host_out_words_per_switch = sys.ring().host_out_words_per_switch();
-  r.metrics = sys.metrics();
+  r.elements = sys.element_counters();
+  r.metrics = sys.ring_metrics();
   return r;
 }
 
@@ -126,32 +122,32 @@ obs::JsonValue RunReport::to_json() const {
     h.set("words_out", stats.host_words_out);
     j.set("host", std::move(h));
   }
-  if (!issue_per_dnode.empty() && lanes > 0) {
+  if (!elements.empty()) {
+    const std::size_t n_lanes = elements.geometry.lanes;
     JsonValue dn = JsonValue::array();
-    for (std::size_t i = 0; i < issue_per_dnode.size(); ++i) {
+    for (std::size_t i = 0; i < elements.issue.size(); ++i) {
       JsonValue d = JsonValue::object();
-      d.set("layer", std::uint64_t{i / lanes});
-      d.set("lane", std::uint64_t{i % lanes});
-      d.set("issue", issue_per_dnode[i]);
-      if (i < mac_per_dnode.size()) d.set("mac", mac_per_dnode[i]);
+      d.set("layer", std::uint64_t{i / n_lanes});
+      d.set("lane", std::uint64_t{i % n_lanes});
+      d.set("issue", elements.issue[i]);
+      d.set("mac", elements.mac[i]);
       dn.push_back(std::move(d));
     }
     j.set("dnodes", std::move(dn));
-  }
-  if (!route_changes_per_switch.empty()) {
+
     JsonValue sws = JsonValue::array();
-    for (std::size_t sw = 0; sw < route_changes_per_switch.size(); ++sw) {
+    for (std::size_t sw = 0; sw < elements.route_changes.size(); ++sw) {
       JsonValue s = JsonValue::object();
       s.set("switch", std::uint64_t{sw});
-      s.set("route_changes", route_changes_per_switch[sw]);
-      if (sw < host_out_words_per_switch.size()) {
-        s.set("host_out_words", host_out_words_per_switch[sw]);
-      }
+      s.set("route_changes", elements.route_changes[sw]);
+      s.set("host_out_words", elements.host_out_words[sw]);
       sws.push_back(std::move(s));
     }
     j.set("switches", std::move(sws));
   }
-  if (metrics.size() > 0) j.set("metrics", metrics.to_json());
+  obs::Registry named = metrics;
+  elements.name_into(named);
+  if (named.size() > 0) j.set("metrics", named.to_json());
   if (!extras.members().empty()) j.set("extras", extras);
   return j;
 }

@@ -13,10 +13,9 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/stats.hpp"
+#include "sim/system.hpp"
 
 namespace sring {
-
-class System;
 
 /// Per-Dnode utilization over a run: one row per layer, one column per
 /// lane, each cell the fraction of cycles the Dnode issued an
@@ -38,11 +37,15 @@ struct RunReport {
   std::size_t lanes = 0;
   bool has_stats = false;            ///< aggregate counters are present
   SystemStats stats;
-  std::vector<std::uint64_t> issue_per_dnode;
-  std::vector<std::uint64_t> mac_per_dnode;
-  std::vector<std::uint64_t> route_changes_per_switch;
-  std::vector<std::uint64_t> host_out_words_per_switch;
-  obs::Registry metrics;             ///< full snapshot (from_system only)
+  /// Per-Dnode / per-switch counters as flat arrays (from_system only).
+  ElementCounters elements;
+  /// Ring-wide instruments (from_system: System::ring_metrics()).  The
+  /// dnode.* / switch.* instruments are not stored here: to_json()
+  /// names `elements` into a copy, so its "metrics" equals
+  /// System::metrics() byte for byte.  Every served job builds a
+  /// RunReport, and naming the 100+ per-element instruments per job
+  /// cost as much as executing a small kernel.
+  obs::Registry metrics;
   obs::JsonValue extras = obs::JsonValue::object();
 
   static RunReport from_system(std::string_view name, const System& sys);

@@ -199,7 +199,54 @@ SystemStats System::stats() const {
   return s;
 }
 
+void ElementCounters::name_into(obs::Registry& reg) const {
+  if (empty()) return;
+  char name[64];
+  for (std::size_t layer = 0; layer < geometry.layers; ++layer) {
+    for (std::size_t lane = 0; lane < geometry.lanes; ++lane) {
+      const std::size_t i = layer * geometry.lanes + lane;
+      const auto set = [&](const char* leaf, std::uint64_t v) {
+        std::snprintf(name, sizeof(name), "dnode.%zu.%zu.%s", layer, lane,
+                      leaf);
+        reg.counter(name).set(v);
+      };
+      set("issue", issue[i]);
+      set("mac", mac[i]);
+      set("alu", issue[i] - mac[i]);
+      set("local_cycles", local_cycles[i]);
+      set("global_cycles", global_cycles[i]);
+    }
+  }
+
+  const std::size_t fb_depth = geometry.fb_depth;
+  std::vector<std::uint64_t> depth_bounds(fb_depth);
+  for (std::size_t d = 0; d < fb_depth; ++d) depth_bounds[d] = d;
+  for (std::size_t sw = 0; sw < geometry.switch_count(); ++sw) {
+    const auto set = [&](const char* leaf, std::uint64_t v) {
+      std::snprintf(name, sizeof(name), "switch.%zu.%s", sw, leaf);
+      reg.counter(name).set(v);
+    };
+    set("route_changes", route_changes[sw]);
+    set("host_out_words", host_out_words[sw]);
+    set("fb_reads", fb_reads[sw]);
+    set("fb_occupancy", fb_occupancy[sw]);
+    std::snprintf(name, sizeof(name), "switch.%zu.fb_read_depth", sw);
+    const auto first = fb_read_depth_counts.begin() +
+                       static_cast<std::ptrdiff_t>(sw * fb_depth);
+    reg.put_histogram(name, obs::Histogram::from_counts(
+                                depth_bounds,
+                                {first, first + static_cast<std::ptrdiff_t>(
+                                                    fb_depth)}));
+  }
+}
+
 obs::Registry System::metrics() const {
+  obs::Registry reg = ring_metrics();
+  element_counters().name_into(reg);
+  return reg;
+}
+
+obs::Registry System::ring_metrics() const {
   obs::Registry reg;
   const SystemStats s = stats();
 
@@ -241,54 +288,25 @@ obs::Registry System::metrics() const {
       obs::Histogram::from_counts(
           {kHostDepthBounds.begin(), kHostDepthBounds.end()},
           {host_depth_counts_.begin(), host_depth_counts_.end()}));
-
-  const auto& issue = ring_.ops_per_dnode();
-  const auto& mac = ring_.mac_ops_per_dnode();
-  const auto& loc = ring_.local_cycles_per_dnode();
-  const auto& glob = ring_.global_cycles_per_dnode();
-  char name[64];
-  for (std::size_t layer = 0; layer < geom_.layers; ++layer) {
-    for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
-      const std::size_t i = layer * geom_.lanes + lane;
-      const auto set = [&](const char* leaf, std::uint64_t v) {
-        std::snprintf(name, sizeof(name), "dnode.%zu.%zu.%s", layer, lane,
-                      leaf);
-        reg.counter(name).set(v);
-      };
-      set("issue", issue[i]);
-      set("mac", mac[i]);
-      set("alu", issue[i] - mac[i]);
-      set("local_cycles", loc[i]);
-      set("global_cycles", glob[i]);
-    }
-  }
-
-  const auto& route_changes = cfg_.route_changes_per_switch();
-  const auto& host_out = ring_.host_out_words_per_switch();
-  const auto& fb_reads = ring_.fb_reads_per_pipe();
-  const auto& fb_depths = ring_.fb_read_depth_counts();
-  const std::size_t fb_depth = geom_.fb_depth;
-  std::vector<std::uint64_t> depth_bounds(fb_depth);
-  for (std::size_t d = 0; d < fb_depth; ++d) depth_bounds[d] = d;
-  for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {
-    const auto set = [&](const char* leaf, std::uint64_t v) {
-      std::snprintf(name, sizeof(name), "switch.%zu.%s", sw, leaf);
-      reg.counter(name).set(v);
-    };
-    set("route_changes", route_changes[sw]);
-    set("host_out_words", host_out[sw]);
-    set("fb_reads", fb_reads[sw]);
-    set("fb_occupancy", ring_.pipeline(sw).occupancy());
-    std::snprintf(name, sizeof(name), "switch.%zu.fb_read_depth", sw);
-    reg.put_histogram(
-        name,
-        obs::Histogram::from_counts(
-            depth_bounds,
-            {fb_depths.begin() + static_cast<std::ptrdiff_t>(sw * fb_depth),
-             fb_depths.begin() +
-                 static_cast<std::ptrdiff_t>((sw + 1) * fb_depth)}));
-  }
   return reg;
+}
+
+ElementCounters System::element_counters() const {
+  ElementCounters e;
+  e.geometry = geom_;
+  e.issue = ring_.ops_per_dnode();
+  e.mac = ring_.mac_ops_per_dnode();
+  e.local_cycles = ring_.local_cycles_per_dnode();
+  e.global_cycles = ring_.global_cycles_per_dnode();
+  e.route_changes = cfg_.route_changes_per_switch();
+  e.host_out_words = ring_.host_out_words_per_switch();
+  e.fb_reads = ring_.fb_reads_per_pipe();
+  e.fb_occupancy.resize(geom_.switch_count());
+  for (std::size_t sw = 0; sw < e.fb_occupancy.size(); ++sw) {
+    e.fb_occupancy[sw] = ring_.pipeline(sw).occupancy();
+  }
+  e.fb_read_depth_counts = ring_.fb_read_depth_counts();
+  return e;
 }
 
 std::uint64_t System::try_superstep(std::uint64_t cycle_budget,

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "core/config_memory.hpp"
 #include "core/ring.hpp"
@@ -30,6 +31,34 @@ namespace sring {
 struct SystemConfig {
   RingGeometry geometry;
   LinkRate link = LinkRate::unlimited();
+};
+
+/// Per-Dnode and per-switch counters of one run, copied flat from the
+/// Ring and ConfigMemory.  Capturing them costs a few vector copies;
+/// their instrument names are built only by name_into(), when a
+/// snapshot or a serialized report actually needs them.
+struct ElementCounters {
+  RingGeometry geometry;  ///< shape of the arrays below
+
+  // Per Dnode, indexed layer * lanes + lane.
+  std::vector<std::uint64_t> issue;
+  std::vector<std::uint64_t> mac;
+  std::vector<std::uint64_t> local_cycles;
+  std::vector<std::uint64_t> global_cycles;
+
+  // Per switch.
+  std::vector<std::uint64_t> route_changes;
+  std::vector<std::uint64_t> host_out_words;
+  std::vector<std::uint64_t> fb_reads;
+  std::vector<std::uint64_t> fb_occupancy;
+  /// geometry.fb_depth read-depth counts per switch, switch-major.
+  std::vector<std::uint64_t> fb_read_depth_counts;
+
+  bool empty() const noexcept { return issue.empty(); }
+
+  /// Add the dnode.<layer>.<lane>.* and switch.<s>.* instruments to
+  /// `reg` — the one place their names are built.
+  void name_into(obs::Registry& reg) const;
 };
 
 class System {
@@ -94,11 +123,19 @@ class System {
   Word bus() const noexcept { return bus_; }
   SystemStats stats() const;
 
-  /// Named snapshot of every instrument in the machine (per-Dnode
-  /// issue/mix/mode counters, per-switch route and feedback activity,
-  /// controller stall causes, host-link traffic, input-FIFO depth
-  /// histogram).  Assembling the snapshot never perturbs the run.
+  /// Named snapshot of every instrument in the machine: ring_metrics()
+  /// plus element_counters().name_into().  Assembling the snapshot
+  /// never perturbs the run.
   obs::Registry metrics() const;
+
+  /// The ring-wide part of metrics(): the sys.*, ctrl.*, bus.*, cfg.*,
+  /// ring.plan.*, ring.superstep.* and host.* counters and the
+  /// host.in_fifo_depth histogram.
+  obs::Registry ring_metrics() const;
+
+  /// The per-element part of metrics() as flat arrays: per-Dnode
+  /// issue/mix/mode counters, per-switch route and feedback activity.
+  ElementCounters element_counters() const;
 
   /// Attach / detach a structured event sink.  The sink is borrowed —
   /// never owned — by raw pointer: it must outlive every step() made

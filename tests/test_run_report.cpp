@@ -4,15 +4,21 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "dsp/matvec.hpp"
 #include "json_test_util.hpp"
+#include "kernels/jobs.hpp"
 #include "kernels/mac_kernel.hpp"
+#include "mapper/mapper.hpp"
 #include "obs/host_shape.hpp"
 #include "sim/report.hpp"
 #include "sim/system.hpp"
+#include "svc/dfg_job.hpp"
 
 namespace sring {
 namespace {
@@ -183,6 +189,127 @@ TEST(RunReport, WriteRunReportThrowsOnUnwritablePath) {
 
 TEST(RunReport, MaybeWriteIsANoOpOnEmptyPath) {
   maybe_write_run_report(RunReport{}, "");  // must not throw
+}
+
+// --- byte identity of the serialized report --------------------------
+//
+// The report JSON (per-Dnode / per-switch detail and every metric
+// name, order and value) is pinned by digest per kernel and geometry,
+// so a change to how RunReport stores or renders its counters cannot
+// move a single byte unnoticed.
+
+std::uint64_t fnv64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::vector<Word> signal(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<Word> x(n);
+  for (auto& w : x) w = rng.next_word_in(-200, 200);
+  return x;
+}
+
+Image image(std::uint64_t seed, std::size_t w, std::size_t h) {
+  Rng rng(seed);
+  Image img(w, h);
+  for (std::size_t y = 0; y < h; ++y) {
+    for (std::size_t x = 0; x < w; ++x) img.at(x, y) = rng.next_word_in(0, 255);
+  }
+  return img;
+}
+
+/// y[n] = 3 x[n] + 3 x[n-1] - x[n]: a MAC-fused graph with a delayed
+/// feedback-pipeline read.
+rt::Job dfg_job(const RingGeometry& g) {
+  mapper::Dfg dfg;
+  const auto x = dfg.add_input("x");
+  const auto m = dfg.add_binary(mapper::DfgOp::kMul, x, dfg.add_const(3));
+  const auto d = dfg.add_delay(m, 1);
+  const auto a = dfg.add_binary(mapper::DfgOp::kAdd, m, d);
+  dfg.mark_output(dfg.add_binary(mapper::DfgOp::kSub, a, x), "y");
+  auto compiled = std::make_shared<svc::CompiledDfg>();
+  compiled->mapped = mapper::map_dfg(dfg, g);
+  return svc::make_dfg_job(compiled, {signal(5, 48)});
+}
+
+/// Run `job` on a fresh System, the way a runtime worker does.
+void run_fresh(System& sys, const rt::Job& job) {
+  sys.load(*job.program);
+  sys.host().send(job.input);
+  if (job.run == rt::Job::Run::kUntilOutputs) {
+    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
+  } else {
+    sys.run_until_halt(job.max_cycles, job.drain_cycles);
+  }
+}
+
+struct PinnedReport {
+  const char* kernel;
+  RingGeometry geometry;
+  std::uint64_t digest;  ///< FNV-1a 64 of to_json().dump()
+};
+
+rt::Job make_job(std::string_view kernel, const RingGeometry& g) {
+  if (kernel == "fir") {
+    const std::vector<Word> coeffs{1, static_cast<Word>(-2), 3};
+    return kernels::make_spatial_fir_job(g, signal(1, 96), coeffs);
+  }
+  if (kernel == "dwt53") return kernels::make_dwt53_job(g, signal(2, 64));
+  if (kernel == "matvec8") {
+    return kernels::make_matvec8_job(g, dsp::dct8_matrix_q7(),
+                                     signal(3, 24));
+  }
+  if (kernel == "me") {
+    return kernels::make_motion_estimation_job(g, image(4, 16, 16), 4, 4,
+                                               image(6, 16, 16), 2);
+  }
+  return dfg_job(g);
+}
+
+TEST(RunReport, SerializedReportIsPinnedPerKernelAndGeometry) {
+  constexpr RingGeometry k8x2{8, 2, 16};
+  constexpr RingGeometry k4x2{4, 2, 16};
+  constexpr RingGeometry k6x3{6, 3, 8};
+  // dwt53 needs a Ring-16, so it runs on 8x2 only.
+  const PinnedReport pinned[] = {
+      {"fir", k8x2, 0xc9e466e80d82a124ull},
+      {"fir", k4x2, 0x9ab884c163e50062ull},
+      {"fir", k6x3, 0xa3b8b87a6b8534b3ull},
+      {"dwt53", k8x2, 0xe76feff14e56694dull},
+      {"matvec8", k8x2, 0xf1a0266f01705fd0ull},
+      {"matvec8", k4x2, 0xa9cab613a29dba34ull},
+      {"matvec8", k6x3, 0xb4a3a2bd7fb9943full},
+      {"me", k8x2, 0x54071bdd6c509fa4ull},
+      {"me", k4x2, 0x0b08516dd106103eull},
+      {"me", k6x3, 0x29259b3476837f49ull},
+      {"dfg", k8x2, 0x8b25018911ca877cull},
+      {"dfg", k4x2, 0x765400e1ef03e6c4ull},
+      {"dfg", k6x3, 0x7d43d96344de6a2eull},
+  };
+  for (const PinnedReport& p : pinned) {
+    const RingGeometry& g = p.geometry;
+    SCOPED_TRACE(std::string(p.kernel) + " on " + std::to_string(g.layers) +
+                 "x" + std::to_string(g.lanes) + "/fb" +
+                 std::to_string(g.fb_depth));
+    System sys({g});
+    run_fresh(sys, make_job(p.kernel, g));
+    const obs::JsonValue j = RunReport::from_system(p.kernel, sys).to_json();
+    const std::uint64_t digest = fnv64(j.dump());
+    char hex[19];
+    std::snprintf(hex, sizeof(hex), "0x%016llx",
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(digest, p.digest) << "report digest " << hex;
+
+    // The report's registry and the System's own snapshot render the
+    // same names through the same code: identical bytes.
+    ASSERT_NE(j.find("metrics"), nullptr);
+    EXPECT_EQ(j.find("metrics")->dump(), sys.metrics().to_json().dump());
+  }
 }
 
 }  // namespace
