@@ -1,6 +1,7 @@
 // bench_cycle — simulator cycle throughput across the three execution
 // paths: the ConfigMemory interpreter, the per-cycle decoded cycle
-// plan, and the fused superstep engine.
+// plan, and the fused superstep engine (with the share of cycles it
+// ran fused per kernel).
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
 // MAC, 5/3 wavelet, block matvec8, full-search motion estimation) on
@@ -117,6 +118,7 @@ struct RunMeasure {
   std::uint64_t plan_evictions = 0;
   std::uint64_t plan_seq_fusions = 0;
   std::uint64_t plan_seq_hits = 0;
+  std::uint64_t superstep_cycles = 0;
 };
 
 /// One timed run of a job on the chosen execution path.  The
@@ -155,6 +157,7 @@ RunMeasure timed_run(const rt::Job& job, Path path) {
   m.plan_evictions = sys.ring().plan_evictions();
   m.plan_seq_fusions = sys.ring().plan_seq_fusions();
   m.plan_seq_hits = sys.ring().plan_seq_hits();
+  m.superstep_cycles = sys.ring().superstep_cycles();
   return m;
 }
 
@@ -172,6 +175,9 @@ struct KernelPoint {
   std::uint64_t plan_evictions = 0;
   std::uint64_t plan_seq_fusions = 0;
   std::uint64_t plan_seq_hits = 0;
+  /// Share of the superstep run's cycles executed inside fused
+  /// dispatches (controller-driven ones included).
+  double superstep_cycle_share = 0.0;
   std::uint64_t outputs_fnv64 = 0;
 };
 
@@ -210,6 +216,8 @@ KernelPoint measure(const rt::Job& job, std::size_t reps) {
     p.plan_evictions = super.plan_evictions;
     p.plan_seq_fusions = super.plan_seq_fusions;
     p.plan_seq_hits = super.plan_seq_hits;
+    p.superstep_cycle_share = static_cast<double>(super.superstep_cycles) /
+                              static_cast<double>(super.cycles);
     p.outputs_fnv64 = fnv64(super.outputs);
     for (std::size_t path = 0; path < kPathCount; ++path) {
       const double cps =
@@ -309,7 +317,7 @@ int main(int argc, char** argv) {
           "  superstep %9.0f cyc/s  speedup %.2fx\n"
           "  %-12s hit rate %.1f%%  compiles %llu  detaches %llu"
           "  (re-attached %llu, true misses %llu)  seq fusions %llu"
-          "  seq hits %llu  evictions %llu\n",
+          "  seq hits %llu  evictions %llu  fused %.1f%%\n",
           p.name.c_str(), static_cast<unsigned long long>(p.cycles), interp,
           planned, super, speedup, "", 100.0 * p.plan_hit_rate,
           static_cast<unsigned long long>(p.plan_compiles),
@@ -319,7 +327,8 @@ int main(int argc, char** argv) {
                                           p.plan_content_hits),
           static_cast<unsigned long long>(p.plan_seq_fusions),
           static_cast<unsigned long long>(p.plan_seq_hits),
-          static_cast<unsigned long long>(p.plan_evictions));
+          static_cast<unsigned long long>(p.plan_evictions),
+          100.0 * p.superstep_cycle_share);
     }
 
     if (min_speedup > 0.0) {
@@ -355,6 +364,7 @@ int main(int argc, char** argv) {
       jp.set("plan_evictions", p.plan_evictions);
       jp.set("plan_seq_fusions", p.plan_seq_fusions);
       jp.set("plan_seq_hits", p.plan_seq_hits);
+      jp.set("superstep_cycle_share", p.superstep_cycle_share);
       char digest[19];
       std::snprintf(digest, sizeof digest, "0x%016llx",
                     static_cast<unsigned long long>(p.outputs_fnv64));

@@ -40,6 +40,12 @@ class HostFifo {
   /// Pop and return the front word (the hot-path form).
   Word pop() noexcept { return buf_[head_++]; }
 
+  /// The live words, front first (valid until the next push).
+  const Word* data() const noexcept { return buf_.data() + head_; }
+
+  /// Pop `count` words at once (count <= size()).
+  void drop(std::size_t count) noexcept { head_ += count; }
+
   void push_back(Word w) {
     reclaim();
     buf_.push_back(w);

@@ -67,9 +67,6 @@ struct PlannedSlot {
 /// microprogram (slots 0..limit) in stand-alone mode.
 struct PlannedDnode {
   bool is_local = false;
-  /// Any reachable slot is non-NOP: this Dnode can change state during
-  /// a superstep (the fused loop tracks only active Dnodes' outputs).
-  bool active = false;
   /// Local program length (limit + 1); 1 when !is_local.
   std::uint8_t local_len = 1;
   PlannedSlot global;                                  ///< !is_local
@@ -103,11 +100,103 @@ struct CyclePlan {
   std::vector<std::uint16_t> local_dnodes;   ///< flat indices, ascending
   std::vector<std::uint16_t> global_dnodes;  ///< flat indices, ascending
   /// Active Dnodes (some reachable non-NOP slot), ascending.  The
-  /// per-cycle planned path iterates only these — the ascending order
-  /// preserves the documented host pop and output drain order.
+  /// per-cycle planned path and the tape lowering iterate only these —
+  /// the ascending order preserves the documented host pop and output
+  /// drain order.
   std::vector<std::uint16_t> exec_dnodes;
   std::vector<HostTapPlan> host_taps;        ///< switch-asc, lane-asc
 };
+
+/// Flat state the superstep tape runs over, one vector per buffer:
+/// a constant zero, the shared bus, four registers per Dnode, one
+/// output register per Dnode, and a sink slot that absorbs writes an
+/// instruction does not make.  Slot 0 is never written.
+struct TapeLayout {
+  static constexpr std::uint16_t kZero = 0;
+  static constexpr std::uint16_t kBus = 1;
+  static constexpr std::uint16_t kRegs = 2;
+
+  std::size_t dnodes = 0;
+
+  std::uint16_t reg(std::size_t dnode, std::size_t r) const noexcept {
+    return static_cast<std::uint16_t>(kRegs + 4 * dnode + r);
+  }
+  std::uint16_t outs() const noexcept {
+    return static_cast<std::uint16_t>(kRegs + 4 * dnodes);
+  }
+  std::uint16_t out(std::size_t dnode) const noexcept {
+    return static_cast<std::uint16_t>(outs() + dnode);
+  }
+  std::uint16_t sink() const noexcept {
+    return static_cast<std::uint16_t>(outs() + dnodes);
+  }
+  std::size_t size() const noexcept { return sink() + 1u; }
+};
+
+/// One operand of a tape micro-op: word `off` of one of four bases —
+/// the current state buffer, the feedback window at its depth-0 row
+/// (row-major: depth * dnodes + upstream Dnode), this cycle's host
+/// pops (in pop order), or the tape's immediates.
+struct TapeRef {
+  enum Base : std::uint8_t { kState = 0, kWindow, kPops, kImm };
+  std::uint8_t base = kState;
+  std::uint16_t off = TapeLayout::kZero;
+};
+
+/// One non-NOP Dnode slot lowered for the superstep loop: the ALU
+/// operation, its three operands (unused ones read the zero slot) and
+/// the state slots the result latches into.
+struct TapeOp {
+  DnodeOp op = DnodeOp::kNop;
+  bool host_en = false;
+  bool bus_en = false;
+  TapeRef a, b, c;
+  std::uint16_t dst = 0;  ///< register slot, or the sink
+  std::uint16_t out = 0;  ///< output-register slot, or the sink
+};
+
+/// A plan's schedule lowered to flat micro-ops, unrolled over the
+/// superstep period.  Phase p serves the cycles in which every local
+/// Dnode k runs slot (base_counters[k] + p) % local_len.  Cached with
+/// its plan; valid until the plan recompiles.
+struct SuperstepTape {
+  /// Where a micro-op came from (statistics flush).
+  struct Source {
+    std::uint16_t dnode = 0;
+    const PlannedSlot* slot = nullptr;
+  };
+
+  bool valid = false;
+  std::size_t period = 1;
+  std::vector<std::uint8_t> base_counters;  ///< per plan.local_dnodes
+  std::vector<TapeOp> ops;                  ///< phase-major
+  std::vector<Source> sources;              ///< parallel to ops
+  std::vector<std::uint32_t> begin;         ///< [period + 1] into ops
+  std::vector<std::uint32_t> pops;          ///< [period] host words
+  /// Indices into ops of the hostEn/busEn micro-ops, phase-major.
+  std::vector<std::uint32_t> effects;
+  std::vector<std::uint32_t> effects_begin;  ///< [period + 1]
+  /// Per phase: slots the previous phase wrote and this one does not,
+  /// copied forward so both state buffers stay in step.
+  std::vector<std::uint16_t> carry;
+  std::vector<std::uint32_t> carry_begin;   ///< [period + 1]
+  /// Every slot some phase writes (carried on a switch to another tape).
+  std::vector<std::uint16_t> written;
+  std::vector<Word> imm;
+  bool reads_window = false;  ///< some operand reads the feedback window
+  /// Cycles executed per phase since the last statistics flush.
+  std::vector<std::uint64_t> phase_cycles;
+};
+
+/// Lower `plan` into `tape`, starting phase 0 at the local counters
+/// the Dnodes hold now.
+void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
+                  const std::vector<Dnode>& dnodes, SuperstepTape& tape);
+
+/// Phase of a valid `tape` that the Dnodes' local counters select, or
+/// -1 when no phase matches (the tape must be recompiled).
+std::ptrdiff_t tape_phase(const SuperstepTape& tape, const CyclePlan& plan,
+                          const std::vector<Dnode>& dnodes) noexcept;
 
 /// Compile the live configuration + local-control programs into `plan`
 /// (storage is reused across recompiles; the caller stamps the

@@ -85,6 +85,8 @@ class Dnode {
 
   /// Registered systolic output as visible during the current cycle.
   Word out() const noexcept { return out_; }
+  /// Directly set the output register (superstep write-back).
+  void set_out(Word value) noexcept { out_ = value; }
 
   RegisterFile& regs() noexcept { return regs_; }
   const RegisterFile& regs() const noexcept { return regs_; }

@@ -54,6 +54,17 @@ class FeedbackPipeline {
     ++pushes_;
   }
 
+  /// Latch `edges` clock edges at once whose upstream vectors sit
+  /// newest first at `rows + k * stride` (only the last depth() of
+  /// them are still visible afterwards, and only those are read) — the
+  /// superstep engine's write-back of its shared window.
+  void push_rows(const Word* rows, std::size_t stride, std::uint64_t edges) {
+    const std::size_t visible =
+        edges < depth_ ? static_cast<std::size_t>(edges) : depth_;
+    for (std::size_t k = visible; k-- > 0;) push_from(rows + k * stride);
+    pushes_ += edges - visible;
+  }
+
   /// Clock edges latched since the last reset (instrumentation).
   std::uint64_t pushes() const noexcept { return pushes_; }
 

@@ -44,6 +44,14 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   pre_outs_.assign(geom_.dnode_count(), 0);
   local_slot_.assign(geom_.dnode_count(), 0);
   exec_scratch_.reserve(geom_.dnode_count());
+  const TapeLayout lay{geom_.dnode_count()};
+  flat_.assign(2 * lay.size(), 0);
+  // Enough slack rows that relocating the window (fb_depth - 1 rows)
+  // is rare next to the one-row push every cycle.
+  window_slack_ = std::max<std::size_t>(geom_.fb_depth,
+                                        4096 / geom_.dnode_count());
+  window_.assign((window_slack_ + geom_.fb_depth) * geom_.dnode_count(), 0);
+  op_vals_.assign(geom_.dnode_count(), 0);
   const char* no_plan = std::getenv("SRING_NO_PLAN_CACHE");
   plan_enabled_ = no_plan == nullptr || *no_plan == '\0';
 }
@@ -122,8 +130,14 @@ void Ring::reset_arch_state() {
   bus_conflicts_ = 0;
   superstep_dispatches_ = 0;
   superstep_cycles_ = 0;
+  // A dispatch cut short by a controller fault leaves unflushed tapes.
+  for (auto& e : plan_cache_) {
+    std::fill(e->tape.phase_cycles.begin(), e->tape.phase_cycles.end(), 0);
+  }
   current_plan_ = nullptr;
   mode_synced_ = false;
+  synced_local_.clear();
+  synced_valid_ = true;
   pre_outs_valid_ = false;
   local_generation_ = 0;
   local_hash_gen_ = ~std::uint64_t{0};
@@ -167,12 +181,9 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
 
   if (!plan_enabled_) return step_interpreted(cfg, bus, host_in, host_out);
 
-  const std::uint64_t uid = cfg.uid();
-  const std::uint64_t gen = cfg.generation();
   if (current_plan_ != nullptr) {
-    CyclePlan& plan = current_plan_->plan;
-    if (plan.cfg_uid == uid && plan.cfg_generation == gen &&
-        plan.local_generation == local_generation_) {
+    const CyclePlan& plan = current_plan_->plan;
+    if (plan_current(plan, cfg)) {
       ++plan_hits_;
       return step_planned(plan, bus, host_in, host_out);
     }
@@ -226,6 +237,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     compile_cycle_plan(geom_, cfg, dnodes_, e->plan);
     e->plan.valid = true;
     e->compiled = true;
+    e->tape.valid = false;
     ++plan_compiles_;
     attach_plan(e, cfg);
     return step_planned(e->plan, bus, host_in, host_out);
@@ -356,12 +368,26 @@ void Ring::attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg) {
   e->src_page = cfg.live_page();
   e->src_local_gen = local_generation_;
   e->last_use = ++plan_use_clock_;
-  for (std::size_t i = 0; i < dnodes_.size(); ++i) {
-    is_local_[i] = plan.dnodes[i].is_local;
-  }
-  mode_synced_ = false;
+  // The sync would rewrite last_mode_ to what it already holds when
+  // the local set is unchanged (page rotations over global-mode pages).
+  mode_synced_ = synced_valid_ && plan.local_dnodes == synced_local_;
   current_plan_ = e;
   note_attach(e);
+}
+
+void Ring::sync_modes(const CyclePlan& plan) {
+  for (const std::uint16_t i : plan.local_dnodes) {
+    if (last_mode_[i] == DnodeMode::kGlobal) {
+      dnodes_[i].local().reset_counter();
+    }
+    last_mode_[i] = DnodeMode::kLocal;
+  }
+  for (const std::uint16_t i : plan.global_dnodes) {
+    last_mode_[i] = DnodeMode::kGlobal;
+  }
+  synced_local_ = plan.local_dnodes;
+  synced_valid_ = true;
+  mode_synced_ = true;
 }
 
 void Ring::note_attach(PlanCacheEntry* e) {
@@ -493,6 +519,7 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
   // The cycle advances: commit mode transitions (a Dnode entering
   // local mode restarts its program at slot 0) and record the mode
   // every Dnode ran under.
+  synced_valid_ = false;
   for (std::size_t i = 0; i < n; ++i) {
     if (is_local_[i]) {
       if (last_mode_[i] == DnodeMode::kGlobal) {
@@ -621,22 +648,9 @@ Ring::CycleResult Ring::step_planned(const CyclePlan& plan, Word bus,
     return result;  // systolic back-pressure: nothing advances
   }
 
-  if (!mode_synced_) {
-    // First advancing cycle under this attachment: commit mode
-    // transitions exactly as the interpreter would.  Modes cannot
-    // change while the plan stays attached, so this runs once per
-    // attach.
-    for (const std::uint16_t i : plan.local_dnodes) {
-      if (last_mode_[i] == DnodeMode::kGlobal) {
-        dnodes_[i].local().reset_counter();
-      }
-      last_mode_[i] = DnodeMode::kLocal;
-    }
-    for (const std::uint16_t i : plan.global_dnodes) {
-      last_mode_[i] = DnodeMode::kGlobal;
-    }
-    mode_synced_ = true;
-  }
+  // Modes cannot change while the plan stays attached, so the sync
+  // runs at most once per attach.
+  if (!mode_synced_) sync_modes(plan);
   for (const std::uint16_t i : plan.local_dnodes) {
     ++local_cycles_per_dnode_[i];
   }
@@ -764,28 +778,129 @@ Ring::CycleResult Ring::step_planned(const CyclePlan& plan, Word bus,
   return result;
 }
 
-Ring::SuperstepResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
-                                        HostFifo& host_in,
-                                        std::vector<Word>& host_out,
-                                        std::uint64_t max_cycles,
-                                        std::size_t host_out_stop,
-                                        const HostDepthProbe& probe) {
-  SuperstepResult res;
-  if (max_cycles == 0 || !plan_enabled_ || current_plan_ == nullptr) {
-    return res;
-  }
-  const CyclePlan& plan = current_plan_->plan;
-  if (plan.cfg_uid != cfg.uid() || plan.cfg_generation != cfg.generation() ||
-      plan.local_generation != local_generation_) {
-    return res;  // stale plan: the per-cycle path owns invalidation
-  }
-  if (plan.superstep_period == 0) return res;  // period over the cap
+// --- superstep engine ---------------------------------------------------
 
-  // First-cycle stall check before any state is touched: a Dnode whose
-  // local-mode entry has not committed yet fetches slot 0 — which is
-  // also where its counter lands after the mode sync below, so the
-  // schedule built from post-sync counters agrees with this check.
-  {
+SuperstepTape& Ring::tape_for(PlanCacheEntry& e, std::size_t& phase) {
+  SuperstepTape& t = e.tape;
+  if (t.valid) {
+    const std::ptrdiff_t p = tape_phase(t, e.plan, dnodes_);
+    if (p >= 0) {
+      phase = static_cast<std::size_t>(p);
+      return t;
+    }
+  }
+  compile_tape(geom_, e.plan, dnodes_, t);
+  phase = 0;
+  return t;
+}
+
+void Ring::load_flat(Word bus) {
+  const std::size_t n = dnodes_.size();
+  const TapeLayout lay{n};
+  Word* const s = flat_.data();
+  s[TapeLayout::kZero] = 0;
+  s[TapeLayout::kBus] = bus;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
+      s[lay.reg(i, r)] = dnodes_[i].regs().read(r);
+    }
+    s[lay.out(i)] = dnodes_[i].out();
+  }
+  s[lay.sink()] = 0;
+  std::copy(s, s + lay.size(), s + lay.size());
+}
+
+void Ring::load_window(std::size_t head, std::uint64_t edges) {
+  // Rows head .. head+edges-1 were pushed by this dispatch; below them
+  // the pipelines' history continues at depth 0.  Pipeline s latches
+  // layer upstream(s), so one row is the whole pre-edge output vector.
+  const std::size_t n = dnodes_.size();
+  for (std::size_t d = edges; d < geom_.fb_depth; ++d) {
+    Word* const row = window_.data() + (head + d) * n;
+    for (std::size_t sw = 0; sw < pipes_.size(); ++sw) {
+      Word* const dst = row + upstream_layer(sw) * geom_.lanes;
+      for (std::size_t l = 0; l < geom_.lanes; ++l) {
+        dst[l] = pipes_[sw].read_fast(l, d - edges);
+      }
+    }
+  }
+}
+
+void Ring::store_flat(const Word* state, std::size_t head,
+                      std::uint64_t edges) {
+  const std::size_t n = dnodes_.size();
+  const TapeLayout lay{n};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
+      dnodes_[i].regs().poke(r, state[lay.reg(i, r)]);
+    }
+    dnodes_[i].set_out(state[lay.out(i)]);
+  }
+  const Word* const rows = window_.data() + head * n;
+  for (std::size_t sw = 0; sw < pipes_.size(); ++sw) {
+    pipes_[sw].push_rows(rows + upstream_layer(sw) * geom_.lanes, n, edges);
+  }
+  pre_outs_valid_ = false;
+}
+
+void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
+  SuperstepTape& t = e.tape;
+  std::uint64_t cycles = 0;
+  for (std::size_t p = 0; p < t.phase_cycles.size(); ++p) {
+    const std::uint64_t cnt = t.phase_cycles[p];
+    if (cnt == 0) continue;
+    cycles += cnt;
+    t.phase_cycles[p] = 0;
+    for (std::uint32_t k = t.begin[p]; k < t.begin[p + 1]; ++k) {
+      const SuperstepTape::Source& src = t.sources[k];
+      const PlannedSlot& ps = *src.slot;
+      res.ops += cnt;
+      res.arith_ops += cnt * (ps.is_mac ? 2u : 1u);
+      ops_per_dnode_[src.dnode] += cnt;
+      if (ps.is_mac) mac_ops_per_dnode_[src.dnode] += cnt;
+      const auto note_n = [&](const FeedbackAddr& fb) {
+        fb_reads_per_pipe_[fb.pipe] += cnt;
+        fb_read_depth_counts_[fb.pipe * geom_.fb_depth + fb.depth] += cnt;
+      };
+      if (ps.in1 == PlannedSlot::Port::kFeedback) note_n(ps.in1_fb);
+      if (ps.in2 == PlannedSlot::Port::kFeedback) note_n(ps.in2_fb);
+      if (ps.read_fifo1) note_n(ps.fifo1);
+      if (ps.read_fifo2) note_n(ps.fifo2);
+    }
+  }
+  if (cycles == 0) return;
+  for (const HostTapPlan& tap : e.plan.host_taps) {
+    host_out_words_per_switch_[tap.sw] += cycles;
+  }
+}
+
+Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
+  SuperstepResult res;
+  res.bus = ctx.bus;
+  if (ctx.max_cycles == 0 || !plan_enabled_ || current_plan_ == nullptr ||
+      !plan_current(current_plan_->plan, ctx.cfg)) {
+    return res;  // the per-cycle path owns attachment and invalidation
+  }
+  HostFifo& host_in = ctx.host_in;
+  std::vector<Word>& host_out = ctx.host_out;
+  ControlHook* const control = ctx.control;
+  PlanCacheEntry* entry = current_plan_;
+  if (control != nullptr) {
+    // Controller-driven: only once the page rotation is fused, so the
+    // predicted successor serves nearly every swap and the flat-state
+    // load and store are paid once per long dispatch, not per swap.  A
+    // word-written live image (no page behind it) is never predicted.
+    if (!seq_fused_ || ctx.cfg.live_page() < 0 ||
+        !entry->plan.local_dnodes.empty()) {
+      return res;
+    }
+  } else {
+    const CyclePlan& plan = entry->plan;
+    if (plan.superstep_period == 0) return res;  // period over the cap
+    // First-cycle stall check before any state is touched: a Dnode
+    // whose local-mode entry has not committed yet fetches slot 0 —
+    // which is also where its counter lands after the mode sync, so
+    // the tape phase chosen from post-sync counters agrees.
     std::size_t pops = plan.static_pops;
     for (const std::uint16_t i : plan.local_dnodes) {
       const std::uint8_t slot = last_mode_[i] == DnodeMode::kGlobal
@@ -793,249 +908,184 @@ Ring::SuperstepResult Ring::run_planned(const ConfigMemory& cfg, Word bus,
                                     : dnodes_[i].local().counter();
       pops += plan.dnodes[i].local[slot].pops;
     }
-    if (host_in.size() < pops) return res;  // per-cycle path replays the stall
+    if (host_in.size() < pops) return res;  // per-cycle path replays it
+    if (!mode_synced_) sync_modes(plan);
   }
 
-  // The first cycle is known to advance: commit mode transitions
-  // exactly as step_planned's one-time sync would.
-  if (!mode_synced_) {
-    for (const std::uint16_t i : plan.local_dnodes) {
-      if (last_mode_[i] == DnodeMode::kGlobal) {
-        dnodes_[i].local().reset_counter();
-      }
-      last_mode_[i] = DnodeMode::kLocal;
-    }
-    for (const std::uint16_t i : plan.global_dnodes) {
-      last_mode_[i] = DnodeMode::kGlobal;
-    }
-    mode_synced_ = true;
-  }
-
-  // Unroll the schedule over the local-program period: per phase, the
-  // non-NOP slots in flat Dnode order (preserving the documented host
-  // pop order) and the cycle's total host-pop count.  Phase p serves
-  // superstep cycle k with k % period == p, starting from the current
-  // local counters, so local-slot bookkeeping vanishes from the loop.
-  const std::size_t period = plan.superstep_period;
-  const std::size_t n = dnodes_.size();
-  ss_exec_.clear();
-  ss_begin_.assign(period + 1, 0);
-  ss_pops_.assign(period, 0);
-  ss_out_.clear();
-  ss_out_begin_.assign(period + 1, 0);
-  for (std::size_t p = 0; p < period; ++p) {
-    ss_begin_[p] = static_cast<std::uint32_t>(ss_exec_.size());
-    ss_out_begin_[p] = static_cast<std::uint32_t>(ss_out_.size());
-    std::uint32_t pops = static_cast<std::uint32_t>(plan.static_pops);
-    for (std::size_t i = 0; i < n; ++i) {
-      const PlannedDnode& pd = plan.dnodes[i];
-      const PlannedSlot* slot = &pd.global;
-      if (pd.is_local) {
-        slot = &pd.local[(dnodes_[i].local().counter() + p) % pd.local_len];
-        pops += slot->pops;
-      }
-      if (!slot->nop) {
-        if (slot->instr.host_en || slot->instr.bus_en) {
-          ss_out_.push_back(static_cast<std::uint32_t>(ss_exec_.size()));
-        }
-        ss_exec_.push_back({static_cast<std::uint16_t>(i), slot});
-      }
-    }
-    ss_pops_[p] = pops;
-  }
-  ss_begin_[period] = static_cast<std::uint32_t>(ss_exec_.size());
-  ss_out_begin_[period] = static_cast<std::uint32_t>(ss_out_.size());
-
-  // Only active Dnodes (some reachable non-NOP slot) can change their
-  // output register during the superstep; capture the full pre-edge
-  // vector once and refresh just those entries per cycle.
-  ss_active_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (plan.dnodes[i].active) {
-      ss_active_.push_back(static_cast<std::uint16_t>(i));
-    }
-    pre_outs_[i] = dnodes_[i].out();
-  }
-
-  const std::size_t lanes = geom_.lanes;
-  const std::size_t switches = geom_.switch_count();
-  std::uint64_t words_in = 0;
-  std::uint64_t words_out = 0;
   std::size_t phase = 0;
+  SuperstepTape* tape = &tape_for(*entry, phase);
+  load_flat(ctx.bus);
+
+  const std::size_t n = dnodes_.size();
+  const TapeLayout lay{n};
+  const std::uint16_t outs = lay.outs();
+  Word* cur = flat_.data();
+  Word* nxt = cur + lay.size();
+  std::size_t head = window_slack_;  // window row of feedback depth 0
+  std::uint64_t edges = 0;           // non-stalled cycles
   std::size_t prev_top = 0;
   bool have_prev_top = false;
+  bool inert = false;
+  // The pipelines' history is copied in only once a tape reads it;
+  // page rotations without feedback reads never pay for it.
+  bool window_loaded = false;
+  const auto use_window = [&] {
+    if (tape->reads_window && !window_loaded) {
+      load_window(head, edges);
+      window_loaded = true;
+    }
+  };
+  use_window();
 
   for (;;) {
-    const std::size_t out_at_top = host_out.size();
+    if (res.cycles >= ctx.max_cycles || inert) break;
+    const std::size_t top = host_out.size();
     // Output stop with the per-cycle host-visibility lag: the System's
     // run_until_outputs loop admits cycle c against a host mirror one
-    // tick stale — host_out's size at the top of cycle c-1.  The first
-    // fused cycle was already admitted by the caller.
-    if (have_prev_top && prev_top >= host_out_stop) break;
+    // tick stale — host_out's size at the top of cycle c-1.
+    if (have_prev_top && prev_top >= ctx.host_out_stop) break;
+    // Without a controller nothing can end a host-input stall inside
+    // the loop: hand back so the per-cycle path replays it.
+    if (control == nullptr && host_in.size() < tape->pops[phase]) break;
 
-    // Impending stall: hand back so the per-cycle path replays the
-    // stall cycle-accurately (a stalled cycle advances nothing here).
-    const std::uint32_t need = ss_pops_[phase];
-    if (host_in.size() < need) break;
-
-    // The cycle will execute: sample the host-FIFO depth histogram at
-    // the same point System::step does (pre-pop).
-    if (probe.counts != nullptr) {
+    // The cycle happens: sample the host-FIFO depth histogram where
+    // System::step does (after the link tick, before any pop).
+    if (ctx.probe.counts != nullptr) {
       const std::size_t d = host_in.size();
-      ++probe.counts[probe.lut[d < probe.lut_max ? d : probe.lut_max]];
+      ++ctx.probe.counts[ctx.probe.lut[d < ctx.probe.lut_max
+                                           ? d
+                                           : ctx.probe.lut_max]];
     }
 
-    // Execute the phase.  Every per-exec statistic here is a plan
-    // constant (which Dnode, MAC or not, which feedback addresses), so
-    // all counter work is hoisted to the flush below — the loop body is
-    // operand fetch, ALU, stage.
-    const SuperExec* const e = ss_exec_.data() + ss_begin_[phase];
-    const SuperExec* const e_end = ss_exec_.data() + ss_begin_[phase + 1];
-    for (const SuperExec* it = e; it != e_end; ++it) {
-      const PlannedSlot& ps = *it->slot;
-      Dnode::Inputs in;
-      in.bus = bus;
-      const auto resolve = [&](PlannedSlot::Port kind, std::uint16_t prev,
-                               const FeedbackAddr& fb) -> Word {
-        switch (kind) {
-          case PlannedSlot::Port::kZero:
-            return 0;
-          case PlannedSlot::Port::kPrev:
-            return dnodes_[prev].out();
-          case PlannedSlot::Port::kHost:
-            return host_in.pop();
-          case PlannedSlot::Port::kFeedback:
-            return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
-          case PlannedSlot::Port::kBus:
-            return bus;
+    if (control != nullptr) {
+      const Word bus_top = cur[TapeLayout::kBus];
+      const ControlHook::Step cs =
+          control->step(bus_top, ctx.cycle + res.cycles);
+      inert = cs.inert;
+      if (cs.bus_drive) cur[TapeLayout::kBus] = *cs.bus_drive;
+      if (!plan_current(entry->plan, ctx.cfg)) {
+        PlanCacheEntry* const pred = seq_fused_ ? seq_[seq_pos_] : nullptr;
+        if (pred == nullptr || !hint_matches(*pred, ctx.cfg) ||
+            !pred->plan.local_dnodes.empty()) {
+          // Not the predicted global-mode page: step() finishes this
+          // cycle (lookup, compile, interpreter or local-mode plan).
+          cur[TapeLayout::kBus] = bus_top;
+          res.out_size_at_last_top = top;
+          res.ring_pending = true;
+          break;
         }
-        return 0;
-      };
-      in.in1 = resolve(ps.in1, ps.in1_prev, ps.in1_fb);
-      in.in2 = resolve(ps.in2, ps.in2_prev, ps.in2_fb);
-      if (ps.read_fifo1) {
-        in.fifo1 =
-            pipes_[ps.fifo1.pipe].read_fast(ps.fifo1.lane, ps.fifo1.depth);
+        // Ring::step's prediction branch, counter for counter.
+        ++plan_invalidations_;
+        seq_pos_ = (seq_pos_ + 1) % seq_.size();
+        ++plan_seq_hits_;
+        ++plan_content_hits_;
+        attach_plan(pred, ctx.cfg);
+        // The buffer written next still holds the old tape's slots
+        // from two cycles ago.
+        for (const std::uint16_t slot : tape->written) nxt[slot] = cur[slot];
+        entry = pred;
+        tape = &tape_for(*entry, phase);
+        use_window();
       }
-      if (ps.read_fifo2) {
-        in.fifo2 =
-            pipes_[ps.fifo2.pipe].read_fast(ps.fifo2.lane, ps.fifo2.depth);
+      if (host_in.size() < tape->pops[phase]) {
+        ++plan_hits_;
+        ++res.ring_stalls;  // systolic back-pressure: nothing advances
+        ++res.cycles;
+        prev_top = top;
+        have_prev_top = true;
+        continue;
       }
-      if (ps.direct_pop) in.host = host_in.pop();
+      if (!mode_synced_) sync_modes(entry->plan);
+    }
+    ++plan_hits_;
 
-      effects_[it->dnode] = dnodes_[it->dnode].execute(ps.instr, in);
+    // Execute the phase: operand fetch, ALU, latch into the next
+    // buffer.  Every per-op statistic is a tape constant, settled by
+    // flush_tape() from the per-phase cycle counts.
+    const Word* const base[4] = {cur, window_.data() + head * n,
+                                 host_in.data(), tape->imm.data()};
+    for (std::uint32_t k = tape->carry_begin[phase];
+         k < tape->carry_begin[phase + 1]; ++k) {
+      nxt[tape->carry[k]] = cur[tape->carry[k]];
     }
-    words_in += need;
-
-    // Clock edge.  Committing only the Dnodes that executed is
-    // equivalent to commit_edge(): a Dnode with nothing staged commits
-    // to its own current state, and local counters are fixed up in one
-    // advance_by() below.
-    for (const std::uint16_t i : ss_active_) {
-      pre_outs_[i] = dnodes_[i].out();
+    const std::uint32_t first = tape->begin[phase];
+    const std::uint32_t last = tape->begin[phase + 1];
+    const TapeOp* const ops = tape->ops.data();
+    Word* const vals = op_vals_.data();
+    for (std::uint32_t k = first; k < last; ++k) {
+      const TapeOp& o = ops[k];
+      const Word v = alu_execute(o.op, base[o.a.base][o.a.off],
+                                 base[o.b.base][o.b.off],
+                                 base[o.c.base][o.c.off]);
+      nxt[o.dst] = v;
+      nxt[o.out] = v;
+      vals[k - first] = v;
     }
-    for (const SuperExec* it = e; it != e_end; ++it) {
-      dnodes_[it->dnode].commit(false);
-    }
-    for (std::size_t s = 0; s < switches; ++s) {
-      pipes_[s].push_from(pre_outs_.data() + upstream_layer(s) * lanes);
-    }
+    const std::uint32_t need = tape->pops[phase];
+    host_in.drop(need);
+    res.host_words_in += need;
 
     // Host output: switch taps first (switch order), then Dnode hostEn
-    // results (Dnode order).  Bus drive: highest Dnode index wins.
-    for (const HostTapPlan& tap : plan.host_taps) {
-      host_out.push_back(pre_outs_[tap.src]);  // per-switch counter flushed
+    // results (Dnode order).  Bus: highest Dnode index wins.
+    for (const HostTapPlan& tap : entry->plan.host_taps) {
+      host_out.push_back(cur[outs + tap.src]);
     }
-    words_out += plan.host_taps.size();
-    std::optional<Word> drive;
-    const std::uint32_t* o = ss_out_.data() + ss_out_begin_[phase];
-    const std::uint32_t* const o_end =
-        ss_out_.data() + ss_out_begin_[phase + 1];
-    for (; o != o_end; ++o) {
-      const Dnode::Effects& eff = effects_[ss_exec_[*o].dnode];
-      if (eff.host_en) {
-        host_out.push_back(eff.result);
-        ++words_out;
+    res.host_words_out += entry->plan.host_taps.size();
+    Word bus = cur[TapeLayout::kBus];
+    bool driven = false;
+    for (std::uint32_t j = tape->effects_begin[phase];
+         j < tape->effects_begin[phase + 1]; ++j) {
+      const std::uint32_t k = tape->effects[j];
+      const Word v = vals[k - first];
+      if (ops[k].host_en) {
+        host_out.push_back(v);
+        ++res.host_words_out;
       }
-      if (eff.bus_en) {
+      if (ops[k].bus_en) {
         ++bus_drives_;
-        if (drive.has_value()) ++bus_conflicts_;
-        drive = eff.result;
+        if (driven) ++bus_conflicts_;
+        driven = true;
+        bus = v;
       }
     }
+    nxt[TapeLayout::kBus] = bus;
 
+    // Clock edge: every pipeline latches its upstream layer's pre-edge
+    // outputs — one row of the shared window.
+    if (head == 0) {
+      std::copy(window_.data(), window_.data() + (geom_.fb_depth - 1) * n,
+                window_.data() + (window_slack_ + 1) * n);
+      head = window_slack_ + 1;
+    }
+    --head;
+    std::copy(cur + outs, cur + outs + n, window_.data() + head * n);
+    std::swap(cur, nxt);
+
+    ++tape->phase_cycles[phase];
+    if (++phase == tape->period) phase = 0;
+    ++edges;
     ++res.cycles;
-    prev_top = out_at_top;
+    prev_top = top;
     have_prev_top = true;
-    ++phase;
-    if (phase == period) phase = 0;
-    if (drive.has_value()) {
-      // The driven value must be visible on the bus next cycle: break
-      // so the caller can update it.
-      res.bus_drive = drive;
-      break;
-    }
-    if (res.cycles >= max_cycles) break;
   }
 
-  // One flush for the whole superstep.  plan_hits_ advances by the
-  // executed cycle count so the plan counters — and with them the full
-  // SystemStats — stay bit-identical with per-cycle planned execution.
-  // The loop only breaks at cycle boundaries, so phase p ran exactly
-  // floor(cycles/period) times plus one if p < cycles % period — which
-  // lets every plan-constant per-exec statistic (op counts, MAC counts,
-  // feedback-read histograms, tap traffic) be settled here instead of
-  // inside the fused loop.
-  std::uint64_t ops = 0;
-  std::uint64_t arith = 0;
-  {
-    const std::uint64_t full = res.cycles / period;
-    const std::size_t rem = static_cast<std::size_t>(res.cycles % period);
-    for (std::size_t p = 0; p < period; ++p) {
-      const std::uint64_t cnt = full + (p < rem ? 1 : 0);
-      if (cnt == 0) continue;
-      for (std::uint32_t k = ss_begin_[p]; k < ss_begin_[p + 1]; ++k) {
-        const SuperExec& ex = ss_exec_[k];
-        const PlannedSlot& ps = *ex.slot;
-        ops += cnt;
-        arith += cnt * (ps.is_mac ? 2u : 1u);
-        ops_per_dnode_[ex.dnode] += cnt;
-        if (ps.is_mac) mac_ops_per_dnode_[ex.dnode] += cnt;
-        const auto note_n = [&](const FeedbackAddr& fb) {
-          fb_reads_per_pipe_[fb.pipe] += cnt;
-          fb_read_depth_counts_[fb.pipe * geom_.fb_depth + fb.depth] += cnt;
-        };
-        if (ps.in1 == PlannedSlot::Port::kFeedback) note_n(ps.in1_fb);
-        if (ps.in2 == PlannedSlot::Port::kFeedback) note_n(ps.in2_fb);
-        if (ps.read_fifo1) note_n(ps.fifo1);
-        if (ps.read_fifo2) note_n(ps.fifo2);
-      }
-    }
-    for (const HostTapPlan& tap : plan.host_taps) {
-      host_out_words_per_switch_[tap.sw] += res.cycles;
-    }
+  store_flat(cur, head, edges);
+  res.bus = cur[TapeLayout::kBus];
+  if (!res.ring_pending) res.out_size_at_last_top = prev_top;
+  for (const auto& e : plan_cache_) flush_tape(*e, res);
+  // Every plan a dispatch runs has the same mode split: the entry plan
+  // alone, or global-mode pages only.
+  for (const std::uint16_t i : entry->plan.local_dnodes) {
+    dnodes_[i].local().advance_by(edges);
+    local_cycles_per_dnode_[i] += edges;
   }
-  res.ops = ops;
-  res.arith_ops = arith;
-  res.host_words_in = words_in;
-  res.host_words_out = words_out;
-  res.out_size_at_last_top = prev_top;
-  ++superstep_dispatches_;
-  superstep_cycles_ += res.cycles;
-  plan_hits_ += res.cycles;
-  for (const std::uint16_t i : plan.local_dnodes) {
-    dnodes_[i].local().advance_by(res.cycles);
-    local_cycles_per_dnode_[i] += res.cycles;
+  for (const std::uint16_t i : entry->plan.global_dnodes) {
+    global_cycles_per_dnode_[i] += edges;
   }
-  for (const std::uint16_t i : plan.global_dnodes) {
-    global_cycles_per_dnode_[i] += res.cycles;
+  if (res.cycles > 0) {
+    ++superstep_dispatches_;
+    superstep_cycles_ += res.cycles;
   }
-  // pre_outs_ holds the LAST cycle's pre-edge vector for active
-  // Dnodes; refresh those to restore the per-cycle planned invariant.
-  for (const std::uint16_t i : ss_active_) {
-    pre_outs_[i] = dnodes_[i].out();
-  }
-  pre_outs_valid_ = true;
   return res;
 }
 

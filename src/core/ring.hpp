@@ -93,41 +93,85 @@ class Ring {
     std::size_t lut_max = 0;
   };
 
-  /// Outcome of one fused superstep (run_planned()): per-cycle tallies
-  /// accumulated over every executed cycle and flushed once.
+  /// The configuration controller as a fused dispatch sees it.  The
+  /// System implements it around Controller::step, so the controller's
+  /// own counters and the System's controller statistics advance
+  /// exactly as per-cycle stepping would advance them.
+  class ControlHook {
+   public:
+    struct Step {
+      std::optional<Word> bus_drive;  ///< BUSW value, visible this cycle
+      bool inert = false;  ///< controller halted or in a WAIT afterwards
+    };
+    /// Execute the controller's part of one cycle: `bus` is the bus at
+    /// the top of the cycle, `cycle` what RDCYC reads.
+    virtual Step step(Word bus, std::uint64_t cycle) = 0;
+
+   protected:
+    ~ControlHook() = default;
+  };
+
+  /// Everything one fused dispatch (run_planned()) needs.
+  struct SuperstepContext {
+    const ConfigMemory& cfg;
+    Word bus = 0;  ///< bus value at the top of the first cycle
+    HostFifo& host_in;
+    std::vector<Word>& host_out;
+    std::uint64_t max_cycles = 0;
+    /// Stop once host_out reached this size, with the per-cycle host
+    /// visibility lag (SIZE_MAX: no stop; the caller admitted the first
+    /// cycle against its own stop condition).
+    std::size_t host_out_stop = 0;
+    HostDepthProbe probe;
+    /// Non-null while the controller is neither halted nor in a WAIT:
+    /// it then runs inside the loop, one step() per cycle.  Null: the
+    /// controller is inert for the whole dispatch.
+    ControlHook* control = nullptr;
+    std::uint64_t cycle = 0;  ///< cycle counter at the first cycle
+  };
+
+  /// Outcome of one fused dispatch: per-cycle tallies accumulated over
+  /// every completed cycle and flushed once.
   struct SuperstepResult {
-    std::uint64_t cycles = 0;       ///< non-stalled cycles executed
+    std::uint64_t cycles = 0;       ///< cycles completed, stalled included
+    std::uint64_t ring_stalls = 0;  ///< of those, ring (host-input) stalls
     std::uint64_t ops = 0;
     std::uint64_t arith_ops = 0;
     std::uint64_t host_words_in = 0;
     std::uint64_t host_words_out = 0;
-    /// host_out.size() observed at the top of the last executed cycle —
-    /// what a per-cycle host mirror (one tick behind) would have
-    /// published after that cycle.
+    /// host_out.size() at the top of the last cycle started — what a
+    /// per-cycle host mirror (one tick behind) has published by then.
     std::size_t out_size_at_last_top = 0;
-    std::optional<Word> bus_drive;  ///< drive from the final cycle, if any
+    Word bus = 0;  ///< bus value after the last completed cycle
+    /// The controller stepped one more cycle whose configuration change
+    /// the loop cannot serve: the caller must finish that cycle's ring
+    /// evaluation through step() (the controller's part is done).
+    bool ring_pending = false;
   };
 
-  /// Superstep engine: execute up to `max_cycles` consecutive cycles
-  /// straight from the compiled plan in one fused loop — plan-validity
-  /// check, mode sync and local-slot bookkeeping hoisted out, the
-  /// schedule unrolled over the local-program period.  Returns
-  /// cycles == 0 (and touches nothing) unless the plan is valid and
-  /// current; breaks back to the caller exactly at an impending stall
-  /// (the stall cycle itself is NOT executed — the per-cycle path
-  /// replays it), after any cycle that drives the bus (the new value
-  /// must be visible next cycle), and once host_out reached
-  /// `host_out_stop` with the per-cycle host-visibility lag (size at
-  /// the top of the previous cycle; pass SIZE_MAX for no stop — the
-  /// caller must have admitted the first cycle against its own stop
-  /// condition).  Architectural state, outputs and statistics are
-  /// bit-identical with the same cycles run through step().
-  SuperstepResult run_planned(const ConfigMemory& cfg, Word bus,
-                              HostFifo& host_in,
-                              std::vector<Word>& host_out,
-                              std::uint64_t max_cycles,
-                              std::size_t host_out_stop,
-                              const HostDepthProbe& probe);
+  /// Superstep engine: execute up to `max_cycles` consecutive cycles of
+  /// the attached plan from its cached tape — flat micro-ops over a
+  /// double-buffered flat state (bus, registers, outputs) and one
+  /// feedback-history window shared by every pipeline, with every
+  /// per-op statistic flushed once per dispatch.  Returns an empty
+  /// result (and touches nothing) unless the plan is current and
+  /// eligible.
+  ///
+  /// With ctx.control set, the controller runs inside the loop: a
+  /// configuration change the fused rotation predicts re-attaches the
+  /// next plan and its tape in O(1); anything else (a content lookup,
+  /// a first sighting or compile, a word write, WRLOC, a local-mode
+  /// plan) ends the dispatch with ring_pending set.  That mode serves
+  /// only period-1, all-global plans, and only once a rotation over
+  /// pages is fused.  Ring stalls are then counted inside the loop.
+  ///
+  /// Without a controller, the dispatch stops before an impending
+  /// stall (the per-cycle path replays it).  Both modes stop at the
+  /// output stop and the cycle budget, and in-loop controller mode
+  /// also once the controller goes inert.  Architectural state,
+  /// outputs and statistics are bit-identical with the same cycles run
+  /// through step(); only the ring.superstep.* counters differ.
+  SuperstepResult run_planned(const SuperstepContext& ctx);
 
   // --- state access ---------------------------------------------------
   Dnode& dnode(std::size_t layer, std::size_t lane);
@@ -217,8 +261,9 @@ class Ring {
   /// check, no hash/lookup).  Subset of plan_content_hits.
   std::uint64_t plan_seq_hits() const noexcept { return plan_seq_hits_; }
   bool plan_cache_enabled() const noexcept { return plan_enabled_; }
-  /// Superstep dispatches (run_planned() calls that executed >= 1
-  /// cycle) and total cycles they covered.  Observability only: these
+  /// Superstep dispatches (run_planned() calls that completed >= 1
+  /// cycle) and total cycles they covered, controller-driven and
+  /// ring-stalled cycles included.  Observability only: these
   /// are the ONLY counters allowed to differ between superstep and
   /// per-cycle execution.
   std::uint64_t superstep_dispatches() const noexcept {
@@ -247,9 +292,6 @@ class Ring {
   }
   const std::vector<const DnodeInstr*>& last_fetched() const noexcept {
     return fetched_;
-  }
-  const std::vector<bool>& last_is_local() const noexcept {
-    return is_local_;
   }
   /// Keep the per-Dnode trace views (last_effects/last_fetched) exact
   /// on the planned path.  The System sets this together with its
@@ -292,6 +334,7 @@ class Ring {
     std::uint64_t last_use = 0;   ///< LRU clock for eviction
     bool compiled = false;
     CyclePlan plan;
+    SuperstepTape tape;  ///< lowered on the first dispatch of `plan`
   };
 
   std::size_t flat_index(std::size_t layer, std::size_t lane) const;
@@ -341,9 +384,36 @@ class Ring {
   /// at capacity.  Returns the (possibly reused) entry.
   PlanCacheEntry* insert_entry(const ConfigMemory& cfg, std::uint64_t key);
   /// Make `e` the attached plan: restamp the validity key, refresh the
-  /// provenance hint, reset mode sync, record the attachment in the
-  /// sequence history.
+  /// provenance hint, arm the mode sync unless the plan's local set is
+  /// the one already synced, record the attachment in the sequence
+  /// history.
   void attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg);
+  /// True while `plan` still describes the live configuration.
+  bool plan_current(const CyclePlan& plan,
+                    const ConfigMemory& cfg) const noexcept {
+    return plan.cfg_uid == cfg.uid() &&
+           plan.cfg_generation == cfg.generation() &&
+           plan.local_generation == local_generation_;
+  }
+  /// First advancing cycle under an attachment: commit mode
+  /// transitions exactly as the interpreter would.
+  void sync_modes(const CyclePlan& plan);
+
+  // --- superstep internals --------------------------------------------
+  /// `e`'s tape, (re)lowered when missing or when the local counters
+  /// match none of its phases; `phase` receives the current phase.
+  SuperstepTape& tape_for(PlanCacheEntry& e, std::size_t& phase);
+  /// Copy the Dnode registers and outputs into both flat buffers.
+  void load_flat(Word bus);
+  /// Copy the pipelines' history into the window below the `edges` rows
+  /// a dispatch already pushed from depth-0 row `head`.
+  void load_window(std::size_t head, std::uint64_t edges);
+  /// Write `state` back to the Dnodes and latch the `edges` rows pushed
+  /// from depth-0 row `head` into the pipelines.
+  void store_flat(const Word* state, std::size_t head, std::uint64_t edges);
+  /// Settle the per-op statistics of the cycles `e`'s tape ran since
+  /// its last flush (no-op when it ran none).
+  void flush_tape(PlanCacheEntry& e, SuperstepResult& res);
   /// Record an attachment in the history and try to detect a periodic
   /// sequence (no-op while fused).
   void note_attach(PlanCacheEntry* e);
@@ -371,6 +441,10 @@ class Ring {
   std::uint64_t plan_use_clock_ = 0;
   bool plan_enabled_ = true;
   bool mode_synced_ = false;     // planned path applied mode transitions
+  // last_mode_ is exactly "local for synced_local_, global elsewhere"
+  // while synced_valid_ (an interpreted cycle may leave any mix).
+  std::vector<std::uint16_t> synced_local_;
+  bool synced_valid_ = true;
   bool pre_outs_valid_ = false;  // pre_outs_[i] == dnodes_[i].out()
   bool trace_views_ = false;     // maintain full effects_/fetched_
   std::uint64_t local_generation_ = 0;
@@ -404,17 +478,11 @@ class Ring {
   std::vector<std::uint8_t> local_slot_;   // planned path: slot per Dnode
   std::vector<std::uint16_t> exec_scratch_;  // planned path: executed Dnodes
 
-  // Superstep scratch (reused across dispatches) + counters.
-  struct SuperExec {
-    std::uint16_t dnode;
-    const PlannedSlot* slot;
-  };
-  std::vector<SuperExec> ss_exec_;       // non-NOP slots, phase-major
-  std::vector<std::uint32_t> ss_begin_;  // [period+1] offsets into ss_exec_
-  std::vector<std::uint32_t> ss_pops_;   // [period] host pops per phase
-  std::vector<std::uint32_t> ss_out_;    // ss_exec_ indices w/ host/bus en
-  std::vector<std::uint32_t> ss_out_begin_;  // [period+1] into ss_out_
-  std::vector<std::uint16_t> ss_active_; // Dnodes live during a superstep
+  // Superstep state (reused across dispatches) + counters.
+  std::vector<Word> flat_;       // two TapeLayout buffers, back to back
+  std::vector<Word> window_;     // feedback history, one outs row each
+  std::size_t window_slack_ = 0; // rows pushed before a relocation
+  std::vector<Word> op_vals_;    // this cycle's micro-op results
   std::uint64_t superstep_dispatches_ = 0;
   std::uint64_t superstep_cycles_ = 0;
 };

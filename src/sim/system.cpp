@@ -1,5 +1,6 @@
 #include "sim/system.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -81,16 +82,24 @@ void System::step() {
                                                         : kDepthLutMax]];
   }
 
+  finish_cycle(step_controller(bus_, cycle_));
+}
+
+Controller::StepResult System::step_controller(Word bus,
+                                               std::uint64_t cycle) {
   const Controller::StepContext ctx{cfg_,
                                     ring_,
-                                    bus_,
+                                    bus,
                                     host_.ring_in(),
                                     host_.ring_out(),
-                                    cycle_};
+                                    cycle};
   const auto ctrl_res = ctrl_.step(ctx);
   if (ctrl_res.stalled) ++stats_.ctrl_stall_cycles;
   if (ctrl_res.executed) ++stats_.ctrl_instructions;
+  return ctrl_res;
+}
 
+void System::finish_cycle(const Controller::StepResult& ctrl_res) {
   // Controller bus writes are visible to the Dnodes in the same cycle.
   const Word bus_for_ring = ctrl_res.bus_drive.value_or(bus_);
 
@@ -314,20 +323,36 @@ std::uint64_t System::try_superstep(std::uint64_t cycle_budget,
   if (!superstep_enabled_ || sink_ != nullptr || !host_.unlimited()) {
     return 0;
   }
-  std::uint64_t cap = cycle_budget;
-  const bool waiting = !ctrl_.halted();
-  if (waiting) {
-    // Only a controller parked in a multi-cycle WAIT is as inert as a
-    // halted one; cap the fused run at its wake-up cycle.
-    const std::uint64_t w = ctrl_.wait_cycles_remaining();
-    if (w == 0) return 0;
-    if (w < cap) cap = w;
-  }
-  const auto res = ring_.run_planned(
-      cfg_, bus_, host_.ring_in(), host_.ring_out(), cap, host_out_stop,
-      Ring::HostDepthProbe{host_depth_counts_.data(), kDepthLut.data(),
-                           kDepthLutMax});
-  if (res.cycles == 0) return 0;
+  // The controller steps inside the fused loop through this hook; its
+  // statistics land in stats_ exactly as step() would count them.
+  struct Hook final : Ring::ControlHook {
+    explicit Hook(System& s) : sys(s) {}
+    Step step(Word bus, std::uint64_t cycle) override {
+      last = sys.step_controller(bus, cycle);
+      return {last.bus_drive,
+              sys.ctrl_.halted() || sys.ctrl_.wait_cycles_remaining() > 0};
+    }
+    System& sys;
+    Controller::StepResult last;
+  } hook(*this);
+
+  // A controller parked in a multi-cycle WAIT is as inert as a halted
+  // one: cap the fused run at its wake-up.  An active one runs inside.
+  const bool waiting = !ctrl_.halted() && ctrl_.wait_cycles_remaining() > 0;
+  const Ring::SuperstepContext ctx{
+      .cfg = cfg_,
+      .bus = bus_,
+      .host_in = host_.ring_in(),
+      .host_out = host_.ring_out(),
+      .max_cycles = waiting ? std::min<std::uint64_t>(
+                                  cycle_budget, ctrl_.wait_cycles_remaining())
+                            : cycle_budget,
+      .host_out_stop = host_out_stop,
+      .probe = {host_depth_counts_.data(), kDepthLut.data(), kDepthLutMax},
+      .control = waiting || ctrl_.halted() ? nullptr : &hook,
+      .cycle = cycle_};
+  const Ring::SuperstepResult res = ring_.run_planned(ctx);
+  if (res.cycles == 0 && !res.ring_pending) return 0;
 
   // Flush what the skipped per-cycle steps would have accounted.  The
   // host link is NOT ticked: publish_to_host reproduces the mirror's
@@ -337,14 +362,19 @@ std::uint64_t System::try_superstep(std::uint64_t cycle_budget,
     stats_.ctrl_stall_cycles += res.cycles;
   }
   stats_.cycles += res.cycles;
+  stats_.ring_stall_cycles += res.ring_stalls;
   stats_.dnode_ops += res.ops;
   stats_.arith_ops += res.arith_ops;
   stats_.host_words_in += res.host_words_in;
   stats_.host_words_out += res.host_words_out;
   cycle_ += res.cycles;
-  if (res.bus_drive.has_value()) bus_ = *res.bus_drive;
+  bus_ = res.bus;
   host_.publish_to_host(res.out_size_at_last_top);
-  return res.cycles;
+  if (!res.ring_pending) return res.cycles;
+  // The controller already stepped the next cycle (its tick and depth
+  // sample are done too); only its ring evaluation is left.
+  finish_cycle(hook.last);
+  return res.cycles + 1;
 }
 
 void System::run_until_halt(std::uint64_t max_cycles,

@@ -147,18 +147,24 @@ class System {
 
  private:
   void reset_common(const LoadableProgram& program, bool keep_plans);
+  /// The controller's part of a cycle (counts its statistics).
+  Controller::StepResult step_controller(Word bus, std::uint64_t cycle);
+  /// The rest of a cycle after the controller stepped: ring evaluation,
+  /// statistics, bus, cycle counter, trace events.
+  void finish_cycle(const Controller::StepResult& ctrl_res);
   void emit_cycle_events(const Controller::StepResult& ctrl_res,
                          const Ring::CycleResult& ring_res);
 
   /// Try to run a fused superstep covering up to `cycle_budget` cycles
   /// (see Ring::run_planned).  Eligible only while per-cycle stepping
   /// could not observe anything a fused run skips: superstep enabled,
-  /// no trace sink, unlimited host link, and the controller halted or
-  /// inside a multi-cycle WAIT (the fused run is then capped at the
-  /// wake-up).  `host_out_stop` carries run_until_outputs' target into
-  /// the ring (SIZE_MAX otherwise).  Returns the cycles executed, 0
-  /// when ineligible or nothing ran — the caller must then fall back
-  /// to step() so progress is guaranteed.
+  /// no trace sink and an unlimited host link.  A halted controller, or
+  /// one in a multi-cycle WAIT (the fused run is then capped at the
+  /// wake-up), stays outside the loop; an active one steps inside it.
+  /// `host_out_stop` carries run_until_outputs' target into the ring
+  /// (SIZE_MAX otherwise).  Returns the cycles completed, 0 when
+  /// ineligible or nothing ran — the caller must then fall back to
+  /// step() so progress is guaranteed.
   std::uint64_t try_superstep(std::uint64_t cycle_budget,
                               std::size_t host_out_stop);
 

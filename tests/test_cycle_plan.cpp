@@ -9,13 +9,19 @@
 #include <vector>
 
 #include "asm/assembler.hpp"
+#include "asm/program_builder.hpp"
 #include "common/error.hpp"
+#include "common/image.hpp"
 #include "common/rng.hpp"
 #include "core/ring.hpp"
+#include "dsp/matvec.hpp"
 #include "kernels/fir_kernel.hpp"
+#include "kernels/jobs.hpp"
 #include "kernels/mac_kernel.hpp"
 #include "obs/event.hpp"
 #include "sim/system.hpp"
+#include "tile/gemm_job.hpp"
+#include "tile/gemm_ref.hpp"
 
 namespace sring {
 namespace {
@@ -352,8 +358,9 @@ TEST(Superstep, HostFifoExhaustionAndRefillBitExact) {
 
 TEST(Superstep, BusDriveBreaksDispatchBitExact) {
   // Dnode 0.0 drives the bus every executed cycle; 1.0 echoes the bus
-  // to the host.  Every drive must end the fused dispatch so the value
-  // lands on the System bus before the next cycle reads it.
+  // to the host.  The drive lands in the fused loop's next state
+  // buffer, so every value is visible the next cycle without ending the
+  // dispatch, and the final one reaches the System bus at exit.
   const RingGeometry g{2, 1, 4};
   const LoadableProgram program = assemble(R"(
 .ring 2 1 4
@@ -511,6 +518,234 @@ TEST(Superstep, CountersAndEnvironmentKnob) {
   EXPECT_GT(c->value(), a.size() / 2)
       << "a steady local-mode run must spend most cycles fused";
   EXPECT_EQ(sys.ring().superstep_cycles(), c->value());
+}
+
+// ---------------------------------------------------------------------
+// Controller-driven supersteps: an active controller steps inside the
+// fused loop, page swaps re-attach the predicted plan and its tape.
+
+/// Run `job` the way a runtime worker does.
+void run_job(System& sys, const rt::Job& job) {
+  sys.load(*job.program);
+  sys.host().send(job.input);
+  if (job.run == rt::Job::Run::kUntilOutputs) {
+    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
+  } else {
+    sys.run_until_halt(job.max_cycles, job.drain_cycles);
+  }
+}
+
+TEST(Superstep, ControllerDrivenMatvec8BitExactAndMostlyFused) {
+  const RingGeometry g{8, 2, 16};
+  const rt::Job job = kernels::make_matvec8_job(g, dsp::dct8_matrix_q7(),
+                                                signal(31, 8 * 96));
+  const auto drive = [&](System& sys) { run_job(sys, job); };
+
+  const SuperRun on = drive_system(g, true, drive);
+  const SuperRun off = drive_system(g, false, drive);
+  expect_transparent(on, off);
+  EXPECT_GT(on.ss_cycles, on.cycles * 9 / 10)
+      << "once the page rotation is fused, the controller must run "
+         "inside the loop";
+}
+
+TEST(Superstep, ControllerDrivenGemmTilesBitExact) {
+  const RingGeometry g{4, 2, 16};
+  tile::GemmSpec spec;
+  spec.m = 16;
+  spec.k = 24;
+  spec.n = 16;
+  spec.dtype = tile::Dtype::kInt8;
+  spec.shift = 7;
+  const tile::TileSchedule sched = tile::plan_gemm(spec, 64);
+  const auto a = tile::random_operand(spec.m * spec.k, spec.dtype, 32);
+  const auto b = tile::random_operand(spec.k * spec.n, spec.dtype, 33);
+  tile::Scratchpad spad(64);
+  tile::GemmJobBuilder builder(g, spad);
+  ASSERT_GE(sched.steps.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const rt::Job job = builder.build(sched, sched.steps[i], a, b);
+    const auto drive = [&](System& sys) { run_job(sys, job); };
+    expect_transparent(drive_system(g, true, drive),
+                       drive_system(g, false, drive));
+  }
+}
+
+TEST(Superstep, MotionEstimationBitExact) {
+  const RingGeometry g{8, 2, 16};
+  Rng rng(34);
+  Image ref(16, 16);
+  Image cand(16, 16);
+  for (std::size_t y = 0; y < 16; ++y) {
+    for (std::size_t x = 0; x < 16; ++x) {
+      ref.at(x, y) = rng.next_word_in(0, 255);
+      cand.at(x, y) = rng.next_word_in(0, 255);
+    }
+  }
+  const rt::Job job =
+      kernels::make_motion_estimation_job(g, ref, 4, 4, cand, 2);
+  const auto drive = [&](System& sys) { run_job(sys, job); };
+  const SuperRun on = drive_system(g, true, drive);
+  expect_transparent(on, drive_system(g, false, drive));
+  EXPECT_GT(on.dispatches, 0u);
+}
+
+TEST(Superstep, ControllerLoopMixesPagesWithHostAndBusTraffic) {
+  // INPOP ahead of the ring's own pops, BUSW visible in the same cycle,
+  // RDCYC and OUTPUSH interleaved with the ring's host output, a Dnode
+  // bus drive every cycle of page b and a feedback read across swaps.
+  const RingGeometry g{2, 2, 4};
+  const LoadableProgram program = assemble(R"(
+.ring 2 2 4
+.controller
+    ldi   r1, 40
+    ldi   r2, 0
+loop:
+    inpop r3
+    busw  r3
+    page  a
+    rdcyc r4
+    outpush r4
+    page  b
+    outpush r3
+    addi  r1, r1, -1
+    bne   r1, r2, loop
+    halt
+.page a
+    dnode 0.0 { mac r0, bus, imm(3), r0 out }
+    dnode 0.1 { add r1, in1, r1 out host }
+    switch 0.1 in1=host
+.page b
+    dnode 1.0 { add none, in1, bus bus host }
+    dnode 1.1 { add r2, fifo1, r2 out host }
+    switch 1.0 in1=prev0
+    switch 1.1 fifo1=fb(1,1,2)
+)");
+
+  for (const bool short_budgets : {false, true}) {
+    const auto drive = [&](System& sys) {
+      sys.load(program);
+      sys.host().send(signal(35, 170));
+      // Uneven budgets start dispatches on every page of the rotation,
+      // so page b's feedback read also finds pre-dispatch history.
+      for (std::uint64_t k = 1; short_budgets && !sys.controller().halted();
+           k = k % 7 + 1) {
+        sys.run_cycles(k);
+      }
+      sys.run_until_halt(2000, 3);
+    };
+    const SuperRun on = drive_system(g, true, drive);
+    expect_transparent(on, drive_system(g, false, drive));
+    EXPECT_GT(on.ss_cycles, on.cycles / 2);
+  }
+}
+
+TEST(Superstep, MidRunConfigWritesBreakFusionAndResume) {
+  // A page rotation with one WRCFG and one WRLOC half-way: the word
+  // write and the local-program write cannot be predicted, so those
+  // cycles finish through Ring::step; the rotation re-fuses afterwards.
+  const RingGeometry g{4, 2, 8};
+  ProgramBuilder pb(g, "midrun_writes");
+  const std::size_t idle = pb.add_page(PageBuilder(g));
+  std::size_t pages[2];
+  for (std::size_t j = 0; j < 2; ++j) {
+    PageBuilder page(g);
+    DnodeInstr mac;
+    mac.op = DnodeOp::kMac;
+    mac.src_a = DnodeSrc::kBus;
+    mac.src_b = DnodeSrc::kImm;
+    mac.src_c = DnodeSrc::kR0;
+    mac.imm = static_cast<Word>(3 + j);
+    mac.dst = DnodeDst::kR0;
+    mac.out_en = true;
+    mac.host_en = j == 1;
+    page.instr(0, j, mac);
+    pages[j] = pb.add_page(page);
+  }
+  DnodeInstr poke = pass_out(DnodeSrc::kImm);
+  poke.imm = 77;
+  poke.host_en = true;
+  pb.set_reg(1, 30);
+  pb.ldi(2, 0);
+  pb.ldi(6, 15);
+  pb.label("loop");
+  pb.inpop(3);
+  pb.busw(3);
+  pb.page_switch(pages[0]);
+  pb.page_switch(idle);
+  pb.page_switch(pages[1]);
+  pb.page_switch(idle);
+  pb.addi(1, 1, -1);
+  pb.branch(RiscOp::kBne, 1, 6, "skip");
+  pb.wrcfg(3, poke);
+  pb.wrloc(5, 0, poke.encode());
+  pb.page_switch(idle);
+  pb.label("skip");
+  pb.branch(RiscOp::kBne, 1, 2, "loop");
+  pb.halt();
+  const LoadableProgram program = pb.build();
+
+  const auto drive = [&](System& sys) {
+    sys.load(program);
+    sys.host().send(signal(36, 30));
+    sys.run_until_halt(4000, 2);
+  };
+  const SuperRun on = drive_system(g, true, drive);
+  expect_transparent(on, drive_system(g, false, drive));
+  EXPECT_GE(on.dispatches, 2u) << "fused before and after the writes";
+}
+
+TEST(Superstep, RingStallsWhileTheControllerRuns) {
+  // Page a pops one host word per cycle; the controller keeps rotating
+  // after the FIFO runs dry, so ring stalls happen inside the loop.
+  const RingGeometry g{2, 1, 4};
+  const LoadableProgram program = assemble(R"(
+.ring 2 1 4
+.controller
+loop:
+    page a
+    page b
+    jmp  loop
+.page a
+    dnode 0.0 { add r0, host, r0 out host }
+.page b
+    dnode 1.0 { pass none, in1 host }
+    switch 1.0 in1=prev0
+)");
+
+  std::uint64_t stalls = 0;
+  const auto drive = [&](System& sys) {
+    sys.load(program);
+    sys.host().send(signal(37, 50));
+    sys.run_cycles(300);
+    sys.host().send(signal(38, 20));
+    sys.run_cycles(100);
+    stalls = sys.stats().ring_stall_cycles;
+  };
+  const SuperRun on = drive_system(g, true, drive);
+  const SuperRun off = drive_system(g, false, drive);
+  expect_transparent(on, off);
+  EXPECT_GT(stalls, 40u);
+  EXPECT_GT(on.ss_cycles, 200u) << "the stalls must run inside the loop";
+}
+
+TEST(Superstep, ControllerDrivenOutputAndCycleStops) {
+  // run_until_outputs stops mid-block (with the host mirror's one-tick
+  // lag) and run_cycles stops mid-rotation; both resume exactly.
+  const RingGeometry g{8, 2, 16};
+  const rt::Job job = kernels::make_matvec8_job(g, dsp::dct8_matrix_q7(),
+                                                signal(39, 8 * 40));
+  const auto drive = [&](System& sys) {
+    sys.load(*job.program);
+    sys.host().send(job.input);
+    sys.run_until_outputs(85, job.max_cycles);
+    sys.run_cycles(137);
+    sys.run_until_outputs(203, job.max_cycles);
+    sys.run_until_halt(job.max_cycles, job.drain_cycles);
+  };
+  const SuperRun on = drive_system(g, true, drive);
+  expect_transparent(on, drive_system(g, false, drive));
+  EXPECT_GT(on.dispatches, 2u);
 }
 
 TEST(CyclePlan, FbReadDepthCountsSizedByGeometry) {
