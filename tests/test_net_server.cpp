@@ -17,6 +17,8 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
+#include "obs/span.hpp"
 #include "rt/runtime.hpp"
 
 namespace sring::net {
@@ -557,6 +560,112 @@ TEST(NetClient, ConnectRetriesThenThrowsTyped) {
   Client client(cfg);
   EXPECT_THROW(client.connect(), NetError);
   EXPECT_FALSE(client.connected());
+}
+
+// ---- pinned served snapshot -----------------------------------------
+
+// A few sequential jobs on a one-worker server: Server::metrics() has
+// exactly this name set, and its runtime and ring counters these
+// values.  rt.busy_us is wall time, so only its presence is pinned.
+TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
+  const bool telemetry_was = obs::telemetry_enabled();
+  obs::set_telemetry_enabled(true);
+  ServerConfig scfg;
+  scfg.runtime.workers = 1;
+  TestServer ts(scfg);
+  {
+    Client client(client_config(ts.server.port()));
+    for (const JobRequest& req : all_kernel_requests()) {
+      const RemoteResult r = client.submit(req);
+      ASSERT_TRUE(r.ok) << r.error;
+    }
+  }
+  ts.stop();
+  const obs::Registry m = ts.server.metrics();
+
+  std::set<std::string> names;
+  for (const auto& [name, c] : m.counters()) names.insert(name);
+  for (const auto& [name, h] : m.histograms()) names.insert(name);
+  const std::set<std::string> want_names{
+      "net.admission.accepted", "net.admission.delayed",
+      "net.admission.shed", "net.batch.jobs", "net.batch.requests",
+      "net.bytes.in", "net.bytes.out", "net.connections.accepted",
+      "net.connections.active", "net.connections.closed",
+      "net.connections.rejected", "net.drains", "net.frames.in",
+      "net.frames.out", "net.gemm.requests", "net.gemm.tile_jobs",
+      "net.jobs.completed", "net.jobs.failed", "net.jobs.submitted",
+      "net.latency.arm_us", "net.latency.e2e_us",
+      "net.latency.execute_us", "net.latency.queue_wait_us",
+      "net.latency.serialize_us", "net.protocol_errors",
+      "net.rejects.busy", "net.rejects.shutdown", "net.shard.0.connections",
+      "net.shard.0.frames_in", "net.shard.0.jobs", "net.shards",
+      "net.timeouts", "ring.plan.compiles", "ring.plan.hits",
+      "ring.plan.invalidations", "ring.superstep.cycles",
+      "ring.superstep.dispatches", "rt.busy_us", "rt.dnode_ops",
+      "rt.host_words_in", "rt.host_words_out", "rt.job_cycles", "rt.jobs",
+      "rt.latency.arm_us", "rt.latency.execute_us",
+      "rt.latency.queue_wait_us", "rt.pool.fast_resets",
+      "rt.pool.full_loads", "rt.queue.blocked_pushes", "rt.queue.capacity",
+      "rt.queue.depth", "rt.queue.dequeued", "rt.queue.enqueued",
+      "rt.queue.max_depth", "rt.queue.rejected_closed",
+      "rt.queue.rejected_full", "rt.sim_cycles", "rt.worker.0.jobs",
+      "rt.worker.0.pool.fast_resets", "rt.worker.0.pool.full_loads",
+      "rt.worker.0.pool.systems", "rt.worker.0.sim_cycles", "rt.workers",
+      "svc.compile.evictions", "svc.compile.failures",
+      "svc.compile.hits", "svc.compile.latency_us", "svc.compile.misses",
+      "svc.compile.validations", "tile.plan.evictions", "tile.plan.hits",
+      "tile.plan.misses", "tile.scratch.bytes_filled",
+      "tile.scratch.bytes_saved", "tile.scratch.hits",
+      "tile.scratch.refills",
+  };
+  EXPECT_EQ(names, want_names);
+
+  std::map<std::string, std::uint64_t> values;
+  for (const auto& [name, c] : m.counters()) {
+    const bool pinned = name.rfind("rt.", 0) == 0 ||
+                        name.rfind("ring.plan.", 0) == 0 ||
+                        name.rfind("ring.superstep.", 0) == 0;
+    if (pinned && name != "rt.busy_us") values[name] = c.value();
+  }
+  const std::map<std::string, std::uint64_t> want_values{
+      {"ring.plan.compiles", 16},
+      {"ring.plan.hits", 533},
+      {"ring.plan.invalidations", 70},
+      {"ring.superstep.cycles", 446},
+      {"ring.superstep.dispatches", 15},
+      {"rt.dnode_ops", 6107},
+      {"rt.host_words_in", 4278},
+      {"rt.host_words_out", 246},
+      {"rt.jobs", 4},
+      {"rt.pool.fast_resets", 0},
+      {"rt.pool.full_loads", 4},
+      {"rt.queue.blocked_pushes", 0},
+      {"rt.queue.capacity", 64},
+      {"rt.queue.depth", 0},
+      {"rt.queue.dequeued", 4},
+      {"rt.queue.enqueued", 4},
+      {"rt.queue.max_depth", 1},
+      {"rt.queue.rejected_closed", 0},
+      {"rt.queue.rejected_full", 0},
+      {"rt.sim_cycles", 565},
+      {"rt.worker.0.jobs", 4},
+      {"rt.worker.0.pool.fast_resets", 0},
+      {"rt.worker.0.pool.full_loads", 4},
+      {"rt.worker.0.pool.systems", 4},
+      {"rt.worker.0.sim_cycles", 565},
+      {"rt.workers", 1},
+  };
+  EXPECT_EQ(values, want_values);
+  for (const char* name :
+       {"rt.latency.queue_wait_us", "rt.latency.arm_us",
+        "rt.latency.execute_us", "net.latency.queue_wait_us",
+        "net.latency.arm_us", "net.latency.execute_us",
+        "net.latency.serialize_us", "net.latency.e2e_us"}) {
+    const obs::Histogram* h = m.find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), all_kernel_requests().size()) << name;
+  }
+  obs::set_telemetry_enabled(telemetry_was);
 }
 
 // ---- live telemetry over the wire -----------------------------------

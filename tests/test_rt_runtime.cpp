@@ -3,8 +3,13 @@
 // (not fatal to the fleet), metrics aggregate, shutdown is clean.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <memory>
+#include <set>
+#include <string>
+#include <string_view>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,6 +23,7 @@
 #include "kernels/jobs.hpp"
 #include "kernels/matvec_kernel.hpp"
 #include "kernels/motion_estimation.hpp"
+#include "obs/span.hpp"
 #include "rt/runtime.hpp"
 
 namespace sring::rt {
@@ -229,6 +235,164 @@ TEST(Runtime, SubmitAfterShutdownThrows) {
 TEST(Runtime, ZeroWorkerConfigFallsBackToHardware) {
   Runtime rt({.workers = 0});
   EXPECT_GE(rt.worker_count(), 1u);
+}
+
+// ---- pinned fleet snapshot ------------------------------------------
+//
+// Runtime::metrics() is pinned byte for byte for a fixed job list on
+// one worker, so a change to how workers tally their jobs cannot move
+// a name, a value or an instrument's existence unnoticed.
+
+std::uint64_t fnv64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// fir, matvec8, dwt53 and one starved fir that fails, submitted one
+/// at a time (so every queue statistic is deterministic) to a
+/// one-worker runtime.  Returns the number of jobs run.
+std::size_t run_pinned_job_list(Runtime& rt) {
+  const std::vector<Word> coeffs{1, static_cast<Word>(-2), 3, 4};
+  std::vector<Job> jobs;
+  jobs.push_back(kernels::make_spatial_fir_job(kGeom, signal(30, 64), coeffs));
+  jobs.push_back(kernels::make_matvec8_job(kGeom, dsp::dct8_matrix_q7(),
+                                           signal(31, 32)));
+  jobs.push_back(kernels::make_dwt53_job(kGeom, signal(32, 64)));
+  Job starved = kernels::make_spatial_fir_job(kGeom, signal(33, 64), coeffs);
+  starved.max_cycles = 3;
+  jobs.push_back(std::move(starved));
+  const std::size_t n = jobs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const JobResult r = rt.submit(std::move(jobs[i])).get();
+    EXPECT_EQ(r.ok, i + 1 < n) << "job " << i << ": " << r.error;
+  }
+  return n;
+}
+
+/// Restores the process-wide telemetry switch on scope exit.
+struct TelemetryScope {
+  explicit TelemetryScope(bool on) : was(obs::telemetry_enabled()) {
+    obs::set_telemetry_enabled(on);
+  }
+  ~TelemetryScope() { obs::set_telemetry_enabled(was); }
+  bool was;
+};
+
+TEST(RuntimeMetrics, SnapshotIsPinnedWithTelemetryOff) {
+  const TelemetryScope off(false);
+  Runtime rt({.workers = 1});
+  run_pinned_job_list(rt);
+  const std::string dump = rt.metrics().to_json().dump();
+  EXPECT_EQ(fnv64(dump), 0x8758265d0c71995cull) << dump;
+}
+
+TEST(RuntimeMetrics, TelemetryAddsExactlyTheLatencyInstruments) {
+  const TelemetryScope on(true);
+  Runtime rt({.workers = 1});
+  const std::size_t jobs = run_pinned_job_list(rt);
+  const obs::Registry m = rt.metrics();
+
+  std::set<std::string> names;
+  for (const auto& [name, c] : m.counters()) names.insert(name);
+  for (const auto& [name, h] : m.histograms()) names.insert(name);
+  const std::set<std::string> want{
+      "ring.plan.compiles",
+      "ring.plan.hits",
+      "ring.plan.invalidations",
+      "ring.superstep.cycles",
+      "ring.superstep.dispatches",
+      "rt.busy_us",
+      "rt.dnode_ops",
+      "rt.host_words_in",
+      "rt.host_words_out",
+      "rt.job_cycles",
+      "rt.jobs",
+      "rt.jobs_failed",
+      "rt.latency.arm_us",
+      "rt.latency.execute_us",
+      "rt.latency.queue_wait_us",
+      "rt.pool.fast_resets",
+      "rt.pool.full_loads",
+      "rt.queue.blocked_pushes",
+      "rt.queue.capacity",
+      "rt.queue.depth",
+      "rt.queue.dequeued",
+      "rt.queue.enqueued",
+      "rt.queue.max_depth",
+      "rt.queue.rejected_closed",
+      "rt.queue.rejected_full",
+      "rt.sim_cycles",
+      "rt.worker.0.jobs",
+      "rt.worker.0.jobs_failed",
+      "rt.worker.0.pool.fast_resets",
+      "rt.worker.0.pool.full_loads",
+      "rt.worker.0.pool.systems",
+      "rt.worker.0.sim_cycles",
+      "rt.workers",
+  };
+  EXPECT_EQ(names, want);
+  for (const char* name : {"rt.latency.queue_wait_us", "rt.latency.arm_us",
+                           "rt.latency.execute_us"}) {
+    const obs::Histogram* h = m.find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), jobs) << name;
+  }
+  // The same list with telemetry off differs only by those instruments.
+  EXPECT_EQ(m.find_histogram("rt.job_cycles")->count(), jobs - 1);
+}
+
+// Snapshots taken while two workers run must never tear a worker's
+// tally; the final totals account for every job exactly once.
+TEST(RuntimeMetrics, ConcurrentSnapshotsSeeConsistentTotals) {
+  constexpr std::size_t kJobs = 200;
+  const std::vector<Word> coeffs{1, 2};
+  Runtime rt({.workers = 2, .queue_capacity = 16});
+
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::Registry m = rt.metrics();
+      const obs::Counter* jobs = m.find_counter("rt.jobs");
+      const std::uint64_t now = jobs == nullptr ? 0 : jobs->value();
+      EXPECT_GE(now, last) << "rt.jobs went backwards";
+      last = now;
+      if (const obs::Histogram* h = m.find_histogram("rt.job_cycles")) {
+        EXPECT_LE(h->count(), now);
+      }
+    }
+  });
+
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    jobs.push_back(
+        kernels::make_spatial_fir_job(kGeom, signal(400 + i % 7, 24), coeffs));
+  }
+  for (const auto& r : rt.submit_batch(std::move(jobs))) {
+    ASSERT_TRUE(r.ok) << r.error;
+  }
+  done.store(true, std::memory_order_release);
+  poller.join();
+
+  const obs::Registry m = rt.metrics();
+  ASSERT_NE(m.find_counter("rt.jobs"), nullptr);
+  EXPECT_EQ(m.find_counter("rt.jobs")->value(), kJobs);
+  EXPECT_EQ(m.find_histogram("rt.job_cycles")->count(), kJobs);
+  std::uint64_t per_worker = 0;
+  std::uint64_t pool_runs = 0;
+  for (std::size_t w = 0; w < 2; ++w) {
+    const std::string p = "rt.worker." + std::to_string(w) + ".";
+    if (const auto* c = m.find_counter(p + "jobs")) per_worker += c->value();
+  }
+  for (const char* name : {"rt.pool.fast_resets", "rt.pool.full_loads"}) {
+    if (const auto* c = m.find_counter(name)) pool_runs += c->value();
+  }
+  EXPECT_EQ(per_worker, kJobs);
+  EXPECT_EQ(pool_runs, kJobs);
 }
 
 }  // namespace
