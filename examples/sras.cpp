@@ -337,7 +337,7 @@ int cmd_serve(int argc, char** argv) {
 
   RunReport report;
   report.name = "sras_serve";
-  report.metrics = m;
+  report.metrics.adhoc = m;
   report.extra("schema_version", std::uint64_t{1})
       .extra("host", host)
       .extra("port", std::uint64_t{server.port()})

@@ -1148,6 +1148,13 @@ void Server::collect_completions(Shard& shard) {
   }
 }
 
+Server::LatencyHistograms::LatencyHistograms()
+    : queue_wait_us(obs::latency_bounds_us()),
+      arm_us(obs::latency_bounds_us()),
+      execute_us(obs::latency_bounds_us()),
+      serialize_us(obs::latency_bounds_us()),
+      e2e_us(obs::latency_bounds_us()) {}
+
 void Server::record_completion(
     Shard& shard, const PendingJob& pending, const rt::JobResult& result,
     std::uint64_t serialize_us,
@@ -1163,10 +1170,8 @@ void Server::record_completion(
   rec.worker = static_cast<std::uint32_t>(result.worker);
   rec.sim_cycles = result.report.stats.cycles;
   rec.plan_hits = result.report.stats.plan_hits;
-  if (const obs::Counter* c =
-          result.report.metrics.find_counter("ring.superstep.cycles")) {
-    rec.superstep_cycles = c->value();
-  }
+  rec.superstep_cycles =
+      result.report.metrics.value(RingMetrics::kSuperstepCycles);
   rec.start_offset_us = us_between(start_time_, pending.admitted);
   rec.queue_wait_us = clamp_u32(tl.queue_wait_us());
   rec.arm_us = clamp_u32(tl.arm_us());
@@ -1178,16 +1183,12 @@ void Server::record_completion(
     // Latency histograms go to the shard's own slice; metrics() merges
     // the slices, so the totals are invariant to the shard count.
     std::lock_guard lock(shard.lat_mu);
-    const auto& bounds = obs::latency_bounds_us();
-    shard.latency.histogram("net.latency.queue_wait_us", bounds)
-        .record(tl.queue_wait_us());
-    shard.latency.histogram("net.latency.arm_us", bounds)
-        .record(tl.arm_us());
-    shard.latency.histogram("net.latency.execute_us", bounds)
-        .record(tl.execute_us());
-    shard.latency.histogram("net.latency.serialize_us", bounds)
-        .record(serialize_us);
-    shard.latency.histogram("net.latency.e2e_us", bounds).record(e2e);
+    LatencyHistograms& lat = shard.latency;
+    lat.queue_wait_us.record(tl.queue_wait_us());
+    lat.arm_us.record(tl.arm_us());
+    lat.execute_us.record(tl.execute_us());
+    lat.serialize_us.record(serialize_us);
+    lat.e2e_us.record(e2e);
   }
   std::lock_guard lock(telemetry_mu_);
   recorder_.record(std::move(rec));
@@ -1475,7 +1476,16 @@ obs::Registry Server::metrics() const {
     out.counter(prefix + ".jobs").set(get(shard->jobs_submitted));
     out.counter(prefix + ".connections").set(get(shard->connections));
     std::lock_guard lock(shard->lat_mu);
-    out.merge_from(shard->latency);
+    const LatencyHistograms& lat = shard->latency;
+    if (lat.e2e_us.count() == 0) continue;  // no timed completion yet
+    for (const auto& [name, h] :
+         {std::pair{"net.latency.queue_wait_us", &lat.queue_wait_us},
+          std::pair{"net.latency.arm_us", &lat.arm_us},
+          std::pair{"net.latency.execute_us", &lat.execute_us},
+          std::pair{"net.latency.serialize_us", &lat.serialize_us},
+          std::pair{"net.latency.e2e_us", &lat.e2e_us}}) {
+      out.histogram(name, h->bounds()).merge_from(*h);
+    }
   }
   out.merge_from(runtime_->metrics());
   out.merge_from(compile_.metrics());

@@ -279,9 +279,19 @@ class Server {
     std::size_t batch_index = 0;
   };
 
+  /// The net.latency.* phases of timed completions, one histogram each.
+  struct LatencyHistograms {
+    LatencyHistograms();
+    obs::Histogram queue_wait_us;
+    obs::Histogram arm_us;
+    obs::Histogram execute_us;
+    obs::Histogram serialize_us;
+    obs::Histogram e2e_us;
+  };
+
   /// One event-loop shard: its own poll loop, connections, in-flight
   /// state, wake pipe and telemetry slice.  Only the inbox (fd handoff
-  /// from the acceptor) and the latency registry are ever touched by
+  /// from the acceptor) and the latency histograms are ever touched by
   /// another thread, each behind its own mutex.
   struct Shard {
     std::size_t index = 0;
@@ -303,10 +313,10 @@ class Server {
     std::atomic<std::uint64_t> jobs_submitted{0};
     std::atomic<std::uint64_t> connections{0};
 
-    /// Shard-local net.latency.* histograms; Server::metrics() merges
-    /// every shard's registry via Registry::merge_from.
+    /// Shard-local net.latency.* histograms; Server::metrics() names
+    /// and merges every shard's set.
     mutable std::mutex lat_mu;
-    obs::Registry latency;
+    LatencyHistograms latency;
   };
 
   enum class FleetSubmit : std::uint8_t {

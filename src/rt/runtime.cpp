@@ -30,22 +30,18 @@ const std::vector<std::uint64_t>& job_cycle_bounds() {
 
 }  // namespace
 
-Runtime::Worker::Names::Names(std::size_t index) {
-  const std::string p = "rt.worker." + std::to_string(index) + ".";
-  jobs = p + "jobs";
-  jobs_failed = p + "jobs_failed";
-  sim_cycles = p + "sim_cycles";
-  pool_fast_resets = p + "pool.fast_resets";
-  pool_full_loads = p + "pool.full_loads";
-  pool_systems = p + "pool.systems";
-}
+Runtime::Tally::Tally()
+    : job_cycles(job_cycle_bounds()),
+      queue_wait_us(obs::latency_bounds_us()),
+      arm_us(obs::latency_bounds_us()),
+      execute_us(obs::latency_bounds_us()) {}
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(std::move(config)), queue_(config_.queue_capacity) {
   const std::size_t n = resolve_workers(config_.workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto w = std::make_unique<Worker>(i, config_.pool_systems_per_worker);
+    auto w = std::make_unique<Worker>(config_.pool_systems_per_worker);
     if (config_.sink_factory) w->sink = config_.sink_factory(i);
     workers_.push_back(std::move(w));
   }
@@ -121,54 +117,38 @@ void Runtime::worker_main(std::size_t index) {
 
     {  // job-boundary accounting; the simulation itself ran lock-free
       std::lock_guard lock(w.mu);
-      const Worker::Names& names = w.names;
-      obs::Registry& reg = w.registry;
-      reg.counter("rt.jobs").add(1);
-      reg.counter(names.jobs).add(1);
+      Tally& t = w.tally;
+      ++t.jobs;
       if (!result.ok) {
-        reg.counter("rt.jobs_failed").add(1);
-        reg.counter(names.jobs_failed).add(1);
+        ++t.jobs_failed;
       } else {
         const SystemStats& s = result.report.stats;
-        reg.counter("rt.sim_cycles").add(s.cycles);
-        reg.counter("rt.dnode_ops").add(s.dnode_ops);
-        reg.counter("rt.host_words_in").add(s.host_words_in);
-        reg.counter("rt.host_words_out").add(s.host_words_out);
-        reg.counter(names.sim_cycles).add(s.cycles);
-        reg.histogram("rt.job_cycles", job_cycle_bounds())
-            .record(s.cycles);
+        const RingMetrics& m = result.report.metrics;
+        t.sim_cycles += s.cycles;
+        t.dnode_ops += s.dnode_ops;
+        t.host_words_in += s.host_words_in;
+        t.host_words_out += s.host_words_out;
+        t.job_cycles.record(s.cycles);
         // Plan-cache / superstep effectiveness per deployment, not
         // just per cycle-bench run (ROADMAP: matvec8's 0.29 hit rate).
-        reg.counter("ring.plan.compiles").add(s.plan_compiles);
-        reg.counter("ring.plan.hits").add(s.plan_hits);
-        reg.counter("ring.plan.invalidations").add(s.plan_invalidations);
-        for (const char* key :
-             {"ring.superstep.dispatches", "ring.superstep.cycles"}) {
-          const obs::Counter* c = result.report.metrics.find_counter(key);
-          if (c != nullptr) reg.counter(key).add(c->value());
-        }
+        t.plan_compiles += s.plan_compiles;
+        t.plan_hits += s.plan_hits;
+        t.plan_invalidations += s.plan_invalidations;
+        t.superstep_dispatches += m.value(RingMetrics::kSuperstepDispatches);
+        t.superstep_cycles += m.value(RingMetrics::kSuperstepCycles);
       }
       if (obs::telemetry_enabled()) {
         const obs::SpanTimeline& tl = result.timeline;
-        reg.histogram("rt.latency.queue_wait_us", obs::latency_bounds_us())
-            .record(tl.queue_wait_us());
-        reg.histogram("rt.latency.arm_us", obs::latency_bounds_us())
-            .record(tl.arm_us());
-        reg.histogram("rt.latency.execute_us", obs::latency_bounds_us())
-            .record(tl.execute_us());
+        t.queue_wait_us.record(tl.queue_wait_us());
+        t.arm_us.record(tl.arm_us());
+        t.execute_us.record(tl.execute_us());
         // Worker busy time; utilization = rate(rt.busy_us) / workers.
-        reg.counter("rt.busy_us")
-            .add(tl.us_between(obs::SpanTimeline::kDequeued,
-                               obs::SpanTimeline::kCompleted));
+        t.busy_us += tl.us_between(obs::SpanTimeline::kDequeued,
+                                   obs::SpanTimeline::kCompleted);
       }
-      // set() with the pool's cumulative totals: each worker owns its
-      // registry, and merge_from() adds counters, so shared names
-      // (rt.pool.*) sum across the fleet at snapshot time.
-      reg.counter("rt.pool.fast_resets").set(w.pool.fast_resets());
-      reg.counter("rt.pool.full_loads").set(w.pool.full_loads());
-      reg.counter(names.pool_fast_resets).set(w.pool.fast_resets());
-      reg.counter(names.pool_full_loads).set(w.pool.full_loads());
-      reg.counter(names.pool_systems).set(w.pool.systems_constructed());
+      t.pool_fast_resets = w.pool.fast_resets();
+      t.pool_full_loads = w.pool.full_loads();
+      t.pool_systems = w.pool.systems_constructed();
     }
 
     env->result.set_value(std::move(result));
@@ -222,6 +202,53 @@ JobResult Runtime::run_job(const Job& job, std::size_t index,
   return result;
 }
 
+/// Name worker `index`'s tally into `out`.  Counters add and
+/// histograms merge, so fleet-wide names sum across workers.  An
+/// instrument appears once it has something to count: failures after
+/// the first failed job, the per-job ring figures after the first
+/// successful one, the latencies after a job finished with telemetry
+/// on.
+void Runtime::name_tally(obs::Registry& out, std::size_t index,
+                         const Tally& t) {
+  if (t.jobs == 0) return;
+  const std::string worker = "rt.worker." + std::to_string(index) + ".";
+  const auto add = [&out](std::string_view name, std::uint64_t v) {
+    out.counter(name).add(v);
+  };
+  // rt.<leaf> sums across the fleet, rt.worker.<i>.<leaf> is this
+  // worker's share.
+  const auto add_both = [&](const std::string& leaf, std::uint64_t v) {
+    add("rt." + leaf, v);
+    add(worker + leaf, v);
+  };
+  const auto merge = [&out](std::string_view name, const obs::Histogram& h) {
+    out.histogram(name, h.bounds()).merge_from(h);
+  };
+  add_both("jobs", t.jobs);
+  if (t.jobs_failed > 0) add_both("jobs_failed", t.jobs_failed);
+  if (t.job_cycles.count() > 0) {
+    add_both("sim_cycles", t.sim_cycles);
+    add("rt.dnode_ops", t.dnode_ops);
+    add("rt.host_words_in", t.host_words_in);
+    add("rt.host_words_out", t.host_words_out);
+    merge("rt.job_cycles", t.job_cycles);
+    add("ring.plan.compiles", t.plan_compiles);
+    add("ring.plan.hits", t.plan_hits);
+    add("ring.plan.invalidations", t.plan_invalidations);
+    add("ring.superstep.dispatches", t.superstep_dispatches);
+    add("ring.superstep.cycles", t.superstep_cycles);
+  }
+  if (t.queue_wait_us.count() > 0) {
+    merge("rt.latency.queue_wait_us", t.queue_wait_us);
+    merge("rt.latency.arm_us", t.arm_us);
+    merge("rt.latency.execute_us", t.execute_us);
+    add("rt.busy_us", t.busy_us);
+  }
+  add_both("pool.fast_resets", t.pool_fast_resets);
+  add_both("pool.full_loads", t.pool_full_loads);
+  add(worker + "pool.systems", t.pool_systems);
+}
+
 obs::Registry Runtime::metrics() const {
   obs::Registry out;
   out.counter("rt.workers").set(workers_.size());
@@ -236,9 +263,9 @@ obs::Registry Runtime::metrics() const {
   out.counter("rt.queue.rejected_full").set(q.rejected_full);
   out.counter("rt.queue.rejected_closed").set(q.rejected_closed);
 
-  for (const auto& w : workers_) {
-    std::lock_guard lock(w->mu);
-    out.merge_from(w->registry);
+  for (std::size_t i = 0; i < workers_.size(); ++i) {
+    std::lock_guard lock(workers_[i]->mu);
+    name_tally(out, i, workers_[i]->tally);
   }
   return out;
 }

@@ -14,11 +14,12 @@
 // the JobResult provenance fields differ).  The test suite holds the
 // runtime to that.
 //
-// Observability: workers accumulate into per-worker obs::Registry
-// instances guarded by per-worker mutexes taken only at job
-// boundaries — the simulation hot path is lock-free.  metrics()
-// merges those registries (plus queue statistics) into one fleet
-// snapshot via Registry::merge_from.  An optional sink factory gives
+// Observability: each worker adds every finished job into a typed
+// tally (plain integers and pre-shaped histograms) under a per-worker
+// mutex taken only at job boundaries — the simulation hot path is
+// lock-free, and no job builds or searches an instrument name.
+// metrics() names the tallies (plus queue statistics) into one fleet
+// snapshot.  An optional sink factory gives
 // each worker its own EventSink; a traced worker re-attaches the sink
 // per job, so each job appears as one begin()-delimited trace segment.
 #pragma once
@@ -107,8 +108,8 @@ class Runtime {
   /// it).
   std::size_t queue_capacity() const { return queue_.stats().capacity; }
 
-  /// Fleet-wide metrics snapshot: queue statistics plus the merged
-  /// per-worker registries (rt.jobs, rt.sim_cycles, per-worker
+  /// Fleet-wide metrics snapshot: queue statistics plus the named
+  /// per-worker tallies (rt.jobs, rt.sim_cycles, per-worker
   /// rt.worker.<i>.* counters, pool reuse counters, job-cycle and
   /// rt.latency.* histograms, ring.plan.* / ring.superstep.*
   /// effectiveness counters).  Callable at any time, including
@@ -116,25 +117,46 @@ class Runtime {
   obs::Registry metrics() const;
 
  private:
-  struct Worker {
-    /// This worker's rt.worker.<i>.* counter names, built once.
-    struct Names {
-      explicit Names(std::size_t index);
-      std::string jobs, jobs_failed, sim_cycles;
-      std::string pool_fast_resets, pool_full_loads, pool_systems;
-    };
+  /// One worker's job accounting; metrics() names it.
+  struct Tally {
+    Tally();
 
+    std::uint64_t jobs = 0;
+    std::uint64_t jobs_failed = 0;
+    // Successful jobs only (rt.job_cycles counts them).
+    std::uint64_t sim_cycles = 0;
+    std::uint64_t dnode_ops = 0;
+    std::uint64_t host_words_in = 0;
+    std::uint64_t host_words_out = 0;
+    std::uint64_t plan_compiles = 0;
+    std::uint64_t plan_hits = 0;
+    std::uint64_t plan_invalidations = 0;
+    std::uint64_t superstep_dispatches = 0;
+    std::uint64_t superstep_cycles = 0;
+    obs::Histogram job_cycles;
+    // Jobs finished while telemetry was on (rt.latency.* count them).
+    std::uint64_t busy_us = 0;
+    obs::Histogram queue_wait_us;
+    obs::Histogram arm_us;
+    obs::Histogram execute_us;
+    // The pool's cumulative totals after the worker's latest job.
+    std::uint64_t pool_fast_resets = 0;
+    std::uint64_t pool_full_loads = 0;
+    std::uint64_t pool_systems = 0;
+  };
+
+  struct Worker {
     std::thread thread;
     SystemPool pool;
     std::unique_ptr<obs::EventSink> sink;
-    mutable std::mutex mu;    ///< guards registry; taken per job, not per cycle
-    obs::Registry registry;
-    const Names names;
+    mutable std::mutex mu;  ///< guards tally; taken per job, not per cycle
+    Tally tally;
 
-    Worker(std::size_t index, std::size_t pool_size)
-        : pool(pool_size), names(index) {}
+    explicit Worker(std::size_t pool_size) : pool(pool_size) {}
   };
 
+  static void name_tally(obs::Registry& out, std::size_t index,
+                         const Tally& t);
   void worker_main(std::size_t index);
   JobResult run_job(const Job& job, std::size_t index, Worker& worker,
                     obs::SpanTimeline& timeline);

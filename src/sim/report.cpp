@@ -145,7 +145,8 @@ obs::JsonValue RunReport::to_json() const {
     }
     j.set("switches", std::move(sws));
   }
-  obs::Registry named = metrics;
+  obs::Registry named;
+  metrics.render_into(named);
   elements.name_into(named);
   if (named.size() > 0) j.set("metrics", named.to_json());
   if (!extras.members().empty()) j.set("extras", extras);

@@ -39,13 +39,13 @@ struct RunReport {
   SystemStats stats;
   /// Per-Dnode / per-switch counters as flat arrays (from_system only).
   ElementCounters elements;
-  /// Ring-wide instruments (from_system: System::ring_metrics()).  The
-  /// dnode.* / switch.* instruments are not stored here: to_json()
-  /// names `elements` into a copy, so its "metrics" equals
-  /// System::metrics() byte for byte.  Every served job builds a
-  /// RunReport, and naming the 100+ per-element instruments per job
-  /// cost as much as executing a small kernel.
-  obs::Registry metrics;
+  /// Ring-wide counters (from_system: System::ring_metrics(), a typed
+  /// block; otherwise whatever was added through metrics.counter()).
+  /// Names are attached only by to_json(), which renders `metrics` and
+  /// `elements` so its "metrics" equals System::metrics() byte for
+  /// byte.  Every served job builds a RunReport, so it holds no
+  /// string-keyed instrument unless someone asks for one.
+  RingMetrics metrics;
   obs::JsonValue extras = obs::JsonValue::object();
 
   static RunReport from_system(std::string_view name, const System& sys);

@@ -249,55 +249,85 @@ void ElementCounters::name_into(obs::Registry& reg) const {
   }
 }
 
+namespace {
+
+/// Slot of `name` in kRingCounterNames, or the table size.
+std::size_t find_slot(std::string_view name) noexcept {
+  return static_cast<std::size_t>(
+      std::find(kRingCounterNames.begin(), kRingCounterNames.end(), name) -
+      kRingCounterNames.begin());
+}
+
+}  // namespace
+
+obs::Counter& RingMetrics::counter(std::string_view name) {
+  const std::size_t i = captured ? find_slot(name) : counters.size();
+  return i < counters.size() ? counters[i] : adhoc.counter(name);
+}
+
+const obs::Counter* RingMetrics::find_counter(
+    std::string_view name) const noexcept {
+  const std::size_t i = captured ? find_slot(name) : counters.size();
+  return i < counters.size() ? &counters[i] : adhoc.find_counter(name);
+}
+
+void RingMetrics::render_into(obs::Registry& reg) const {
+  if (captured) {
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      reg.counter(kRingCounterNames[i]).set(counters[i].value());
+    }
+    reg.put_histogram(
+        "host.in_fifo_depth",
+        obs::Histogram::from_counts(
+            {kHostDepthBounds.begin(), kHostDepthBounds.end()},
+            {host_in_fifo_depth.begin(), host_in_fifo_depth.end()}));
+  }
+  reg.merge_from(adhoc);
+}
+
 obs::Registry System::metrics() const {
-  obs::Registry reg = ring_metrics();
+  obs::Registry reg;
+  ring_metrics().render_into(reg);
   element_counters().name_into(reg);
   return reg;
 }
 
-obs::Registry System::ring_metrics() const {
-  obs::Registry reg;
+RingMetrics System::ring_metrics() const {
   const SystemStats s = stats();
-
-  reg.counter("sys.cycles").set(s.cycles);
-  reg.counter("sys.ring_stall_cycles").set(s.ring_stall_cycles);
-  reg.counter("sys.dnode_ops").set(s.dnode_ops);
-  reg.counter("sys.arith_ops").set(s.arith_ops);
-
-  reg.counter("ctrl.instructions").set(s.ctrl_instructions);
-  reg.counter("ctrl.stall.inpop").set(s.ctrl_inpop_stalls);
-  reg.counter("ctrl.stall.wait").set(s.ctrl_wait_stalls);
-  reg.counter("ctrl.bus_writes").set(ctrl_.bus_writes());
-
-  reg.counter("bus.dnode_drives").set(s.bus_drives);
-  reg.counter("bus.conflicts").set(s.bus_conflicts);
-
-  reg.counter("cfg.words_written").set(s.config_words_written);
-  reg.counter("cfg.route_changes").set(s.switch_route_changes);
-
-  reg.counter("ring.plan.compiles").set(s.plan_compiles);
-  reg.counter("ring.plan.hits").set(s.plan_hits);
-  reg.counter("ring.plan.invalidations").set(s.plan_invalidations);
-  reg.counter("ring.plan.content_hits").set(s.plan_content_hits);
-  reg.counter("ring.plan.evictions").set(s.plan_evictions);
-  reg.counter("ring.plan.seq_fusions").set(s.plan_seq_fusions);
-  reg.counter("ring.plan.seq_hits").set(s.plan_seq_hits);
-
+  RingMetrics m;
+  m.captured = true;
+  const auto set = [&m](std::size_t slot, std::uint64_t v) {
+    m.counters[slot].set(v);
+  };
+  set(ring_slot("sys.cycles"), s.cycles);
+  set(ring_slot("sys.ring_stall_cycles"), s.ring_stall_cycles);
+  set(ring_slot("sys.dnode_ops"), s.dnode_ops);
+  set(ring_slot("sys.arith_ops"), s.arith_ops);
+  set(ring_slot("ctrl.instructions"), s.ctrl_instructions);
+  set(ring_slot("ctrl.stall.inpop"), s.ctrl_inpop_stalls);
+  set(ring_slot("ctrl.stall.wait"), s.ctrl_wait_stalls);
+  set(ring_slot("ctrl.bus_writes"), ctrl_.bus_writes());
+  set(ring_slot("bus.dnode_drives"), s.bus_drives);
+  set(ring_slot("bus.conflicts"), s.bus_conflicts);
+  set(ring_slot("cfg.words_written"), s.config_words_written);
+  set(ring_slot("cfg.route_changes"), s.switch_route_changes);
+  set(ring_slot("ring.plan.compiles"), s.plan_compiles);
+  set(ring_slot("ring.plan.hits"), s.plan_hits);
+  set(ring_slot("ring.plan.invalidations"), s.plan_invalidations);
+  set(ring_slot("ring.plan.content_hits"), s.plan_content_hits);
+  set(ring_slot("ring.plan.evictions"), s.plan_evictions);
+  set(ring_slot("ring.plan.seq_fusions"), s.plan_seq_fusions);
+  set(ring_slot("ring.plan.seq_hits"), s.plan_seq_hits);
   // Superstep engine activity.  These are the ONLY values allowed to
   // differ between superstep and per-cycle execution of the same run.
-  reg.counter("ring.superstep.dispatches").set(ring_.superstep_dispatches());
-  reg.counter("ring.superstep.cycles").set(ring_.superstep_cycles());
-
-  reg.counter("host.words_in").set(s.host_words_in);
-  reg.counter("host.words_out").set(s.host_words_out);
-  reg.counter("host.link_words_to_core").set(host_.words_to_core());
-  reg.counter("host.link_words_to_host").set(host_.words_to_host());
-  reg.put_histogram(
-      "host.in_fifo_depth",
-      obs::Histogram::from_counts(
-          {kHostDepthBounds.begin(), kHostDepthBounds.end()},
-          {host_depth_counts_.begin(), host_depth_counts_.end()}));
-  return reg;
+  set(RingMetrics::kSuperstepDispatches, ring_.superstep_dispatches());
+  set(RingMetrics::kSuperstepCycles, ring_.superstep_cycles());
+  set(ring_slot("host.words_in"), s.host_words_in);
+  set(ring_slot("host.words_out"), s.host_words_out);
+  set(ring_slot("host.link_words_to_core"), host_.words_to_core());
+  set(ring_slot("host.link_words_to_host"), host_.words_to_host());
+  m.host_in_fifo_depth = host_depth_counts_;
+  return m;
 }
 
 ElementCounters System::element_counters() const {

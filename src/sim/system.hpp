@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "core/config_memory.hpp"
@@ -31,6 +32,71 @@ namespace sring {
 struct SystemConfig {
   RingGeometry geometry;
   LinkRate link = LinkRate::unlimited();
+};
+
+/// Names of the ring-wide counters, in RingMetrics slot order: the
+/// one table that renders the block.
+inline constexpr std::array<std::string_view, 25> kRingCounterNames{
+    "sys.cycles",              "sys.ring_stall_cycles",
+    "sys.dnode_ops",           "sys.arith_ops",
+    "ctrl.instructions",       "ctrl.stall.inpop",
+    "ctrl.stall.wait",         "ctrl.bus_writes",
+    "bus.dnode_drives",        "bus.conflicts",
+    "cfg.words_written",       "cfg.route_changes",
+    "ring.plan.compiles",      "ring.plan.hits",
+    "ring.plan.invalidations", "ring.plan.content_hits",
+    "ring.plan.evictions",     "ring.plan.seq_fusions",
+    "ring.plan.seq_hits",      "ring.superstep.dispatches",
+    "ring.superstep.cycles",   "host.words_in",
+    "host.words_out",          "host.link_words_to_core",
+    "host.link_words_to_host",
+};
+
+/// Slot of `name` in kRingCounterNames; an unknown name does not
+/// compile.
+consteval std::size_t ring_slot(std::string_view name) {
+  std::size_t i = 0;
+  while (kRingCounterNames.at(i) != name) ++i;
+  return i;
+}
+
+/// Ring-wide counters of one run in a fixed typed block: the sys.*,
+/// ctrl.*, bus.*, cfg.*, ring.plan.*, ring.superstep.* and host.*
+/// counters plus the host.in_fifo_depth bucket counts.  Capturing it
+/// is a handful of stores; names are attached only by render_into(),
+/// when a snapshot or a serialized report asks for them.
+///
+/// A block no System captured (a report built by hand) keeps its
+/// instruments in `adhoc`, so counter() / find_counter() work on
+/// every RunReport.
+struct RingMetrics {
+  static constexpr std::size_t kSuperstepDispatches =
+      ring_slot("ring.superstep.dispatches");
+  static constexpr std::size_t kSuperstepCycles =
+      ring_slot("ring.superstep.cycles");
+
+  /// host.in_fifo_depth: bucket i counts cycles with input-FIFO depth
+  /// <= kHostDepthBounds[i], the last bucket the overflow.
+  static constexpr std::array<std::uint64_t, 10> kHostDepthBounds{
+      0, 1, 2, 4, 8, 16, 32, 64, 128, 256};
+
+  bool captured = false;  ///< filled by System::ring_metrics()
+  std::array<obs::Counter, kRingCounterNames.size()> counters{};
+  std::array<std::uint64_t, kHostDepthBounds.size() + 1>
+      host_in_fifo_depth{};
+  obs::Registry adhoc;
+
+  std::uint64_t value(std::size_t slot) const noexcept {
+    return counters[slot].value();
+  }
+
+  /// Get or create the counter at `name`: a typed slot when captured
+  /// and `name` is in the table, otherwise an `adhoc` instrument.
+  obs::Counter& counter(std::string_view name);
+  const obs::Counter* find_counter(std::string_view name) const noexcept;
+
+  /// Add every instrument to `reg` under its name.
+  void render_into(obs::Registry& reg) const;
 };
 
 /// Per-Dnode and per-switch counters of one run, copied flat from the
@@ -124,14 +190,12 @@ class System {
   SystemStats stats() const;
 
   /// Named snapshot of every instrument in the machine: ring_metrics()
-  /// plus element_counters().name_into().  Assembling the snapshot
-  /// never perturbs the run.
+  /// and element_counters(), rendered.  Assembling the snapshot never
+  /// perturbs the run.
   obs::Registry metrics() const;
 
-  /// The ring-wide part of metrics(): the sys.*, ctrl.*, bus.*, cfg.*,
-  /// ring.plan.*, ring.superstep.* and host.* counters and the
-  /// host.in_fifo_depth histogram.
-  obs::Registry ring_metrics() const;
+  /// The ring-wide part of metrics() as a typed block.
+  RingMetrics ring_metrics() const;
 
   /// The per-element part of metrics() as flat arrays: per-Dnode
   /// issue/mix/mode counters, per-switch route and feedback activity.
@@ -177,12 +241,11 @@ class System {
   std::uint64_t cycle_ = 0;
   SystemStats stats_;
 
-  // Input-FIFO depth sampled once per cycle; bucket i counts cycles
-  // with depth <= kHostDepthBounds[i], the last bucket the overflow.
-  // The depth->bucket map is a compile-time LUT so the per-cycle
-  // sample is one clamped load instead of a linear bound scan.
-  static constexpr std::array<std::uint64_t, 10> kHostDepthBounds{
-      0, 1, 2, 4, 8, 16, 32, 64, 128, 256};
+  // Input-FIFO depth sampled once per cycle into the buckets of
+  // RingMetrics::host_in_fifo_depth.  The depth->bucket map is a
+  // compile-time LUT so the per-cycle sample is one clamped load
+  // instead of a linear bound scan.
+  static constexpr auto& kHostDepthBounds = RingMetrics::kHostDepthBounds;
   static constexpr std::size_t kDepthLutMax = kHostDepthBounds.back() + 1;
   static constexpr auto kDepthLut = [] {
     std::array<std::uint8_t, kDepthLutMax + 1> lut{};
