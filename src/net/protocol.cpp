@@ -12,18 +12,34 @@ namespace sring::net {
 namespace {
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE), table-driven
+// CRC-32 (IEEE), table-driven, slicing-by-8
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// tables[0] is the classic byte table; tables[k][b] is the CRC of
+/// byte b followed by k zero bytes, so eight input bytes fold per step.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 // ---------------------------------------------------------------------------
@@ -53,7 +69,17 @@ class Writer {
   }
   void words(std::span<const Word> w) {
     u32(static_cast<std::uint32_t>(w.size()));
-    for (const Word x : w) u16(x);
+    const std::size_t at = out_.size();
+    out_.resize(at + 2 * w.size());
+    std::uint8_t* p = out_.data() + at;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!w.empty()) std::memcpy(p, w.data(), 2 * w.size());
+    } else {
+      for (const Word x : w) {
+        *p++ = static_cast<std::uint8_t>(x);
+        *p++ = static_cast<std::uint8_t>(x >> 8);
+      }
+    }
   }
   void bytes(std::span<const std::uint8_t> b) {
     u32(static_cast<std::uint32_t>(b.size()));
@@ -98,9 +124,17 @@ class Reader {
     if (data_.size() - pos_ < std::size_t{n} * 2) {
       throw ProtocolError("net: word vector overruns payload");
     }
-    std::vector<Word> out;
-    out.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) out.push_back(u16());
+    std::vector<Word> out(n);
+    const std::uint8_t* p = data_.data() + pos_;
+    pos_ += std::size_t{n} * 2;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n > 0) std::memcpy(out.data(), p, std::size_t{n} * 2);
+    } else {
+      for (Word& x : out) {
+        x = static_cast<Word>(p[0] | (p[1] << 8));
+        p += 2;
+      }
+    }
     return out;
   }
   std::vector<std::uint8_t> bytes() {
@@ -215,11 +249,18 @@ obs::SpanRecord read_span_record(Reader& r) {
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t b : data) {
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -123,24 +123,29 @@ obs::JsonValue RunReport::to_json() const {
     j.set("host", std::move(h));
   }
   if (!elements.empty()) {
+    using E = ElementCounters;
     const std::size_t n_lanes = elements.geometry.lanes;
+    const auto issue = elements[E::kIssue];
+    const auto mac = elements[E::kMac];
     JsonValue dn = JsonValue::array();
-    for (std::size_t i = 0; i < elements.issue.size(); ++i) {
+    for (std::size_t i = 0; i < issue.size(); ++i) {
       JsonValue d = JsonValue::object();
       d.set("layer", std::uint64_t{i / n_lanes});
       d.set("lane", std::uint64_t{i % n_lanes});
-      d.set("issue", elements.issue[i]);
-      d.set("mac", elements.mac[i]);
+      d.set("issue", issue[i]);
+      d.set("mac", mac[i]);
       dn.push_back(std::move(d));
     }
     j.set("dnodes", std::move(dn));
 
+    const auto route_changes = elements[E::kRouteChanges];
+    const auto host_out_words = elements[E::kHostOutWords];
     JsonValue sws = JsonValue::array();
-    for (std::size_t sw = 0; sw < elements.route_changes.size(); ++sw) {
+    for (std::size_t sw = 0; sw < route_changes.size(); ++sw) {
       JsonValue s = JsonValue::object();
       s.set("switch", std::uint64_t{sw});
-      s.set("route_changes", elements.route_changes[sw]);
-      s.set("host_out_words", elements.host_out_words[sw]);
+      s.set("route_changes", route_changes[sw]);
+      s.set("host_out_words", host_out_words[sw]);
       sws.push_back(std::move(s));
     }
     j.set("switches", std::move(sws));

@@ -208,8 +208,18 @@ SystemStats System::stats() const {
   return s;
 }
 
+std::span<const std::uint64_t> ElementCounters::operator[](
+    Array a) const noexcept {
+  const std::size_t n = geometry.dnode_count();
+  const std::size_t s = geometry.switch_count();
+  if (a <= kGlobalCycles) return {data.data() + a * n, n};
+  const std::size_t first = 4 * n + (a - kRouteChanges) * s;
+  return {data.data() + first, a == kFbReadDepth ? s * geometry.fb_depth : s};
+}
+
 void ElementCounters::name_into(obs::Registry& reg) const {
   if (empty()) return;
+  const auto& self = *this;
   char name[64];
   for (std::size_t layer = 0; layer < geometry.layers; ++layer) {
     for (std::size_t lane = 0; lane < geometry.lanes; ++lane) {
@@ -219,11 +229,11 @@ void ElementCounters::name_into(obs::Registry& reg) const {
                       leaf);
         reg.counter(name).set(v);
       };
-      set("issue", issue[i]);
-      set("mac", mac[i]);
-      set("alu", issue[i] - mac[i]);
-      set("local_cycles", local_cycles[i]);
-      set("global_cycles", global_cycles[i]);
+      set("issue", self[kIssue][i]);
+      set("mac", self[kMac][i]);
+      set("alu", self[kIssue][i] - self[kMac][i]);
+      set("local_cycles", self[kLocalCycles][i]);
+      set("global_cycles", self[kGlobalCycles][i]);
     }
   }
 
@@ -235,17 +245,14 @@ void ElementCounters::name_into(obs::Registry& reg) const {
       std::snprintf(name, sizeof(name), "switch.%zu.%s", sw, leaf);
       reg.counter(name).set(v);
     };
-    set("route_changes", route_changes[sw]);
-    set("host_out_words", host_out_words[sw]);
-    set("fb_reads", fb_reads[sw]);
-    set("fb_occupancy", fb_occupancy[sw]);
+    set("route_changes", self[kRouteChanges][sw]);
+    set("host_out_words", self[kHostOutWords][sw]);
+    set("fb_reads", self[kFbReads][sw]);
+    set("fb_occupancy", self[kFbOccupancy][sw]);
     std::snprintf(name, sizeof(name), "switch.%zu.fb_read_depth", sw);
-    const auto first = fb_read_depth_counts.begin() +
-                       static_cast<std::ptrdiff_t>(sw * fb_depth);
+    const auto depths = self[kFbReadDepth].subspan(sw * fb_depth, fb_depth);
     reg.put_histogram(name, obs::Histogram::from_counts(
-                                depth_bounds,
-                                {first, first + static_cast<std::ptrdiff_t>(
-                                                    fb_depth)}));
+                                depth_bounds, {depths.begin(), depths.end()}));
   }
 }
 
@@ -333,18 +340,21 @@ RingMetrics System::ring_metrics() const {
 ElementCounters System::element_counters() const {
   ElementCounters e;
   e.geometry = geom_;
-  e.issue = ring_.ops_per_dnode();
-  e.mac = ring_.mac_ops_per_dnode();
-  e.local_cycles = ring_.local_cycles_per_dnode();
-  e.global_cycles = ring_.global_cycles_per_dnode();
-  e.route_changes = cfg_.route_changes_per_switch();
-  e.host_out_words = ring_.host_out_words_per_switch();
-  e.fb_reads = ring_.fb_reads_per_pipe();
-  e.fb_occupancy.resize(geom_.switch_count());
-  for (std::size_t sw = 0; sw < e.fb_occupancy.size(); ++sw) {
-    e.fb_occupancy[sw] = ring_.pipeline(sw).occupancy();
+  const std::size_t switches = geom_.switch_count();
+  e.data.reserve(4 * geom_.dnode_count() + (4 + geom_.fb_depth) * switches);
+  // Appended in ElementCounters::Array order.
+  for (const std::vector<std::uint64_t>* v :
+       {&ring_.ops_per_dnode(), &ring_.mac_ops_per_dnode(),
+        &ring_.local_cycles_per_dnode(), &ring_.global_cycles_per_dnode(),
+        &cfg_.route_changes_per_switch(), &ring_.host_out_words_per_switch(),
+        &ring_.fb_reads_per_pipe()}) {
+    e.data.insert(e.data.end(), v->begin(), v->end());
   }
-  e.fb_read_depth_counts = ring_.fb_read_depth_counts();
+  for (std::size_t sw = 0; sw < switches; ++sw) {
+    e.data.push_back(ring_.pipeline(sw).occupancy());
+  }
+  const auto& depths = ring_.fb_read_depth_counts();
+  e.data.insert(e.data.end(), depths.begin(), depths.end());
   return e;
 }
 

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -100,27 +101,34 @@ struct RingMetrics {
 };
 
 /// Per-Dnode and per-switch counters of one run, copied flat from the
-/// Ring and ConfigMemory.  Capturing them costs a few vector copies;
-/// their instrument names are built only by name_into(), when a
-/// snapshot or a serialized report actually needs them.
+/// Ring and ConfigMemory into one buffer, so capturing, copying and
+/// freeing them is one allocation each.  Their instrument names are
+/// built only by name_into(), when a snapshot or a serialized report
+/// actually needs them.
 struct ElementCounters {
-  RingGeometry geometry;  ///< shape of the arrays below
+  /// The arrays in buffer order: four per Dnode (indexed layer * lanes
+  /// + lane), four per switch, then geometry.fb_depth read-depth counts
+  /// per switch, switch-major.
+  enum Array : std::size_t {
+    kIssue,
+    kMac,
+    kLocalCycles,
+    kGlobalCycles,
+    kRouteChanges,
+    kHostOutWords,
+    kFbReads,
+    kFbOccupancy,
+    kFbReadDepth,
+  };
 
-  // Per Dnode, indexed layer * lanes + lane.
-  std::vector<std::uint64_t> issue;
-  std::vector<std::uint64_t> mac;
-  std::vector<std::uint64_t> local_cycles;
-  std::vector<std::uint64_t> global_cycles;
+  RingGeometry geometry;            ///< shape of the arrays
+  std::vector<std::uint64_t> data;  ///< every array, back to back
 
-  // Per switch.
-  std::vector<std::uint64_t> route_changes;
-  std::vector<std::uint64_t> host_out_words;
-  std::vector<std::uint64_t> fb_reads;
-  std::vector<std::uint64_t> fb_occupancy;
-  /// geometry.fb_depth read-depth counts per switch, switch-major.
-  std::vector<std::uint64_t> fb_read_depth_counts;
+  bool empty() const noexcept { return data.empty(); }
 
-  bool empty() const noexcept { return issue.empty(); }
+  /// One array, located from `geometry` (never a stored pointer, so a
+  /// copy reads its own buffer).
+  std::span<const std::uint64_t> operator[](Array a) const noexcept;
 
   /// Add the dnode.<layer>.<lane>.* and switch.<s>.* instruments to
   /// `reg` — the one place their names are built.

@@ -23,6 +23,33 @@ TEST(Crc32, MatchesIeeeCheckValue) {
   EXPECT_EQ(crc32(std::span<const std::uint8_t>{}), 0u);
 }
 
+// The sliced CRC must equal the plain bit-serial definition at every
+// length and alignment: tails shorter than a slice, whole slices and
+// payloads that start mid-word.
+TEST(Crc32, MatchesBitSerialDefinitionAtEveryLengthAndOffset) {
+  const auto reference = [](std::span<const std::uint8_t> data) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (const std::uint8_t b : data) {
+      c ^= b;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<std::uint8_t> data(300);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : data) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len + offset <= 70; ++len) {
+      const std::span<const std::uint8_t> s(data.data() + offset, len);
+      EXPECT_EQ(crc32(s), reference(s)) << "offset " << offset << " len " << len;
+    }
+  }
+  EXPECT_EQ(crc32(data), reference(data));
+}
+
 TEST(Framing, RoundTripsAllMessageTypes) {
   for (const MsgType type :
        {MsgType::kPing, MsgType::kSubmitJob, MsgType::kDrainAck}) {
@@ -204,6 +231,30 @@ TEST(Codec, TruncatedPayloadThrowsTyped) {
   auto payload = encode_job_request(sample_request(KernelId::kFir));
   payload.resize(payload.size() / 2);
   EXPECT_THROW(decode_job_request(payload), ProtocolError);
+}
+
+// Word vectors decode in bulk after one size check: every strict
+// prefix still fails typed, and a cut inside the vector reports the
+// overrun before any word is copied.
+TEST(Codec, WordVectorTruncationAtEveryCutThrowsTyped) {
+  JobResultMsg msg;
+  msg.tag = 7;
+  msg.outputs = {1, 0xFFFF, 0x8000, 42, 0x0102};
+  const auto full = encode_job_result(msg);
+  EXPECT_EQ(decode_job_result(full).outputs, msg.outputs);
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    const std::vector<std::uint8_t> prefix(
+        full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW((void)decode_job_result(prefix), ProtocolError) << cut;
+  }
+  // tag u32, word count u32, then the words: cut after two and a half.
+  const std::vector<std::uint8_t> mid(full.begin(), full.begin() + 8 + 5);
+  try {
+    (void)decode_job_result(mid);
+    FAIL() << "truncated word vector accepted";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("overruns"), std::string::npos);
+  }
 }
 
 TEST(Codec, TrailingBytesThrowTyped) {

@@ -92,6 +92,36 @@ TEST(RunReport, FromSystemHasTheFullSchema) {
             nullptr);
 }
 
+// A report's per-element arrays share one buffer and are located from
+// the geometry, never through a stored pointer: a copy and a moved-to
+// report serialize identically after the original is gone.
+TEST(RunReport, CopiesOutliveTheOriginal) {
+  auto original = std::make_unique<RunReport>(
+      RunReport::from_system("unit", traced_system()));
+  const std::string want = original->to_json().dump();
+  const RunReport copy = *original;
+  const RunReport moved = std::move(*original);
+  original.reset();
+  EXPECT_EQ(copy.to_json().dump(), want);
+  EXPECT_EQ(moved.to_json().dump(), want);
+  EXPECT_EQ(want.find("\"metrics\""), want.rfind("\"metrics\""));
+  EXPECT_EQ(copy.metrics.find_counter("sys.cycles")->value(),
+            traced_system().stats().cycles);
+}
+
+// A report no System built keeps hand-added instruments by name.
+TEST(RunReport, HandBuiltReportKeepsAdhocInstruments) {
+  RunReport r;
+  r.name = "hand";
+  EXPECT_EQ(r.metrics.find_counter("sys.cycles"), nullptr);
+  r.metrics.counter("ring.superstep.cycles").set(3);
+  ASSERT_NE(r.metrics.find_counter("ring.superstep.cycles"), nullptr);
+  EXPECT_EQ(r.to_json().dump(),
+            "{\"schema\":\"sring.run_report.v1\",\"name\":\"hand\","
+            "\"metrics\":{\"counters\":{\"ring.superstep.cycles\":3},"
+            "\"histograms\":{}}}");
+}
+
 TEST(RunReport, FromStatsIsAggregateOnly) {
   SystemStats s;
   s.cycles = 10;
