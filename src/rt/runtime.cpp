@@ -17,9 +17,9 @@ std::size_t resolve_workers(std::size_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-/// Bucket bounds for the per-worker job-cycle histogram: powers of
-/// two up to 1M simulated cycles.
-const std::vector<std::uint64_t>& job_cycle_bounds() {
+}  // namespace
+
+const std::vector<std::uint64_t>& Runtime::job_cycle_bounds() {
   static const std::vector<std::uint64_t> bounds = [] {
     std::vector<std::uint64_t> b;
     for (std::uint64_t v = 64; v <= (1u << 20); v <<= 1) b.push_back(v);
@@ -27,14 +27,6 @@ const std::vector<std::uint64_t>& job_cycle_bounds() {
   }();
   return bounds;
 }
-
-}  // namespace
-
-Runtime::Tally::Tally()
-    : job_cycles(job_cycle_bounds()),
-      queue_wait_us(obs::latency_bounds_us()),
-      arm_us(obs::latency_bounds_us()),
-      execute_us(obs::latency_bounds_us()) {}
 
 Runtime::Runtime(RuntimeConfig config)
     : config_(std::move(config)), queue_(config_.queue_capacity) {

@@ -35,6 +35,7 @@
 
 #include "obs/event.hpp"
 #include "obs/metrics.hpp"
+#include "obs/quantile.hpp"
 #include "rt/job.hpp"
 #include "rt/job_queue.hpp"
 #include "rt/system_pool.hpp"
@@ -117,10 +118,11 @@ class Runtime {
   obs::Registry metrics() const;
 
  private:
+  /// Bucket bounds of rt.job_cycles: powers of two up to 1M cycles.
+  static const std::vector<std::uint64_t>& job_cycle_bounds();
+
   /// One worker's job accounting; metrics() names it.
   struct Tally {
-    Tally();
-
     std::uint64_t jobs = 0;
     std::uint64_t jobs_failed = 0;
     // Successful jobs only (rt.job_cycles counts them).
@@ -133,12 +135,12 @@ class Runtime {
     std::uint64_t plan_invalidations = 0;
     std::uint64_t superstep_dispatches = 0;
     std::uint64_t superstep_cycles = 0;
-    obs::Histogram job_cycles;
+    obs::Histogram job_cycles{job_cycle_bounds()};
     // Jobs finished while telemetry was on (rt.latency.* count them).
     std::uint64_t busy_us = 0;
-    obs::Histogram queue_wait_us;
-    obs::Histogram arm_us;
-    obs::Histogram execute_us;
+    obs::Histogram queue_wait_us{obs::latency_bounds_us()};
+    obs::Histogram arm_us{obs::latency_bounds_us()};
+    obs::Histogram execute_us{obs::latency_bounds_us()};
     // The pool's cumulative totals after the worker's latest job.
     std::uint64_t pool_fast_resets = 0;
     std::uint64_t pool_full_loads = 0;

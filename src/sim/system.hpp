@@ -110,15 +110,9 @@ struct ElementCounters {
   /// + lane), four per switch, then geometry.fb_depth read-depth counts
   /// per switch, switch-major.
   enum Array : std::size_t {
-    kIssue,
-    kMac,
-    kLocalCycles,
-    kGlobalCycles,
-    kRouteChanges,
-    kHostOutWords,
-    kFbReads,
-    kFbOccupancy,
-    kFbReadDepth,
+    kIssue, kMac, kLocalCycles, kGlobalCycles,      // per Dnode
+    kRouteChanges, kHostOutWords, kFbReads, kFbOccupancy,  // per switch
+    kFbReadDepth
   };
 
   RingGeometry geometry;            ///< shape of the arrays
