@@ -668,6 +668,45 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
   obs::set_telemetry_enabled(telemetry_was);
 }
 
+// A server that has answered nothing names no latency or job-tally
+// instrument; the first answered job brings each in with one sample.
+TEST(NetServerMetrics, TalliesAppearWithTheFirstAnsweredJob) {
+  const bool telemetry_was = obs::telemetry_enabled();
+  obs::set_telemetry_enabled(true);
+  ServerConfig scfg;
+  scfg.shards = 2;
+  TestServer ts(scfg);
+  const auto has = [](const obs::Registry& m, const std::string& prefix) {
+    for (const auto& [name, h] : m.histograms()) {
+      if (name.rfind(prefix, 0) == 0) return true;
+    }
+    for (const auto& [name, c] : m.counters()) {
+      if (name.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  };
+  const obs::Registry before = ts.server.metrics();
+  for (const char* prefix :
+       {"net.latency.", "rt.latency.", "rt.jobs", "rt.worker.", "ring."}) {
+    EXPECT_FALSE(has(before, prefix)) << prefix;
+  }
+  {
+    Client client(client_config(ts.server.port()));
+    ASSERT_TRUE(client.submit(all_kernel_requests()[0]).ok);
+  }
+  ts.stop();
+  const obs::Registry after = ts.server.metrics();
+  for (const char* name :
+       {"net.latency.queue_wait_us", "net.latency.arm_us",
+        "net.latency.execute_us", "net.latency.serialize_us",
+        "net.latency.e2e_us", "rt.latency.queue_wait_us", "rt.job_cycles"}) {
+    const obs::Histogram* h = after.find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), 1u) << name;
+  }
+  obs::set_telemetry_enabled(telemetry_was);
+}
+
 // ---- live telemetry over the wire -----------------------------------
 
 // GetStats against a loaded server: one consistent snapshot carrying

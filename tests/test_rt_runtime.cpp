@@ -345,6 +345,35 @@ TEST(RuntimeMetrics, TelemetryAddsExactlyTheLatencyInstruments) {
   EXPECT_EQ(m.find_histogram("rt.job_cycles")->count(), jobs - 1);
 }
 
+// The pool counters are the worker's pool totals after its latest job:
+// a one-System pool reloads in place, so it constructs one System but
+// fully loads every new program.
+TEST(RuntimeMetrics, PoolCountersAreThePoolTotals) {
+  const std::vector<Word> coeffs{1, 2};
+  Runtime rt({.workers = 1, .pool_systems_per_worker = 1});
+  ASSERT_TRUE(
+      rt.submit(kernels::make_spatial_fir_job(kGeom, signal(40, 32), coeffs))
+          .get()
+          .ok);
+  ASSERT_TRUE(
+      rt.submit(kernels::make_dwt53_job(kGeom, signal(41, 32))).get().ok);
+  ASSERT_TRUE(
+      rt.submit(kernels::make_spatial_fir_job(kGeom, signal(42, 32), coeffs))
+          .get()
+          .ok);
+  const obs::Registry m = rt.metrics();
+  const auto value = [&m](const char* name) {
+    const obs::Counter* c = m.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? ~std::uint64_t{0} : c->value();
+  };
+  EXPECT_EQ(value("rt.worker.0.pool.systems"), 1u);
+  EXPECT_EQ(value("rt.worker.0.pool.full_loads"), 3u);
+  EXPECT_EQ(value("rt.pool.full_loads"), 3u);
+  EXPECT_EQ(value("rt.worker.0.pool.fast_resets"), 0u);
+  EXPECT_EQ(value("rt.pool.fast_resets"), 0u);
+}
+
 // Snapshots taken while two workers run must never tear a worker's
 // tally; the final totals account for every job exactly once.
 TEST(RuntimeMetrics, ConcurrentSnapshotsSeeConsistentTotals) {
