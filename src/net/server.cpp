@@ -1148,13 +1148,6 @@ void Server::collect_completions(Shard& shard) {
   }
 }
 
-Server::LatencyHistograms::LatencyHistograms()
-    : queue_wait_us(obs::latency_bounds_us()),
-      arm_us(obs::latency_bounds_us()),
-      execute_us(obs::latency_bounds_us()),
-      serialize_us(obs::latency_bounds_us()),
-      e2e_us(obs::latency_bounds_us()) {}
-
 void Server::record_completion(
     Shard& shard, const PendingJob& pending, const rt::JobResult& result,
     std::uint64_t serialize_us,

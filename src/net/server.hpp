@@ -43,6 +43,7 @@
 #include "net/protocol.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
+#include "obs/quantile.hpp"
 #include "obs/sampler.hpp"
 #include "rt/runtime.hpp"
 #include "svc/compile_service.hpp"
@@ -281,12 +282,11 @@ class Server {
 
   /// The net.latency.* phases of timed completions, one histogram each.
   struct LatencyHistograms {
-    LatencyHistograms();
-    obs::Histogram queue_wait_us;
-    obs::Histogram arm_us;
-    obs::Histogram execute_us;
-    obs::Histogram serialize_us;
-    obs::Histogram e2e_us;
+    obs::Histogram queue_wait_us{obs::latency_bounds_us()};
+    obs::Histogram arm_us{obs::latency_bounds_us()};
+    obs::Histogram execute_us{obs::latency_bounds_us()};
+    obs::Histogram serialize_us{obs::latency_bounds_us()};
+    obs::Histogram e2e_us{obs::latency_bounds_us()};
   };
 
   /// One event-loop shard: its own poll loop, connections, in-flight

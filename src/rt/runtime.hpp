@@ -19,9 +19,9 @@
 // mutex taken only at job boundaries — the simulation hot path is
 // lock-free, and no job builds or searches an instrument name.
 // metrics() names the tallies (plus queue statistics) into one fleet
-// snapshot.  An optional sink factory gives
-// each worker its own EventSink; a traced worker re-attaches the sink
-// per job, so each job appears as one begin()-delimited trace segment.
+// snapshot.  An optional sink factory gives each worker its own
+// EventSink; a traced worker re-attaches the sink per job, so each job
+// appears as one begin()-delimited trace segment.
 #pragma once
 
 #include <cstdint>

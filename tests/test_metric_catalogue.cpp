@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "dsp/matvec.hpp"
 #include "kernels/jobs.hpp"
 #include "net/client.hpp"
