@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "kernels/jobs.hpp"
 #include "kernels/mac_kernel.hpp"
 #include "obs/event.hpp"
+#include "obs/sinks.hpp"
 #include "sim/system.hpp"
 #include "tile/gemm_job.hpp"
 #include "tile/gemm_ref.hpp"
@@ -746,6 +748,138 @@ TEST(Superstep, ControllerDrivenOutputAndCycleStops) {
   const SuperRun on = drive_system(g, true, drive);
   expect_transparent(on, drive_system(g, false, drive));
   EXPECT_GT(on.dispatches, 2u);
+}
+
+TEST(CyclePlan, TracedEventStreamsMatchTheInterpreter) {
+  // The issue events of a traced run come from the ring's last-cycle
+  // views: the planned path must fill them exactly as the interpreter
+  // does, cycle for cycle, for global, local-mode, page-multiplexed and
+  // WAIT-bounded kernels.
+  const RingGeometry g{8, 2, 16};
+  std::vector<rt::Job> jobs;
+  jobs.push_back(kernels::make_spatial_fir_job(
+      g, signal(41, 64), std::vector<Word>{5, static_cast<Word>(-3), 2, 1}));
+  {
+    rt::Job mac;
+    mac.name = "mac.local";
+    mac.program = std::make_shared<const LoadableProgram>(
+        kernels::make_running_mac_program(g));
+    mac.input = signal(42, 2 * 48);
+    mac.run = rt::Job::Run::kUntilOutputs;
+    mac.expected_outputs = 48;
+    mac.max_cycles = 64 + 16 * 48;
+    jobs.push_back(std::move(mac));
+  }
+  jobs.push_back(
+      kernels::make_matvec8_job(g, dsp::dct8_matrix_q7(), signal(43, 8 * 6)));
+  {
+    Rng rng(44);
+    Image ref(16, 16);
+    Image cand(16, 16);
+    for (std::size_t y = 0; y < 16; ++y) {
+      for (std::size_t x = 0; x < 16; ++x) {
+        ref.at(x, y) = rng.next_word_in(0, 255);
+        cand.at(x, y) = rng.next_word_in(0, 255);
+      }
+    }
+    jobs.push_back(kernels::make_motion_estimation_job(g, ref, 4, 4, cand, 2));
+  }
+
+  for (const rt::Job& job : jobs) {
+    std::string streams[2];
+    for (const bool planned : {false, true}) {
+      std::ostringstream os;
+      obs::JsonlSink sink(os);
+      System sys({g, job.link});
+      sys.ring().set_plan_cache_enabled(planned);
+      sys.set_trace(&sink);
+      run_job(sys, job);
+      sys.set_trace(nullptr);
+      sink.end();
+      streams[planned] = os.str();
+      if (planned) {
+        EXPECT_GT(sys.ring().plan_hits(), sys.cycle() / 2) << job.name;
+      }
+    }
+    EXPECT_GT(streams[0].size(), 1000u) << job.name;
+    EXPECT_EQ(streams[0], streams[1]) << job.name;
+  }
+}
+
+TEST(CyclePlan, LocalPeriodOverTheCapBitExact) {
+  // Local programs of 5, 7 and 8 slots repeat every 280 cycles, above
+  // kMaxSuperstepPeriod: no tape covers that schedule.  Outputs,
+  // statistics and every per-element counter must still match the
+  // interpreter, with the superstep engine on and off.
+  const RingGeometry g{3, 1, 4};
+  ProgramBuilder pb(g, "long_period");
+  PageBuilder page(g);
+  SwitchRoute r1;
+  r1.in1 = PortRoute::prev(0);
+  r1.fifo1 = {0, 0, 2};
+  page.route(1, 0, r1);
+  SwitchRoute r2;
+  r2.in1 = PortRoute::prev(0);
+  r2.in2 = PortRoute::host();
+  r2.host_out_en = true;
+  page.route(2, 0, r2);
+  for (std::size_t d = 0; d < 3; ++d) page.mode(d, 0, DnodeMode::kLocal);
+  const std::size_t boot = pb.add_page(page);
+  const DnodeSrc srcs[3][3] = {{DnodeSrc::kHost, DnodeSrc::kImm, DnodeSrc::kR0},
+                               {DnodeSrc::kIn1, DnodeSrc::kFifo1, DnodeSrc::kR1},
+                               {DnodeSrc::kIn1, DnodeSrc::kIn2, DnodeSrc::kR2}};
+  const std::size_t lens[3] = {5, 7, 8};
+  for (std::size_t d = 0; d < 3; ++d) {
+    std::vector<DnodeInstr> prog;
+    for (std::size_t s = 0; s < lens[d]; ++s) {
+      DnodeInstr in;
+      in.op = s % 3 == 0 ? DnodeOp::kMac : DnodeOp::kAdd;
+      in.src_a = srcs[d][s % 3];
+      in.src_b = DnodeSrc::kImm;
+      in.src_c = DnodeSrc::kR3;
+      in.imm = static_cast<Word>(s + 1);
+      in.dst = s % 2 == 0 ? DnodeDst::kR3 : DnodeDst::kNone;
+      in.out_en = true;
+      in.host_en = s == d;
+      in.bus_en = d == 1 && s == 4;
+      if (s == 6) in.op = DnodeOp::kNop;
+      prog.push_back(in);
+    }
+    pb.local_program(d, prog);
+  }
+  pb.page_switch(boot);
+  pb.halt();
+  const LoadableProgram program = pb.build();
+  const std::vector<Word> input = signal(45, 900);
+
+  struct Run {
+    std::vector<Word> outputs;
+    std::string stats;
+    std::vector<std::uint64_t> elements;
+  };
+  const auto run = [&](bool planned, bool superstep) {
+    System sys({g});
+    sys.ring().set_plan_cache_enabled(planned);
+    sys.set_superstep_enabled(superstep);
+    sys.load(program);
+    sys.host().send(std::span<const Word>(input).first(500));
+    sys.run_cycles(333);
+    sys.host().send(std::span<const Word>(input).subspan(500));
+    sys.run_cycles(1200);  // drains the FIFO, then stalls
+    Run r;
+    r.outputs = sys.host().take_received();
+    r.stats = arch_only(sys.stats()).to_string();
+    r.elements = sys.element_counters().data;
+    return r;
+  };
+  const Run interp = run(false, false);
+  ASSERT_GT(interp.outputs.size(), 500u);
+  for (const bool superstep : {false, true}) {
+    const Run planned = run(true, superstep);
+    EXPECT_EQ(interp.outputs, planned.outputs) << "superstep " << superstep;
+    EXPECT_EQ(interp.stats, planned.stats) << "superstep " << superstep;
+    EXPECT_EQ(interp.elements, planned.elements) << "superstep " << superstep;
+  }
 }
 
 TEST(CyclePlan, FbReadDepthCountsSizedByGeometry) {
