@@ -1,7 +1,8 @@
-// bench_cycle — simulator cycle throughput across the three execution
-// paths: the ConfigMemory interpreter, the per-cycle decoded cycle
-// plan, and the fused superstep engine (with the share of cycles it
-// ran fused per kernel).
+// bench_cycle — simulator cycle throughput across the three ways a
+// cycle can run: the ConfigMemory interpreter, one planned cycle per
+// Ring::step (a one-cycle run of the plan's superstep tape — the
+// "percycle planned" column), and fused superstep dispatches over the
+// same tape (with the share of cycles it ran fused per kernel).
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
 // MAC, 5/3 wavelet, block matvec8, full-search motion estimation) on
@@ -10,7 +11,7 @@
 // reports simulated cycles per wall-clock second for each path.  The
 // run aborts unless all three paths are bit-exact: identical outputs,
 // identical cycle counts, identical architectural statistics, and
-// (between the per-cycle planned and superstep paths) identical full
+// (between the stepped planned and superstep paths) identical full
 // statistics and metrics apart from the ring.superstep.* counters.
 //
 // The per-run plan/superstep switches defer to the environment
@@ -79,8 +80,8 @@ std::string arch_stats_string(SystemStats s) {
 }
 
 /// Metrics snapshot with the ring.superstep.* counters dropped — the
-/// only instruments allowed to differ between the per-cycle planned
-/// path and the superstep engine.
+/// only instruments allowed to differ between stepped planned cycles
+/// and fused superstep dispatches.
 std::string metrics_without_superstep(const obs::Registry& reg) {
   obs::JsonValue out = obs::JsonValue::object();
   for (const auto& [name, counter] : reg.counters()) {
@@ -251,7 +252,8 @@ int main(int argc, char** argv) {
     check(samples >= 16, "bench_cycle: --samples must be at least 16");
     check(reps >= 1, "bench_cycle: --reps must be at least 1");
 
-    std::printf("bench_cycle: geometry %zux%zu, %zu samples, best of %zu\n",
+    std::printf("bench_cycle: geometry %zux%zu, %zu samples, best of %zu"
+                " (planned = one tape cycle per Ring::step)\n",
                 kGeom.layers, kGeom.lanes, samples, reps);
 
     std::vector<rt::Job> jobs;

@@ -102,13 +102,11 @@ PlannedSlot compile_slot(const RingGeometry& geom, const DnodeInstr& instr,
 void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
                         const std::vector<Dnode>& dnodes, CyclePlan& plan) {
   const std::size_t n = geom.dnode_count();
-  plan.valid = false;
   plan.static_pops = 0;
   plan.superstep_period = 1;
   plan.dnodes.assign(n, PlannedDnode{});
   plan.local_dnodes.clear();
   plan.global_dnodes.clear();
-  plan.exec_dnodes.clear();
   plan.host_taps.clear();
 
   for (std::size_t layer = 0; layer < geom.layers; ++layer) {
@@ -117,7 +115,6 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
       const std::size_t i = layer * geom.lanes + lane;
       PlannedDnode& pd = plan.dnodes[i];
       const SwitchRoute& route = cfg.switch_route(layer, lane);
-      bool active = false;  // some reachable slot is non-NOP
       pd.is_local = cfg.dnode_mode(i) == DnodeMode::kLocal;
       if (pd.is_local) {
         plan.local_dnodes.push_back(static_cast<std::uint16_t>(i));
@@ -126,7 +123,6 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
         // wraps), so slots above it are unreachable and stay NOP.
         for (std::size_t s = 0; s <= lc.limit(); ++s) {
           pd.local[s] = compile_slot(geom, lc.instr_at(s), route, up);
-          active = active || !pd.local[s].nop;
         }
         pd.local_len = static_cast<std::uint8_t>(lc.limit() + 1);
         if (plan.superstep_period != 0) {
@@ -139,11 +135,7 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
       } else {
         plan.global_dnodes.push_back(static_cast<std::uint16_t>(i));
         pd.global = compile_slot(geom, cfg.dnode_instr(i), route, up);
-        active = !pd.global.nop;
         plan.static_pops += pd.global.pops;
-      }
-      if (active) {
-        plan.exec_dnodes.push_back(static_cast<std::uint16_t>(i));
       }
     }
   }
@@ -178,6 +170,7 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
   t.sources.clear();
   t.begin.assign(period + 1, 0);
   t.pops.assign(period, 0);
+  t.arith_ops.assign(period, 0);
   t.effects.clear();
   t.effects_begin.assign(period + 1, 0);
   t.carry.clear();
@@ -198,7 +191,9 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
     t.begin[p] = static_cast<std::uint32_t>(t.ops.size());
     t.effects_begin[p] = static_cast<std::uint32_t>(t.effects.size());
     std::uint16_t pops = 0;
-    for (const std::uint16_t i : plan.exec_dnodes) {
+    // Ascending Dnode order: the documented host pop and output drain
+    // order.
+    for (std::uint16_t i = 0; i < n; ++i) {
       const PlannedDnode& pd = plan.dnodes[i];
       const PlannedSlot& ps =
           pd.is_local
@@ -283,6 +278,7 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
       }
       t.ops.push_back(op);
       t.sources.push_back({i, &ps});
+      t.arith_ops[p] += ps.is_mac ? 2u : 1u;
     }
     t.pops[p] = pops;
     std::sort(writes[p].begin(), writes[p].end());

@@ -81,12 +81,11 @@ struct HostTapPlan {
 
 /// Superstep schedules repeat with the LCM of the active local program
 /// lengths.  Periods beyond this cap (mixed 5/7/8-step programs can
-/// reach 840) are not worth unrolling — the plan marks them
-/// superstep-ineligible and the per-cycle planned path handles them.
+/// reach 840) are not worth unrolling — the plan gets no tape and the
+/// Ring interprets it.
 inline constexpr std::size_t kMaxSuperstepPeriod = 64;
 
 struct CyclePlan {
-  bool valid = false;
   // Invalidation key captured at compile time (see header comment).
   std::uint64_t cfg_uid = 0;
   std::uint64_t cfg_generation = 0;
@@ -99,11 +98,6 @@ struct CyclePlan {
   std::vector<PlannedDnode> dnodes;          ///< [layer * lanes + lane]
   std::vector<std::uint16_t> local_dnodes;   ///< flat indices, ascending
   std::vector<std::uint16_t> global_dnodes;  ///< flat indices, ascending
-  /// Active Dnodes (some reachable non-NOP slot), ascending.  The
-  /// per-cycle planned path and the tape lowering iterate only these —
-  /// the ascending order preserves the documented host pop and output
-  /// drain order.
-  std::vector<std::uint16_t> exec_dnodes;
   std::vector<HostTapPlan> host_taps;        ///< switch-asc, lane-asc
 };
 
@@ -173,6 +167,7 @@ struct SuperstepTape {
   std::vector<Source> sources;              ///< parallel to ops
   std::vector<std::uint32_t> begin;         ///< [period + 1] into ops
   std::vector<std::uint32_t> pops;          ///< [period] host words
+  std::vector<std::uint32_t> arith_ops;     ///< [period] MAC/MSU count 2
   /// Indices into ops of the hostEn/busEn micro-ops, phase-major.
   std::vector<std::uint32_t> effects;
   std::vector<std::uint32_t> effects_begin;  ///< [period + 1]
@@ -200,7 +195,7 @@ std::ptrdiff_t tape_phase(const SuperstepTape& tape, const CyclePlan& plan,
 
 /// Compile the live configuration + local-control programs into `plan`
 /// (storage is reused across recompiles; the caller stamps the
-/// invalidation key and `valid`).  Throws SimError on any route the
+/// invalidation key).  Throws SimError on any route the
 /// interpreter would reject at execution time — pre-validation must
 /// not accept configurations the cycle-accurate path rejects.
 void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,

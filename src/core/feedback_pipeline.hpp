@@ -30,9 +30,9 @@ class FeedbackPipeline {
   /// Read one lane at the given depth (0 = most recently latched).
   Word read(std::size_t lane, std::size_t depth) const;
 
-  /// Unchecked read for pre-validated addresses — the Ring's compiled
-  /// cycle-plan path, which proves lane/depth in range at plan-compile
-  /// time.  Out-of-range arguments are undefined behaviour here.
+  /// Unchecked read for in-range addresses — the Ring copying the
+  /// history into its superstep window.  Out-of-range arguments are
+  /// undefined behaviour here.
   Word read_fast(std::size_t lane, std::size_t depth) const noexcept {
     std::size_t stage = head_ + depth;
     if (stage >= depth_) stage -= depth_;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/local_control.hpp"
@@ -42,8 +44,6 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   needs_.assign(geom_.dnode_count(), {});
   effects_.assign(geom_.dnode_count(), {});
   pre_outs_.assign(geom_.dnode_count(), 0);
-  local_slot_.assign(geom_.dnode_count(), 0);
-  exec_scratch_.reserve(geom_.dnode_count());
   const TapeLayout lay{geom_.dnode_count()};
   flat_.assign(2 * lay.size(), 0);
   // Enough slack rows that relocating the window (fb_depth - 1 rows)
@@ -67,29 +67,30 @@ std::size_t Ring::upstream_layer(std::size_t layer) const noexcept {
 }
 
 Dnode& Ring::dnode(std::size_t layer, std::size_t lane) {
-  // The caller may mutate output registers directly (test harnesses
-  // do): the planned path's cached pre-edge vector goes stale.
-  pre_outs_valid_ = false;
+  spill();  // the caller may read or mutate the Dnode directly
   return dnodes_[flat_index(layer, lane)];
 }
 
 const Dnode& Ring::dnode(std::size_t layer, std::size_t lane) const {
+  spill();
   return dnodes_[flat_index(layer, lane)];
 }
 
 Dnode& Ring::dnode_flat(std::size_t index) {
   check(index < dnodes_.size(), "Ring: dnode index out of range");
-  pre_outs_valid_ = false;
+  spill();
   return dnodes_[index];
 }
 
 const Dnode& Ring::dnode_flat(std::size_t index) const {
   check(index < dnodes_.size(), "Ring: dnode index out of range");
+  spill();
   return dnodes_[index];
 }
 
 const FeedbackPipeline& Ring::pipeline(std::size_t sw) const {
   check(sw < pipes_.size(), "Ring: switch index out of range");
+  spill();
   return pipes_[sw];
 }
 
@@ -98,6 +99,9 @@ void Ring::write_local(std::size_t dnode_index, std::size_t slot,
   check(dnode_index < dnodes_.size(), "Ring: dnode index out of range");
   dnodes_[dnode_index].local().write(slot, value);
   ++local_generation_;
+  // The write may move a local counter: the last tape's phase no
+  // longer predicts the next one.
+  settle_last_tape();
 }
 
 Word Ring::read_feedback(const FeedbackAddr& addr) const {
@@ -111,8 +115,12 @@ void Ring::note_fb_read(const FeedbackAddr& addr) {
 }
 
 void Ring::set_plan_cache_enabled(bool enabled) noexcept {
+  spill();
   plan_enabled_ = enabled;
-  if (!enabled) current_plan_ = nullptr;
+  if (!enabled) {
+    current_plan_ = nullptr;
+    handoff_.reset();
+  }
 }
 
 void Ring::reset_arch_state() {
@@ -130,15 +138,20 @@ void Ring::reset_arch_state() {
   bus_conflicts_ = 0;
   superstep_dispatches_ = 0;
   superstep_cycles_ = 0;
-  // A dispatch cut short by a controller fault leaves unflushed tapes.
+  // A dispatch cut short by a controller fault leaves unflushed tapes
+  // and stale resident state.
   for (auto& e : plan_cache_) {
     std::fill(e->tape.phase_cycles.begin(), e->tape.phase_cycles.end(), 0);
+    e->queued = false;
   }
+  ran_.clear();
+  resident_ = false;
+  last_tape_ = nullptr;
+  handoff_.reset();
   current_plan_ = nullptr;
   mode_synced_ = false;
   synced_local_.clear();
   synced_valid_ = true;
-  pre_outs_valid_ = false;
   local_generation_ = 0;
   local_hash_gen_ = ~std::uint64_t{0};
   unfuse();
@@ -179,21 +192,54 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
             cfg.geometry().lanes == geom_.lanes,
         "Ring::step: configuration memory geometry mismatch");
 
-  if (!plan_enabled_) return step_interpreted(cfg, bus, host_in, host_out);
+  // A dispatch that ended with ring_pending already looked this cycle up.
+  PlanCacheEntry* const e = handoff_ ? *std::exchange(handoff_, std::nullopt)
+                            : plan_enabled_ ? lookup(cfg)
+                                            : nullptr;
+  if (e == nullptr) {
+    spill();
+    return step_interpreted(cfg, bus, host_in, host_out);
+  }
 
-  if (current_plan_ != nullptr) {
-    const CyclePlan& plan = current_plan_->plan;
-    if (plan_current(plan, cfg)) {
-      ++plan_hits_;
-      return step_planned(plan, bus, host_in, host_out);
+  const SuperstepResult r =
+      run_tape(*e, {.cfg = cfg,
+                    .bus = bus,
+                    .host_in = host_in,
+                    .host_out = host_out,
+                    .max_cycles = 1,
+                    .host_out_stop = std::numeric_limits<std::size_t>::max()});
+  CycleResult result;
+  result.stalled = r.cycles == 0;
+  result.ops = static_cast<unsigned>(r.ops);
+  result.arith_ops = static_cast<unsigned>(r.arith_ops);
+  result.host_words_in = static_cast<unsigned>(r.host_words_in);
+  result.host_words_out = static_cast<unsigned>(r.host_words_out);
+  if (r.bus_driven) result.bus_drive = r.bus;
+  if (trace_views_ && !result.stalled) {
+    // Issue views from the phase that ran and its micro-op results.
+    std::fill(effects_.begin(), effects_.end(), Dnode::Effects{});
+    const SuperstepTape& t = *last_tape_;
+    const std::uint32_t first = t.begin[last_phase_];
+    for (std::uint32_t k = first; k < t.begin[last_phase_ + 1]; ++k) {
+      const SuperstepTape::Source& src = t.sources[k];
+      const DnodeInstr& in = src.slot->instr;
+      fetched_[src.dnode] = &in;
+      effects_[src.dnode] = {true, op_vals_[k - first], in.out_en, in.bus_en,
+                             in.host_en};
     }
+  }
+  return result;
+}
+
+Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
+  if (current_plan_ != nullptr) {
     current_plan_ = nullptr;
     ++plan_invalidations_;
   }
 
-  // The configuration changed.  Fused sequence first: if the rotation
-  // was recognized, the predicted successor re-attaches after an O(1)
-  // provenance check — no hashing, no cache scan.
+  // Fused sequence first: if the rotation was recognized, the predicted
+  // successor re-attaches after an O(1) provenance check — no hashing,
+  // no cache scan.
   if (seq_fused_) {
     PlanCacheEntry* const pred = seq_[seq_pos_];
     if (hint_matches(*pred, cfg)) {
@@ -202,7 +248,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
       ++plan_content_hits_;
       ++plan_hits_;
       attach_plan(pred, cfg);
-      return step_planned(pred->plan, bus, host_in, host_out);
+      return pred;
     }
   }
 
@@ -222,28 +268,27 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
   }
   if (e == nullptr) {
     insert_entry(cfg, key)->sightings = 1;
-    return step_interpreted(cfg, bus, host_in, host_out);
+    return nullptr;  // first sighting: interpret
   }
   if (e->compiled) {
+    if (e->plan.superstep_period == 0) return nullptr;  // interpret-only
     ++plan_content_hits_;
     ++plan_hits_;
     attach_plan(e, cfg);
-    return step_planned(e->plan, bus, host_in, host_out);
+    return e;
   }
-  if (++e->sightings >= 2) {
-    // Second sighting of this content: compile.  compile throws
-    // exactly where the interpreter would reject the configuration at
-    // execution time.
-    compile_cycle_plan(geom_, cfg, dnodes_, e->plan);
-    e->plan.valid = true;
-    e->compiled = true;
-    e->tape.valid = false;
-    ++plan_compiles_;
-    attach_plan(e, cfg);
-    return step_planned(e->plan, bus, host_in, host_out);
-  }
-  // First sighting: interpret, compile if the content ever recurs.
-  return step_interpreted(cfg, bus, host_in, host_out);
+  if (++e->sightings < 2) return nullptr;
+  // Second sighting of this content: compile.  compile throws exactly
+  // where the interpreter would reject the configuration at execution
+  // time.  A plan without a tape (local period over the cap) stays
+  // interpret-only and is never attached.
+  compile_cycle_plan(geom_, cfg, dnodes_, e->plan);
+  e->compiled = true;
+  e->tape.valid = false;
+  ++plan_compiles_;
+  if (e->plan.superstep_period == 0) return nullptr;
+  attach_plan(e, cfg);
+  return e;
 }
 
 // --- plan cache internals ----------------------------------------------
@@ -346,7 +391,6 @@ Ring::PlanCacheEntry* Ring::insert_entry(const ConfigMemory& cfg,
     ++plan_evictions_;
     unfuse();
     e->compiled = false;
-    e->plan.valid = false;
     e->content.clear();
   }
   e->key_hash = key;
@@ -446,7 +490,6 @@ void Ring::commit_edge() {
     const std::size_t up = upstream_layer(s);
     pipes_[s].push_from(pre_outs_.data() + up * geom_.lanes);
   }
-  pre_outs_valid_ = false;  // pre_outs_ now holds pre-edge values
 }
 
 void Ring::drain_effects(CycleResult& result, std::vector<Word>& host_out) {
@@ -627,179 +670,35 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
   return result;
 }
 
-Ring::CycleResult Ring::step_planned(const CyclePlan& plan, Word bus,
-                                     HostFifo& host_in,
-                                     std::vector<Word>& host_out) {
-  CycleResult result;
-
-  // Pops this cycle: static (global-mode) schedule plus the current
-  // slot of every local program.  A Dnode whose local-mode entry has
-  // not committed yet (stall pending) fetches slot 0.
-  std::size_t pops_needed = plan.static_pops;
-  for (const std::uint16_t i : plan.local_dnodes) {
-    const std::uint8_t slot = last_mode_[i] == DnodeMode::kGlobal
-                                  ? std::uint8_t{0}
-                                  : dnodes_[i].local().counter();
-    local_slot_[i] = slot;
-    pops_needed += plan.dnodes[i].local[slot].pops;
-  }
-  if (host_in.size() < pops_needed) {
-    result.stalled = true;
-    return result;  // systolic back-pressure: nothing advances
-  }
-
-  // Modes cannot change while the plan stays attached, so the sync
-  // runs at most once per attach.
-  if (!mode_synced_) sync_modes(plan);
-  for (const std::uint16_t i : plan.local_dnodes) {
-    ++local_cycles_per_dnode_[i];
-  }
-  for (const std::uint16_t i : plan.global_dnodes) {
-    ++global_cycles_per_dnode_[i];
-  }
-
-  // Standing invariant between planned cycles: pre_outs_[i] mirrors
-  // every output register at the top of the cycle, so the edge below
-  // needs to refresh only the Dnodes that executed.  Interpreted or
-  // fused cycles in between break the invariant and it is rebuilt
-  // here once.
-  const std::size_t n = dnodes_.size();
-  if (!pre_outs_valid_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      pre_outs_[i] = dnodes_[i].out();
-    }
-    pre_outs_valid_ = true;
-  }
-
-  if (trace_views_) {
-    // Event tracing consumes per-Dnode fetch/effect views for ALL
-    // Dnodes; keep them exact only when a sink is attached.
-    for (std::size_t i = 0; i < n; ++i) {
-      const PlannedDnode& pd = plan.dnodes[i];
-      const PlannedSlot& ps =
-          pd.is_local ? pd.local[local_slot_[i]] : pd.global;
-      fetched_[i] = &ps.instr;
-      effects_[i] = Dnode::Effects{};
-    }
-  }
-
-  // Execute: only Dnodes with a reachable non-NOP slot, ascending —
-  // which preserves the documented host pop order exactly.
-  exec_scratch_.clear();
-  for (const std::uint16_t i : plan.exec_dnodes) {
-    const PlannedDnode& pd = plan.dnodes[i];
-    const PlannedSlot& ps =
-        pd.is_local ? pd.local[local_slot_[i]] : pd.global;
-    if (ps.nop) continue;
-
-    Dnode::Inputs in;
-    in.bus = bus;
-    const auto resolve = [&](PlannedSlot::Port kind, std::uint16_t prev,
-                             const FeedbackAddr& fb) -> Word {
-      switch (kind) {
-        case PlannedSlot::Port::kZero:
-          return 0;
-        case PlannedSlot::Port::kPrev:
-          return pre_outs_[prev];
-        case PlannedSlot::Port::kHost: {
-          const Word w = host_in.front();
-          host_in.pop_front();
-          ++result.host_words_in;
-          return w;
-        }
-        case PlannedSlot::Port::kFeedback:
-          note_fb_read(fb);
-          return pipes_[fb.pipe].read_fast(fb.lane, fb.depth);
-        case PlannedSlot::Port::kBus:
-          return bus;
-      }
-      return 0;
-    };
-    in.in1 = resolve(ps.in1, ps.in1_prev, ps.in1_fb);
-    in.in2 = resolve(ps.in2, ps.in2_prev, ps.in2_fb);
-    if (ps.read_fifo1) {
-      in.fifo1 = pipes_[ps.fifo1.pipe].read_fast(ps.fifo1.lane, ps.fifo1.depth);
-      note_fb_read(ps.fifo1);
-    }
-    if (ps.read_fifo2) {
-      in.fifo2 = pipes_[ps.fifo2.pipe].read_fast(ps.fifo2.lane, ps.fifo2.depth);
-      note_fb_read(ps.fifo2);
-    }
-    if (ps.direct_pop) {
-      in.host = host_in.front();
-      host_in.pop_front();
-      ++result.host_words_in;
-    }
-
-    effects_[i] = dnodes_[i].execute(ps.instr, in);
-    exec_scratch_.push_back(i);
-    ++result.ops;
-    result.arith_ops += ps.is_mac ? 2u : 1u;
-    ++ops_per_dnode_[i];
-    if (ps.is_mac) ++mac_ops_per_dnode_[i];
-  }
-
-  // Clock edge.  pre_outs_ holds the pre-edge output vector (the
-  // invariant), so pipelines and taps latch from it directly;
-  // committing only the executed Dnodes plus one counter advance per
-  // local Dnode is equivalent to the interpreter's commit_edge().
-  for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
-    pipes_[s].push_from(pre_outs_.data() + upstream_layer(s) * geom_.lanes);
-  }
-  for (const HostTapPlan& tap : plan.host_taps) {
-    host_out.push_back(pre_outs_[tap.src]);
-    ++result.host_words_out;
-    ++host_out_words_per_switch_[tap.sw];
-  }
-  for (const std::uint16_t i : exec_scratch_) {
-    dnodes_[i].commit(false);
-  }
-  for (const std::uint16_t i : plan.local_dnodes) {
-    dnodes_[i].local().advance();
-  }
-  for (const std::uint16_t i : exec_scratch_) {
-    pre_outs_[i] = dnodes_[i].out();  // restore the invariant
-  }
-
-  // Host output (after the taps above) and bus drives, ascending Dnode
-  // order: highest index wins the bus.
-  for (const std::uint16_t i : exec_scratch_) {
-    const Dnode::Effects& eff = effects_[i];
-    if (eff.host_en) {
-      host_out.push_back(eff.result);
-      ++result.host_words_out;
-    }
-    if (eff.bus_en) {
-      ++bus_drives_;
-      if (result.bus_drive.has_value()) ++bus_conflicts_;
-      result.bus_drive = eff.result;
-    }
-  }
-  return result;
-}
-
 // --- superstep engine ---------------------------------------------------
 
-SuperstepTape& Ring::tape_for(PlanCacheEntry& e, std::size_t& phase) {
+SuperstepTape& Ring::enter_tape(PlanCacheEntry& e, std::size_t& phase,
+                                bool& continued) {
   SuperstepTape& t = e.tape;
-  if (t.valid) {
-    const std::ptrdiff_t p = tape_phase(t, e.plan, dnodes_);
-    if (p >= 0) {
-      phase = static_cast<std::size_t>(p);
-      return t;
-    }
+  continued = last_tape_ == &t;
+  if (continued) {
+    phase = last_phase_ + 1 == t.period ? 0 : last_phase_ + 1;
+    last_tape_ = nullptr;  // the run owns the buffers now
+  } else {
+    settle_last_tape();
+    // (Re)lower the tape when missing or when the local counters match
+    // none of its phases.
+    const std::ptrdiff_t p = t.valid ? tape_phase(t, e.plan, dnodes_) : -1;
+    if (p < 0) compile_tape(geom_, e.plan, dnodes_, t);
+    phase = p < 0 ? 0 : static_cast<std::size_t>(p);
   }
-  compile_tape(geom_, e.plan, dnodes_, t);
-  phase = 0;
+  if (!e.queued) {
+    e.queued = true;
+    ran_.push_back(&e);
+  }
   return t;
 }
 
-void Ring::load_flat(Word bus) {
+void Ring::load_resident() {
   const std::size_t n = dnodes_.size();
   const TapeLayout lay{n};
   Word* const s = flat_.data();
   s[TapeLayout::kZero] = 0;
-  s[TapeLayout::kBus] = bus;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
       s[lay.reg(i, r)] = dnodes_[i].regs().read(r);
@@ -808,10 +707,16 @@ void Ring::load_flat(Word bus) {
   }
   s[lay.sink()] = 0;
   std::copy(s, s + lay.size(), s + lay.size());
+  resident_ = true;
+  cur_ = 0;
+  head_ = window_slack_;
+  edges_ = 0;
+  window_loaded_ = false;
+  last_tape_ = nullptr;
 }
 
 void Ring::load_window(std::size_t head, std::uint64_t edges) {
-  // Rows head .. head+edges-1 were pushed by this dispatch; below them
+  // Rows head .. head+edges-1 were pushed since the load; below them
   // the pipelines' history continues at depth 0.  Pipeline s latches
   // layer upstream(s), so one row is the whole pre-edge output vector.
   const std::size_t n = dnodes_.size();
@@ -826,24 +731,34 @@ void Ring::load_window(std::size_t head, std::uint64_t edges) {
   }
 }
 
-void Ring::store_flat(const Word* state, std::size_t head,
-                      std::uint64_t edges) {
+void Ring::store_resident() {
   const std::size_t n = dnodes_.size();
   const TapeLayout lay{n};
+  const Word* const state = flat_.data() + cur_;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
       dnodes_[i].regs().poke(r, state[lay.reg(i, r)]);
     }
     dnodes_[i].set_out(state[lay.out(i)]);
   }
-  const Word* const rows = window_.data() + head * n;
+  const Word* const rows = window_.data() + head_ * n;
   for (std::size_t sw = 0; sw < pipes_.size(); ++sw) {
-    pipes_[sw].push_rows(rows + upstream_layer(sw) * geom_.lanes, n, edges);
+    pipes_[sw].push_rows(rows + upstream_layer(sw) * geom_.lanes, n, edges_);
   }
-  pre_outs_valid_ = false;
+  resident_ = false;
+  last_tape_ = nullptr;
 }
 
-void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
+void Ring::settle_last_tape() noexcept {
+  if (last_tape_ == nullptr) return;
+  const std::size_t size = TapeLayout{dnodes_.size()}.size();
+  const Word* const cur = flat_.data() + cur_;
+  Word* const nxt = flat_.data() + (size - cur_);
+  for (const std::uint16_t slot : last_tape_->written) nxt[slot] = cur[slot];
+  last_tape_ = nullptr;
+}
+
+void Ring::flush_tape(PlanCacheEntry& e) {
   SuperstepTape& t = e.tape;
   std::uint64_t cycles = 0;
   for (std::size_t p = 0; p < t.phase_cycles.size(); ++p) {
@@ -854,8 +769,6 @@ void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
     for (std::uint32_t k = t.begin[p]; k < t.begin[p + 1]; ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const PlannedSlot& ps = *src.slot;
-      res.ops += cnt;
-      res.arith_ops += cnt * (ps.is_mac ? 2u : 1u);
       ops_per_dnode_[src.dnode] += cnt;
       if (ps.is_mac) mac_ops_per_dnode_[src.dnode] += cnt;
       const auto note_n = [&](const FeedbackAddr& fb) {
@@ -875,32 +788,39 @@ void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
 }
 
 Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
+  if (ctx.max_cycles == 0 || !plan_enabled_ || current_plan_ == nullptr ||
+      !plan_current(current_plan_->plan, ctx.cfg) ||
+      (ctx.control != nullptr &&
+       !current_plan_->plan.local_dnodes.empty())) {
+    SuperstepResult res;  // step() owns attachment and invalidation
+    res.bus = ctx.bus;
+    return res;
+  }
+  SuperstepResult res = run_tape(*current_plan_, ctx);
+  // Controller-driven cycles count their hits in the loop's lookup.
+  if (ctx.control == nullptr) plan_hits_ += res.cycles;
+  if (res.cycles > 0) {
+    ++superstep_dispatches_;
+    superstep_cycles_ += res.cycles;
+  }
+  return res;
+}
+
+Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
+                                     const SuperstepContext& ctx) {
   SuperstepResult res;
   res.bus = ctx.bus;
-  if (ctx.max_cycles == 0 || !plan_enabled_ || current_plan_ == nullptr ||
-      !plan_current(current_plan_->plan, ctx.cfg)) {
-    return res;  // the per-cycle path owns attachment and invalidation
-  }
   HostFifo& host_in = ctx.host_in;
   std::vector<Word>& host_out = ctx.host_out;
   ControlHook* const control = ctx.control;
-  PlanCacheEntry* entry = current_plan_;
-  if (control != nullptr) {
-    // Controller-driven: only once the page rotation is fused, so the
-    // predicted successor serves nearly every swap and the flat-state
-    // load and store are paid once per long dispatch, not per swap.  A
-    // word-written live image (no page behind it) is never predicted.
-    if (!seq_fused_ || ctx.cfg.live_page() < 0 ||
-        !entry->plan.local_dnodes.empty()) {
-      return res;
-    }
-  } else {
+  PlanCacheEntry* entry = &start;
+  if (control == nullptr && !mode_synced_) {
+    // First advancing cycle under this attachment.  Stall check before
+    // any state is touched: a Dnode whose local-mode entry has not
+    // committed yet fetches slot 0 — which is also where its counter
+    // lands after the mode sync, so the tape phase chosen from
+    // post-sync counters agrees.
     const CyclePlan& plan = entry->plan;
-    if (plan.superstep_period == 0) return res;  // period over the cap
-    // First-cycle stall check before any state is touched: a Dnode
-    // whose local-mode entry has not committed yet fetches slot 0 —
-    // which is also where its counter lands after the mode sync, so
-    // the tape phase chosen from post-sync counters agrees.
     std::size_t pops = plan.static_pops;
     for (const std::uint16_t i : plan.local_dnodes) {
       const std::uint8_t slot = last_mode_[i] == DnodeMode::kGlobal
@@ -908,31 +828,32 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
                                     : dnodes_[i].local().counter();
       pops += plan.dnodes[i].local[slot].pops;
     }
-    if (host_in.size() < pops) return res;  // per-cycle path replays it
-    if (!mode_synced_) sync_modes(plan);
+    if (host_in.size() < pops) return res;  // step() replays it
+    sync_modes(plan);
   }
 
+  if (!resident_) load_resident();
   std::size_t phase = 0;
-  SuperstepTape* tape = &tape_for(*entry, phase);
-  load_flat(ctx.bus);
+  bool tape_ran = false;  // `tape` ran a cycle since its last phase
+  SuperstepTape* tape = &enter_tape(*entry, phase, tape_ran);
 
   const std::size_t n = dnodes_.size();
   const TapeLayout lay{n};
   const std::uint16_t outs = lay.outs();
-  Word* cur = flat_.data();
-  Word* nxt = cur + lay.size();
-  std::size_t head = window_slack_;  // window row of feedback depth 0
-  std::uint64_t edges = 0;           // non-stalled cycles
+  Word* cur = flat_.data() + cur_;
+  Word* nxt = flat_.data() + (lay.size() - cur_);
+  cur[TapeLayout::kBus] = ctx.bus;
+  std::size_t head = head_;       // window row of feedback depth 0
+  std::uint64_t edges = 0;        // non-stalled cycles
   std::size_t prev_top = 0;
   bool have_prev_top = false;
   bool inert = false;
   // The pipelines' history is copied in only once a tape reads it;
   // page rotations without feedback reads never pay for it.
-  bool window_loaded = false;
   const auto use_window = [&] {
-    if (tape->reads_window && !window_loaded) {
-      load_window(head, edges);
-      window_loaded = true;
+    if (tape->reads_window && !window_loaded_) {
+      load_window(head, edges_ + edges);
+      window_loaded_ = true;
     }
   };
   use_window();
@@ -945,7 +866,7 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
     // tick stale — host_out's size at the top of cycle c-1.
     if (have_prev_top && prev_top >= ctx.host_out_stop) break;
     // Without a controller nothing can end a host-input stall inside
-    // the loop: hand back so the per-cycle path replays it.
+    // the loop: hand back so step() replays it.
     if (control == nullptr && host_in.size() < tape->pops[phase]) break;
 
     // The cycle happens: sample the host-FIFO depth histogram where
@@ -963,32 +884,25 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
           control->step(bus_top, ctx.cycle + res.cycles);
       inert = cs.inert;
       if (cs.bus_drive) cur[TapeLayout::kBus] = *cs.bus_drive;
-      if (!plan_current(entry->plan, ctx.cfg)) {
-        PlanCacheEntry* const pred = seq_fused_ ? seq_[seq_pos_] : nullptr;
-        if (pred == nullptr || !hint_matches(*pred, ctx.cfg) ||
-            !pred->plan.local_dnodes.empty()) {
-          // Not the predicted global-mode page: step() finishes this
-          // cycle (lookup, compile, interpreter or local-mode plan).
+      PlanCacheEntry* const next = lookup(ctx.cfg);
+      if (next != entry) {
+        if (next == nullptr || !next->plan.local_dnodes.empty()) {
+          // step() finishes this cycle from this lookup: the
+          // interpreter or a local-mode plan.
           cur[TapeLayout::kBus] = bus_top;
           res.out_size_at_last_top = top;
           res.ring_pending = true;
+          handoff_ = next;
           break;
         }
-        // Ring::step's prediction branch, counter for counter.
-        ++plan_invalidations_;
-        seq_pos_ = (seq_pos_ + 1) % seq_.size();
-        ++plan_seq_hits_;
-        ++plan_content_hits_;
-        attach_plan(pred, ctx.cfg);
         // The buffer written next still holds the old tape's slots
         // from two cycles ago.
         for (const std::uint16_t slot : tape->written) nxt[slot] = cur[slot];
-        entry = pred;
-        tape = &tape_for(*entry, phase);
+        entry = next;
+        tape = &enter_tape(*entry, phase, tape_ran);
         use_window();
       }
       if (host_in.size() < tape->pops[phase]) {
-        ++plan_hits_;
         ++res.ring_stalls;  // systolic back-pressure: nothing advances
         ++res.cycles;
         prev_top = top;
@@ -997,11 +911,10 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
       }
       if (!mode_synced_) sync_modes(entry->plan);
     }
-    ++plan_hits_;
 
     // Execute the phase: operand fetch, ALU, latch into the next
-    // buffer.  Every per-op statistic is a tape constant, settled by
-    // flush_tape() from the per-phase cycle counts.
+    // buffer.  Every per-Dnode statistic is a tape constant, settled
+    // by flush_tape() from the per-phase cycle counts.
     const Word* const base[4] = {cur, window_.data() + head * n,
                                  host_in.data(), tape->imm.data()};
     for (std::uint32_t k = tape->carry_begin[phase];
@@ -1021,6 +934,8 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
       nxt[o.out] = v;
       vals[k - first] = v;
     }
+    res.ops += last - first;
+    res.arith_ops += tape->arith_ops[phase];
     const std::uint32_t need = tape->pops[phase];
     host_in.drop(need);
     res.host_words_in += need;
@@ -1049,6 +964,7 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
       }
     }
     nxt[TapeLayout::kBus] = bus;
+    res.bus_driven = driven;
 
     // Clock edge: every pipeline latches its upstream layer's pre-edge
     // outputs — one row of the shared window.
@@ -1063,28 +979,41 @@ Ring::SuperstepResult Ring::run_planned(const SuperstepContext& ctx) {
 
     ++tape->phase_cycles[phase];
     if (++phase == tape->period) phase = 0;
+    tape_ran = true;
     ++edges;
     ++res.cycles;
     prev_top = top;
     have_prev_top = true;
   }
 
-  store_flat(cur, head, edges);
+  // The flat state stays resident for the next run.
+  cur_ = static_cast<std::size_t>(cur - flat_.data());
+  head_ = head;
+  edges_ += edges;
+  if (tape_ran) {
+    last_tape_ = tape;
+    last_phase_ = (phase == 0 ? tape->period : phase) - 1;
+  }
   res.bus = cur[TapeLayout::kBus];
   if (!res.ring_pending) res.out_size_at_last_top = prev_top;
-  for (const auto& e : plan_cache_) flush_tape(*e, res);
-  // Every plan a dispatch runs has the same mode split: the entry plan
+  for (PlanCacheEntry* const e : ran_) {
+    flush_tape(*e);
+    e->queued = false;
+  }
+  ran_.clear();
+  // Every plan a run executes has the same mode split: the entry plan
   // alone, or global-mode pages only.
   for (const std::uint16_t i : entry->plan.local_dnodes) {
-    dnodes_[i].local().advance_by(edges);
+    LocalControl& lc = dnodes_[i].local();
+    if (edges == 1) {
+      lc.advance();
+    } else {
+      lc.advance_by(edges);
+    }
     local_cycles_per_dnode_[i] += edges;
   }
   for (const std::uint16_t i : entry->plan.global_dnodes) {
     global_cycles_per_dnode_[i] += edges;
-  }
-  if (res.cycles > 0) {
-    ++superstep_dispatches_;
-    superstep_cycles_ += res.cycles;
   }
   return res;
 }

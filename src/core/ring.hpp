@@ -39,8 +39,17 @@
 // second sighting.  On top of the cache, the Ring watches the sequence
 // of plan attachments: a periodic rotation (period capped like the
 // superstep LCM) is fused so each detach predicts its successor and
-// verifies it by provenance in O(1) — no hashing, no lookup.  Outputs
-// and architectural statistics are bit-exact with the interpreter; only
+// verifies it by provenance in O(1) — no hashing, no lookup.  One
+// lookup (lookup()) serves step() and the fused loop alike.
+//
+// Every planned cycle runs from the plan's superstep tape: one cycle
+// per step(), many per run_planned() dispatch.  Between runs the tape's
+// flat state and feedback window stay resident; the Dnodes and
+// pipelines are brought up to date (spilled) only when the interpreter,
+// a state accessor, set_plan_cache_enabled() or a reset needs them.  A
+// plan whose local programs repeat with a period above
+// kMaxSuperstepPeriod has no tape and is interpreted.  Outputs and
+// architectural statistics are bit-exact with the interpreter; only
 // the ring.plan.* counters differ.  Set the SRING_NO_PLAN_CACHE
 // environment variable (any non-empty value, read at Ring
 // construction) or call set_plan_cache_enabled(false) to force the
@@ -79,7 +88,9 @@ class Ring {
   };
 
   /// Advance one clock cycle.  `bus` is the shared-bus value visible to
-  /// the Dnodes this cycle; host traffic uses the given FIFOs.
+  /// the Dnodes this cycle; host traffic uses the given FIFOs.  A
+  /// compiled plan runs one cycle of its tape, anything else the
+  /// interpreter.
   CycleResult step(const ConfigMemory& cfg, Word bus,
                    HostFifo& host_in, std::vector<Word>& host_out);
 
@@ -122,7 +133,7 @@ class Ring {
     /// visibility lag (SIZE_MAX: no stop; the caller admitted the first
     /// cycle against its own stop condition).
     std::size_t host_out_stop = 0;
-    HostDepthProbe probe;
+    HostDepthProbe probe{};
     /// Non-null while the controller is neither halted nor in a WAIT:
     /// it then runs inside the loop, one step() per cycle.  Null: the
     /// controller is inert for the whole dispatch.
@@ -143,6 +154,7 @@ class Ring {
     /// per-cycle host mirror (one tick behind) has published by then.
     std::size_t out_size_at_last_top = 0;
     Word bus = 0;  ///< bus value after the last completed cycle
+    bool bus_driven = false;  ///< a Dnode drove `bus` in the last cycle
     /// The controller stepped one more cycle whose configuration change
     /// the loop cannot serve: the caller must finish that cycle's ring
     /// evaluation through step() (the controller's part is done).
@@ -157,20 +169,20 @@ class Ring {
   /// result (and touches nothing) unless the plan is current and
   /// eligible.
   ///
-  /// With ctx.control set, the controller runs inside the loop: a
-  /// configuration change the fused rotation predicts re-attaches the
-  /// next plan and its tape in O(1); anything else (a content lookup,
-  /// a first sighting or compile, a word write, WRLOC, a local-mode
-  /// plan) ends the dispatch with ring_pending set.  That mode serves
-  /// only period-1, all-global plans, and only once a rotation over
-  /// pages is fused.  Ring stalls are then counted inside the loop.
+  /// With ctx.control set, the controller runs inside the loop and
+  /// every configuration change goes through the plan lookup step()
+  /// uses: any compiled all-global plan it yields continues inside the
+  /// loop.  Anything else (a first sighting, an interpret-only plan, a
+  /// local-mode plan) ends the dispatch with ring_pending set, and the
+  /// step() that finishes the cycle reuses that lookup.  Ring stalls
+  /// are then counted inside the loop.
   ///
   /// Without a controller, the dispatch stops before an impending
-  /// stall (the per-cycle path replays it).  Both modes stop at the
-  /// output stop and the cycle budget, and in-loop controller mode
-  /// also once the controller goes inert.  Architectural state,
-  /// outputs and statistics are bit-identical with the same cycles run
-  /// through step(); only the ring.superstep.* counters differ.
+  /// stall (step() replays it).  Both modes stop at the output stop and
+  /// the cycle budget, and in-loop controller mode also once the
+  /// controller goes inert.  Architectural state, outputs and
+  /// statistics are bit-identical with the same cycles run through
+  /// step(); only the ring.superstep.* counters differ.
   SuperstepResult run_planned(const SuperstepContext& ctx);
 
   // --- state access ---------------------------------------------------
@@ -283,18 +295,18 @@ class Ring {
 
   // --- last-cycle views for event tracing ------------------------------
   // Valid immediately after a non-stalled step(); the System's event
-  // emitter is the only intended consumer.  The planned path maintains
-  // the full per-Dnode views only while trace mode is on (the System
-  // toggles it with the sink) — with tracing off it skips inactive
-  // Dnodes entirely.
+  // emitter is the only intended consumer.  A planned cycle fills them
+  // only while trace mode is on (the System toggles it with the sink),
+  // and last_fetched() only for the Dnodes last_effects() marks
+  // executed.
   std::span<const Dnode::Effects> last_effects() const noexcept {
     return effects_;
   }
   const std::vector<const DnodeInstr*>& last_fetched() const noexcept {
     return fetched_;
   }
-  /// Keep the per-Dnode trace views (last_effects/last_fetched) exact
-  /// on the planned path.  The System sets this together with its
+  /// Fill the per-Dnode trace views (last_effects/last_fetched) on
+  /// planned cycles too.  The System sets this together with its
   /// event sink.
   void set_trace_views(bool on) noexcept { trace_views_ = on; }
 
@@ -332,9 +344,12 @@ class Ring {
     std::uint64_t src_local_gen = 0;
     std::uint32_t sightings = 0;  ///< compile on the second sighting
     std::uint64_t last_use = 0;   ///< LRU clock for eviction
+    /// Compiled; the entry is interpret-only when its plan has no tape
+    /// (superstep_period 0) and is then never attached.
     bool compiled = false;
+    bool queued = false;  ///< in ran_: the tape has unflushed cycles
     CyclePlan plan;
-    SuperstepTape tape;  ///< lowered on the first dispatch of `plan`
+    SuperstepTape tape;  ///< lowered on the first run of `plan`
   };
 
   std::size_t flat_index(std::size_t layer, std::size_t lane) const;
@@ -349,9 +364,6 @@ class Ring {
   CycleResult step_interpreted(const ConfigMemory& cfg, Word bus,
                                HostFifo& host_in,
                                std::vector<Word>& host_out);
-  /// Fast path: execute one cycle from a compiled plan.
-  CycleResult step_planned(const CyclePlan& plan, Word bus,
-                           HostFifo& host_in, std::vector<Word>& host_out);
   /// Clock-edge tail of the interpreter: capture pre-edge outputs,
   /// commit every Dnode, latch the feedback pipelines.
   void commit_edge();
@@ -359,6 +371,19 @@ class Ring {
   void drain_effects(CycleResult& result, std::vector<Word>& host_out);
 
   // --- plan cache internals -------------------------------------------
+  /// The one plan lookup, once per cycle: the attached plan while it
+  /// is current (a hit), else lookup_changed().  Returns the attached
+  /// entry to run this cycle from, or nullptr to interpret it.
+  PlanCacheEntry* lookup(const ConfigMemory& cfg) {
+    if (current_plan_ != nullptr && plan_current(current_plan_->plan, cfg)) {
+      ++plan_hits_;
+      return current_plan_;
+    }
+    return lookup_changed(cfg);
+  }
+  /// The configuration changed: predicted successor, content lookup,
+  /// then first sighting (interpret) or second sighting (compile).
+  PlanCacheEntry* lookup_changed(const ConfigMemory& cfg);
   /// Hash of the local-control content (limits + raw slots), cached
   /// per local_generation_.
   std::uint64_t local_content_hash();
@@ -400,20 +425,36 @@ class Ring {
   void sync_modes(const CyclePlan& plan);
 
   // --- superstep internals --------------------------------------------
-  /// `e`'s tape, (re)lowered when missing or when the local counters
-  /// match none of its phases; `phase` receives the current phase.
-  SuperstepTape& tape_for(PlanCacheEntry& e, std::size_t& phase);
-  /// Copy the Dnode registers and outputs into both flat buffers.
-  void load_flat(Word bus);
+  /// Run `entry`'s tape (see run_planned(); step() runs one cycle).
+  SuperstepResult run_tape(PlanCacheEntry& entry, const SuperstepContext& ctx);
+  /// Start running `e`'s tape and set `phase`: continue the last tape
+  /// at its next phase (`continued`), or settle it and pick the phase
+  /// the local counters select, (re)lowering `e`'s tape if needed.
+  /// Queues `e` for the flush; the running loop owns the buffers
+  /// afterwards.
+  SuperstepTape& enter_tape(PlanCacheEntry& e, std::size_t& phase,
+                            bool& continued);
+  /// Copy the Dnode registers and outputs into both flat buffers and
+  /// make the flat state resident.
+  void load_resident();
   /// Copy the pipelines' history into the window below the `edges` rows
-  /// a dispatch already pushed from depth-0 row `head`.
+  /// already pushed from depth-0 row `head`.
   void load_window(std::size_t head, std::uint64_t edges);
-  /// Write `state` back to the Dnodes and latch the `edges` rows pushed
-  /// from depth-0 row `head` into the pipelines.
-  void store_flat(const Word* state, std::size_t head, std::uint64_t edges);
+  /// Bring the Dnodes and pipelines up to date with the resident state
+  /// (no-op when not resident).  Const: the two are copies of one
+  /// architectural state, so refreshing the stale one changes nothing
+  /// a caller can observe.  A const-defined Ring never runs a tape, so
+  /// it is never resident.
+  void spill() const {
+    if (resident_) const_cast<Ring*>(this)->store_resident();
+  }
+  void store_resident();
+  /// The next buffer takes the last tape's written slots from the
+  /// current one, so any tape can run next.
+  void settle_last_tape() noexcept;
   /// Settle the per-op statistics of the cycles `e`'s tape ran since
   /// its last flush (no-op when it ran none).
-  void flush_tape(PlanCacheEntry& e, SuperstepResult& res);
+  void flush_tape(PlanCacheEntry& e);
   /// Record an attachment in the history and try to detect a periodic
   /// sequence (no-op while fused).
   void note_attach(PlanCacheEntry* e);
@@ -445,7 +486,6 @@ class Ring {
   // while synced_valid_ (an interpreted cycle may leave any mix).
   std::vector<std::uint16_t> synced_local_;
   bool synced_valid_ = true;
-  bool pre_outs_valid_ = false;  // pre_outs_[i] == dnodes_[i].out()
   bool trace_views_ = false;     // maintain full effects_/fetched_
   std::uint64_t local_generation_ = 0;
   std::uint64_t local_hash_ = 0;
@@ -475,14 +515,30 @@ class Ring {
   std::vector<PortNeed> needs_;
   std::vector<Dnode::Effects> effects_;
   std::vector<Word> pre_outs_;             // [layer * lanes + lane]
-  std::vector<std::uint8_t> local_slot_;   // planned path: slot per Dnode
-  std::vector<std::uint16_t> exec_scratch_;  // planned path: executed Dnodes
 
-  // Superstep state (reused across dispatches) + counters.
+  // Superstep state (reused across runs) + counters.
   std::vector<Word> flat_;       // two TapeLayout buffers, back to back
   std::vector<Word> window_;     // feedback history, one outs row each
   std::size_t window_slack_ = 0; // rows pushed before a relocation
   std::vector<Word> op_vals_;    // this cycle's micro-op results
+  // Resident state: while resident_, flat_ (current buffer at offset
+  // cur_) and window_ (depth-0 row head_, edges_ rows pushed since the
+  // load, the pipelines' history below them once window_loaded_) hold
+  // the registers, outputs and feedback history; the Dnodes and
+  // pipelines are stale until spill().
+  bool resident_ = false;
+  std::size_t cur_ = 0;
+  std::size_t head_ = 0;
+  std::uint64_t edges_ = 0;
+  bool window_loaded_ = false;
+  // Tape and phase of the last resident cycle: the next buffer lacks
+  // that phase's writes unless the same tape continues.
+  SuperstepTape* last_tape_ = nullptr;
+  std::size_t last_phase_ = 0;
+  std::vector<PlanCacheEntry*> ran_;  // entries with unflushed tapes
+  // A dispatch ended with ring_pending: its lookup, for the step()
+  // that finishes the cycle.
+  std::optional<PlanCacheEntry*> handoff_;
   std::uint64_t superstep_dispatches_ = 0;
   std::uint64_t superstep_cycles_ = 0;
 };

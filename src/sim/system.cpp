@@ -64,8 +64,8 @@ void System::reset_common(const LoadableProgram& program, bool keep_plans) {
 
 void System::set_trace(obs::EventSink* sink) {
   sink_ = sink;
-  // The planned ring path maintains the full per-Dnode fetch/effect
-  // views only while a sink can observe them.
+  // A planned ring cycle fills the per-Dnode fetch/effect views only
+  // while a sink can observe them.
   ring_.set_trace_views(sink_ != nullptr);
   if (sink_ == nullptr) return;
   if (tracks_.empty()) tracks_ = obs::make_tracks(geom_.layers, geom_.lanes);

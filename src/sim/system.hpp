@@ -167,11 +167,12 @@ class System {
 
   void run_cycles(std::uint64_t n);
 
-  /// Enable/disable the superstep engine at runtime (A/B comparisons;
-  /// outputs and SystemStats are bit-identical either way, only the
-  /// ring.superstep.* metrics differ).  Also disabled for the whole
-  /// System by the SRING_NO_SUPERSTEP environment variable (any
-  /// non-empty value, read at construction).
+  /// Enable/disable fused superstep dispatches at runtime (A/B
+  /// comparisons; outputs and SystemStats are bit-identical either
+  /// way, only the ring.superstep.* metrics differ).  Disabled, every
+  /// planned cycle is a one-cycle tape run from Ring::step.  Also
+  /// disabled for the whole System by the SRING_NO_SUPERSTEP
+  /// environment variable (any non-empty value, read at construction).
   void set_superstep_enabled(bool enabled) noexcept {
     superstep_enabled_ = enabled;
   }

@@ -631,8 +631,8 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
       {"ring.plan.compiles", 16},
       {"ring.plan.hits", 533},
       {"ring.plan.invalidations", 70},
-      {"ring.superstep.cycles", 446},
-      {"ring.superstep.dispatches", 15},
+      {"ring.superstep.cycles", 533},
+      {"ring.superstep.dispatches", 21},
       {"rt.dnode_ops", 6107},
       {"rt.host_words_in", 4278},
       {"rt.host_words_out", 246},

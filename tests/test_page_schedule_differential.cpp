@@ -177,6 +177,10 @@ Case make_case(int seed) {
   pb.ldi(5, 1);
   pb.label("loop");
   std::size_t live = rng.next_below(npages);
+  if (npages > Ring::kPlanCacheCapacity) {
+    // Sweep the whole repertoire every iteration: the cache must evict.
+    for (std::size_t p = 0; p < npages; ++p) pb.page_switch(p);
+  }
   pb.page_switch(live);
   const std::size_t body = 4 + rng.next_below(14);
   int skip_labels = 0;
@@ -201,10 +205,19 @@ Case make_case(int seed) {
     } else if (roll < 66) {
       pb.wrsw(rng.next_below(g.switch_count()), rng.next_below(g.lanes),
               random_route(rng, g));
-    } else if (roll < 71) {
-      const std::size_t d = rng.next_below(n);
-      if (chance(rng, 20)) {
+    } else if (roll < 71) {  // WRLOC, mostly into a running local program
+      std::size_t d = rng.next_below(n);
+      for (std::size_t k = 0; k < n && chance(rng, 70); ++k) {
+        if (pages[live].local[(d + k) % n]) {
+          d = (d + k) % n;
+          break;
+        }
+      }
+      const std::uint64_t kind = rng.next_below(10);
+      if (kind < 2) {
         pb.wrloc(d, LocalControl::kLimitSlot, rng.next_below(8));
+      } else if (kind < 4) {  // counter reset: same content, new phase
+        pb.wrloc(d, LocalControl::kResetSlot, 0);
       } else {
         pb.wrloc(d, rng.next_below(kLocalProgramSlots),
                  random_instr(rng).encode());

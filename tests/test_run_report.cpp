@@ -318,12 +318,12 @@ TEST(RunReport, SerializedReportIsPinnedPerKernelAndGeometry) {
       {"fir", k4x2, 0x9ab884c163e50062ull},
       {"fir", k6x3, 0xa3b8b87a6b8534b3ull},
       {"dwt53", k8x2, 0xe76feff14e56694dull},
-      {"matvec8", k8x2, 0xdf5bb979e2e0e274ull},
-      {"matvec8", k4x2, 0x080ff882b77772d8ull},
-      {"matvec8", k6x3, 0xb7e6d0fb23578aa7ull},
-      {"me", k8x2, 0x1a81c749d5581f46ull},
-      {"me", k4x2, 0x9f55d735ac9def79ull},
-      {"me", k6x3, 0xce4c6c76fb9def56ull},
+      {"matvec8", k8x2, 0x248dad83f4bba179ull},
+      {"matvec8", k4x2, 0xf66bd12405869b5dull},
+      {"matvec8", k6x3, 0x598ef38f5cb9aa9eull},
+      {"me", k8x2, 0xd2d8d403ab56ee65ull},
+      {"me", k4x2, 0x02dc7bddeb981f29ull},
+      {"me", k6x3, 0xc224c15d075b93aeull},
       {"dfg", k8x2, 0x8b25018911ca877cull},
       {"dfg", k4x2, 0x765400e1ef03e6c4ull},
       {"dfg", k6x3, 0x7d43d96344de6a2eull},
