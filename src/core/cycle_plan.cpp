@@ -170,7 +170,6 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
   t.sources.clear();
   t.begin.assign(period + 1, 0);
   t.pops.assign(period, 0);
-  t.arith_ops.assign(period, 0);
   t.effects.clear();
   t.effects_begin.assign(period + 1, 0);
   t.carry.clear();
@@ -278,7 +277,6 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
       }
       t.ops.push_back(op);
       t.sources.push_back({i, &ps});
-      t.arith_ops[p] += ps.is_mac ? 2u : 1u;
     }
     t.pops[p] = pops;
     std::sort(writes[p].begin(), writes[p].end());

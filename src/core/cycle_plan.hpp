@@ -167,7 +167,6 @@ struct SuperstepTape {
   std::vector<Source> sources;              ///< parallel to ops
   std::vector<std::uint32_t> begin;         ///< [period + 1] into ops
   std::vector<std::uint32_t> pops;          ///< [period] host words
-  std::vector<std::uint32_t> arith_ops;     ///< [period] MAC/MSU count 2
   /// Indices into ops of the hostEn/busEn micro-ops, phase-major.
   std::vector<std::uint32_t> effects;
   std::vector<std::uint32_t> effects_begin;  ///< [period + 1]

@@ -758,7 +758,7 @@ void Ring::settle_last_tape() noexcept {
   last_tape_ = nullptr;
 }
 
-void Ring::flush_tape(PlanCacheEntry& e) {
+void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
   SuperstepTape& t = e.tape;
   std::uint64_t cycles = 0;
   for (std::size_t p = 0; p < t.phase_cycles.size(); ++p) {
@@ -769,6 +769,8 @@ void Ring::flush_tape(PlanCacheEntry& e) {
     for (std::uint32_t k = t.begin[p]; k < t.begin[p + 1]; ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const PlannedSlot& ps = *src.slot;
+      res.ops += cnt;
+      res.arith_ops += cnt * (ps.is_mac ? 2u : 1u);
       ops_per_dnode_[src.dnode] += cnt;
       if (ps.is_mac) mac_ops_per_dnode_[src.dnode] += cnt;
       const auto note_n = [&](const FeedbackAddr& fb) {
@@ -848,6 +850,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   std::size_t prev_top = 0;
   bool have_prev_top = false;
   bool inert = false;
+  bool driven = false;  // a Dnode drove the bus in the last cycle
   // The pipelines' history is copied in only once a tape reads it;
   // page rotations without feedback reads never pay for it.
   const auto use_window = [&] {
@@ -913,7 +916,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     }
 
     // Execute the phase: operand fetch, ALU, latch into the next
-    // buffer.  Every per-Dnode statistic is a tape constant, settled
+    // buffer.  Every per-op statistic is a tape constant, settled
     // by flush_tape() from the per-phase cycle counts.
     const Word* const base[4] = {cur, window_.data() + head * n,
                                  host_in.data(), tape->imm.data()};
@@ -934,8 +937,6 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
       nxt[o.out] = v;
       vals[k - first] = v;
     }
-    res.ops += last - first;
-    res.arith_ops += tape->arith_ops[phase];
     const std::uint32_t need = tape->pops[phase];
     host_in.drop(need);
     res.host_words_in += need;
@@ -947,7 +948,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     }
     res.host_words_out += entry->plan.host_taps.size();
     Word bus = cur[TapeLayout::kBus];
-    bool driven = false;
+    driven = false;
     for (std::uint32_t j = tape->effects_begin[phase];
          j < tape->effects_begin[phase + 1]; ++j) {
       const std::uint32_t k = tape->effects[j];
@@ -964,7 +965,6 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
       }
     }
     nxt[TapeLayout::kBus] = bus;
-    res.bus_driven = driven;
 
     // Clock edge: every pipeline latches its upstream layer's pre-edge
     // outputs — one row of the shared window.
@@ -995,9 +995,10 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     last_phase_ = (phase == 0 ? tape->period : phase) - 1;
   }
   res.bus = cur[TapeLayout::kBus];
+  res.bus_driven = driven;
   if (!res.ring_pending) res.out_size_at_last_top = prev_top;
   for (PlanCacheEntry* const e : ran_) {
-    flush_tape(*e);
+    flush_tape(*e, res);
     e->queued = false;
   }
   ran_.clear();

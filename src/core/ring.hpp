@@ -454,7 +454,7 @@ class Ring {
   void settle_last_tape() noexcept;
   /// Settle the per-op statistics of the cycles `e`'s tape ran since
   /// its last flush (no-op when it ran none).
-  void flush_tape(PlanCacheEntry& e);
+  void flush_tape(PlanCacheEntry& e, SuperstepResult& res);
   /// Record an attachment in the history and try to detect a periodic
   /// sequence (no-op while fused).
   void note_attach(PlanCacheEntry* e);
