@@ -825,9 +825,10 @@ TEST(CyclePlan, LocalPeriodOverTheCapBitExact) {
   page.route(2, 0, r2);
   for (std::size_t d = 0; d < 3; ++d) page.mode(d, 0, DnodeMode::kLocal);
   const std::size_t boot = pb.add_page(page);
-  const DnodeSrc srcs[3][3] = {{DnodeSrc::kHost, DnodeSrc::kImm, DnodeSrc::kR0},
-                               {DnodeSrc::kIn1, DnodeSrc::kFifo1, DnodeSrc::kR1},
-                               {DnodeSrc::kIn1, DnodeSrc::kIn2, DnodeSrc::kR2}};
+  const DnodeSrc srcs[3][3] = {
+      {DnodeSrc::kHost, DnodeSrc::kImm, DnodeSrc::kR0},
+      {DnodeSrc::kIn1, DnodeSrc::kFifo1, DnodeSrc::kR1},
+      {DnodeSrc::kIn1, DnodeSrc::kIn2, DnodeSrc::kR2}};
   const std::size_t lens[3] = {5, 7, 8};
   for (std::size_t d = 0; d < 3; ++d) {
     std::vector<DnodeInstr> prog;

@@ -16,7 +16,11 @@
 // ring.superstep.* between the two planned runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "asm/program_builder.hpp"
@@ -110,7 +114,7 @@ struct Page {
   std::vector<bool> local;         ///< per flat Dnode
 };
 
-/// What happens between two budgets of the host-side driver.
+/// One host-side step: feed input words, run cycles, or reset for a rerun.
 struct Action {
   enum Kind { kSend, kRun, kRerun } kind = kRun;
   std::uint64_t n = 0;  ///< words to send / cycles to run
@@ -130,7 +134,9 @@ Case make_case(int seed) {
   c.g = pick(rng, kGeometries);
   const RingGeometry& g = c.g;
   const std::size_t n = g.dnode_count();
-  if (chance(rng, 20)) c.link = {1, 1 + static_cast<std::uint32_t>(rng.next_below(3))};
+  if (chance(rng, 20)) {
+    c.link = {1, 1 + static_cast<std::uint32_t>(rng.next_below(3))};
+  }
 
   ProgramBuilder pb(g, "schedule_" + std::to_string(seed));
 
@@ -247,7 +253,7 @@ Case make_case(int seed) {
   pb.halt();
   c.program = pb.build();
 
-  // Host driver: bursts of input between uneven budgets.
+  // Host side: bursts of input between uneven budgets.
   const std::size_t total = 40 + rng.next_below(160);
   for (std::size_t i = 0; i < total; ++i) {
     c.input.push_back(rng.next_word_in(-300, 300));
@@ -261,7 +267,8 @@ Case make_case(int seed) {
       c.drive.push_back({Action::kSend, k});
       sent += k;
     }
-    c.drive.push_back({Action::kRun, 1 + rng.next_below(chance(rng, 30) ? 200 : 12)});
+    const std::uint64_t budget = chance(rng, 30) ? 200 : 12;
+    c.drive.push_back({Action::kRun, 1 + rng.next_below(budget)});
     if (rerun && step == 12) {
       c.drive.push_back({Action::kRerun, 0});
       sent = 0;
