@@ -60,6 +60,32 @@ void wake_shard(int wake_fd, char byte) {
   [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
 }
 
+std::vector<rt::Job> one_job(rt::Job job) {
+  std::vector<rt::Job> jobs;
+  jobs.push_back(std::move(job));
+  return jobs;
+}
+
+/// The flight record of one finished fleet job, up to its e2e stamps.
+obs::SpanRecord span_record(const std::string& name,
+                            const rt::JobResult& result) {
+  const obs::SpanTimeline& tl = result.timeline;
+  obs::SpanRecord rec;
+  rec.trace_id = result.trace_id;
+  rec.name = name;
+  rec.ok = result.ok;
+  rec.error = result.error;
+  rec.worker = static_cast<std::uint32_t>(result.worker);
+  rec.sim_cycles = result.report.stats.cycles;
+  rec.plan_hits = result.report.stats.plan_hits;
+  rec.superstep_cycles =
+      result.report.metrics.value(RingMetrics::kSuperstepCycles);
+  rec.queue_wait_us = clamp_u32(tl.queue_wait_us());
+  rec.arm_us = clamp_u32(tl.arm_us());
+  rec.execute_us = clamp_u32(tl.execute_us());
+  return rec;
+}
+
 /// SIGTERM/SIGINT → request_drain() of the one registered server.
 /// request_drain is async-signal-safe: an atomic store plus write()s.
 /// The previous dispositions are kept so ~Server can restore them
@@ -261,22 +287,18 @@ void Server::send_error(Conn& conn, std::uint32_t tag, ErrorCode code,
   send_frame(conn, MsgType::kError, encode_error(msg, version), version);
 }
 
+bool Server::refuse_draining(Conn& conn, std::uint32_t tag,
+                             std::uint16_t version) {
+  if (!drain_requested_.load(std::memory_order_acquire)) return false;
+  counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
+  send_error(conn, tag, ErrorCode::kShuttingDown, "server is draining",
+             version);
+  return true;
+}
+
 void Server::handle_submit(Shard& shard, Conn& conn, const Frame& frame) {
-  JobRequest req;
-  try {
-    req = decode_job_request(frame.payload, frame.version);
-  } catch (const ProtocolError& e) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest, e.what(), frame.version);
-    conn.closing = true;
-    return;
-  }
-  if (drain_requested_.load(std::memory_order_acquire)) {
-    counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, req.tag, ErrorCode::kShuttingDown,
-               "server is draining", frame.version);
-    return;
-  }
+  const JobRequest req = decode_job_request(frame.payload, frame.version);
+  if (refuse_draining(conn, req.tag, frame.version)) return;
   rt::Job job;
   try {
     job = to_rt_job(req);
@@ -292,46 +314,33 @@ void Server::handle_submit(Shard& shard, Conn& conn, const Frame& frame) {
                frame.version);
     return;
   }
-  admit_job(shard, conn, std::move(job), req.tag, req.trace_id,
-            frame.version, nullptr, 0, false, nullptr, 0);
+  PendingGroup meta;
+  meta.version = frame.version;
+  meta.tag = req.tag;
+  meta.job_name = job.name;
+  admit(shard, conn, one_job(std::move(job)), std::move(meta));
 }
 
 void Server::handle_submit_batch(Shard& shard, Conn& conn,
                                  const Frame& frame) {
   if (frame.version < 5) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest,
-               "batched submits require protocol v5", frame.version);
-    conn.closing = true;
-    return;
+    throw ProtocolError("batched submits require protocol v5");
   }
-  SubmitJobBatchMsg req;
-  try {
-    req = decode_submit_job_batch(frame.payload, frame.version);
-  } catch (const ProtocolError& e) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest, e.what(), frame.version);
-    conn.closing = true;
-    return;
-  }
+  SubmitJobBatchMsg req = decode_submit_job_batch(frame.payload,
+                                                  frame.version);
   counters_.batch_requests.fetch_add(1, std::memory_order_relaxed);
   counters_.batch_jobs.fetch_add(req.jobs.size(),
                                  std::memory_order_relaxed);
-  if (drain_requested_.load(std::memory_order_acquire)) {
-    counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, req.tag, ErrorCode::kShuttingDown,
-               "server is draining", frame.version);
-    return;
-  }
+  if (refuse_draining(conn, req.tag, frame.version)) return;
 
   auto batch = std::make_shared<BatchState>();
   batch->conn_id = conn.id;
   batch->version = frame.version;
-  batch->trace_id = req.trace_id;
-  batch->admitted = std::chrono::steady_clock::now();
   batch->result.tag = req.tag;
   batch->result.entries.resize(req.jobs.size());
   batch->remaining = req.jobs.size();
+  batch->tags.resize(req.jobs.size());
+  batch->names.resize(req.jobs.size());
   if (req.jobs.empty()) {
     send_frame(conn, MsgType::kJobBatchResult,
                encode_job_batch_result(batch->result, frame.version),
@@ -342,11 +351,14 @@ void Server::handle_submit_batch(Shard& shard, Conn& conn,
   // window and the idle reaper; the reply leaves when the last entry
   // settles (finalize_batch releases this hold).
   ++conn.pending_jobs;
+  std::vector<rt::Job> jobs;
+  std::vector<std::size_t> entries;  // entry index of each job
   for (std::size_t i = 0; i < req.jobs.size(); ++i) {
     JobRequest& jr = req.jobs[i];
     // Entries without their own trace inherit the batch's, before
     // conversion so the fleet (and the flight recorder) see it too.
     if (jr.trace_id == 0) jr.trace_id = req.trace_id;
+    batch->tags[i] = jr.tag;
     rt::Job job;
     try {
       job = to_rt_job(jr);
@@ -359,131 +371,113 @@ void Server::handle_submit_batch(Shard& shard, Conn& conn,
       settle_batch_entry(shard, batch, i, std::move(entry));
       continue;
     }
-    admit_job(shard, conn, std::move(job), jr.tag, jr.trace_id,
-              frame.version, nullptr, 0, false, batch, i);
+    batch->names[i] = job.name;
+    jobs.push_back(std::move(job));
+    entries.push_back(i);
+  }
+  // The runnable entries go to the fleet as at most one contiguous
+  // group per worker, each admitted as a unit.
+  const std::size_t workers = runtime_->worker_count();
+  const std::size_t per_group = (jobs.size() + workers - 1) / workers;
+  for (std::size_t first = 0; first < jobs.size(); first += per_group) {
+    const std::size_t last = std::min(jobs.size(), first + per_group);
+    PendingGroup meta;
+    meta.version = frame.version;
+    meta.batch = batch;
+    meta.entries.assign(entries.begin() + first, entries.begin() + last);
+    std::vector<rt::Job> group(
+        std::make_move_iterator(jobs.begin() + first),
+        std::make_move_iterator(jobs.begin() + last));
+    admit(shard, conn, std::move(group), std::move(meta));
   }
 }
 
-void Server::admit_job(Shard& shard, Conn& conn, rt::Job job,
-                       std::uint32_t tag, std::uint64_t trace_id,
-                       std::uint16_t version,
-                       std::shared_ptr<const svc::CompiledDfg> dfg,
-                       std::size_t dfg_samples, bool dfg_cache_hit,
-                       std::shared_ptr<BatchState> batch,
-                       std::size_t batch_index) {
+void Server::admit(Shard& shard, Conn& conn, std::vector<rt::Job> jobs,
+                   PendingGroup meta) {
   // Admission is stamped before the enqueue: a worker may arm the job
   // the instant it lands, and e2e must bracket the execute interval.
-  const auto admitted = std::chrono::steady_clock::now();
+  meta.admitted = std::chrono::steady_clock::now();
+  meta.conn_id = conn.id;
+  // A single job holds a window slot until it is answered; batch
+  // entries share the hold their batch took.
+  if (meta.batch == nullptr) ++conn.pending_jobs;
   const std::size_t depth = runtime_->queue_depth();
   if (depth >= admission_high_) {
-    shed_job(shard, &conn, tag, version, batch, batch_index);
+    refuse(shard, &conn, meta, ErrorCode::kBusy);
     return;
   }
   if (depth >= admission_low_) {
-    // Between the watermarks: park the job instead of either queueing
+    // Between the watermarks: park the unit instead of either queueing
     // deeper (latency) or shedding (wasted work) — the shard retries
     // as completions pull the depth back down.
-    DeferredJob dj;
-    dj.conn_id = conn.id;
-    dj.tag = tag;
-    dj.job_name = job.name;
-    dj.job = std::move(job);
-    dj.trace_id = trace_id;
-    dj.version = version;
-    dj.admitted = admitted;
-    dj.deadline = admitted + config_.admission_max_delay;
-    dj.dfg = std::move(dfg);
-    dj.dfg_samples = dfg_samples;
-    dj.dfg_cache_hit = dfg_cache_hit;
-    dj.batch_index = batch_index;
-    if (batch == nullptr) ++conn.pending_jobs;  // parked hold on window
-    dj.batch = std::move(batch);
-    shard.deferred.push_back(std::move(dj));
-    counters_.admission_delayed.fetch_add(1, std::memory_order_relaxed);
+    counters_.admission_delayed.fetch_add(meta.units(),
+                                          std::memory_order_relaxed);
+    const auto deadline = meta.admitted + config_.admission_max_delay;
+    shard.deferred.push_back({std::move(meta), std::move(jobs), deadline});
     return;
   }
-  PendingJob meta;
-  meta.conn_id = conn.id;
-  meta.tag = tag;
-  meta.trace_id = trace_id;
-  meta.job_name = job.name;
-  meta.version = version;
-  meta.admitted = admitted;
-  meta.dfg = std::move(dfg);
-  meta.dfg_samples = dfg_samples;
-  meta.dfg_cache_hit = dfg_cache_hit;
-  meta.batch = batch;
-  meta.batch_index = batch_index;
-  switch (submit_pending(shard, &conn, std::move(job), std::move(meta))) {
-    case FleetSubmit::kAccepted:
-      counters_.admission_accepted.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case FleetSubmit::kQueueFull:
-      // The depth read raced another shard past the high watermark.
-      shed_job(shard, &conn, tag, version, batch, batch_index);
-      break;
-    case FleetSubmit::kShutDown:
-      counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-      if (batch != nullptr) {
-        JobBatchEntryMsg entry;
-        entry.ok = 0;
-        entry.error.tag = tag;
-        entry.error.code = ErrorCode::kShuttingDown;
-        entry.error.message = "runtime is shut down";
-        settle_batch_entry(shard, batch, batch_index, std::move(entry));
-      } else {
-        send_error(conn, tag, ErrorCode::kShuttingDown,
-                   "runtime is shut down", version);
-      }
-      break;
-  }
+  submit_or_refuse(shard, &conn, std::move(jobs), std::move(meta));
 }
 
-Server::FleetSubmit Server::submit_pending(Shard& shard, Conn* conn,
-                                           rt::Job job, PendingJob meta) {
+void Server::submit_or_refuse(Shard& shard, Conn* conn,
+                              std::vector<rt::Job> jobs, PendingGroup meta) {
   const int wake_fd = shard.wake_w;
-  auto submitted = runtime_->try_submit(std::move(job), [wake_fd] {
+  auto submitted = runtime_->try_submit_group(jobs, [wake_fd] {
     wake_shard(wake_fd, 'j');
   });
   switch (submitted.status) {
     case rt::Runtime::SubmitStatus::kAccepted: {
-      meta.result = std::move(submitted.result);
-      // Batch entries share the single hold their batch took.
-      if (conn != nullptr && meta.batch == nullptr) ++conn->pending_jobs;
+      const std::size_t units = meta.units();
+      counters_.admission_accepted.fetch_add(units,
+                                             std::memory_order_relaxed);
+      counters_.jobs_submitted.fetch_add(units, std::memory_order_relaxed);
+      shard.jobs_submitted.fetch_add(units, std::memory_order_relaxed);
+      meta.results = std::move(submitted.result);
       shard.pending.push_back(std::move(meta));
-      counters_.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-      shard.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
-      return FleetSubmit::kAccepted;
+      return;
     }
     case rt::Runtime::SubmitStatus::kQueueFull:
-      return FleetSubmit::kQueueFull;
+      // The depth read raced another shard past the high watermark, or
+      // a deferred unit's deadline came with the queue still full.
+      refuse(shard, conn, meta, ErrorCode::kBusy);
+      return;
     case rt::Runtime::SubmitStatus::kShutDown:
-      break;
+      refuse(shard, conn, meta, ErrorCode::kShuttingDown);
+      return;
   }
-  return FleetSubmit::kShutDown;
 }
 
-void Server::shed_job(Shard& shard, Conn* conn, std::uint32_t tag,
-                      std::uint16_t version,
-                      const std::shared_ptr<BatchState>& batch,
-                      std::size_t batch_index) {
-  counters_.admission_shed.fetch_add(1, std::memory_order_relaxed);
-  counters_.rejects_busy.fetch_add(1, std::memory_order_relaxed);
-  if (batch != nullptr) {
-    JobBatchEntryMsg entry;
-    entry.ok = 0;
-    entry.error.tag = tag;
-    entry.error.code = ErrorCode::kBusy;
-    entry.error.message = "job queue is full — resubmit later";
-    entry.error.retry_after_ms = config_.retry_after_hint_ms;
-    settle_batch_entry(shard, batch, batch_index, std::move(entry));
+void Server::refuse(Shard& shard, Conn* conn, const PendingGroup& meta,
+                    ErrorCode code) {
+  const bool busy = code == ErrorCode::kBusy;
+  if (busy) {
+    counters_.admission_shed.fetch_add(meta.units(),
+                                       std::memory_order_relaxed);
+    counters_.rejects_busy.fetch_add(meta.units(),
+                                     std::memory_order_relaxed);
+  } else {
+    counters_.rejects_shutdown.fetch_add(meta.units(),
+                                         std::memory_order_relaxed);
+  }
+  const char* message =
+      busy ? "job queue is full — resubmit later" : "runtime is shut down";
+  const std::uint32_t retry_after_ms =
+      busy ? config_.retry_after_hint_ms : 0;
+  if (meta.batch != nullptr) {
+    for (const std::size_t index : meta.entries) {
+      JobBatchEntryMsg entry;
+      entry.ok = 0;
+      entry.error.tag = meta.batch->tags[index];
+      entry.error.code = code;
+      entry.error.message = message;
+      entry.error.retry_after_ms = retry_after_ms;
+      settle_batch_entry(shard, meta.batch, index, std::move(entry));
+    }
     return;
   }
-  if (conn != nullptr) {
-    send_error(*conn, tag, ErrorCode::kBusy,
-               "job queue is full — resubmit later", version,
-               config_.retry_after_hint_ms);
-  }
+  if (conn == nullptr) return;
+  send_error(*conn, meta.tag, code, message, meta.version, retry_after_ms);
+  if (conn->pending_jobs > 0) --conn->pending_jobs;
 }
 
 void Server::pump_deferred(Shard& shard) {
@@ -492,63 +486,19 @@ void Server::pump_deferred(Shard& shard) {
   for (auto it = shard.deferred.begin(); it != shard.deferred.end();) {
     const bool due = now >= it->deadline;
     // Attempt only when success is likely (depth back under low) or
-    // the deadline forces the issue — an attempt consumes the job, so
+    // the deadline forces the issue — an attempt consumes the unit, so
     // a failed one settles the request (shed) rather than re-parking.
     if (!due && runtime_->queue_depth() >= admission_low_) {
       ++it;
       continue;
     }
-    Conn* conn = find_conn(shard, it->conn_id);
-    if (conn == nullptr && it->batch == nullptr) {
-      // Peer vanished while parked: nothing to answer, nothing to run.
-      it = shard.deferred.erase(it);
-      continue;
-    }
-    if (conn != nullptr && it->batch == nullptr &&
-        conn->pending_jobs > 0) {
-      --conn->pending_jobs;  // release the parked hold; submit re-takes
-    }
-    PendingJob meta;
-    meta.conn_id = it->conn_id;
-    meta.tag = it->tag;
-    meta.trace_id = it->trace_id;
-    meta.job_name = std::move(it->job_name);
-    meta.version = it->version;
-    meta.admitted = it->admitted;  // e2e includes the deferral
-    meta.dfg = std::move(it->dfg);
-    meta.dfg_samples = it->dfg_samples;
-    meta.dfg_cache_hit = it->dfg_cache_hit;
-    meta.batch = it->batch;
-    meta.batch_index = it->batch_index;
-    const std::uint32_t tag = it->tag;
-    const std::uint16_t version = it->version;
-    auto batch = std::move(it->batch);
-    const std::size_t batch_index = it->batch_index;
-    rt::Job job = std::move(it->job);
+    DeferredGroup parked = std::move(*it);
     it = shard.deferred.erase(it);
-    switch (submit_pending(shard, conn, std::move(job), std::move(meta))) {
-      case FleetSubmit::kAccepted:
-        counters_.admission_accepted.fetch_add(1,
-                                               std::memory_order_relaxed);
-        break;
-      case FleetSubmit::kQueueFull:
-        shed_job(shard, conn, tag, version, batch, batch_index);
-        break;
-      case FleetSubmit::kShutDown:
-        counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-        if (batch != nullptr) {
-          JobBatchEntryMsg entry;
-          entry.ok = 0;
-          entry.error.tag = tag;
-          entry.error.code = ErrorCode::kShuttingDown;
-          entry.error.message = "runtime is shut down";
-          settle_batch_entry(shard, batch, batch_index, std::move(entry));
-        } else if (conn != nullptr) {
-          send_error(*conn, tag, ErrorCode::kShuttingDown,
-                     "runtime is shut down", version);
-        }
-        break;
-    }
+    Conn* conn = find_conn(shard, parked.meta.conn_id);
+    // Peer vanished while parked: nothing to answer, nothing to run.
+    if (conn == nullptr && parked.meta.batch == nullptr) continue;
+    submit_or_refuse(shard, conn, std::move(parked.jobs),
+                     std::move(parked.meta));
   }
 }
 
@@ -603,27 +553,10 @@ DfgCompiledMsg make_dfg_compiled_msg(std::uint32_t tag,
 
 void Server::handle_compile_dfg(Conn& conn, const Frame& frame) {
   if (frame.version < 3) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest,
-               "DFG messages require protocol v3", frame.version);
-    conn.closing = true;
-    return;
+    throw ProtocolError("DFG messages require protocol v3");
   }
-  SubmitDfgMsg req;
-  try {
-    req = decode_submit_dfg(frame.payload);
-  } catch (const ProtocolError& e) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest, e.what(), frame.version);
-    conn.closing = true;
-    return;
-  }
-  if (drain_requested_.load(std::memory_order_acquire)) {
-    counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, req.tag, ErrorCode::kShuttingDown,
-               "server is draining", frame.version);
-    return;
-  }
+  const SubmitDfgMsg req = decode_submit_dfg(frame.payload);
+  if (refuse_draining(conn, req.tag, frame.version)) return;
   try {
     const svc::CompileService::Result res =
         compile_.get_or_compile(req.dfg, req.geometry);
@@ -642,29 +575,12 @@ void Server::handle_compile_dfg(Conn& conn, const Frame& frame) {
 void Server::handle_submit_dfg(Shard& shard, Conn& conn,
                                const Frame& frame) {
   if (frame.version < 3) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest,
-               "DFG messages require protocol v3", frame.version);
-    conn.closing = true;
-    return;
+    throw ProtocolError("DFG messages require protocol v3");
   }
-  SubmitDfgJobMsg req;
-  try {
-    req = decode_submit_dfg_job(frame.payload);
-  } catch (const ProtocolError& e) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest, e.what(), frame.version);
-    conn.closing = true;
-    return;
-  }
-  if (drain_requested_.load(std::memory_order_acquire)) {
-    counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, req.tag, ErrorCode::kShuttingDown,
-               "server is draining", frame.version);
-    return;
-  }
+  const SubmitDfgJobMsg req = decode_submit_dfg_job(frame.payload);
+  if (refuse_draining(conn, req.tag, frame.version)) return;
   // Compile (or hit the cache) BEFORE the admission stamp inside
-  // admit_job: compile latency must never appear in the job's span
+  // admit(): compile latency must never appear in the job's span
   // timeline, and a cache hit costs one hash + map lookup.  The
   // compile service is internally locked — shards share it safely.
   svc::CompileService::Result res;
@@ -680,35 +596,23 @@ void Server::handle_submit_dfg(Shard& shard, Conn& conn,
   job.trace_id = req.trace_id;
   const std::size_t samples = req.streams.empty() ? 0
                                                   : req.streams[0].size();
-  admit_job(shard, conn, std::move(job), req.tag, req.trace_id,
-            frame.version, std::move(res.compiled), samples, res.cache_hit,
-            nullptr, 0);
+  PendingGroup meta;
+  meta.version = frame.version;
+  meta.tag = req.tag;
+  meta.job_name = job.name;
+  meta.dfg = std::move(res.compiled);
+  meta.dfg_samples = samples;
+  meta.dfg_cache_hit = res.cache_hit;
+  admit(shard, conn, one_job(std::move(job)), std::move(meta));
 }
 
 void Server::handle_submit_gemm(Shard& shard, Conn& conn,
                                 const Frame& frame) {
   if (frame.version < 4) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest,
-               "tiled-GEMM messages require protocol v4", frame.version);
-    conn.closing = true;
-    return;
+    throw ProtocolError("tiled-GEMM messages require protocol v4");
   }
-  SubmitGemmMsg req;
-  try {
-    req = decode_submit_gemm(frame.payload);
-  } catch (const ProtocolError& e) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, 0, ErrorCode::kBadRequest, e.what(), frame.version);
-    conn.closing = true;
-    return;
-  }
-  if (drain_requested_.load(std::memory_order_acquire)) {
-    counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
-    send_error(conn, req.tag, ErrorCode::kShuttingDown,
-               "server is draining", frame.version);
-    return;
-  }
+  SubmitGemmMsg req = decode_submit_gemm(frame.payload);
+  if (refuse_draining(conn, req.tag, frame.version)) return;
   std::shared_ptr<GemmState> state;
   try {
     // The plan cache serves repeated shapes without re-planning; the
@@ -738,61 +642,97 @@ void Server::handle_submit_gemm(Shard& shard, Conn& conn,
 
 void Server::pump_gemms(Shard& shard) {
   const int wake_fd = shard.wake_w;
+  const std::size_t workers = runtime_->worker_count();
   bool queue_full = false;
-  for (auto& g : shard.gemms) {
+  for (auto& gp : shard.gemms) {
     if (queue_full) break;
-    while (!g->failed && g->next_step < g->sched->steps.size()) {
-      const tile::TileStep step = g->sched->steps[g->next_step];
-      rt::Job job;
-      try {
-        job = g->builder.build(*g->sched, step, g->a, g->b);
-      } catch (const SimError& e) {
-        g->failed = true;
-        g->error = e.what();
-        g->next_step = g->sched->steps.size();
-        break;
+    GemmState& g = *gp;
+    const std::size_t steps = g.sched->steps.size();
+    while (!g.failed && (!g.held.empty() || g.next_step < steps)) {
+      if (g.held.empty()) {
+        // Lowering stays here, in schedule order through the GEMM's one
+        // scratchpad, so its tile.scratch.* equal the local run's.
+        try {
+          g.held = g.builder.build_group(
+              *g.sched, g.next_step,
+              tile::GemmJobBuilder::group_steps(*g.sched, workers), g.a,
+              g.b);
+        } catch (const SimError& e) {
+          g.fail(e.what());
+          break;
+        }
+        for (rt::Job& job : g.held) job.trace_id = g.trace_id;
+        g.held_first = g.next_step;
+        g.next_step += g.held.size();
       }
-      job.trace_id = g->trace_id;
-      auto submitted = runtime_->try_submit(std::move(job), [wake_fd] {
+      const std::size_t tiles = g.held.size();
+      auto submitted = runtime_->try_submit_group(g.held, [wake_fd] {
         wake_shard(wake_fd, 'j');
       });
       if (submitted.status == rt::Runtime::SubmitStatus::kQueueFull) {
-        // Backpressure: the held step retries on the next poll tick or
-        // tile completion, so one giant GEMM never wedges the loop.
+        // Backpressure: the held group retries on the next poll tick or
+        // completion, so one giant GEMM never wedges the loop.
         queue_full = true;
         break;
       }
       if (submitted.status == rt::Runtime::SubmitStatus::kShutDown) {
-        g->failed = true;
-        g->error = "runtime is shut down";
-        g->next_step = g->sched->steps.size();
+        g.fail("runtime is shut down");
         break;
       }
-      PendingJob pj;
-      pj.conn_id = g->conn_id;
-      pj.tag = g->tag;
-      pj.result = std::move(submitted.result);
-      pj.trace_id = g->trace_id;
-      pj.job_name = "gemm.tile";
-      pj.version = g->version;
-      pj.admitted = std::chrono::steady_clock::now();
-      pj.gemm = g;
-      pj.gemm_step = step;
+      PendingGroup pj;
+      pj.conn_id = g.conn_id;
+      pj.results = std::move(submitted.result);
+      pj.gemm = gp;
+      pj.first_step = g.held_first;
       shard.pending.push_back(std::move(pj));
-      ++g->next_step;
-      ++g->outstanding;
-      counters_.gemm_tile_jobs.fetch_add(1, std::memory_order_relaxed);
+      ++g.outstanding;
+      counters_.gemm_tile_jobs.fetch_add(tiles, std::memory_order_relaxed);
     }
   }
   for (auto it = shard.gemms.begin(); it != shard.gemms.end();) {
     GemmState& g = **it;
-    if (g.outstanding > 0 ||
+    if (g.outstanding > 0 || !g.held.empty() ||
         (!g.failed && g.next_step < g.sched->steps.size())) {
       ++it;
       continue;
     }
     finalize_gemm(shard, g);
     it = shard.gemms.erase(it);
+  }
+}
+
+void Server::fold_gemm_group(const PendingGroup& pending,
+                             const std::vector<rt::JobResult>& results) {
+  GemmState& g = *pending.gemm;
+  if (g.outstanding > 0) --g.outstanding;
+  const auto add = [](std::uint32_t& sum, std::uint64_t us) {
+    sum = clamp_u32(std::uint64_t{sum} + us);
+  };
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const rt::JobResult& r = results[i];
+    add(g.tiles.queue_wait_us, r.timeline.queue_wait_us());
+    add(g.tiles.arm_us, r.timeline.arm_us());
+    add(g.tiles.execute_us, r.timeline.execute_us());
+    if (g.failed) continue;
+    if (!r.ok) {
+      g.fail(r.error);
+      continue;
+    }
+    try {
+      tile::accumulate_tile(*g.sched, g.sched->steps[pending.first_step + i],
+                            r.outputs, g.acc);
+    } catch (const SimError& e) {
+      // Output shape the schedule does not expect — a server bug, not
+      // a client one; fail the request without crashing.
+      g.fail(e.what());
+      continue;
+    }
+    g.tiles.sim_cycles += r.report.stats.cycles;
+    g.tiles.plan_hits += r.report.stats.plan_hits;
+    g.tiles.superstep_cycles +=
+        r.report.metrics.value(RingMetrics::kSuperstepCycles);
+    g.tiles.worker = static_cast<std::uint32_t>(r.worker);
+    g.any_reused = g.any_reused || r.reused_system;
   }
 }
 
@@ -806,18 +746,19 @@ void Server::finalize_gemm(Shard& shard, GemmState& g) {
   counters_.gemm_bytes_saved.fetch_add(g.scratch.bytes_saved(),
                                        std::memory_order_relaxed);
 
-  const auto now = std::chrono::steady_clock::now();
+  const bool timed = obs::telemetry_enabled();
+  const auto s0 = std::chrono::steady_clock::now();
   Conn* conn = find_conn(shard, g.conn_id);
   if (conn != nullptr) {
     if (!g.failed) {
       JobResultMsg msg;
       msg.tag = g.tag;
       msg.outputs = tile::narrow_grid(g.sched->spec, g.acc);
-      msg.sim_cycles = g.sim_cycles;
-      msg.worker = g.last_worker;
+      msg.sim_cycles = g.tiles.sim_cycles;
+      msg.worker = g.tiles.worker;
       msg.reused_system = g.any_reused ? 1 : 0;
       msg.counters = {
-          {"sim.cycles", g.sim_cycles},
+          {"sim.cycles", g.tiles.sim_cycles},
           {"tile.jobs", g.sched->steps.size()},
           {"tile.scratch.hits", g.scratch.hits()},
           {"tile.scratch.refills", g.scratch.refills()},
@@ -827,19 +768,30 @@ void Server::finalize_gemm(Shard& shard, GemmState& g) {
           {"tile.streamed_bytes", g.sched->streamed_bytes},
       };
       msg.trace_id = g.trace_id;
-      msg.total_us = clamp_u32(us_between(g.admitted, now));
+      msg.total_us = clamp_u32(us_between(g.admitted, s0));
       send_frame(*conn, MsgType::kJobResult,
                  encode_job_result(msg, g.version), g.version);
     } else {
       send_error(*conn, g.tag, ErrorCode::kJobFailed, g.error, g.version);
     }
     if (conn->pending_jobs > 0) --conn->pending_jobs;
-    conn->last_activity = now;
+    conn->last_activity = std::chrono::steady_clock::now();
   }
   if (g.failed) {
     counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
   } else {
     counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (timed) {
+    // The request's one e2e sample and flight record, admission to
+    // reply; its tiles added only their phase samples.
+    obs::SpanRecord rec = std::move(g.tiles);
+    rec.trace_id = g.trace_id;
+    rec.name = "gemm";
+    rec.ok = !g.failed;
+    rec.error = g.error;
+    record_request(shard, std::move(rec), g.admitted,
+                   us_between(s0, std::chrono::steady_clock::now()));
   }
 }
 
@@ -1019,169 +971,147 @@ void Server::adopt_inbox(Shard& shard) {
 }
 
 void Server::collect_completions(Shard& shard) {
-  const auto now = std::chrono::steady_clock::now();
   for (auto it = shard.pending.begin(); it != shard.pending.end();) {
-    if (it->result.wait_for(std::chrono::seconds(0)) !=
+    if (it->results.wait_for(std::chrono::seconds(0)) !=
         std::future_status::ready) {
       ++it;
       continue;
     }
-    rt::JobResult result = it->result.get();
-    if (it->gemm != nullptr) {
-      // Tile job of a v4 GEMM: fold into the state's accumulator, no
-      // per-tile reply.  The single response leaves via finalize_gemm
-      // once every tile has landed (pump_gemms runs right after this
-      // sweep — never during it, since it push_backs into pending).
-      GemmState& g = *it->gemm;
-      if (g.outstanding > 0) --g.outstanding;
-      if (!result.ok) {
-        if (!g.failed) {
-          g.failed = true;
-          g.error = result.error;
-        }
-        g.next_step = g.sched->steps.size();  // abandon unsubmitted tiles
-      } else if (!g.failed) {
-        try {
-          tile::accumulate_tile(*g.sched, it->gemm_step, result.outputs,
-                                g.acc);
-          g.sim_cycles += result.report.stats.cycles;
-          g.last_worker = static_cast<std::uint32_t>(result.worker);
-          g.any_reused = g.any_reused || result.reused_system;
-        } catch (const SimError& e) {
-          // Output shape the schedule does not expect — a server bug,
-          // not a client one; fail the request without crashing.
-          g.failed = true;
-          g.error = e.what();
-          g.next_step = g.sched->steps.size();
-        }
-      }
-      if (obs::telemetry_enabled()) {
-        record_completion(shard, *it, result, 0,
-                          std::chrono::steady_clock::now());
-      }
-      it = shard.pending.erase(it);
-      continue;
-    }
-    if (it->batch != nullptr) {
-      // Entry of a v5 batch: settle it; the one reply leaves when the
-      // last entry lands.
-      JobBatchEntryMsg entry;
-      if (result.ok) {
-        entry.ok = 1;
-        entry.result = make_job_result_msg(it->tag, result);
-        counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        entry.ok = 0;
-        entry.error.tag = it->tag;
-        entry.error.code = ErrorCode::kJobFailed;
-        entry.error.message = result.error;
-        counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (obs::telemetry_enabled()) {
-        record_completion(shard, *it, result, 0,
-                          std::chrono::steady_clock::now());
-      }
-      auto batch = std::move(it->batch);
-      const std::size_t index = it->batch_index;
-      it = shard.pending.erase(it);
-      settle_batch_entry(shard, batch, index, std::move(entry));
-      continue;
-    }
-    Conn* conn = find_conn(shard, it->conn_id);
-    const bool timed = obs::telemetry_enabled();
-    std::uint64_t serialize_us = 0;
-    if (conn != nullptr) {
-      const auto s0 = timed ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
-      if (result.ok) {
-        JobResultMsg msg = make_job_result_msg(it->tag, result);
-        bool deliver = true;
-        if (it->dfg != nullptr) {
-          // DFG job: de-lace the raw fleet words into per-output
-          // streams, concatenated in Dfg output order.  The appended
-          // counters tell the client how to split the flat words back.
-          try {
-            const auto streams = svc::delace_outputs(
-                *it->dfg, result.outputs, it->dfg_samples);
-            msg.outputs.clear();
-            for (const auto& s : streams) {
-              msg.outputs.insert(msg.outputs.end(), s.begin(), s.end());
-            }
-            msg.counters.emplace_back("svc.dfg.outputs", streams.size());
-            msg.counters.emplace_back("svc.dfg.samples", it->dfg_samples);
-            msg.counters.emplace_back("svc.dfg.cache_hit",
-                                      it->dfg_cache_hit ? 1 : 0);
-            msg.counters.emplace_back("svc.dfg.hash", it->dfg->dfg_hash);
-          } catch (const SimError& e) {
-            // Raw stream shorter than the program promises — a server
-            // bug, not a client one; answer it without crashing.
-            send_error(*conn, it->tag, ErrorCode::kInternal, e.what(),
-                       it->version);
-            deliver = false;
-          }
-        }
-        if (deliver) {
-          send_frame(*conn, MsgType::kJobResult,
-                     encode_job_result(msg, it->version), it->version);
-        }
-      } else {
-        // SimError text travels verbatim; the client re-raises it.
-        send_error(*conn, it->tag, ErrorCode::kJobFailed, result.error,
-                   it->version);
-      }
-      if (timed) {
-        serialize_us = us_between(s0, std::chrono::steady_clock::now());
-      }
-      if (conn->pending_jobs > 0) --conn->pending_jobs;
-      conn->last_activity = now;
-    }
-    if (result.ok) {
-      counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (timed) {
-      record_completion(shard, *it, result, serialize_us,
-                        std::chrono::steady_clock::now());
-    }
+    PendingGroup pending = std::move(*it);
     it = shard.pending.erase(it);
+    const std::vector<rt::JobResult> results = pending.results.get();
+    record_phases(shard, results);
+    if (pending.gemm != nullptr) {
+      // Tile group of a v4 GEMM: fold into the accumulator, no reply
+      // yet.  The single response leaves via finalize_gemm once every
+      // group has landed (pump_gemms runs right after this sweep —
+      // never during it, since it push_backs into pending).
+      fold_gemm_group(pending, results);
+    } else if (pending.batch != nullptr) {
+      settle_batch_group(shard, pending, results);
+    } else {
+      answer_job(shard, pending, results.front());
+    }
   }
 }
 
-void Server::record_completion(
-    Shard& shard, const PendingJob& pending, const rt::JobResult& result,
-    std::uint64_t serialize_us,
-    std::chrono::steady_clock::time_point done) {
-  const obs::SpanTimeline& tl = result.timeline;
-  const std::uint64_t e2e = us_between(pending.admitted, done);
+void Server::settle_batch_group(Shard& shard, const PendingGroup& pending,
+                                const std::vector<rt::JobResult>& results) {
+  // Entries of a v5 batch: settle each; the one reply leaves when the
+  // last entry lands.
+  const bool timed = obs::telemetry_enabled();
+  BatchState& batch = *pending.batch;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const rt::JobResult& result = results[i];
+    const std::size_t index = pending.entries[i];
+    JobBatchEntryMsg entry;
+    if (result.ok) {
+      entry.ok = 1;
+      entry.result = make_job_result_msg(batch.tags[index], result);
+      counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      entry.ok = 0;
+      entry.error.tag = batch.tags[index];
+      entry.error.code = ErrorCode::kJobFailed;
+      entry.error.message = result.error;
+      counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (timed) {
+      record_request(shard, span_record(batch.names[index], result),
+                     pending.admitted, 0);
+    }
+    settle_batch_entry(shard, pending.batch, index, std::move(entry));
+  }
+}
 
-  obs::SpanRecord rec;
-  rec.trace_id = pending.trace_id;
-  rec.name = pending.job_name;
-  rec.ok = result.ok;
-  rec.error = result.error;
-  rec.worker = static_cast<std::uint32_t>(result.worker);
-  rec.sim_cycles = result.report.stats.cycles;
-  rec.plan_hits = result.report.stats.plan_hits;
-  rec.superstep_cycles =
-      result.report.metrics.value(RingMetrics::kSuperstepCycles);
-  rec.start_offset_us = us_between(start_time_, pending.admitted);
-  rec.queue_wait_us = clamp_u32(tl.queue_wait_us());
-  rec.arm_us = clamp_u32(tl.arm_us());
-  rec.execute_us = clamp_u32(tl.execute_us());
+void Server::answer_job(Shard& shard, const PendingGroup& pending,
+                        const rt::JobResult& result) {
+  Conn* conn = find_conn(shard, pending.conn_id);
+  const bool timed = obs::telemetry_enabled();
+  std::uint64_t serialize_us = 0;
+  if (conn != nullptr) {
+    const auto s0 = timed ? std::chrono::steady_clock::now()
+                          : std::chrono::steady_clock::time_point{};
+    if (result.ok) {
+      JobResultMsg msg = make_job_result_msg(pending.tag, result);
+      bool deliver = true;
+      if (pending.dfg != nullptr) {
+        // DFG job: de-lace the raw fleet words into per-output
+        // streams, concatenated in Dfg output order.  The appended
+        // counters tell the client how to split the flat words back.
+        try {
+          const auto streams = svc::delace_outputs(
+              *pending.dfg, result.outputs, pending.dfg_samples);
+          msg.outputs.clear();
+          for (const auto& s : streams) {
+            msg.outputs.insert(msg.outputs.end(), s.begin(), s.end());
+          }
+          msg.counters.emplace_back("svc.dfg.outputs", streams.size());
+          msg.counters.emplace_back("svc.dfg.samples", pending.dfg_samples);
+          msg.counters.emplace_back("svc.dfg.cache_hit",
+                                    pending.dfg_cache_hit ? 1 : 0);
+          msg.counters.emplace_back("svc.dfg.hash", pending.dfg->dfg_hash);
+        } catch (const SimError& e) {
+          // Raw stream shorter than the program promises — a server
+          // bug, not a client one; answer it without crashing.
+          send_error(*conn, pending.tag, ErrorCode::kInternal, e.what(),
+                     pending.version);
+          deliver = false;
+        }
+      }
+      if (deliver) {
+        send_frame(*conn, MsgType::kJobResult,
+                   encode_job_result(msg, pending.version),
+                   pending.version);
+      }
+    } else {
+      // SimError text travels verbatim; the client re-raises it.
+      send_error(*conn, pending.tag, ErrorCode::kJobFailed, result.error,
+                 pending.version);
+    }
+    if (timed) {
+      serialize_us = us_between(s0, std::chrono::steady_clock::now());
+    }
+    if (conn->pending_jobs > 0) --conn->pending_jobs;
+    conn->last_activity = std::chrono::steady_clock::now();
+  }
+  if (result.ok) {
+    counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (timed) {
+    record_request(shard, span_record(pending.job_name, result),
+                   pending.admitted, serialize_us);
+  }
+}
+
+void Server::record_phases(Shard& shard,
+                           const std::vector<rt::JobResult>& results) {
+  if (!obs::telemetry_enabled()) return;
+  // Latency histograms go to the shard's own slice; metrics() merges
+  // the slices, so the totals are invariant to the shard count.
+  std::lock_guard lock(shard.lat_mu);
+  LatencyHistograms& lat = shard.latency;
+  for (const rt::JobResult& r : results) {
+    lat.queue_wait_us.record(r.timeline.queue_wait_us());
+    lat.arm_us.record(r.timeline.arm_us());
+    lat.execute_us.record(r.timeline.execute_us());
+  }
+}
+
+void Server::record_request(Shard& shard, obs::SpanRecord rec,
+                            std::chrono::steady_clock::time_point admitted,
+                            std::uint64_t serialize_us) {
+  const std::uint64_t e2e =
+      us_between(admitted, std::chrono::steady_clock::now());
+  rec.start_offset_us = us_between(start_time_, admitted);
   rec.serialize_us = clamp_u32(serialize_us);
   rec.e2e_us = clamp_u32(e2e);
-
   {
-    // Latency histograms go to the shard's own slice; metrics() merges
-    // the slices, so the totals are invariant to the shard count.
     std::lock_guard lock(shard.lat_mu);
-    LatencyHistograms& lat = shard.latency;
-    lat.queue_wait_us.record(tl.queue_wait_us());
-    lat.arm_us.record(tl.arm_us());
-    lat.execute_us.record(tl.execute_us());
-    lat.serialize_us.record(serialize_us);
-    lat.e2e_us.record(e2e);
+    shard.latency.serialize_us.record(serialize_us);
+    shard.latency.e2e_us.record(e2e);
   }
   std::lock_guard lock(telemetry_mu_);
   recorder_.record(std::move(rec));
@@ -1470,14 +1400,15 @@ obs::Registry Server::metrics() const {
     out.counter(prefix + ".connections").set(get(shard->connections));
     std::lock_guard lock(shard->lat_mu);
     const LatencyHistograms& lat = shard->latency;
-    if (lat.e2e_us.count() == 0) continue;  // no timed completion yet
     for (const auto& [name, h] :
          {std::pair{"net.latency.queue_wait_us", &lat.queue_wait_us},
           std::pair{"net.latency.arm_us", &lat.arm_us},
           std::pair{"net.latency.execute_us", &lat.execute_us},
           std::pair{"net.latency.serialize_us", &lat.serialize_us},
           std::pair{"net.latency.e2e_us", &lat.e2e_us}}) {
-      out.histogram(name, h->bounds()).merge_from(*h);
+      // Named once it has a sample: fleet jobs feed the phases,
+      // answered requests the serialize and e2e samples.
+      if (h->count() > 0) out.histogram(name, h->bounds()).merge_from(*h);
     }
   }
   out.merge_from(runtime_->metrics());

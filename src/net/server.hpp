@@ -9,10 +9,13 @@
 // accepted fds to the other shards round-robin.  Every shard feeds
 // the one rt::Runtime.  The design invariants:
 //
-//  * The accept loop never blocks on the fleet.  SubmitJob frames go
-//    through Runtime::try_submit; admission is governed by queue-depth
-//    watermarks (accept below low, briefly defer between low and
-//    high, shed with Error{kBusy} + retry_after_ms above high).
+//  * The accept loop never blocks on the fleet.  Every fan-out goes
+//    through Runtime::try_submit_group: a single job is a group of
+//    one, a v5 batch is at most one group per worker, a tiled GEMM is
+//    a run of contiguous step groups.  Admission is governed by
+//    queue-depth watermarks (accept below low, briefly defer between
+//    low and high, shed with Error{kBusy} + retry_after_ms above
+//    high); the depth counts envelopes, so a group counts once.
 //  * Frames pipeline per connection: every complete frame in the
 //    buffer is parsed and admitted up to a bounded in-flight window;
 //    replies leave in completion order and correlate by tag, each in
@@ -187,12 +190,15 @@ class Server {
   };
 
   /// One in-flight tiled GEMM (v4): the server-side analogue of
-  /// tile::run_gemm, unrolled into the shard loop so the tile jobs of
-  /// many clients interleave on the fleet.  Tile completions fold into
-  /// `acc` in whatever order they land (wrapping adds are
-  /// order-independent — see tile/gemm_ref.hpp), and the single
-  /// JobResult reply goes out once the last tile has been folded.
-  /// The schedule is shared with (and may outlive) the plan cache.
+  /// tile::run_gemm, unrolled into the shard loop so the tile groups of
+  /// many clients interleave on the fleet.  The pump lowers the
+  /// schedule in order, one group of GemmJobBuilder::group_steps steps
+  /// at a time, and submits each group as one fleet envelope; group
+  /// completions fold into `acc` in whatever order they land (wrapping
+  /// adds are order-independent — see tile/gemm_ref.hpp), and the
+  /// single JobResult reply goes out once the last group has been
+  /// folded.  The schedule is shared with (and may outlive) the plan
+  /// cache.
   struct GemmState {
     std::uint64_t conn_id = 0;
     std::uint32_t tag = 0;
@@ -206,13 +212,27 @@ class Server {
     tile::GemmJobBuilder builder;  ///< holds a reference to `scratch`
     std::vector<Word> acc;         ///< m*n wrapping accumulator grid
 
-    std::size_t next_step = 0;    ///< first un-submitted schedule step
-    std::size_t outstanding = 0;  ///< tile jobs currently pending
-    std::uint64_t sim_cycles = 0;
-    std::uint32_t last_worker = 0;
+    std::size_t next_step = 0;    ///< first un-lowered schedule step
+    /// A lowered group the full queue refused; it is resubmitted as-is
+    /// (lowering again would replay the scratchpad).
+    std::vector<rt::Job> held;
+    std::size_t held_first = 0;   ///< schedule step of held.front()
+    std::size_t outstanding = 0;  ///< submitted groups not yet folded
+    /// Totals over the folded tiles (sim cycles, plan hits, superstep
+    /// cycles, summed phases; worker = the last tile's) — the body of
+    /// the GEMM's one flight record.
+    obs::SpanRecord tiles;
     bool any_reused = false;
     bool failed = false;
     std::string error;  ///< first tile failure, verbatim
+
+    /// Fail the request with its first error and abandon the tiles
+    /// not yet submitted; submitted groups still land and are counted.
+    void fail(std::string why) {
+      if (!failed) error = std::move(why);
+      failed = true;
+      held.clear();
+    }
 
     GemmState(const RingGeometry& geometry,
               std::shared_ptr<const tile::TileSchedule> schedule,
@@ -227,57 +247,57 @@ class Server {
   };
 
   /// One in-flight v5 SubmitJobBatch: entries settle independently
-  /// (admission errors inline, completions as they land, deferred
-  /// sheds at their deadline) and the single JobBatchResult reply goes
-  /// out when the last entry has settled.
+  /// (admission errors inline, groups as they complete or are shed)
+  /// and the single JobBatchResult reply goes out when the last entry
+  /// has settled.
   struct BatchState {
     std::uint64_t conn_id = 0;
     std::uint16_t version = kProtocolVersion;
-    std::uint64_t trace_id = 0;
-    std::chrono::steady_clock::time_point admitted;
     JobBatchResultMsg result;   ///< tag + entries, filled as they settle
     std::size_t remaining = 0;  ///< unsettled entries
+    std::vector<std::uint32_t> tags;  ///< per entry, for its reply
+    std::vector<std::string> names;   ///< per entry job name (flight)
   };
 
-  struct PendingJob {
+  /// One fleet group awaiting its results: a client's single job
+  /// (plain or DFG), a run of v5 batch entries, or a run of GEMM tile
+  /// steps.  A deferred admission parks the same record without a
+  /// future.
+  struct PendingGroup {
     std::uint64_t conn_id = 0;
-    std::uint32_t tag = 0;
-    std::future<rt::JobResult> result;
-    std::uint64_t trace_id = 0;
-    std::string job_name;        ///< for the flight recorder
     std::uint16_t version = kProtocolVersion;  ///< reply frame version
     std::chrono::steady_clock::time_point admitted;  ///< e2e epoch
+    std::future<std::vector<rt::JobResult>> results;
+
+    // A single job answers the client directly.
+    std::uint32_t tag = 0;
+    std::string job_name;  ///< for the flight recorder
     /// Set for DFG jobs: the raw fleet outputs are de-laced through the
     /// compiled program's output metadata before the reply is encoded.
     std::shared_ptr<const svc::CompiledDfg> dfg;
     std::size_t dfg_samples = 0;
     bool dfg_cache_hit = false;
-    /// Set for tile jobs of a v4 GEMM: the completion folds into the
-    /// state's accumulator instead of answering the client directly.
-    std::shared_ptr<GemmState> gemm;
-    tile::TileStep gemm_step{};
-    /// Set for entries of a v5 batch: the completion settles one entry
-    /// of the batch result instead of answering directly.
+
+    /// Set for batch entries: job i settles entry entries[i].
     std::shared_ptr<BatchState> batch;
-    std::size_t batch_index = 0;
+    std::vector<std::size_t> entries;
+
+    /// Set for GEMM tiles: job i folds schedule step first_step + i.
+    std::shared_ptr<GemmState> gemm;
+    std::size_t first_step = 0;
+
+    /// Client jobs (batch entries count one each) in this group.
+    std::size_t units() const noexcept {
+      return batch != nullptr ? entries.size() : 1;
+    }
   };
 
-  /// A job parked between the admission watermarks: the shard retries
+  /// A unit parked between the admission watermarks: the shard retries
   /// it on every tick/wake and sheds Busy past its deadline.
-  struct DeferredJob {
-    std::uint64_t conn_id = 0;
-    std::uint32_t tag = 0;
-    rt::Job job;
-    std::uint64_t trace_id = 0;
-    std::string job_name;
-    std::uint16_t version = kProtocolVersion;
-    std::chrono::steady_clock::time_point admitted;  ///< receive stamp
+  struct DeferredGroup {
+    PendingGroup meta;
+    std::vector<rt::Job> jobs;
     std::chrono::steady_clock::time_point deadline;
-    std::shared_ptr<const svc::CompiledDfg> dfg;
-    std::size_t dfg_samples = 0;
-    bool dfg_cache_hit = false;
-    std::shared_ptr<BatchState> batch;
-    std::size_t batch_index = 0;
   };
 
   /// The net.latency.* phases of timed completions, one histogram each.
@@ -299,9 +319,9 @@ class Server {
     int wake_w = -1;
 
     std::deque<Conn> conns;
-    std::vector<PendingJob> pending;
+    std::vector<PendingGroup> pending;
     std::vector<std::shared_ptr<GemmState>> gemms;
-    std::deque<DeferredJob> deferred;
+    std::deque<DeferredGroup> deferred;
 
     /// Accepted fds handed off by shard 0; adopted at the loop top.
     std::mutex inbox_mu;
@@ -319,50 +339,48 @@ class Server {
     LatencyHistograms latency;
   };
 
-  enum class FleetSubmit : std::uint8_t {
-    kAccepted = 0,
-    kQueueFull,
-    kShutDown
-  };
-
   void send_frame(Conn& conn, MsgType type,
                   std::span<const std::uint8_t> payload,
                   std::uint16_t version);
   void send_error(Conn& conn, std::uint32_t tag, ErrorCode code,
                   const std::string& message, std::uint16_t version,
                   std::uint32_t retry_after_ms = 0);
+  /// While draining, answer a request Error{kShuttingDown} and return
+  /// true.
+  bool refuse_draining(Conn& conn, std::uint32_t tag,
+                       std::uint16_t version);
+  /// Dispatch one frame.  A ProtocolError thrown by a handler (a bad
+  /// payload, or a message type its frame version predates) answers
+  /// Error{kBadRequest} and closes the connection.
   void handle_frame(Shard& shard, Conn& conn, const Frame& frame);
   void handle_submit(Shard& shard, Conn& conn, const Frame& frame);
   void handle_submit_batch(Shard& shard, Conn& conn, const Frame& frame);
   void handle_submit_dfg(Shard& shard, Conn& conn, const Frame& frame);
   void handle_compile_dfg(Conn& conn, const Frame& frame);
   void handle_submit_gemm(Shard& shard, Conn& conn, const Frame& frame);
-  /// Submit as many un-queued tile steps as the fleet will take (a
-  /// full queue stops the pump; held steps retry on the next tick),
-  /// then finalize every GEMM whose last tile has landed.  Never
-  /// called while collect_completions() iterates pending.
+  /// Lower and submit as many tile groups as the fleet will take (a
+  /// full queue stops the pump; the held group retries on the next
+  /// tick), then finalize every GEMM whose last group has been folded.
+  /// Never called while collect_completions() iterates pending.
   void pump_gemms(Shard& shard);
+  void fold_gemm_group(const PendingGroup& pending,
+                       const std::vector<rt::JobResult>& results);
   void finalize_gemm(Shard& shard, GemmState& gemm);
-  /// Watermark admission shared by every submit path: accept below
-  /// low, defer between low and high, shed at or above high.  Batch
-  /// entries settle into `batch` instead of answering directly.
-  void admit_job(Shard& shard, Conn& conn, rt::Job job, std::uint32_t tag,
-                 std::uint64_t trace_id, std::uint16_t version,
-                 std::shared_ptr<const svc::CompiledDfg> dfg,
-                 std::size_t dfg_samples, bool dfg_cache_hit,
-                 std::shared_ptr<BatchState> batch,
-                 std::size_t batch_index);
-  /// Low-level fleet submit: on kAccepted registers `meta` (with its
-  /// future) in shard.pending and bumps the counters.
-  FleetSubmit submit_pending(Shard& shard, Conn* conn, rt::Job job,
-                             PendingJob meta);
-  /// Busy-shed one job: Error{kBusy, retry_after_ms} to the peer, or
-  /// the equivalent settled batch entry.
-  void shed_job(Shard& shard, Conn* conn, std::uint32_t tag,
-                std::uint16_t version,
-                const std::shared_ptr<BatchState>& batch,
-                std::size_t batch_index);
-  /// Retry deferred jobs (immediately when the depth fell below low or
+  /// Watermark admission shared by every submit path, one unit at a
+  /// time (a single job or a group of batch entries): accept below
+  /// low, defer between low and high, shed at or above high.
+  void admit(Shard& shard, Conn& conn, std::vector<rt::Job> jobs,
+             PendingGroup meta);
+  /// Submit an admitted unit as one fleet group; a refusing fleet
+  /// settles it kBusy (queue full) or kShuttingDown.
+  void submit_or_refuse(Shard& shard, Conn* conn, std::vector<rt::Job> jobs,
+                        PendingGroup meta);
+  /// Answer a unit that will not run: Error{code} to the peer (kBusy
+  /// carries the retry_after_ms hint), or the same settled entry for
+  /// each of its batch entries.
+  void refuse(Shard& shard, Conn* conn, const PendingGroup& meta,
+              ErrorCode code);
+  /// Retry deferred units (immediately when the depth fell below low or
   /// the deadline/drain forces the attempt), shedding Busy on a still
   /// full queue past the deadline.
   void pump_deferred(Shard& shard);
@@ -372,12 +390,20 @@ class Server {
                           const std::shared_ptr<BatchState>& batch,
                           std::size_t index, JobBatchEntryMsg entry);
   void finalize_batch(Shard& shard, BatchState& batch);
-  /// Fold one finished job into the shard's latency histograms + the
-  /// server-wide flight recorder.
-  void record_completion(Shard& shard, const PendingJob& pending,
-                         const rt::JobResult& result,
-                         std::uint64_t serialize_us,
-                         std::chrono::steady_clock::time_point done);
+  void settle_batch_group(Shard& shard, const PendingGroup& pending,
+                          const std::vector<rt::JobResult>& results);
+  void answer_job(Shard& shard, const PendingGroup& pending,
+                  const rt::JobResult& result);
+  /// Fold fleet jobs' queue-wait/arm/execute phases into the shard's
+  /// histograms: one sample per job, GEMM tiles included.
+  void record_phases(Shard& shard,
+                     const std::vector<rt::JobResult>& results);
+  /// Record one answered request — a single job, a batch entry or a
+  /// whole GEMM — as one e2e and serialize sample and one flight
+  /// record.
+  void record_request(Shard& shard, obs::SpanRecord rec,
+                      std::chrono::steady_clock::time_point admitted,
+                      std::uint64_t serialize_us);
   void maybe_sample(std::chrono::steady_clock::time_point now);
   /// Parse conn.in, dispatching every complete frame up to the
   /// pipeline window.  A connection that must close is flagged via

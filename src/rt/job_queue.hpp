@@ -16,6 +16,8 @@
 #include <future>
 #include <mutex>
 #include <optional>
+#include <variant>
+#include <vector>
 
 #include "rt/job.hpp"
 
@@ -23,21 +25,26 @@ namespace sring::rt {
 
 class JobQueue {
  public:
-  /// One queued unit of work: the job plus the promise its result is
-  /// delivered through.
+  /// One queued unit of work: one job (submit/try_submit) or a
+  /// contiguous group of jobs (submit_group/try_submit_group) that a
+  /// single worker runs back to back, plus the promise their results
+  /// are delivered through.  A group is one envelope: it takes one
+  /// queue slot and counts once in the queue statistics.
   struct Envelope {
-    Job job;
-    std::promise<JobResult> result;
+    std::vector<Job> jobs;
+    /// A single job's result, or a group's results in job order.
+    std::variant<std::promise<JobResult>,
+                 std::promise<std::vector<JobResult>>>
+        result;
 
     /// Optional completion hook, invoked by the worker *after* the
-    /// promise is fulfilled.  Lets a poll-loop consumer (the net
-    /// server) get woken without blocking on the future; must be
-    /// cheap and must not throw.
+    /// promise is fulfilled — once per envelope, not per job.  Lets a
+    /// poll-loop consumer (the net server) get woken without blocking
+    /// on the future; must be cheap and must not throw.
     std::function<void()> notify;
 
-    /// Span stamps for this job; kEnqueued is stamped at submission,
-    /// the worker stamps the rest and copies the timeline into the
-    /// JobResult.
+    /// kEnqueued is stamped at submission; every job of the envelope
+    /// starts its own timeline from this stamp.
     obs::SpanTimeline timeline;
   };
 
@@ -46,7 +53,7 @@ class JobQueue {
 
   struct Stats {
     std::size_t capacity = 0;
-    std::size_t depth = 0;           ///< items queued right now
+    std::size_t depth = 0;           ///< envelopes queued right now
     std::uint64_t enqueued = 0;      ///< successful push() calls
     std::uint64_t dequeued = 0;      ///< successful pop() calls
     std::uint64_t max_depth = 0;     ///< high-water mark

@@ -55,10 +55,22 @@ void Runtime::shutdown() {
   }
 }
 
-std::future<JobResult> Runtime::submit(Job job) {
+namespace {
+
+std::vector<Job> one_job(Job job) {
+  std::vector<Job> jobs;
+  jobs.push_back(std::move(job));
+  return jobs;
+}
+
+}  // namespace
+
+template <class R>
+std::future<R> Runtime::enqueue(std::vector<Job> jobs) {
+  check(!jobs.empty(), "Runtime::submit_group: empty group");
   JobQueue::Envelope env;
-  env.job = std::move(job);
-  std::future<JobResult> fut = env.result.get_future();
+  env.jobs = std::move(jobs);
+  std::future<R> fut = env.result.emplace<std::promise<R>>().get_future();
   // Stamped before push(): a full queue blocks here, and that wait IS
   // the queue-wait phase the latency histograms must see.
   env.timeline.stamp(obs::SpanTimeline::kEnqueued);
@@ -67,28 +79,49 @@ std::future<JobResult> Runtime::submit(Job job) {
   return fut;
 }
 
+template <class R>
+Runtime::TrySubmitOf<R> Runtime::try_enqueue(std::vector<Job>& jobs,
+                                             std::function<void()> notify) {
+  check(!jobs.empty(), "Runtime::try_submit_group: empty group");
+  JobQueue::Envelope env;
+  env.jobs = std::move(jobs);
+  env.notify = std::move(notify);
+  TrySubmitOf<R> out;
+  out.result = env.result.emplace<std::promise<R>>().get_future();
+  env.timeline.stamp(obs::SpanTimeline::kEnqueued);
+  const JobQueue::PushStatus pushed = queue_.try_push(env);
+  if (pushed == JobQueue::PushStatus::kOk) {
+    out.status = SubmitStatus::kAccepted;
+    jobs.clear();
+    return out;
+  }
+  out.status = pushed == JobQueue::PushStatus::kFull
+                   ? SubmitStatus::kQueueFull
+                   : SubmitStatus::kShutDown;
+  out.result = {};
+  // try_push consumed nothing: the refused jobs go back to the caller.
+  jobs = std::move(env.jobs);
+  return out;
+}
+
+std::future<JobResult> Runtime::submit(Job job) {
+  return enqueue<JobResult>(one_job(std::move(job)));
+}
+
+std::future<std::vector<JobResult>> Runtime::submit_group(
+    std::vector<Job> jobs) {
+  return enqueue<std::vector<JobResult>>(std::move(jobs));
+}
+
 Runtime::TrySubmit Runtime::try_submit(Job job,
                                        std::function<void()> notify) {
-  JobQueue::Envelope env;
-  env.job = std::move(job);
-  env.notify = std::move(notify);
-  env.timeline.stamp(obs::SpanTimeline::kEnqueued);
-  TrySubmit out;
-  out.result = env.result.get_future();
-  switch (queue_.try_push(env)) {
-    case JobQueue::PushStatus::kOk:
-      out.status = SubmitStatus::kAccepted;
-      break;
-    case JobQueue::PushStatus::kFull:
-      out.status = SubmitStatus::kQueueFull;
-      out.result = {};
-      break;
-    case JobQueue::PushStatus::kClosed:
-      out.status = SubmitStatus::kShutDown;
-      out.result = {};
-      break;
-  }
-  return out;
+  std::vector<Job> jobs = one_job(std::move(job));
+  return try_enqueue<JobResult>(jobs, std::move(notify));
+}
+
+Runtime::TrySubmitGroup Runtime::try_submit_group(
+    std::vector<Job>& jobs, std::function<void()> notify) {
+  return try_enqueue<std::vector<JobResult>>(jobs, std::move(notify));
 }
 
 std::vector<JobResult> Runtime::submit_batch(std::vector<Job> jobs) {
@@ -104,49 +137,63 @@ std::vector<JobResult> Runtime::submit_batch(std::vector<Job> jobs) {
 void Runtime::worker_main(std::size_t index) {
   Worker& w = *workers_[index];
   while (auto env = queue_.pop()) {
-    env->timeline.stamp(obs::SpanTimeline::kDequeued);
-    JobResult result = run_job(env->job, index, w, env->timeline);
-
-    {  // job-boundary accounting; the simulation itself ran lock-free
-      std::lock_guard lock(w.mu);
-      Tally& t = w.tally;
-      ++t.jobs;
-      if (!result.ok) {
-        ++t.jobs_failed;
-      } else {
-        const SystemStats& s = result.report.stats;
-        const RingMetrics& m = result.report.metrics;
-        t.sim_cycles += s.cycles;
-        t.dnode_ops += s.dnode_ops;
-        t.host_words_in += s.host_words_in;
-        t.host_words_out += s.host_words_out;
-        t.job_cycles.record(s.cycles);
-        // Plan-cache / superstep effectiveness per deployment, not
-        // just per cycle-bench run (ROADMAP: matvec8's 0.29 hit rate).
-        t.plan_compiles += s.plan_compiles;
-        t.plan_hits += s.plan_hits;
-        t.plan_invalidations += s.plan_invalidations;
-        t.superstep_dispatches += m.value(RingMetrics::kSuperstepDispatches);
-        t.superstep_cycles += m.value(RingMetrics::kSuperstepCycles);
-      }
-      if (obs::telemetry_enabled()) {
-        const obs::SpanTimeline& tl = result.timeline;
-        t.queue_wait_us.record(tl.queue_wait_us());
-        t.arm_us.record(tl.arm_us());
-        t.execute_us.record(tl.execute_us());
-        // Worker busy time; utilization = rate(rt.busy_us) / workers.
-        t.busy_us += tl.us_between(obs::SpanTimeline::kDequeued,
-                                   obs::SpanTimeline::kCompleted);
-      }
-      t.pool_fast_resets = w.pool.fast_resets();
-      t.pool_full_loads = w.pool.full_loads();
-      t.pool_systems = w.pool.systems_constructed();
+    std::vector<JobResult> results;
+    results.reserve(env->jobs.size());
+    for (const Job& job : env->jobs) {
+      // Each job keeps its own timeline: it shares the envelope's
+      // enqueue stamp, but its pickup is when this worker starts it,
+      // so busy and phase times of siblings never overlap.
+      obs::SpanTimeline timeline = env->timeline;
+      timeline.stamp(obs::SpanTimeline::kDequeued);
+      results.push_back(run_job(job, index, w, timeline));
+      tally_job(w, results.back());
     }
-
-    env->result.set_value(std::move(result));
+    if (auto* one = std::get_if<std::promise<JobResult>>(&env->result)) {
+      one->set_value(std::move(results.front()));
+    } else {
+      std::get<std::promise<std::vector<JobResult>>>(env->result)
+          .set_value(std::move(results));
+    }
     if (env->notify) env->notify();
   }
   if (w.sink) w.sink->end();
+}
+
+void Runtime::tally_job(Worker& w, const JobResult& result) {
+  // Job-boundary accounting; the simulation itself ran lock-free.
+  std::lock_guard lock(w.mu);
+  Tally& t = w.tally;
+  ++t.jobs;
+  if (!result.ok) {
+    ++t.jobs_failed;
+  } else {
+    const SystemStats& s = result.report.stats;
+    const RingMetrics& m = result.report.metrics;
+    t.sim_cycles += s.cycles;
+    t.dnode_ops += s.dnode_ops;
+    t.host_words_in += s.host_words_in;
+    t.host_words_out += s.host_words_out;
+    t.job_cycles.record(s.cycles);
+    // Plan-cache / superstep effectiveness per deployment, not
+    // just per cycle-bench run (ROADMAP: matvec8's 0.29 hit rate).
+    t.plan_compiles += s.plan_compiles;
+    t.plan_hits += s.plan_hits;
+    t.plan_invalidations += s.plan_invalidations;
+    t.superstep_dispatches += m.value(RingMetrics::kSuperstepDispatches);
+    t.superstep_cycles += m.value(RingMetrics::kSuperstepCycles);
+  }
+  if (obs::telemetry_enabled()) {
+    const obs::SpanTimeline& tl = result.timeline;
+    t.queue_wait_us.record(tl.queue_wait_us());
+    t.arm_us.record(tl.arm_us());
+    t.execute_us.record(tl.execute_us());
+    // Worker busy time; utilization = rate(rt.busy_us) / workers.
+    t.busy_us += tl.us_between(obs::SpanTimeline::kDequeued,
+                               obs::SpanTimeline::kCompleted);
+  }
+  t.pool_fast_resets = w.pool.fast_resets();
+  t.pool_full_loads = w.pool.full_loads();
+  t.pool_systems = w.pool.systems_constructed();
 }
 
 JobResult Runtime::run_job(const Job& job, std::size_t index,

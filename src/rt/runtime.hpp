@@ -4,9 +4,12 @@
 // Architecture (the multi-core deployment the paper's §3 host/IP-core
 // split implies, scaled out):
 //
-//   submit()/submit_batch() --> JobQueue (bounded, backpressured)
-//        --> N worker threads, each owning a private SystemPool
-//        --> JobResult via std::future / ordered batch vector
+//   submit()/submit_group()/submit_batch()
+//        --> JobQueue (bounded, backpressured; one envelope per job or
+//            per group)
+//        --> N worker threads, each owning a private SystemPool; a
+//            group runs back to back on one worker
+//        --> JobResult via std::future / ordered group or batch vector
 //
 // Determinism: a job never shares a System with a concurrently
 // running job — each worker arms a private instance, so per-job
@@ -72,16 +75,26 @@ class Runtime {
   /// Throws SimError after shutdown().
   std::future<JobResult> submit(Job job);
 
-  /// Outcome of a non-blocking try_submit().
+  /// Asynchronous group submission: `jobs` (at least one) take one
+  /// queue slot and one worker runs them back to back, in order, each
+  /// through the same arm/execute/report path and tally as a single
+  /// job.  The future carries their results in job order.  Blocks only
+  /// while the queue is full; throws SimError after shutdown().
+  std::future<std::vector<JobResult>> submit_group(std::vector<Job> jobs);
+
+  /// Outcome of a non-blocking try_submit() / try_submit_group().
   enum class SubmitStatus : std::uint8_t {
     kAccepted = 0,
     kQueueFull,  ///< bounded queue at capacity — caller should shed load
     kShutDown,   ///< runtime already shut down
   };
-  struct TrySubmit {
+  template <class R>
+  struct TrySubmitOf {
     SubmitStatus status = SubmitStatus::kShutDown;
-    std::future<JobResult> result;  ///< valid only when kAccepted
+    std::future<R> result;  ///< valid only when kAccepted
   };
+  using TrySubmit = TrySubmitOf<JobResult>;
+  using TrySubmitGroup = TrySubmitOf<std::vector<JobResult>>;
 
   /// Non-blocking submission for callers that must never park (the net
   /// server's accept loop): returns kQueueFull instead of waiting and
@@ -89,6 +102,14 @@ class Runtime {
   /// the worker after the result future becomes ready — it runs on the
   /// worker thread and must be cheap and non-throwing.
   TrySubmit try_submit(Job job, std::function<void()> notify = {});
+
+  /// Non-blocking group submission (see submit_group()).  `jobs` is
+  /// consumed (left empty) only on kAccepted; on kQueueFull or
+  /// kShutDown it is left intact, so the caller can hold the group and
+  /// retry it.  `notify` runs once, after the whole group's future is
+  /// ready.
+  TrySubmitGroup try_submit_group(std::vector<Job>& jobs,
+                                  std::function<void()> notify = {});
 
   /// Synchronous convenience: submit every job, wait for all, return
   /// results in submission order.  Jobs still spread across the whole
@@ -101,8 +122,9 @@ class Runtime {
 
   std::size_t worker_count() const noexcept { return workers_.size(); }
 
-  /// Jobs queued right now (JobQueue depth).  Thread-safe; the net
-  /// server's watermark admission polls it on every submit.
+  /// Envelopes queued right now (JobQueue depth; a group counts
+  /// once).  Thread-safe; the net server's watermark admission polls
+  /// it on every submit.
   std::size_t queue_depth() const { return queue_.stats().depth; }
 
   /// The queue's configured capacity (admission watermarks scale off
@@ -159,9 +181,17 @@ class Runtime {
 
   static void name_tally(obs::Registry& out, std::size_t index,
                          const Tally& t);
+  /// Queue `jobs` as one envelope whose promise yields R, blocking
+  /// while the queue is full / returning a status instead.
+  template <class R>
+  std::future<R> enqueue(std::vector<Job> jobs);
+  template <class R>
+  TrySubmitOf<R> try_enqueue(std::vector<Job>& jobs,
+                             std::function<void()> notify);
   void worker_main(std::size_t index);
   JobResult run_job(const Job& job, std::size_t index, Worker& worker,
                     obs::SpanTimeline& timeline);
+  void tally_job(Worker& worker, const JobResult& result);
 
   RuntimeConfig config_;
   JobQueue queue_;

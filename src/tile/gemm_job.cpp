@@ -1,5 +1,6 @@
 #include "tile/gemm_job.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/error.hpp"
@@ -114,6 +115,28 @@ rt::Job GemmJobBuilder::build(const TileSchedule& sched,
   job.drain_cycles = 2;
   job.take_words = output_words(sched);
   return job;
+}
+
+std::vector<rt::Job> GemmJobBuilder::build_group(const TileSchedule& sched,
+                                                 std::size_t first,
+                                                 std::size_t count,
+                                                 std::span<const Word> a,
+                                                 std::span<const Word> b) {
+  const std::size_t end = std::min(sched.steps.size(), first + count);
+  std::vector<rt::Job> jobs;
+  jobs.reserve(end > first ? end - first : 0);
+  for (std::size_t i = first; i < end; ++i) {
+    jobs.push_back(build(sched, sched.steps[i], a, b));
+  }
+  return jobs;
+}
+
+std::size_t GemmJobBuilder::group_steps(const TileSchedule& sched,
+                                        std::size_t workers) {
+  const std::size_t w = std::max<std::size_t>(1, workers);
+  const std::size_t per_worker = (sched.steps.size() + w - 1) / w;
+  return std::max<std::size_t>(
+      1, std::min(per_worker, sched.scratch_capacity));
 }
 
 }  // namespace sring::tile

@@ -1,5 +1,7 @@
 #include "tile/gemm_runner.hpp"
 
+#include <future>
+
 #include "common/error.hpp"
 
 namespace sring::tile {
@@ -44,25 +46,29 @@ GemmResult run_gemm(rt::Runtime& rt, const GemmRunConfig& cfg,
   Scratchpad scratch(cfg.scratch_tiles);
   GemmJobBuilder builder(cfg.geometry, scratch);
 
-  std::vector<rt::Job> jobs;
-  jobs.reserve(res.schedule.steps.size());
-  for (const TileStep& step : res.schedule.steps) {
-    jobs.push_back(builder.build(res.schedule, step, a, b));
+  // Lowering runs in schedule order through the one scratchpad, group
+  // by group, so the scratch counters do not depend on the fleet.
+  const std::vector<TileStep>& steps = res.schedule.steps;
+  const std::size_t per_group =
+      GemmJobBuilder::group_steps(res.schedule, rt.worker_count());
+  std::vector<std::future<std::vector<rt::JobResult>>> groups;
+  for (std::size_t first = 0; first < steps.size(); first += per_group) {
+    groups.push_back(rt.submit_group(
+        builder.build_group(res.schedule, first, per_group, a, b)));
   }
 
-  const std::vector<rt::JobResult> results =
-      rt.submit_batch(std::move(jobs));
-
   std::vector<Word> acc(spec.m * spec.n, 0);
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const rt::JobResult& r = results[i];
-    check(r.ok, "tile: tile job failed: " + r.error);
-    accumulate_tile(res.schedule, res.schedule.steps[i], r.outputs, acc);
-    res.sim_cycles += r.report.stats.cycles;
+  std::size_t step = 0;
+  for (auto& group : groups) {
+    for (const rt::JobResult& r : group.get()) {
+      check(r.ok, "tile: tile job failed: " + r.error);
+      accumulate_tile(res.schedule, steps[step++], r.outputs, acc);
+      res.sim_cycles += r.report.stats.cycles;
+    }
   }
   res.c = narrow_grid(spec, acc);
 
-  res.jobs = results.size();
+  res.jobs = steps.size();
   res.scratch_hits = scratch.hits();
   res.scratch_refills = scratch.refills();
   res.scratch_evictions = scratch.evictions();

@@ -2,7 +2,9 @@
 //
 // run_gemm plans the schedule, stages tiles through a Scratchpad,
 // lowers every step to an rt::Job (GemmJobBuilder) and submits the
-// batch to the fleet.  Per-chunk partial products are folded into a
+// steps to the fleet as contiguous groups, one run per worker
+// (GemmJobBuilder::group_steps, the rule the net server uses too).
+// Per-chunk partial products are folded into a
 // 16-bit accumulator grid with wrapping adds — order-independent
 // (mod-2^16 addition is associative and commutative), which is what
 // makes the result bit-identical at any worker count and lets the net
@@ -11,7 +13,7 @@
 //
 // accumulate_tile and narrow_grid are exposed separately because the
 // server's poll loop performs the same fold incrementally as tile
-// jobs complete.
+// groups complete.
 #pragma once
 
 #include <span>

@@ -20,7 +20,7 @@ namespace {
 
 JobQueue::Envelope envelope(std::string name) {
   JobQueue::Envelope e;
-  e.job.name = std::move(name);
+  e.jobs.emplace_back().name = std::move(name);
   return e;
 }
 
@@ -32,12 +32,12 @@ TEST(JobQueueTryPush, FullThenClosedAreTypedStatuses) {
   JobQueue::Envelope b = envelope("b");
   EXPECT_EQ(q.try_push(b), JobQueue::PushStatus::kFull);
   // kFull leaves the envelope with the caller, resubmittable as-is.
-  EXPECT_EQ(b.job.name, "b");
+  EXPECT_EQ(b.jobs[0].name, "b");
   EXPECT_EQ(q.stats().rejected_full, 1u);
 
-  EXPECT_EQ(q.pop()->job.name, "a");
+  EXPECT_EQ(q.pop()->jobs[0].name, "a");
   EXPECT_EQ(q.try_push(b), JobQueue::PushStatus::kOk);
-  EXPECT_EQ(q.pop()->job.name, "b");
+  EXPECT_EQ(q.pop()->jobs[0].name, "b");
 
   q.close();
   JobQueue::Envelope c = envelope("c");
@@ -80,8 +80,8 @@ TEST(JobQueueClose, CloseWhileFullDrainsDeterministically) {
   EXPECT_EQ(rejected.load(), 3);
 
   // The pre-close backlog drains in FIFO order, then end-of-stream.
-  EXPECT_EQ(q.pop()->job.name, "a");
-  EXPECT_EQ(q.pop()->job.name, "b");
+  EXPECT_EQ(q.pop()->jobs[0].name, "a");
+  EXPECT_EQ(q.pop()->jobs[0].name, "b");
   EXPECT_FALSE(q.pop().has_value());
   EXPECT_EQ(q.stats().dequeued, 2u);
 }

@@ -595,6 +595,100 @@ TEST(NetShard, ExplicitWatermarksShedLegacyBytesForV1Clients) {
   EXPECT_GE(busy, 1u);
 }
 
+// A v5 batch goes to the fleet as at most one group per worker, and
+// each group is admitted as a unit.  Six pipelined 64-entry batches
+// against a 2-deep queue with tight watermarks must settle every entry
+// exactly once: bit-exact, kBusy with the hint, or (the one malformed
+// entry per batch) kBadRequest — and the entry-unit admission counters
+// must balance against the batch entries.
+TEST(NetShard, BatchGroupsUnderTightWatermarksSettleEveryEntry) {
+  ServerConfig scfg;
+  scfg.runtime.workers = 2;
+  scfg.runtime.queue_capacity = 2;
+  scfg.admission_low = 1;
+  scfg.admission_high = 2;
+  scfg.admission_max_delay = std::chrono::milliseconds(1);
+  scfg.retry_after_hint_ms = 7;
+  TestServer ts(scfg);
+
+  constexpr std::uint32_t kBatches = 6;
+  constexpr std::uint32_t kEntries = 64;
+  constexpr std::uint32_t kBadEntry = 10;
+  std::map<std::uint32_t, std::vector<Word>> expected;  // by entry tag
+  std::vector<std::uint8_t> wire;
+  {
+    rt::RuntimeConfig rcfg;
+    rcfg.workers = 1;
+    rt::Runtime local(rcfg);
+    for (std::uint32_t b = 0; b < kBatches; ++b) {
+      SubmitJobBatchMsg msg;
+      msg.tag = 100 + b;
+      for (std::uint32_t i = 0; i < kEntries; ++i) {
+        JobRequest req = small_fir(b * kEntries + i);
+        req.tag = b * kEntries + i + 1;
+        if (i == kBadEntry) {
+          req.fir_coeffs.clear();  // no taps: refused at conversion
+        } else {
+          rt::JobResult r = local.submit(to_rt_job(req)).get();
+          ASSERT_TRUE(r.ok) << r.error;
+          expected[req.tag] = std::move(r.outputs);
+        }
+        msg.jobs.push_back(std::move(req));
+      }
+      append_frame(wire, MsgType::kSubmitJobBatch,
+                   encode_submit_job_batch(msg));
+    }
+  }
+  RawConn raw(ts.server.port());
+  raw.send_all(wire);
+
+  std::size_t ok = 0;
+  std::size_t busy = 0;
+  std::size_t bad = 0;
+  for (std::uint32_t b = 0; b < kBatches; ++b) {
+    Frame frame;
+    ASSERT_TRUE(raw.recv_frame(frame)) << "batch reply " << b << " missing";
+    ASSERT_EQ(frame.type, MsgType::kJobBatchResult);
+    const JobBatchResultMsg reply =
+        decode_job_batch_result(frame.payload, frame.version);
+    ASSERT_EQ(reply.entries.size(), kEntries);
+    for (std::uint32_t i = 0; i < kEntries; ++i) {
+      const JobBatchEntryMsg& e = reply.entries[i];
+      if (e.ok == 1) {
+        ASSERT_EQ(expected.count(e.result.tag), 1u) << e.result.tag;
+        EXPECT_EQ(e.result.outputs, expected[e.result.tag])
+            << "entry tag " << e.result.tag;
+        ++ok;
+      } else if (e.error.code == ErrorCode::kBusy) {
+        EXPECT_EQ(e.error.retry_after_ms, 7u);
+        EXPECT_NE(e.error.message.find("resubmit later"), std::string::npos);
+        ++busy;
+      } else {
+        EXPECT_EQ(e.error.code, ErrorCode::kBadRequest);
+        EXPECT_EQ(i, kBadEntry);
+        ++bad;
+      }
+    }
+  }
+  EXPECT_EQ(bad, kBatches);
+  EXPECT_EQ(ok + busy + bad, std::size_t{kBatches} * kEntries);
+
+  ts.stop();
+  const auto m = ts.server.metrics();
+  EXPECT_EQ(counter(m, "net.batch.jobs"), std::uint64_t{kBatches} * kEntries);
+  EXPECT_EQ(counter(m, "net.admission.accepted"), ok);
+  EXPECT_EQ(counter(m, "net.admission.shed"), busy);
+  EXPECT_EQ(counter(m, "net.admission.accepted") +
+                counter(m, "net.admission.shed") + bad,
+            counter(m, "net.batch.jobs"));
+  EXPECT_EQ(counter(m, "net.rejects.busy"), busy);
+  EXPECT_EQ(counter(m, "net.jobs.submitted"), ok);
+  EXPECT_EQ(counter(m, "net.jobs.completed"), ok);
+  EXPECT_EQ(counter(m, "rt.jobs"), ok);
+  // Groups, not entries, crossed the queue.
+  EXPECT_LT(counter(m, "rt.queue.enqueued"), ok);
+}
+
 // ---------------------------------------------------------------------------
 // Client pipelining API
 

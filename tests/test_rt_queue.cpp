@@ -14,7 +14,7 @@ namespace {
 
 JobQueue::Envelope envelope(std::string name) {
   JobQueue::Envelope e;
-  e.job.name = std::move(name);
+  e.jobs.emplace_back().name = std::move(name);
   return e;
 }
 
@@ -23,9 +23,9 @@ TEST(JobQueue, FifoOrder) {
   EXPECT_TRUE(q.push(envelope("a")));
   EXPECT_TRUE(q.push(envelope("b")));
   EXPECT_TRUE(q.push(envelope("c")));
-  EXPECT_EQ(q.pop()->job.name, "a");
-  EXPECT_EQ(q.pop()->job.name, "b");
-  EXPECT_EQ(q.pop()->job.name, "c");
+  EXPECT_EQ(q.pop()->jobs[0].name, "a");
+  EXPECT_EQ(q.pop()->jobs[0].name, "b");
+  EXPECT_EQ(q.pop()->jobs[0].name, "c");
 }
 
 TEST(JobQueue, RejectsZeroCapacity) {
@@ -47,13 +47,13 @@ TEST(JobQueue, PushBlocksWhenFullUntilPopped) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(third_pushed.load());
 
-  EXPECT_EQ(q.pop()->job.name, "a");
+  EXPECT_EQ(q.pop()->jobs[0].name, "a");
   producer.join();
   EXPECT_TRUE(third_pushed.load());
   EXPECT_GE(q.stats().blocked_pushes, 1u);
 
-  EXPECT_EQ(q.pop()->job.name, "b");
-  EXPECT_EQ(q.pop()->job.name, "c");
+  EXPECT_EQ(q.pop()->jobs[0].name, "b");
+  EXPECT_EQ(q.pop()->jobs[0].name, "c");
 }
 
 TEST(JobQueue, CloseDrainsBacklogThenEnds) {
@@ -65,8 +65,8 @@ TEST(JobQueue, CloseDrainsBacklogThenEnds) {
   EXPECT_FALSE(q.push(envelope("rejected")));
 
   // Backlog still drains after close...
-  EXPECT_EQ(q.pop()->job.name, "a");
-  EXPECT_EQ(q.pop()->job.name, "b");
+  EXPECT_EQ(q.pop()->jobs[0].name, "a");
+  EXPECT_EQ(q.pop()->jobs[0].name, "b");
   // ...then pop reports end-of-stream.
   EXPECT_FALSE(q.pop().has_value());
 }

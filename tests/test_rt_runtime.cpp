@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <future>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -422,6 +426,187 @@ TEST(RuntimeMetrics, ConcurrentSnapshotsSeeConsistentTotals) {
   }
   EXPECT_EQ(per_worker, kJobs);
   EXPECT_EQ(pool_runs, kJobs);
+}
+
+// ---- job groups ------------------------------------------------------
+//
+// A group is one queue envelope that one worker runs back to back:
+// same per-job path, same results, one future and one notify.
+
+/// fir, matvec8, dwt53 and motion estimation, twice over with
+/// different data, so a group mixes programs and repeats them.
+std::vector<Job> mixed_jobs() {
+  const std::vector<Word> coeffs{1, static_cast<Word>(-2), 3, 4};
+  std::vector<Job> jobs;
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    jobs.push_back(
+        kernels::make_spatial_fir_job(kGeom, signal(50 + round, 64), coeffs));
+    jobs.push_back(kernels::make_matvec8_job(kGeom, dsp::dct8_matrix_q7(),
+                                             signal(52 + round, 32)));
+    jobs.push_back(kernels::make_dwt53_job(kGeom, signal(54 + round, 64)));
+    jobs.push_back(kernels::make_motion_estimation_job(
+        kGeom, image(56 + round, 16, 16), 4, 4, image(58 + round, 16, 16),
+        1));
+  }
+  return jobs;
+}
+
+/// A fleet of `workers` with every other setting at its default.
+RuntimeConfig fleet(std::size_t workers) {
+  RuntimeConfig cfg;
+  cfg.workers = workers;
+  return cfg;
+}
+
+std::uint64_t counter_value(const obs::Registry& m, const char* name) {
+  const obs::Counter* c = m.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+// A group runs on one fresh worker in job order, exactly like single
+// submits to a one-worker fleet, so even the pool-warmth-dependent
+// ring.plan.* / ring.superstep.* report counters agree byte for byte.
+TEST(RuntimeGroup, ResultsMatchSingleSubmitsAtAnyWorkerCount) {
+  Runtime singles(fleet(1));
+  std::vector<JobResult> want;
+  for (Job& job : mixed_jobs()) {
+    want.push_back(singles.submit(std::move(job)).get());
+  }
+  const std::uint64_t want_cycles =
+      counter_value(singles.metrics(), "rt.sim_cycles");
+
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    Runtime rt(fleet(workers));
+    const std::vector<JobResult> got = rt.submit_group(mixed_jobs()).get();
+    ASSERT_EQ(got.size(), want.size()) << workers << " workers";
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(got[i].ok) << "job " << i << ": " << got[i].error;
+      EXPECT_EQ(got[i].outputs, want[i].outputs) << "job " << i;
+      EXPECT_EQ(got[i].report.to_json().dump(),
+                want[i].report.to_json().dump())
+          << "job " << i << " at " << workers << " workers";
+      EXPECT_EQ(got[i].worker, got[0].worker) << "one worker ran the group";
+    }
+    const obs::Registry m = rt.metrics();
+    EXPECT_EQ(counter_value(m, "rt.jobs"), got.size());
+    EXPECT_EQ(counter_value(m, "rt.queue.enqueued"), 1u);
+    EXPECT_EQ(counter_value(m, "rt.queue.dequeued"), 1u);
+    EXPECT_EQ(counter_value(m, "rt.sim_cycles"), want_cycles);
+  }
+}
+
+TEST(RuntimeGroup, NotifyRunsOnceAfterTheFutureIsReady) {
+  Runtime rt(fleet(2));
+  std::mutex mu;
+  std::condition_variable cv;
+  std::optional<std::shared_future<std::vector<JobResult>>> published;
+  std::atomic<int> calls{0};
+  std::atomic<bool> ready_in_notify{false};
+
+  std::vector<Job> jobs = mixed_jobs();
+  const std::size_t n = jobs.size();
+  Runtime::TrySubmitGroup t = rt.try_submit_group(jobs, [&] {
+    // The worker waits until the test has published its copy of the
+    // future, then checks it is already fulfilled.
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return published.has_value(); });
+    ready_in_notify = published->wait_for(std::chrono::seconds(0)) ==
+                      std::future_status::ready;
+    ++calls;
+  });
+  ASSERT_EQ(t.status, Runtime::SubmitStatus::kAccepted);
+  EXPECT_TRUE(jobs.empty()) << "an accepted group is consumed";
+  const std::shared_future<std::vector<JobResult>> shared = t.result.share();
+  {
+    std::lock_guard lock(mu);
+    published = shared;
+  }
+  cv.notify_all();
+  EXPECT_EQ(shared.get().size(), n);
+  rt.shutdown();  // joins the worker, so its notify has returned
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(ready_in_notify.load());
+}
+
+TEST(RuntimeGroup, RefusedGroupIsLeftWithTheCaller) {
+  Runtime rt(fleet(1));
+  rt.shutdown();
+  std::vector<Job> jobs = mixed_jobs();
+  const std::size_t n = jobs.size();
+  const Runtime::TrySubmitGroup t = rt.try_submit_group(jobs);
+  EXPECT_EQ(t.status, Runtime::SubmitStatus::kShutDown);
+  EXPECT_FALSE(t.result.valid());
+  ASSERT_EQ(jobs.size(), n);
+  EXPECT_EQ(jobs[1].name, "matvec8");
+  EXPECT_THROW((void)rt.submit_group(std::move(jobs)), SimError);
+}
+
+TEST(RuntimeGroup, FailingJobFailsOnlyItsOwnEntry) {
+  const std::vector<Word> coeffs{1, 2, 3, 4};
+  const std::vector<Word> x = signal(60, 64);
+  std::vector<Job> jobs;
+  jobs.push_back(kernels::make_spatial_fir_job(kGeom, x, coeffs));
+  Job starved = kernels::make_spatial_fir_job(kGeom, x, coeffs);
+  starved.max_cycles = 3;
+  jobs.push_back(std::move(starved));
+  Job null_prog;
+  null_prog.name = "null";
+  jobs.push_back(std::move(null_prog));
+  jobs.push_back(kernels::make_dwt53_job(kGeom, signal(61, 64)));
+
+  Runtime rt(fleet(2));
+  const std::vector<JobResult> r = rt.submit_group(std::move(jobs)).get();
+  ASSERT_EQ(r.size(), 4u);
+  ASSERT_TRUE(r[0].ok) << r[0].error;
+  EXPECT_EQ(r[0].outputs, dsp::fir_reference(x, coeffs));
+  EXPECT_FALSE(r[1].ok);
+  EXPECT_FALSE(r[1].error.empty());
+  EXPECT_FALSE(r[2].ok);
+  ASSERT_TRUE(r[3].ok) << r[3].error;
+  EXPECT_EQ(r[3].outputs,
+            rt.submit(kernels::make_dwt53_job(kGeom, signal(61, 64)))
+                .get()
+                .outputs);
+
+  const obs::Registry m = rt.metrics();
+  EXPECT_EQ(counter_value(m, "rt.jobs"), 5u);
+  EXPECT_EQ(counter_value(m, "rt.jobs_failed"), 2u);
+}
+
+// Each job of a group stamps its own pickup, so busy time and phase
+// latencies count every sibling once: the jobs' execute times fit in
+// rt.busy_us, which fits in the group's wall span.
+TEST(RuntimeGroup, ChildTimelinesNeverCountASiblingTwice) {
+  const TelemetryScope on(true);
+  Runtime rt(fleet(1));
+  const auto t0 = obs::SpanTimeline::Clock::now();
+  const std::vector<JobResult> r = rt.submit_group(mixed_jobs()).get();
+  const auto t1 = obs::SpanTimeline::Clock::now();
+  const std::uint64_t wall_us = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(t1 - t0)
+          .count());
+
+  std::uint64_t execute_sum = 0;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    ASSERT_TRUE(r[i].ok) << r[i].error;
+    const obs::SpanTimeline& tl = r[i].timeline;
+    execute_sum += tl.execute_us();
+    EXPECT_EQ(tl.at(obs::SpanTimeline::kEnqueued),
+              r[0].timeline.at(obs::SpanTimeline::kEnqueued));
+    if (i > 0) {
+      // Picked up only once the previous sibling completed.
+      EXPECT_GE(tl.at(obs::SpanTimeline::kDequeued),
+                r[i - 1].timeline.at(obs::SpanTimeline::kCompleted));
+    }
+  }
+  const obs::Registry m = rt.metrics();
+  const std::uint64_t busy = counter_value(m, "rt.busy_us");
+  EXPECT_LE(execute_sum, busy);
+  EXPECT_LE(busy, wall_us);
+  const obs::Histogram* exec = m.find_histogram("rt.latency.execute_us");
+  ASSERT_NE(exec, nullptr);
+  EXPECT_EQ(exec->count(), r.size());
+  EXPECT_EQ(exec->sum(), execute_sum);
 }
 
 }  // namespace

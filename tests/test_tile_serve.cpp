@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -263,6 +264,250 @@ TEST(TileServe, UnlowerableGeometryAnswersBadRequestAndSurvives) {
   const RemoteGemmResult ok = client.submit_gemm(spec, a, b, kGeom);
   ASSERT_TRUE(ok.ok) << ok.error;
   EXPECT_EQ(ok.c, tile::gemm_reference(spec, a, b));
+}
+
+tile::GemmSpec gemm_spec(std::size_t m, std::size_t k, std::size_t n,
+                         tile::Mapping mapping) {
+  tile::GemmSpec spec;
+  spec.m = m;
+  spec.k = k;
+  spec.n = n;
+  spec.dtype = tile::Dtype::kInt8;
+  spec.shift = 5;
+  spec.mapping = mapping;
+  return spec;
+}
+
+std::uint64_t counter(const obs::Registry& m, const char* name) {
+  const obs::Counter* c = m.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+// The server lowers each GEMM in schedule order and submits it as
+// contiguous step groups (GemmJobBuilder::group_steps).  A 2-deep queue
+// makes the pump hold refused groups, a 1- or 3-tile scratchpad caps
+// the group size and forces eviction; none of it may move an output
+// word or a scratchpad counter away from the local run.
+TEST(TileServe, GroupedGemmsMatchLocalRunsUnderHeldGroupsAndEviction) {
+  const tile::GemmSpec specs[] = {
+      gemm_spec(32, 16, 24, tile::Mapping::kOutputStationary),
+      gemm_spec(24, 24, 16, tile::Mapping::kWeightStationary),
+      gemm_spec(40, 24, 56, tile::Mapping::kWeightStationary),  // ragged
+  };
+  std::uint64_t seed = 0x6A0Bull;
+  for (const std::size_t workers : {1u, 2u, 3u}) {
+    ServerConfig scfg;
+    scfg.runtime.workers = workers;
+    scfg.runtime.queue_capacity = 2;
+    TestServer ts(scfg);
+    Client client(client_config(ts.server.port()));
+    rt::RuntimeConfig rcfg;
+    rcfg.workers = workers;
+    rt::Runtime local(rcfg);
+
+    std::uint64_t tiles = 0;
+    std::uint64_t groups = 0;
+    for (const std::uint32_t scratch : {1u, 3u, 128u}) {
+      for (const tile::GemmSpec& spec : specs) {
+        const auto a =
+            tile::random_operand(spec.m * spec.k, spec.dtype, ++seed);
+        const auto b =
+            tile::random_operand(spec.k * spec.n, spec.dtype, ++seed);
+        const RemoteGemmResult remote =
+            client.submit_gemm(spec, a, b, kGeom, scratch);
+        ASSERT_TRUE(remote.ok) << remote.error;
+        EXPECT_EQ(remote.c, tile::gemm_reference(spec, a, b))
+            << workers << " workers, scratch " << scratch;
+
+        tile::GemmRunConfig gcfg;
+        gcfg.geometry = kGeom;
+        gcfg.scratch_tiles = scratch;
+        const tile::GemmResult direct =
+            tile::run_gemm(local, gcfg, spec, a, b);
+        EXPECT_EQ(direct.c, remote.c);
+        EXPECT_EQ(remote.counter("tile.scratch.hits"), direct.scratch_hits);
+        EXPECT_EQ(remote.counter("tile.scratch.refills"),
+                  direct.scratch_refills);
+        EXPECT_EQ(remote.counter("tile.scratch.evictions"),
+                  direct.scratch_evictions);
+        EXPECT_EQ(remote.counter("tile.scratch.bytes_filled"),
+                  direct.bytes_filled);
+        EXPECT_EQ(remote.counter("tile.scratch.bytes_saved"),
+                  direct.bytes_saved);
+        EXPECT_EQ(remote.counter("tile.jobs"), direct.jobs);
+        EXPECT_EQ(remote.sim_cycles, direct.sim_cycles);
+
+        const std::size_t per_group = tile::GemmJobBuilder::group_steps(
+            direct.schedule, workers);
+        EXPECT_LE(per_group, scratch);
+        tiles += direct.jobs;
+        groups += (direct.jobs + per_group - 1) / per_group;
+      }
+    }
+    ts.stop();
+    const obs::Registry m = ts.server.metrics();
+    EXPECT_EQ(counter(m, "net.gemm.tile_jobs"), tiles);
+    EXPECT_EQ(counter(m, "rt.jobs"), tiles);
+    // One envelope per group: the queue saw groups, not tiles.
+    EXPECT_EQ(counter(m, "rt.queue.enqueued"), groups);
+    EXPECT_LT(groups, tiles);
+    EXPECT_EQ(counter(m, "net.jobs.completed"), 9u);
+    // The 2-deep queue refused groups, which the pump held and resent.
+    EXPECT_GT(counter(m, "rt.queue.rejected_full"), 0u);
+  }
+}
+
+// A served GEMM is one request: one e2e sample and one "gemm" flight
+// record from admission to reply.  Its tiles add phase samples only.
+TEST(TileServe, GemmRecordsOneE2eSampleAndOneFlightRecord) {
+  const bool telemetry_was = obs::telemetry_enabled();
+  obs::set_telemetry_enabled(true);
+  ServerConfig scfg;
+  scfg.runtime.workers = 2;
+  TestServer ts(scfg);
+  Client client(client_config(ts.server.port()));
+
+  const tile::GemmSpec spec =
+      gemm_spec(24, 16, 24, tile::Mapping::kOutputStationary);
+  const auto a = tile::random_operand(spec.m * spec.k, spec.dtype, 21);
+  const auto b = tile::random_operand(spec.k * spec.n, spec.dtype, 22);
+  const RemoteGemmResult r = client.submit_gemm(spec, a, b, kGeom, 128, 77);
+  ASSERT_TRUE(r.ok) << r.error;
+  const std::uint64_t tiles = r.counter("tile.jobs");
+  ASSERT_GT(tiles, 1u);
+
+  const StatsReplyMsg stats = ts.server.stats_snapshot(kStatsIncludeFlight);
+  std::size_t gemm_records = 0;
+  for (const obs::SpanRecord& rec : stats.flight) {
+    EXPECT_NE(rec.name, "gemm.tile");
+    if (rec.name != "gemm") continue;
+    ++gemm_records;
+    EXPECT_EQ(rec.trace_id, 77u);
+    EXPECT_TRUE(rec.ok);
+    EXPECT_EQ(rec.sim_cycles, r.sim_cycles);
+  }
+  EXPECT_EQ(gemm_records, 1u);
+
+  ts.stop();
+  const obs::Registry m = ts.server.metrics();
+  const obs::Histogram* e2e = m.find_histogram("net.latency.e2e_us");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count(), 1u);
+  const obs::Histogram* exec = m.find_histogram("net.latency.execute_us");
+  ASSERT_NE(exec, nullptr);
+  EXPECT_EQ(exec->count(), tiles);
+  obs::set_telemetry_enabled(telemetry_was);
+}
+
+/// A FIR job that pins the one worker for tens of milliseconds.
+JobRequest fat_fir(std::uint32_t tag) {
+  JobRequest req;
+  req.tag = tag;
+  req.kernel = KernelId::kFir;
+  req.geometry = kGeom;
+  req.fir_coeffs = {1, 2};
+  req.input.resize(std::size_t{1} << 19);
+  for (std::size_t i = 0; i < req.input.size(); ++i) {
+    req.input[i] = static_cast<Word>(i & 0x7F);
+  }
+  return req;
+}
+
+/// Spin until `done(metrics)` holds; false after 10 s.
+template <class Pred>
+bool await_metrics(const Server& server, Pred done) {
+  for (int i = 0; i < 10000; ++i) {
+    if (done(server.metrics())) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// Pin the one worker with a fat job, fill the 1-deep queue with a
+/// second, then send a 105-step GEMM over `raw`: its first group is
+/// refused and held.  Returns once the server has held it.
+void hold_a_gemm_group(TestServer& ts, RawConn& raw,
+                       const tile::GemmSpec& spec,
+                       const std::vector<Word>& a,
+                       const std::vector<Word>& b) {
+  std::vector<std::uint8_t> wire;
+  append_frame(wire, MsgType::kSubmitJob, encode_job_request(fat_fir(1)));
+  raw.send_all(wire);
+  ASSERT_TRUE(await_metrics(ts.server, [](const obs::Registry& m) {
+    return counter(m, "rt.queue.dequeued") == 1;
+  }));
+  wire.clear();
+  append_frame(wire, MsgType::kSubmitJob, encode_job_request(fat_fir(2)));
+  raw.send_all(wire);
+  ASSERT_TRUE(await_metrics(ts.server, [](const obs::Registry& m) {
+    return counter(m, "rt.queue.depth") == 1;
+  }));
+  SubmitGemmMsg msg;
+  msg.tag = 3;
+  msg.spec = spec;
+  msg.a = a;
+  msg.b = b;
+  msg.scratch_tiles = 1;  // one step per group
+  wire.clear();
+  append_frame(wire, MsgType::kSubmitGemm, encode_submit_gemm(msg));
+  raw.send_all(wire);
+  ASSERT_TRUE(await_metrics(ts.server, [](const obs::Registry& m) {
+    return counter(m, "rt.queue.rejected_full") >= 1;
+  }));
+}
+
+ServerConfig one_slot_server() {
+  ServerConfig scfg;
+  scfg.runtime.workers = 1;
+  scfg.runtime.queue_capacity = 1;
+  return scfg;
+}
+
+TEST(TileServe, DisconnectWhileAGroupIsHeldLeavesServerHealthy) {
+  TestServer ts(one_slot_server());
+  const tile::GemmSpec spec =
+      gemm_spec(40, 24, 56, tile::Mapping::kWeightStationary);
+  const auto a = tile::random_operand(spec.m * spec.k, spec.dtype, 31);
+  const auto b = tile::random_operand(spec.k * spec.n, spec.dtype, 32);
+  {
+    RawConn raw(ts.server.port());
+    hold_a_gemm_group(ts, raw, spec, a, b);
+    // Hang up with a group held and the rest of the GEMM unlowered.
+  }
+  Client client(client_config(ts.server.port()));
+  const RemoteGemmResult r = client.submit_gemm(spec, a, b, kGeom, 3);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.c, tile::gemm_reference(spec, a, b));
+  ts.stop();  // returns: the orphaned GEMM finished and was dropped
+  EXPECT_EQ(counter(ts.server.metrics(), "net.gemm.requests"), 2u);
+}
+
+TEST(TileServe, DrainWhileAGroupIsHeldAnswersEveryRequest) {
+  TestServer ts(one_slot_server());
+  const tile::GemmSpec spec =
+      gemm_spec(40, 24, 56, tile::Mapping::kWeightStationary);
+  const auto a = tile::random_operand(spec.m * spec.k, spec.dtype, 41);
+  const auto b = tile::random_operand(spec.k * spec.n, spec.dtype, 42);
+  RawConn raw(ts.server.port());
+  hold_a_gemm_group(ts, raw, spec, a, b);
+  ts.server.request_drain();
+
+  std::size_t fir_results = 0;
+  bool gemm_answered = false;
+  Frame frame;
+  while (raw.recv_frame(frame)) {
+    ASSERT_EQ(frame.type, MsgType::kJobResult);
+    const JobResultMsg msg = decode_job_result(frame.payload, frame.version);
+    if (msg.tag == 3) {
+      EXPECT_EQ(msg.outputs, tile::gemm_reference(spec, a, b));
+      gemm_answered = true;
+    } else {
+      ++fir_results;
+    }
+  }
+  EXPECT_EQ(fir_results, 2u);
+  EXPECT_TRUE(gemm_answered);
+  ts.stop();
 }
 
 }  // namespace
