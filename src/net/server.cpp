@@ -302,14 +302,11 @@ void Server::handle_submit(Shard& shard, Conn& conn, const Frame& frame) {
   rt::Job job;
   try {
     job = to_rt_job(req);
-  } catch (const SimError& e) {
-    send_error(conn, req.tag, ErrorCode::kBadRequest, e.what(),
-               frame.version);
-    return;
   } catch (const std::exception& e) {
-    // e.g. std::bad_alloc from a request whose parameters demand more
-    // memory than the host has — the never-crash invariant holds: the
-    // request fails, the server keeps serving.
+    // A SimError from the kernel builders, or e.g. std::bad_alloc from
+    // a request whose parameters demand more memory than the host has
+    // — the never-crash invariant holds: the request fails, the server
+    // keeps serving.
     send_error(conn, req.tag, ErrorCode::kBadRequest, e.what(),
                frame.version);
     return;
