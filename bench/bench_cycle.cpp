@@ -74,8 +74,6 @@ std::string arch_stats_string(SystemStats s) {
   s.plan_invalidations = 0;
   s.plan_content_hits = 0;
   s.plan_evictions = 0;
-  s.plan_seq_fusions = 0;
-  s.plan_seq_hits = 0;
   return s.to_string();
 }
 
@@ -117,8 +115,6 @@ struct RunMeasure {
   std::uint64_t plan_invalidations = 0;
   std::uint64_t plan_content_hits = 0;
   std::uint64_t plan_evictions = 0;
-  std::uint64_t plan_seq_fusions = 0;
-  std::uint64_t plan_seq_hits = 0;
   std::uint64_t superstep_cycles = 0;
 };
 
@@ -156,8 +152,6 @@ RunMeasure timed_run(const rt::Job& job, Path path) {
   m.plan_invalidations = sys.ring().plan_invalidations();
   m.plan_content_hits = sys.ring().plan_content_hits();
   m.plan_evictions = sys.ring().plan_evictions();
-  m.plan_seq_fusions = sys.ring().plan_seq_fusions();
-  m.plan_seq_hits = sys.ring().plan_seq_hits();
   m.superstep_cycles = sys.ring().superstep_cycles();
   return m;
 }
@@ -174,8 +168,6 @@ struct KernelPoint {
   /// never seen compiled before) = invalidations - content_hits.
   std::uint64_t plan_content_hits = 0;
   std::uint64_t plan_evictions = 0;
-  std::uint64_t plan_seq_fusions = 0;
-  std::uint64_t plan_seq_hits = 0;
   /// Share of the superstep run's cycles executed inside fused
   /// dispatches (controller-driven ones included).
   double superstep_cycle_share = 0.0;
@@ -215,8 +207,6 @@ KernelPoint measure(const rt::Job& job, std::size_t reps) {
     p.plan_invalidations = super.plan_invalidations;
     p.plan_content_hits = super.plan_content_hits;
     p.plan_evictions = super.plan_evictions;
-    p.plan_seq_fusions = super.plan_seq_fusions;
-    p.plan_seq_hits = super.plan_seq_hits;
     p.superstep_cycle_share = static_cast<double>(super.superstep_cycles) /
                               static_cast<double>(super.cycles);
     p.outputs_fnv64 = fnv64(super.outputs);
@@ -318,8 +308,8 @@ int main(int argc, char** argv) {
           "  %-12s %8llu cycles  interp %9.0f cyc/s  planned %9.0f cyc/s"
           "  superstep %9.0f cyc/s  speedup %.2fx\n"
           "  %-12s hit rate %.1f%%  compiles %llu  detaches %llu"
-          "  (re-attached %llu, true misses %llu)  seq fusions %llu"
-          "  seq hits %llu  evictions %llu  fused %.1f%%\n",
+          "  (re-attached %llu, true misses %llu)  evictions %llu"
+          "  fused %.1f%%\n",
           p.name.c_str(), static_cast<unsigned long long>(p.cycles), interp,
           planned, super, speedup, "", 100.0 * p.plan_hit_rate,
           static_cast<unsigned long long>(p.plan_compiles),
@@ -327,8 +317,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(p.plan_content_hits),
           static_cast<unsigned long long>(p.plan_invalidations -
                                           p.plan_content_hits),
-          static_cast<unsigned long long>(p.plan_seq_fusions),
-          static_cast<unsigned long long>(p.plan_seq_hits),
           static_cast<unsigned long long>(p.plan_evictions),
           100.0 * p.superstep_cycle_share);
     }
@@ -364,8 +352,6 @@ int main(int argc, char** argv) {
       jp.set("plan_true_misses",
              p.plan_invalidations - p.plan_content_hits);
       jp.set("plan_evictions", p.plan_evictions);
-      jp.set("plan_seq_fusions", p.plan_seq_fusions);
-      jp.set("plan_seq_hits", p.plan_seq_hits);
       jp.set("superstep_cycle_share", p.superstep_cycle_share);
       char digest[19];
       std::snprintf(digest, sizeof digest, "0x%016llx",

@@ -154,14 +154,12 @@ void Ring::reset_arch_state() {
   synced_valid_ = true;
   local_generation_ = 0;
   local_hash_gen_ = ~std::uint64_t{0};
-  unfuse();
+  page_index_.clear();
   plan_compiles_ = 0;
   plan_hits_ = 0;
   plan_invalidations_ = 0;
   plan_content_hits_ = 0;
   plan_evictions_ = 0;
-  plan_seq_fusions_ = 0;
-  plan_seq_hits_ = 0;
 }
 
 void Ring::reset() {
@@ -173,16 +171,11 @@ void Ring::reset() {
 }
 
 void Ring::reset_for_rerun() {
+  // Keep compiled plans; reset_arch_state() drops the page index, so
+  // the first re-attachment of every entry re-verifies the full content
+  // against the rerun's fresh image and a different program misses
+  // cleanly.
   reset_arch_state();
-  // Keep compiled plans but drop their provenance hints: the rerun's
-  // configuration is a fresh image (reset_live + reprogramming), so
-  // the first re-attachment of every entry must re-verify the full
-  // content before the O(1) hint is re-established.  A rerun with a
-  // different program therefore misses cleanly.
-  for (auto& e : plan_cache_) {
-    e->src_uid = 0;
-    e->src_page = -1;
-  }
 }
 
 Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
@@ -237,35 +230,19 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
     ++plan_invalidations_;
   }
 
-  // Fused sequence first: if the rotation was recognized, the predicted
-  // successor re-attaches after an O(1) provenance check — no hashing,
-  // no cache scan.
-  if (seq_fused_) {
-    PlanCacheEntry* const pred = seq_[seq_pos_];
-    if (hint_matches(*pred, cfg)) {
-      seq_pos_ = (seq_pos_ + 1) % seq_.size();
-      ++plan_seq_hits_;
-      ++plan_content_hits_;
-      ++plan_hits_;
-      attach_plan(pred, cfg);
-      return pred;
-    }
+  // A page swap back to a page that had a plan attached: the page is
+  // immutable, so the index proves the content — no hashing, no scan.
+  if (PlanCacheEntry* const e = indexed(cfg)) {
+    ++plan_content_hits_;
+    ++plan_hits_;
+    attach_plan(e, cfg);
+    return e;
   }
 
   // Content-keyed lookup: hash the live configuration and scan the
-  // cache (hint or full-content verified).
+  // cache (full-content verified).
   const std::uint64_t key = live_key_hash(cfg);
   PlanCacheEntry* const e = find_entry(cfg, key);
-  if (seq_fused_) {
-    // The hint couldn't prove the prediction (e.g. word-written
-    // content with no page provenance).  Reconcile with the lookup:
-    // the predicted entry keeps the fusion, anything else breaks it.
-    if (e != nullptr && e == seq_[seq_pos_]) {
-      seq_pos_ = (seq_pos_ + 1) % seq_.size();
-    } else {
-      unfuse();
-    }
-  }
   if (e == nullptr) {
     insert_entry(cfg, key)->sightings = 1;
     return nullptr;  // first sighting: interpret
@@ -362,13 +339,8 @@ Ring::PlanCacheEntry* Ring::find_entry(const ConfigMemory& cfg,
                                        std::uint64_t key) {
   for (auto& p : plan_cache_) {
     if (p->key_hash != key) continue;
-    if (hint_matches(*p, cfg) || content_matches(cfg, p->content)) {
-      // Content verified: (re-)establish the O(1) provenance hint for
-      // the next sighting and protect the entry from eviction.
-      p->src_uid = cfg.uid();
-      p->src_page = cfg.live_page();
-      p->src_local_gen = local_generation_;
-      p->last_use = ++plan_use_clock_;
+    if (content_matches(cfg, p->content)) {
+      p->last_use = ++plan_use_clock_;  // protect from eviction
       return p.get();
     }
   }
@@ -383,21 +355,18 @@ Ring::PlanCacheEntry* Ring::insert_entry(const ConfigMemory& cfg,
     e = plan_cache_.back().get();
   } else {
     // Evict the least-recently-attached entry and reuse its storage.
-    // The sequence history may reference the victim — drop it.
+    // The page index may reference the victim — drop it.
     e = plan_cache_.front().get();
     for (auto& p : plan_cache_) {
       if (p->last_use < e->last_use) e = p.get();
     }
     ++plan_evictions_;
-    unfuse();
+    page_index_.clear();
     e->compiled = false;
     e->content.clear();
   }
   e->key_hash = key;
   build_content(cfg, e->content);
-  e->src_uid = cfg.uid();
-  e->src_page = cfg.live_page();
-  e->src_local_gen = local_generation_;
   e->sightings = 0;
   e->last_use = ++plan_use_clock_;
   return e;
@@ -408,15 +377,24 @@ void Ring::attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg) {
   plan.cfg_uid = cfg.uid();
   plan.cfg_generation = cfg.generation();
   plan.local_generation = local_generation_;
-  e->src_uid = cfg.uid();
-  e->src_page = cfg.live_page();
-  e->src_local_gen = local_generation_;
   e->last_use = ++plan_use_clock_;
+  if (cfg.live_page() >= 0) {
+    const auto page = static_cast<std::size_t>(cfg.live_page());
+    if (page_index_uid_ != cfg.uid() ||
+        page_index_local_gen_ != local_generation_) {
+      page_index_.clear();
+      page_index_uid_ = cfg.uid();
+      page_index_local_gen_ = local_generation_;
+    }
+    if (page >= page_index_.size()) {
+      page_index_.resize(cfg.page_count(), nullptr);
+    }
+    page_index_[page] = e;
+  }
   // The sync would rewrite last_mode_ to what it already holds when
   // the local set is unchanged (page rotations over global-mode pages).
   mode_synced_ = synced_valid_ && plan.local_dnodes == synced_local_;
   current_plan_ = e;
-  note_attach(e);
 }
 
 void Ring::sync_modes(const CyclePlan& plan) {
@@ -432,46 +410,6 @@ void Ring::sync_modes(const CyclePlan& plan) {
   synced_local_ = plan.local_dnodes;
   synced_valid_ = true;
   mode_synced_ = true;
-}
-
-void Ring::note_attach(PlanCacheEntry* e) {
-  if (seq_fused_) return;  // prediction owns the cursor while fused
-  plan_history_.push_back(e);
-  if (plan_history_.size() > 3 * kMaxSuperstepPeriod) {
-    plan_history_.erase(
-        plan_history_.begin(),
-        plan_history_.end() -
-            static_cast<std::ptrdiff_t>(2 * kMaxSuperstepPeriod));
-  }
-  // Periodic rotation: the last p attachments repeat the p before
-  // them.  The inner loop's first compare (current entry vs the one a
-  // period ago) prunes almost every candidate period immediately.
-  const std::size_t h = plan_history_.size();
-  const std::size_t max_p = std::min(kMaxSuperstepPeriod, h / 2);
-  for (std::size_t p = 1; p <= max_p; ++p) {
-    bool match = true;
-    for (std::size_t k = 0; k < p; ++k) {
-      if (plan_history_[h - 1 - k] != plan_history_[h - 1 - p - k]) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    seq_.assign(plan_history_.end() - static_cast<std::ptrdiff_t>(p),
-                plan_history_.end());
-    seq_pos_ = 0;
-    seq_fused_ = true;
-    ++plan_seq_fusions_;
-    plan_history_.clear();
-    return;
-  }
-}
-
-void Ring::unfuse() noexcept {
-  seq_.clear();
-  seq_pos_ = 0;
-  seq_fused_ = false;
-  plan_history_.clear();
 }
 
 // --- cycle execution ----------------------------------------------------

@@ -34,13 +34,13 @@
 // generation.  A configuration write detaches the current plan, but if
 // the resulting content was seen before (hardware multiplexing:
 // configware pages pulsed in rotation, or a word rewritten with the
-// byte-identical value), the cached plan re-attaches in O(1) instead
-// of recompiling.  Unknown content is interpreted and compiled on its
-// second sighting.  On top of the cache, the Ring watches the sequence
-// of plan attachments: a periodic rotation (period capped like the
-// superstep LCM) is fused so each detach predicts its successor and
-// verifies it by provenance in O(1) — no hashing, no lookup.  One
-// lookup (lookup()) serves step() and the fused loop alike.
+// byte-identical value), the cached plan re-attaches instead of
+// recompiling.  Unknown content is interpreted and compiled on its
+// second sighting.  A page swap back to a page that had a plan
+// attached re-attaches through a per-page index in O(1): pages are
+// immutable, so under the same ConfigMemory and local programs the
+// page index alone identifies the content.  One lookup (lookup())
+// serves step() and the fused loop alike.
 //
 // Every planned cycle runs from the plan's superstep tape: one cycle
 // per step(), many per run_planned() dispatch.  Between runs the tape's
@@ -265,13 +265,6 @@ class Ring {
   }
   /// Cache entries discarded to stay within kPlanCacheCapacity.
   std::uint64_t plan_evictions() const noexcept { return plan_evictions_; }
-  /// Periodic plan-attachment sequences recognized and fused.
-  std::uint64_t plan_seq_fusions() const noexcept {
-    return plan_seq_fusions_;
-  }
-  /// Re-attachments served by sequence prediction (O(1) provenance
-  /// check, no hash/lookup).  Subset of plan_content_hits.
-  std::uint64_t plan_seq_hits() const noexcept { return plan_seq_hits_; }
   bool plan_cache_enabled() const noexcept { return plan_enabled_; }
   /// Superstep dispatches (run_planned() calls that completed >= 1
   /// cycle) and total cycles they covered, controller-driven and
@@ -316,13 +309,12 @@ class Ring {
 
   /// Clear architectural state but KEEP the compiled plan cache — the
   /// pooled-rerun fast path.  Cached plans re-attach on the rerun only
-  /// after their content key is re-verified against the live
-  /// configuration (provenance hints are dropped, so the first
-  /// re-attachment per entry does a full content compare), which makes
-  /// a rerun of a different program a clean miss.  Counters are zeroed
-  /// and the sequence fusion state cleared; outputs and architectural
-  /// statistics of a rerun are bit-identical to a fresh System, only
-  /// the ring.plan.* counters reflect the warm cache.
+  /// after their content is re-verified against the live configuration
+  /// (the page index is dropped, so the first re-attachment per entry
+  /// does a full content compare), which makes a rerun of a different
+  /// program a clean miss.  Counters are zeroed; outputs and
+  /// architectural statistics of a rerun are bit-identical to a fresh
+  /// System, only the ring.plan.* counters reflect the warm cache.
   void reset_for_rerun();
 
  private:
@@ -331,17 +323,9 @@ class Ring {
     std::uint64_t key_hash = 0;  ///< content_hash(cfg) mixed w/ local hash
     /// Full content snapshot backing the hash: live instruction words,
     /// widened mode bytes, route words, then per-Dnode local limit +
-    /// raw slots.  Collision guard — a hash match attaches only after
-    /// this compares equal (or the provenance hint proves identity).
+    /// raw slots.  Collision guard — the content lookup attaches a
+    /// hash match only after this compares equal.
     std::vector<std::uint64_t> content;
-    // Provenance hint: the content is byte-identical to the live image
-    // whenever the same ConfigMemory (uid) has the same immutable page
-    // applied and no local-control write happened since — an O(1)
-    // identity proof that skips the content compare.  src_page == -1
-    // (word-written image) never matches.
-    std::uint64_t src_uid = 0;
-    std::ptrdiff_t src_page = -1;
-    std::uint64_t src_local_gen = 0;
     std::uint32_t sightings = 0;  ///< compile on the second sighting
     std::uint64_t last_use = 0;   ///< LRU clock for eviction
     /// Compiled; the entry is interpret-only when its plan has no tape
@@ -381,8 +365,8 @@ class Ring {
     }
     return lookup_changed(cfg);
   }
-  /// The configuration changed: predicted successor, content lookup,
-  /// then first sighting (interpret) or second sighting (compile).
+  /// The configuration changed: page index, content lookup, then first
+  /// sighting (interpret) or second sighting (compile).
   PlanCacheEntry* lookup_changed(const ConfigMemory& cfg);
   /// Hash of the local-control content (limits + raw slots), cached
   /// per local_generation_.
@@ -394,24 +378,26 @@ class Ring {
                      std::vector<std::uint64_t>& out) const;
   bool content_matches(const ConfigMemory& cfg,
                        const std::vector<std::uint64_t>& content) const;
-  bool hint_matches(const PlanCacheEntry& e,
-                    const ConfigMemory& cfg) const noexcept {
-    return e.src_page >= 0 && e.src_uid == cfg.uid() &&
-           e.src_page == cfg.live_page() &&
-           e.src_local_gen == local_generation_;
+  /// The entry the page index holds for the live page, or nullptr.
+  PlanCacheEntry* indexed(const ConfigMemory& cfg) const noexcept {
+    // No page live (-1) wraps past the end.
+    const auto page = static_cast<std::size_t>(cfg.live_page());
+    return page < page_index_.size() && page_index_uid_ == cfg.uid() &&
+                   page_index_local_gen_ == local_generation_
+               ? page_index_[page]
+               : nullptr;
   }
-  /// Find the entry for the live content (hash + hint-or-content
-  /// verify), or nullptr.
+  /// Find the entry for the live content (hash + content verify), or
+  /// nullptr.
   PlanCacheEntry* find_entry(const ConfigMemory& cfg, std::uint64_t key);
   /// Shared architectural-state reset (Dnodes, pipes, statistics).
   void reset_arch_state();
   /// Insert a fresh entry for the live content, evicting the LRU entry
   /// at capacity.  Returns the (possibly reused) entry.
   PlanCacheEntry* insert_entry(const ConfigMemory& cfg, std::uint64_t key);
-  /// Make `e` the attached plan: restamp the validity key, refresh the
-  /// provenance hint, arm the mode sync unless the plan's local set is
-  /// the one already synced, record the attachment in the sequence
-  /// history.
+  /// Make `e` the attached plan: restamp the validity key, index it
+  /// under the live page, arm the mode sync unless the plan's local set
+  /// is the one already synced.
   void attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg);
   /// True while `plan` still describes the live configuration.
   bool plan_current(const CyclePlan& plan,
@@ -455,10 +441,6 @@ class Ring {
   /// Settle the per-op statistics of the cycles `e`'s tape ran since
   /// its last flush (no-op when it ran none).
   void flush_tape(PlanCacheEntry& e, SuperstepResult& res);
-  /// Record an attachment in the history and try to detect a periodic
-  /// sequence (no-op while fused).
-  void note_attach(PlanCacheEntry* e);
-  void unfuse() noexcept;
 
   RingGeometry geom_;
   std::vector<Dnode> dnodes_;              // [layer * lanes + lane]
@@ -490,19 +472,17 @@ class Ring {
   std::uint64_t local_generation_ = 0;
   std::uint64_t local_hash_ = 0;
   std::uint64_t local_hash_gen_ = ~std::uint64_t{0};
-  // Sequence fusion: history of recent attachments while hunting for a
-  // period; the fused sequence and its cursor afterwards.
-  std::vector<PlanCacheEntry*> plan_history_;
-  std::vector<PlanCacheEntry*> seq_;
-  std::size_t seq_pos_ = 0;
-  bool seq_fused_ = false;
+  // Page index: page_index_[p] is the entry attached while page p was
+  // live (nullptr: none yet), valid for one (cfg uid, local_generation_)
+  // pair.  Cleared by an eviction (it reuses an entry) and by resets.
+  std::vector<PlanCacheEntry*> page_index_;
+  std::uint64_t page_index_uid_ = 0;
+  std::uint64_t page_index_local_gen_ = 0;
   std::uint64_t plan_compiles_ = 0;
   std::uint64_t plan_hits_ = 0;
   std::uint64_t plan_invalidations_ = 0;
   std::uint64_t plan_content_hits_ = 0;
   std::uint64_t plan_evictions_ = 0;
-  std::uint64_t plan_seq_fusions_ = 0;
-  std::uint64_t plan_seq_hits_ = 0;
 
   // Per-cycle scratch (members to avoid per-step allocations).
   struct PortNeed {

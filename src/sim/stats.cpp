@@ -29,8 +29,6 @@ std::string SystemStats::to_string() const {
   s += " plan_invalidations=" + std::to_string(plan_invalidations);
   s += " plan_content_hits=" + std::to_string(plan_content_hits);
   s += " plan_evictions=" + std::to_string(plan_evictions);
-  s += " plan_seq_fusions=" + std::to_string(plan_seq_fusions);
-  s += " plan_seq_hits=" + std::to_string(plan_seq_hits);
   return s;
 }
 

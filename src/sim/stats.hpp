@@ -29,8 +29,6 @@ struct SystemStats {
   /// plan_invalidations - plan_content_hits is the true miss count.
   std::uint64_t plan_content_hits = 0;
   std::uint64_t plan_evictions = 0;      ///< plan-cache entries discarded
-  std::uint64_t plan_seq_fusions = 0;    ///< periodic plan rotations fused
-  std::uint64_t plan_seq_hits = 0;       ///< re-attaches served by prediction
 
   /// Fraction of Dnode issue slots used, given the Dnode count.
   double utilization(std::size_t dnode_count) const noexcept;

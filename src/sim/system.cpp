@@ -203,8 +203,6 @@ SystemStats System::stats() const {
   s.plan_invalidations = ring_.plan_invalidations();
   s.plan_content_hits = ring_.plan_content_hits();
   s.plan_evictions = ring_.plan_evictions();
-  s.plan_seq_fusions = ring_.plan_seq_fusions();
-  s.plan_seq_hits = ring_.plan_seq_hits();
   return s;
 }
 
@@ -323,8 +321,6 @@ RingMetrics System::ring_metrics() const {
   set(ring_slot("ring.plan.invalidations"), s.plan_invalidations);
   set(ring_slot("ring.plan.content_hits"), s.plan_content_hits);
   set(ring_slot("ring.plan.evictions"), s.plan_evictions);
-  set(ring_slot("ring.plan.seq_fusions"), s.plan_seq_fusions);
-  set(ring_slot("ring.plan.seq_hits"), s.plan_seq_hits);
   // Superstep engine activity.  These are the ONLY values allowed to
   // differ between superstep and per-cycle execution of the same run.
   set(RingMetrics::kSuperstepDispatches, ring_.superstep_dispatches());

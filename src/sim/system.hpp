@@ -37,7 +37,7 @@ struct SystemConfig {
 
 /// Names of the ring-wide counters, in RingMetrics slot order: the
 /// one table that renders the block.
-inline constexpr std::array<std::string_view, 25> kRingCounterNames{
+inline constexpr std::array<std::string_view, 23> kRingCounterNames{
     "sys.cycles",              "sys.ring_stall_cycles",
     "sys.dnode_ops",           "sys.arith_ops",
     "ctrl.instructions",       "ctrl.stall.inpop",
@@ -46,8 +46,7 @@ inline constexpr std::array<std::string_view, 25> kRingCounterNames{
     "cfg.words_written",       "cfg.route_changes",
     "ring.plan.compiles",      "ring.plan.hits",
     "ring.plan.invalidations", "ring.plan.content_hits",
-    "ring.plan.evictions",     "ring.plan.seq_fusions",
-    "ring.plan.seq_hits",      "ring.superstep.dispatches",
+    "ring.plan.evictions",     "ring.superstep.dispatches",
     "ring.superstep.cycles",   "host.words_in",
     "host.words_out",          "host.link_words_to_core",
     "host.link_words_to_host",

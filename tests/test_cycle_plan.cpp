@@ -43,8 +43,6 @@ SystemStats arch_only(SystemStats s) {
   s.plan_invalidations = 0;
   s.plan_content_hits = 0;
   s.plan_evictions = 0;
-  s.plan_seq_fusions = 0;
-  s.plan_seq_hits = 0;
   return s;
 }
 
@@ -644,8 +642,9 @@ loop:
 
 TEST(Superstep, MidRunConfigWritesBreakFusionAndResume) {
   // A page rotation with one WRCFG and one WRLOC half-way: the word
-  // write and the local-program write cannot be predicted, so those
-  // cycles finish through Ring::step; the rotation re-fuses afterwards.
+  // write and the local-program write make content never seen before,
+  // so those cycles finish through Ring::step; the rotation re-fuses
+  // afterwards.
   const RingGeometry g{4, 2, 8};
   ProgramBuilder pb(g, "midrun_writes");
   const std::size_t idle = pb.add_page(PageBuilder(g));

@@ -9,8 +9,13 @@
 // `a.b.c/d/e` lists siblings of the last segment (or of the last
 // `_`-suffix, as in `rt.host_words_in/out`), and a token starting with
 // a dot (`.alu`) is a sibling of the previous token's last segment.
+//
+// The ring-wide counter table is checked in both directions: every
+// kRingCounterNames entry is documented, and every `ring.*` row of
+// OBSERVABILITY.md's Metrics table is a counter the code produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <regex>
 #include <set>
@@ -24,6 +29,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "rt/runtime.hpp"
+#include "sim/system.hpp"
 #include "tile/gemm_ref.hpp"
 
 namespace sring {
@@ -80,6 +86,26 @@ std::set<std::string> documented_names() {
         }
       }
       prev = first;
+    }
+  }
+  return out;
+}
+
+/// The `ring.*` names in the first column of OBSERVABILITY.md's
+/// Metrics table.
+std::set<std::string> ring_table_names() {
+  std::ifstream in(std::string(SRING_DOCS_DIR) + "/OBSERVABILITY.md");
+  EXPECT_TRUE(in);
+  std::set<std::string> out;
+  const std::regex token("`(ring\\.[^`]+)`");
+  bool in_table = false;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("## ", 0) == 0) in_table = line == "## Metrics";
+    if (!in_table || line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(0, line.find('|', 1));
+    for (std::sregex_iterator it(cell.begin(), cell.end(), token), end;
+         it != end; ++it) {
+      out.insert((*it)[1].str());
     }
   }
   return out;
@@ -167,6 +193,22 @@ TEST(MetricCatalogue, EveryProducedNameIsDocumented) {
   }
   EXPECT_GT(produced.size(), 100u);
   EXPECT_TRUE(missing.empty()) << "undocumented metric names:" << missing;
+}
+
+TEST(MetricCatalogue, RingCountersAndTheMetricsTableAgree) {
+  const std::set<std::string> documented = documented_names();
+  for (const std::string_view name : kRingCounterNames) {
+    EXPECT_EQ(documented.count(std::string(name)), 1u)
+        << "undocumented ring counter " << name;
+  }
+  const std::set<std::string> table = ring_table_names();
+  EXPECT_GE(table.size(), 7u);
+  for (const std::string& name : table) {
+    EXPECT_NE(std::find(kRingCounterNames.begin(), kRingCounterNames.end(),
+                        name),
+              kRingCounterNames.end())
+        << "documented ring counter the code no longer produces: " << name;
+  }
 }
 
 }  // namespace

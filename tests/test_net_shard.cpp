@@ -374,8 +374,17 @@ TEST(NetShard, DrainCompletesQueuedFramesBeforeClosing) {
   RawConn raw(ts.server.port());
   raw.send_all(wire);
 
-  // Let the shard parse and admit the burst, then drain mid-flight.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Wait until the shard has parsed and admitted the whole burst, then
+  // drain mid-flight.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter(ts.server.metrics(), "net.jobs.submitted") < kBurst) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the shard admitted only "
+        << counter(ts.server.metrics(), "net.jobs.submitted") << " of "
+        << kBurst << " frames within 10 s";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   ts.server.request_drain();
 
   std::size_t results = 0;

@@ -345,8 +345,6 @@ SystemStats arch_only(SystemStats s) {
   s.plan_invalidations = 0;
   s.plan_content_hits = 0;
   s.plan_evictions = 0;
-  s.plan_seq_fusions = 0;
-  s.plan_seq_hits = 0;
   return s;
 }
 

@@ -1,9 +1,11 @@
 // The Ring's content-keyed plan cache: hardware multiplexing over a
 // repertoire of configuration pages must compile each distinct
 // configware content once (not once per rewrite), re-attach cached
-// plans on byte-identical rewrites, fuse periodic page sequences into
-// O(1) predicted re-attachment, bound its memory via LRU eviction, and
-// stay bit-identical to the interpreter through all of it.
+// plans on byte-identical rewrites and, through the per-page index, on
+// page swaps in any order, drop that index whenever it could lie
+// (local-control writes, eviction, reruns), bound its memory via LRU
+// eviction, and stay bit-identical to the interpreter through all of
+// it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,8 +38,6 @@ SystemStats arch_only(SystemStats s) {
   s.plan_invalidations = 0;
   s.plan_content_hits = 0;
   s.plan_evictions = 0;
-  s.plan_seq_fusions = 0;
-  s.plan_seq_hits = 0;
   return s;
 }
 
@@ -78,8 +78,6 @@ struct PageCycleRun {
   std::vector<Word> outputs;
   SystemStats stats;
   std::uint64_t cycles = 0;
-  std::uint64_t seq_fusions = 0;
-  std::uint64_t seq_hits = 0;
   std::uint64_t evictions = 0;
 };
 
@@ -96,13 +94,11 @@ PageCycleRun run_page_cycle(const LoadableProgram& program,
   r.outputs = sys.host().take_received();
   r.stats = sys.stats();
   r.cycles = sys.cycle();
-  r.seq_fusions = sys.ring().plan_seq_fusions();
-  r.seq_hits = sys.ring().plan_seq_hits();
   r.evictions = sys.ring().plan_evictions();
   return r;
 }
 
-TEST(PlanCache, PageRepertoireCompilesOncePerContentAndFuses) {
+TEST(PlanCache, PageRepertoireCompilesOncePerContent) {
   constexpr std::size_t kPages = 4;
   constexpr std::size_t kIters = 60;
   const LoadableProgram program =
@@ -132,11 +128,6 @@ TEST(PlanCache, PageRepertoireCompilesOncePerContentAndFuses) {
             kPages + 1);
   EXPECT_GT(planned.stats.plan_hits, planned.cycles / 2)
       << "the multiplexed loop must run predominantly from cached plans";
-
-  // The periodic page schedule (period 2 * kPages <= 64) must be
-  // recognized and served by sequence prediction.
-  EXPECT_GE(planned.seq_fusions, 1u);
-  EXPECT_GT(planned.seq_hits, kPages * kIters / 2);
 }
 
 TEST(PlanCache, PageRepertoireBitExactAcrossPaths) {
@@ -254,6 +245,172 @@ TEST(PlanCache, ResetForRerunKeepsCompiledPlansWarm) {
       << "rerun of the same program must be served from the warm cache";
   EXPECT_GT(sys.ring().plan_content_hits(), 0u)
       << "warm entries re-attach through the content check";
+}
+
+// --- per-page index ----------------------------------------------------
+
+/// Pops one host word and emits word + imm.
+DnodeInstr adder(Word imm) {
+  DnodeInstr add;
+  add.op = DnodeOp::kAdd;
+  add.src_a = DnodeSrc::kHost;
+  add.src_b = DnodeSrc::kImm;
+  add.imm = imm;
+  add.host_en = true;
+  return add;
+}
+
+ConfigPage adder_page(const RingGeometry& g, Word imm) {
+  return PageBuilder(g).instr(0, 0, adder(imm)).build();
+}
+
+/// Page that hands Dnode (0, 0) to its local program.
+ConfigPage local_page(const RingGeometry& g) {
+  return PageBuilder(g).mode(0, 0, DnodeMode::kLocal).build();
+}
+
+/// One ConfigMemory driving a planned Ring and an interpreter Ring in
+/// lockstep: every swap() applies a page and steps both on the same
+/// host word.
+struct PageDriver {
+  explicit PageDriver(const RingGeometry& g) : cfg(g), planned(g), interp(g) {
+    interp.set_plan_cache_enabled(false);
+  }
+  void swap(std::size_t page, Word x) {
+    cfg.apply_page(page);
+    planned_in.push_back(x);
+    interp_in.push_back(x);
+    planned.step(cfg, 0, planned_in, planned_out);
+    interp.step(cfg, 0, interp_in, interp_out);
+  }
+  void write_local(std::size_t dnode, std::size_t slot, std::uint64_t v) {
+    planned.write_local(dnode, slot, v);
+    interp.write_local(dnode, slot, v);
+  }
+  void reset_for_rerun() {
+    planned.reset_for_rerun();
+    interp.reset_for_rerun();
+  }
+
+  ConfigMemory cfg;
+  Ring planned;
+  Ring interp;
+  HostFifo planned_in;
+  HostFifo interp_in;
+  std::vector<Word> planned_out;
+  std::vector<Word> interp_out;
+};
+
+TEST(PlanCache, ByteIdenticalPagesShareOneCompiledEntry) {
+  PageDriver d(kGeom);
+  const std::size_t a = d.cfg.add_page(adder_page(kGeom, 5));
+  const std::size_t b = d.cfg.add_page(adder_page(kGeom, 5));
+  d.swap(a, 1);  // first sighting: interpreted
+  d.swap(a, 2);  // second sighting: compiled
+  ASSERT_EQ(d.planned.plan_compiles(), 1u);
+  d.swap(b, 3);  // same bytes under another page: the same entry
+  EXPECT_EQ(d.planned.plan_compiles(), 1u);
+  EXPECT_EQ(d.planned.plan_content_hits(), 1u);
+  for (Word i = 0; i < 8; ++i) d.swap(i % 2 == 0 ? a : b, 10 + i);
+  EXPECT_EQ(d.planned.plan_compiles(), 1u);
+  EXPECT_EQ(d.planned.plan_invalidations(), 9u);
+  EXPECT_EQ(d.planned.plan_content_hits(), 9u);
+  EXPECT_EQ(d.planned_out, d.interp_out);
+  ASSERT_EQ(d.planned_out.size(), 11u);
+  EXPECT_EQ(d.planned_out.back(), 17 + 5);
+}
+
+TEST(PlanCache, AperiodicPageOrderCompilesOncePerContent) {
+  constexpr std::size_t kPages = 12;
+  static_assert(kPages <= Ring::kPlanCacheCapacity);
+  PageDriver d(kGeom);
+  for (std::size_t p = 0; p < kPages; ++p) {
+    d.cfg.add_page(adder_page(kGeom, static_cast<Word>(p + 1)));
+  }
+  const std::vector<Word> x = signal(35, 600);
+  Rng order(36);
+  std::vector<unsigned> seen(kPages, 0);
+  for (const Word w : x) {
+    const auto p = static_cast<std::size_t>(order.next_below(kPages));
+    const std::uint64_t compiles = d.planned.plan_compiles();
+    const std::uint64_t content_hits = d.planned.plan_content_hits();
+    d.swap(p, w);
+    // First sighting interprets, the second compiles, every later
+    // one re-attaches the cached plan.
+    EXPECT_EQ(d.planned.plan_compiles() - compiles, seen[p] == 1 ? 1u : 0u)
+        << "page " << p << " sighting " << seen[p];
+    EXPECT_EQ(d.planned.plan_content_hits() - content_hits,
+              seen[p] >= 2 ? 1u : 0u)
+        << "page " << p << " sighting " << seen[p];
+    ++seen[p];
+  }
+  EXPECT_EQ(d.planned.plan_compiles(), kPages);
+  EXPECT_EQ(d.planned.plan_evictions(), 0u);
+  EXPECT_EQ(d.planned_out, d.interp_out);
+}
+
+TEST(PlanCache, LocalWriteBetweenSwapsDropsThePageIndex) {
+  PageDriver d(kGeom);
+  const std::size_t l = d.cfg.add_page(local_page(kGeom));
+  const std::size_t a = d.cfg.add_page(adder_page(kGeom, 100));
+  d.write_local(0, 0, adder(1).encode());
+  for (Word i = 0; i < 6; ++i) d.swap(i % 2 == 0 ? l : a, i);
+  ASSERT_EQ(d.planned.plan_compiles(), 2u);
+
+  // WRLOC between swaps: every page's content now includes the new
+  // local program, so no cached plan may re-attach.
+  d.write_local(0, 0, adder(2).encode());
+  const std::uint64_t content_hits = d.planned.plan_content_hits();
+  d.swap(l, 10);
+  d.swap(a, 11);
+  EXPECT_EQ(d.planned.plan_content_hits(), content_hits);
+  for (Word i = 0; i < 6; ++i) d.swap(i % 2 == 0 ? l : a, 20 + i);
+  EXPECT_EQ(d.planned.plan_compiles(), 4u);
+  EXPECT_EQ(d.planned_out, d.interp_out);
+  EXPECT_EQ(d.planned_out.back(), 25 + 100);
+  EXPECT_EQ(d.planned_out[d.planned_out.size() - 2], 24 + 2);
+}
+
+TEST(PlanCache, EvictionDropsThePageIndex) {
+  constexpr std::size_t kPages = Ring::kPlanCacheCapacity + 4;
+  PageDriver d(kGeom);
+  for (std::size_t p = 0; p < kPages; ++p) {
+    d.cfg.add_page(adder_page(kGeom, static_cast<Word>(p + 1)));
+  }
+  // Compile every page in turn: page 0's entry is the first evicted
+  // and its storage is recompiled for a later page.
+  Word w = 0;
+  for (std::size_t p = 0; p < kPages; ++p) {
+    d.swap(p, ++w);
+    d.swap(p, ++w);
+  }
+  ASSERT_GT(d.planned.plan_evictions(), 0u);
+  const std::uint64_t content_hits = d.planned.plan_content_hits();
+  d.swap(0, ++w);  // evicted: a first sighting again
+  EXPECT_EQ(d.planned.plan_content_hits(), content_hits);
+  EXPECT_EQ(d.planned_out, d.interp_out);
+  EXPECT_EQ(d.planned_out.back(), w + 1);
+}
+
+TEST(PlanCache, ResetForRerunDropsThePageIndex) {
+  PageDriver d(kGeom);
+  const std::size_t l = d.cfg.add_page(local_page(kGeom));
+  const std::size_t a = d.cfg.add_page(adder_page(kGeom, 100));
+  d.write_local(0, 0, adder(1).encode());
+  for (Word i = 0; i < 6; ++i) d.swap(i % 2 == 0 ? l : a, i);
+  ASSERT_EQ(d.planned.plan_compiles(), 2u);
+
+  // A rerun with another local program written by as many WRLOCs: the
+  // same ConfigMemory and local generation, different content.
+  d.reset_for_rerun();
+  d.write_local(0, 0, adder(3).encode());
+  d.swap(l, 10);
+  d.swap(a, 11);
+  EXPECT_EQ(d.planned.plan_content_hits(), 0u);
+  for (Word i = 0; i < 6; ++i) d.swap(i % 2 == 0 ? l : a, 20 + i);
+  EXPECT_EQ(d.planned.plan_compiles(), 2u);
+  EXPECT_EQ(d.planned_out, d.interp_out);
+  EXPECT_EQ(d.planned_out[d.planned_out.size() - 2], 24 + 3);
 }
 
 }  // namespace

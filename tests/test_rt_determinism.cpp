@@ -61,7 +61,6 @@ std::string report_normalized(RunReport r) {
   for (const char* name :
        {"ring.plan.compiles", "ring.plan.hits", "ring.plan.invalidations",
         "ring.plan.content_hits", "ring.plan.evictions",
-        "ring.plan.seq_fusions", "ring.plan.seq_hits",
         "ring.superstep.dispatches", "ring.superstep.cycles"}) {
     r.metrics.counter(name).set(0);
   }
