@@ -5,8 +5,9 @@
 // same tape (with the share of cycles it ran fused per kernel).
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
-// MAC, 5/3 wavelet, block matvec8, full-search motion estimation) on
-// the same input three times — plan cache off; plan on with the
+// MAC, 5/3 wavelet, block matvec8, full-search motion estimation, its
+// search range scaled so it runs about --samples cycles) on the same
+// input three times — plan cache off; plan on with the
 // superstep engine off; everything on (the shipped default) — and
 // reports simulated cycles per wall-clock second for each path.  The
 // run aborts unless all three paths are bit-exact: identical outputs,
@@ -163,9 +164,10 @@ struct KernelPoint {
   double plan_hit_rate = 0.0;
   std::uint64_t plan_compiles = 0;
   std::uint64_t plan_invalidations = 0;
-  /// Detaches whose rewritten content re-attached a cached plan — the
-  /// recompiles the content-keyed cache avoided.  True misses (content
-  /// never seen compiled before) = invalidations - content_hits.
+  /// Detaches whose rewritten configuration re-attached a cached plan
+  /// of the same structure — the recompiles the structure-keyed cache
+  /// avoided.  True misses (structure never seen compiled before) =
+  /// invalidations - content_hits.
   std::uint64_t plan_content_hits = 0;
   std::uint64_t plan_evictions = 0;
   /// Share of the superstep run's cycles executed inside fused
@@ -281,11 +283,16 @@ int main(int argc, char** argv) {
                                                random_signal(15, n)));
       jobs.back().name = "matvec8";
     }
-    {  // motion estimation: halt-bounded SAD engine with WAIT phases
-      const Image ref = random_image(16, 16, 16);
-      const Image cand = random_image(17, 16, 16);
-      jobs.push_back(
-          kernels::make_motion_estimation_job(kGeom, ref, 4, 4, cand, 2));
+    {  // motion estimation: halt-bounded SAD engine with WAIT phases.
+       // The search range grows with --samples (up to samples / 8
+       // candidates, about as many cycles as the other kernels run) on
+       // an image just large enough for the search area.
+      std::size_t range = 2;
+      while (8 * (2 * range + 3) * (2 * range + 3) <= samples) ++range;
+      const Image ref = random_image(16, 2 * range + 16, 2 * range + 16);
+      const Image cand = random_image(17, 2 * range + 16, 2 * range + 16);
+      jobs.push_back(kernels::make_motion_estimation_job(
+          kGeom, ref, range + 4, range + 4, cand, static_cast<int>(range)));
       jobs.back().name = "motion_est";
     }
 

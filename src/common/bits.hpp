@@ -46,4 +46,12 @@ constexpr bool fits_unsigned(std::uint64_t value, unsigned width) noexcept {
   return width >= 64 || value < (1ull << width);
 }
 
+/// Fold one 64-bit word into a running hash `h`: one multiply and one
+/// xorshift per word.  Not collision-resistant — callers confirm equal
+/// hashes against the full content.
+constexpr std::uint64_t hash_mix(std::uint64_t h, std::uint64_t w) noexcept {
+  h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+  return h ^ (h >> 32);
+}
+
 }  // namespace sring

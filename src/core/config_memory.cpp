@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 
 namespace sring {
@@ -33,8 +34,10 @@ ConfigPage ConfigPage::zeroed(const RingGeometry& g) {
 ConfigMemory::DecodedPage ConfigMemory::decode_page(const ConfigPage& page) {
   DecodedPage d;
   d.instr.reserve(page.dnode_instr.size());
+  d.imm.reserve(page.dnode_instr.size());
   for (const auto w : page.dnode_instr) {
     d.instr.push_back(DnodeInstr::decode(w));
+    d.imm.push_back(d.instr.back().imm);
   }
   d.route.reserve(page.switch_route.size());
   for (const auto w : page.switch_route) {
@@ -45,17 +48,9 @@ ConfigMemory::DecodedPage ConfigMemory::decode_page(const ConfigPage& page) {
 
 std::uint64_t ConfigMemory::hash_page(const ConfigPage& page) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix64 = [&h](std::uint64_t w) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ (w & 0xFFu)) * 0x100000001b3ull;
-      w >>= 8;
-    }
-  };
-  for (const auto w : page.dnode_instr) mix64(w);
-  for (const auto m : page.dnode_mode) {
-    h = (h ^ m) * 0x100000001b3ull;
-  }
-  for (const auto w : page.switch_route) mix64(w);
+  for (const auto w : page.dnode_instr) h = hash_mix(h, w & ~kImmFieldMask);
+  for (const auto m : page.dnode_mode) h = hash_mix(h, m);
+  for (const auto w : page.switch_route) h = hash_mix(h, w);
   return h;
 }
 
@@ -91,6 +86,7 @@ void ConfigMemory::write_dnode_instr(std::size_t dnode,
   materialize_live();
   // Decode validates eagerly: a malformed word never lands.
   live_decoded_.instr[dnode] = DnodeInstr::decode(encoded);
+  live_decoded_.imm[dnode] = live_decoded_.instr[dnode].imm;
   live_.dnode_instr[dnode] = encoded;
   ++words_written_;
   ++generation_;

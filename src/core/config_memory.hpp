@@ -12,7 +12,7 @@
 // the applied page until the next word write materializes a private
 // copy (copy-on-write).  Page swaps are the hot operation of
 // hardware-multiplexed kernels, so they also carry a precomputed
-// content hash and memoized per-switch route-change deltas — the
+// structure hash and memoized per-switch route-change deltas — the
 // observable semantics (accessors, generation, statistics) are
 // identical to eager copying.
 #pragma once
@@ -100,13 +100,15 @@ class ConfigMemory {
   /// whether a compiled cycle plan is still current.
   std::uint64_t generation() const noexcept { return generation_; }
 
-  // --- cycle-plan cache content key ---------------------------------
-  /// FNV-1a hash of the live configuration bytes (microinstruction
-  /// words, mode bytes, route words).  O(1) while a page is applied
-  /// (page hashes are precomputed at add_page); lazily recomputed —
-  /// and cached per generation — after word writes.  Two live images
-  /// with equal hash are byte-identical up to hash collisions; the
-  /// Ring's plan cache verifies candidates against the full content.
+  // --- cycle-plan cache structure key -------------------------------
+  /// Hash of the live configuration's *structure*: microinstruction
+  /// words with the imm16 field masked out (kImmFieldMask), mode
+  /// bytes, route words.  O(1) while a page is applied (page hashes
+  /// are precomputed at add_page); lazily recomputed — and cached per
+  /// generation — after word writes.  Images that differ only in
+  /// immediates hash equal; the Ring's plan cache verifies candidates
+  /// against the full masked content and reads immediates through
+  /// live_imms().
   std::uint64_t content_hash() const;
   /// Index of the applied page backing the live image, or -1 when the
   /// live image was modified word-by-word since the last swap (or
@@ -138,6 +140,10 @@ class ConfigMemory {
   const std::vector<std::uint64_t>& live_route_words() const noexcept {
     return active_raw().switch_route;
   }
+  /// The live image's immediates, one per flat Dnode.  The pointer
+  /// moves with every page swap and copy-on-write, so the planned path
+  /// re-reads it after every controller step.
+  const Word* live_imms() const noexcept { return active_dec().imm.data(); }
 
   // --- pages --------------------------------------------------------
   /// Register a page; returns its index.
@@ -171,6 +177,7 @@ class ConfigMemory {
   struct DecodedPage {
     std::vector<DnodeInstr> instr;
     std::vector<SwitchRoute> route;
+    std::vector<Word> imm;  ///< instr[i].imm, flat (see live_imms())
   };
   static DecodedPage decode_page(const ConfigPage& page);
   static std::uint64_t hash_page(const ConfigPage& page) noexcept;

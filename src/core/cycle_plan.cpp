@@ -36,6 +36,9 @@ PlannedSlot compile_slot(const RingGeometry& geom, const DnodeInstr& instr,
                          const SwitchRoute& route, std::size_t up_layer) {
   PlannedSlot ps;
   ps.instr = instr;
+  // The plan is keyed by structure and serves every immediate: the
+  // tape reads imm live, so the copy holds none that could go stale.
+  ps.instr.imm = 0;
   ps.nop = instr.op == DnodeOp::kNop;
   if (ps.nop) return ps;  // the interpreter skips routing for NOP
   ps.is_mac = instr.op == DnodeOp::kMac || instr.op == DnodeOp::kMsu;
@@ -175,7 +178,6 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
   t.carry.clear();
   t.carry_begin.assign(period + 1, 0);
   t.written.clear();
-  t.imm.clear();
   t.phase_cycles.assign(period, 0);
   t.reads_window = false;
 
@@ -194,10 +196,9 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
     // order.
     for (std::uint16_t i = 0; i < n; ++i) {
       const PlannedDnode& pd = plan.dnodes[i];
-      const PlannedSlot& ps =
-          pd.is_local
-              ? pd.local[(dnodes[i].local().counter() + p) % pd.local_len]
-              : pd.global;
+      const auto slot = static_cast<std::uint8_t>(
+          pd.is_local ? (dnodes[i].local().counter() + p) % pd.local_len : 0);
+      const PlannedSlot& ps = pd.is_local ? pd.local[slot] : pd.global;
       if (ps.nop) continue;
       // Pop ordinals in the documented order: in1, in2, direct host.
       std::uint16_t in1_pop = 0;
@@ -242,9 +243,11 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
           case DnodeSrc::kHost:
             return TapeRef{TapeRef::kPops, host_pop};
           case DnodeSrc::kImm:
-            t.imm.push_back(in.imm);
-            return TapeRef{TapeRef::kImm,
-                           static_cast<std::uint16_t>(t.imm.size() - 1)};
+            return pd.is_local
+                       ? TapeRef{TapeRef::kLocalImm,
+                                 static_cast<std::uint16_t>(
+                                     i * kLocalProgramSlots + slot)}
+                       : TapeRef{TapeRef::kImm, i};
           case DnodeSrc::kR0:
           case DnodeSrc::kR1:
           case DnodeSrc::kR2:
@@ -276,7 +279,7 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
         t.effects.push_back(static_cast<std::uint32_t>(t.ops.size()));
       }
       t.ops.push_back(op);
-      t.sources.push_back({i, &ps});
+      t.sources.push_back({i, slot, &ps});
     }
     t.pops[p] = pops;
     std::sort(writes[p].begin(), writes[p].end());

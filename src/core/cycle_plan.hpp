@@ -11,6 +11,14 @@
 // host-out tap list, so steady-state cycles execute straight from the
 // plan.
 //
+// A plan captures the configuration's *structure* only: immediates
+// compile as 0, and the tape reads them live (TapeRef::kImm from the
+// ConfigMemory's live image, TapeRef::kLocalImm from the Ring's copy
+// of the local programs' immediates).  One plan therefore serves every
+// configuration that differs from it only in immediates — a GEMM tile's
+// matrix or a FIR's taps are data, as in the paper's controller, which
+// rewrites microinstructions as data every cycle.
+//
 // Attachment contract: a plan is *attached* (executing without any
 // per-cycle checks beyond the stamp compare) exactly while
 //   (cfg.uid(), cfg.generation(), ring local-control generation)
@@ -18,12 +26,12 @@
 // write path (WRCFG/WRMODE/WRSW, page swaps, reset_live) bumps the
 // generation; Ring::write_local (the controller's WRLOC path) bumps
 // the local generation.  A stamp mismatch only *detaches* — compiled
-// plans live in the Ring's bounded content-keyed cache and re-attach
-// whenever the rewritten configuration's content matches a cached key
-// (see Ring), so hardware multiplexing over a repertoire of
-// configurations recompiles each distinct content once, not once per
-// rewrite.  The interpreter remains the reference for content never
-// seen twice.
+// plans live in the Ring's bounded structure-keyed cache and re-attach
+// whenever the rewritten configuration's structure matches a cached
+// key (see Ring), so hardware multiplexing over a repertoire of
+// configurations compiles each distinct structure once, not once per
+// rewrite or per coefficient set.  The interpreter remains the
+// reference for structure never seen twice.
 #pragma once
 
 #include <array>
@@ -46,7 +54,7 @@ struct PlannedSlot {
   /// kZero, matching the interpreter's "no pop, value 0" behaviour).
   enum class Port : std::uint8_t { kZero, kPrev, kHost, kFeedback, kBus };
 
-  DnodeInstr instr{};            ///< decoded copy (owned by the plan)
+  DnodeInstr instr{};            ///< decoded copy, imm = 0 (read live)
   bool nop = true;
   bool is_mac = false;           ///< MAC/MSU: counts as two arith ops
   Port in1 = Port::kZero;
@@ -127,12 +135,17 @@ struct TapeLayout {
   std::size_t size() const noexcept { return sink() + 1u; }
 };
 
-/// One operand of a tape micro-op: word `off` of one of four bases —
+/// One operand of a tape micro-op: word `off` of one of five bases —
 /// the current state buffer, the feedback window at its depth-0 row
 /// (row-major: depth * dnodes + upstream Dnode), this cycle's host
-/// pops (in pop order), or the tape's immediates.
+/// pops (in pop order), the live configuration's immediates (flat
+/// Dnode index, ConfigMemory::live_imms()), or the local programs'
+/// immediates (Dnode * kLocalProgramSlots + slot).  Both are read
+/// live — the first re-read after every controller step, the second
+/// updated in place by WRLOC — so a page swap or a WRCFG/WRLOC that
+/// changes only immediates keeps the same plan and tape.
 struct TapeRef {
-  enum Base : std::uint8_t { kState = 0, kWindow, kPops, kImm };
+  enum Base : std::uint8_t { kState = 0, kWindow, kPops, kImm, kLocalImm };
   std::uint8_t base = kState;
   std::uint16_t off = TapeLayout::kZero;
 };
@@ -154,9 +167,10 @@ struct TapeOp {
 /// Dnode k runs slot (base_counters[k] + p) % local_len.  Cached with
 /// its plan; valid until the plan recompiles.
 struct SuperstepTape {
-  /// Where a micro-op came from (statistics flush).
+  /// Where a micro-op came from (statistics flush, trace views).
   struct Source {
     std::uint16_t dnode = 0;
+    std::uint8_t local_slot = 0;  ///< program slot of a local-mode Dnode
     const PlannedSlot* slot = nullptr;
   };
 
@@ -176,7 +190,6 @@ struct SuperstepTape {
   std::vector<std::uint32_t> carry_begin;   ///< [period + 1]
   /// Every slot some phase writes (carried on a switch to another tape).
   std::vector<std::uint16_t> written;
-  std::vector<Word> imm;
   bool reads_window = false;  ///< some operand reads the feedback window
   /// Cycles executed per phase since the last statistics flush.
   std::vector<std::uint64_t> phase_cycles;

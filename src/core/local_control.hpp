@@ -53,10 +53,10 @@ class LocalControl {
   std::uint8_t counter() const noexcept { return counter_; }
   std::uint8_t limit() const noexcept { return limit_; }
 
-  /// Raw (encoded) microinstruction registers — the local half of the
-  /// plan cache's content key.  Together with limit() this is the
-  /// whole architectural content of the unit (the counter is runtime
-  /// state, not content).
+  /// Raw (encoded) microinstruction registers — with their immediates
+  /// masked, the local half of the plan cache's structure key.
+  /// Together with limit() this is the whole architectural content of
+  /// the unit (the counter is runtime state, not content).
   const std::array<std::uint64_t, kLocalProgramSlots>& raw_slots()
       const noexcept {
     return slots_;

@@ -5,24 +5,11 @@
 #include <limits>
 #include <utility>
 
+#include "common/bits.hpp"
 #include "common/error.hpp"
 #include "core/local_control.hpp"
 
 namespace sring {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xFFu;
-    h *= kFnvPrime;
-  }
-}
-
-}  // namespace
 
 Ring::Ring(const RingGeometry& g) : geom_(g) {
   geom_.validate();
@@ -52,6 +39,7 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
                                         4096 / geom_.dnode_count());
   window_.assign((window_slack_ + geom_.fb_depth) * geom_.dnode_count(), 0);
   op_vals_.assign(geom_.dnode_count(), 0);
+  local_imm_.assign(geom_.dnode_count() * kLocalProgramSlots, 0);
   const char* no_plan = std::getenv("SRING_NO_PLAN_CACHE");
   plan_enabled_ = no_plan == nullptr || *no_plan == '\0';
 }
@@ -97,7 +85,12 @@ const FeedbackPipeline& Ring::pipeline(std::size_t sw) const {
 void Ring::write_local(std::size_t dnode_index, std::size_t slot,
                        std::uint64_t value) {
   check(dnode_index < dnodes_.size(), "Ring: dnode index out of range");
-  dnodes_[dnode_index].local().write(slot, value);
+  LocalControl& lc = dnodes_[dnode_index].local();
+  lc.write(slot, value);
+  if (slot < kLocalProgramSlots) {
+    local_imm_[dnode_index * kLocalProgramSlots + slot] =
+        lc.instr_at(slot).imm;
+  }
   ++local_generation_;
   // The write may move a local counter: the last tape's phase no
   // longer predicts the next one.
@@ -125,6 +118,7 @@ void Ring::set_plan_cache_enabled(bool enabled) noexcept {
 
 void Ring::reset_arch_state() {
   for (auto& d : dnodes_) d.reset();
+  std::fill(local_imm_.begin(), local_imm_.end(), 0);
   for (auto& p : pipes_) p.reset();
   last_mode_.assign(geom_.dnode_count(), DnodeMode::kGlobal);
   ops_per_dnode_.assign(geom_.dnode_count(), 0);
@@ -162,18 +156,10 @@ void Ring::reset_arch_state() {
   plan_evictions_ = 0;
 }
 
-void Ring::reset() {
-  reset_arch_state();
-  // Drop the whole plan cache so a reset System replays identically to
-  // a fresh one, counters included.
-  plan_cache_.clear();
-  plan_use_clock_ = 0;
-}
-
 void Ring::reset_for_rerun() {
   // Keep compiled plans; reset_arch_state() drops the page index, so
-  // the first re-attachment of every entry re-verifies the full content
-  // against the rerun's fresh image and a different program misses
+  // the first re-attachment of every entry re-verifies the full
+  // structure against the fresh image and a new structure misses
   // cleanly.
   reset_arch_state();
 }
@@ -209,13 +195,17 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
   result.host_words_out = static_cast<unsigned>(r.host_words_out);
   if (r.bus_driven) result.bus_drive = r.bus;
   if (trace_views_ && !result.stalled) {
-    // Issue views from the phase that ran and its micro-op results.
+    // Issue views from the phase that ran and its micro-op results; the
+    // fetched instruction is the live one (the plan holds no imm).
     std::fill(effects_.begin(), effects_.end(), Dnode::Effects{});
     const SuperstepTape& t = *last_tape_;
     const std::uint32_t first = t.begin[last_phase_];
     for (std::uint32_t k = first; k < t.begin[last_phase_ + 1]; ++k) {
       const SuperstepTape::Source& src = t.sources[k];
-      const DnodeInstr& in = src.slot->instr;
+      const DnodeInstr& in =
+          e->plan.dnodes[src.dnode].is_local
+              ? dnodes_[src.dnode].local().instr_at(src.local_slot)
+              : cfg.dnode_instr(src.dnode);
       fetched_[src.dnode] = &in;
       effects_[src.dnode] = {true, op_vals_[k - first], in.out_en, in.bus_en,
                              in.host_en};
@@ -231,7 +221,7 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
   }
 
   // A page swap back to a page that had a plan attached: the page is
-  // immutable, so the index proves the content — no hashing, no scan.
+  // immutable, so the index proves the structure — no hashing, no scan.
   if (PlanCacheEntry* const e = indexed(cfg)) {
     ++plan_content_hits_;
     ++plan_hits_;
@@ -239,8 +229,8 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
     return e;
   }
 
-  // Content-keyed lookup: hash the live configuration and scan the
-  // cache (full-content verified).
+  // Structure-keyed lookup: hash the live configuration without its
+  // immediates and scan the cache (full-structure verified).
   const std::uint64_t key = live_key_hash(cfg);
   PlanCacheEntry* const e = find_entry(cfg, key);
   if (e == nullptr) {
@@ -255,7 +245,7 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
     return e;
   }
   if (++e->sightings < 2) return nullptr;
-  // Second sighting of this content: compile.  compile throws exactly
+  // Second sighting of this structure: compile.  compile throws exactly
   // where the interpreter would reject the configuration at execution
   // time.  A plan without a tape (local period over the cap) stays
   // interpret-only and is never attached.
@@ -272,11 +262,13 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
 
 std::uint64_t Ring::local_content_hash() {
   if (local_hash_gen_ == local_generation_) return local_hash_;
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = 0xcbf29ce484222325ull;
   for (const Dnode& d : dnodes_) {
     const LocalControl& lc = d.local();
-    fnv_mix(h, lc.limit());
-    for (const std::uint64_t w : lc.raw_slots()) fnv_mix(h, w);
+    h = hash_mix(h, lc.limit());
+    for (const std::uint64_t w : lc.raw_slots()) {
+      h = hash_mix(h, w & ~kImmFieldMask);
+    }
   }
   local_hash_ = h;
   local_hash_gen_ = local_generation_;
@@ -296,14 +288,15 @@ void Ring::build_content(const ConfigMemory& cfg,
   const auto& rw = cfg.live_route_words();
   out.reserve(iw.size() + mb.size() + rw.size() +
               dnodes_.size() * (1 + kLocalProgramSlots));
-  out.insert(out.end(), iw.begin(), iw.end());
+  for (const std::uint64_t w : iw) out.push_back(w & ~kImmFieldMask);
   for (const std::uint8_t b : mb) out.push_back(b);
   out.insert(out.end(), rw.begin(), rw.end());
   for (const Dnode& d : dnodes_) {
     const LocalControl& lc = d.local();
     out.push_back(lc.limit());
-    const auto& slots = lc.raw_slots();
-    out.insert(out.end(), slots.begin(), slots.end());
+    for (const std::uint64_t w : lc.raw_slots()) {
+      out.push_back(w & ~kImmFieldMask);
+    }
   }
 }
 
@@ -317,7 +310,7 @@ bool Ring::content_matches(const ConfigMemory& cfg,
   if (content.size() != total) return false;
   std::size_t k = 0;
   for (const std::uint64_t w : iw) {
-    if (content[k++] != w) return false;
+    if (content[k++] != (w & ~kImmFieldMask)) return false;
   }
   for (const std::uint8_t b : mb) {
     if (content[k++] != b) return false;
@@ -329,7 +322,7 @@ bool Ring::content_matches(const ConfigMemory& cfg,
     const LocalControl& lc = d.local();
     if (content[k++] != lc.limit()) return false;
     for (const std::uint64_t w : lc.raw_slots()) {
-      if (content[k++] != w) return false;
+      if (content[k++] != (w & ~kImmFieldMask)) return false;
     }
   }
   return true;
@@ -798,6 +791,11 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     }
   };
   use_window();
+  // The live immediates move only when the controller swaps a page or
+  // rewrites a word: without one they are fixed for the dispatch, with
+  // one they are re-read after every controller step.
+  const Word* imms = ctx.cfg.live_imms();
+  const Word* const local_imms = local_imm_.data();
 
   for (;;) {
     if (res.cycles >= ctx.max_cycles || inert) break;
@@ -825,6 +823,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
           control->step(bus_top, ctx.cycle + res.cycles);
       inert = cs.inert;
       if (cs.bus_drive) cur[TapeLayout::kBus] = *cs.bus_drive;
+      imms = ctx.cfg.live_imms();
       PlanCacheEntry* const next = lookup(ctx.cfg);
       if (next != entry) {
         if (next == nullptr || !next->plan.local_dnodes.empty()) {
@@ -856,8 +855,8 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     // Execute the phase: operand fetch, ALU, latch into the next
     // buffer.  Every per-op statistic is a tape constant, settled
     // by flush_tape() from the per-phase cycle counts.
-    const Word* const base[4] = {cur, window_.data() + head * n,
-                                 host_in.data(), tape->imm.data()};
+    const Word* const base[5] = {cur, window_.data() + head * n,
+                                 host_in.data(), imms, local_imms};
     for (std::uint32_t k = tape->carry_begin[phase];
          k < tape->carry_begin[phase + 1]; ++k) {
       nxt[tape->carry[k]] = cur[tape->carry[k]];

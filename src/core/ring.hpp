@@ -29,18 +29,24 @@
 //      host output stream.
 //
 // Cycle-plan cache: compiled CyclePlans are cached in a small bounded
-// pool keyed by configuration *content* — a hash of the live
-// configuration bytes plus the local-control programs — not by write
-// generation.  A configuration write detaches the current plan, but if
-// the resulting content was seen before (hardware multiplexing:
-// configware pages pulsed in rotation, or a word rewritten with the
-// byte-identical value), the cached plan re-attaches instead of
-// recompiling.  Unknown content is interpreted and compiled on its
-// second sighting.  A page swap back to a page that had a plan
-// attached re-attaches through a per-page index in O(1): pages are
-// immutable, so under the same ConfigMemory and local programs the
-// page index alone identifies the content.  One lookup (lookup())
-// serves step() and the fused loop alike.
+// pool keyed by configuration *structure* — a hash of the live
+// configuration bytes plus the local-control programs with every
+// immediate (the imm16 field, kImmFieldMask) masked out — not by write
+// generation.  A plan holds no immediates: its tape reads them from
+// the live configuration and from the Ring's copy of the local
+// programs' immediates every cycle.  A configuration write detaches
+// the current plan, but if the resulting structure was seen before
+// (hardware multiplexing: configware pages pulsed in rotation, a new
+// coefficient set or matrix tile, or a word rewritten with the same
+// value), the cached plan re-attaches instead of recompiling.  Unknown
+// structure is interpreted and compiled on its second sighting.  A
+// page swap back to a page that had a plan attached re-attaches
+// through a per-page index in O(1): pages are immutable, so under the
+// same ConfigMemory and local programs the page index alone identifies
+// the structure.  One lookup (lookup()) serves step() and the fused
+// loop alike.  The cache outlives every reset: a System keeps it
+// across reruns and program loads alike, so a pooled System that loads
+// a new matrix or tap set of a known kernel compiles nothing.
 //
 // Every planned cycle runs from the plan's superstep tape: one cycle
 // per step(), many per run_planned() dispatch.  Between runs the tape's
@@ -194,7 +200,8 @@ class Ring {
   const FeedbackPipeline& pipeline(std::size_t sw) const;
 
   /// Write a local-control register of a Dnode (controller WRLOC path).
-  /// Invalidates the compiled cycle plan.
+  /// Invalidates the compiled cycle plan and refreshes the local
+  /// immediate the planned path reads.
   void write_local(std::size_t dnode_index, std::size_t slot,
                    std::uint64_t value);
 
@@ -203,7 +210,7 @@ class Ring {
     return ops_per_dnode_;
   }
 
-  // --- instrumentation (observation only, reset() clears) -------------
+  // --- instrumentation (observation only, reset_for_rerun() clears) ---
   /// MAC/MSU instructions per Dnode (the rest of ops_per_dnode is the
   /// plain-ALU mix).
   const std::vector<std::uint64_t>& mac_ops_per_dnode() const noexcept {
@@ -246,20 +253,21 @@ class Ring {
   static constexpr std::size_t kPlanCacheCapacity = 16;
 
   /// Cycle plans compiled since construction/reset — one per *distinct*
-  /// configuration content, not one per rewrite.
+  /// configuration structure, not one per rewrite or per immediate.
   std::uint64_t plan_compiles() const noexcept { return plan_compiles_; }
   /// Cycles executed from a compiled plan (attached or re-attached).
   std::uint64_t plan_hits() const noexcept { return plan_hits_; }
   /// Times the attached plan was detached because the configuration
   /// changed.  plan_invalidations - plan_content_hits is the true miss
-  /// count (content never seen compiled before).
+  /// count (structure never seen compiled before).
   std::uint64_t plan_invalidations() const noexcept {
     return plan_invalidations_;
   }
-  /// Detachments recovered by re-attaching a cached plan whose content
-  /// key matched the rewritten configuration — the cycles that were
-  /// recompiles (or interpreter fallbacks) before the content-keyed
-  /// cache.  Subset of plan_hits.
+  /// Detachments recovered by re-attaching a cached plan whose
+  /// structure key matched the rewritten configuration (immediates may
+  /// differ) — the cycles that were recompiles (or interpreter
+  /// fallbacks) before the structure-keyed cache.  Subset of
+  /// plan_hits.
   std::uint64_t plan_content_hits() const noexcept {
     return plan_content_hits_;
   }
@@ -303,28 +311,26 @@ class Ring {
   /// event sink.
   void set_trace_views(bool on) noexcept { trace_views_ = on; }
 
-  /// Clear all architectural state (configuration memory is separate).
-  /// Also drops the whole plan cache and zeroes the plan counters.
-  void reset();
-
-  /// Clear architectural state but KEEP the compiled plan cache — the
-  /// pooled-rerun fast path.  Cached plans re-attach on the rerun only
-  /// after their content is re-verified against the live configuration
+  /// Clear all architectural state (configuration memory is separate)
+  /// but KEEP the compiled plan cache — every System reset path, a
+  /// rerun and a program load alike.  Cached plans re-attach only after
+  /// their structure is re-verified against the live configuration
   /// (the page index is dropped, so the first re-attachment per entry
-  /// does a full content compare), which makes a rerun of a different
-  /// program a clean miss.  Counters are zeroed; outputs and
-  /// architectural statistics of a rerun are bit-identical to a fresh
-  /// System, only the ring.plan.* counters reflect the warm cache.
+  /// does a full compare), which makes a program of a new structure a
+  /// clean miss.  Counters are zeroed; outputs and architectural
+  /// statistics after a reset are bit-identical to a fresh System, only
+  /// the ring.plan.* counters reflect the warm cache.
   void reset_for_rerun();
 
  private:
-  /// One cached compiled plan, keyed by configuration content.
+  /// One cached compiled plan, keyed by configuration structure.
   struct PlanCacheEntry {
     std::uint64_t key_hash = 0;  ///< content_hash(cfg) mixed w/ local hash
-    /// Full content snapshot backing the hash: live instruction words,
-    /// widened mode bytes, route words, then per-Dnode local limit +
-    /// raw slots.  Collision guard — the content lookup attaches a
-    /// hash match only after this compares equal.
+    /// Full structure snapshot backing the hash: live instruction
+    /// words, widened mode bytes, route words, then per-Dnode local
+    /// limit + raw slots, every instruction word with kImmFieldMask
+    /// cleared.  Collision guard — the content lookup attaches a hash
+    /// match only after this compares equal.
     std::vector<std::uint64_t> content;
     std::uint32_t sightings = 0;  ///< compile on the second sighting
     std::uint64_t last_use = 0;   ///< LRU clock for eviction
@@ -368,12 +374,12 @@ class Ring {
   /// The configuration changed: page index, content lookup, then first
   /// sighting (interpret) or second sighting (compile).
   PlanCacheEntry* lookup_changed(const ConfigMemory& cfg);
-  /// Hash of the local-control content (limits + raw slots), cached
-  /// per local_generation_.
+  /// Hash of the local-control structure (limits + raw slots without
+  /// immediates), cached per local_generation_.
   std::uint64_t local_content_hash();
-  /// Combined content key of the live configuration.
+  /// Combined structure key of the live configuration.
   std::uint64_t live_key_hash(const ConfigMemory& cfg);
-  /// Append the full live content (see PlanCacheEntry::content).
+  /// Append the full live structure (see PlanCacheEntry::content).
   void build_content(const ConfigMemory& cfg,
                      std::vector<std::uint64_t>& out) const;
   bool content_matches(const ConfigMemory& cfg,
@@ -387,12 +393,12 @@ class Ring {
                ? page_index_[page]
                : nullptr;
   }
-  /// Find the entry for the live content (hash + content verify), or
+  /// Find the entry for the live structure (hash + content verify), or
   /// nullptr.
   PlanCacheEntry* find_entry(const ConfigMemory& cfg, std::uint64_t key);
   /// Shared architectural-state reset (Dnodes, pipes, statistics).
   void reset_arch_state();
-  /// Insert a fresh entry for the live content, evicting the LRU entry
+  /// Insert a fresh entry for the live structure, evicting the LRU entry
   /// at capacity.  Returns the (possibly reused) entry.
   PlanCacheEntry* insert_entry(const ConfigMemory& cfg, std::uint64_t key);
   /// Make `e` the attached plan: restamp the validity key, index it
@@ -470,6 +476,9 @@ class Ring {
   bool synced_valid_ = true;
   bool trace_views_ = false;     // maintain full effects_/fetched_
   std::uint64_t local_generation_ = 0;
+  // The local programs' immediates, [dnode * kLocalProgramSlots + slot]
+  // (TapeRef::kLocalImm); write_local() and resets keep them current.
+  std::vector<Word> local_imm_;
   std::uint64_t local_hash_ = 0;
   std::uint64_t local_hash_gen_ = ~std::uint64_t{0};
   // Page index: page_index_[p] is the entry attached while page p was

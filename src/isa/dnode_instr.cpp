@@ -23,6 +23,8 @@ constexpr Field kOutEnField{21, 1};
 constexpr Field kBusEnField{22, 1};
 constexpr Field kHostEnField{23, 1};
 constexpr Field kImmField{24, 16};
+static_assert(kImmFieldMask == ((std::uint64_t{1} << kImmField.width) - 1)
+                                   << kImmField.lsb);
 
 constexpr std::array<std::string_view,
                      static_cast<std::size_t>(DnodeOp::kOpCount)>

@@ -121,6 +121,11 @@ struct DnodeInstr {
   std::string to_string() const;
 };
 
+/// The imm16 field (bits 24..39) of an encoded microinstruction.  A
+/// word with this field cleared is the instruction's *structure*: the
+/// Ring keys its cycle plans by structure and reads immediates live.
+inline constexpr std::uint64_t kImmFieldMask = std::uint64_t{0xFFFF} << 24;
+
 /// True if the operation reads its B (respectively C) operand.
 /// Inline constexpr: queried per operand per executed Dnode per cycle,
 /// and must constant-fold inside the ring's fused superstep loop.

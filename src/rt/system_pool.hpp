@@ -9,12 +9,12 @@
 // System::reset_for_rerun() path instead of reloading: the paper's
 // "preloaded configuration pages" argument, applied to the fleet.
 //
-// The Ring's decoded cycle-plan storage survives reset_for_rerun()
-// re-arms: the plan's capacity stays allocated and only its validity
-// key is cleared, so a rerun of the same program recompiles once into
-// warm buffers rather than reallocating.  Plan counters reset with
-// the rest of the statistics, keeping rerun reports bit-identical to
-// fresh-System reports.
+// The Ring's structure-keyed cycle-plan cache survives both re-arm
+// paths, reruns and full loads: a job that loads a known kernel with
+// new immediates (a GEMM tile's matrix, a FIR's taps) compiles
+// nothing.  Plan counters reset with the rest of the statistics, so a
+// report differs from a fresh System's only in the ring.plan.*
+// counters, which reflect the pooled System's warm cache.
 //
 // NOT thread-safe by design: every worker thread owns one pool, so
 // the job hot path takes no locks at all.

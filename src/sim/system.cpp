@@ -29,7 +29,7 @@ void System::load(const LoadableProgram& program) {
   cfg_ = ConfigMemory(geom_);
   for (const auto& page : program.pages) cfg_.add_page(page);
   ctrl_.load_program(program.controller_code);
-  reset_common(program, /*keep_plans=*/false);
+  reset_common(program);
 }
 
 void System::reset_for_rerun(const LoadableProgram& program) {
@@ -40,17 +40,14 @@ void System::reset_for_rerun(const LoadableProgram& program) {
         "System::reset_for_rerun: a different program is loaded");
   cfg_.reset_live();
   ctrl_.reset();
-  reset_common(program, /*keep_plans=*/true);
+  reset_common(program);
 }
 
-void System::reset_common(const LoadableProgram& program, bool keep_plans) {
-  // A rerun keeps the ring's compiled plan cache warm (content keys
-  // re-verified before reuse); a fresh load drops it.
-  if (keep_plans) {
-    ring_.reset_for_rerun();
-  } else {
-    ring_.reset();
-  }
+void System::reset_common(const LoadableProgram& program) {
+  // Reruns and loads alike keep the ring's compiled plan cache warm
+  // (structure keys re-verified before reuse): a new program of a known
+  // kernel differs from it only in immediates.
+  ring_.reset_for_rerun();
   for (const auto& lw : program.local_init) {
     ring_.write_local(lw.dnode, lw.slot, lw.value);
   }

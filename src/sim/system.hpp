@@ -134,7 +134,10 @@ class System {
 
   /// Load an application: fresh configuration memory with the
   /// program's pages, controller program loaded, ring state cleared,
-  /// host FIFOs drained.
+  /// host FIFOs drained.  The ring keeps its structure-keyed plan cache,
+  /// as reset_for_rerun() does: a program that differs from an earlier
+  /// one only in immediates (new taps, a new matrix tile) compiles
+  /// nothing, which shows up only in the ring.plan.* counters.
   void load(const LoadableProgram& program);
 
   /// Re-arm the machine for another run of the program most recently
@@ -147,8 +150,8 @@ class System {
   /// from a freshly constructed System that just load()ed `program` —
   /// the runtime's determinism test holds it to that — with ONE
   /// carve-out: the ring keeps its compiled cycle-plan cache warm
-  /// (entries re-verify their content key before re-attaching, so a
-  /// different same-page-count program misses cleanly), which shows up
+  /// (entries re-verify their structure key before re-attaching, so a
+  /// program of a different structure misses cleanly), which shows up
   /// only in the ring.plan.* counters.
   void reset_for_rerun(const LoadableProgram& program);
 
@@ -212,7 +215,7 @@ class System {
   void set_trace(obs::EventSink* sink);
 
  private:
-  void reset_common(const LoadableProgram& program, bool keep_plans);
+  void reset_common(const LoadableProgram& program);
   /// The controller's part of a cycle (counts its statistics).
   Controller::StepResult step_controller(Word bus, std::uint64_t cycle);
   /// The rest of a cycle after the controller stepped: ring evaluation,

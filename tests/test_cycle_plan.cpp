@@ -207,8 +207,8 @@ TEST(CyclePlan, CountersTrackCompileHitInvalidate) {
   ring.step(cfg, 0, in, out);
   EXPECT_EQ(ring.plan_invalidations(), 2u);
 
-  // reset() zeroes the counters and drops the plan.
-  ring.reset();
+  // A reset zeroes the counters (the cache itself stays warm).
+  ring.reset_for_rerun();
   EXPECT_EQ(ring.plan_compiles(), 0u);
   EXPECT_EQ(ring.plan_hits(), 0u);
   EXPECT_EQ(ring.plan_invalidations(), 0u);
@@ -753,7 +753,8 @@ TEST(CyclePlan, TracedEventStreamsMatchTheInterpreter) {
   // The issue events of a traced run come from the ring's last-cycle
   // views: the planned path must fill them exactly as the interpreter
   // does, cycle for cycle, for global, local-mode, page-multiplexed and
-  // WAIT-bounded kernels.
+  // WAIT-bounded kernels, and for pages that share one plan because
+  // they differ only in immediates.
   const RingGeometry g{8, 2, 16};
   std::vector<rt::Job> jobs;
   jobs.push_back(kernels::make_spatial_fir_job(
@@ -782,6 +783,39 @@ TEST(CyclePlan, TracedEventStreamsMatchTheInterpreter) {
       }
     }
     jobs.push_back(kernels::make_motion_estimation_job(g, ref, 4, 4, cand, 2));
+  }
+  {  // imm-only pages in rotation, then an imm-only WRCFG
+    const auto adder = [](Word imm) {
+      DnodeInstr add;
+      add.op = DnodeOp::kAdd;
+      add.src_a = DnodeSrc::kHost;
+      add.src_b = DnodeSrc::kImm;
+      add.imm = imm;
+      add.out_en = true;
+      add.host_en = true;
+      return add;
+    };
+    ProgramBuilder pb(g, "imm_pages");
+    std::vector<std::size_t> pages;
+    for (Word k = 1; k <= 4; ++k) {
+      pages.push_back(pb.add_page(PageBuilder(g).instr(0, 0, adder(11 * k))));
+    }
+    pb.set_reg(1, 12);
+    pb.ldi(2, 0);
+    pb.label("loop");
+    for (const std::size_t p : pages) pb.page_switch(p);
+    pb.wrcfg(0, adder(99));
+    pb.addi(1, 1, -1);
+    pb.branch(RiscOp::kBne, 1, 2, "loop");
+    pb.halt();
+    rt::Job job;
+    job.name = "imm_pages";
+    job.program = std::make_shared<const LoadableProgram>(pb.build());
+    job.input = signal(45, 120);
+    job.run = rt::Job::Run::kUntilHalt;
+    job.max_cycles = 2000;
+    job.drain_cycles = 2;
+    jobs.push_back(std::move(job));
   }
 
   for (const rt::Job& job : jobs) {

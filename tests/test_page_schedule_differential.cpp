@@ -1,11 +1,13 @@
 // Seeded differential over random controller page schedules.
 //
 // Each seed generates a ring, a repertoire of configuration pages (some
-// with local-mode Dnodes), random local programs and a controller loop
+// with local-mode Dnodes, some copies of another page with only the
+// immediates changed), random local programs and a controller loop
 // that rotates, pulses and rewrites those pages: periodic and aperiodic
-// (input-dependent) rotations, one-cycle pulses, byte-identical WRCFG
-// rewrites, WRCFG/WRMODE/WRSW/WRLOC mixed into the rotation, more pages
-// than the plan cache holds, controller INPOP starvation and WAITs.
+// (input-dependent) rotations, one-cycle pulses, byte-identical and
+// immediate-only WRCFG rewrites, immediate-only WRLOC rewrites,
+// WRCFG/WRMODE/WRSW/WRLOC mixed into the rotation, more pages than the
+// plan cache holds, controller INPOP starvation and WAITs.
 // The host feeds the input in bursts between uneven run_cycles budgets,
 // sometimes through a limited link, and may reset for a rerun midway.
 //
@@ -156,7 +158,22 @@ Case make_case(int seed) {
       chance(rng, 25) ? 17 + rng.next_below(4) : 2 + rng.next_below(6);
   const std::uint64_t local_pct = chance(rng, 40) ? 30 : 0;
   std::vector<Page> pages(npages);
-  for (Page& p : pages) {
+  std::vector<ConfigPage> built;
+  for (std::size_t i = 0; i < npages; ++i) {
+    Page& p = pages[i];
+    if (i > 0 && chance(rng, 30)) {
+      // Another page with new immediates: the same structure, one plan.
+      const std::size_t src = rng.next_below(i);
+      p = pages[src];
+      ConfigPage cp = built[src];
+      for (std::size_t d = 0; d < n; ++d) {
+        p.instrs[d].imm = rng.next_word_in(-40, 40);
+        if (!p.local[d]) cp.dnode_instr[d] = p.instrs[d].encode();
+      }
+      built.push_back(cp);
+      pb.add_page(cp);
+      continue;
+    }
     PageBuilder page(g);
     p.instrs.resize(n);
     p.local.assign(n, false);
@@ -172,7 +189,8 @@ Case make_case(int seed) {
       }
       if (chance(rng, 70)) page.route(layer, lane, random_route(rng, g));
     }
-    pb.add_page(page);
+    built.push_back(page.build());
+    pb.add_page(built.back());
   }
 
   // Controller: a loop over a random straight-line body.  The body
@@ -191,7 +209,7 @@ Case make_case(int seed) {
   const std::size_t body = 4 + rng.next_below(14);
   int skip_labels = 0;
   for (std::size_t k = 0; k < body; ++k) {
-    const std::uint64_t roll = rng.next_below(100);
+    const std::uint64_t roll = rng.next_below(112);
     if (roll < 30) {  // rotation step, held a few cycles
       live = rng.next_below(npages);
       pb.page_switch(live);
@@ -243,9 +261,20 @@ Case make_case(int seed) {
       pb.wait(1 + static_cast<std::uint32_t>(rng.next_below(20)));
     } else if (roll < 95) {
       pb.outpush(1);
-    } else {
+    } else if (roll < 100) {
       pb.ldi(6, static_cast<std::int32_t>(rng.next_below(200)));
       pb.busw(6);
+    } else if (roll < 106) {  // new immediate for a live word
+      const std::size_t d = rng.next_below(n);
+      DnodeInstr in = pages[live].instrs[d];
+      in.imm = rng.next_word_in(-40, 40);
+      if (!pages[live].local[d]) pb.wrcfg(d, in);
+    } else {  // new immediate for a local program slot
+      const std::size_t d = rng.next_below(n);
+      const std::size_t slot = rng.next_below(locals[d].size());
+      DnodeInstr in = locals[d][slot];
+      in.imm = rng.next_word_in(-40, 40);
+      pb.wrloc(d, slot, in.encode());
     }
   }
   pb.addi(1, 1, -1);

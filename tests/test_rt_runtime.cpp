@@ -291,7 +291,7 @@ TEST(RuntimeMetrics, SnapshotIsPinnedWithTelemetryOff) {
   Runtime rt({.workers = 1});
   run_pinned_job_list(rt);
   const std::string dump = rt.metrics().to_json().dump();
-  EXPECT_EQ(fnv64(dump), 0xbd3dd183b7e2f222ull) << dump;
+  EXPECT_EQ(fnv64(dump), 0xea9c05b786e17ef2ull) << dump;
 }
 
 TEST(RuntimeMetrics, TelemetryAddsExactlyTheLatencyInstruments) {

@@ -318,9 +318,9 @@ TEST(RunReport, SerializedReportIsPinnedPerKernelAndGeometry) {
       {"fir", k4x2, 0x6ff51aa0db15c87dull},
       {"fir", k6x3, 0x037ffea9f589a900ull},
       {"dwt53", k8x2, 0xc9984b7662cf2908ull},
-      {"matvec8", k8x2, 0x9b1c25ca2035212aull},
-      {"matvec8", k4x2, 0x84c7a67d753cf38eull},
-      {"matvec8", k6x3, 0xfc5f9e6c6552dcb9ull},
+      {"matvec8", k8x2, 0xf6dced0bc4c4427bull},
+      {"matvec8", k4x2, 0xf00337508639f8cfull},
+      {"matvec8", k6x3, 0xc108fd97c9c8816cull},
       {"me", k8x2, 0x5f75369e6ddd7f56ull},
       {"me", k4x2, 0xff98e1b707fc427bull},
       {"me", k6x3, 0x986babdc0b089689ull},
