@@ -786,7 +786,6 @@ int main(int argc, char** argv) {
         rt::Job job;
         job.name = prog.name.empty() ? "sras_run" : prog.name;
         job.program = std::make_shared<const LoadableProgram>(prog);
-        job.program_key = "sras/" + job.name;
         job.max_cycles = budget;
 
         rt::RuntimeConfig cfg;

@@ -179,8 +179,8 @@ ProgramBuilder& ProgramBuilder::wrsw(std::size_t sw, std::size_t lane,
   return emit({RiscOp::kWrsw, 0, kScratchA, kScratchB, 0});
 }
 
-std::size_t ProgramBuilder::add_page(const ConfigPage& page) {
-  pages_.push_back(page);
+std::size_t ProgramBuilder::add_page(ConfigPage page) {
+  pages_.push_back(std::move(page));
   return pages_.size() - 1;
 }
 
@@ -207,8 +207,11 @@ ProgramBuilder& ProgramBuilder::local_program(
   return *this;
 }
 
-LoadableProgram ProgramBuilder::build() const {
-  std::vector<RiscInstr> code = code_;
+LoadableProgram ProgramBuilder::build() const& {
+  return ProgramBuilder(*this).build();
+}
+
+LoadableProgram ProgramBuilder::build() && {
   for (const auto& fix : fixups_) {
     const auto it = labels_.find(fix.label);
     check(it != labels_.end(),
@@ -218,17 +221,17 @@ LoadableProgram ProgramBuilder::build() const {
         (static_cast<std::int64_t>(fix.index) + 1);
     check(fits_signed(offset, 16),
           "ProgramBuilder: branch target out of range");
-    code[fix.index].imm = static_cast<std::int32_t>(offset);
+    code_[fix.index].imm = static_cast<std::int32_t>(offset);
   }
   LoadableProgram p;
-  p.name = name_;
+  p.name = std::move(name_);
   p.geometry = geom_;
-  p.controller_code.reserve(code.size());
-  for (const auto& instr : code) {
+  p.controller_code.reserve(code_.size());
+  for (const auto& instr : code_) {
     p.controller_code.push_back(instr.encode());
   }
-  p.pages = pages_;
-  p.local_init = local_init_;
+  p.pages = std::move(pages_);
+  p.local_init = std::move(local_init_);
   return p;
 }
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/config_memory.hpp"
@@ -29,7 +30,8 @@ class PageBuilder {
                      const SwitchRoute& r);
 
   const ConfigPage& page() const noexcept { return page_; }
-  ConfigPage build() const { return page_; }
+  ConfigPage build() const& { return page_; }
+  ConfigPage build() && { return std::move(page_); }
 
  private:
   std::size_t flat(std::size_t layer, std::size_t lane) const;
@@ -80,9 +82,11 @@ class ProgramBuilder {
                        const SwitchRoute& route);
 
   // --- program assembly -----------------------------------------------------
-  /// Register a configuration page; returns its index.
-  std::size_t add_page(const ConfigPage& page);
-  std::size_t add_page(const PageBuilder& pb) { return add_page(pb.build()); }
+  /// Register a configuration page (moved in); returns its index.
+  std::size_t add_page(ConfigPage page);
+  std::size_t add_page(PageBuilder pb) {
+    return add_page(std::move(pb).build());
+  }
 
   /// Preload a local-control register at load time.
   ProgramBuilder& local_init(std::size_t dnode, std::size_t slot,
@@ -92,8 +96,10 @@ class ProgramBuilder {
                                 const std::vector<DnodeInstr>& instrs);
 
   /// Resolve labels and produce the program; throws SimError on an
-  /// undefined label.
-  LoadableProgram build() const;
+  /// undefined label.  The rvalue form moves the pages and code out
+  /// instead of copying them.
+  LoadableProgram build() const&;
+  LoadableProgram build() &&;
 
  private:
   RingGeometry geom_;

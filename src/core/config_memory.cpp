@@ -1,6 +1,8 @@
 #include "core/config_memory.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -118,11 +120,19 @@ void ConfigMemory::write_switch_route(std::size_t sw, std::size_t lane,
 }
 
 void ConfigMemory::reset_live() {
-  live_ = ConfigPage::zeroed(geom_);
-  live_decoded_ = decode_page(live_);
+  // In place: a pooled System re-arms through here on every job.
+  const std::size_t n = geom_.dnode_count();
+  const std::size_t routes = geom_.switch_count() * geom_.lanes;
+  live_.dnode_instr.assign(n, 0);
+  live_.dnode_mode.assign(n, static_cast<std::uint8_t>(DnodeMode::kGlobal));
+  live_.switch_route.assign(routes, 0);
+  live_decoded_.instr.assign(n, DnodeInstr::decode(0));
+  live_decoded_.imm.assign(n, 0);
+  live_decoded_.route.assign(routes, SwitchRoute::decode(0));
   live_page_ = -1;
   words_written_ = 0;
-  route_changes_per_switch_.assign(geom_.switch_count(), 0);
+  std::fill(route_changes_per_switch_.begin(),
+            route_changes_per_switch_.end(), 0);
   ++generation_;  // monotonic within this object: plans never revalidate
 }
 
@@ -170,6 +180,36 @@ std::size_t ConfigMemory::add_page(ConfigPage page) {
   page_hashes_.push_back(hash_page(page));
   pages_.push_back(std::move(page));
   return pages_.size() - 1;
+}
+
+const ConfigPage& ConfigMemory::page(std::size_t index) const {
+  check(index < pages_.size(), "ConfigMemory::page: no such page");
+  return pages_[index];
+}
+
+void ConfigMemory::patch_imms(std::size_t index,
+                              std::span<const std::uint64_t> instr_words) {
+  check(index < pages_.size(), "ConfigMemory::patch_imms: no such page");
+  std::vector<std::uint64_t>& words = pages_[index].dnode_instr;
+  check(instr_words.size() == words.size(),
+        "ConfigMemory::patch_imms: page shape does not match");
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    check(((words[i] ^ instr_words[i]) & ~kImmFieldMask) == 0,
+          "ConfigMemory::patch_imms: words differ outside the immediate");
+  }
+  DecodedPage& dec = pages_decoded_[index];
+  bool written = false;
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    if (words[i] == instr_words[i]) continue;
+    words[i] = instr_words[i];
+    dec.instr[i].imm = static_cast<Word>(
+        (instr_words[i] & kImmFieldMask) >> std::countr_zero(kImmFieldMask));
+    dec.imm[i] = dec.instr[i].imm;
+    written = true;
+  }
+  if (written && live_page_ == static_cast<std::ptrdiff_t>(index)) {
+    ++generation_;
+  }
 }
 
 void ConfigMemory::apply_page(std::size_t index) {

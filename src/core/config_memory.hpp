@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -149,6 +150,18 @@ class ConfigMemory {
   /// Register a page; returns its index.
   std::size_t add_page(ConfigPage page);
   std::size_t page_count() const noexcept { return pages_.size(); }
+  /// Registered page `index` as stored (immediates included).
+  const ConfigPage& page(std::size_t index) const;
+
+  /// Rewrite the immediates of registered page `index` to those of
+  /// `instr_words`, which must equal the page's microinstructions
+  /// outside the imm16 field (throws otherwise, before any write).
+  /// Only words that differ are written, into both the raw and the
+  /// decoded page; the page's structure hash and memoized route diffs
+  /// stay valid because neither reads an immediate.  A patch of the
+  /// live page moves the generation.
+  void patch_imms(std::size_t index,
+                  std::span<const std::uint64_t> instr_words);
 
   /// Apply page `index` to the live configuration (one-cycle swap).
   void apply_page(std::size_t index);

@@ -116,7 +116,12 @@ void Ring::set_plan_cache_enabled(bool enabled) noexcept {
   }
 }
 
-void Ring::reset_arch_state() {
+void Ring::reset_for_rerun() {
+  // Compiled plans and the page index stay.  The local programs are
+  // cleared below, so the local generation moves on; it never repeats,
+  // because a data-dependent WRLOC can reach the same count in two runs
+  // with different local programs.  An index stamped with an earlier
+  // generation lapses unless finish_arm() carries it over.
   for (auto& d : dnodes_) d.reset();
   std::fill(local_imm_.begin(), local_imm_.end(), 0);
   for (auto& p : pipes_) p.reset();
@@ -146,9 +151,7 @@ void Ring::reset_arch_state() {
   mode_synced_ = false;
   synced_local_.clear();
   synced_valid_ = true;
-  local_generation_ = 0;
-  local_hash_gen_ = ~std::uint64_t{0};
-  page_index_.clear();
+  ++local_generation_;
   plan_compiles_ = 0;
   plan_hits_ = 0;
   plan_invalidations_ = 0;
@@ -156,12 +159,14 @@ void Ring::reset_arch_state() {
   plan_evictions_ = 0;
 }
 
-void Ring::reset_for_rerun() {
-  // Keep compiled plans; reset_arch_state() drops the page index, so
-  // the first re-attachment of every entry re-verifies the full
-  // structure against the fresh image and a new structure misses
-  // cleanly.
-  reset_arch_state();
+void Ring::finish_arm(bool same_structure) noexcept {
+  // A re-arm of the same structure rebuilt exactly the local programs
+  // the previous arm ended with, over the same ConfigMemory, so an
+  // index stamped at that arm's generation still names the right plans.
+  if (same_structure && page_index_local_gen_ == armed_local_gen_) {
+    page_index_local_gen_ = local_generation_;
+  }
+  armed_local_gen_ = local_generation_;
 }
 
 Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,

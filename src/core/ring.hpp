@@ -41,9 +41,11 @@
 // value), the cached plan re-attaches instead of recompiling.  Unknown
 // structure is interpreted and compiled on its second sighting.  A
 // page swap back to a page that had a plan attached re-attaches
-// through a per-page index in O(1): pages are immutable, so under the
+// through a per-page index in O(1): a page's structure is immutable
+// (ConfigMemory::patch_imms rewrites only immediates), so under the
 // same ConfigMemory and local programs the page index alone identifies
-// the structure.  One lookup (lookup()) serves step() and the fused
+// the structure; the index survives a System re-arm of the same
+// structure.  One lookup (lookup()) serves step() and the fused
 // loop alike.  The cache outlives every reset: a System keeps it
 // across reruns and program loads alike, so a pooled System that loads
 // a new matrix or tap set of a known kernel compiles nothing.
@@ -289,7 +291,8 @@ class Ring {
   /// Disabling detaches the current plan without counting an
   /// invalidation — it is a tooling action, not a configuration write.
   void set_plan_cache_enabled(bool enabled) noexcept;
-  /// Bumped by every write_local(); part of the plan invalidation key.
+  /// Bumped by every write_local() and reset, never repeated; part of
+  /// the plan invalidation key.
   std::uint64_t local_generation() const noexcept {
     return local_generation_;
   }
@@ -312,15 +315,25 @@ class Ring {
   void set_trace_views(bool on) noexcept { trace_views_ = on; }
 
   /// Clear all architectural state (configuration memory is separate)
-  /// but KEEP the compiled plan cache — every System reset path, a
-  /// rerun and a program load alike.  Cached plans re-attach only after
-  /// their structure is re-verified against the live configuration
-  /// (the page index is dropped, so the first re-attachment per entry
-  /// does a full compare), which makes a program of a new structure a
-  /// clean miss.  Counters are zeroed; outputs and architectural
-  /// statistics after a reset are bit-identical to a fresh System, only
-  /// the ring.plan.* counters reflect the warm cache.
+  /// but KEEP the compiled plan cache — every System arm, a re-arm and
+  /// a program load alike.  The local programs are cleared, so the
+  /// local generation moves on and the page index lapses (unless
+  /// finish_arm() carries it): cached plans then re-attach only after
+  /// their structure is re-verified against the live configuration,
+  /// which makes a program of a new structure a clean miss.  Counters
+  /// are zeroed; outputs and architectural statistics after a reset
+  /// are bit-identical to a fresh System, only the ring.plan.*
+  /// counters reflect the warm cache.
   void reset_for_rerun();
+
+  /// Mark the end of a System arm: reset_for_rerun() plus the
+  /// program's boot-time local writes.  `same_structure` says the
+  /// ConfigMemory is the one the previous arm used, its pages changed
+  /// at most in immediates, and the boot-time writes were the same:
+  /// the local programs then equal those the previous arm ended with,
+  /// so a page index built under them is carried to the new local
+  /// generation instead of lapsing.
+  void finish_arm(bool same_structure) noexcept;
 
  private:
   /// One cached compiled plan, keyed by configuration structure.
@@ -396,8 +409,6 @@ class Ring {
   /// Find the entry for the live structure (hash + content verify), or
   /// nullptr.
   PlanCacheEntry* find_entry(const ConfigMemory& cfg, std::uint64_t key);
-  /// Shared architectural-state reset (Dnodes, pipes, statistics).
-  void reset_arch_state();
   /// Insert a fresh entry for the live structure, evicting the LRU entry
   /// at capacity.  Returns the (possibly reused) entry.
   PlanCacheEntry* insert_entry(const ConfigMemory& cfg, std::uint64_t key);
@@ -483,10 +494,13 @@ class Ring {
   std::uint64_t local_hash_gen_ = ~std::uint64_t{0};
   // Page index: page_index_[p] is the entry attached while page p was
   // live (nullptr: none yet), valid for one (cfg uid, local_generation_)
-  // pair.  Cleared by an eviction (it reuses an entry) and by resets.
+  // pair.  Cleared by an eviction (it reuses an entry); a WRLOC or a
+  // reset lapses it by moving the local generation, and finish_arm()
+  // carries it across a same-structure re-arm.
   std::vector<PlanCacheEntry*> page_index_;
   std::uint64_t page_index_uid_ = 0;
   std::uint64_t page_index_local_gen_ = 0;
+  std::uint64_t armed_local_gen_ = 0;  // local generation at finish_arm()
   std::uint64_t plan_compiles_ = 0;
   std::uint64_t plan_hits_ = 0;
   std::uint64_t plan_invalidations_ = 0;

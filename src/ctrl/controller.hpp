@@ -29,6 +29,10 @@ class Controller {
 
   /// Replace the program and reset architectural state.
   void load_program(std::vector<std::uint32_t> program);
+  /// The loaded program, as encoded words.
+  const std::vector<std::uint32_t>& program() const noexcept {
+    return program_;
+  }
 
   /// Everything the controller can touch during one cycle.
   struct StepContext {

@@ -34,7 +34,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
   // Page 0: idle (also the inter-page settle step).
   PageBuilder idle(g);
   apply_routes(idle, g);
-  const std::size_t page_idle = pb.add_page(idle);
+  const std::size_t page_idle = pb.add_page(std::move(idle));
 
   // Page LOAD: x0 = K_inv, y0 = 0, z0 = theta (pops the host FIFO).
   PageBuilder load(g);
@@ -59,7 +59,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
     zi.dst = DnodeDst::kR0;
     load.instr(2, 0, zi);
   }
-  const std::size_t page_load = pb.add_page(load);
+  const std::size_t page_load = pb.add_page(std::move(load));
 
   // Page EMIT: x (cos) then y (sin) to the host.
   PageBuilder emit(g);
@@ -76,7 +76,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
     ye.host_en = true;
     emit.instr(1, 0, ye);
   }
-  const std::size_t page_emit = pb.add_page(emit);
+  const std::size_t page_emit = pb.add_page(std::move(emit));
 
   // Per-iteration page chain: A shift+sign, B double, C direction on
   // the bus, D coupled update (bus visible one cycle after C).
@@ -102,7 +102,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
       zt.dst = DnodeDst::kR1;
       a.instr(2, 0, zt);
     }
-    chain.push_back(pb.add_page(a));
+    chain.push_back(pb.add_page(std::move(a)));
 
     PageBuilder b(g);
     apply_routes(b, g);
@@ -115,7 +115,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
       zd.dst = DnodeDst::kR2;
       b.instr(2, 0, zd);
     }
-    chain.push_back(pb.add_page(b));
+    chain.push_back(pb.add_page(std::move(b)));
 
     PageBuilder c(g);
     apply_routes(c, g);
@@ -128,7 +128,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
       zb.bus_en = true;
       c.instr(2, 0, zb);
     }
-    chain.push_back(pb.add_page(c));
+    chain.push_back(pb.add_page(std::move(c)));
 
     PageBuilder d(g);
     apply_routes(d, g);
@@ -158,7 +158,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
       zu.dst = DnodeDst::kR0;
       d.instr(2, 0, zu);
     }
-    chain.push_back(pb.add_page(d));
+    chain.push_back(pb.add_page(std::move(d)));
   }
 
   // Controller schedule per sample.
@@ -179,7 +179,7 @@ LoadableProgram make_cordic_program(const RingGeometry& g,
   pb.addi(1, 1, -1);
   pb.branch(RiscOp::kBne, 1, 2, "sample");
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 CordicKernelResult run_cordic(const RingGeometry& g,

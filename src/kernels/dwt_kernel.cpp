@@ -152,10 +152,10 @@ LoadableProgram make_dwt53_program(const RingGeometry& g) {
     page.instr(7, 0, add);
   }
 
-  pb.add_page(page);
+  pb.add_page(std::move(page));
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 std::vector<Word> make_dwt53_feed(std::span<const Word> x) {
@@ -392,10 +392,10 @@ LoadableProgram make_idwt53_program(const RingGeometry& g) {
     page.instr(7, 0, add);
   }
 
-  pb.add_page(page);
+  pb.add_page(std::move(page));
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 IdwtResult run_idwt53(const RingGeometry& g, const dsp::Subbands& bands) {

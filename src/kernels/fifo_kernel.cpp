@@ -33,14 +33,14 @@ LoadableProgram make_fifo_program(const RingGeometry& g,
   consume.src_a = DnodeSrc::kFifo1;
   consume.host_en = true;
   page.instr(1, 0, consume);
-  pb.add_page(page);
+  pb.add_page(std::move(page));
 
   // Producer local program (single PASS) — pure stand-alone operation.
   pb.local_program(0, {produce});
 
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 LoadableProgram make_lifo_program(const RingGeometry& g, std::size_t block,
@@ -66,7 +66,7 @@ LoadableProgram make_lifo_program(const RingGeometry& g, std::size_t block,
     in.out_en = true;
     write.instr(0, 0, in);
   }
-  const std::size_t page_write = pb.add_page(write);
+  const std::size_t page_write = pb.add_page(std::move(write));
 
   // READ_k: the reader emits sample block-1-k; k = 0 sees it directly
   // on the upstream output register, k >= 1 at feedback depth 2k-1.
@@ -86,7 +86,7 @@ LoadableProgram make_lifo_program(const RingGeometry& g, std::size_t block,
     }
     read.route(1, 0, r);
     read.instr(1, 0, out);
-    read_pages.push_back(pb.add_page(read));
+    read_pages.push_back(pb.add_page(std::move(read)));
   }
 
   pb.set_reg(1, blocks);
@@ -99,7 +99,7 @@ LoadableProgram make_lifo_program(const RingGeometry& g, std::size_t block,
   pb.addi(1, 1, -1);
   pb.branch(RiscOp::kBne, 1, 2, "block");
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 FifoResult run_lifo(const RingGeometry& g, std::span<const Word> x,

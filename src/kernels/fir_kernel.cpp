@@ -66,10 +66,10 @@ LoadableProgram make_spatial_fir_program(const RingGeometry& g,
     if (k == taps) mac.host_en = true;  // the y stream
     page.instr(k, 1, mac);
   }
-  pb.add_page(page);
+  pb.add_page(std::move(page));
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 FirResult run_spatial_fir(const RingGeometry& g, std::span<const Word> x,
@@ -140,7 +140,7 @@ LoadableProgram make_paged_serial_fir_program(const RingGeometry& g,
     emit.src_a = DnodeSrc::kR0;
     emit.host_en = true;
     page.instr(mac_layer, 0, emit);
-    pb.add_page(page);
+    pb.add_page(std::move(page));
   }
 
   // Pages 1..T (TAP k): tap j = T-k; phase 1 reads X_{T-1} directly
@@ -161,7 +161,7 @@ LoadableProgram make_paged_serial_fir_program(const RingGeometry& g,
     mac.dst = DnodeDst::kR0;
     page.route(mac_layer, 0, r);
     page.instr(mac_layer, 0, mac);
-    pb.add_page(page);
+    pb.add_page(std::move(page));
   }
 
   // Page T+1 (IDLE): everything NOP.
@@ -185,7 +185,7 @@ LoadableProgram make_paged_serial_fir_program(const RingGeometry& g,
   // The MAC Dnode index is only documented here for readers of the
   // disassembly; nothing at runtime needs it.
   (void)mac_dnode;
-  return pb.build();
+  return std::move(pb).build();
 }
 
 namespace {
@@ -272,7 +272,7 @@ LoadableProgram make_wordwise_serial_fir_program(
       boot.route(j, 0, r);
     }
   }
-  pb.add_page(boot);
+  pb.add_page(std::move(boot));
 
   // Register allocation (exactly fills the 16-entry file at taps = 4):
   // r0 sample counter, r1..rT tap instructions, r(T+1)..r(2T) tap
@@ -351,7 +351,7 @@ LoadableProgram make_wordwise_serial_fir_program(
   // Flush: emit the final y (no extra input pop in this variant).
   pulse(rMacIdx, rEmit);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 FirResult run_wordwise_serial_fir(const RingGeometry& g,

@@ -21,7 +21,7 @@ LoadableProgram make_iir1_program(const RingGeometry& g, Word a) {
   route.fifo1 = {1, 0, 0};
   page.route(0, 0, route);
   page.mode(0, 0, DnodeMode::kLocal);
-  pb.add_page(page);
+  pb.add_page(std::move(page));
 
   // Local program: MAC on even steps, NOP on odd steps.  The nop gap
   // lets y[n] travel out-register -> feedback pipeline before the next
@@ -38,7 +38,7 @@ LoadableProgram make_iir1_program(const RingGeometry& g, Word a) {
 
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 LoadableProgram make_iir2_program(const RingGeometry& g, Word b0, Word a1,
@@ -60,7 +60,7 @@ LoadableProgram make_iir2_program(const RingGeometry& g, Word b0, Word a1,
   r2.fifo1 = {y_pipe, 0, 0};
   page.route(1, 0, r2);
   page.mode(1, 0, DnodeMode::kLocal);
-  pb.add_page(page);
+  pb.add_page(std::move(page));
 
   DnodeInstr d1_even;  // r0 = b0 * x[n]
   d1_even.op = DnodeOp::kMac;
@@ -90,7 +90,7 @@ LoadableProgram make_iir2_program(const RingGeometry& g, Word b0, Word a1,
 
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 IirResult run_iir2(const RingGeometry& g, std::span<const Word> x, Word b0,

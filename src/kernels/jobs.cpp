@@ -1,7 +1,5 @@
 #include "kernels/jobs.hpp"
 
-#include <cstdio>
-
 #include "common/error.hpp"
 #include "kernels/dwt_kernel.hpp"
 #include "kernels/fir_kernel.hpp"
@@ -9,30 +7,6 @@
 #include "kernels/motion_estimation.hpp"
 
 namespace sring::kernels {
-
-namespace {
-
-/// FNV-1a over a word sequence — stable content hash for program
-/// cache keys.
-std::uint64_t fnv1a(std::span<const Word> words) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const Word w : words) {
-    for (int shift = 0; shift < 16; shift += 8) {
-      h ^= (w >> shift) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
-std::string geom_key(const RingGeometry& g) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "L%zux%zufb%zu", g.layers, g.lanes,
-                g.fb_depth);
-  return buf;
-}
-
-}  // namespace
 
 rt::Job make_spatial_fir_job(
     const RingGeometry& g, std::span<const Word> x,
@@ -45,11 +19,6 @@ rt::Job make_spatial_fir_job(
                     ? std::move(program)
                     : std::make_shared<const LoadableProgram>(
                           make_spatial_fir_program(g, coeffs));
-  char key[96];
-  std::snprintf(key, sizeof(key), "fir.spatial/%s/t%zu/%016llx",
-                geom_key(g).c_str(), taps,
-                static_cast<unsigned long long>(fnv1a(coeffs)));
-  job.program_key = key;
 
   // Same feed/run/slice schedule as run_spatial_fir: x plus `taps`
   // flush zeros in, the first `taps` received words are warm-up.
@@ -78,10 +47,6 @@ rt::Job make_motion_estimation_job(
                     ? std::move(program)
                     : std::make_shared<const LoadableProgram>(
                           make_sad_engine_program(g, n * n, batches));
-  char key[96];
-  std::snprintf(key, sizeof(key), "sad_engine/%s/px%zu/b%zu",
-                geom_key(g).c_str(), n * n, batches);
-  job.program_key = key;
 
   job.input = make_sad_feed(ref, rx, ry, cand, disp, units, n);
   job.run = rt::Job::Run::kUntilHalt;
@@ -115,7 +80,6 @@ rt::Job make_dwt53_job(const RingGeometry& g, std::span<const Word> x,
                     ? std::move(program)
                     : std::make_shared<const LoadableProgram>(
                           make_dwt53_program(g));
-  job.program_key = "dwt53/" + geom_key(g);
 
   job.input = make_dwt53_feed(x);
   job.run = rt::Job::Run::kUntilOutputs;
@@ -131,21 +95,12 @@ rt::Job make_matvec8_job(const RingGeometry& g, const dsp::Matrix8& m,
         "make_matvec8_job: length must be a positive multiple of 8");
   const std::size_t blocks = x.size() / dsp::kMatvecN;
 
-  std::vector<Word> flat;
-  flat.reserve(dsp::kMatvecN * dsp::kMatvecN);
-  for (const auto& row : m) flat.insert(flat.end(), row.begin(), row.end());
-
   rt::Job job;
   job.name = "matvec8";
   job.program = program != nullptr
                     ? std::move(program)
                     : std::make_shared<const LoadableProgram>(
                           make_matvec8_program(g, m, blocks));
-  char key[96];
-  std::snprintf(key, sizeof(key), "matvec8/%s/b%zu/%016llx",
-                geom_key(g).c_str(), blocks,
-                static_cast<unsigned long long>(fnv1a(flat)));
-  job.program_key = key;
 
   job.input.assign(x.begin(), x.end());
   job.run = rt::Job::Run::kUntilHalt;

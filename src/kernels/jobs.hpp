@@ -5,10 +5,10 @@
 // inline: the LoadableProgram, the host feed (warm-up, signal, flush),
 // the run policy, and the output-slicing that strips pipeline
 // warm-up.  Descriptors accept an optional pre-built shared program so
-// a whole batch references a single build; the program_key they stamp
-// lets the runtime's SystemPool skip reconfiguration between jobs of
-// the same kind — the fleet-level form of the paper's preloaded
-// configuration pages.
+// a whole batch references a single build.  Jobs of one kernel share a
+// program structure whatever their taps or matrix, so the runtime's
+// SystemPool re-arms between them instead of reloading — the
+// fleet-level form of the paper's preloaded configuration pages.
 #pragma once
 
 #include <memory>

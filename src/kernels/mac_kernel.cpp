@@ -15,7 +15,7 @@ LoadableProgram make_running_mac_program(const RingGeometry& g) {
   route.in2 = PortRoute::host();
   page.route(0, 0, route);
   page.mode(0, 0, DnodeMode::kLocal);
-  pb.add_page(page);
+  pb.add_page(std::move(page));
 
   DnodeInstr mac;
   mac.op = DnodeOp::kMac;
@@ -28,7 +28,7 @@ LoadableProgram make_running_mac_program(const RingGeometry& g) {
 
   pb.page_switch(0);
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 MacResult run_running_mac(const RingGeometry& g, std::span<const Word> a,

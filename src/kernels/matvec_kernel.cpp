@@ -1,5 +1,7 @@
 #include "kernels/matvec_kernel.hpp"
 
+#include <bit>
+
 #include "asm/program_builder.hpp"
 #include "common/error.hpp"
 #include "sim/system.hpp"
@@ -32,7 +34,7 @@ LoadableProgram make_matvec8_program(const RingGeometry& g,
       mac.host_en = j == dsp::kMatvecN - 1;
       page.instr(k / g.lanes, k % g.lanes, mac);
     }
-    pb.add_page(page);
+    pb.add_page(std::move(page));
   }
 
   // Controller: per block, 4 cycles per element (pop, broadcast,
@@ -49,7 +51,20 @@ LoadableProgram make_matvec8_program(const RingGeometry& g,
   pb.addi(1, 1, -1);
   pb.branch(RiscOp::kBne, 1, 2, "block");
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
+}
+
+void set_matvec8_matrix(LoadableProgram& program, const dsp::Matrix8& m) {
+  check(program.pages.size() == 1 + dsp::kMatvecN,
+        "set_matvec8_matrix: not a matvec8 program");
+  constexpr int kImmShift = std::countr_zero(kImmFieldMask);
+  for (std::size_t j = 0; j < dsp::kMatvecN; ++j) {
+    std::vector<std::uint64_t>& words = program.pages[1 + j].dnode_instr;
+    for (std::size_t k = 0; k < dsp::kMatvecN; ++k) {
+      words[k] = (words[k] & ~kImmFieldMask) |
+                 (std::uint64_t{m[k][j]} << kImmShift);
+    }
+  }
 }
 
 MatvecResult run_block_matvec8(const RingGeometry& g, const dsp::Matrix8& m,

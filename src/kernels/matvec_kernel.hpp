@@ -27,6 +27,12 @@ LoadableProgram make_matvec8_program(const RingGeometry& g,
                                      const dsp::Matrix8& m,
                                      std::size_t blocks);
 
+/// Rewrite the matrix of a make_matvec8_program() program in place:
+/// only the 64 MAC immediates of its element pages change, so the
+/// result equals make_matvec8_program(g, m, blocks) and keeps the
+/// structure a pooled System re-arms from.
+void set_matvec8_matrix(LoadableProgram& program, const dsp::Matrix8& m);
+
 struct MatvecResult {
   std::vector<Word> outputs;  ///< 8 words per input block
   SystemStats stats;

@@ -42,7 +42,7 @@ LoadableProgram make_sad_engine_program(const RingGeometry& g,
     acc.dst = DnodeDst::kR0;
     work.instr(layer, 1, acc);
   }
-  const std::size_t page_work = pb.add_page(work);
+  const std::size_t page_work = pb.add_page(std::move(work));
 
   // Page DRAIN (one cycle): lane 0 idles (its output register holds
   // the last absdiff), lane 1 folds in the second-to-last absdiff that
@@ -59,7 +59,7 @@ LoadableProgram make_sad_engine_program(const RingGeometry& g,
     acc.dst = DnodeDst::kR0;
     drain.instr(layer, 1, acc);
   }
-  const std::size_t page_drain = pb.add_page(drain);
+  const std::size_t page_drain = pb.add_page(std::move(drain));
 
   // Page EMIT: lane 1 pushes acc + in-flight absdiff (the lane-0
   // output registered at the last WORK edge) to the host.
@@ -75,7 +75,7 @@ LoadableProgram make_sad_engine_program(const RingGeometry& g,
     e.host_en = true;
     emit.instr(layer, 1, e);
   }
-  const std::size_t page_emit = pb.add_page(emit);
+  const std::size_t page_emit = pb.add_page(std::move(emit));
 
   // Page RESET: clear accumulators and lane-0 output registers.
   PageBuilder reset(g);
@@ -91,7 +91,7 @@ LoadableProgram make_sad_engine_program(const RingGeometry& g,
     z1.dst = DnodeDst::kR0;
     reset.instr(layer, 1, z1);
   }
-  const std::size_t page_reset = pb.add_page(reset);
+  const std::size_t page_reset = pb.add_page(std::move(reset));
 
   // Controller: per batch, WORK for `block_pixels` cycles, EMIT,
   // RESET; the two loop-upkeep cycles run under the RESET page (no
@@ -109,7 +109,7 @@ LoadableProgram make_sad_engine_program(const RingGeometry& g,
   pb.addi(1, 1, -1);
   pb.branch(RiscOp::kBne, 1, 2, "batch");
   pb.halt();
-  return pb.build();
+  return std::move(pb).build();
 }
 
 std::vector<std::pair<int, int>> sad_displacements(int range) {

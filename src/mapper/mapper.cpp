@@ -350,12 +350,12 @@ MappedProgram map_dfg(const Dfg& dfg, const RingGeometry& geometry) {
 
   // --- assemble -----------------------------------------------------------
   ProgramBuilder pb(geometry, "mapped_dfg");
-  pb.add_page(page);
+  pb.add_page(std::move(page));
   pb.page_switch(0);
   pb.halt();
 
   MappedProgram mapped;
-  mapped.program = pb.build();
+  mapped.program = std::move(pb).build();
   mapped.geometry = geometry;
   mapped.input_count = dfg.inputs().size();
 

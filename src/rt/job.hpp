@@ -35,16 +35,9 @@ struct Job {
   std::string name;  ///< job label; becomes the RunReport name
 
   /// The program, shared so a whole batch references one build.  The
-  /// pool keys reuse on (`geometry`, `program_key`), never on pointer
-  /// identity.
+  /// pool re-arms a resident System whose program has the same
+  /// structure (content compared, never pointer identity).
   std::shared_ptr<const LoadableProgram> program;
-
-  /// Cache identity of `program`: two jobs with equal non-empty keys
-  /// (and equal geometry/link) MUST carry behaviourally identical
-  /// programs — the pool then skips reconfiguration between them, the
-  /// software analogue of the paper's preloaded configuration pages.
-  /// An empty key disables program reuse (every run fully reloads).
-  std::string program_key;
 
   std::vector<Word> input;  ///< words sent to the host FIFO before the run
 
@@ -76,7 +69,7 @@ struct JobResult {
   // Execution provenance — the only fields allowed to differ between
   // runs of the same batch at different worker counts.
   std::size_t worker = 0;        ///< worker index that ran the job
-  bool reused_system = false;    ///< pooled System, program still loaded
+  bool reused_system = false;    ///< pooled System re-armed, no reload
   std::uint64_t trace_id = 0;    ///< Job::trace_id, echoed back
   obs::SpanTimeline timeline;    ///< wall-clock spans (empty if disabled)
 };

@@ -205,7 +205,7 @@ JobResult Runtime::run_job(const Job& job, std::size_t index,
     check(job.program != nullptr, "rt job '" + job.name + "': no program");
     const SystemPool::Lease lease = worker.pool.acquire(job);
     System& sys = lease.system;
-    result.reused_system = lease.reused_program;
+    result.reused_system = lease.rearmed;
     timeline.stamp(obs::SpanTimeline::kArmed);
     if (worker.sink) sys.set_trace(worker.sink.get());
 

@@ -24,21 +24,20 @@ SystemPool::Lease SystemPool::acquire(const Job& job) {
   const RingGeometry& g = job.program->geometry;
   ++tick_;
 
-  // Best match first: a resident that still holds this exact program
-  // re-arms without touching the configware.
+  // A resident of this structure re-arms: only differing immediates
+  // are written.  The compare fails fast on a different program.
   for (auto& entry : entries_) {
     if (entry.geometry == g && link_equal(entry.link, job.link) &&
-        !job.program_key.empty() && entry.program_key == job.program_key) {
+        entry.system->rearm(*job.program)) {
       entry.last_use = tick_;
       ++fast_resets_;
-      entry.system->reset_for_rerun(*job.program);
       return {*entry.system, true};
     }
   }
 
   // While there is room, grow instead of reloading a resident: a
-  // working set of up to max_systems_ distinct programs settles into
-  // all-fast-resets instead of thrashing one System.
+  // working set of up to max_systems_ distinct structures settles into
+  // all re-arms instead of thrashing one System.
   if (entries_.size() >= max_systems_) {
     const auto lru = std::min_element(
         entries_.begin(), entries_.end(),
@@ -47,7 +46,6 @@ SystemPool::Lease SystemPool::acquire(const Job& job) {
       lru->last_use = tick_;
       ++full_loads_;
       lru->system->load(*job.program);
-      lru->program_key = job.program_key;
       return {*lru->system, false};
     }
     entries_.erase(lru);
@@ -57,7 +55,6 @@ SystemPool::Lease SystemPool::acquire(const Job& job) {
   Entry entry;
   entry.geometry = g;
   entry.link = job.link;
-  entry.program_key = job.program_key;
   entry.system = std::make_unique<System>(SystemConfig{g, job.link});
   entry.last_use = tick_;
   ++constructed_;

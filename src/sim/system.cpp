@@ -26,31 +26,62 @@ void System::load(const LoadableProgram& program) {
   check(program.geometry.layers == geom_.layers &&
             program.geometry.lanes == geom_.lanes,
         "System::load: program was built for a different ring geometry");
+  loaded_ = false;  // a load that throws leaves no program to re-arm
   cfg_ = ConfigMemory(geom_);
   for (const auto& page : program.pages) cfg_.add_page(page);
   ctrl_.load_program(program.controller_code);
-  reset_common(program);
+  local_init_ = program.local_init;
+  reset_common(program, /*same_structure=*/false);
+  loaded_ = true;
 }
 
-void System::reset_for_rerun(const LoadableProgram& program) {
-  check(program.geometry.layers == geom_.layers &&
-            program.geometry.lanes == geom_.lanes,
-        "System::reset_for_rerun: wrong ring geometry");
-  check(cfg_.page_count() == program.pages.size(),
-        "System::reset_for_rerun: a different program is loaded");
+bool System::same_structure(const LoadableProgram& program) const {
+  if (!loaded_ || program.geometry.layers != geom_.layers ||
+      program.geometry.lanes != geom_.lanes ||
+      program.pages.size() != cfg_.page_count() ||
+      program.controller_code != ctrl_.program() ||
+      program.local_init != local_init_) {
+    return false;
+  }
+  for (std::size_t p = 0; p < program.pages.size(); ++p) {
+    const ConfigPage& want = program.pages[p];
+    const ConfigPage& have = cfg_.page(p);
+    if (want.dnode_mode != have.dnode_mode ||
+        want.switch_route != have.switch_route ||
+        want.dnode_instr.size() != have.dnode_instr.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < want.dnode_instr.size(); ++i) {
+      if (((want.dnode_instr[i] ^ have.dnode_instr[i]) & ~kImmFieldMask) !=
+          0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool System::rearm(const LoadableProgram& program) {
+  if (!same_structure(program)) return false;
+  for (std::size_t p = 0; p < program.pages.size(); ++p) {
+    cfg_.patch_imms(p, program.pages[p].dnode_instr);
+  }
   cfg_.reset_live();
   ctrl_.reset();
-  reset_common(program);
+  reset_common(program, /*same_structure=*/true);
+  return true;
 }
 
-void System::reset_common(const LoadableProgram& program) {
-  // Reruns and loads alike keep the ring's compiled plan cache warm
+void System::reset_common(const LoadableProgram& program,
+                          bool same_structure) {
+  // Re-arms and loads alike keep the ring's compiled plan cache warm
   // (structure keys re-verified before reuse): a new program of a known
   // kernel differs from it only in immediates.
   ring_.reset_for_rerun();
   for (const auto& lw : program.local_init) {
     ring_.write_local(lw.dnode, lw.slot, lw.value);
   }
+  ring_.finish_arm(same_structure);
   host_.reset();
   bus_ = 0;
   cycle_ = 0;

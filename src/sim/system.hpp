@@ -135,25 +135,28 @@ class System {
   /// Load an application: fresh configuration memory with the
   /// program's pages, controller program loaded, ring state cleared,
   /// host FIFOs drained.  The ring keeps its structure-keyed plan cache,
-  /// as reset_for_rerun() does: a program that differs from an earlier
-  /// one only in immediates (new taps, a new matrix tile) compiles
-  /// nothing, which shows up only in the ring.plan.* counters.
+  /// as rearm() does: a program that differs from an earlier one only
+  /// in immediates (new taps, a new matrix tile) compiles nothing,
+  /// which shows up only in the ring.plan.* counters.
   void load(const LoadableProgram& program);
 
-  /// Re-arm the machine for another run of the program most recently
-  /// load()ed, skipping the configware rebuild (pages stay decoded in
-  /// configuration memory — the software analogue of the paper's
-  /// preloaded configuration layer).  `program` must be the same
-  /// program passed to the last load(); it is re-taken here only for
-  /// the boot-time local-control writes.  Afterwards the machine's
-  /// architectural state, outputs and statistics are indistinguishable
-  /// from a freshly constructed System that just load()ed `program` —
-  /// the runtime's determinism test holds it to that — with ONE
-  /// carve-out: the ring keeps its compiled cycle-plan cache warm
-  /// (entries re-verify their structure key before re-attaching, so a
-  /// program of a different structure misses cleanly), which shows up
-  /// only in the ring.plan.* counters.
-  void reset_for_rerun(const LoadableProgram& program);
+  /// Arm `program` without reloading it, when it has the structure of
+  /// the program last load()ed — the same geometry, the same pages
+  /// outside their imm16 fields (kImmFieldMask), exactly the same
+  /// controller code and exactly the same local_init, decided by
+  /// comparing content: write only the page immediates that differ
+  /// (ConfigMemory::patch_imms keeps the decoded pages current), reset
+  /// the controller without reloading its code, and reset the rest as
+  /// load() does.  The pages stay decoded in configuration memory — the
+  /// software analogue of the paper's preloaded configuration layer —
+  /// and the ring keeps its page index.  An exact rerun is the re-arm
+  /// that writes nothing.  Afterwards the machine's architectural
+  /// state, outputs and statistics are indistinguishable from a freshly
+  /// constructed System that just load()ed `program`, with ONE
+  /// carve-out: the ring.plan.* counters, and the ring.superstep.*
+  /// counters that follow from them, reflect the warm plan cache.
+  /// Returns false, changing nothing, on any other program.
+  [[nodiscard]] bool rearm(const LoadableProgram& program);
 
   /// Advance one clock cycle.
   void step();
@@ -215,7 +218,8 @@ class System {
   void set_trace(obs::EventSink* sink);
 
  private:
-  void reset_common(const LoadableProgram& program);
+  bool same_structure(const LoadableProgram& program) const;
+  void reset_common(const LoadableProgram& program, bool same_structure);
   /// The controller's part of a cycle (counts its statistics).
   Controller::StepResult step_controller(Word bus, std::uint64_t cycle);
   /// The rest of a cycle after the controller stepped: ring evaluation,
@@ -238,6 +242,8 @@ class System {
                               std::size_t host_out_stop);
 
   RingGeometry geom_;
+  bool loaded_ = false;  // a program is loaded and can be re-armed
+  std::vector<LocalWrite> local_init_;  // the loaded program's
   ConfigMemory cfg_;
   Ring ring_;
   Controller ctrl_;

@@ -9,15 +9,6 @@
 
 namespace sring::svc {
 
-namespace {
-
-std::string geometry_suffix(const RingGeometry& g) {
-  return std::to_string(g.layers) + "x" + std::to_string(g.lanes) + "x" +
-         std::to_string(g.fb_depth);
-}
-
-}  // namespace
-
 CompileService::CompileService(CompileServiceConfig config)
     : config_(config) {
   check(config_.cache_capacity >= 1,
@@ -83,8 +74,6 @@ std::shared_ptr<const CompiledDfg> CompileService::compile_locked(
   auto compiled = std::make_shared<CompiledDfg>();
   compiled->dfg_hash = hash;
   compiled->mapped = mapper::map_dfg(dfg, geometry);
-  compiled->program_key =
-      "dfg/" + dfg_hash_hex(hash) + "/" + geometry_suffix(geometry);
 
   // Golden-model gate: before the program is ever served, run it over a
   // deterministic synthetic vector and hold it bit-identical to the

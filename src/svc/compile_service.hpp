@@ -34,8 +34,6 @@ namespace sring::svc {
 struct CompiledDfg {
   std::uint64_t dfg_hash = 0;
   mapper::MappedProgram mapped;
-  /// SystemPool re-arm key: "dfg/<hash hex>/<layers>x<lanes>x<fb>".
-  std::string program_key;
   std::uint64_t compile_us = 0;  ///< decode+map+validate cost (0 = n/a)
 };
 

@@ -36,7 +36,6 @@ rt::Job make_dfg_job(const std::shared_ptr<const CompiledDfg>& compiled,
   // lifetime, so cache eviction cannot free a program mid-arm.
   job.program = std::shared_ptr<const LoadableProgram>(compiled,
                                                        &mapped.program);
-  job.program_key = compiled->program_key;
   job.input = std::move(feed);
   job.run = rt::Job::Run::kUntilOutputs;
   job.expected_outputs = mapped.pushes_per_cycle * (samples + pad);

@@ -21,9 +21,9 @@ namespace sring::svc {
 
 /// Package a compiled DFG over equal-length input streams as an
 /// rt::Job.  The job shares `compiled` (aliasing pointer into its
-/// MappedProgram — no program copy) and stamps compiled->program_key,
-/// so the SystemPool re-arms instead of reloading between jobs of the
-/// same graph.  Outputs are the *raw* interleaved host words; split
+/// MappedProgram — no program copy); jobs of the same graph share its
+/// structure, so the SystemPool re-arms instead of reloading between
+/// them.  Outputs are the *raw* interleaved host words; split
 /// them with delace_outputs.  Throws SimError on stream mismatch.
 rt::Job make_dfg_job(const std::shared_ptr<const CompiledDfg>& compiled,
                      const std::vector<std::vector<Word>>& input_streams);

@@ -1,29 +1,11 @@
 #include "tile/gemm_job.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/error.hpp"
 #include "kernels/matvec_kernel.hpp"
 
 namespace sring::tile {
-
-namespace {
-
-/// FNV-1a over a word sequence (same content-hash idiom as
-/// kernels/jobs.cpp program keys).
-std::uint64_t fnv1a(std::span<const Word> words) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const Word w : words) {
-    for (int shift = 0; shift < 16; shift += 8) {
-      h ^= (w >> shift) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  }
-  return h;
-}
-
-}  // namespace
 
 GemmJobBuilder::GemmJobBuilder(const RingGeometry& geometry,
                                Scratchpad& scratch)
@@ -54,14 +36,15 @@ const StagedTile& GemmJobBuilder::stage_a(const TileSchedule& sched,
         tile.words[r * kTileK + q] = m[r][q];
       }
     }
-    tile.program = std::make_shared<const LoadableProgram>(
-        kernels::make_matvec8_program(geometry_, m, spec.tile_n));
-    char key[96];
-    std::snprintf(key, sizeof(key), "gemm.tile/L%zux%zufb%zu/b%zu/%016llx",
-                  geometry_.layers, geometry_.lanes, geometry_.fb_depth,
-                  spec.tile_n,
-                  static_cast<unsigned long long>(fnv1a(tile.words)));
-    tile.program_key = key;
+    // Every A tile is the same matvec8 structure with its own matrix:
+    // build the structure once, then patch the 64 immediates per tile.
+    if (matvec_blocks_ != spec.tile_n) {
+      matvec_ = kernels::make_matvec8_program(geometry_, m, spec.tile_n);
+      matvec_blocks_ = spec.tile_n;
+    } else {
+      kernels::set_matvec8_matrix(matvec_, m);
+    }
+    tile.program = std::make_shared<const LoadableProgram>(matvec_);
     return tile;
   });
 }
@@ -97,18 +80,16 @@ rt::Job GemmJobBuilder::build(const TileSchedule& sched,
   check(b.size() == spec.k * spec.n,
         "tile: B operand size does not match k*n");
 
-  // Copy the A tile's handles before staging B: with a tiny
+  // Copy the A tile's program handle before staging B: with a tiny
   // scratchpad, staging B may evict the A entry we hold a reference
   // into.
-  const StagedTile& a_tile = stage_a(sched, step, a);
-  std::shared_ptr<const LoadableProgram> program = a_tile.program;
-  std::string program_key = a_tile.program_key;
+  std::shared_ptr<const LoadableProgram> program =
+      stage_a(sched, step, a).program;
   const StagedTile& b_tile = stage_b(sched, step, b);
 
   rt::Job job;
   job.name = "gemm.tile";
   job.program = std::move(program);
-  job.program_key = std::move(program_key);
   job.input = b_tile.words;
   job.run = rt::Job::Run::kUntilHalt;
   job.max_cycles = 64 + 40 * job.input.size();

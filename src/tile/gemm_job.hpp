@@ -6,10 +6,12 @@
 //   P[r][c] = sum over the step's K-chunk of A[8*ti+r][8*tk+q] *
 //             B[8*tk+q][tile_n*tj+c]   (mod 2^16)
 // by baking the A sub-tile as the page's Matrix8 and streaming the B
-// sub-tile's columns as 8-word feed blocks.  The A tile's program and
-// program_key live in its scratchpad entry, so a scratchpad hit also
-// makes the job a SystemPool/plan-cache hit on the worker — the
-// weight-stationary mapping orders steps to maximize exactly that.
+// sub-tile's columns as 8-word feed blocks.  The builder builds the
+// matvec8 structure once and derives each A tile's program by patching
+// its 64 immediates; the program lives in the tile's scratchpad entry.
+// Every tile program shares one structure, so a pooled System re-arms
+// between tiles by writing immediates, and the Ring re-attaches its
+// cached plans without compiling.
 //
 // The worker fleet, plan cache, superstep engine and telemetry all see
 // an ordinary matvec-shaped job; nothing downstream of rt::Job knows
@@ -21,6 +23,7 @@
 
 #include "core/config_memory.hpp"
 #include "rt/job.hpp"
+#include "sim/program.hpp"
 #include "tile/scratchpad.hpp"
 #include "tile/tile_plan.hpp"
 
@@ -67,6 +70,10 @@ class GemmJobBuilder {
 
   RingGeometry geometry_;
   Scratchpad& scratch_;
+  /// The matvec8 program of the last A tile staged, for
+  /// `matvec_blocks_` feed blocks (0: none built yet).
+  LoadableProgram matvec_;
+  std::size_t matvec_blocks_ = 0;
 };
 
 }  // namespace sring::tile

@@ -24,7 +24,6 @@
 #include <functional>
 #include <list>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -58,11 +57,10 @@ struct TileKeyHash {
 
 /// One staged tile: the packed words (A: row-major 8x8 sub-matrix;
 /// B: column-major feed blocks) plus, for A tiles, the matvec page
-/// program baked from them and its pool-reuse key.
+/// program baked from them.
 struct StagedTile {
   std::vector<Word> words;
   std::shared_ptr<const LoadableProgram> program;
-  std::string program_key;
   bool pinned = false;
 
   std::size_t bytes() const noexcept { return words.size() * sizeof(Word); }

@@ -15,8 +15,10 @@
 //     in the host accumulator while its K-chunks stream through;
 //   weight-stationary  (ti, tk, tj): the A sub-tile (the "weight", a
 //     baked configware page) stays resident across all column tiles,
-//     so consecutive jobs share a program_key and re-arm from the
-//     SystemPool/plan cache instead of recompiling.
+//     so consecutive jobs run the same program and stage nothing new.
+//     (Every A tile shares one program structure, so either mapping
+//     re-arms a pooled System by patching immediates and compiles no
+//     plan per tile.)
 //
 // plan_gemm replays the step order against the same LRU model the
 // Scratchpad implements, so the predicted hits/refills/bytes match

@@ -76,6 +76,40 @@ TEST(ConfigMemory, PagesSwapAtomically) {
   EXPECT_THROW(cfg.apply_page(1), SimError);
 }
 
+TEST(ConfigMemory, PatchImmsRewritesOnlyImmediates) {
+  ConfigMemory cfg(small());
+  DnodeInstr mac;
+  mac.op = DnodeOp::kMac;
+  mac.src_a = DnodeSrc::kBus;
+  mac.src_b = DnodeSrc::kImm;
+  mac.imm = 5;
+  ConfigPage page = ConfigPage::zeroed(small());
+  page.dnode_instr[2] = mac.encode();
+  const std::size_t p = cfg.add_page(page);
+  cfg.apply_page(p);
+  const std::uint64_t hash = cfg.content_hash();
+  const std::uint64_t gen = cfg.generation();
+
+  std::vector<std::uint64_t> words = page.dnode_instr;
+  mac.imm = static_cast<Word>(-7);
+  words[2] = mac.encode();
+  cfg.patch_imms(p, words);
+  EXPECT_EQ(cfg.dnode_instr(2), mac);
+  EXPECT_EQ(cfg.live_imms()[2], mac.imm);
+  EXPECT_EQ(cfg.page(p).dnode_instr, words);
+  EXPECT_EQ(cfg.content_hash(), hash) << "structure unchanged";
+  EXPECT_GT(cfg.generation(), gen) << "the live page changed";
+
+  // Anything outside the immediate is another structure: rejected
+  // before any word is written.
+  std::vector<std::uint64_t> other = words;
+  other[0] = DnodeInstr{.op = DnodeOp::kAdd}.encode();
+  other[2] = page.dnode_instr[2];
+  EXPECT_THROW(cfg.patch_imms(p, other), SimError);
+  EXPECT_EQ(cfg.page(p).dnode_instr, words);
+  EXPECT_THROW(cfg.patch_imms(p + 1, words), SimError);
+}
+
 TEST(ConfigMemory, PageShapeValidated) {
   ConfigMemory cfg(small());
   ConfigPage page = ConfigPage::zeroed({2, 2, 8});

@@ -458,7 +458,7 @@ TEST(Superstep, TraceSinkForcesPerCycleBitExact) {
   expect_transparent(on, off);
 }
 
-TEST(Superstep, ResetForRerunRepeatsBitExact) {
+TEST(Superstep, RearmRepeatsBitExact) {
   const RingGeometry g{4, 2, 8};
   const std::vector<Word> a = signal(25, 150);
   const std::vector<Word> b = signal(26, 150);
@@ -477,7 +477,7 @@ TEST(Superstep, ResetForRerunRepeatsBitExact) {
     sys.host().send(interleaved);
     sys.run_until_outputs(a.size(), 64 + 16 * a.size());
     first = sys.host().take_received();
-    sys.reset_for_rerun(program);
+    ASSERT_TRUE(sys.rearm(program));
     sys.host().send(interleaved);
     sys.run_until_outputs(a.size(), 64 + 16 * a.size());
     second = sys.host().take_received();

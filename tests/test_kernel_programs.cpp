@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "asm/object_file.hpp"
+#include "asm/program_builder.hpp"
 #include "common/error.hpp"
 #include "dsp/matvec.hpp"
 #include "kernels/cordic_kernel.hpp"
@@ -80,6 +81,58 @@ TEST(KernelPrograms, GenerationIsDeterministic) {
   const auto c = serialize_program(make_cordic_program(ring16(), 7));
   const auto d = serialize_program(make_cordic_program(ring16(), 7));
   EXPECT_EQ(c, d);
+}
+
+TEST(KernelPrograms, MovedBuildEqualsCopyingBuild) {
+  // A builder with pages, a forward label fixup and local_init: the
+  // rvalue build() moves them out and must produce what the copying
+  // build() produces.
+  const RingGeometry g = ring16();
+  ProgramBuilder pb(g, "moved");
+  PageBuilder page(g);
+  DnodeInstr add;
+  add.op = DnodeOp::kAdd;
+  add.src_a = DnodeSrc::kIn1;
+  add.src_b = DnodeSrc::kImm;
+  add.imm = 7;
+  add.out_en = true;
+  page.instr(1, 0, add);
+  const ConfigPage copied_page = page.build();
+  pb.add_page(page);
+  pb.add_page(std::move(page).build());
+  pb.local_program(3, {add});
+  pb.set_reg(1, 4);
+  pb.label("top");
+  pb.page_switch(0);
+  pb.branch(RiscOp::kBeq, 1, 2, "out");
+  pb.page_switch(1);
+  pb.jmp("top");
+  pb.label("out");
+  pb.halt();
+
+  const LoadableProgram copied = pb.build();
+  EXPECT_EQ(copied.pages.at(1), copied_page);
+  EXPECT_EQ(copied, pb.build()) << "the copying build leaves pb intact";
+  const LoadableProgram moved = std::move(pb).build();
+  EXPECT_EQ(moved, copied);
+}
+
+TEST(KernelPrograms, MatvecMatrixPatchEqualsRebuild) {
+  const dsp::Matrix8 dct = dsp::dct8_matrix_q7();
+  dsp::Matrix8 other{};
+  for (std::size_t r = 0; r < dsp::kMatvecN; ++r) {
+    for (std::size_t c = 0; c < dsp::kMatvecN; ++c) {
+      other[r][c] = static_cast<Word>(r * 31 + c * 7 - 50);
+    }
+  }
+  LoadableProgram patched = make_matvec8_program(ring16(), dct, 3);
+  set_matvec8_matrix(patched, other);
+  EXPECT_EQ(patched, make_matvec8_program(ring16(), other, 3));
+  set_matvec8_matrix(patched, dct);
+  EXPECT_EQ(patched, make_matvec8_program(ring16(), dct, 3));
+  const std::vector<Word> taps{1, 2};
+  LoadableProgram fir = make_spatial_fir_program(ring16(), taps);
+  EXPECT_THROW(set_matvec8_matrix(fir, dct), SimError);
 }
 
 TEST(KernelPrograms, SurviveObjectFormatAndReload) {

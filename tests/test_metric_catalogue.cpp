@@ -28,8 +28,11 @@
 #include "kernels/jobs.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "net/protocol.hpp"
 #include "rt/runtime.hpp"
 #include "sim/system.hpp"
+#include "svc/dfg_codec.hpp"
+#include "svc/dfg_text.hpp"
 #include "tile/gemm_ref.hpp"
 
 namespace sring {
@@ -53,11 +56,13 @@ std::string parent_of(const std::string& name, char sep) {
   return cut == std::string::npos ? std::string() : name.substr(0, cut + 1);
 }
 
-/// Every metric name the three docs document, normalized.
-std::set<std::string> documented_names() {
+/// Every metric name the given docs document, normalized.
+std::set<std::string> documented_names(
+    std::initializer_list<const char*> docs = {"OBSERVABILITY.md",
+                                               "RUNTIME.md", "SERVING.md"}) {
   std::set<std::string> out;
   const std::regex token("`([^`\n]+)`");
-  for (const char* doc : {"OBSERVABILITY.md", "RUNTIME.md", "SERVING.md"}) {
+  for (const char* doc : docs) {
     std::ifstream in(std::string(SRING_DOCS_DIR) + "/" + doc);
     EXPECT_TRUE(in) << doc;
     std::stringstream text;
@@ -118,8 +123,16 @@ void collect(const obs::Registry& reg, std::set<std::string>& names) {
   }
 }
 
+void collect(const std::vector<std::pair<std::string, std::uint64_t>>& slice,
+             std::set<std::string>& names) {
+  for (const auto& [name, value] : slice) names.insert(name);
+}
+
 TEST(MetricCatalogue, EveryProducedNameIsDocumented) {
   std::set<std::string> produced;
+  // The per-job counter slices the replies carry, checked on their own
+  // against OBSERVABILITY.md below.
+  std::set<std::string> slices;
 
   {  // a small mixed served run: kernels, a batch and a GEMM
     net::ServerConfig scfg;
@@ -144,9 +157,12 @@ TEST(MetricCatalogue, EveryProducedNameIsDocumented) {
         mv.matvec_m.insert(mv.matvec_m.end(), row.begin(), row.end());
       }
       mv.input.assign(16, 3);
-      EXPECT_TRUE(client.submit(fir).ok);
+      const net::RemoteResult one = client.submit(fir);
+      EXPECT_TRUE(one.ok);
+      collect(one.counters, slices);
       for (const auto& r : client.submit_batch_wire({fir, mv})) {
         EXPECT_TRUE(r.ok) << r.error;
+        collect(r.counters, slices);
       }
       tile::GemmSpec spec;
       spec.m = 8;
@@ -154,7 +170,16 @@ TEST(MetricCatalogue, EveryProducedNameIsDocumented) {
       spec.n = 8;
       const auto a = tile::random_operand(64, spec.dtype, 1);
       const auto b = tile::random_operand(64, spec.dtype, 2);
-      EXPECT_TRUE(client.submit_gemm(spec, a, b, kGeom).ok);
+      const net::RemoteGemmResult gemm = client.submit_gemm(spec, a, b, kGeom);
+      EXPECT_TRUE(gemm.ok);
+      collect(gemm.counters, slices);
+      const net::RemoteDfgResult dfg = client.submit_dfg(
+          svc::encode_dfg(svc::parse_dfg_text("x input\n"
+                                              "y add x x\n"
+                                              "o output y\n")),
+          {std::vector<Word>(16, 3)}, kGeom);
+      EXPECT_TRUE(dfg.ok) << dfg.error;
+      collect(dfg.counters, slices);
     }
     server.request_drain();
     loop.join();
@@ -193,6 +218,28 @@ TEST(MetricCatalogue, EveryProducedNameIsDocumented) {
   }
   EXPECT_GT(produced.size(), 100u);
   EXPECT_TRUE(missing.empty()) << "undocumented metric names:" << missing;
+
+  // Per-job slices: every sim.* name net::result_counters renders, the
+  // svc.dfg.* slice of a DFG reply and the tile.* slice of a GEMM reply.
+  for (const auto& [name, value] : net::result_counters(rt::JobResult{})) {
+    EXPECT_EQ(slices.count(name), 1u) << "reply lacks " << name;
+  }
+  EXPECT_EQ(net::result_counters(rt::JobResult{}).size(), 8u);
+  for (const char* prefix : {"sim.", "svc.dfg.", "tile."}) {
+    EXPECT_TRUE(std::any_of(slices.begin(), slices.end(),
+                            [prefix](const std::string& n) {
+                              return n.rfind(prefix, 0) == 0;
+                            }))
+        << "no " << prefix << "* slice collected";
+  }
+  const std::set<std::string> observability =
+      documented_names({"OBSERVABILITY.md"});
+  std::string undocumented;
+  for (const auto& name : slices) {
+    if (observability.count(name) == 0) undocumented += "\n  " + name;
+  }
+  EXPECT_TRUE(undocumented.empty())
+      << "per-job counters missing from OBSERVABILITY.md:" << undocumented;
 }
 
 TEST(MetricCatalogue, RingCountersAndTheMetricsTableAgree) {

@@ -284,7 +284,7 @@ TEST(JobMapping, MatchesKernelDescriptors) {
   const rt::Job job = to_rt_job(req);
   EXPECT_EQ(job.name, "fir.spatial");
   EXPECT_EQ(job.take_words, req.input.size());
-  EXPECT_FALSE(job.program_key.empty());
+  ASSERT_NE(job.program, nullptr);
 
   JobRequest bad = sample_request(KernelId::kMatvec8);
   bad.matvec_m.resize(63);

@@ -354,7 +354,7 @@ Outcome run_case(const Case& c, Mode mode) {
       case Action::kRerun: {
         const std::vector<Word> first = sys.host().take_received();
         o.outputs.insert(o.outputs.end(), first.begin(), first.end());
-        sys.reset_for_rerun(c.program);
+        EXPECT_TRUE(sys.rearm(c.program));
         sent = 0;
         break;
       }

@@ -298,7 +298,7 @@ TEST(PlanCache, ImmOnlyRewriteKeepsThePlanAndReadsTheNewValue) {
   EXPECT_EQ(ring.plan_hits(), 4u);
 }
 
-TEST(PlanCache, ResetForRerunKeepsCompiledPlansWarm) {
+TEST(PlanCache, RearmKeepsCompiledPlansWarm) {
   constexpr std::size_t kPages = 4;
   constexpr std::size_t kIters = 30;
   const LoadableProgram program = make_page_cycle_program(
@@ -312,7 +312,7 @@ TEST(PlanCache, ResetForRerunKeepsCompiledPlansWarm) {
   const std::vector<Word> first = sys.host().take_received();
   EXPECT_EQ(sys.ring().plan_compiles(), 2u);
 
-  sys.reset_for_rerun(program);
+  ASSERT_TRUE(sys.rearm(program));
   sys.host().send(x);
   sys.run_until_outputs(x.size(), 64 + 16 * x.size());
 

@@ -5,7 +5,7 @@
 //    worker index, reused_system — may differ);
 //  * a job run on a pooled, re-armed System matches one run on a
 //    fresh System;
-//  * System::reset_for_rerun restores a System to a state
+//  * System::rearm restores a System to a state
 //    indistinguishable from a fresh load().
 #include <gtest/gtest.h>
 
@@ -130,12 +130,12 @@ TEST(RtDeterminism, PooledRerunMatchesFreshSystem) {
   SystemPool pool(2);
   {
     SystemPool::Lease lease = pool.acquire(first);
-    EXPECT_FALSE(lease.reused_program);
+    EXPECT_FALSE(lease.rearmed);
     lease.system.host().send(first.input);
     lease.system.run_until_outputs(first.expected_outputs, first.max_cycles);
   }
   SystemPool::Lease lease = pool.acquire(second);
-  EXPECT_TRUE(lease.reused_program);  // same key: fast re-arm, no reload
+  EXPECT_TRUE(lease.rearmed);  // same structure: re-arm, no reload
   lease.system.host().send(second.input);
   lease.system.run_until_outputs(second.expected_outputs, second.max_cycles);
 
@@ -149,7 +149,7 @@ TEST(RtDeterminism, PooledRerunMatchesFreshSystem) {
             report_normalized(fresh.report));
 }
 
-TEST(RtDeterminism, ResetForRerunMatchesFreshLoad) {
+TEST(RtDeterminism, RearmMatchesFreshLoad) {
   const std::vector<Word> coeffs{1, 2, 3};
   const std::vector<Word> x = signal(70, 48);
   const Job job = kernels::make_spatial_fir_job(kGeom, x, coeffs);
@@ -161,7 +161,7 @@ TEST(RtDeterminism, ResetForRerunMatchesFreshLoad) {
   const std::string first_report =
       report_normalized(RunReport::from_system("run", reused));
 
-  reused.reset_for_rerun(*job.program);
+  ASSERT_TRUE(reused.rearm(*job.program));
   EXPECT_EQ(reused.cycle(), 0u);
   reused.host().send(job.input);
   reused.run_until_outputs(job.expected_outputs, job.max_cycles);
@@ -178,7 +178,7 @@ TEST(RtDeterminism, ResetForRerunMatchesFreshLoad) {
             first_report);
 }
 
-TEST(RtDeterminism, RerunUnderLinkStallsReproducesStallPattern) {
+TEST(RtDeterminism, RearmUnderLinkStallsReproducesStallPattern) {
   // A starved host link forces mid-run ring stalls.  Stalled cycles
   // must advance nothing, so a rerun on the same System — and a fresh
   // System — reproduce the exact stall count and the full report.
@@ -197,7 +197,7 @@ TEST(RtDeterminism, RerunUnderLinkStallsReproducesStallPattern) {
       report_normalized(RunReport::from_system("run", reused));
   const std::vector<Word> first_out = reused.host().take_received();
 
-  reused.reset_for_rerun(*job.program);
+  ASSERT_TRUE(reused.rearm(*job.program));
   reused.host().send(job.input);
   reused.run_until_outputs(job.expected_outputs, job.max_cycles);
   EXPECT_EQ(reused.stats().ring_stall_cycles, first.ring_stall_cycles);
@@ -257,23 +257,41 @@ TEST(RtDeterminism, SuperstepEngineTransparentAcrossBatch) {
       << "default path must actually exercise the superstep engine";
 }
 
-TEST(RtDeterminism, WrongProgramForRerunIsRejected) {
+TEST(RtDeterminism, WrongStructureForRearmIsRejected) {
   const std::vector<Word> coeffs{1, 2};
   const Job fir = kernels::make_spatial_fir_job(kGeom, signal(80, 32), coeffs);
 
   System sys({kGeom});
+  EXPECT_FALSE(sys.rearm(*fir.program)) << "nothing loaded yet";
   sys.load(*fir.program);
 
   // Different geometry: rejected outright.
   const RingGeometry other{6, 2, 16};
   const LoadableProgram narrow =
       kernels::make_spatial_fir_program(other, coeffs);
-  EXPECT_THROW(sys.reset_for_rerun(narrow), SimError);
+  EXPECT_FALSE(sys.rearm(narrow));
 
   // Same geometry but a different configware footprint (the SAD
   // engine carries several pages, the FIR one): also rejected.
   const LoadableProgram sad = kernels::make_sad_engine_program(kGeom, 64, 2);
-  EXPECT_THROW(sys.reset_for_rerun(sad), SimError);
+  EXPECT_FALSE(sys.rearm(sad));
+
+  // Same footprint, one more tap: a different structure.
+  const std::vector<Word> three{1, 2, 3};
+  EXPECT_FALSE(sys.rearm(kernels::make_spatial_fir_program(kGeom, three)));
+
+  // A rejected re-arm changed nothing: the loaded program still runs.
+  System fresh({kGeom});
+  fresh.load(*fir.program);
+  for (System* s : {&sys, &fresh}) {
+    s->host().send(fir.input);
+    s->run_until_outputs(fir.expected_outputs, fir.max_cycles);
+  }
+  EXPECT_EQ(sys.host().take_received(), fresh.host().take_received());
+
+  // New taps of the same length: the same structure, re-armed.
+  const std::vector<Word> other_taps{7, static_cast<Word>(-3)};
+  EXPECT_TRUE(sys.rearm(kernels::make_spatial_fir_program(kGeom, other_taps)));
 }
 
 }  // namespace

@@ -170,8 +170,9 @@ TEST(Runtime, FailedJobReportsErrorAndFleetSurvives) {
   EXPECT_EQ(m.find_counter("rt.jobs_failed")->value(), 2u);
 }
 
-TEST(Runtime, PoolReusesSystemForSameProgramKey) {
+TEST(Runtime, PoolReArmsSystemForSameStructure) {
   const std::vector<Word> coeffs{1, 2};
+  const std::vector<Word> other{5, static_cast<Word>(-2)};
   Runtime rt({.workers = 1});
 
   JobResult a =
@@ -180,14 +181,21 @@ TEST(Runtime, PoolReusesSystemForSameProgramKey) {
   JobResult b =
       rt.submit(kernels::make_spatial_fir_job(kGeom, signal(8, 32), coeffs))
           .get();
-  ASSERT_TRUE(a.ok && b.ok);
+  // New taps of the same length: the same structure, new immediates.
+  JobResult c =
+      rt.submit(kernels::make_spatial_fir_job(kGeom, signal(9, 32), other))
+          .get();
+  ASSERT_TRUE(a.ok && b.ok && c.ok);
   EXPECT_FALSE(a.reused_system);
-  EXPECT_TRUE(b.reused_system);  // same key, single worker: fast re-arm
+  EXPECT_TRUE(b.reused_system);  // exact rerun: a re-arm writing nothing
+  EXPECT_TRUE(c.reused_system);  // immediates patched, no reload
   EXPECT_EQ(b.outputs, dsp::fir_reference(signal(8, 32), coeffs));
+  EXPECT_EQ(c.outputs, dsp::fir_reference(signal(9, 32), other));
 
   const obs::Registry m = rt.metrics();
   ASSERT_NE(m.find_counter("rt.pool.fast_resets"), nullptr);
-  EXPECT_EQ(m.find_counter("rt.pool.fast_resets")->value(), 1u);
+  EXPECT_EQ(m.find_counter("rt.pool.fast_resets")->value(), 2u);
+  EXPECT_EQ(m.find_counter("rt.pool.full_loads")->value(), 1u);
 }
 
 TEST(Runtime, MetricsAggregateAcrossWorkers) {

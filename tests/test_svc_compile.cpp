@@ -50,8 +50,6 @@ TEST(CompileService, MissThenHitSharesTheSameProgram) {
   EXPECT_FALSE(first.cache_hit);
   ASSERT_NE(first.compiled, nullptr);
   EXPECT_EQ(first.compiled->dfg_hash, dfg_hash(blob));
-  EXPECT_EQ(first.compiled->program_key,
-            "dfg/" + dfg_hash_hex(dfg_hash(blob)) + "/8x2x16");
 
   const auto second = svc.get_or_compile(blob, kGeom);
   EXPECT_TRUE(second.cache_hit);
@@ -105,7 +103,7 @@ TEST(CompileService, EvictedProgramStaysAliveThroughItsSharedPtr) {
   EXPECT_EQ(counter_of(svc, "svc.compile.evictions"), 1u);
   // The aliasing job-program pointer pattern depends on this.
   EXPECT_EQ(held->mapped.outputs.size(), 1u);
-  EXPECT_EQ(held->program_key.rfind("dfg/", 0), 0u);
+  EXPECT_EQ(held->mapped.program.geometry, kGeom);
 }
 
 TEST(CompileService, MapperDiagnosticsSurviveVerbatimAndCountAsFailures) {
@@ -208,7 +206,7 @@ TEST(DfgJob, RunsOnTheFleetBitExactToTheLocalMapper) {
   rt::Runtime runtime;
   rt::Job job = make_dfg_job(compiled, streams);
   EXPECT_EQ(job.name, "dfg/" + dfg_hash_hex(compiled->dfg_hash));
-  EXPECT_EQ(job.program_key, compiled->program_key);
+  EXPECT_EQ(job.program.get(), &compiled->mapped.program);  // aliased
   const rt::JobResult result = runtime.submit(std::move(job)).get();
   ASSERT_TRUE(result.ok) << result.error;
 
