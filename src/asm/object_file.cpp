@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "common/le_codec.hpp"
 
 namespace sring {
 
@@ -11,122 +12,58 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4F475253u;  // "SRGO"
 constexpr std::uint32_t kVersion = 1;
 
-class Writer {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes_.insert(bytes_.end(), s.begin(), s.end());
-  }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-
- private:
-  std::vector<std::uint8_t> bytes_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
-
-  std::uint8_t u8() {
-    check(pos_ < bytes_.size(), "object file: truncated");
-    return bytes_[pos_++];
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    check(pos_ + n <= bytes_.size(), "object file: truncated string");
-    std::string s(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return s;
-  }
-  bool done() const { return pos_ == bytes_.size(); }
-
- private:
-  const std::vector<std::uint8_t>& bytes_;
-  std::size_t pos_ = 0;
-};
+/// The whole object file.  Geometry is checked as soon as it is read:
+/// it fixes the size of every page that follows.
+template <class IO, class P>
+void fields(IO& io, P& p) {
+  std::uint32_t magic = kMagic;
+  io.u32(magic);
+  check(magic == kMagic, "object file: bad magic");
+  std::uint32_t version = kVersion;
+  io.u32(version);
+  check(version == kVersion, "object file: unsupported version");
+  io.str(p.name);
+  io.u32(p.geometry.layers);
+  io.u32(p.geometry.lanes);
+  io.u32(p.geometry.fb_depth);
+  if constexpr (IO::kDecoding) p.geometry.validate();
+  const RingGeometry& g = p.geometry;
+  io.seq(p.controller_code, 4, [&](auto& word) { io.u32(word); });
+  const std::size_t page_bytes =
+      9 * g.dnode_count() + 8 * g.switch_count() * g.lanes;
+  io.seq(p.pages, page_bytes, [&](auto& page) {
+    if constexpr (IO::kDecoding) page = ConfigPage::zeroed(g);
+    for (auto& v : page.dnode_instr) io.u64(v);
+    for (auto& v : page.dnode_mode) io.u8(v);
+    for (auto& v : page.switch_route) io.u64(v);
+  });
+  io.seq(p.local_init, 4 + 1 + 8, [&](auto& lw) {
+    io.u32(lw.dnode);
+    io.u8(lw.slot);
+    io.u64(lw.value);
+  });
+}
 
 }  // namespace
 
 std::vector<std::uint8_t> serialize_program(const LoadableProgram& p) {
-  Writer w;
-  w.u32(kMagic);
-  w.u32(kVersion);
-  w.str(p.name);
-  w.u32(static_cast<std::uint32_t>(p.geometry.layers));
-  w.u32(static_cast<std::uint32_t>(p.geometry.lanes));
-  w.u32(static_cast<std::uint32_t>(p.geometry.fb_depth));
-  w.u32(static_cast<std::uint32_t>(p.controller_code.size()));
-  for (const auto word : p.controller_code) w.u32(word);
-  w.u32(static_cast<std::uint32_t>(p.pages.size()));
   for (const auto& page : p.pages) {
     check(page.dnode_instr.size() == p.geometry.dnode_count() &&
               page.dnode_mode.size() == p.geometry.dnode_count() &&
               page.switch_route.size() ==
                   p.geometry.switch_count() * p.geometry.lanes,
           "serialize_program: page shape mismatch");
-    for (const auto v : page.dnode_instr) w.u64(v);
-    for (const auto v : page.dnode_mode) w.u8(v);
-    for (const auto v : page.switch_route) w.u64(v);
   }
-  w.u32(static_cast<std::uint32_t>(p.local_init.size()));
-  for (const auto& lw : p.local_init) {
-    w.u32(lw.dnode);
-    w.u8(lw.slot);
-    w.u64(lw.value);
-  }
+  LeWriter w;
+  fields(w, p);
   return w.take();
 }
 
 LoadableProgram deserialize_program(const std::vector<std::uint8_t>& bytes) {
-  Reader r(bytes);
-  check(r.u32() == kMagic, "object file: bad magic");
-  check(r.u32() == kVersion, "object file: unsupported version");
+  LeReader<SimError> r(bytes, "object file");
   LoadableProgram p;
-  p.name = r.str();
-  p.geometry.layers = r.u32();
-  p.geometry.lanes = r.u32();
-  p.geometry.fb_depth = r.u32();
-  p.geometry.validate();
-  const std::uint32_t code_len = r.u32();
-  p.controller_code.reserve(code_len);
-  for (std::uint32_t i = 0; i < code_len; ++i) {
-    p.controller_code.push_back(r.u32());
-  }
-  const std::uint32_t page_count = r.u32();
-  for (std::uint32_t pi = 0; pi < page_count; ++pi) {
-    ConfigPage page = ConfigPage::zeroed(p.geometry);
-    for (auto& v : page.dnode_instr) v = r.u64();
-    for (auto& v : page.dnode_mode) v = r.u8();
-    for (auto& v : page.switch_route) v = r.u64();
-    p.pages.push_back(std::move(page));
-  }
-  const std::uint32_t lw_count = r.u32();
-  for (std::uint32_t i = 0; i < lw_count; ++i) {
-    LocalWrite lw;
-    lw.dnode = r.u32();
-    lw.slot = r.u8();
-    lw.value = r.u64();
-    p.local_init.push_back(lw);
-  }
-  check(r.done(), "object file: trailing bytes");
+  fields(r, p);
+  r.expect_end();
   return p;
 }
 

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
+#include <concepts>
 #include <cstring>
+#include <type_traits>
 
+#include "common/le_codec.hpp"
 #include "kernels/jobs.hpp"
 
 namespace sring::net {
@@ -42,208 +44,304 @@ std::uint32_t load_le32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+template <class M, class T>
+concept Is = std::same_as<std::remove_const_t<M>, T>;
+
+using WireReader = LeReader<ProtocolError>;
+
 // ---------------------------------------------------------------------------
-// Little-endian payload writer / reader
+// Message schemas: each payload layout, written once for both
+// directions.  A field added in protocol vN sits behind `version >= N`.
+// The second argument of seq() is the smallest wire size of one
+// element, which bounds the count before the reader allocates.
 
-class Writer {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) {
-      out_.push_back(static_cast<std::uint8_t>(v >> s));
+template <class IO, Is<RingGeometry> M>
+void fields(IO& io, M& g, std::uint16_t) {
+  io.u16(g.layers);
+  io.u16(g.lanes);
+  io.u16(g.fb_depth);
+}
+
+template <class IO, Is<Image> M>
+void fields(IO& io, M& img, std::uint16_t) {
+  auto w = static_cast<std::uint16_t>(img.width());
+  auto h = static_cast<std::uint16_t>(img.height());
+  io.u16(w);
+  io.u16(h);
+  io.words(img.pixels());
+  if constexpr (IO::kDecoding) {
+    if (w == 0 || h == 0) throw ProtocolError("net: image has a zero side");
+    if (img.pixels().size() != std::size_t{w} * h) {
+      throw ProtocolError("net: image pixel count does not match its size");
     }
+    Image sized(w, h);
+    sized.pixels() = std::move(img.pixels());
+    img = std::move(sized);
   }
-  void u64(std::uint64_t v) {
-    for (int s = 0; s < 64; s += 8) {
-      out_.push_back(static_cast<std::uint8_t>(v >> s));
-    }
+}
+
+template <class IO, Is<JobRequest> M>
+void fields(IO& io, M& req, std::uint16_t version) {
+  io.u32(req.tag);
+  io.u16(req.kernel);
+  fields(io, req.geometry, version);
+  switch (req.kernel) {
+    case KernelId::kFir:
+      io.words(req.fir_coeffs);
+      break;
+    case KernelId::kMotionEstimation:
+      fields(io, req.me_ref, version);
+      fields(io, req.me_cand, version);
+      io.u16(req.me_rx);
+      io.u16(req.me_ry);
+      io.u16(req.me_range);
+      break;
+    case KernelId::kDwt53:
+      break;
+    case KernelId::kMatvec8:
+      io.words(req.matvec_m);
+      break;
+    default:
+      throw ProtocolError("net: unknown kernel id " +
+                          std::to_string(static_cast<unsigned>(req.kernel)));
   }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
+  io.words(req.input);
+  if (version >= 2) io.u64(req.trace_id);
+}
+
+template <class IO, class Counters>
+void counter_fields(IO& io, Counters& counters) {
+  io.seq(counters, 4 + 8, [&](auto& c) {
+    io.str(c.first);
+    io.u64(c.second);
+  });
+}
+
+template <class IO, Is<JobResultMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  io.words(msg.outputs);
+  io.u64(msg.sim_cycles);
+  io.u32(msg.worker);
+  io.u8(msg.reused_system);
+  counter_fields(io, msg.counters);
+  if (version >= 2) {
+    io.u64(msg.trace_id);
+    io.u32(msg.queue_wait_us);
+    io.u32(msg.execute_us);
+    io.u32(msg.total_us);
   }
-  void words(std::span<const Word> w) {
-    u32(static_cast<std::uint32_t>(w.size()));
-    const std::size_t at = out_.size();
-    out_.resize(at + 2 * w.size());
-    std::uint8_t* p = out_.data() + at;
-    if constexpr (std::endian::native == std::endian::little) {
-      if (!w.empty()) std::memcpy(p, w.data(), 2 * w.size());
-    } else {
-      for (const Word x : w) {
-        *p++ = static_cast<std::uint8_t>(x);
-        *p++ = static_cast<std::uint8_t>(x >> 8);
+}
+
+template <class IO, Is<ErrorMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  io.u16(msg.code);
+  io.str(msg.message);
+  if (version >= 5) io.u32(msg.retry_after_ms);
+}
+
+/// GetStats: the flags word.
+template <class IO, Is<std::uint32_t> M>
+void fields(IO& io, M& flags, std::uint16_t) {
+  io.u32(flags);
+}
+
+/// Ping / Pong: the token.
+template <class IO, Is<std::uint64_t> M>
+void fields(IO& io, M& token, std::uint16_t) {
+  io.u64(token);
+}
+
+template <class IO, Is<obs::SpanRecord> M>
+void fields(IO& io, M& rec, std::uint16_t) {
+  io.u64(rec.trace_id);
+  io.str(rec.name);
+  io.flag(rec.ok);
+  io.str(rec.error);
+  io.u32(rec.worker);
+  io.u64(rec.sim_cycles);
+  io.u64(rec.plan_hits);
+  io.u64(rec.superstep_cycles);
+  io.u64(rec.start_offset_us);
+  io.u32(rec.queue_wait_us);
+  io.u32(rec.arm_us);
+  io.u32(rec.execute_us);
+  io.u32(rec.serialize_us);
+  io.u32(rec.e2e_us);
+  io.flag(rec.slow);
+}
+
+template <class IO, Is<StatsReplyMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u16(msg.stats_version);
+  io.u64(msg.uptime_us);
+  io.u32(msg.workers);
+  io.u32(msg.queue_depth);
+  io.u32(msg.queue_capacity);
+  io.f64(msg.worker_utilization);
+  counter_fields(io, msg.counters);
+  io.seq(msg.latencies, 4 + 8 + 4 * 8 + 8, [&](auto& q) {
+    io.str(q.name);
+    io.u64(q.count);
+    io.f64(q.mean_us);
+    io.f64(q.p50_us);
+    io.f64(q.p90_us);
+    io.f64(q.p99_us);
+    io.u64(q.max_us);
+  });
+  io.seq(msg.rates, 4 + 8, [&](auto& rate) {
+    io.str(rate.name);
+    io.f64(rate.per_sec);
+  });
+  io.seq(msg.flight, 8 + 4 + 1 + 4 + 4 + 4 * 8 + 5 * 4 + 1,
+         [&](auto& rec) { fields(io, rec, version); });
+}
+
+template <class IO, Is<SubmitDfgMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  fields(io, msg.geometry, version);
+  io.bytes(msg.dfg);
+  io.u64(msg.trace_id);
+}
+
+template <class IO, Is<DfgCompiledMsg> M>
+void fields(IO& io, M& msg, std::uint16_t) {
+  io.u32(msg.tag);
+  io.u64(msg.dfg_hash);
+  io.u8(msg.cache_hit);
+  io.u32(msg.compile_us);
+  io.u16(msg.dnodes_used);
+  io.u16(msg.max_latency);
+  io.u16(msg.pushes_per_cycle);
+  io.u16(msg.input_count);
+  io.seq(msg.outputs, 4 + 2 + 2, [&](auto& o) {
+    io.str(o.name);
+    io.u16(o.latency);
+    io.u16(o.push_rank);
+  });
+}
+
+template <class IO, Is<SubmitDfgJobMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  fields(io, msg.geometry, version);
+  io.bytes(msg.dfg);
+  io.seq(msg.streams, 4, [&](auto& s) { io.words(s); }, kMaxDfgJobStreams);
+  io.u64(msg.trace_id);
+}
+
+template <class IO, Is<SubmitGemmMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  fields(io, msg.geometry, version);
+  io.u16(msg.spec.m);
+  io.u16(msg.spec.k);
+  io.u16(msg.spec.n);
+  io.u8(msg.spec.dtype);
+  io.u8(msg.spec.shift);
+  io.u8(msg.spec.mapping);
+  io.u16(msg.spec.tile_n);
+  io.u32(msg.scratch_tiles);
+  io.words(msg.a);
+  io.words(msg.b);
+  io.u64(msg.trace_id);
+}
+
+/// Batch entries nest each job's own payload as a length-prefixed blob,
+/// so every per-version rule above carries over verbatim.
+template <class IO, Is<SubmitJobBatchMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  io.seq(msg.jobs, 4, [&](auto& job) {
+    io.nested([&](auto& blob) { fields(blob, job, version); });
+  }, kMaxBatchJobs);
+  io.u64(msg.trace_id);
+}
+
+template <class IO, Is<JobBatchResultMsg> M>
+void fields(IO& io, M& msg, std::uint16_t version) {
+  io.u32(msg.tag);
+  io.seq(msg.entries, 1 + 4, [&](auto& e) {
+    io.u8(e.ok);
+    io.nested([&](auto& blob) {
+      if (e.ok) {
+        fields(blob, e.result, version);
+      } else {
+        fields(blob, e.error, version);
       }
-    }
-  }
-  void bytes(std::span<const std::uint8_t> b) {
-    u32(static_cast<std::uint32_t>(b.size()));
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-
- private:
-  std::vector<std::uint8_t> out_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() {
-    const auto b = take(2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  }
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
-  std::uint64_t u64() {
-    const auto b = take(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-  std::string str() {
-    const std::uint32_t n = u32();
-    const auto b = take(n);
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-  std::vector<Word> words() {
-    const std::uint32_t n = u32();
-    if (data_.size() - pos_ < std::size_t{n} * 2) {
-      throw ProtocolError("net: word vector overruns payload");
-    }
-    std::vector<Word> out(n);
-    const std::uint8_t* p = data_.data() + pos_;
-    pos_ += std::size_t{n} * 2;
-    if constexpr (std::endian::native == std::endian::little) {
-      if (n > 0) std::memcpy(out.data(), p, std::size_t{n} * 2);
-    } else {
-      for (Word& x : out) {
-        x = static_cast<Word>(p[0] | (p[1] << 8));
-        p += 2;
-      }
-    }
-    return out;
-  }
-  std::vector<std::uint8_t> bytes() {
-    const std::uint32_t n = u32();
-    const auto b = take(n);
-    return std::vector<std::uint8_t>(b.begin(), b.end());
-  }
-
-  /// Every decode_* must end exactly at the payload boundary; trailing
-  /// bytes mean the peer and we disagree about the schema.
-  void expect_end() const {
-    if (pos_ != data_.size()) {
-      throw ProtocolError("net: trailing bytes after payload");
-    }
-  }
-
- private:
-  std::span<const std::uint8_t> take(std::size_t n) {
-    if (data_.size() - pos_ < n) {
-      throw ProtocolError("net: payload truncated");
-    }
-    const auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-Image read_image(Reader& r) {
-  const std::uint16_t w = r.u16();
-  const std::uint16_t h = r.u16();
-  const std::vector<Word> px = r.words();
-  if (px.size() != std::size_t{w} * h) {
-    throw ProtocolError("net: image pixel count does not match its size");
-  }
-  Image img(w, h);
-  img.pixels() = px;
-  return img;
+    });
+  }, kMaxBatchJobs);
 }
 
-void write_image(Writer& w, const Image& img) {
-  w.u16(static_cast<std::uint16_t>(img.width()));
-  w.u16(static_cast<std::uint16_t>(img.height()));
-  w.words(img.pixels());
+template <class IO, Is<ServerInfoMsg> M>
+void fields(IO& io, M& msg, std::uint16_t) {
+  io.u16(msg.protocol_version);
+  io.u32(msg.workers);
+  io.u32(msg.queue_capacity);
+  io.u32(msg.max_frame_bytes);
+  io.u64(msg.jobs_completed);
+  io.str(msg.server);
 }
 
-void put_u32_at(std::vector<std::uint8_t>& buf, std::size_t at,
-                std::uint32_t v) {
-  for (int s = 0; s < 32; s += 8) {
-    buf[at++] = static_cast<std::uint8_t>(v >> s);
+template <class M>
+std::vector<std::uint8_t> encode(const M& msg, std::uint16_t version) {
+  LeWriter w;
+  fields(w, msg, version);
+  return w.take();
+}
+
+template <class M>
+M decode(std::span<const std::uint8_t> payload, std::uint16_t version) {
+  WireReader r(payload, "net");
+  M msg{};
+  fields(r, msg, version);
+  r.expect_end();
+  return msg;
+}
+
+/// Decode-only checks of a GEMM request: enum ranges, caps, the spec
+/// itself and operand sizes that match it.
+SubmitGemmMsg validated(SubmitGemmMsg msg) {
+  if (msg.spec.dtype > tile::Dtype::kInt16) {
+    throw ProtocolError("net: unknown GEMM dtype " +
+                        std::to_string(static_cast<unsigned>(msg.spec.dtype)));
   }
-}
-
-std::uint32_t get_u32_at(std::span<const std::uint8_t> buf, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | buf[at + static_cast<std::size_t>(i)];
+  if (msg.spec.mapping > tile::Mapping::kWeightStationary) {
+    throw ProtocolError(
+        "net: unknown GEMM mapping " +
+        std::to_string(static_cast<unsigned>(msg.spec.mapping)));
   }
-  return v;
-}
-
-std::uint16_t get_u16_at(std::span<const std::uint8_t> buf, std::size_t at) {
-  return static_cast<std::uint16_t>(buf[at] | (buf[at + 1] << 8));
+  for (const std::size_t dim :
+       {msg.spec.m, msg.spec.k, msg.spec.n, msg.spec.tile_n}) {
+    if (dim > kMaxGemmDim) {
+      throw ProtocolError("net: GEMM dimension " + std::to_string(dim) +
+                          " exceeds limit of " + std::to_string(kMaxGemmDim));
+    }
+  }
+  if (msg.scratch_tiles < 1 || msg.scratch_tiles > kMaxGemmScratchTiles) {
+    throw ProtocolError("net: GEMM scratchpad size must be in [1, " +
+                        std::to_string(kMaxGemmScratchTiles) + "] tiles");
+  }
+  try {
+    msg.spec.validate();
+  } catch (const SimError& e) {
+    throw ProtocolError(std::string("net: bad GEMM spec: ") + e.what());
+  }
+  if (msg.a.size() != msg.spec.m * msg.spec.k) {
+    throw ProtocolError("net: GEMM A operand size does not match m*k");
+  }
+  if (msg.b.size() != msg.spec.k * msg.spec.n) {
+    throw ProtocolError("net: GEMM B operand size does not match k*n");
+  }
+  return msg;
 }
 
 /// Microsecond durations ride as u32 on the wire; anything past ~71
 /// minutes pins at the max instead of wrapping.
 std::uint32_t sat_u32(std::uint64_t v) {
   return v > UINT32_MAX ? UINT32_MAX : static_cast<std::uint32_t>(v);
-}
-
-void write_span_record(Writer& w, const obs::SpanRecord& rec) {
-  w.u64(rec.trace_id);
-  w.str(rec.name);
-  w.u8(rec.ok ? 1 : 0);
-  w.str(rec.error);
-  w.u32(rec.worker);
-  w.u64(rec.sim_cycles);
-  w.u64(rec.plan_hits);
-  w.u64(rec.superstep_cycles);
-  w.u64(rec.start_offset_us);
-  w.u32(rec.queue_wait_us);
-  w.u32(rec.arm_us);
-  w.u32(rec.execute_us);
-  w.u32(rec.serialize_us);
-  w.u32(rec.e2e_us);
-  w.u8(rec.slow ? 1 : 0);
-}
-
-obs::SpanRecord read_span_record(Reader& r) {
-  obs::SpanRecord rec;
-  rec.trace_id = r.u64();
-  rec.name = r.str();
-  rec.ok = r.u8() != 0;
-  rec.error = r.str();
-  rec.worker = r.u32();
-  rec.sim_cycles = r.u64();
-  rec.plan_hits = r.u64();
-  rec.superstep_cycles = r.u64();
-  rec.start_offset_us = r.u64();
-  rec.queue_wait_us = r.u32();
-  rec.arm_us = r.u32();
-  rec.execute_us = r.u32();
-  rec.serialize_us = r.u32();
-  rec.e2e_us = r.u32();
-  rec.slow = r.u8() != 0;
-  return rec;
 }
 
 }  // namespace
@@ -276,18 +374,12 @@ void append_frame(std::vector<std::uint8_t>& out, MsgType type,
     out.reserve(std::max(need, out.capacity() * 2));
   }
   out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  out.push_back(static_cast<std::uint8_t>(version));
-  out.push_back(static_cast<std::uint8_t>(version >> 8));
-  const std::uint16_t t = static_cast<std::uint16_t>(type);
-  out.push_back(static_cast<std::uint8_t>(t));
-  out.push_back(static_cast<std::uint8_t>(t >> 8));
-  const std::size_t len_at = out.size();
-  out.resize(out.size() + 4);
-  put_u32_at(out, len_at, static_cast<std::uint32_t>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  const std::size_t crc_at = out.size();
-  out.resize(out.size() + 4);
-  put_u32_at(out, crc_at, crc32(payload));
+  LeWriter w(std::move(out));
+  w.u16(version);
+  w.u16(type);
+  w.bytes(payload);  // u32 length, then the payload
+  w.u32(crc32(payload));
+  out = w.take();
 }
 
 ParseStatus try_parse_frame(std::span<const std::uint8_t> buffer,
@@ -305,19 +397,25 @@ ParseStatus try_parse_frame(std::span<const std::uint8_t> buffer,
     return ParseStatus::kBadMagic;
   }
   if (buffer.size() < kHeaderBytes) return ParseStatus::kNeedMore;
-  const std::uint16_t version = get_u16_at(buffer, 4);
+  // In-bounds reads only from here on, so the readers never throw.
+  WireReader header(buffer.subspan(4, kHeaderBytes - 4), "net");
+  std::uint16_t version = 0;
+  MsgType type = MsgType::kPing;
+  std::uint32_t len = 0;
+  header.u16(version);
+  header.u16(type);
+  header.u32(len);
   if (version < kMinProtocolVersion || version > kProtocolVersion) {
     return ParseStatus::kBadVersion;
   }
-  const std::uint32_t len = get_u32_at(buffer, 8);
   if (len > max_frame_bytes) return ParseStatus::kTooLarge;
   const std::size_t total = kHeaderBytes + len + kTrailerBytes;
   if (buffer.size() < total) return ParseStatus::kNeedMore;
   const auto payload = buffer.subspan(kHeaderBytes, len);
-  if (crc32(payload) != get_u32_at(buffer, kHeaderBytes + len)) {
-    return ParseStatus::kBadCrc;
-  }
-  frame.type = static_cast<MsgType>(get_u16_at(buffer, 6));
+  std::uint32_t crc = 0;
+  WireReader(buffer.subspan(kHeaderBytes + len, kTrailerBytes), "net").u32(crc);
+  if (crc32(payload) != crc) return ParseStatus::kBadCrc;
+  frame.type = type;
   frame.version = version;
   frame.payload.assign(payload.begin(), payload.end());
   consumed = total;
@@ -326,209 +424,38 @@ ParseStatus try_parse_frame(std::span<const std::uint8_t> buffer,
 
 std::vector<std::uint8_t> encode_job_request(const JobRequest& req,
                                              std::uint16_t version) {
-  Writer w;
-  w.u32(req.tag);
-  w.u16(static_cast<std::uint16_t>(req.kernel));
-  w.u16(static_cast<std::uint16_t>(req.geometry.layers));
-  w.u16(static_cast<std::uint16_t>(req.geometry.lanes));
-  w.u16(static_cast<std::uint16_t>(req.geometry.fb_depth));
-  switch (req.kernel) {
-    case KernelId::kFir:
-      w.words(req.fir_coeffs);
-      break;
-    case KernelId::kMotionEstimation:
-      write_image(w, req.me_ref);
-      write_image(w, req.me_cand);
-      w.u16(req.me_rx);
-      w.u16(req.me_ry);
-      w.u16(req.me_range);
-      break;
-    case KernelId::kDwt53:
-      break;
-    case KernelId::kMatvec8:
-      w.words(req.matvec_m);
-      break;
-    default:
-      throw ProtocolError("net: unknown kernel id in request");
-  }
-  w.words(req.input);
-  if (version >= 2) w.u64(req.trace_id);
-  return w.take();
+  return encode(req, version);
 }
 
 JobRequest decode_job_request(std::span<const std::uint8_t> payload,
                               std::uint16_t version) {
-  Reader r(payload);
-  JobRequest req;
-  req.tag = r.u32();
-  req.kernel = static_cast<KernelId>(r.u16());
-  req.geometry.layers = r.u16();
-  req.geometry.lanes = r.u16();
-  req.geometry.fb_depth = r.u16();
-  switch (req.kernel) {
-    case KernelId::kFir:
-      req.fir_coeffs = r.words();
-      break;
-    case KernelId::kMotionEstimation:
-      req.me_ref = read_image(r);
-      req.me_cand = read_image(r);
-      req.me_rx = r.u16();
-      req.me_ry = r.u16();
-      req.me_range = r.u16();
-      break;
-    case KernelId::kDwt53:
-      break;
-    case KernelId::kMatvec8:
-      req.matvec_m = r.words();
-      break;
-    default:
-      throw ProtocolError("net: unknown kernel id " +
-                          std::to_string(static_cast<unsigned>(req.kernel)));
-  }
-  req.input = r.words();
-  if (version >= 2) req.trace_id = r.u64();
-  r.expect_end();
-  return req;
+  return decode<JobRequest>(payload, version);
 }
 
 std::vector<std::uint8_t> encode_job_result(const JobResultMsg& msg,
                                             std::uint16_t version) {
-  Writer w;
-  w.u32(msg.tag);
-  w.words(msg.outputs);
-  w.u64(msg.sim_cycles);
-  w.u32(msg.worker);
-  w.u8(msg.reused_system);
-  w.u32(static_cast<std::uint32_t>(msg.counters.size()));
-  for (const auto& [name, value] : msg.counters) {
-    w.str(name);
-    w.u64(value);
-  }
-  if (version >= 2) {
-    w.u64(msg.trace_id);
-    w.u32(msg.queue_wait_us);
-    w.u32(msg.execute_us);
-    w.u32(msg.total_us);
-  }
-  return w.take();
+  return encode(msg, version);
 }
 
 JobResultMsg decode_job_result(std::span<const std::uint8_t> payload,
                                std::uint16_t version) {
-  Reader r(payload);
-  JobResultMsg msg;
-  msg.tag = r.u32();
-  msg.outputs = r.words();
-  msg.sim_cycles = r.u64();
-  msg.worker = r.u32();
-  msg.reused_system = r.u8();
-  const std::uint32_t n = r.u32();
-  msg.counters.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string name = r.str();
-    const std::uint64_t value = r.u64();
-    msg.counters.emplace_back(std::move(name), value);
-  }
-  if (version >= 2) {
-    msg.trace_id = r.u64();
-    msg.queue_wait_us = r.u32();
-    msg.execute_us = r.u32();
-    msg.total_us = r.u32();
-  }
-  r.expect_end();
-  return msg;
+  return decode<JobResultMsg>(payload, version);
 }
 
 std::vector<std::uint8_t> encode_get_stats(std::uint32_t flags) {
-  Writer w;
-  w.u32(flags);
-  return w.take();
+  return encode(flags, kProtocolVersion);
 }
 
 std::uint32_t decode_get_stats(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const std::uint32_t flags = r.u32();
-  r.expect_end();
-  return flags;
+  return decode<std::uint32_t>(payload, kProtocolVersion);
 }
 
 std::vector<std::uint8_t> encode_stats_reply(const StatsReplyMsg& msg) {
-  Writer w;
-  w.u16(msg.stats_version);
-  w.u64(msg.uptime_us);
-  w.u32(msg.workers);
-  w.u32(msg.queue_depth);
-  w.u32(msg.queue_capacity);
-  w.f64(msg.worker_utilization);
-  w.u32(static_cast<std::uint32_t>(msg.counters.size()));
-  for (const auto& [name, value] : msg.counters) {
-    w.str(name);
-    w.u64(value);
-  }
-  w.u32(static_cast<std::uint32_t>(msg.latencies.size()));
-  for (const StatsQuantileMsg& q : msg.latencies) {
-    w.str(q.name);
-    w.u64(q.count);
-    w.f64(q.mean_us);
-    w.f64(q.p50_us);
-    w.f64(q.p90_us);
-    w.f64(q.p99_us);
-    w.u64(q.max_us);
-  }
-  w.u32(static_cast<std::uint32_t>(msg.rates.size()));
-  for (const StatsRateMsg& rate : msg.rates) {
-    w.str(rate.name);
-    w.f64(rate.per_sec);
-  }
-  w.u32(static_cast<std::uint32_t>(msg.flight.size()));
-  for (const obs::SpanRecord& rec : msg.flight) write_span_record(w, rec);
-  return w.take();
+  return encode(msg, kProtocolVersion);
 }
 
 StatsReplyMsg decode_stats_reply(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  StatsReplyMsg msg;
-  msg.stats_version = r.u16();
-  msg.uptime_us = r.u64();
-  msg.workers = r.u32();
-  msg.queue_depth = r.u32();
-  msg.queue_capacity = r.u32();
-  msg.worker_utilization = r.f64();
-  const std::uint32_t nc = r.u32();
-  msg.counters.reserve(nc);
-  for (std::uint32_t i = 0; i < nc; ++i) {
-    std::string name = r.str();
-    const std::uint64_t value = r.u64();
-    msg.counters.emplace_back(std::move(name), value);
-  }
-  const std::uint32_t nl = r.u32();
-  msg.latencies.reserve(nl);
-  for (std::uint32_t i = 0; i < nl; ++i) {
-    StatsQuantileMsg q;
-    q.name = r.str();
-    q.count = r.u64();
-    q.mean_us = r.f64();
-    q.p50_us = r.f64();
-    q.p90_us = r.f64();
-    q.p99_us = r.f64();
-    q.max_us = r.u64();
-    msg.latencies.push_back(std::move(q));
-  }
-  const std::uint32_t nr = r.u32();
-  msg.rates.reserve(nr);
-  for (std::uint32_t i = 0; i < nr; ++i) {
-    StatsRateMsg rate;
-    rate.name = r.str();
-    rate.per_sec = r.f64();
-    msg.rates.push_back(std::move(rate));
-  }
-  const std::uint32_t nf = r.u32();
-  msg.flight.reserve(nf);
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    msg.flight.push_back(read_span_record(r));
-  }
-  r.expect_end();
-  return msg;
+  return decode<StatsReplyMsg>(payload, kProtocolVersion);
 }
 
 obs::JsonValue StatsReplyMsg::to_json() const {
@@ -564,310 +491,81 @@ obs::JsonValue StatsReplyMsg::to_json() const {
 }
 
 std::vector<std::uint8_t> encode_submit_dfg(const SubmitDfgMsg& msg) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u16(static_cast<std::uint16_t>(msg.geometry.layers));
-  w.u16(static_cast<std::uint16_t>(msg.geometry.lanes));
-  w.u16(static_cast<std::uint16_t>(msg.geometry.fb_depth));
-  w.bytes(msg.dfg);
-  w.u64(msg.trace_id);
-  return w.take();
+  return encode(msg, kProtocolVersion);
 }
 
 SubmitDfgMsg decode_submit_dfg(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  SubmitDfgMsg msg;
-  msg.tag = r.u32();
-  msg.geometry.layers = r.u16();
-  msg.geometry.lanes = r.u16();
-  msg.geometry.fb_depth = r.u16();
-  msg.dfg = r.bytes();
-  msg.trace_id = r.u64();
-  r.expect_end();
-  return msg;
+  return decode<SubmitDfgMsg>(payload, kProtocolVersion);
 }
 
 std::vector<std::uint8_t> encode_dfg_compiled(const DfgCompiledMsg& msg) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u64(msg.dfg_hash);
-  w.u8(msg.cache_hit);
-  w.u32(msg.compile_us);
-  w.u16(msg.dnodes_used);
-  w.u16(msg.max_latency);
-  w.u16(msg.pushes_per_cycle);
-  w.u16(msg.input_count);
-  w.u32(static_cast<std::uint32_t>(msg.outputs.size()));
-  for (const DfgOutputMetaMsg& o : msg.outputs) {
-    w.str(o.name);
-    w.u16(o.latency);
-    w.u16(o.push_rank);
-  }
-  return w.take();
+  return encode(msg, kProtocolVersion);
 }
 
 DfgCompiledMsg decode_dfg_compiled(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  DfgCompiledMsg msg;
-  msg.tag = r.u32();
-  msg.dfg_hash = r.u64();
-  msg.cache_hit = r.u8();
-  msg.compile_us = r.u32();
-  msg.dnodes_used = r.u16();
-  msg.max_latency = r.u16();
-  msg.pushes_per_cycle = r.u16();
-  msg.input_count = r.u16();
-  const std::uint32_t n = r.u32();
-  if (payload.size() < std::size_t{n} * 4) {
-    throw ProtocolError("net: output metadata overruns payload");
-  }
-  msg.outputs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    DfgOutputMetaMsg o;
-    o.name = r.str();
-    o.latency = r.u16();
-    o.push_rank = r.u16();
-    msg.outputs.push_back(std::move(o));
-  }
-  r.expect_end();
-  return msg;
+  return decode<DfgCompiledMsg>(payload, kProtocolVersion);
 }
 
 std::vector<std::uint8_t> encode_submit_dfg_job(const SubmitDfgJobMsg& msg) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u16(static_cast<std::uint16_t>(msg.geometry.layers));
-  w.u16(static_cast<std::uint16_t>(msg.geometry.lanes));
-  w.u16(static_cast<std::uint16_t>(msg.geometry.fb_depth));
-  w.bytes(msg.dfg);
-  w.u32(static_cast<std::uint32_t>(msg.streams.size()));
-  for (const auto& s : msg.streams) w.words(s);
-  w.u64(msg.trace_id);
-  return w.take();
+  return encode(msg, kProtocolVersion);
 }
 
 SubmitDfgJobMsg decode_submit_dfg_job(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  SubmitDfgJobMsg msg;
-  msg.tag = r.u32();
-  msg.geometry.layers = r.u16();
-  msg.geometry.lanes = r.u16();
-  msg.geometry.fb_depth = r.u16();
-  msg.dfg = r.bytes();
-  const std::uint32_t n = r.u32();
-  if (n > kMaxDfgJobStreams) {
-    throw ProtocolError("net: DFG job carries " + std::to_string(n) +
-                        " input streams, limit is " +
-                        std::to_string(kMaxDfgJobStreams));
-  }
-  msg.streams.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) msg.streams.push_back(r.words());
-  msg.trace_id = r.u64();
-  r.expect_end();
-  return msg;
+  return decode<SubmitDfgJobMsg>(payload, kProtocolVersion);
 }
 
 std::vector<std::uint8_t> encode_submit_gemm(const SubmitGemmMsg& msg) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u16(static_cast<std::uint16_t>(msg.geometry.layers));
-  w.u16(static_cast<std::uint16_t>(msg.geometry.lanes));
-  w.u16(static_cast<std::uint16_t>(msg.geometry.fb_depth));
-  w.u16(static_cast<std::uint16_t>(msg.spec.m));
-  w.u16(static_cast<std::uint16_t>(msg.spec.k));
-  w.u16(static_cast<std::uint16_t>(msg.spec.n));
-  w.u8(static_cast<std::uint8_t>(msg.spec.dtype));
-  w.u8(static_cast<std::uint8_t>(msg.spec.shift));
-  w.u8(static_cast<std::uint8_t>(msg.spec.mapping));
-  w.u16(static_cast<std::uint16_t>(msg.spec.tile_n));
-  w.u32(msg.scratch_tiles);
-  w.words(msg.a);
-  w.words(msg.b);
-  w.u64(msg.trace_id);
-  return w.take();
+  return encode(msg, kProtocolVersion);
 }
 
 SubmitGemmMsg decode_submit_gemm(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  SubmitGemmMsg msg;
-  msg.tag = r.u32();
-  msg.geometry.layers = r.u16();
-  msg.geometry.lanes = r.u16();
-  msg.geometry.fb_depth = r.u16();
-  msg.spec.m = r.u16();
-  msg.spec.k = r.u16();
-  msg.spec.n = r.u16();
-  const std::uint8_t dtype = r.u8();
-  if (dtype > static_cast<std::uint8_t>(tile::Dtype::kInt16)) {
-    throw ProtocolError("net: unknown GEMM dtype " + std::to_string(dtype));
-  }
-  msg.spec.dtype = static_cast<tile::Dtype>(dtype);
-  msg.spec.shift = r.u8();
-  const std::uint8_t mapping = r.u8();
-  if (mapping > static_cast<std::uint8_t>(tile::Mapping::kWeightStationary)) {
-    throw ProtocolError("net: unknown GEMM mapping " +
-                        std::to_string(mapping));
-  }
-  msg.spec.mapping = static_cast<tile::Mapping>(mapping);
-  msg.spec.tile_n = r.u16();
-  msg.scratch_tiles = r.u32();
-  msg.a = r.words();
-  msg.b = r.words();
-  msg.trace_id = r.u64();
-  r.expect_end();
-
-  for (const std::size_t dim :
-       {msg.spec.m, msg.spec.k, msg.spec.n, msg.spec.tile_n}) {
-    if (dim > kMaxGemmDim) {
-      throw ProtocolError("net: GEMM dimension " + std::to_string(dim) +
-                          " exceeds limit of " + std::to_string(kMaxGemmDim));
-    }
-  }
-  if (msg.scratch_tiles < 1 || msg.scratch_tiles > kMaxGemmScratchTiles) {
-    throw ProtocolError("net: GEMM scratchpad size must be in [1, " +
-                        std::to_string(kMaxGemmScratchTiles) + "] tiles");
-  }
-  try {
-    msg.spec.validate();
-  } catch (const SimError& e) {
-    throw ProtocolError(std::string("net: bad GEMM spec: ") + e.what());
-  }
-  if (msg.a.size() != msg.spec.m * msg.spec.k) {
-    throw ProtocolError("net: GEMM A operand size does not match m*k");
-  }
-  if (msg.b.size() != msg.spec.k * msg.spec.n) {
-    throw ProtocolError("net: GEMM B operand size does not match k*n");
-  }
-  return msg;
+  return validated(decode<SubmitGemmMsg>(payload, kProtocolVersion));
 }
 
 std::vector<std::uint8_t> encode_submit_job_batch(const SubmitJobBatchMsg& msg,
                                                   std::uint16_t version) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u32(static_cast<std::uint32_t>(msg.jobs.size()));
-  for (const JobRequest& req : msg.jobs) {
-    w.bytes(encode_job_request(req, version));
-  }
-  w.u64(msg.trace_id);
-  return w.take();
+  return encode(msg, version);
 }
 
 SubmitJobBatchMsg decode_submit_job_batch(std::span<const std::uint8_t> payload,
                                           std::uint16_t version) {
-  Reader r(payload);
-  SubmitJobBatchMsg msg;
-  msg.tag = r.u32();
-  const std::uint32_t n = r.u32();
-  if (n > kMaxBatchJobs) {
-    throw ProtocolError("net: job batch carries " + std::to_string(n) +
-                        " entries, limit is " + std::to_string(kMaxBatchJobs));
-  }
-  msg.jobs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    msg.jobs.push_back(decode_job_request(r.bytes(), version));
-  }
-  msg.trace_id = r.u64();
-  r.expect_end();
-  return msg;
+  return decode<SubmitJobBatchMsg>(payload, version);
 }
 
 std::vector<std::uint8_t> encode_job_batch_result(const JobBatchResultMsg& msg,
                                                   std::uint16_t version) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u32(static_cast<std::uint32_t>(msg.entries.size()));
-  for (const JobBatchEntryMsg& e : msg.entries) {
-    w.u8(e.ok);
-    w.bytes(e.ok ? encode_job_result(e.result, version)
-                 : encode_error(e.error, version));
-  }
-  return w.take();
+  return encode(msg, version);
 }
 
 JobBatchResultMsg decode_job_batch_result(std::span<const std::uint8_t> payload,
                                           std::uint16_t version) {
-  Reader r(payload);
-  JobBatchResultMsg msg;
-  msg.tag = r.u32();
-  const std::uint32_t n = r.u32();
-  if (n > kMaxBatchJobs) {
-    throw ProtocolError("net: job batch result carries " + std::to_string(n) +
-                        " entries, limit is " + std::to_string(kMaxBatchJobs));
-  }
-  msg.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    JobBatchEntryMsg e;
-    e.ok = r.u8();
-    const std::vector<std::uint8_t> blob = r.bytes();
-    if (e.ok) {
-      e.result = decode_job_result(blob, version);
-    } else {
-      e.error = decode_error(blob, version);
-    }
-    msg.entries.push_back(std::move(e));
-  }
-  r.expect_end();
-  return msg;
+  return decode<JobBatchResultMsg>(payload, version);
 }
 
 std::vector<std::uint8_t> encode_error(const ErrorMsg& msg,
                                        std::uint16_t version) {
-  Writer w;
-  w.u32(msg.tag);
-  w.u16(static_cast<std::uint16_t>(msg.code));
-  w.str(msg.message);
-  if (version >= 5) w.u32(msg.retry_after_ms);
-  return w.take();
+  return encode(msg, version);
 }
 
 ErrorMsg decode_error(std::span<const std::uint8_t> payload,
                       std::uint16_t version) {
-  Reader r(payload);
-  ErrorMsg msg;
-  msg.tag = r.u32();
-  msg.code = static_cast<ErrorCode>(r.u16());
-  msg.message = r.str();
-  if (version >= 5) msg.retry_after_ms = r.u32();
-  r.expect_end();
-  return msg;
+  return decode<ErrorMsg>(payload, version);
 }
 
 std::vector<std::uint8_t> encode_server_info(const ServerInfoMsg& msg) {
-  Writer w;
-  w.u16(msg.protocol_version);
-  w.u32(msg.workers);
-  w.u32(msg.queue_capacity);
-  w.u32(msg.max_frame_bytes);
-  w.u64(msg.jobs_completed);
-  w.str(msg.server);
-  return w.take();
+  return encode(msg, kProtocolVersion);
 }
 
 ServerInfoMsg decode_server_info(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  ServerInfoMsg msg;
-  msg.protocol_version = r.u16();
-  msg.workers = r.u32();
-  msg.queue_capacity = r.u32();
-  msg.max_frame_bytes = r.u32();
-  msg.jobs_completed = r.u64();
-  msg.server = r.str();
-  r.expect_end();
-  return msg;
+  return decode<ServerInfoMsg>(payload, kProtocolVersion);
 }
 
 std::vector<std::uint8_t> encode_ping(std::uint64_t token) {
-  Writer w;
-  w.u64(token);
-  return w.take();
+  return encode(token, kProtocolVersion);
 }
 
 std::uint64_t decode_ping(std::span<const std::uint8_t> payload) {
-  Reader r(payload);
-  const std::uint64_t token = r.u64();
-  r.expect_end();
-  return token;
+  return decode<std::uint64_t>(payload, kProtocolVersion);
 }
 
 namespace {

@@ -20,8 +20,15 @@
 // A peer that receives a frame with a bad magic, unknown version,
 // oversized length or CRC mismatch must answer with an Error frame and
 // close — never crash, never hang.  Payload encodings are documented
-// per message in docs/SERVING.md and exercised byte-for-byte by
+// per message in docs/SERVING.md and pinned byte-for-byte by
 // tests/test_net_protocol.cpp.
+//
+// Each payload layout is written once, as a `fields` schema in
+// protocol.cpp that both encodes and decodes; a field added in vN sits
+// behind one `version >= N` guard there.  Every decode_* throws
+// ProtocolError or returns a message that re-encodes to exactly its
+// input bytes; counts are checked against the bytes that remain (and
+// against their caps) before anything is allocated.
 //
 // Version negotiation: the version field is per-frame.  A server
 // accepts any version in [kMinProtocolVersion, kProtocolVersion] and

@@ -1,8 +1,7 @@
 #include "svc/dfg_codec.hpp"
 
-#include <cstring>
-
 #include "common/error.hpp"
+#include "common/le_codec.hpp"
 
 namespace sring::svc {
 
@@ -13,107 +12,68 @@ using mapper::DfgOp;
 using mapper::NodeId;
 
 constexpr std::uint8_t kMaxOpByte = static_cast<std::uint8_t>(DfgOp::kDelay);
+constexpr std::uint32_t kMagicWord =
+    std::uint32_t{kDfgMagic[0]} | std::uint32_t{kDfgMagic[1]} << 8 |
+    std::uint32_t{kDfgMagic[2]} << 16 | std::uint32_t{kDfgMagic[3]} << 24;
 
-/// Little-endian byte reader over the blob; every overrun is a typed
-/// SimError, so mutated bytes can never walk off the buffer.
-class BlobReader {
- public:
-  explicit BlobReader(std::span<const std::uint8_t> data) : data_(data) {}
+/// One node record.  The checks hold by construction on the encode side
+/// and reject malformed bytes on the decode side.
+template <class IO, class Node>
+void node_fields(IO& io, Node& n) {
+  io.u8(n.op);
+  const auto op_byte = static_cast<std::uint8_t>(n.op);
+  check(op_byte <= kMaxOpByte,
+        "dfg_codec: unknown op " + std::to_string(op_byte));
+  const unsigned arity = mapper::dfg_arity(n.op);
+  auto declared = static_cast<std::uint8_t>(arity);
+  io.u8(declared);
+  check(declared == arity,
+        "dfg_codec: arity mismatch for op " + std::to_string(op_byte) +
+            ": declared " + std::to_string(declared) + ", expected " +
+            std::to_string(arity));
+  if (arity >= 1) io.u32(n.a);
+  if (arity == 2) io.u32(n.b);
+  if (n.op == DfgOp::kConst) io.u16(n.value);
+  if (n.op == DfgOp::kDelay) {
+    io.u32(n.delay);
+    check(n.delay >= 1 && n.delay <= kMaxDfgDelay,
+          "dfg_codec: delay " + std::to_string(n.delay) + " outside 1.." +
+              std::to_string(kMaxDfgDelay));
+  }
+  io.str8(n.name);
+  check(n.name.size() <= kMaxDfgNameBytes,
+        "dfg_codec: name exceeds " + std::to_string(kMaxDfgNameBytes) +
+            " bytes");
+}
 
-  std::uint8_t u8() { return take(1)[0]; }
-  std::uint16_t u16() {
-    const auto b = take(2);
-    return static_cast<std::uint16_t>(b[0] | (b[1] << 8));
-  }
-  std::uint32_t u32() {
-    const auto b = take(4);
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-    return v;
-  }
-  std::string name() {
-    const std::uint8_t n = u8();
-    check(n <= kMaxDfgNameBytes,
-          "dfg_codec: name exceeds " + std::to_string(kMaxDfgNameBytes) +
-              " bytes");
-    const auto b = take(n);
-    return std::string(reinterpret_cast<const char*>(b.data()), b.size());
-  }
-  void expect_end() const {
-    check(pos_ == data_.size(), "dfg_codec: trailing bytes after graph");
-  }
-
- private:
-  std::span<const std::uint8_t> take(std::size_t n) {
-    check(data_.size() - pos_ >= n, "dfg_codec: truncated blob");
-    const auto s = data_.subspan(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-class BlobWriter {
- public:
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v));
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    for (int s = 0; s < 32; s += 8) {
-      out_.push_back(static_cast<std::uint8_t>(v >> s));
-    }
-  }
-  void name(const std::string& s) {
-    check(s.size() <= kMaxDfgNameBytes,
-          "dfg_codec: name exceeds " + std::to_string(kMaxDfgNameBytes) +
-              " bytes");
-    u8(static_cast<std::uint8_t>(s.size()));
-    out_.insert(out_.end(), s.begin(), s.end());
-  }
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-
- private:
-  std::vector<std::uint8_t> out_;
-};
+/// The whole blob.  A node record is at least op, arity and name
+/// length; the caps bound both counts before anything is reserved.
+template <class IO, class Nodes, class Outputs>
+void blob_fields(IO& io, Nodes& nodes, Outputs& outputs) {
+  std::uint32_t magic = kMagicWord;
+  io.u32(magic);
+  check(magic == kMagicWord, "dfg_codec: bad magic");
+  std::uint16_t version = kDfgCodecVersion;
+  io.u16(version);
+  check(version == kDfgCodecVersion,
+        "dfg_codec: unsupported codec version " + std::to_string(version));
+  io.seq(nodes, 3, [&](auto& n) { node_fields(io, n); }, kMaxDfgNodes);
+  check(!nodes.empty(), "dfg_codec: empty graph");
+  io.seq(outputs, 4, [&](auto& id) { io.u32(id); }, kMaxDfgOutputs);
+}
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_dfg(const mapper::Dfg& dfg) {
-  const auto& nodes = dfg.nodes();
-  check(!nodes.empty(), "dfg_codec: empty graph");
-  check(nodes.size() <= kMaxDfgNodes,
-        "dfg_codec: node count " + std::to_string(nodes.size()) +
+  check(!dfg.nodes().empty(), "dfg_codec: empty graph");
+  check(dfg.nodes().size() <= kMaxDfgNodes,
+        "dfg_codec: node count " + std::to_string(dfg.nodes().size()) +
             " exceeds limit of " + std::to_string(kMaxDfgNodes));
   check(dfg.outputs().size() <= kMaxDfgOutputs,
         "dfg_codec: output count " + std::to_string(dfg.outputs().size()) +
             " exceeds limit of " + std::to_string(kMaxDfgOutputs));
-
-  BlobWriter w;
-  for (const std::uint8_t b : kDfgMagic) w.u8(b);
-  w.u16(kDfgCodecVersion);
-  w.u32(static_cast<std::uint32_t>(nodes.size()));
-  for (const DfgNode& n : nodes) {
-    const unsigned arity = mapper::dfg_arity(n.op);
-    w.u8(static_cast<std::uint8_t>(n.op));
-    w.u8(static_cast<std::uint8_t>(arity));
-    if (arity >= 1) w.u32(n.a);
-    if (arity == 2) w.u32(n.b);
-    if (n.op == DfgOp::kConst) w.u16(n.value);
-    if (n.op == DfgOp::kDelay) {
-      check(n.delay <= kMaxDfgDelay,
-            "dfg_codec: delay " + std::to_string(n.delay) +
-                " exceeds limit of " + std::to_string(kMaxDfgDelay));
-      w.u32(n.delay);
-    }
-    w.name(n.name);
-  }
-  w.u32(static_cast<std::uint32_t>(dfg.outputs().size()));
-  for (const NodeId out : dfg.outputs()) w.u32(out);
-
+  LeWriter w;
+  blob_fields(w, dfg.nodes(), dfg.outputs());
   std::vector<std::uint8_t> bytes = w.take();
   check(bytes.size() <= kMaxDfgBlobBytes, "dfg_codec: blob too large");
   return bytes;
@@ -123,56 +83,11 @@ mapper::Dfg decode_dfg(std::span<const std::uint8_t> bytes) {
   check(bytes.size() <= kMaxDfgBlobBytes,
         "dfg_codec: blob exceeds " + std::to_string(kMaxDfgBlobBytes) +
             " bytes");
-  BlobReader r(bytes);
-  std::uint8_t magic[4];
-  for (std::uint8_t& b : magic) b = r.u8();
-  check(std::memcmp(magic, kDfgMagic, 4) == 0, "dfg_codec: bad magic");
-  const std::uint16_t version = r.u16();
-  check(version == kDfgCodecVersion,
-        "dfg_codec: unsupported codec version " + std::to_string(version));
-
-  const std::uint32_t node_count = r.u32();
-  check(node_count >= 1, "dfg_codec: empty graph");
-  check(node_count <= kMaxDfgNodes,
-        "dfg_codec: node count " + std::to_string(node_count) +
-            " exceeds limit of " + std::to_string(kMaxDfgNodes));
-
+  LeReader<SimError> r(bytes, "dfg_codec");
   std::vector<DfgNode> nodes;
-  nodes.reserve(node_count);
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    const std::uint8_t op_byte = r.u8();
-    check(op_byte <= kMaxOpByte,
-          "dfg_codec: unknown op " + std::to_string(op_byte));
-    DfgNode n;
-    n.op = static_cast<DfgOp>(op_byte);
-    const unsigned arity = mapper::dfg_arity(n.op);
-    const std::uint8_t declared = r.u8();
-    check(declared == arity,
-          "dfg_codec: arity mismatch for op " + std::to_string(op_byte) +
-              ": declared " + std::to_string(declared) + ", expected " +
-              std::to_string(arity));
-    if (arity >= 1) n.a = r.u32();
-    if (arity == 2) n.b = r.u32();
-    if (n.op == DfgOp::kConst) n.value = r.u16();
-    if (n.op == DfgOp::kDelay) {
-      n.delay = r.u32();
-      check(n.delay >= 1 && n.delay <= kMaxDfgDelay,
-            "dfg_codec: delay " + std::to_string(n.delay) +
-                " outside 1.." + std::to_string(kMaxDfgDelay));
-    }
-    n.name = r.name();
-    nodes.push_back(std::move(n));
-  }
-
-  const std::uint32_t output_count = r.u32();
-  check(output_count <= kMaxDfgOutputs,
-        "dfg_codec: output count " + std::to_string(output_count) +
-            " exceeds limit of " + std::to_string(kMaxDfgOutputs));
   std::vector<NodeId> outputs;
-  outputs.reserve(output_count);
-  for (std::uint32_t i = 0; i < output_count; ++i) outputs.push_back(r.u32());
+  blob_fields(r, nodes, outputs);
   r.expect_end();
-
   // Structural validation (operand ordering, delay bounds, ranges)
   // happens in assemble; the output-presence rule stays with
   // Dfg::validate() so its diagnostic reaches the wire verbatim.

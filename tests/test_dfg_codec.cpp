@@ -206,6 +206,38 @@ TEST(DfgCodec, KnownBlobOffsetsRejectPrecisely) {
   }
 }
 
+// Every u32 field of a blob (node count, operand ids, delays, output
+// count and ids) set to 0xFFFFFFFF is a typed error: counts hit their
+// caps before anything is reserved, ids and delays fail validation.
+TEST(DfgCodec, EveryU32FieldSetToAllOnesIsATypedError) {
+  const Dfg dfg = small_graph();
+  const std::vector<std::uint8_t> bytes = encode_dfg(dfg);
+  std::vector<std::size_t> fields = {6};  // node count
+  std::size_t at = 10;
+  for (const DfgNode& n : dfg.nodes()) {
+    at += 2;  // op, declared arity
+    for (unsigned i = 0; i < mapper::dfg_arity(n.op); ++i, at += 4) {
+      fields.push_back(at);
+    }
+    if (n.op == DfgOp::kConst) at += 2;
+    if (n.op == DfgOp::kDelay) {
+      fields.push_back(at);
+      at += 4;
+    }
+    at += 1 + n.name.size();
+  }
+  for (std::size_t i = 0; i <= dfg.outputs().size(); ++i, at += 4) {
+    fields.push_back(at);  // output count, then the output ids
+  }
+  ASSERT_EQ(at, bytes.size());
+
+  for (const std::size_t field : fields) {
+    std::vector<std::uint8_t> m = bytes;
+    for (std::size_t i = 0; i < 4; ++i) m[field + i] = 0xFF;
+    EXPECT_THROW((void)decode_dfg(m), SimError) << "u32 field at " << field;
+  }
+}
+
 TEST(DfgCodec, HashSeparatesNearbyGraphs) {
   Dfg a = small_graph();
   Dfg b;  // identical but for the constant

@@ -584,21 +584,14 @@ TEST(Versioning, AllFramingVersionsParseAndOldPayloadsStayBitIdentical) {
     EXPECT_EQ(frame.version, v);
   }
 
-  // v1/v2 payload codecs are untouched by later versions:
-  // byte-identical encodes.
-  JobRequest req = sample_request(KernelId::kFir);
-  req.trace_id = 0x77;
-  EXPECT_EQ(encode_job_request(req, 2), encode_job_request(req, 2));
-  const JobResultMsg res;
-  EXPECT_EQ(encode_job_result(res, 1), encode_job_result(res, 1));
-  // Pre-v5 Error payloads carry no retry_after_ms tail.
+  // The payload bytes of every version are pinned in
+  // Golden.EveryMessageEncodesToItsPinnedBytes.  Pre-v5 Error payloads
+  // carry no retry_after_ms tail, so it decodes as 0.
   ErrorMsg err;
   err.code = ErrorCode::kBusy;
   err.message = "x";
   err.retry_after_ms = 25;
-  const auto v4_err = encode_error(err, 4);
-  EXPECT_EQ(decode_error(v4_err, 4).retry_after_ms, 0u);
-  EXPECT_EQ(encode_error(err, 5).size(), v4_err.size() + 4);
+  EXPECT_EQ(decode_error(encode_error(err, 4), 4).retry_after_ms, 0u);
   EXPECT_EQ(kProtocolVersion, 5);
   EXPECT_EQ(kMinProtocolVersion, 1);
 }
@@ -628,33 +621,6 @@ TEST(SubmitGemm, RoundTripsAllFields) {
   const SubmitGemmMsg msg = sample_gemm();
   const SubmitGemmMsg back = decode_submit_gemm(encode_submit_gemm(msg));
   EXPECT_EQ(back, msg);
-}
-
-TEST(SubmitGemm, GoldenBytesPinTheLayout) {
-  // Pin the fixed prefix of the layout: tag u32, geometry 3xu16,
-  // m/k/n u16, dtype u8, shift u8, mapping u8, tile_n u16,
-  // scratch_tiles u32 — all little-endian.
-  SubmitGemmMsg msg = sample_gemm();
-  msg.tag = 0x01020304;
-  const std::vector<std::uint8_t> wire = encode_submit_gemm(msg);
-  const std::vector<std::uint8_t> want_prefix = {
-      0x04, 0x03, 0x02, 0x01,  // tag
-      0x08, 0x00, 0x02, 0x00, 0x10, 0x00,  // geometry 8,2,16
-      0x11, 0x00,              // m = 17
-      0x09, 0x00,              // k = 9
-      0x0D, 0x00,              // n = 13
-      0x01,                    // dtype int16
-      0x05,                    // shift
-      0x01,                    // mapping ws
-      0x04, 0x00,              // tile_n
-      0x20, 0x00, 0x00, 0x00,  // scratch_tiles = 32
-  };
-  ASSERT_GE(wire.size(), want_prefix.size());
-  EXPECT_TRUE(std::equal(want_prefix.begin(), want_prefix.end(),
-                         wire.begin()));
-  // Tail: a words (u32 count + u16 each), b words, trace_id u64.
-  EXPECT_EQ(wire.size(), want_prefix.size() + 4 + msg.a.size() * 2 + 4 +
-                             msg.b.size() * 2 + 8);
 }
 
 TEST(SubmitGemm, TruncatedPayloadThrows) {
@@ -810,6 +776,348 @@ TEST(BatchSubmit, EntriesNestThePerVersionJobCodecs) {
   const SubmitJobBatchMsg back = decode_submit_job_batch(v1, 1);
   ASSERT_EQ(back.jobs.size(), msg.jobs.size());
   for (const auto& job : back.jobs) EXPECT_EQ(job.trace_id, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden payload bytes and the wire mutator.  The table pins the exact
+// bytes of every message at every version that changes its layout:
+// payloads up to 64 bytes in full hex, longer ones by length and
+// FNV-1a 64.  The mutator then drives every pinned payload through
+// truncations, bit flips, count lies, every version and every other
+// message's decoder.
+
+using Bytes = std::span<const std::uint8_t>;
+
+std::string digest(Bytes bytes) {
+  static const char* hex = "0123456789abcdef";
+  std::string out;
+  if (bytes.size() <= 64) {
+    for (const std::uint8_t b : bytes) {
+      out += hex[b >> 4];
+      out += hex[b & 0xF];
+    }
+    return out;
+  }
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  out = "len " + std::to_string(bytes.size()) + " fnv ";
+  for (int s = 60; s >= 0; s -= 4) out += hex[(h >> s) & 0xF];
+  return out;
+}
+
+/// Decode at a version, then re-encode at it: the identity on every
+/// payload the decoder accepts.
+struct Codec {
+  const char* name;
+  std::vector<std::uint8_t> (*round_trip)(Bytes, std::uint16_t);
+};
+
+const Codec kCodecs[] = {
+    {"JobRequest",
+     [](Bytes p, std::uint16_t v) {
+       return encode_job_request(decode_job_request(p, v), v);
+     }},
+    {"JobResult",
+     [](Bytes p, std::uint16_t v) {
+       return encode_job_result(decode_job_result(p, v), v);
+     }},
+    {"Error",
+     [](Bytes p, std::uint16_t v) {
+       return encode_error(decode_error(p, v), v);
+     }},
+    {"GetStats",
+     [](Bytes p, std::uint16_t) {
+       return encode_get_stats(decode_get_stats(p));
+     }},
+    {"StatsReply",
+     [](Bytes p, std::uint16_t) {
+       return encode_stats_reply(decode_stats_reply(p));
+     }},
+    {"ServerInfo",
+     [](Bytes p, std::uint16_t) {
+       return encode_server_info(decode_server_info(p));
+     }},
+    {"Ping",
+     [](Bytes p, std::uint16_t) { return encode_ping(decode_ping(p)); }},
+    {"SubmitDfg",
+     [](Bytes p, std::uint16_t) {
+       return encode_submit_dfg(decode_submit_dfg(p));
+     }},
+    {"DfgCompiled",
+     [](Bytes p, std::uint16_t) {
+       return encode_dfg_compiled(decode_dfg_compiled(p));
+     }},
+    {"SubmitDfgJob",
+     [](Bytes p, std::uint16_t) {
+       return encode_submit_dfg_job(decode_submit_dfg_job(p));
+     }},
+    {"SubmitGemm",
+     [](Bytes p, std::uint16_t) {
+       return encode_submit_gemm(decode_submit_gemm(p));
+     }},
+    {"SubmitJobBatch",
+     [](Bytes p, std::uint16_t v) {
+       return encode_submit_job_batch(decode_submit_job_batch(p, v), v);
+     }},
+    {"JobBatchResult",
+     [](Bytes p, std::uint16_t v) {
+       return encode_job_batch_result(decode_job_batch_result(p, v), v);
+     }},
+};
+
+const Codec* codec_named(const std::string& name) {
+  for (const Codec& c : kCodecs) {
+    if (name == c.name) return &c;
+  }
+  return nullptr;
+}
+
+struct Golden {
+  std::string name;
+  const Codec* codec;  ///< null for the whole frame
+  std::uint16_t version;
+  std::vector<std::uint8_t> bytes;
+  std::string want;
+};
+
+std::vector<Golden> golden_table() {
+  std::vector<Golden> rows;
+  const auto row = [&](std::string name, const char* codec,
+                       std::uint16_t version, std::vector<std::uint8_t> bytes,
+                       std::string want) {
+    rows.push_back({std::move(name), codec_named(codec), version,
+                    std::move(bytes), std::move(want)});
+  };
+
+  const std::pair<KernelId, const char*> kernels[] = {
+      {KernelId::kFir, "fir"},
+      {KernelId::kMotionEstimation, "me"},
+      {KernelId::kDwt53, "dwt53"},
+      {KernelId::kMatvec8, "matvec8"}};
+  const char* const job_request_want[][2] = {
+      {"eeffc0000100080002001000030000000100feff0300040000000a0014001e002800",
+       "eeffc0000100080002001000030000000100feff0300040000000a0014001e00"
+       "28007700000000000000"},
+      {"len 1062 fnv ca1442cae6264d44", "len 1070 fnv 6b7efb3fcdddb193"},
+      {"eeffc00003000800020010000800000001000200030004000500060007000800",
+       "eeffc00003000800020010000800000001000200030004000500060007000800"
+       "7700000000000000"},
+      {"len 180 fnv 83f99393b7dfec96", "len 188 fnv eda85d695e659301"},
+  };
+  for (std::size_t i = 0; i < std::size(kernels); ++i) {
+    JobRequest req = sample_request(kernels[i].first);
+    req.trace_id = 0x77;  // dropped at v1
+    for (const std::uint16_t v : {1, 2}) {
+      row(std::string("JobRequest ") + kernels[i].second + " v" +
+              std::to_string(v),
+          "JobRequest", v, encode_job_request(req, v),
+          job_request_want[i][v - 1]);
+    }
+  }
+  {  // later versions leave the v2 layout untouched
+    JobRequest req = sample_request(KernelId::kFir);
+    req.trace_id = 0x77;
+    row("JobRequest fir v5", "JobRequest", 5, encode_job_request(req, 5),
+        job_request_want[0][1]);
+  }
+
+  JobResultMsg res;
+  res.tag = 7;
+  res.outputs = {1, 0xFFFF, 3};
+  res.sim_cycles = 123456789;
+  res.worker = 3;
+  res.reused_system = 1;
+  res.counters = {{"sim.cycles", 123456789}, {"", 42}};
+  res.trace_id = 0xFACE;
+  res.queue_wait_us = 17;
+  res.execute_us = 230;
+  res.total_us = 260;
+  row("JobResult empty v1", "JobResult", 1, encode_job_result({}, 1),
+      "00000000000000000000000000000000000000000000000000");
+  row("JobResult v1", "JobResult", 1, encode_job_result(res, 1),
+      "len 65 fnv f2ba61d1462a9c4d");
+  row("JobResult v2", "JobResult", 2, encode_job_result(res, 2),
+      "len 85 fnv c516478df8f1fb6d");
+
+  ErrorMsg err;
+  err.code = ErrorCode::kBusy;
+  err.message = "x";
+  err.retry_after_ms = 25;
+  row("Error v4", "Error", 4, encode_error(err, 4), "0000000002000100000078");
+  row("Error v5", "Error", 5, encode_error(err, 5),
+      "000000000200010000007819000000");
+
+  StatsReplyMsg stats;
+  stats.uptime_us = 5'000'000;
+  stats.workers = 4;
+  stats.queue_depth = 3;
+  stats.queue_capacity = 64;
+  stats.worker_utilization = 0.625;
+  stats.counters = {{"net.jobs.completed", 120}, {"", 0}};
+  StatsQuantileMsg q;
+  q.name = "net.latency.e2e_us";
+  q.count = 120;
+  q.mean_us = 840.5;
+  q.p50_us = 700.0;
+  q.p90_us = 1900.0;
+  q.p99_us = 4700.0;
+  q.max_us = 5123;
+  stats.latencies = {q, StatsQuantileMsg{}};
+  stats.rates = {{"net.jobs.completed", 24.5}, {"", 0.0}};
+  stats.flight = {sample_span(1), obs::SpanRecord{}};
+  row("StatsReply", "StatsReply", 2, encode_stats_reply(stats),
+      "len 423 fnv 33d253e3a2e93bff");
+  row("GetStats", "GetStats", 2, encode_get_stats(kStatsIncludeFlight),
+      "01000000");
+
+  ServerInfoMsg info;
+  info.workers = 8;
+  info.queue_capacity = 64;
+  info.max_frame_bytes = 1 << 20;
+  info.jobs_completed = 12345;
+  info.server = "sring-serve";
+  row("ServerInfo", "ServerInfo", 1, encode_server_info(info),
+      "050008000000400000000000100039300000000000000b0000007372696e672d"
+      "7365727665");
+  row("Ping", "Ping", 1, encode_ping(0xDEADBEEFCAFEull), "fecaefbeadde0000");
+
+  row("SubmitDfg", "SubmitDfg", 3, encode_submit_dfg(sample_submit_dfg()),
+      "29000000080002001000090000005344464701000908071807f6e5d4c3b2a1");
+  DfgCompiledMsg compiled;
+  compiled.tag = 42;
+  compiled.dfg_hash = 0xCD067F0722C52F50ull;
+  compiled.cache_hit = 1;
+  compiled.compile_us = 310;
+  compiled.dnodes_used = 5;
+  compiled.max_latency = 4;
+  compiled.pushes_per_cycle = 2;
+  compiled.input_count = 1;
+  compiled.outputs = {{"out", 4, 0}, {"", 3, 1}};
+  row("DfgCompiled", "DfgCompiled", 3, encode_dfg_compiled(compiled),
+      "2a000000502fc522077f06cd0136010000050004000200010002000000030000"
+      "006f7574040000000000000003000100");
+  SubmitDfgJobMsg dfg_job;
+  dfg_job.tag = 43;
+  dfg_job.geometry = RingGeometry{4, 2, 16};
+  dfg_job.dfg = {'S', 'D', 'F', 'G', 1, 0};
+  dfg_job.streams = {{1, static_cast<Word>(-2), 3},
+                     {static_cast<Word>(-4), 5, static_cast<Word>(-6)},
+                     {}};
+  dfg_job.trace_id = 99;
+  row("SubmitDfgJob", "SubmitDfgJob", 3, encode_submit_dfg_job(dfg_job),
+      "2b0000000400020010000600000053444647010003000000030000000100feff"
+      "030003000000fcff0500faff000000006300000000000000");
+
+  SubmitGemmMsg gemm = sample_gemm();
+  gemm.tag = 0x01020304;
+  row("SubmitGemm", "SubmitGemm", 4, encode_submit_gemm(gemm),
+      "len 581 fnv 293f6f6534021858");
+
+  row("SubmitJobBatch v5", "SubmitJobBatch", 5,
+      encode_submit_job_batch(sample_batch(), 5),
+      "len 298 fnv 6bf43357e2719044");
+  row("SubmitJobBatch v1", "SubmitJobBatch", 1,
+      encode_submit_job_batch(sample_batch(), 1),
+      "len 274 fnv 64bdc0409ba6997b");
+  JobBatchResultMsg batch_result;
+  batch_result.tag = 0xBA7C4;
+  JobBatchEntryMsg ok_entry;
+  ok_entry.ok = 1;
+  ok_entry.result = res;
+  JobBatchEntryMsg busy_entry;
+  busy_entry.error = err;
+  busy_entry.error.tag = 2;
+  batch_result.entries = {ok_entry, busy_entry, ok_entry};
+  row("JobBatchResult v5", "JobBatchResult", 5,
+      encode_job_batch_result(batch_result, 5), "len 208 fnv cde5e1a16b83edcd");
+
+  std::vector<std::uint8_t> frame;
+  append_frame(frame, MsgType::kPing, encode_ping(0xDEADBEEFCAFEull), 3);
+  row("Ping frame v3", "", 3, std::move(frame),
+      "53524e470300010008000000fecaefbeadde000014df5d97");
+  return rows;
+}
+
+TEST(Golden, EveryMessageEncodesToItsPinnedBytes) {
+  for (const Golden& g : golden_table()) {
+    EXPECT_EQ(digest(g.bytes), g.want) << g.name;
+  }
+}
+
+/// A decoder either throws ProtocolError or accepts bytes that its
+/// encoder reproduces exactly.  Any other exception, or a field the
+/// decoder normalises on the way in, is a failure.
+std::string typed_or_exact(const Codec& codec, Bytes bytes,
+                           std::uint16_t version) {
+  try {
+    const std::vector<std::uint8_t> again = codec.round_trip(bytes, version);
+    if (std::equal(again.begin(), again.end(), bytes.begin(), bytes.end())) {
+      return {};
+    }
+    return "decoded, but re-encodes to " + digest(again);
+  } catch (const ProtocolError&) {
+    return {};
+  } catch (const std::exception& e) {
+    return std::string("untyped error: ") + e.what();
+  }
+}
+
+TEST(WireMutator, EveryMutationIsATypedErrorOrAnExactRoundTrip) {
+  std::size_t cases = 0;
+  std::vector<std::string> failures;
+  const auto check = [&](const Codec& codec, Bytes bytes,
+                         std::uint16_t version, const std::string& what) {
+    ++cases;
+    const std::string fault = typed_or_exact(codec, bytes, version);
+    if (!fault.empty()) {
+      failures.push_back(what + " -> " + codec.name + " v" +
+                         std::to_string(version) + ": " + fault);
+    }
+  };
+
+  for (const Golden& g : golden_table()) {
+    if (g.codec == nullptr) continue;
+    const std::vector<std::uint8_t>& p = g.bytes;
+    for (std::size_t len = 0; len < p.size(); ++len) {
+      check(*g.codec, {p.data(), len}, g.version,
+            g.name + " cut to " + std::to_string(len));
+    }
+    for (std::size_t bit = 0; bit < 8 * p.size(); ++bit) {
+      std::vector<std::uint8_t> m = p;
+      m[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      check(*g.codec, m, g.version,
+            g.name + " bit " + std::to_string(bit) + " flipped");
+    }
+    for (std::size_t at = 0; at + 4 <= p.size(); ++at) {
+      const std::uint32_t remaining =
+          static_cast<std::uint32_t>(p.size() - at - 4);
+      for (const std::uint32_t lie : {0xFFFFFFFFu, remaining + 1}) {
+        std::vector<std::uint8_t> m = p;
+        for (std::size_t i = 0; i < 4; ++i) {
+          m[at + i] = static_cast<std::uint8_t>(lie >> (8 * i));
+        }
+        check(*g.codec, m, g.version,
+              g.name + " u32 " + std::to_string(lie) + " at " +
+                  std::to_string(at));
+      }
+    }
+    for (std::uint16_t v = kMinProtocolVersion; v <= kProtocolVersion; ++v) {
+      for (const Codec& other : kCodecs) {
+        check(other, p, v, g.name + " as " + other.name);
+      }
+    }
+  }
+
+  std::string first;
+  for (std::size_t i = 0; i < failures.size() && i < 12; ++i) {
+    first += "\n  " + failures[i];
+  }
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " of " << cases << " cases failed:" << first;
+  EXPECT_GT(cases, 50000u);
 }
 
 }  // namespace

@@ -75,6 +75,48 @@ TEST(ObjectFile, DetectsBadGeometry) {
   EXPECT_THROW(deserialize_program(bytes), SimError);
 }
 
+// A lie in any count or length field must come back as SimError before
+// the reader allocates for it: 0xFFFFFFFF, and one element more than the
+// bytes that follow can hold.
+TEST(ObjectFile, CountAndLengthLiesAreTypedErrors) {
+  const LoadableProgram p = sample();
+  const std::vector<std::uint8_t> bytes = serialize_program(p);
+  const auto le32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      v |= std::uint32_t{bytes[at + i]} << (8 * i);
+    }
+    return v;
+  };
+  const std::size_t geometry_at = 12 + p.name.size();
+  const std::size_t code_at = geometry_at + 12;
+  const std::size_t pages_at = code_at + 4 + 4 * p.controller_code.size();
+  const std::size_t page_bytes =
+      9 * p.geometry.dnode_count() +
+      8 * p.geometry.switch_count() * p.geometry.lanes;
+  const std::size_t local_at = pages_at + 4 + p.pages.size() * page_bytes;
+  ASSERT_EQ(le32(8), p.name.size());
+  ASSERT_EQ(le32(code_at), p.controller_code.size());
+  ASSERT_EQ(le32(pages_at), p.pages.size());
+  ASSERT_EQ(le32(local_at), p.local_init.size());
+  ASSERT_EQ(bytes.size(), local_at + 4 + 13 * p.local_init.size());
+
+  const std::size_t fields[] = {0,           4,               8,
+                                geometry_at, geometry_at + 4, geometry_at + 8,
+                                code_at,     pages_at,        local_at};
+  for (const std::size_t at : fields) {
+    const auto remaining = static_cast<std::uint32_t>(bytes.size() - at - 4);
+    for (const std::uint32_t lie : {0xFFFFFFFFu, remaining + 1}) {
+      std::vector<std::uint8_t> m = bytes;
+      for (std::size_t i = 0; i < 4; ++i) {
+        m[at + i] = static_cast<std::uint8_t>(lie >> (8 * i));
+      }
+      EXPECT_THROW(deserialize_program(m), SimError)
+          << "u32 " << lie << " at " << at;
+    }
+  }
+}
+
 TEST(ObjectFile, SaveAndLoadFile) {
   const auto original = sample();
   const std::string path = "/tmp/sring_test_object.srgo";
