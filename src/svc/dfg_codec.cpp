@@ -65,7 +65,7 @@ void blob_fields(IO& io, Nodes& nodes, Outputs& outputs) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_dfg(const mapper::Dfg& dfg) {
-  check(!dfg.nodes().empty(), "dfg_codec: empty graph");
+  // The writer ignores seq() caps, so the encoder checks them up front.
   check(dfg.nodes().size() <= kMaxDfgNodes,
         "dfg_codec: node count " + std::to_string(dfg.nodes().size()) +
             " exceeds limit of " + std::to_string(kMaxDfgNodes));
