@@ -36,10 +36,8 @@ ConfigPage ConfigPage::zeroed(const RingGeometry& g) {
 ConfigMemory::DecodedPage ConfigMemory::decode_page(const ConfigPage& page) {
   DecodedPage d;
   d.instr.reserve(page.dnode_instr.size());
-  d.imm.reserve(page.dnode_instr.size());
   for (const auto w : page.dnode_instr) {
     d.instr.push_back(DnodeInstr::decode(w));
-    d.imm.push_back(d.instr.back().imm);
   }
   d.route.reserve(page.switch_route.size());
   for (const auto w : page.switch_route) {
@@ -60,13 +58,16 @@ ConfigMemory::ConfigMemory(const RingGeometry& g)
     : geom_(g), live_(ConfigPage::zeroed(g)) {
   geom_.validate();
   live_decoded_ = decode_page(live_);
+  live_imm_.assign(geom_.dnode_count(), 0);
   route_changes_per_switch_.assign(geom_.switch_count(), 0);
 }
 
 void ConfigMemory::materialize_live() {
   if (live_page_ < 0) return;
+  const Word* const imms = live_imms();
   live_ = pages_[static_cast<std::size_t>(live_page_)];
   live_decoded_ = pages_decoded_[static_cast<std::size_t>(live_page_)];
+  live_imm_.assign(imms, imms + geom_.dnode_count());
   live_page_ = -1;
 }
 
@@ -88,7 +89,7 @@ void ConfigMemory::write_dnode_instr(std::size_t dnode,
   materialize_live();
   // Decode validates eagerly: a malformed word never lands.
   live_decoded_.instr[dnode] = DnodeInstr::decode(encoded);
-  live_decoded_.imm[dnode] = live_decoded_.instr[dnode].imm;
+  live_imm_[dnode] = live_decoded_.instr[dnode].imm;
   live_.dnode_instr[dnode] = encoded;
   ++words_written_;
   ++generation_;
@@ -127,7 +128,7 @@ void ConfigMemory::reset_live() {
   live_.dnode_mode.assign(n, static_cast<std::uint8_t>(DnodeMode::kGlobal));
   live_.switch_route.assign(routes, 0);
   live_decoded_.instr.assign(n, DnodeInstr::decode(0));
-  live_decoded_.imm.assign(n, 0);
+  live_imm_.assign(n, 0);
   live_decoded_.route.assign(routes, SwitchRoute::decode(0));
   live_page_ = -1;
   words_written_ = 0;
@@ -177,7 +178,12 @@ std::size_t ConfigMemory::add_page(ConfigPage page) {
           "ConfigMemory::add_page: bad mode value");
   }
   pages_decoded_.push_back(decode_page(page));  // validates all words
+  for (const DnodeInstr& in : pages_decoded_.back().instr) {
+    page_imms_.push_back(in.imm);
+  }
   page_hashes_.push_back(hash_page(page));
+  swap_index_.clear();  // sized for the old page count
+  swap_rows_.clear();
   pages_.push_back(std::move(page));
   return pages_.size() - 1;
 }
@@ -198,13 +204,14 @@ void ConfigMemory::patch_imms(std::size_t index,
           "ConfigMemory::patch_imms: words differ outside the immediate");
   }
   DecodedPage& dec = pages_decoded_[index];
+  Word* const imms = page_imms_.data() + index * words.size();
   bool written = false;
   for (std::size_t i = 0; i < words.size(); ++i) {
     if (words[i] == instr_words[i]) continue;
     words[i] = instr_words[i];
     dec.instr[i].imm = static_cast<Word>(
         (instr_words[i] & kImmFieldMask) >> std::countr_zero(kImmFieldMask));
-    dec.imm[i] = dec.instr[i].imm;
+    imms[i] = dec.instr[i].imm;
     written = true;
   }
   if (written && live_page_ == static_cast<std::ptrdiff_t>(index)) {
@@ -212,34 +219,51 @@ void ConfigMemory::patch_imms(std::size_t index,
   }
 }
 
+const std::uint64_t* ConfigMemory::swap_row(std::size_t from,
+                                            std::size_t to) {
+  const std::size_t pages = pages_.size();
+  if (swap_index_.empty()) swap_index_.assign(pages * pages, 0);
+  std::uint32_t& slot = swap_index_[from * pages + to];
+  const std::size_t switches = geom_.switch_count();
+  if (slot == 0) {
+    const DecodedPage& a = pages_decoded_[from];
+    const DecodedPage& b = pages_decoded_[to];
+    for (std::size_t sw = 0; sw < switches; ++sw) {
+      std::uint64_t diffs = 0;
+      for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
+        const std::size_t i = sw * geom_.lanes + lane;
+        diffs += a.route[i] == b.route[i] ? 0 : 1;
+      }
+      swap_rows_.push_back(diffs);
+    }
+    slot = static_cast<std::uint32_t>(swap_rows_.size() / switches);
+  }
+  return swap_rows_.data() + (slot - 1) * switches;
+}
+
+std::span<const std::uint64_t> ConfigMemory::swap_route_changes(
+    std::size_t from, std::size_t to) const noexcept {
+  const std::size_t pages = pages_.size();
+  if (from >= pages || to >= pages || swap_index_.empty()) return {};
+  const std::uint32_t slot = swap_index_[from * pages + to];
+  if (slot == 0) return {};
+  const std::size_t switches = geom_.switch_count();
+  return {swap_rows_.data() + (slot - 1) * switches, switches};
+}
+
 void ConfigMemory::apply_page(std::size_t index) {
   check(index < pages_.size(), "ConfigMemory::apply_page: no such page");
-  const DecodedPage& to = pages_decoded_[index];
   if (live_page_ >= 0) {
     // Page-to-page swap: the per-switch decoded-route diff depends
     // only on the immutable (from, to) pair, so it is computed once
     // and replayed as counter bumps on every later swap.
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(live_page_) << 32) |
-        static_cast<std::uint64_t>(index);
-    auto it = page_diffs_.find(key);
-    if (it == page_diffs_.end()) {
-      std::vector<std::uint64_t> diffs(geom_.switch_count(), 0);
-      const DecodedPage& from = pages_decoded_[static_cast<std::size_t>(
-          live_page_)];
-      for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {
-        for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
-          const std::size_t i = sw * geom_.lanes + lane;
-          if (!(from.route[i] == to.route[i])) ++diffs[sw];
-        }
-      }
-      it = page_diffs_.emplace(key, std::move(diffs)).first;
-    }
-    const std::vector<std::uint64_t>& diffs = it->second;
+    const std::uint64_t* const diffs =
+        swap_row(static_cast<std::size_t>(live_page_), index);
     for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {
       route_changes_per_switch_[sw] += diffs[sw];
     }
   } else {
+    const DecodedPage& to = pages_decoded_[index];
     for (std::size_t sw = 0; sw < geom_.switch_count(); ++sw) {
       for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
         const std::size_t i = sw * geom_.lanes + lane;
@@ -252,10 +276,20 @@ void ConfigMemory::apply_page(std::size_t index) {
   // The live image becomes a reference to the page — no copy; a later
   // word write materializes a private copy first.
   live_page_ = static_cast<std::ptrdiff_t>(index);
-  words_written_ += pages_[index].dnode_instr.size() +
-                    pages_[index].dnode_mode.size() +
-                    pages_[index].switch_route.size();
+  words_written_ += page_words();
   ++generation_;
+}
+
+void ConfigMemory::credit_swaps(std::size_t last, std::uint64_t swaps,
+                                std::span<const std::uint64_t> route_changes) {
+  check(last < pages_.size() && route_changes.size() == geom_.switch_count(),
+        "ConfigMemory::credit_swaps: bad page or route-change count");
+  for (std::size_t sw = 0; sw < route_changes.size(); ++sw) {
+    route_changes_per_switch_[sw] += route_changes[sw];
+  }
+  live_page_ = static_cast<std::ptrdiff_t>(last);
+  words_written_ += swaps * page_words();
+  generation_ += swaps;
 }
 
 }  // namespace sring

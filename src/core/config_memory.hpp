@@ -12,14 +12,13 @@
 // the applied page until the next word write materializes a private
 // copy (copy-on-write).  Page swaps are the hot operation of
 // hardware-multiplexed kernels, so they also carry a precomputed
-// structure hash and memoized per-switch route-change deltas — the
-// observable semantics (accessors, generation, statistics) are
-// identical to eager copying.
+// structure hash and memoized per-switch route-change deltas (a dense
+// table indexed by the (from, to) page pair) — the observable semantics
+// (accessors, generation, statistics) are identical to eager copying.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/switch.hpp"
@@ -144,7 +143,16 @@ class ConfigMemory {
   /// The live image's immediates, one per flat Dnode.  The pointer
   /// moves with every page swap and copy-on-write, so the planned path
   /// re-reads it after every controller step.
-  const Word* live_imms() const noexcept { return active_dec().imm.data(); }
+  const Word* live_imms() const noexcept {
+    return live_page_ >= 0
+               ? page_imms_.data() +
+                     static_cast<std::size_t>(live_page_) * geom_.dnode_count()
+               : live_imm_.data();
+  }
+  /// Every registered page's immediates, page-major: word
+  /// page * dnode_count() + dnode.  patch_imms() keeps them current, so
+  /// a loop tape that runs several pages reads each page's own.
+  const Word* page_imms() const noexcept { return page_imms_.data(); }
 
   // --- pages --------------------------------------------------------
   /// Register a page; returns its index.
@@ -166,6 +174,19 @@ class ConfigMemory {
   /// Apply page `index` to the live configuration (one-cycle swap).
   void apply_page(std::size_t index);
 
+  /// Per-switch decoded-route changes of a swap from page `from` to page
+  /// `to`, or an empty span when no such swap ran yet (the table fills
+  /// as apply_page() meets each pair).
+  std::span<const std::uint64_t> swap_route_changes(
+      std::size_t from, std::size_t to) const noexcept;
+
+  /// Account `swaps` page-to-page swaps at once, the last one to page
+  /// `last`, with `route_changes` decoded-route changes per switch: the
+  /// live page, generation, words_written() and route-change counters
+  /// end exactly where that many apply_page() calls would leave them.
+  void credit_swaps(std::size_t last, std::uint64_t swaps,
+                    std::span<const std::uint64_t> route_changes);
+
   /// Restore the live configuration (and its instrumentation) to the
   /// freshly-constructed all-NOP state while keeping every registered
   /// page.  This is the runtime's fast-reload path: a pooled System
@@ -174,6 +195,11 @@ class ConfigMemory {
 
   /// Number of configuration words rewritten so far (statistics).
   std::uint64_t words_written() const noexcept { return words_written_; }
+  /// Words one page swap rewrites: every microinstruction, mode and
+  /// route word.
+  std::size_t page_words() const noexcept {
+    return 2 * geom_.dnode_count() + geom_.switch_count() * geom_.lanes;
+  }
 
   // --- route-change instrumentation ---------------------------------
   // A "route change" is a switch route word whose decoded value
@@ -190,7 +216,6 @@ class ConfigMemory {
   struct DecodedPage {
     std::vector<DnodeInstr> instr;
     std::vector<SwitchRoute> route;
-    std::vector<Word> imm;  ///< instr[i].imm, flat (see live_imms())
   };
   static DecodedPage decode_page(const ConfigPage& page);
   static std::uint64_t hash_page(const ConfigPage& page) noexcept;
@@ -209,18 +234,26 @@ class ConfigMemory {
   /// Copy the applied page into the private live image so a word write
   /// can land (copy-on-write materialization).
   void materialize_live();
+  /// Row of swap_rows_ holding the (from, to) diff, computing it on
+  /// first use.
+  const std::uint64_t* swap_row(std::size_t from, std::size_t to);
 
   RingGeometry geom_;
   ConfigPage live_;
   DecodedPage live_decoded_;
+  std::vector<Word> live_imm_;   ///< live_decoded_.instr[i].imm, flat
   std::vector<ConfigPage> pages_;
   std::vector<DecodedPage> pages_decoded_;
+  std::vector<Word> page_imms_;  ///< see page_imms()
   std::vector<std::uint64_t> page_hashes_;
   std::ptrdiff_t live_page_ = -1;
-  /// Memoized per-switch decoded-route diff counts for (from page, to
-  /// page) swaps, keyed from << 32 | to.  Pages are immutable, so a
+  /// Memoized per-switch decoded-route diff counts of page-to-page
+  /// swaps: swap_index_[from * page_count() + to] is 1 + the row of
+  /// swap_rows_ (switch_count() words) holding that pair's diff, 0 while
+  /// not computed.  Pages are immutable outside their immediates, so a
   /// computed diff never goes stale.
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> page_diffs_;
+  std::vector<std::uint32_t> swap_index_;
+  std::vector<std::uint64_t> swap_rows_;
   std::uint64_t words_written_ = 0;
   std::vector<std::uint64_t> route_changes_per_switch_;
   ConfigIdentity identity_;

@@ -159,16 +159,13 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
   }
 }
 
-void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
-                  const std::vector<Dnode>& dnodes, SuperstepTape& t) {
-  const std::size_t n = geom.dnode_count();
-  const TapeLayout lay{n};
-  const std::size_t period = plan.superstep_period;
+namespace {
+
+/// Clear `t` for `period` phases.
+void begin_tape(SuperstepTape& t, std::size_t period) {
+  t.valid = false;
   t.period = period;
   t.base_counters.clear();
-  for (const std::uint16_t i : plan.local_dnodes) {
-    t.base_counters.push_back(dnodes[i].local().counter());
-  }
   t.ops.clear();
   t.sources.clear();
   t.begin.assign(period + 1, 0);
@@ -178,115 +175,136 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
   t.carry.clear();
   t.carry_begin.assign(period + 1, 0);
   t.written.clear();
+  t.taps.clear();
+  t.taps_begin.assign(period + 1, 0);
   t.phase_cycles.assign(period, 0);
   t.reads_window = false;
+}
 
+/// Lower phase `p` of `t`: `plan` with every local Dnode at slot
+/// (counter + local_phase) % local_len, kImm operands of global Dnodes
+/// reading immediate word imm_base + dnode.  `writes` receives the
+/// phase's written slots, sorted.
+void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
+                 const std::vector<Dnode>& dnodes, std::size_t local_phase,
+                 std::size_t imm_base, std::size_t p, SuperstepTape& t,
+                 std::vector<std::uint16_t>& writes) {
+  const std::size_t n = geom.dnode_count();
+  const TapeLayout lay{n};
   const auto window = [&](const FeedbackAddr& fb) {
     return TapeRef{TapeRef::kWindow,
                    static_cast<std::uint16_t>(
                        fb.depth * n + upstream_of(geom, fb.pipe) * geom.lanes +
                        fb.lane)};
   };
-  std::vector<std::vector<std::uint16_t>> writes(period);
-  for (std::size_t p = 0; p < period; ++p) {
-    t.begin[p] = static_cast<std::uint32_t>(t.ops.size());
-    t.effects_begin[p] = static_cast<std::uint32_t>(t.effects.size());
-    std::uint16_t pops = 0;
-    // Ascending Dnode order: the documented host pop and output drain
-    // order.
-    for (std::uint16_t i = 0; i < n; ++i) {
-      const PlannedDnode& pd = plan.dnodes[i];
-      const auto slot = static_cast<std::uint8_t>(
-          pd.is_local ? (dnodes[i].local().counter() + p) % pd.local_len : 0);
-      const PlannedSlot& ps = pd.is_local ? pd.local[slot] : pd.global;
-      if (ps.nop) continue;
-      // Pop ordinals in the documented order: in1, in2, direct host.
-      std::uint16_t in1_pop = 0;
-      std::uint16_t in2_pop = 0;
-      std::uint16_t host_pop = 0;
-      if (ps.in1 == PlannedSlot::Port::kHost) in1_pop = pops++;
-      if (ps.in2 == PlannedSlot::Port::kHost) in2_pop = pops++;
-      if (ps.direct_pop) host_pop = pops++;
+  t.begin[p] = static_cast<std::uint32_t>(t.ops.size());
+  t.effects_begin[p] = static_cast<std::uint32_t>(t.effects.size());
+  t.taps_begin[p] = static_cast<std::uint32_t>(t.taps.size());
+  t.taps.insert(t.taps.end(), plan.host_taps.begin(), plan.host_taps.end());
+  std::uint16_t pops = 0;
+  // Ascending Dnode order: the documented host pop and output drain
+  // order.
+  for (std::uint16_t i = 0; i < n; ++i) {
+    const PlannedDnode& pd = plan.dnodes[i];
+    const auto slot = static_cast<std::uint8_t>(
+        pd.is_local ? (dnodes[i].local().counter() + local_phase) % pd.local_len
+                    : 0);
+    const PlannedSlot& ps = pd.is_local ? pd.local[slot] : pd.global;
+    if (ps.nop) continue;
+    // Pop ordinals in the documented order: in1, in2, direct host.
+    std::uint16_t in1_pop = 0;
+    std::uint16_t in2_pop = 0;
+    std::uint16_t host_pop = 0;
+    if (ps.in1 == PlannedSlot::Port::kHost) in1_pop = pops++;
+    if (ps.in2 == PlannedSlot::Port::kHost) in2_pop = pops++;
+    if (ps.direct_pop) host_pop = pops++;
 
-      const auto port = [&](PlannedSlot::Port kind, std::uint16_t prev,
-                            const FeedbackAddr& fb, std::uint16_t pop) {
-        switch (kind) {
-          case PlannedSlot::Port::kZero:
-            break;
-          case PlannedSlot::Port::kPrev:
-            return TapeRef{TapeRef::kState, lay.out(prev)};
-          case PlannedSlot::Port::kHost:
-            return TapeRef{TapeRef::kPops, pop};
-          case PlannedSlot::Port::kFeedback:
-            return window(fb);
-          case PlannedSlot::Port::kBus:
-            return TapeRef{TapeRef::kState, TapeLayout::kBus};
-        }
-        return TapeRef{};
-      };
-      const DnodeInstr& in = ps.instr;
-      const auto ref = [&](DnodeSrc src) {
-        switch (src) {
-          case DnodeSrc::kZero:
-          case DnodeSrc::kSrcCount:
-            break;
-          case DnodeSrc::kIn1:
-            return port(ps.in1, ps.in1_prev, ps.in1_fb, in1_pop);
-          case DnodeSrc::kIn2:
-            return port(ps.in2, ps.in2_prev, ps.in2_fb, in2_pop);
-          case DnodeSrc::kFifo1:
-            return window(ps.fifo1);
-          case DnodeSrc::kFifo2:
-            return window(ps.fifo2);
-          case DnodeSrc::kBus:
-            return TapeRef{TapeRef::kState, TapeLayout::kBus};
-          case DnodeSrc::kHost:
-            return TapeRef{TapeRef::kPops, host_pop};
-          case DnodeSrc::kImm:
-            return pd.is_local
-                       ? TapeRef{TapeRef::kLocalImm,
-                                 static_cast<std::uint16_t>(
-                                     i * kLocalProgramSlots + slot)}
-                       : TapeRef{TapeRef::kImm, i};
-          case DnodeSrc::kR0:
-          case DnodeSrc::kR1:
-          case DnodeSrc::kR2:
-          case DnodeSrc::kR3:
-            return TapeRef{
-                TapeRef::kState,
-                lay.reg(i, static_cast<std::size_t>(src) -
-                               static_cast<std::size_t>(DnodeSrc::kR0))};
-        }
-        return TapeRef{};
-      };
-
-      TapeOp op;
-      op.op = in.op;
-      op.host_en = in.host_en;
-      op.bus_en = in.bus_en;
-      op.a = ref(in.src_a);
-      if (op_uses_b(in.op)) op.b = ref(in.src_b);
-      if (op_uses_c(in.op)) op.c = ref(in.src_c);
-      op.dst = in.dst != DnodeDst::kNone ? lay.reg(i, dst_reg_index(in.dst))
-                                         : lay.sink();
-      op.out = in.out_en ? lay.out(i) : lay.sink();
-      t.reads_window = t.reads_window || op.a.base == TapeRef::kWindow ||
-                       op.b.base == TapeRef::kWindow ||
-                       op.c.base == TapeRef::kWindow;
-      if (op.dst != lay.sink()) writes[p].push_back(op.dst);
-      if (op.out != lay.sink()) writes[p].push_back(op.out);
-      if (op.host_en || op.bus_en) {
-        t.effects.push_back(static_cast<std::uint32_t>(t.ops.size()));
+    const auto port = [&](PlannedSlot::Port kind, std::uint16_t prev,
+                          const FeedbackAddr& fb, std::uint16_t pop) {
+      switch (kind) {
+        case PlannedSlot::Port::kZero:
+          break;
+        case PlannedSlot::Port::kPrev:
+          return TapeRef{TapeRef::kState, lay.out(prev)};
+        case PlannedSlot::Port::kHost:
+          return TapeRef{TapeRef::kPops, pop};
+        case PlannedSlot::Port::kFeedback:
+          return window(fb);
+        case PlannedSlot::Port::kBus:
+          return TapeRef{TapeRef::kState, TapeLayout::kBus};
       }
-      t.ops.push_back(op);
-      t.sources.push_back({i, slot, &ps});
+      return TapeRef{};
+    };
+    const DnodeInstr& in = ps.instr;
+    const auto ref = [&](DnodeSrc src) {
+      switch (src) {
+        case DnodeSrc::kZero:
+        case DnodeSrc::kSrcCount:
+          break;
+        case DnodeSrc::kIn1:
+          return port(ps.in1, ps.in1_prev, ps.in1_fb, in1_pop);
+        case DnodeSrc::kIn2:
+          return port(ps.in2, ps.in2_prev, ps.in2_fb, in2_pop);
+        case DnodeSrc::kFifo1:
+          return window(ps.fifo1);
+        case DnodeSrc::kFifo2:
+          return window(ps.fifo2);
+        case DnodeSrc::kBus:
+          return TapeRef{TapeRef::kState, TapeLayout::kBus};
+        case DnodeSrc::kHost:
+          return TapeRef{TapeRef::kPops, host_pop};
+        case DnodeSrc::kImm:
+          return pd.is_local
+                     ? TapeRef{TapeRef::kLocalImm,
+                               static_cast<std::uint16_t>(
+                                   i * kLocalProgramSlots + slot)}
+                     : TapeRef{TapeRef::kImm,
+                               static_cast<std::uint16_t>(imm_base + i)};
+        case DnodeSrc::kR0:
+        case DnodeSrc::kR1:
+        case DnodeSrc::kR2:
+        case DnodeSrc::kR3:
+          return TapeRef{
+              TapeRef::kState,
+              lay.reg(i, static_cast<std::size_t>(src) -
+                             static_cast<std::size_t>(DnodeSrc::kR0))};
+      }
+      return TapeRef{};
+    };
+
+    TapeOp op;
+    op.op = in.op;
+    op.host_en = in.host_en;
+    op.bus_en = in.bus_en;
+    op.a = ref(in.src_a);
+    if (op_uses_b(in.op)) op.b = ref(in.src_b);
+    if (op_uses_c(in.op)) op.c = ref(in.src_c);
+    op.dst = in.dst != DnodeDst::kNone ? lay.reg(i, dst_reg_index(in.dst))
+                                       : lay.sink();
+    op.out = in.out_en ? lay.out(i) : lay.sink();
+    t.reads_window = t.reads_window || op.a.base == TapeRef::kWindow ||
+                     op.b.base == TapeRef::kWindow ||
+                     op.c.base == TapeRef::kWindow;
+    if (op.dst != lay.sink()) writes.push_back(op.dst);
+    if (op.out != lay.sink()) writes.push_back(op.out);
+    if (op.host_en || op.bus_en) {
+      t.effects.push_back(static_cast<std::uint32_t>(t.ops.size()));
     }
-    t.pops[p] = pops;
-    std::sort(writes[p].begin(), writes[p].end());
+    t.ops.push_back(op);
+    t.sources.push_back({i, slot, &ps});
   }
+  t.pops[p] = pops;
+  std::sort(writes.begin(), writes.end());
+}
+
+/// Close `t`: phase bounds, the per-phase carry lists (what the
+/// previous phase wrote and this one does not) and the written set.
+void finish_tape(SuperstepTape& t,
+                 const std::vector<std::vector<std::uint16_t>>& writes) {
+  const std::size_t period = t.period;
   t.begin[period] = static_cast<std::uint32_t>(t.ops.size());
   t.effects_begin[period] = static_cast<std::uint32_t>(t.effects.size());
-
+  t.taps_begin[period] = static_cast<std::uint32_t>(t.taps.size());
   for (std::size_t p = 0; p < period; ++p) {
     t.carry_begin[p] = static_cast<std::uint32_t>(t.carry.size());
     const auto& prev = writes[(p + period - 1) % period];
@@ -299,6 +317,37 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
   t.written.erase(std::unique(t.written.begin(), t.written.end()),
                   t.written.end());
   t.valid = true;
+}
+
+}  // namespace
+
+void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
+                  const std::vector<Dnode>& dnodes, SuperstepTape& t) {
+  const std::size_t period = plan.superstep_period;
+  begin_tape(t, period);
+  for (const std::uint16_t i : plan.local_dnodes) {
+    t.base_counters.push_back(dnodes[i].local().counter());
+  }
+  std::vector<std::vector<std::uint16_t>> writes(period);
+  for (std::size_t p = 0; p < period; ++p) {
+    lower_phase(geom, plan, dnodes, p, 0, p, t, writes[p]);
+  }
+  finish_tape(t, writes);
+}
+
+bool compile_loop_tape(const RingGeometry& geom,
+                       std::span<const CyclePlan* const> plans,
+                       std::span<const std::size_t> pages,
+                       const std::vector<Dnode>& dnodes, SuperstepTape& t) {
+  const std::size_t n = geom.dnode_count();
+  begin_tape(t, plans.size());
+  std::vector<std::vector<std::uint16_t>> writes(plans.size());
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    if ((pages[i] + 1) * n > std::size_t{1} << 16) return false;
+    lower_phase(geom, *plans[i], dnodes, 0, pages[i] * n, i, t, writes[i]);
+  }
+  finish_tape(t, writes);
+  return true;
 }
 
 std::ptrdiff_t tape_phase(const SuperstepTape& t, const CyclePlan& plan,

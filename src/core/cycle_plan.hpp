@@ -36,6 +36,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config_memory.hpp"
@@ -166,6 +167,10 @@ struct TapeOp {
 /// superstep period.  Phase p serves the cycles in which every local
 /// Dnode k runs slot (base_counters[k] + p) % local_len.  Cached with
 /// its plan; valid until the plan recompiles.
+///
+/// A loop tape (compile_loop_tape) has one phase per cycle of a
+/// recorded controller loop instead: phase i is the all-global plan
+/// cycle i ran, its immediates read from that cycle's page.
 struct SuperstepTape {
   /// Where a micro-op came from (statistics flush, trace views).
   struct Source {
@@ -190,15 +195,28 @@ struct SuperstepTape {
   std::vector<std::uint32_t> carry_begin;   ///< [period + 1]
   /// Every slot some phase writes (carried on a switch to another tape).
   std::vector<std::uint16_t> written;
+  /// Host-out taps per phase, switch order.
+  std::vector<HostTapPlan> taps;
+  std::vector<std::uint32_t> taps_begin;    ///< [period + 1]
   bool reads_window = false;  ///< some operand reads the feedback window
   /// Cycles executed per phase since the last statistics flush.
   std::vector<std::uint64_t> phase_cycles;
+  bool queued = false;  ///< in the Ring's flush queue (unflushed cycles)
 };
 
 /// Lower `plan` into `tape`, starting phase 0 at the local counters
 /// the Dnodes hold now.
 void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
                   const std::vector<Dnode>& dnodes, SuperstepTape& tape);
+
+/// Lower a recorded controller loop into `tape`: phase i runs the
+/// all-global `plans[i]` with its kImm operands reading word
+/// pages[i] * dnode_count + dnode of ConfigMemory::page_imms().  Returns
+/// false (tape invalid) when an immediate lies beyond a TapeRef offset.
+bool compile_loop_tape(const RingGeometry& geom,
+                       std::span<const CyclePlan* const> plans,
+                       std::span<const std::size_t> pages,
+                       const std::vector<Dnode>& dnodes, SuperstepTape& tape);
 
 /// Phase of a valid `tape` that the Dnodes' local counters select, or
 /// -1 when no phase matches (the tape must be recompiled).

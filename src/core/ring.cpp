@@ -137,13 +137,15 @@ void Ring::reset_for_rerun() {
   bus_conflicts_ = 0;
   superstep_dispatches_ = 0;
   superstep_cycles_ = 0;
+  trace_cycles_ = 0;
   // A dispatch cut short by a controller fault leaves unflushed tapes
   // and stale resident state.
-  for (auto& e : plan_cache_) {
-    std::fill(e->tape.phase_cycles.begin(), e->tape.phase_cycles.end(), 0);
-    e->queued = false;
+  for (SuperstepTape* const t : ran_) {
+    std::fill(t->phase_cycles.begin(), t->phase_cycles.end(), 0);
+    t->queued = false;
   }
   ran_.clear();
+  rec_.on = false;
   resident_ = false;
   last_tape_ = nullptr;
   handoff_.reset();
@@ -359,7 +361,7 @@ Ring::PlanCacheEntry* Ring::insert_entry(const ConfigMemory& cfg,
       if (p->last_use < e->last_use) e = p.get();
     }
     ++plan_evictions_;
-    page_index_.clear();
+    clear_page_index();
     e->compiled = false;
     e->content.clear();
   }
@@ -380,7 +382,7 @@ void Ring::attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg) {
     const auto page = static_cast<std::size_t>(cfg.live_page());
     if (page_index_uid_ != cfg.uid() ||
         page_index_local_gen_ != local_generation_) {
-      page_index_.clear();
+      clear_page_index();
       page_index_uid_ = cfg.uid();
       page_index_local_gen_ = local_generation_;
     }
@@ -623,10 +625,7 @@ SuperstepTape& Ring::enter_tape(PlanCacheEntry& e, std::size_t& phase,
     if (p < 0) compile_tape(geom_, e.plan, dnodes_, t);
     phase = p < 0 ? 0 : static_cast<std::size_t>(p);
   }
-  if (!e.queued) {
-    e.queued = true;
-    ran_.push_back(&e);
-  }
+  queue_tape(t);
   return t;
 }
 
@@ -694,14 +693,14 @@ void Ring::settle_last_tape() noexcept {
   last_tape_ = nullptr;
 }
 
-void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
-  SuperstepTape& t = e.tape;
-  std::uint64_t cycles = 0;
+void Ring::flush_tape(SuperstepTape& t, SuperstepResult& res) {
   for (std::size_t p = 0; p < t.phase_cycles.size(); ++p) {
     const std::uint64_t cnt = t.phase_cycles[p];
     if (cnt == 0) continue;
-    cycles += cnt;
     t.phase_cycles[p] = 0;
+    for (std::uint32_t k = t.taps_begin[p]; k < t.taps_begin[p + 1]; ++k) {
+      host_out_words_per_switch_[t.taps[k].sw] += cnt;
+    }
     for (std::uint32_t k = t.begin[p]; k < t.begin[p + 1]; ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const PlannedSlot& ps = *src.slot;
@@ -718,10 +717,6 @@ void Ring::flush_tape(PlanCacheEntry& e, SuperstepResult& res) {
       if (ps.read_fifo1) note_n(ps.fifo1);
       if (ps.read_fifo2) note_n(ps.fifo2);
     }
-  }
-  if (cycles == 0) return;
-  for (const HostTapPlan& tap : e.plan.host_taps) {
-    host_out_words_per_switch_[tap.sw] += cycles;
   }
 }
 
@@ -798,9 +793,43 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   use_window();
   // The live immediates move only when the controller swaps a page or
   // rewrites a word: without one they are fixed for the dispatch, with
-  // one they are re-read after every controller step.
+  // one they are re-read after every controller step.  A loop tape
+  // reads every page's own.
   const Word* imms = ctx.cfg.live_imms();
   const Word* const local_imms = local_imm_.data();
+
+  const auto sample_depth = [&] {
+    if (ctx.probe.counts != nullptr) {
+      const std::size_t d = host_in.size();
+      ++ctx.probe.counts[ctx.probe.lut[d < ctx.probe.lut_max
+                                           ? d
+                                           : ctx.probe.lut_max]];
+    }
+  };
+
+  // Controller loop traces: the trace to enter at the top of the next
+  // cycle, the one replaying (since cycle replay_from of this run) and
+  // the controller registers it runs on.
+  const std::uint64_t code_id = control != nullptr ? control->code_id() : 0;
+  rec_.on = false;
+  LoopTrace* pending = nullptr;
+  LoopTrace* replay = nullptr;
+  std::uint64_t replay_from = 0;
+  std::uint64_t* regs = nullptr;
+  // Change the running tape at a cycle boundary.  The buffer written
+  // next still holds the old tape's slots from two cycles ago.
+  const auto switch_to = [&](SuperstepTape& t) {
+    for (const std::uint16_t slot : tape->written) nxt[slot] = cur[slot];
+    tape = &t;
+    use_window();
+  };
+  const auto stop_replay = [&] {
+    end_replay(*replay, (res.cycles - replay_from) / replay->tape.period,
+               phase, ctx.cfg, *control);
+    replay = nullptr;
+    entry = current_plan_;
+    imms = ctx.cfg.live_imms();
+  };
 
   for (;;) {
     if (res.cycles >= ctx.max_cycles || inert) break;
@@ -809,52 +838,114 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     // run_until_outputs loop admits cycle c against a host mirror one
     // tick stale — host_out's size at the top of cycle c-1.
     if (have_prev_top && prev_top >= ctx.host_out_stop) break;
-    // Without a controller nothing can end a host-input stall inside
-    // the loop: hand back so step() replays it.
-    if (control == nullptr && host_in.size() < tape->pops[phase]) break;
-
-    // The cycle happens: sample the host-FIFO depth histogram where
-    // System::step does (after the link tick, before any pop).
-    if (ctx.probe.counts != nullptr) {
-      const std::size_t d = host_in.size();
-      ++ctx.probe.counts[ctx.probe.lut[d < ctx.probe.lut_max
-                                           ? d
-                                           : ctx.probe.lut_max]];
-    }
-
-    if (control != nullptr) {
-      const Word bus_top = cur[TapeLayout::kBus];
-      const ControlHook::Step cs =
-          control->step(bus_top, ctx.cycle + res.cycles);
-      inert = cs.inert;
-      if (cs.bus_drive) cur[TapeLayout::kBus] = *cs.bus_drive;
-      imms = ctx.cfg.live_imms();
-      PlanCacheEntry* const next = lookup(ctx.cfg);
-      if (next != entry) {
-        if (next == nullptr || !next->plan.local_dnodes.empty()) {
-          // step() finishes this cycle from this lookup: the
-          // interpreter or a local-mode plan.
-          cur[TapeLayout::kBus] = bus_top;
-          res.out_size_at_last_top = top;
-          res.ring_pending = true;
-          handoff_ = next;
-          break;
+    // The cycle happens: sample_depth() records the host-FIFO depth
+    // histogram where System::step does (after the link tick, before
+    // any pop).
+    if (control == nullptr) {
+      // Nothing can end a host-input stall inside the loop: hand back
+      // so step() replays it.
+      if (host_in.size() < tape->pops[phase]) break;
+      sample_depth();
+    } else {
+      if (pending != nullptr) {
+        // A loop head: replay when the machine is where the recording
+        // began.
+        if (entry == pending->entry && mode_synced_ &&
+            ctx.cfg.live_page() ==
+                static_cast<std::ptrdiff_t>(pending->entry_page)) {
+          replay = pending;
+          switch_to(replay->tape);
+          queue_tape(*tape);
+          phase = 0;
+          tape_ran = false;
+          replay_from = res.cycles;
+          imms = ctx.cfg.page_imms();
+          regs = control->registers();
         }
-        // The buffer written next still holds the old tape's slots
-        // from two cycles ago.
-        for (const std::uint16_t slot : tape->written) nxt[slot] = cur[slot];
-        entry = next;
-        tape = &enter_tape(*entry, phase, tape_ran);
-        use_window();
+        pending = nullptr;
       }
-      if (host_in.size() < tape->pops[phase]) {
-        ++res.ring_stalls;  // systolic back-pressure: nothing advances
-        ++res.cycles;
-        prev_top = top;
-        have_prev_top = true;
-        continue;
+      if (replay != nullptr) {
+        // Guards: the INPOP word and the phase's host pops are there,
+        // and a conditional branch resolves the way it was recorded.
+        const TraceCycle& c = replay->cycles[phase];
+        const RiscInstr& in = c.instr;
+        bool miss = host_in.size() <
+                    tape->pops[phase] + (in.op == RiscOp::kInpop ? 1u : 0u);
+        switch (in.op) {
+          case RiscOp::kBeq:
+          case RiscOp::kBne:
+          case RiscOp::kBlt:
+          case RiscOp::kBge:
+            miss = miss ||
+                   risc_taken(in.op, regs[in.ra], regs[in.rb]) != c.taken;
+            break;
+          default:
+            break;
+        }
+        if (miss) {
+          stop_replay();
+          switch_to(enter_tape(*entry, phase, tape_ran));
+          continue;  // the cycle runs through the controller step
+        }
+        sample_depth();
+        // The recorded instruction, inline: its page swap (if any) is
+        // already the phase's plan, and its branch was guarded above.
+        switch (in.op) {
+          case RiscOp::kBusw:
+            cur[TapeLayout::kBus] = static_cast<Word>(regs[in.ra] & 0xFFFFu);
+            break;
+          case RiscOp::kRdbus:
+            regs[in.rd] = cur[TapeLayout::kBus];
+            break;
+          case RiscOp::kInpop:
+            regs[in.rd] = host_in.pop();
+            break;
+          case RiscOp::kNop:
+          case RiscOp::kPage:
+          case RiscOp::kBeq:
+          case RiscOp::kBne:
+          case RiscOp::kBlt:
+          case RiscOp::kBge:
+          case RiscOp::kJmp:
+            break;
+          default:
+            regs[in.rd] =
+                risc_alu(in, regs[in.rd], regs[in.ra], regs[in.rb]);
+            break;
+        }
+      } else {
+        sample_depth();
+        const Word bus_top = cur[TapeLayout::kBus];
+        const ControlHook::Step cs =
+            control->step(bus_top, ctx.cycle + res.cycles);
+        inert = cs.inert;
+        if (cs.bus_drive) cur[TapeLayout::kBus] = *cs.bus_drive;
+        imms = ctx.cfg.live_imms();
+        PlanCacheEntry* const next = lookup(ctx.cfg);
+        if (next != entry) {
+          if (next == nullptr || !next->plan.local_dnodes.empty()) {
+            // step() finishes this cycle from this lookup: the
+            // interpreter or a local-mode plan.
+            cur[TapeLayout::kBus] = bus_top;
+            res.out_size_at_last_top = top;
+            res.ring_pending = true;
+            handoff_ = next;
+            break;
+          }
+          entry = next;
+          switch_to(enter_tape(*entry, phase, tape_ran));
+        }
+        const bool stalled = host_in.size() < tape->pops[phase];
+        pending = note_step(cs, entry, ctx.cfg, stalled, code_id);
+        if (stalled) {
+          ++res.ring_stalls;  // systolic back-pressure: nothing advances
+          ++res.cycles;
+          prev_top = top;
+          have_prev_top = true;
+          continue;
+        }
+        if (!mode_synced_) sync_modes(entry->plan);
       }
-      if (!mode_synced_) sync_modes(entry->plan);
     }
 
     // Execute the phase: operand fetch, ALU, latch into the next
@@ -885,10 +976,11 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
 
     // Host output: switch taps first (switch order), then Dnode hostEn
     // results (Dnode order).  Bus: highest Dnode index wins.
-    for (const HostTapPlan& tap : entry->plan.host_taps) {
-      host_out.push_back(cur[outs + tap.src]);
+    const std::uint32_t taps_end = tape->taps_begin[phase + 1];
+    for (std::uint32_t k = tape->taps_begin[phase]; k < taps_end; ++k) {
+      host_out.push_back(cur[outs + tape->taps[k].src]);
     }
-    res.host_words_out += entry->plan.host_taps.size();
+    res.host_words_out += taps_end - tape->taps_begin[phase];
     Word bus = cur[TapeLayout::kBus];
     driven = false;
     for (std::uint32_t j = tape->effects_begin[phase];
@@ -927,6 +1019,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     prev_top = top;
     have_prev_top = true;
   }
+  if (replay != nullptr) stop_replay();
 
   // The flat state stays resident for the next run.
   cur_ = static_cast<std::size_t>(cur - flat_.data());
@@ -939,9 +1032,9 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   res.bus = cur[TapeLayout::kBus];
   res.bus_driven = driven;
   if (!res.ring_pending) res.out_size_at_last_top = prev_top;
-  for (PlanCacheEntry* const e : ran_) {
-    flush_tape(*e, res);
-    e->queued = false;
+  for (SuperstepTape* const t : ran_) {
+    flush_tape(*t, res);
+    t->queued = false;
   }
   ran_.clear();
   // Every plan a run executes has the same mode split: the entry plan
@@ -959,6 +1052,215 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     global_cycles_per_dnode_[i] += edges;
   }
   return res;
+}
+
+// --- controller loop traces ---------------------------------------------
+
+namespace {
+
+/// Instructions a loop tape replays inline: no configuration write
+/// other than an immediate page swap, no stall, nothing that reads the
+/// cycle counter or the FIFO fill levels or writes the output FIFO.
+bool traceable(RiscOp op) noexcept {
+  switch (op) {
+    case RiscOp::kNop:
+    case RiscOp::kLdi:
+    case RiscOp::kLdih:
+    case RiscOp::kMov:
+    case RiscOp::kAdd:
+    case RiscOp::kSub:
+    case RiscOp::kMul:
+    case RiscOp::kAnd:
+    case RiscOp::kOr:
+    case RiscOp::kXor:
+    case RiscOp::kShl:
+    case RiscOp::kShr:
+    case RiscOp::kAsr:
+    case RiscOp::kAddi:
+    case RiscOp::kBeq:
+    case RiscOp::kBne:
+    case RiscOp::kBlt:
+    case RiscOp::kBge:
+    case RiscOp::kJmp:
+    case RiscOp::kBusw:
+    case RiscOp::kRdbus:
+    case RiscOp::kInpop:
+    case RiscOp::kPage:
+      return true;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
+Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
+                                 PlanCacheEntry* entry,
+                                 const ConfigMemory& cfg, bool stalled,
+                                 std::uint64_t code_id) {
+  const std::ptrdiff_t page = cfg.live_page();
+  if (rec_.on) {
+    if (cs.instr == nullptr || !traceable(cs.instr->op) || stalled ||
+        page < 0 || rec_.cycles.size() == kMaxTraceCycles) {
+      rec_.on = false;
+    } else {
+      rec_.cycles.push_back({*cs.instr, cs.pc, cs.next_pc != cs.pc + 1, entry,
+                             static_cast<std::size_t>(page)});
+      if (cs.next_pc == rec_.head) {
+        rec_.on = false;
+        lower_trace(cfg, code_id);
+      }
+    }
+  }
+  // Loop heads are where a taken branch goes back to.
+  if (cs.instr == nullptr || !is_branch(cs.instr->op) || cs.next_pc > cs.pc) {
+    return nullptr;
+  }
+  for (const auto& t : traces_) {
+    if (t->head == cs.next_pc && t->code_id == code_id &&
+        t->epoch == index_epoch_ && t->tape.valid &&
+        page_index_uid_ == cfg.uid() &&
+        page_index_local_gen_ == local_generation_) {
+      return t.get();
+    }
+  }
+  if (!rec_.on && page >= 0) {
+    rec_.on = true;
+    rec_.head = cs.next_pc;
+    rec_.entry = entry;
+    rec_.entry_page = static_cast<std::size_t>(page);
+    rec_.cycles.clear();
+  }
+  return nullptr;
+}
+
+void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
+  // A replay credits every PAGE as a page-index hit, so every page the
+  // iteration visits must index the plan it ran, and the iteration
+  // must end on the page and plan it began with.
+  if (page_index_uid_ != cfg.uid() ||
+      page_index_local_gen_ != local_generation_) {
+    return;
+  }
+  const auto indexed_at = [&](std::size_t p) {
+    return p < page_index_.size() ? page_index_[p] : nullptr;
+  };
+  const std::vector<TraceCycle>& rec = rec_.cycles;
+  if (indexed_at(rec_.entry_page) != rec_.entry ||
+      rec.back().page != rec_.entry_page || rec.back().plan != rec_.entry) {
+    return;
+  }
+  std::vector<std::uint64_t> routes(geom_.switch_count(), 0);
+  std::uint64_t swaps = 0;
+  std::uint64_t bus_writes = 0;
+  std::size_t from = rec_.entry_page;
+  for (const TraceCycle& c : rec) {
+    if (c.instr.op == RiscOp::kPage) {
+      const auto row = cfg.swap_route_changes(from, c.page);
+      if (indexed_at(c.page) != c.plan || row.empty()) return;
+      for (std::size_t sw = 0; sw < row.size(); ++sw) routes[sw] += row[sw];
+      ++swaps;
+    }
+    bus_writes += c.instr.op == RiscOp::kBusw ? 1 : 0;
+    from = c.page;
+  }
+
+  // The slot: this loop's stale trace, a free one, or the next in turn
+  // — never one this dispatch still has to flush.
+  LoopTrace* t = nullptr;
+  for (const auto& old : traces_) {
+    if (old->head == rec_.head && old->code_id == code_id) t = old.get();
+  }
+  if (t == nullptr && traces_.size() < kMaxLoopTraces) {
+    traces_.push_back(std::make_unique<LoopTrace>());
+    t = traces_.back().get();
+  }
+  for (std::size_t k = 0; t == nullptr && k < traces_.size(); ++k) {
+    LoopTrace* const cand = traces_[next_trace_].get();
+    next_trace_ = (next_trace_ + 1) % traces_.size();
+    if (!cand->tape.queued) t = cand;
+  }
+  if (t == nullptr || t->tape.queued) return;
+
+  std::vector<const CyclePlan*> plans;
+  std::vector<std::size_t> pages;
+  for (const TraceCycle& c : rec) {
+    plans.push_back(&c.plan->plan);
+    pages.push_back(c.page);
+  }
+  t->code_id = code_id;
+  t->head = rec_.head;
+  t->epoch = index_epoch_;
+  t->entry = rec_.entry;
+  t->entry_page = rec_.entry_page;
+  t->cycles = rec;
+  t->swaps = swaps;
+  t->bus_writes = bus_writes;
+  t->routes = std::move(routes);
+  compile_loop_tape(geom_, plans, pages, dnodes_, t->tape);
+}
+
+void Ring::end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,
+                      const ConfigMemory& cfg, ControlHook& control) {
+  const std::size_t len = t.cycles.size();
+  const std::uint64_t cycles = iters * len + at;
+  if (cycles == 0) return;
+  // What the skipped steps would have counted: whole iterations from
+  // the trace's totals, the partial one cycle by cycle.
+  route_credit_.assign(t.routes.size(), 0);
+  for (std::size_t sw = 0; sw < t.routes.size(); ++sw) {
+    route_credit_[sw] = iters * t.routes[sw];
+  }
+  std::uint64_t swaps = iters * t.swaps;
+  std::uint64_t bus_writes = iters * t.bus_writes;
+  std::size_t page = t.entry_page;
+  for (std::size_t j = 0; j < at; ++j) {
+    const TraceCycle& c = t.cycles[j];
+    if (c.instr.op == RiscOp::kPage) {
+      const auto row = cfg.swap_route_changes(page, c.page);
+      for (std::size_t sw = 0; sw < row.size(); ++sw) {
+        route_credit_[sw] += row[sw];
+      }
+      ++swaps;
+    }
+    bus_writes += c.instr.op == RiscOp::kBusw ? 1 : 0;
+    page = c.page;
+  }
+
+  // Every PAGE re-attached its plan through the page index: one
+  // invalidation, one content hit and one LRU tick each.  The last
+  // attach of each plan sets its LRU stamp: the partial iteration's,
+  // else the last whole iteration's.
+  const std::uint64_t clock = plan_use_clock_;
+  std::uint64_t rank = 0;  // PAGE cycles before j in an iteration
+  for (std::size_t j = 0; j < len; ++j) {
+    if (t.cycles[j].instr.op != RiscOp::kPage) continue;
+    ++rank;
+    const std::uint64_t iter = j < at ? iters : iters - 1;
+    if (j < at || iters > 0) {
+      PlanCacheEntry* const e = t.cycles[j].plan;
+      e->last_use = std::max(e->last_use, clock + iter * t.swaps + rank);
+    }
+  }
+  plan_use_clock_ = clock + swaps;
+  plan_hits_ += cycles;
+  plan_invalidations_ += swaps;
+  plan_content_hits_ += swaps;
+  trace_cycles_ += cycles;
+
+  control.credit_replay({.instructions = cycles,
+                         .bus_writes = bus_writes,
+                         .pc = t.cycles[at].pc,
+                         .swaps = swaps,
+                         .page = page,
+                         .route_changes = route_credit_});
+  if (swaps > 0) {
+    PlanCacheEntry* const e = at == 0 ? t.entry : t.cycles[at - 1].plan;
+    e->plan.cfg_uid = cfg.uid();
+    e->plan.cfg_generation = cfg.generation();
+    e->plan.local_generation = local_generation_;
+    current_plan_ = e;
+  }
 }
 
 }  // namespace sring

@@ -51,7 +51,14 @@
 // a new matrix or tap set of a known kernel compiles nothing.
 //
 // Every planned cycle runs from the plan's superstep tape: one cycle
-// per step(), many per run_planned() dispatch.  Between runs the tape's
+// per step(), many per run_planned() dispatch.  Inside a dispatch that
+// steps the controller, a counted controller loop whose every cycle is
+// traceable (register, branch, BUSW, RDBUS, INPOP and PAGE
+// instructions over compiled all-global plans) is recorded once and
+// replayed from a loop tape: one phase per loop cycle, each carrying
+// its controller instruction, guarded per cycle, with the controller,
+// configuration and plan-cache counters credited in bulk when the
+// replay stops (see run_planned()).  Between runs the tape's
 // flat state and feedback window stay resident; the Dnodes and
 // pipelines are brought up to date (spilled) only when the interpreter,
 // a state accessor, set_plan_cache_enabled() or a reset needs them.  A
@@ -76,6 +83,7 @@
 #include "core/dnode.hpp"
 #include "core/feedback_pipeline.hpp"
 #include "core/switch.hpp"
+#include "isa/risc_instr.hpp"
 
 namespace sring {
 
@@ -121,10 +129,39 @@ class Ring {
     struct Step {
       std::optional<Word> bus_drive;  ///< BUSW value, visible this cycle
       bool inert = false;  ///< controller halted or in a WAIT afterwards
+      /// The instruction completed this cycle (null when the controller
+      /// stalled or is halted), the pc it ran at and the pc the next
+      /// cycle starts at: what a loop trace records.
+      const RiscInstr* instr = nullptr;
+      std::uint64_t pc = 0;
+      std::uint64_t next_pc = 0;
     };
     /// Execute the controller's part of one cycle: `bus` is the bus at
     /// the top of the cycle, `cycle` what RDCYC reads.
     virtual Step step(Word bus, std::uint64_t cycle) = 0;
+
+    /// Identity of the loaded controller code: a loop trace replays
+    /// only under the code it was recorded from.
+    virtual std::uint64_t code_id() = 0;
+    /// The controller's register file, which a loop-tape replay runs
+    /// the recorded instructions on in place.
+    virtual std::uint64_t* registers() = 0;
+
+    /// What a stopped replay leaves to account: `instructions` cycles
+    /// of one instruction each, `bus_writes` of them BUSW, the next
+    /// instruction at `pc`; `swaps` of them PAGE, the last to `page`,
+    /// with `route_changes` decoded-route changes per switch.
+    struct ReplayCredit {
+      std::uint64_t instructions = 0;
+      std::uint64_t bus_writes = 0;
+      std::uint64_t pc = 0;
+      std::uint64_t swaps = 0;
+      std::size_t page = 0;
+      std::span<const std::uint64_t> route_changes;
+    };
+    /// Credit the controller, its statistics and the configuration
+    /// memory exactly as that many step() calls would have.
+    virtual void credit_replay(const ReplayCredit& credit) = 0;
 
    protected:
     ~ControlHook() = default;
@@ -184,6 +221,28 @@ class Ring {
   /// local-mode plan) ends the dispatch with ring_pending set, and the
   /// step() that finishes the cycle reuses that lookup.  Ring stalls
   /// are then counted inside the loop.
+  ///
+  /// Controller loop traces: after a taken backward branch to pc H the
+  /// loop records the next iteration (H back to H).  If every cycle of
+  /// it was traceable — NOP, LDI, LDIH, MOV, register ALU ops, ADDI,
+  /// branches, JMP, BUSW, RDBUS, INPOP or PAGE, no stall, a compiled
+  /// all-global plan on a live page — and it ends on the page and plan
+  /// it began with, it is lowered into a loop tape keyed on the
+  /// controller code, H and the plans it uses.  The next time the
+  /// branch lands on H in that state the loop replays the tape: each
+  /// cycle runs its instruction inline on the controller's registers,
+  /// then its phase, without a controller step, configuration write or
+  /// plan lookup.  Every cycle keeps the guards above (budget, output
+  /// stop, INPOP's word and the phase's host pops present) and its
+  /// branch must resolve as recorded; on a miss the replay stops at
+  /// that cycle boundary and the cycle runs as before.  A stopped
+  /// replay credits the controller (pc, instruction and bus-write
+  /// counts), the configuration memory (live page, generation, words
+  /// written, route changes) and ring.plan.* exactly as per-cycle
+  /// execution would have, and attaches the live page's plan.  A trace
+  /// is valid exactly while the page index it was lowered under is:
+  /// it survives a same-structure re-arm and lapses with an eviction,
+  /// a reset that does not carry the index, or a program load.
   ///
   /// Without a controller, the dispatch stops before an impending
   /// stall (step() replays it).  Both modes stop at the output stop and
@@ -287,6 +346,8 @@ class Ring {
   std::uint64_t superstep_cycles() const noexcept {
     return superstep_cycles_;
   }
+  /// Of superstep_cycles(), those replayed from a controller loop tape.
+  std::uint64_t trace_cycles() const noexcept { return trace_cycles_; }
   /// Enable/disable the cycle-plan cache at runtime (A/B comparisons).
   /// Disabling detaches the current plan without counting an
   /// invalidation — it is a tooling action, not a configuration write.
@@ -350,10 +411,36 @@ class Ring {
     /// Compiled; the entry is interpret-only when its plan has no tape
     /// (superstep_period 0) and is then never attached.
     bool compiled = false;
-    bool queued = false;  ///< in ran_: the tape has unflushed cycles
     CyclePlan plan;
     SuperstepTape tape;  ///< lowered on the first run of `plan`
   };
+
+  /// One recorded controller cycle of a loop trace.
+  struct TraceCycle {
+    RiscInstr instr;
+    std::uint64_t pc = 0;
+    bool taken = false;              ///< the branch went elsewhere than pc+1
+    PlanCacheEntry* plan = nullptr;  ///< attached after its step
+    std::size_t page = 0;            ///< live after its step
+  };
+  /// A controller loop recorded over one iteration and lowered into a
+  /// loop tape (see run_planned()).
+  struct LoopTrace {
+    std::uint64_t code_id = 0;
+    std::uint64_t head = 0;   ///< pc of cycle 0
+    std::uint64_t epoch = 0;  ///< index_epoch_ when lowered
+    PlanCacheEntry* entry = nullptr;  ///< attached at the top of cycle 0
+    std::size_t entry_page = 0;       ///< live there and after the last cycle
+    std::vector<TraceCycle> cycles;
+    std::uint64_t swaps = 0;       ///< PAGE cycles per iteration
+    std::uint64_t bus_writes = 0;  ///< BUSW cycles per iteration
+    std::vector<std::uint64_t> routes;  ///< route changes per iteration
+    SuperstepTape tape;
+  };
+  /// Longest loop iteration a trace records.
+  static constexpr std::size_t kMaxTraceCycles = 256;
+  /// Loop traces kept per Ring.
+  static constexpr std::size_t kMaxLoopTraces = 4;
 
   std::size_t flat_index(std::size_t layer, std::size_t lane) const;
   std::size_t upstream_layer(std::size_t layer) const noexcept;
@@ -416,6 +503,11 @@ class Ring {
   /// under the live page, arm the mode sync unless the plan's local set
   /// is the one already synced.
   void attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg);
+  /// Drop every page-index entry (and with them every loop trace).
+  void clear_page_index() noexcept {
+    page_index_.clear();
+    ++index_epoch_;
+  }
   /// True while `plan` still describes the live configuration.
   bool plan_current(const CyclePlan& plan,
                     const ConfigMemory& cfg) const noexcept {
@@ -430,6 +522,28 @@ class Ring {
   // --- superstep internals --------------------------------------------
   /// Run `entry`'s tape (see run_planned(); step() runs one cycle).
   SuperstepResult run_tape(PlanCacheEntry& entry, const SuperstepContext& ctx);
+  /// Queue `t` for the statistics flush.
+  void queue_tape(SuperstepTape& t) {
+    if (!t.queued) {
+      t.queued = true;
+      ran_.push_back(&t);
+    }
+  }
+
+  // --- controller loop traces (see run_planned()) -----------------------
+  /// After a controller step inside the loop (the cycle runs under
+  /// `entry`; `stalled`: its ring half stalls): record it, and return
+  /// the trace to enter at the top of the next cycle, if any.
+  LoopTrace* note_step(const ControlHook::Step& cs, PlanCacheEntry* entry,
+                       const ConfigMemory& cfg, bool stalled,
+                       std::uint64_t code_id);
+  /// Lower the recording just completed, if replay can credit it.
+  void lower_trace(const ConfigMemory& cfg, std::uint64_t code_id);
+  /// Stop replaying `t` at the top of cycle `at` after `iters` whole
+  /// iterations: credit what the replay skipped and attach the live
+  /// page's plan.
+  void end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,
+                  const ConfigMemory& cfg, ControlHook& control);
   /// Start running `e`'s tape and set `phase`: continue the last tape
   /// at its next phase (`continued`), or settle it and pick the phase
   /// the local counters select, (re)lowering `e`'s tape if needed.
@@ -457,7 +571,7 @@ class Ring {
   void settle_last_tape() noexcept;
   /// Settle the per-op statistics of the cycles `e`'s tape ran since
   /// its last flush (no-op when it ran none).
-  void flush_tape(PlanCacheEntry& e, SuperstepResult& res);
+  void flush_tape(SuperstepTape& t, SuperstepResult& res);
 
   RingGeometry geom_;
   std::vector<Dnode> dnodes_;              // [layer * lanes + lane]
@@ -496,10 +610,13 @@ class Ring {
   // live (nullptr: none yet), valid for one (cfg uid, local_generation_)
   // pair.  Cleared by an eviction (it reuses an entry); a WRLOC or a
   // reset lapses it by moving the local generation, and finish_arm()
-  // carries it across a same-structure re-arm.
+  // carries it across a same-structure re-arm.  index_epoch_ moves
+  // whenever the index is cleared or restamped: a loop trace lowered
+  // under another epoch names plans the index may no longer hold.
   std::vector<PlanCacheEntry*> page_index_;
   std::uint64_t page_index_uid_ = 0;
   std::uint64_t page_index_local_gen_ = 0;
+  std::uint64_t index_epoch_ = 0;
   std::uint64_t armed_local_gen_ = 0;  // local generation at finish_arm()
   std::uint64_t plan_compiles_ = 0;
   std::uint64_t plan_hits_ = 0;
@@ -538,12 +655,26 @@ class Ring {
   // that phase's writes unless the same tape continues.
   SuperstepTape* last_tape_ = nullptr;
   std::size_t last_phase_ = 0;
-  std::vector<PlanCacheEntry*> ran_;  // entries with unflushed tapes
+  std::vector<SuperstepTape*> ran_;  // tapes with unflushed cycles
   // A dispatch ended with ring_pending: its lookup, for the step()
   // that finishes the cycle.
   std::optional<PlanCacheEntry*> handoff_;
   std::uint64_t superstep_dispatches_ = 0;
   std::uint64_t superstep_cycles_ = 0;
+
+  // Controller loop traces: the recording in progress (one per
+  // dispatch), the lowered traces, and the replay's credit scratch.
+  struct Recorder {
+    bool on = false;
+    std::uint64_t head = 0;
+    PlanCacheEntry* entry = nullptr;
+    std::size_t entry_page = 0;
+    std::vector<TraceCycle> cycles;
+  } rec_;
+  std::vector<std::unique_ptr<LoopTrace>> traces_;
+  std::size_t next_trace_ = 0;  // round-robin victim once full
+  std::vector<std::uint64_t> route_credit_;
+  std::uint64_t trace_cycles_ = 0;
 };
 
 }  // namespace sring

@@ -1,5 +1,7 @@
 #include "ctrl/controller.hpp"
 
+#include <atomic>
+
 #include "common/error.hpp"
 
 namespace sring {
@@ -12,6 +14,8 @@ void Controller::load_program(std::vector<std::uint32_t> program) {
   program_ = std::move(program);
   decoded_.assign(program_.size(), RiscInstr{});
   decoded_valid_.assign(program_.size(), 0);
+  static std::atomic<std::uint64_t> next_code_id{0};
+  code_id_ = next_code_id.fetch_add(1, std::memory_order_relaxed) + 1;
   reset();
 }
 
@@ -64,13 +68,10 @@ Controller::StepResult Controller::step(const StepContext& ctx) {
     decoded_[pc_] = RiscInstr::decode(program_[pc_]);
     decoded_valid_[pc_] = 1;
   }
-  const RiscInstr instr = decoded_[pc_];
+  const RiscInstr& instr = decoded_[pc_];
   const std::uint64_t a = regs_[instr.ra];
   const std::uint64_t b = regs_[instr.rb];
   std::uint64_t next_pc = pc_ + 1;
-  const auto branch_to = [&]() {
-    next_pc = pc_ + 1 + static_cast<std::int64_t>(instr.imm);
-  };
 
   switch (instr.op) {
     case RiscOp::kNop:
@@ -79,64 +80,28 @@ Controller::StepResult Controller::step(const StepContext& ctx) {
       halted_ = true;
       break;
     case RiscOp::kLdi:
-      regs_[instr.rd] =
-          static_cast<std::uint64_t>(static_cast<std::int64_t>(instr.imm));
-      break;
     case RiscOp::kLdih:
-      regs_[instr.rd] = (regs_[instr.rd] << 16) |
-                        (static_cast<std::uint64_t>(instr.imm) & 0xFFFFu);
-      break;
     case RiscOp::kMov:
-      regs_[instr.rd] = a;
-      break;
     case RiscOp::kAdd:
-      regs_[instr.rd] = a + b;
-      break;
     case RiscOp::kSub:
-      regs_[instr.rd] = a - b;
-      break;
     case RiscOp::kMul:
-      regs_[instr.rd] = a * b;
-      break;
     case RiscOp::kAnd:
-      regs_[instr.rd] = a & b;
-      break;
     case RiscOp::kOr:
-      regs_[instr.rd] = a | b;
-      break;
     case RiscOp::kXor:
-      regs_[instr.rd] = a ^ b;
-      break;
     case RiscOp::kShl:
-      regs_[instr.rd] = a << (b & 63u);
-      break;
     case RiscOp::kShr:
-      regs_[instr.rd] = a >> (b & 63u);
-      break;
     case RiscOp::kAsr:
-      regs_[instr.rd] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(a) >> (b & 63u));
-      break;
     case RiscOp::kAddi:
-      regs_[instr.rd] = a + static_cast<std::uint64_t>(
-                                static_cast<std::int64_t>(instr.imm));
+      regs_[instr.rd] = risc_alu(instr, regs_[instr.rd], a, b);
       break;
     case RiscOp::kBeq:
-      if (a == b) branch_to();
-      break;
     case RiscOp::kBne:
-      if (a != b) branch_to();
-      break;
     case RiscOp::kBlt:
-      if (static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b))
-        branch_to();
-      break;
     case RiscOp::kBge:
-      if (static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b))
-        branch_to();
-      break;
     case RiscOp::kJmp:
-      branch_to();
+      if (risc_taken(instr.op, a, b)) {
+        next_pc = pc_ + 1 + static_cast<std::int64_t>(instr.imm);
+      }
       break;
     case RiscOp::kWrcfg:
       ctx.cfg.write_dnode_instr(static_cast<std::size_t>(a), b);
@@ -203,6 +168,7 @@ Controller::StepResult Controller::step(const StepContext& ctx) {
   ++instructions_;
   res.executed = true;
   res.op = instr.op;
+  res.instr = &instr;
   res.halted = halted_;
   return res;
 }

@@ -53,6 +53,9 @@ class Controller {
     bool executed = false;        ///< an instruction completed this cycle
     StallCause stall_cause = StallCause::kNone;
     RiscOp op = RiscOp::kNop;     ///< opcode completed, when executed
+    /// The decoded instruction completed, when executed (valid until
+    /// the next load_program()).
+    const RiscInstr* instr = nullptr;
     std::optional<Word> bus_drive;///< BUSW value, visible this cycle
   };
 
@@ -82,6 +85,23 @@ class Controller {
   /// cycles <= wait_cycles_remaining().
   void skip_wait(std::uint64_t cycles);
 
+  // --- loop-tape replay support (Ring::run_tape) -----------------------
+  /// Process-unique identity of the loaded code, fresh on every
+  /// load_program(): a recorded loop trace replays only under the code
+  /// it was recorded from.
+  std::uint64_t code_id() const noexcept { return code_id_; }
+  /// The register file a replay runs the recorded instructions on.
+  std::uint64_t* replay_registers() noexcept { return regs_.data(); }
+  /// Account `instructions` replayed instructions, `bus_writes` of them
+  /// BUSW, ending with the next instruction at `pc` — exactly what as
+  /// many step() calls would have counted.
+  void credit_replay(std::uint64_t pc, std::uint64_t instructions,
+                     std::uint64_t bus_writes) noexcept {
+    pc_ = pc;
+    instructions_ += instructions;
+    bus_writes_ += bus_writes;
+  }
+
   std::uint64_t reg(std::size_t index) const;
   void set_reg(std::size_t index, std::uint64_t value);
 
@@ -103,6 +123,7 @@ class Controller {
   std::uint64_t inpop_stalls_ = 0;
   std::uint64_t wait_stalls_ = 0;
   std::uint64_t bus_writes_ = 0;
+  std::uint64_t code_id_ = 0;
   bool halted_ = false;
 };
 

@@ -112,6 +112,65 @@ RiscFormat format_of(RiscOp op) noexcept;
 /// (the assembler lets these take label operands).
 bool is_branch(RiscOp op) noexcept;
 
+/// The value a register-writing ALU instruction (LDI through ASR, and
+/// ADDI) leaves in rd, given rd's old value and the values of ra and
+/// rb: the one definition the controller and the loop-tape replay
+/// share.
+constexpr std::uint64_t risc_alu(const RiscInstr& in, std::uint64_t rd,
+                                 std::uint64_t a, std::uint64_t b) noexcept {
+  const auto simm =
+      static_cast<std::uint64_t>(static_cast<std::int64_t>(in.imm));
+  switch (in.op) {
+    case RiscOp::kLdi:
+      return simm;
+    case RiscOp::kLdih:
+      return (rd << 16) | (static_cast<std::uint64_t>(in.imm) & 0xFFFFu);
+    case RiscOp::kMov:
+      return a;
+    case RiscOp::kAdd:
+      return a + b;
+    case RiscOp::kSub:
+      return a - b;
+    case RiscOp::kMul:
+      return a * b;
+    case RiscOp::kAnd:
+      return a & b;
+    case RiscOp::kOr:
+      return a | b;
+    case RiscOp::kXor:
+      return a ^ b;
+    case RiscOp::kShl:
+      return a << (b & 63u);
+    case RiscOp::kShr:
+      return a >> (b & 63u);
+    case RiscOp::kAsr:
+      return static_cast<std::uint64_t>(static_cast<std::int64_t>(a) >>
+                                        (b & 63u));
+    case RiscOp::kAddi:
+      return a + simm;
+    default:
+      return rd;
+  }
+}
+
+/// Whether branch `op` (BEQ, BNE, BLT, BGE; JMP always) is taken with
+/// ra = a and rb = b.
+constexpr bool risc_taken(RiscOp op, std::uint64_t a,
+                          std::uint64_t b) noexcept {
+  switch (op) {
+    case RiscOp::kBeq:
+      return a == b;
+    case RiscOp::kBne:
+      return a != b;
+    case RiscOp::kBlt:
+      return static_cast<std::int64_t>(a) < static_cast<std::int64_t>(b);
+    case RiscOp::kBge:
+      return static_cast<std::int64_t>(a) >= static_cast<std::int64_t>(b);
+    default:
+      return op == RiscOp::kJmp;
+  }
+}
+
 std::string_view to_mnemonic(RiscOp op) noexcept;
 std::optional<RiscOp> parse_risc_op(std::string_view text) noexcept;
 

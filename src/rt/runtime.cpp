@@ -181,6 +181,7 @@ void Runtime::tally_job(Worker& w, const JobResult& result) {
     t.plan_invalidations += s.plan_invalidations;
     t.superstep_dispatches += m.value(RingMetrics::kSuperstepDispatches);
     t.superstep_cycles += m.value(RingMetrics::kSuperstepCycles);
+    t.trace_cycles += m.value(RingMetrics::kTraceCycles);
   }
   if (obs::telemetry_enabled()) {
     const obs::SpanTimeline& tl = result.timeline;
@@ -276,6 +277,7 @@ void Runtime::name_tally(obs::Registry& out, std::size_t index,
     add("ring.plan.invalidations", t.plan_invalidations);
     add("ring.superstep.dispatches", t.superstep_dispatches);
     add("ring.superstep.cycles", t.superstep_cycles);
+    add("ring.superstep.trace_cycles", t.trace_cycles);
   }
   if (t.queue_wait_us.count() > 0) {
     merge("rt.latency.queue_wait_us", t.queue_wait_us);

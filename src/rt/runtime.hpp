@@ -157,6 +157,7 @@ class Runtime {
     std::uint64_t plan_invalidations = 0;
     std::uint64_t superstep_dispatches = 0;
     std::uint64_t superstep_cycles = 0;
+    std::uint64_t trace_cycles = 0;
     obs::Histogram job_cycles{job_cycle_bounds()};
     // Jobs finished while telemetry was on (rt.latency.* count them).
     std::uint64_t busy_us = 0;

@@ -353,6 +353,7 @@ RingMetrics System::ring_metrics() const {
   // differ between superstep and per-cycle execution of the same run.
   set(RingMetrics::kSuperstepDispatches, ring_.superstep_dispatches());
   set(RingMetrics::kSuperstepCycles, ring_.superstep_cycles());
+  set(RingMetrics::kTraceCycles, ring_.trace_cycles());
   set(ring_slot("host.words_in"), s.host_words_in);
   set(ring_slot("host.words_out"), s.host_words_out);
   set(ring_slot("host.link_words_to_core"), host_.words_to_core());
@@ -388,13 +389,25 @@ std::uint64_t System::try_superstep(std::uint64_t cycle_budget,
     return 0;
   }
   // The controller steps inside the fused loop through this hook; its
-  // statistics land in stats_ exactly as step() would count them.
+  // statistics land in stats_ exactly as step() would count them.  A
+  // loop-tape replay runs on its registers and credits the rest here.
   struct Hook final : Ring::ControlHook {
     explicit Hook(System& s) : sys(s) {}
     Step step(Word bus, std::uint64_t cycle) override {
+      const std::uint64_t pc = sys.ctrl_.pc();
       last = sys.step_controller(bus, cycle);
       return {last.bus_drive,
-              sys.ctrl_.halted() || sys.ctrl_.wait_cycles_remaining() > 0};
+              sys.ctrl_.halted() || sys.ctrl_.wait_cycles_remaining() > 0,
+              last.instr, pc, sys.ctrl_.pc()};
+    }
+    std::uint64_t code_id() override { return sys.ctrl_.code_id(); }
+    std::uint64_t* registers() override {
+      return sys.ctrl_.replay_registers();
+    }
+    void credit_replay(const ReplayCredit& c) override {
+      sys.ctrl_.credit_replay(c.pc, c.instructions, c.bus_writes);
+      sys.stats_.ctrl_instructions += c.instructions;
+      if (c.swaps > 0) sys.cfg_.credit_swaps(c.page, c.swaps, c.route_changes);
     }
     System& sys;
     Controller::StepResult last;

@@ -37,7 +37,7 @@ struct SystemConfig {
 
 /// Names of the ring-wide counters, in RingMetrics slot order: the
 /// one table that renders the block.
-inline constexpr std::array<std::string_view, 23> kRingCounterNames{
+inline constexpr std::array<std::string_view, 24> kRingCounterNames{
     "sys.cycles",              "sys.ring_stall_cycles",
     "sys.dnode_ops",           "sys.arith_ops",
     "ctrl.instructions",       "ctrl.stall.inpop",
@@ -47,9 +47,9 @@ inline constexpr std::array<std::string_view, 23> kRingCounterNames{
     "ring.plan.compiles",      "ring.plan.hits",
     "ring.plan.invalidations", "ring.plan.content_hits",
     "ring.plan.evictions",     "ring.superstep.dispatches",
-    "ring.superstep.cycles",   "host.words_in",
-    "host.words_out",          "host.link_words_to_core",
-    "host.link_words_to_host",
+    "ring.superstep.cycles",   "ring.superstep.trace_cycles",
+    "host.words_in",           "host.words_out",
+    "host.link_words_to_core", "host.link_words_to_host",
 };
 
 /// Slot of `name` in kRingCounterNames; an unknown name does not
@@ -74,6 +74,8 @@ struct RingMetrics {
       ring_slot("ring.superstep.dispatches");
   static constexpr std::size_t kSuperstepCycles =
       ring_slot("ring.superstep.cycles");
+  static constexpr std::size_t kTraceCycles =
+      ring_slot("ring.superstep.trace_cycles");
 
   /// host.in_fifo_depth: bucket i counts cycles with input-FIFO depth
   /// <= kHostDepthBounds[i], the last bucket the overflow.

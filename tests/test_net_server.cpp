@@ -601,7 +601,8 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
       "net.shard.0.frames_in", "net.shard.0.jobs", "net.shards",
       "net.timeouts", "ring.plan.compiles", "ring.plan.hits",
       "ring.plan.invalidations", "ring.superstep.cycles",
-      "ring.superstep.dispatches", "rt.busy_us", "rt.dnode_ops",
+      "ring.superstep.dispatches", "ring.superstep.trace_cycles",
+      "rt.busy_us", "rt.dnode_ops",
       "rt.host_words_in", "rt.host_words_out", "rt.job_cycles", "rt.jobs",
       "rt.latency.arm_us", "rt.latency.execute_us",
       "rt.latency.queue_wait_us", "rt.pool.fast_resets",
@@ -633,6 +634,7 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
       {"ring.plan.invalidations", 75},
       {"ring.superstep.cycles", 543},
       {"ring.superstep.dispatches", 16},
+      {"ring.superstep.trace_cycles", 67},
       {"rt.dnode_ops", 6107},
       {"rt.host_words_in", 4278},
       {"rt.host_words_out", 246},

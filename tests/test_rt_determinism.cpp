@@ -61,7 +61,8 @@ std::string report_normalized(RunReport r) {
   for (const char* name :
        {"ring.plan.compiles", "ring.plan.hits", "ring.plan.invalidations",
         "ring.plan.content_hits", "ring.plan.evictions",
-        "ring.superstep.dispatches", "ring.superstep.cycles"}) {
+        "ring.superstep.dispatches", "ring.superstep.cycles",
+        "ring.superstep.trace_cycles"}) {
     r.metrics.counter(name).set(0);
   }
   return r.to_json().dump();
