@@ -1104,9 +1104,19 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
         page < 0 || rec_.cycles.size() == kMaxTraceCycles) {
       rec_.on = false;
     } else {
-      rec_.cycles.push_back({*cs.instr, cs.pc, cs.next_pc != cs.pc + 1, entry,
-                             static_cast<std::size_t>(page)});
-      if (cs.next_pc == rec_.head) {
+      TraceCycle& c = rec_.cycles.emplace_back(
+          TraceCycle{*cs.instr, cs.pc, cs.next_pc != cs.pc + 1, entry,
+                     static_cast<std::size_t>(page)});
+      // The iteration closes at a branch back to the head, taken or not
+      // (the last iteration falls through): the replay expects it taken
+      // and guards it like any other branch.
+      const bool closes =
+          is_branch(c.instr.op) &&
+          c.pc + 1 + static_cast<std::uint64_t>(
+                         static_cast<std::int64_t>(c.instr.imm)) ==
+              rec_.head;
+      if (closes || cs.next_pc == rec_.head) {
+        c.taken = c.taken || closes;
         rec_.on = false;
         lower_trace(cfg, code_id);
       }

@@ -11,6 +11,16 @@
 // The host feeds the input in bursts between uneven run_cycles budgets,
 // sometimes through a limited link, and may reset for a rerun midway.
 //
+// A second generator builds counted loops whose bodies are entirely
+// traceable (page rotations and pulses, register ALU ops, INPOP, BUSW,
+// RDBUS, branches over all-global pages), so the fused loop records
+// them and replays the loop tape, plus one guard-miss variant per
+// seed: a data-dependent BEQ that flips after k iterations, INPOP
+// starvation at a mid-body INPOP, output stops and run_cycles budgets
+// that land mid-iteration, an untraceable WRCFG in the body (always,
+// or on one iteration only), and a rerun or a re-arm with new page
+// immediates midway.
+//
 // Three runs must agree: the interpreter, the planned path with the
 // superstep engine off, and the default.  Outputs and architectural
 // statistics agree across all three; metrics agree minus ring.plan.*
@@ -34,6 +44,7 @@ namespace sring {
 namespace {
 
 constexpr int kSeeds = 240;
+constexpr int kTraceSeeds = 240;
 
 const RingGeometry kGeometries[] = {{2, 1, 4}, {2, 2, 4}, {3, 2, 4},
                                     {4, 2, 8}};
@@ -116,18 +127,22 @@ struct Page {
   std::vector<bool> local;         ///< per flat Dnode
 };
 
-/// One host-side step: feed input words, run cycles, or reset for a rerun.
+/// One host-side step: feed input words, run cycles, run until `n` more
+/// output words arrived, reset for a rerun, or re-arm the case's
+/// alternative program.
 struct Action {
-  enum Kind { kSend, kRun, kRerun } kind = kRun;
-  std::uint64_t n = 0;  ///< words to send / cycles to run
+  enum Kind { kSend, kRun, kOutputs, kRerun, kRearm } kind = kRun;
+  std::uint64_t n = 0;  ///< words to send / cycles to run / outputs
 };
 
 struct Case {
   RingGeometry g{};
   LinkRate link = LinkRate::unlimited();
   LoadableProgram program;
+  LoadableProgram alt;  ///< kRearm target: the same structure
   std::vector<Word> input;
   std::vector<Action> drive;
+  bool untraceable = false;  ///< every iteration runs a WRCFG
 };
 
 Case make_case(int seed) {
@@ -309,6 +324,203 @@ Case make_case(int seed) {
   return c;
 }
 
+/// A page of random global-mode instructions and routes.
+ConfigPage random_global_page(Rng& rng, const RingGeometry& g) {
+  PageBuilder page(g);
+  for (std::size_t d = 0; d < g.dnode_count(); ++d) {
+    const std::size_t layer = d / g.lanes;
+    const std::size_t lane = d % g.lanes;
+    if (chance(rng, 75)) page.instr(layer, lane, random_instr(rng));
+    if (chance(rng, 70)) page.route(layer, lane, random_route(rng, g));
+  }
+  return page.build();
+}
+
+/// `page` with fresh immediates in every instruction word: the same
+/// structure, one plan.
+ConfigPage with_new_imms(Rng& rng, ConfigPage page) {
+  for (std::uint64_t& w : page.dnode_instr) {
+    DnodeInstr in = DnodeInstr::decode(w);
+    in.imm = rng.next_word_in(-40, 40);
+    w = in.encode();
+  }
+  return page;
+}
+
+/// Trace-case variants (seed % kTraceVariants).
+enum TraceVariant {
+  kPlain,       // traceable body, all input up front
+  kBranchFlip,  // BEQ on the iteration counter takes the other path once
+  kStarve,      // input in bursts: a mid-body INPOP starves
+  kStops,       // output stops and run_cycles budgets mid-iteration
+  kWrcfg,       // a WRCFG in the body: always, or on one iteration
+  kRearm,       // a rerun or a re-arm with new page immediates midway
+  kTraceVariants
+};
+
+/// A counted loop with a traceable body over all-global pages (see the
+/// header comment), driven per its variant.
+Case make_trace_case(int seed) {
+  Rng rng(0x7ACEull * 1000003u + static_cast<std::uint64_t>(seed));
+  const int variant = seed % kTraceVariants;
+  Case c;
+  c.g = pick(rng, kGeometries);
+  const RingGeometry& g = c.g;
+  const std::size_t n = g.dnode_count();
+  ProgramBuilder pb(g, "trace_" + std::to_string(seed));
+  ProgramBuilder alt(g, "trace_" + std::to_string(seed));
+
+  const std::size_t npages = 2 + rng.next_below(7);
+  std::vector<ConfigPage> pages;
+  for (std::size_t i = 0; i < npages; ++i) {
+    pages.push_back(i > 0 && chance(rng, 35)
+                        ? with_new_imms(rng, pages[rng.next_below(i)])
+                        : random_global_page(rng, g));
+    pb.add_page(pages.back());
+    alt.add_page(with_new_imms(rng, pages.back()));
+  }
+
+  const std::uint64_t iterations = 4 + rng.next_below(40);
+  const std::uint64_t flip = 1 + rng.next_below(iterations - 1);
+  const bool wrcfg_always = variant == kWrcfg && chance(rng, 50);
+  const auto emit = [&](const auto& f) {
+    f(pb);
+    f(alt);
+  };
+  emit([&](ProgramBuilder& b) {
+    b.set_reg(1, iterations);
+    b.ldi(2, 0);
+    b.ldi(5, 1);
+    b.set_reg(7, flip);
+  });
+  std::size_t live = rng.next_below(npages);
+  emit([&](ProgramBuilder& b) {
+    b.label("loop");
+    b.page_switch(live);
+  });
+  const std::size_t body = 3 + rng.next_below(12);
+  const std::size_t special = rng.next_below(body);
+  int labels = 0;
+  for (std::size_t k = 0; k < body; ++k) {
+    if (k == special && variant == kBranchFlip) {
+      // Data-dependent: the iteration counter meets r7 once.
+      const std::string l = "flip" + std::to_string(labels++);
+      const std::size_t a = rng.next_below(npages);
+      const std::size_t b2 = rng.next_below(npages);
+      emit([&](ProgramBuilder& b) {
+        b.branch(RiscOp::kBeq, 1, 7, l);
+        b.page_switch(a);
+        b.jmp(l + "_done");
+        b.label(l);
+        b.page_switch(b2);
+        b.label(l + "_done");
+        b.page_switch(live);
+      });
+      continue;
+    }
+    if (k == special && variant == kWrcfg) {
+      const std::string l = "wr" + std::to_string(labels++);
+      const std::size_t d = rng.next_below(n);
+      const DnodeInstr in = random_instr(rng);
+      emit([&](ProgramBuilder& b) {
+        if (!wrcfg_always) b.branch(RiscOp::kBne, 1, 7, l);
+        b.wrcfg(d, in);
+        b.label(l);
+        b.page_switch(live);
+      });
+      continue;
+    }
+    const std::uint64_t roll = rng.next_below(100);
+    const std::size_t page = rng.next_below(npages);
+    static const RiscOp kAluOps[] = {RiscOp::kAdd, RiscOp::kSub,
+                                     RiscOp::kXor, RiscOp::kShl,
+                                     RiscOp::kAsr, RiscOp::kMul};
+    const RiscOp op = pick(rng, kAluOps);
+    const auto imm = static_cast<std::int32_t>(rng.next_below(200)) - 100;
+    const std::uint64_t holds = rng.next_below(3);
+    emit([&](ProgramBuilder& b) {
+      if (roll < 30) {  // rotation step, held a few cycles
+        b.page_switch(page);
+        for (std::uint64_t h = holds; h > 0; --h) b.nop();
+      } else if (roll < 45) {  // one-cycle pulse
+        b.page_switch(page);
+        b.page_switch(live);
+      } else if (roll < 65) {  // pop and broadcast
+        b.inpop(3);
+        b.busw(3);
+      } else if (roll < 75) {
+        b.ldi(6, imm);
+        b.busw(6);
+      } else if (roll < 82) {
+        b.emit({RiscOp::kRdbus, 8, 0, 0, 0});
+        b.alu(op, 9, 8, 3);
+      } else if (roll < 92) {
+        b.alu(op, 10, 9, 3);
+        b.addi(11, 10, imm);
+        b.emit({RiscOp::kLdih, 12, 0, 0, imm & 0xFFFF});
+      } else {
+        b.mov(9, 11);
+        b.busw(9);
+      }
+    });
+    if (roll < 30) live = page;
+  }
+  emit([&](ProgramBuilder& b) {
+    b.page_switch(live);
+    b.addi(1, 1, -1);
+    b.branch(RiscOp::kBne, 1, 2, "loop");
+    b.halt();
+  });
+  c.program = pb.build();
+  c.alt = alt.build();
+  c.untraceable = wrcfg_always;
+
+  // Host side.  Plenty of input, all up front unless the variant
+  // starves the controller.
+  const std::size_t total = 600 + rng.next_below(600);
+  for (std::size_t i = 0; i < total; ++i) {
+    c.input.push_back(rng.next_word_in(-300, 300));
+  }
+  switch (variant) {
+    case kStarve: {
+      std::size_t sent = 0;
+      while (sent < total) {
+        const std::size_t k =
+            std::min<std::size_t>(total - sent, 1 + rng.next_below(12));
+        c.drive.push_back({Action::kSend, k});
+        sent += k;
+        c.drive.push_back({Action::kRun, 1 + rng.next_below(60)});
+      }
+      break;
+    }
+    case kStops:
+      c.drive.push_back({Action::kSend, total});
+      for (int step = 0; step < 30; ++step) {
+        if (chance(rng, 50)) {
+          c.drive.push_back({Action::kOutputs, 1 + rng.next_below(30)});
+        } else {
+          c.drive.push_back({Action::kRun, 1 + rng.next_below(50)});
+        }
+      }
+      break;
+    case kRearm: {
+      const std::size_t half = total / 2;
+      c.drive.push_back({Action::kSend, half});
+      c.drive.push_back({Action::kRun, 40 + rng.next_below(300)});
+      c.drive.push_back(
+          {chance(rng, 50) ? Action::kRerun : Action::kRearm, 0});
+      c.drive.push_back({Action::kSend, total - half});
+      break;
+    }
+    default:
+      c.drive.push_back({Action::kSend, total});
+      c.drive.push_back({Action::kRun, 1 + rng.next_below(400)});
+      break;
+  }
+  c.drive.push_back({Action::kRun, 2000});
+  return c;
+}
+
 enum class Mode { kInterpreter, kPerCycle, kDefault };
 
 /// Metrics snapshot minus the instruments under the given prefixes.
@@ -333,6 +545,8 @@ struct Outcome {
   SystemStats stats;
   obs::Registry metrics;
   std::uint64_t superstep_cycles = 0;
+  std::uint64_t trace_cycles = 0;
+  std::uint64_t output_stop_timeouts = 0;  ///< kOutputs past its budget
 };
 
 Outcome run_case(const Case& c, Mode mode) {
@@ -351,10 +565,21 @@ Outcome run_case(const Case& c, Mode mode) {
       case Action::kRun:
         sys.run_cycles(a.n);
         break;
-      case Action::kRerun: {
+      case Action::kOutputs:
+        // The budget throws at the same cycle on every path.
+        try {
+          sys.run_until_outputs(sys.host().received().size() + a.n, 300);
+        } catch (const SimError&) {
+          ++o.output_stop_timeouts;
+        }
+        break;
+      case Action::kRerun:
+      case Action::kRearm: {
         const std::vector<Word> first = sys.host().take_received();
         o.outputs.insert(o.outputs.end(), first.begin(), first.end());
-        EXPECT_TRUE(sys.rearm(c.program));
+        o.trace_cycles += sys.ring().trace_cycles();
+        EXPECT_TRUE(
+            sys.rearm(a.kind == Action::kRerun ? c.program : c.alt));
         sent = 0;
         break;
       }
@@ -365,6 +590,7 @@ Outcome run_case(const Case& c, Mode mode) {
   o.stats = sys.stats();
   o.metrics = sys.metrics();
   o.superstep_cycles = sys.ring().superstep_cycles();
+  o.trace_cycles += sys.ring().trace_cycles();
   return o;
 }
 
@@ -377,6 +603,30 @@ SystemStats arch_only(SystemStats s) {
   return s;
 }
 
+/// Run `c` three ways and require them to agree; returns the default
+/// run.
+Outcome run_three_ways(const Case& c) {
+  const Outcome interp = run_case(c, Mode::kInterpreter);
+  const Outcome percycle = run_case(c, Mode::kPerCycle);
+  Outcome fused_run = run_case(c, Mode::kDefault);
+
+  EXPECT_EQ(interp.outputs, percycle.outputs);
+  EXPECT_EQ(interp.outputs, fused_run.outputs);
+  EXPECT_EQ(arch_only(interp.stats).to_string(),
+            arch_only(percycle.stats).to_string());
+  EXPECT_EQ(percycle.stats.to_string(), fused_run.stats.to_string());
+  const std::string ref =
+      metrics_without(interp.metrics, {"ring.plan.", "ring.superstep."});
+  EXPECT_EQ(ref, metrics_without(percycle.metrics,
+                                 {"ring.plan.", "ring.superstep."}));
+  EXPECT_EQ(metrics_without(percycle.metrics, {"ring.superstep."}),
+            metrics_without(fused_run.metrics, {"ring.superstep."}));
+  EXPECT_EQ(percycle.superstep_cycles, 0u);
+  EXPECT_EQ(interp.output_stop_timeouts, fused_run.output_stop_timeouts);
+  EXPECT_EQ(percycle.output_stop_timeouts, fused_run.output_stop_timeouts);
+  return fused_run;
+}
+
 TEST(PageScheduleDifferential, InterpreterPerCycleAndFusedAgree) {
   std::uint64_t fused = 0;
   std::uint64_t cycles = 0;
@@ -385,22 +635,8 @@ TEST(PageScheduleDifferential, InterpreterPerCycleAndFusedAgree) {
   for (int seed = 0; seed < kSeeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const Case c = make_case(seed);
-    const Outcome interp = run_case(c, Mode::kInterpreter);
-    const Outcome percycle = run_case(c, Mode::kPerCycle);
-    const Outcome fused_run = run_case(c, Mode::kDefault);
-
-    ASSERT_EQ(interp.outputs, percycle.outputs);
-    ASSERT_EQ(interp.outputs, fused_run.outputs);
-    ASSERT_EQ(arch_only(interp.stats).to_string(),
-              arch_only(percycle.stats).to_string());
-    ASSERT_EQ(percycle.stats.to_string(), fused_run.stats.to_string());
-    const std::string ref =
-        metrics_without(interp.metrics, {"ring.plan.", "ring.superstep."});
-    ASSERT_EQ(ref, metrics_without(percycle.metrics,
-                                   {"ring.plan.", "ring.superstep."}));
-    ASSERT_EQ(metrics_without(percycle.metrics, {"ring.superstep."}),
-              metrics_without(fused_run.metrics, {"ring.superstep."}));
-    ASSERT_EQ(percycle.superstep_cycles, 0u);
+    const Outcome fused_run = run_three_ways(c);
+    if (testing::Test::HasFailure()) return;
 
     fused += fused_run.superstep_cycles;
     cycles += fused_run.stats.cycles;
@@ -411,6 +647,35 @@ TEST(PageScheduleDifferential, InterpreterPerCycleAndFusedAgree) {
   EXPECT_GT(compiles, 0u);
   EXPECT_GT(evictions, 0u);
   EXPECT_GT(fused, cycles / 10);
+}
+
+TEST(PageScheduleDifferential, TracedLoopsAndGuardMissesAgree) {
+  std::uint64_t traced[kTraceVariants] = {};
+  std::uint64_t instructions[kTraceVariants] = {};
+  std::uint64_t timeouts = 0;
+  for (int seed = 0; seed < kTraceSeeds; ++seed) {
+    SCOPED_TRACE("trace seed " + std::to_string(seed));
+    const Case c = make_trace_case(seed);
+    const Outcome fused_run = run_three_ways(c);
+    if (testing::Test::HasFailure()) return;
+    traced[seed % kTraceVariants] += fused_run.trace_cycles;
+    instructions[seed % kTraceVariants] += fused_run.stats.ctrl_instructions;
+    timeouts += fused_run.output_stop_timeouts;
+    // A body without guard misses replays all but its first iterations;
+    // one that writes a configuration word every iteration never does.
+    if (seed % kTraceVariants == kPlain) {
+      EXPECT_GT(fused_run.trace_cycles, 0u);
+    }
+    if (c.untraceable) EXPECT_EQ(fused_run.trace_cycles, 0u);
+  }
+  // Every variant must replay loop tapes, or it tests nothing.
+  for (int v = 0; v < kTraceVariants; ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    EXPECT_GT(traced[v], instructions[v] / 10)
+        << traced[v] << " traced cycles, " << instructions[v]
+        << " controller instructions";
+  }
+  EXPECT_LT(timeouts, static_cast<std::uint64_t>(kTraceSeeds));
 }
 
 }  // namespace

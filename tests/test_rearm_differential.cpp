@@ -14,8 +14,14 @@
 // A program that differs in one opcode, one route, one controller word
 // or one local_init slot is a different structure: it must take a full
 // load, and still match a fresh System.
+//
+// Pooled matvec8 and GEMM-tile arms of several block counts,
+// interleaved on one pool, must replay the controller loop trace their
+// System recorded on an earlier arm, and still match fresh Systems.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -26,10 +32,12 @@
 #include "common/rng.hpp"
 #include "core/local_control.hpp"
 #include "kernels/fir_kernel.hpp"
+#include "kernels/jobs.hpp"
 #include "kernels/matvec_kernel.hpp"
 #include "rt/system_pool.hpp"
 #include "sim/report.hpp"
 #include "sim/system.hpp"
+#include "tile/gemm_job.hpp"
 
 namespace sring {
 namespace {
@@ -450,6 +458,81 @@ TEST(RearmDifferential, OneStructuralChangeForcesAFullLoad) {
       EXPECT_FALSE(pool.acquire(job_of(f, base)).rearmed);
     }
   }
+}
+
+/// Run `job` the way a runtime worker does.
+Outcome run_job(System& sys, const rt::Job& job) {
+  sys.host().send(job.input);
+  if (job.run == rt::Job::Run::kUntilOutputs) {
+    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
+  } else {
+    sys.run_until_halt(job.max_cycles, job.drain_cycles);
+  }
+  return {sys.host().take_received(),
+          report_normalized(RunReport::from_system(job.name, sys))};
+}
+
+TEST(RearmDifferential, MatvecAndGemmTileArmsReplayTheLoopTrace) {
+  const RingGeometry g{8, 2, 16};
+  Rng rng(0x7AACEull);
+  // Arms of four matvec8 block counts (one structure each, a new matrix
+  // per arm) and of a tiled GEMM (one structure, a new A tile per
+  // step), interleaved so every structure re-arms its own System.
+  std::vector<rt::Job> arms;
+  const std::size_t block_counts[] = {2, 3, 7, 16};
+  for (int round = 0; round < 4; ++round) {
+    for (const std::size_t blocks : block_counts) {
+      dsp::Matrix8 m{};
+      for (auto& row : m) {
+        for (Word& w : row) w = rng.next_word_in(-128, 127);
+      }
+      arms.push_back(kernels::make_matvec8_job(
+          g, m, random_input(rng, blocks * dsp::kMatvecN)));
+      arms.back().name = "matvec8." + std::to_string(blocks);
+    }
+  }
+  tile::GemmSpec spec;
+  spec.m = 16;
+  spec.k = 16;
+  spec.n = 24;
+  spec.tile_n = 4;
+  spec.shift = 5;
+  const tile::TileSchedule sched = tile::plan_gemm(spec, 64);
+  const auto a = tile::random_operand(spec.m * spec.k, spec.dtype, 41);
+  const auto b = tile::random_operand(spec.k * spec.n, spec.dtype, 42);
+  tile::Scratchpad spad(64);
+  tile::GemmJobBuilder builder(g, spad);
+  std::vector<rt::Job> interleaved;
+  for (std::size_t i = 0; i < std::max(arms.size(), sched.steps.size());
+       ++i) {
+    if (i < arms.size()) interleaved.push_back(std::move(arms[i]));
+    if (i < sched.steps.size()) {
+      interleaved.push_back(builder.build(sched, sched.steps[i], a, b));
+      interleaved.back().name = "gemm.tile";
+    }
+  }
+  arms = std::move(interleaved);
+
+  rt::SystemPool pool(8);
+  std::map<std::string, int> seen;
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    const rt::Job& job = arms[i];
+    SCOPED_TRACE("arm " + std::to_string(i) + " " + job.name);
+    const rt::SystemPool::Lease lease = pool.acquire(job);
+    const int arm = seen[job.name]++;
+    ASSERT_EQ(lease.rearmed, arm > 0) << "one structure per name";
+    const Outcome pooled = run_job(lease.system, job);
+    if (arm > 0) {
+      EXPECT_GT(lease.system.ring().trace_cycles(), 0u)
+          << "a re-arm must replay the trace recorded before";
+    }
+    System fresh({g});
+    fresh.load(*job.program);
+    const Outcome want = run_job(fresh, job);
+    ASSERT_EQ(pooled.outputs, want.outputs);
+    ASSERT_EQ(pooled.report, want.report);
+  }
+  EXPECT_EQ(pool.full_loads(), seen.size());
 }
 
 }  // namespace
