@@ -2,7 +2,8 @@
 // cycle can run: the ConfigMemory interpreter, one planned cycle per
 // Ring::step (a one-cycle run of the plan's superstep tape — the
 // "percycle planned" column), and fused superstep dispatches over the
-// same tape (with the share of cycles it ran fused per kernel).
+// same tape (with the share of cycles it ran fused per kernel, and the
+// share replayed from a controller loop tape).
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
 // MAC, 5/3 wavelet, block matvec8, full-search motion estimation, its
@@ -117,6 +118,7 @@ struct RunMeasure {
   std::uint64_t plan_content_hits = 0;
   std::uint64_t plan_evictions = 0;
   std::uint64_t superstep_cycles = 0;
+  std::uint64_t trace_cycles = 0;
 };
 
 /// One timed run of a job on the chosen execution path.  The
@@ -154,6 +156,7 @@ RunMeasure timed_run(const rt::Job& job, Path path) {
   m.plan_content_hits = sys.ring().plan_content_hits();
   m.plan_evictions = sys.ring().plan_evictions();
   m.superstep_cycles = sys.ring().superstep_cycles();
+  m.trace_cycles = sys.ring().trace_cycles();
   return m;
 }
 
@@ -173,6 +176,9 @@ struct KernelPoint {
   /// Share of the superstep run's cycles executed inside fused
   /// dispatches (controller-driven ones included).
   double superstep_cycle_share = 0.0;
+  /// Share of the superstep run's cycles replayed from a controller
+  /// loop tape.
+  double trace_cycle_share = 0.0;
   std::uint64_t outputs_fnv64 = 0;
 };
 
@@ -211,6 +217,8 @@ KernelPoint measure(const rt::Job& job, std::size_t reps) {
     p.plan_evictions = super.plan_evictions;
     p.superstep_cycle_share = static_cast<double>(super.superstep_cycles) /
                               static_cast<double>(super.cycles);
+    p.trace_cycle_share = static_cast<double>(super.trace_cycles) /
+                          static_cast<double>(super.cycles);
     p.outputs_fnv64 = fnv64(super.outputs);
     for (std::size_t path = 0; path < kPathCount; ++path) {
       const double cps =
@@ -316,7 +324,7 @@ int main(int argc, char** argv) {
           "  superstep %9.0f cyc/s  speedup %.2fx\n"
           "  %-12s hit rate %.1f%%  compiles %llu  detaches %llu"
           "  (re-attached %llu, true misses %llu)  evictions %llu"
-          "  fused %.1f%%\n",
+          "  fused %.1f%%  traced %.1f%%\n",
           p.name.c_str(), static_cast<unsigned long long>(p.cycles), interp,
           planned, super, speedup, "", 100.0 * p.plan_hit_rate,
           static_cast<unsigned long long>(p.plan_compiles),
@@ -325,7 +333,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(p.plan_invalidations -
                                           p.plan_content_hits),
           static_cast<unsigned long long>(p.plan_evictions),
-          100.0 * p.superstep_cycle_share);
+          100.0 * p.superstep_cycle_share, 100.0 * p.trace_cycle_share);
     }
 
     if (min_speedup > 0.0) {
@@ -360,6 +368,7 @@ int main(int argc, char** argv) {
              p.plan_invalidations - p.plan_content_hits);
       jp.set("plan_evictions", p.plan_evictions);
       jp.set("superstep_cycle_share", p.superstep_cycle_share);
+      jp.set("trace_cycle_share", p.trace_cycle_share);
       char digest[19];
       std::snprintf(digest, sizeof digest, "0x%016llx",
                     static_cast<unsigned long long>(p.outputs_fnv64));

@@ -1105,8 +1105,8 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
       rec_.on = false;
     } else {
       TraceCycle& c = rec_.cycles.emplace_back(
-          TraceCycle{*cs.instr, cs.pc, cs.next_pc != cs.pc + 1, entry,
-                     static_cast<std::size_t>(page)});
+          TraceCycle{*cs.instr, cs.pc, entry, static_cast<std::uint32_t>(page),
+                     cs.next_pc != cs.pc + 1});
       // The iteration closes at a branch back to the head, taken or not
       // (the last iteration falls through): the replay expects it taken
       // and guards it like any other branch.
@@ -1203,7 +1203,7 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
   t->epoch = index_epoch_;
   t->entry = rec_.entry;
   t->entry_page = rec_.entry_page;
-  t->cycles = rec;
+  t->cycles.swap(rec_.cycles);
   t->swaps = swaps;
   t->bus_writes = bus_writes;
   t->routes = std::move(routes);

@@ -223,7 +223,8 @@ class Ring {
   /// are then counted inside the loop.
   ///
   /// Controller loop traces: after a taken backward branch to pc H the
-  /// loop records the next iteration (H back to H).  If every cycle of
+  /// loop records the next iteration (H up to the branch back to H,
+  /// taken or not).  If every cycle of
   /// it was traceable — NOP, LDI, LDIH, MOV, register ALU ops, ADDI,
   /// branches, JMP, BUSW, RDBUS, INPOP or PAGE, no stall, a compiled
   /// all-global plan on a live page — and it ends on the page and plan
@@ -419,9 +420,9 @@ class Ring {
   struct TraceCycle {
     RiscInstr instr;
     std::uint64_t pc = 0;
-    bool taken = false;              ///< the branch went elsewhere than pc+1
     PlanCacheEntry* plan = nullptr;  ///< attached after its step
-    std::size_t page = 0;            ///< live after its step
+    std::uint32_t page = 0;          ///< live after its step
+    bool taken = false;              ///< branch outcome a replay expects
   };
   /// A controller loop recorded over one iteration and lowered into a
   /// loop tape (see run_planned()).

@@ -666,7 +666,9 @@ TEST(PageScheduleDifferential, TracedLoopsAndGuardMissesAgree) {
     if (seed % kTraceVariants == kPlain) {
       EXPECT_GT(fused_run.trace_cycles, 0u);
     }
-    if (c.untraceable) EXPECT_EQ(fused_run.trace_cycles, 0u);
+    if (c.untraceable) {
+      EXPECT_EQ(fused_run.trace_cycles, 0u);
+    }
   }
   // Every variant must replay loop tapes, or it tests nothing.
   for (int v = 0; v < kTraceVariants; ++v) {
