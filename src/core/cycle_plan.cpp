@@ -335,7 +335,7 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
   finish_tape(t, writes);
 }
 
-bool compile_loop_tape(const RingGeometry& geom,
+void compile_loop_tape(const RingGeometry& geom,
                        std::span<const CyclePlan* const> plans,
                        std::span<const std::size_t> pages,
                        const std::vector<Dnode>& dnodes, SuperstepTape& t) {
@@ -343,11 +343,10 @@ bool compile_loop_tape(const RingGeometry& geom,
   begin_tape(t, plans.size());
   std::vector<std::vector<std::uint16_t>> writes(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    if ((pages[i] + 1) * n > std::size_t{1} << 16) return false;
+    if ((pages[i] + 1) * n > std::size_t{1} << 16) return;
     lower_phase(geom, *plans[i], dnodes, 0, pages[i] * n, i, t, writes[i]);
   }
   finish_tape(t, writes);
-  return true;
 }
 
 std::ptrdiff_t tape_phase(const SuperstepTape& t, const CyclePlan& plan,

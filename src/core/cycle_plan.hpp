@@ -211,9 +211,9 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
 
 /// Lower a recorded controller loop into `tape`: phase i runs the
 /// all-global `plans[i]` with its kImm operands reading word
-/// pages[i] * dnode_count + dnode of ConfigMemory::page_imms().  Returns
-/// false (tape invalid) when an immediate lies beyond a TapeRef offset.
-bool compile_loop_tape(const RingGeometry& geom,
+/// pages[i] * dnode_count + dnode of ConfigMemory::page_imms().  The
+/// tape stays invalid when an immediate lies beyond a TapeRef offset.
+void compile_loop_tape(const RingGeometry& geom,
                        std::span<const CyclePlan* const> plans,
                        std::span<const std::size_t> pages,
                        const std::vector<Dnode>& dnodes, SuperstepTape& tape);

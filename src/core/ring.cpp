@@ -1123,7 +1123,7 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
     }
   }
   // Loop heads are where a taken branch goes back to.
-  if (cs.instr == nullptr || !is_branch(cs.instr->op) || cs.next_pc > cs.pc) {
+  if (cs.instr == nullptr || cs.next_pc > cs.pc || !is_branch(cs.instr->op)) {
     return nullptr;
   }
   for (const auto& t : traces_) {
@@ -1204,6 +1204,7 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
   t->entry = rec_.entry;
   t->entry_page = rec_.entry_page;
   t->cycles.swap(rec_.cycles);
+  t->cycles.shrink_to_fit();
   t->swaps = swaps;
   t->bus_writes = bus_writes;
   t->routes = std::move(routes);
