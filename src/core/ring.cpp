@@ -936,7 +936,10 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
           switch_to(enter_tape(*entry, phase, tape_ran));
         }
         const bool stalled = host_in.size() < tape->pops[phase];
-        pending = note_step(cs, entry, ctx.cfg, stalled, code_id);
+        // Only a recording or a backward jump has anything to note.
+        if (rec_.on || (cs.instr != nullptr && cs.next_pc <= cs.pc)) {
+          pending = note_step(cs, entry, ctx.cfg, stalled, code_id);
+        }
         if (stalled) {
           ++res.ring_stalls;  // systolic back-pressure: nothing advances
           ++res.cycles;
