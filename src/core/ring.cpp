@@ -1178,12 +1178,19 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
     from = c.page;
   }
 
-  // The slot: this loop's stale trace, a free one, or the next in turn
-  // — never one this dispatch still has to flush.
+  // The slot: this loop's stale trace, a dead one (of other code or an
+  // earlier index epoch, never valid again), a free one, or the next in
+  // turn — never one this dispatch still has to flush.
   LoopTrace* t = nullptr;
+  LoopTrace* dead = nullptr;
   for (const auto& old : traces_) {
     if (old->head == rec_.head && old->code_id == code_id) t = old.get();
+    if (!old->tape.queued &&
+        (old->code_id != code_id || old->epoch != index_epoch_)) {
+      dead = old.get();
+    }
   }
+  if (t == nullptr) t = dead;
   if (t == nullptr && traces_.size() < kMaxLoopTraces) {
     traces_.push_back(std::make_unique<LoopTrace>());
     t = traces_.back().get();
