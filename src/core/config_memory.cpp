@@ -182,8 +182,7 @@ std::size_t ConfigMemory::add_page(ConfigPage page) {
     page_imms_.push_back(in.imm);
   }
   page_hashes_.push_back(hash_page(page));
-  swap_index_.clear();  // sized for the old page count
-  swap_rows_.clear();
+  swap_to_.emplace_back();
   pages_.push_back(std::move(page));
   return pages_.size() - 1;
 }
@@ -221,34 +220,34 @@ void ConfigMemory::patch_imms(std::size_t index,
 
 const std::uint64_t* ConfigMemory::swap_row(std::size_t from,
                                             std::size_t to) {
-  const std::size_t pages = pages_.size();
-  if (swap_index_.empty()) swap_index_.assign(pages * pages, 0);
-  std::uint32_t& slot = swap_index_[from * pages + to];
   const std::size_t switches = geom_.switch_count();
-  if (slot == 0) {
-    const DecodedPage& a = pages_decoded_[from];
-    const DecodedPage& b = pages_decoded_[to];
-    for (std::size_t sw = 0; sw < switches; ++sw) {
-      std::uint64_t diffs = 0;
-      for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
-        const std::size_t i = sw * geom_.lanes + lane;
-        diffs += a.route[i] == b.route[i] ? 0 : 1;
-      }
-      swap_rows_.push_back(diffs);
-    }
-    slot = static_cast<std::uint32_t>(swap_rows_.size() / switches);
+  std::vector<SwapDiff>& met = swap_to_[from];
+  for (const SwapDiff& d : met) {
+    if (d.to == to) return swap_rows_.data() + d.row * switches;
   }
-  return swap_rows_.data() + (slot - 1) * switches;
+  const DecodedPage& a = pages_decoded_[from];
+  const DecodedPage& b = pages_decoded_[to];
+  met.push_back({static_cast<std::uint32_t>(to),
+                 static_cast<std::uint32_t>(swap_rows_.size() / switches)});
+  for (std::size_t sw = 0; sw < switches; ++sw) {
+    std::uint64_t diffs = 0;
+    for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
+      const std::size_t i = sw * geom_.lanes + lane;
+      diffs += a.route[i] == b.route[i] ? 0 : 1;
+    }
+    swap_rows_.push_back(diffs);
+  }
+  return swap_rows_.data() + met.back().row * switches;
 }
 
 std::span<const std::uint64_t> ConfigMemory::swap_route_changes(
     std::size_t from, std::size_t to) const noexcept {
-  const std::size_t pages = pages_.size();
-  if (from >= pages || to >= pages || swap_index_.empty()) return {};
-  const std::uint32_t slot = swap_index_[from * pages + to];
-  if (slot == 0) return {};
+  if (from >= swap_to_.size()) return {};
   const std::size_t switches = geom_.switch_count();
-  return {swap_rows_.data() + (slot - 1) * switches, switches};
+  for (const SwapDiff& d : swap_to_[from]) {
+    if (d.to == to) return {swap_rows_.data() + d.row * switches, switches};
+  }
+  return {};
 }
 
 void ConfigMemory::apply_page(std::size_t index) {

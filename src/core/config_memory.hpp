@@ -248,11 +248,17 @@ class ConfigMemory {
   std::vector<std::uint64_t> page_hashes_;
   std::ptrdiff_t live_page_ = -1;
   /// Memoized per-switch decoded-route diff counts of page-to-page
-  /// swaps: swap_index_[from * page_count() + to] is 1 + the row of
-  /// swap_rows_ (switch_count() words) holding that pair's diff, 0 while
-  /// not computed.  Pages are immutable outside their immediates, so a
-  /// computed diff never goes stale.
-  std::vector<std::uint32_t> swap_index_;
+  /// swaps: swap_to_[from] lists the pages swapped to from `from` so
+  /// far, each with the row of swap_rows_ (switch_count() words)
+  /// holding that pair's diff.  Memory grows with the pairs a program
+  /// swaps between, not with the square of its page count.  Pages are
+  /// immutable outside their immediates, so a computed diff never goes
+  /// stale.
+  struct SwapDiff {
+    std::uint32_t to = 0;
+    std::uint32_t row = 0;
+  };
+  std::vector<std::vector<SwapDiff>> swap_to_;
   std::vector<std::uint64_t> swap_rows_;
   std::uint64_t words_written_ = 0;
   std::vector<std::uint64_t> route_changes_per_switch_;

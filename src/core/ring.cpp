@@ -853,6 +853,9 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
         if (entry == pending->entry && mode_synced_ &&
             ctx.cfg.live_page() ==
                 static_cast<std::ptrdiff_t>(pending->entry_page)) {
+          // The replayed cycles go unrecorded: an enclosing loop's
+          // recording would skip them.
+          rec_.on = false;
           replay = pending;
           switch_to(replay->tape);
           queue_tape(*tape);
@@ -1104,12 +1107,14 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
   const std::ptrdiff_t page = cfg.live_page();
   if (rec_.on) {
     if (cs.instr == nullptr || !traceable(cs.instr->op) || stalled ||
-        page < 0 || rec_.cycles.size() == kMaxTraceCycles) {
+        page < 0 || cs.pc != rec_.next_pc ||
+        rec_.cycles.size() == kMaxTraceCycles) {
       rec_.on = false;
     } else {
       TraceCycle& c = rec_.cycles.emplace_back(
           TraceCycle{*cs.instr, cs.pc, entry, static_cast<std::uint32_t>(page),
                      cs.next_pc != cs.pc + 1});
+      rec_.next_pc = cs.next_pc;
       // The iteration closes at a branch back to the head, taken or not
       // (the last iteration falls through): the replay expects it taken
       // and guards it like any other branch.
@@ -1129,17 +1134,17 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
   if (cs.instr == nullptr || cs.next_pc > cs.pc || !is_branch(cs.instr->op)) {
     return nullptr;
   }
-  for (const auto& t : traces_) {
-    if (t->head == cs.next_pc && t->code_id == code_id &&
-        t->epoch == index_epoch_ && t->tape.valid &&
-        page_index_uid_ == cfg.uid() &&
-        page_index_local_gen_ == local_generation_) {
-      return t.get();
-    }
+  LoopTrace* const t = trace_.get();
+  if (t != nullptr && t->head == cs.next_pc && t->code_id == code_id &&
+      t->epoch == index_epoch_ && t->tape.valid &&
+      page_index_uid_ == cfg.uid() &&
+      page_index_local_gen_ == local_generation_) {
+    return t;
   }
   if (!rec_.on && page >= 0) {
     rec_.on = true;
     rec_.head = cs.next_pc;
+    rec_.next_pc = cs.next_pc;
     rec_.entry = entry;
     rec_.entry_page = static_cast<std::size_t>(page);
     rec_.cycles.clear();
@@ -1150,9 +1155,11 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
 void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
   // A replay credits every PAGE as a page-index hit, so every page the
   // iteration visits must index the plan it ran, and the iteration
-  // must end on the page and plan it began with.
+  // must end on the page and plan it began with.  A trace this
+  // dispatch replayed stays until the flush.
   if (page_index_uid_ != cfg.uid() ||
-      page_index_local_gen_ != local_generation_) {
+      page_index_local_gen_ != local_generation_ ||
+      (trace_ != nullptr && trace_->tape.queued)) {
     return;
   }
   const auto indexed_at = [&](std::size_t p) {
@@ -1163,44 +1170,24 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
       rec.back().page != rec_.entry_page || rec.back().plan != rec_.entry) {
     return;
   }
-  std::vector<std::uint64_t> routes(geom_.switch_count(), 0);
-  std::uint64_t swaps = 0;
-  std::uint64_t bus_writes = 0;
+  const std::size_t width = kCreditRoutes + geom_.switch_count();
+  std::vector<std::uint64_t> credit(width);
   std::size_t from = rec_.entry_page;
   for (const TraceCycle& c : rec) {
+    credit.resize(credit.size() + width);
+    std::uint64_t* const row = credit.data() + credit.size() - width;
+    std::copy_n(row - width, width, row);
     if (c.instr.op == RiscOp::kPage) {
-      const auto row = cfg.swap_route_changes(from, c.page);
-      if (indexed_at(c.page) != c.plan || row.empty()) return;
-      for (std::size_t sw = 0; sw < row.size(); ++sw) routes[sw] += row[sw];
-      ++swaps;
+      const auto routes = cfg.swap_route_changes(from, c.page);
+      if (indexed_at(c.page) != c.plan || routes.empty()) return;
+      for (std::size_t sw = 0; sw < routes.size(); ++sw) {
+        row[kCreditRoutes + sw] += routes[sw];
+      }
+      ++row[kCreditSwaps];
     }
-    bus_writes += c.instr.op == RiscOp::kBusw ? 1 : 0;
+    row[kCreditBusWrites] += c.instr.op == RiscOp::kBusw ? 1 : 0;
     from = c.page;
   }
-
-  // The slot: this loop's stale trace, a dead one (of other code or an
-  // earlier index epoch, never valid again), a free one, or the next in
-  // turn — never one this dispatch still has to flush.
-  LoopTrace* t = nullptr;
-  LoopTrace* dead = nullptr;
-  for (const auto& old : traces_) {
-    if (old->head == rec_.head && old->code_id == code_id) t = old.get();
-    if (!old->tape.queued &&
-        (old->code_id != code_id || old->epoch != index_epoch_)) {
-      dead = old.get();
-    }
-  }
-  if (t == nullptr) t = dead;
-  if (t == nullptr && traces_.size() < kMaxLoopTraces) {
-    traces_.push_back(std::make_unique<LoopTrace>());
-    t = traces_.back().get();
-  }
-  for (std::size_t k = 0; t == nullptr && k < traces_.size(); ++k) {
-    LoopTrace* const cand = traces_[next_trace_].get();
-    next_trace_ = (next_trace_ + 1) % traces_.size();
-    if (!cand->tape.queued) t = cand;
-  }
-  if (t == nullptr || t->tape.queued) return;
 
   std::vector<const CyclePlan*> plans;
   std::vector<std::size_t> pages;
@@ -1208,17 +1195,17 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
     plans.push_back(&c.plan->plan);
     pages.push_back(c.page);
   }
-  t->code_id = code_id;
-  t->head = rec_.head;
-  t->epoch = index_epoch_;
-  t->entry = rec_.entry;
-  t->entry_page = rec_.entry_page;
-  t->cycles.swap(rec_.cycles);
-  t->cycles.shrink_to_fit();
-  t->swaps = swaps;
-  t->bus_writes = bus_writes;
-  t->routes = std::move(routes);
-  compile_loop_tape(geom_, plans, pages, dnodes_, t->tape);
+  if (trace_ == nullptr) trace_ = std::make_unique<LoopTrace>();
+  LoopTrace& t = *trace_;
+  t.code_id = code_id;
+  t.head = rec_.head;
+  t.epoch = index_epoch_;
+  t.entry = rec_.entry;
+  t.entry_page = rec_.entry_page;
+  t.cycles.swap(rec_.cycles);
+  t.cycles.shrink_to_fit();
+  t.credit = std::move(credit);
+  compile_loop_tape(geom_, plans, pages, dnodes_, t.tape);
 }
 
 void Ring::end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,
@@ -1226,33 +1213,23 @@ void Ring::end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,
   const std::size_t len = t.cycles.size();
   const std::uint64_t cycles = iters * len + at;
   if (cycles == 0) return;
-  // What the skipped steps would have counted: whole iterations from
-  // the trace's totals, the partial one cycle by cycle.
-  route_credit_.assign(t.routes.size(), 0);
-  for (std::size_t sw = 0; sw < t.routes.size(); ++sw) {
-    route_credit_[sw] = iters * t.routes[sw];
+  // What the skipped steps would have counted: `iters` whole
+  // iterations and the first `at` cycles of the next.
+  const std::size_t width = t.credit.size() / (len + 1);
+  const std::uint64_t* const whole = t.credit.data() + len * width;
+  const std::uint64_t* const part = t.credit.data() + at * width;
+  credit_.resize(width);
+  for (std::size_t k = 0; k < width; ++k) {
+    credit_[k] = iters * whole[k] + part[k];
   }
-  std::uint64_t swaps = iters * t.swaps;
-  std::uint64_t bus_writes = iters * t.bus_writes;
-  std::size_t page = t.entry_page;
-  for (std::size_t j = 0; j < at; ++j) {
-    const TraceCycle& c = t.cycles[j];
-    if (c.instr.op == RiscOp::kPage) {
-      const auto row = cfg.swap_route_changes(page, c.page);
-      for (std::size_t sw = 0; sw < row.size(); ++sw) {
-        route_credit_[sw] += row[sw];
-      }
-      ++swaps;
-    }
-    bus_writes += c.instr.op == RiscOp::kBusw ? 1 : 0;
-    page = c.page;
-  }
+  const std::uint64_t swaps = credit_[kCreditSwaps];
 
   // Every PAGE re-attached its plan through the page index: one
   // invalidation, one content hit and one LRU tick each.  The last
   // attach of each plan sets its LRU stamp: the partial iteration's,
   // else the last whole iteration's.
   const std::uint64_t clock = plan_use_clock_;
+  const std::uint64_t per_iter = whole[kCreditSwaps];
   std::uint64_t rank = 0;  // PAGE cycles before j in an iteration
   for (std::size_t j = 0; j < len; ++j) {
     if (t.cycles[j].instr.op != RiscOp::kPage) continue;
@@ -1260,7 +1237,7 @@ void Ring::end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,
     const std::uint64_t iter = j < at ? iters : iters - 1;
     if (j < at || iters > 0) {
       PlanCacheEntry* const e = t.cycles[j].plan;
-      e->last_use = std::max(e->last_use, clock + iter * t.swaps + rank);
+      e->last_use = std::max(e->last_use, clock + iter * per_iter + rank);
     }
   }
   plan_use_clock_ = clock + swaps;
@@ -1269,12 +1246,14 @@ void Ring::end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,
   plan_content_hits_ += swaps;
   trace_cycles_ += cycles;
 
-  control.credit_replay({.instructions = cycles,
-                         .bus_writes = bus_writes,
-                         .pc = t.cycles[at].pc,
-                         .swaps = swaps,
-                         .page = page,
-                         .route_changes = route_credit_});
+  control.credit_replay(
+      {.instructions = cycles,
+       .bus_writes = credit_[kCreditBusWrites],
+       .pc = t.cycles[at].pc,
+       .swaps = swaps,
+       .page = at == 0 ? t.entry_page : t.cycles[at - 1].page,
+       .route_changes =
+           std::span<const std::uint64_t>(credit_).subspan(kCreditRoutes)});
   if (swaps > 0) {
     PlanCacheEntry* const e = at == 0 ? t.entry : t.cycles[at - 1].plan;
     e->plan.cfg_uid = cfg.uid();

@@ -228,8 +228,11 @@ class Ring {
   /// it was traceable — NOP, LDI, LDIH, MOV, register ALU ops, ADDI,
   /// branches, JMP, BUSW, RDBUS, INPOP or PAGE, no stall, a compiled
   /// all-global plan on a live page — and it ends on the page and plan
-  /// it began with, it is lowered into a loop tape keyed on the
-  /// controller code, H and the plans it uses.  The next time the
+  /// it began with, it is lowered into the Ring's one loop tape (a
+  /// new trace replaces the last), keyed on the controller code, H and
+  /// the plans it uses.  A replay that starts drops the recording in
+  /// progress: an outer loop is recorded only over iterations that
+  /// run cycle by cycle.  The next time the
   /// branch lands on H in that state the loop replays the tape: each
   /// cycle runs its instruction inline on the controller's registers,
   /// then its phase, without a controller step, configuration write or
@@ -433,15 +436,17 @@ class Ring {
     PlanCacheEntry* entry = nullptr;  ///< attached at the top of cycle 0
     std::size_t entry_page = 0;       ///< live there and after the last cycle
     std::vector<TraceCycle> cycles;
-    std::uint64_t swaps = 0;       ///< PAGE cycles per iteration
-    std::uint64_t bus_writes = 0;  ///< BUSW cycles per iteration
-    std::vector<std::uint64_t> routes;  ///< route changes per iteration
+    /// What cycles [0, j) of an iteration count, row j of
+    /// cycles.size() + 1: PAGE cycles (kCreditSwaps), BUSW cycles
+    /// (kCreditBusWrites), then route changes per switch.
+    std::vector<std::uint64_t> credit;
     SuperstepTape tape;
   };
+  static constexpr std::size_t kCreditSwaps = 0;
+  static constexpr std::size_t kCreditBusWrites = 1;
+  static constexpr std::size_t kCreditRoutes = 2;
   /// Longest loop iteration a trace records.
   static constexpr std::size_t kMaxTraceCycles = 256;
-  /// Loop traces kept per Ring.
-  static constexpr std::size_t kMaxLoopTraces = 4;
 
   std::size_t flat_index(std::size_t layer, std::size_t lane) const;
   std::size_t upstream_layer(std::size_t layer) const noexcept;
@@ -664,17 +669,18 @@ class Ring {
   std::uint64_t superstep_cycles_ = 0;
 
   // Controller loop traces: the recording in progress (one per
-  // dispatch), the lowered traces, and the replay's credit scratch.
+  // dispatch), the one lowered trace (a new one overwrites it), and
+  // the replay's credit scratch.
   struct Recorder {
     bool on = false;
     std::uint64_t head = 0;
+    std::uint64_t next_pc = 0;  ///< pc the next recorded cycle runs at
     PlanCacheEntry* entry = nullptr;
     std::size_t entry_page = 0;
     std::vector<TraceCycle> cycles;
   } rec_;
-  std::vector<std::unique_ptr<LoopTrace>> traces_;
-  std::size_t next_trace_ = 0;  // round-robin victim once full
-  std::vector<std::uint64_t> route_credit_;
+  std::unique_ptr<LoopTrace> trace_;
+  std::vector<std::uint64_t> credit_;
   std::uint64_t trace_cycles_ = 0;
 };
 

@@ -1,13 +1,31 @@
 // Unit tests for the configuration layer (live words + pages).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "common/error.hpp"
 #include "core/config_memory.hpp"
+#include "core/switch.hpp"
 
 namespace sring {
 namespace {
 
 RingGeometry small() { return {4, 2, 8}; }
+
+/// Bytes the process holds from malloc (0 where glibc cannot tell).
+std::size_t heap_bytes() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+#else
+  return 0;
+#endif
+}
 
 TEST(RingGeometry, Validation) {
   EXPECT_NO_THROW(small().validate());
@@ -128,6 +146,47 @@ TEST(ConfigMemory, CountsWrites) {
   cfg.apply_page(0);
   // A page swap rewrites every configuration word.
   EXPECT_EQ(cfg.words_written(), 1u + 8 + 8 + 8);
+}
+
+// A program of a few thousand pages: every swap counts the routes that
+// differ, and the memoized swap diffs grow with the pairs swapped
+// between, not with the square of the page count (36 MB here).
+TEST(ConfigMemory, ManyPageSwapsCountTheirRouteDiffs) {
+  const RingGeometry g = small();
+  constexpr std::size_t kPages = 3000;
+  ConfigMemory cfg(g);
+  std::vector<std::uint64_t> pattern;  // bit i: route word i enabled
+  for (std::size_t p = 0; p < kPages; ++p) {
+    ConfigPage page = ConfigPage::zeroed(g);
+    pattern.push_back((p * 37) % 256);
+    for (std::size_t i = 0; i < page.switch_route.size(); ++i) {
+      SwitchRoute r;
+      r.host_out_en = ((pattern.back() >> i) & 1) != 0;
+      page.switch_route[i] = r.encode();
+    }
+    cfg.add_page(std::move(page));
+  }
+  cfg.apply_page(0);
+  std::vector<std::uint64_t> expect = cfg.route_changes_per_switch();
+  const std::size_t heap_before = heap_bytes();
+  std::size_t from = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t k = 1; k <= kPages; ++k) {
+      const std::size_t to = k % kPages;
+      cfg.apply_page(to);
+      const std::uint64_t diff = pattern[from] ^ pattern[to];
+      for (std::size_t sw = 0; sw < g.switch_count(); ++sw) {
+        expect[sw] += static_cast<std::uint64_t>(
+            std::popcount((diff >> (sw * g.lanes)) & ((1u << g.lanes) - 1)));
+      }
+      from = to;
+    }
+  }
+  EXPECT_LT(heap_bytes(), heap_before + (std::size_t{2} << 20));
+  EXPECT_EQ(cfg.route_changes_per_switch(), expect);
+  EXPECT_EQ(cfg.live_page(), 0);
+  EXPECT_EQ(cfg.swap_route_changes(0, 1).size(), g.switch_count());
+  EXPECT_TRUE(cfg.swap_route_changes(1, 0).empty());
 }
 
 }  // namespace

@@ -18,8 +18,9 @@
 // seed: a data-dependent BEQ that flips after k iterations, INPOP
 // starvation at a mid-body INPOP, output stops and run_cycles budgets
 // that land mid-iteration, an untraceable WRCFG in the body (always,
-// or on one iteration only), and a rerun or a re-arm with new page
-// immediates midway.
+// or on one iteration only), a rerun or a re-arm with new page
+// immediates midway, and a second counted loop, either nested (it
+// replays while the outer loop records) or following the first.
 //
 // Three runs must agree: the interpreter, the planned path with the
 // superstep engine off, and the default.  Outputs and architectural
@@ -355,6 +356,7 @@ enum TraceVariant {
   kStops,       // output stops and run_cycles budgets mid-iteration
   kWrcfg,       // a WRCFG in the body: always, or on one iteration
   kRearm,       // a rerun or a re-arm with new page immediates midway
+  kNested,      // a second counted loop, in the body or after it
   kTraceVariants
 };
 
@@ -383,6 +385,30 @@ Case make_trace_case(int seed) {
   const std::uint64_t iterations = 4 + rng.next_below(40);
   const std::uint64_t flip = 1 + rng.next_below(iterations - 1);
   const bool wrcfg_always = variant == kWrcfg && chance(rng, 50);
+  struct {
+    bool after = false;  // follows the loop instead of nesting in it
+    std::uint64_t iterations = 0;
+    std::size_t a = 0;
+    std::size_t b = 0;
+  } second;
+  if (variant == kNested) {
+    second = {chance(rng, 50), 3 + rng.next_below(6),
+              rng.next_below(npages), rng.next_below(npages)};
+  }
+  // Nested, its trace exists before the outer loop's second iteration,
+  // so it replays while the outer loop records; after the loop, it is
+  // lowered in the dispatch that replayed the first loop.
+  const auto second_loop = [&](ProgramBuilder& b, std::size_t back) {
+    b.set_reg(13, second.iterations);
+    b.label("second");
+    b.page_switch(second.a);
+    b.inpop(3);
+    b.busw(3);
+    b.page_switch(second.b);
+    b.addi(13, 13, -1);
+    b.branch(RiscOp::kBne, 13, 2, "second");
+    b.page_switch(back);
+  };
   const auto emit = [&](const auto& f) {
     f(pb);
     f(alt);
@@ -416,6 +442,10 @@ Case make_trace_case(int seed) {
         b.label(l + "_done");
         b.page_switch(live);
       });
+      continue;
+    }
+    if (k == special && variant == kNested && !second.after) {
+      emit([&](ProgramBuilder& b) { second_loop(b, live); });
       continue;
     }
     if (k == special && variant == kWrcfg) {
@@ -469,6 +499,7 @@ Case make_trace_case(int seed) {
     b.page_switch(live);
     b.addi(1, 1, -1);
     b.branch(RiscOp::kBne, 1, 2, "loop");
+    if (second.after) second_loop(b, live);
     b.halt();
   });
   c.program = pb.build();
