@@ -30,6 +30,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -53,7 +54,7 @@ class LeWriter {
   void flag(bool v) { u8(v ? 1 : 0); }
 
   /// u32 (str8: u8) byte length, then the bytes.
-  void str(const std::string& s) { bytes(as_bytes(s)); }
+  void str(std::string_view s) { bytes(as_bytes(s)); }
   void str8(const std::string& s) {
     u8(s.size());
     raw(as_bytes(s));
@@ -102,7 +103,7 @@ class LeWriter {
   std::vector<std::uint8_t> take() { return std::move(out_); }
 
  private:
-  static std::span<const std::uint8_t> as_bytes(const std::string& s) {
+  static std::span<const std::uint8_t> as_bytes(std::string_view s) {
     return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
   }
   /// The low `n` bytes of `v`, least significant first.

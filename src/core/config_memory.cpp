@@ -192,30 +192,44 @@ const ConfigPage& ConfigMemory::page(std::size_t index) const {
   return pages_[index];
 }
 
-void ConfigMemory::patch_imms(std::size_t index,
-                              std::span<const std::uint64_t> instr_words) {
-  check(index < pages_.size(), "ConfigMemory::patch_imms: no such page");
-  std::vector<std::uint64_t>& words = pages_[index].dnode_instr;
-  check(instr_words.size() == words.size(),
-        "ConfigMemory::patch_imms: page shape does not match");
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    check(((words[i] ^ instr_words[i]) & ~kImmFieldMask) == 0,
-          "ConfigMemory::patch_imms: words differ outside the immediate");
+bool ConfigMemory::patch_imms(std::span<const ConfigPage> pages) {
+  if (pages.size() != pages_.size()) return false;
+  for (std::size_t p = 0; p < pages.size(); ++p) {
+    if (pages[p].dnode_mode != pages_[p].dnode_mode ||
+        pages[p].switch_route != pages_[p].switch_route ||
+        pages[p].dnode_instr.size() != pages_[p].dnode_instr.size()) {
+      return false;
+    }
   }
-  DecodedPage& dec = pages_decoded_[index];
-  Word* const imms = page_imms_.data() + index * words.size();
-  bool written = false;
-  for (std::size_t i = 0; i < words.size(); ++i) {
-    if (words[i] == instr_words[i]) continue;
-    words[i] = instr_words[i];
-    dec.instr[i].imm = static_cast<Word>(
-        (instr_words[i] & kImmFieldMask) >> std::countr_zero(kImmFieldMask));
-    imms[i] = dec.instr[i].imm;
-    written = true;
+  const std::size_t n = geom_.dnode_count();
+  const auto write = [&](std::size_t at, std::uint64_t word) {
+    const std::size_t p = at / n;
+    const std::size_t i = at % n;
+    pages_[p].dnode_instr[i] = word;
+    const Word imm = static_cast<Word>((word & kImmFieldMask) >>
+                                       std::countr_zero(kImmFieldMask));
+    pages_decoded_[p].instr[i].imm = imm;
+    page_imms_[at] = imm;
+  };
+  patched_.clear();
+  bool live_patched = false;
+  for (std::size_t p = 0; p < pages.size(); ++p) {
+    const std::uint64_t* const want = pages[p].dnode_instr.data();
+    const std::uint64_t* const have = pages_[p].dnode_instr.data();
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t diff = want[i] ^ have[i];
+      if (diff == 0) continue;
+      if ((diff & ~kImmFieldMask) != 0) {
+        for (const auto& [at, old] : patched_) write(at, old);
+        return false;
+      }
+      patched_.emplace_back(p * n + i, have[i]);
+      write(p * n + i, want[i]);
+      live_patched = live_patched || live_page_ == static_cast<std::ptrdiff_t>(p);
+    }
   }
-  if (written && live_page_ == static_cast<std::ptrdiff_t>(index)) {
-    ++generation_;
-  }
+  if (live_patched) ++generation_;
+  return true;
 }
 
 const std::uint64_t* ConfigMemory::swap_row(std::size_t from,

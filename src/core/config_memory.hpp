@@ -161,18 +161,28 @@ class ConfigMemory {
   /// Registered page `index` as stored (immediates included).
   const ConfigPage& page(std::size_t index) const;
 
-  /// Rewrite the immediates of registered page `index` to those of
-  /// `instr_words`, which must equal the page's microinstructions
-  /// outside the imm16 field (throws otherwise, before any write).
-  /// Only words that differ are written, into both the raw and the
-  /// decoded page; the page's structure hash and memoized route diffs
-  /// stay valid because neither reads an immediate.  A patch of the
-  /// live page moves the generation.
-  void patch_imms(std::size_t index,
-                  std::span<const std::uint64_t> instr_words);
+  /// Rewrite the immediates of every registered page to those of
+  /// `pages`, which must equal the registered pages outside the imm16
+  /// fields: the same count, modes, routes and instruction words with
+  /// kImmFieldMask cleared.  One pass compares each word and writes the
+  /// immediates that differ, into both the raw and the decoded page;
+  /// the structure hashes and memoized route diffs stay valid because
+  /// neither reads an immediate.  Returns false, having changed
+  /// nothing, when the structure differs.  A patch of the live page
+  /// moves the generation.
+  bool patch_imms(std::span<const ConfigPage> pages);
 
   /// Apply page `index` to the live configuration (one-cycle swap).
   void apply_page(std::size_t index);
+
+  /// True when the live image holds page `index`'s content: it is that
+  /// page, or an image not backed by a page (reset or word-written)
+  /// equal to it word for word, immediates included.
+  bool live_holds_page(std::size_t index) const noexcept {
+    return live_page_ >= 0
+               ? static_cast<std::size_t>(live_page_) == index
+               : index < pages_.size() && live_ == pages_[index];
+  }
 
   /// Per-switch decoded-route changes of a swap from page `from` to page
   /// `to`, or an empty span when no such swap ran yet (the table fills
@@ -260,6 +270,9 @@ class ConfigMemory {
   };
   std::vector<std::vector<SwapDiff>> swap_to_;
   std::vector<std::uint64_t> swap_rows_;
+  /// patch_imms() undo list: (page * dnode_count() + dnode, old word) of
+  /// each word written, undone if a later word differs in structure.
+  std::vector<std::pair<std::size_t, std::uint64_t>> patched_;
   std::uint64_t words_written_ = 0;
   std::vector<std::uint64_t> route_changes_per_switch_;
   ConfigIdentity identity_;

@@ -7,9 +7,8 @@ void Dnode::discard() noexcept {
   staged_out_.reset();
 }
 
-void Dnode::reset() {
+void Dnode::reset_datapath() {
   regs_ = RegisterFile{};
-  local_ = LocalControl{};
   out_ = 0;
   staged_out_.reset();
 }

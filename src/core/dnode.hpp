@@ -93,8 +93,8 @@ class Dnode {
   LocalControl& local() noexcept { return local_; }
   const LocalControl& local() const noexcept { return local_; }
 
-  /// Clear all architectural state.
-  void reset();
+  /// Clear the registers and the output; the local program stays.
+  void reset_datapath();
 
  private:
   Word resolve(DnodeSrc src, const DnodeInstr& instr,

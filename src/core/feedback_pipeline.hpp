@@ -68,11 +68,6 @@ class FeedbackPipeline {
   /// Clock edges latched since the last reset (instrumentation).
   std::uint64_t pushes() const noexcept { return pushes_; }
 
-  /// Stages holding live (post-reset) data: min(pushes, depth).
-  std::size_t occupancy() const noexcept {
-    return pushes_ < depth_ ? static_cast<std::size_t>(pushes_) : depth_;
-  }
-
   /// Clear all stages to zero.
   void reset() noexcept;
 

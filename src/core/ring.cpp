@@ -56,6 +56,7 @@ std::size_t Ring::upstream_layer(std::size_t layer) const noexcept {
 
 Dnode& Ring::dnode(std::size_t layer, std::size_t lane) {
   spill();  // the caller may read or mutate the Dnode directly
+  locals_written_ = true;
   return dnodes_[flat_index(layer, lane)];
 }
 
@@ -67,6 +68,7 @@ const Dnode& Ring::dnode(std::size_t layer, std::size_t lane) const {
 Dnode& Ring::dnode_flat(std::size_t index) {
   check(index < dnodes_.size(), "Ring: dnode index out of range");
   spill();
+  locals_written_ = true;
   return dnodes_[index];
 }
 
@@ -82,11 +84,20 @@ const FeedbackPipeline& Ring::pipeline(std::size_t sw) const {
   return pipes_[sw];
 }
 
+std::size_t Ring::fb_occupancy(std::size_t sw) const {
+  check(sw < pipes_.size(), "Ring: switch index out of range");
+  std::uint64_t pushes = datapath_reset_ ? 0 : pipes_[sw].pushes();
+  if (resident_) pushes += edges_;
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(pushes, geom_.fb_depth));
+}
+
 void Ring::write_local(std::size_t dnode_index, std::size_t slot,
                        std::uint64_t value) {
   check(dnode_index < dnodes_.size(), "Ring: dnode index out of range");
   LocalControl& lc = dnodes_[dnode_index].local();
   lc.write(slot, value);
+  locals_written_ = true;
   if (slot < kLocalProgramSlots) {
     local_imm_[dnode_index * kLocalProgramSlots + slot] =
         lc.instr_at(slot).imm;
@@ -122,9 +133,11 @@ void Ring::reset_for_rerun() {
   // because a data-dependent WRLOC can reach the same count in two runs
   // with different local programs.  An index stamped with an earlier
   // generation lapses unless finish_arm() carries it over.
-  for (auto& d : dnodes_) d.reset();
-  std::fill(local_imm_.begin(), local_imm_.end(), 0);
-  for (auto& p : pipes_) p.reset();
+  if (locals_written_) {
+    for (auto& d : dnodes_) d.local() = LocalControl{};
+    std::fill(local_imm_.begin(), local_imm_.end(), 0);
+    locals_written_ = false;
+  }
   last_mode_.assign(geom_.dnode_count(), DnodeMode::kGlobal);
   ops_per_dnode_.assign(geom_.dnode_count(), 0);
   mac_ops_per_dnode_.assign(geom_.dnode_count(), 0);
@@ -138,15 +151,26 @@ void Ring::reset_for_rerun() {
   superstep_dispatches_ = 0;
   superstep_cycles_ = 0;
   trace_cycles_ = 0;
-  // A dispatch cut short by a controller fault leaves unflushed tapes
-  // and stale resident state.
+  // A dispatch cut short by a controller fault leaves unflushed tapes.
   for (SuperstepTape* const t : ran_) {
     std::fill(t->phase_cycles.begin(), t->phase_cycles.end(), 0);
     t->queued = false;
   }
   ran_.clear();
   rec_.on = false;
-  resident_ = false;
+  // The reset datapath is all zeros: zero the flat state and the
+  // window's visible rows in place and keep them resident, instead of
+  // clearing every Dnode and pipeline and reloading from them.
+  const std::size_t n = dnodes_.size();
+  std::fill(flat_.begin(), flat_.end(), 0);
+  std::fill_n(window_.begin() + static_cast<std::ptrdiff_t>(window_slack_ * n),
+              geom_.fb_depth * n, 0);
+  resident_ = true;
+  datapath_reset_ = true;
+  cur_ = 0;
+  head_ = window_slack_;
+  edges_ = 0;
+  window_loaded_ = true;
   last_tape_ = nullptr;
   handoff_.reset();
   current_plan_ = nullptr;
@@ -669,6 +693,11 @@ void Ring::load_window(std::size_t head, std::uint64_t edges) {
 void Ring::store_resident() {
   const std::size_t n = dnodes_.size();
   const TapeLayout lay{n};
+  if (datapath_reset_) {
+    for (auto& d : dnodes_) d.reset_datapath();
+    for (auto& p : pipes_) p.reset();
+    datapath_reset_ = false;
+  }
   const Word* const state = flat_.data() + cur_;
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
@@ -849,10 +878,11 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     } else {
       if (pending != nullptr) {
         // A loop head: replay when the machine is where the recording
-        // began.
+        // began.  Falling into the head from the reset configuration or
+        // a word-written image counts when it holds the entry page's
+        // content; the live image then stays until the first PAGE.
         if (entry == pending->entry && mode_synced_ &&
-            ctx.cfg.live_page() ==
-                static_cast<std::ptrdiff_t>(pending->entry_page)) {
+            ctx.cfg.live_holds_page(pending->entry_page)) {
           // The replayed cycles go unrecorded: an enclosing loop's
           // recording would skip them.
           rec_.on = false;
@@ -939,8 +969,12 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
           switch_to(enter_tape(*entry, phase, tape_ran));
         }
         const bool stalled = host_in.size() < tape->pops[phase];
-        // Only a recording or a backward jump has anything to note.
-        if (rec_.on || (cs.instr != nullptr && cs.next_pc <= cs.pc)) {
+        // Only a recording, a backward jump or an arrival at the
+        // trace's head has anything to note.
+        if (rec_.on ||
+            (cs.instr != nullptr &&
+             (cs.next_pc <= cs.pc ||
+              (trace_ != nullptr && cs.next_pc == trace_->head)))) {
           pending = note_step(cs, entry, ctx.cfg, stalled, code_id);
         }
         if (stalled) {
@@ -1130,10 +1164,9 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
       }
     }
   }
-  // Loop heads are where a taken branch goes back to.
-  if (cs.instr == nullptr || cs.next_pc > cs.pc || !is_branch(cs.instr->op)) {
-    return nullptr;
-  }
+  // Loop heads are where a taken branch goes back to; the trace's head
+  // replays however it is reached (the first iteration falls into it).
+  if (cs.instr == nullptr) return nullptr;
   LoopTrace* const t = trace_.get();
   if (t != nullptr && t->head == cs.next_pc && t->code_id == code_id &&
       t->epoch == index_epoch_ && t->tape.valid &&
@@ -1141,7 +1174,8 @@ Ring::LoopTrace* Ring::note_step(const ControlHook::Step& cs,
       page_index_local_gen_ == local_generation_) {
     return t;
   }
-  if (!rec_.on && page >= 0) {
+  if (!rec_.on && page >= 0 && cs.next_pc <= cs.pc &&
+      is_branch(cs.instr->op)) {
     rec_.on = true;
     rec_.head = cs.next_pc;
     rec_.next_pc = cs.next_pc;

@@ -59,9 +59,10 @@
 // its controller instruction, guarded per cycle, with the controller,
 // configuration and plan-cache counters credited in bulk when the
 // replay stops (see run_planned()).  Between runs the tape's
-// flat state and feedback window stay resident; the Dnodes and
-// pipelines are brought up to date (spilled) only when the interpreter,
-// a state accessor, set_plan_cache_enabled() or a reset needs them.  A
+// flat state and feedback window stay resident, across resets too
+// (a reset zeroes them in place); the Dnodes and pipelines are brought
+// up to date (spilled) only when the interpreter, a state accessor or
+// set_plan_cache_enabled() needs them, never for a report.  A
 // plan whose local programs repeat with a period above
 // kMaxSuperstepPeriod has no tape and is interpreted.  Outputs and
 // architectural statistics are bit-exact with the interpreter; only
@@ -232,8 +233,11 @@ class Ring {
   /// new trace replaces the last), keyed on the controller code, H and
   /// the plans it uses.  A replay that starts drops the recording in
   /// progress: an outer loop is recorded only over iterations that
-  /// run cycle by cycle.  The next time the
-  /// branch lands on H in that state the loop replays the tape: each
+  /// run cycle by cycle.  The next time the controller reaches H (a
+  /// branch back to it, or falling into it) with that plan attached and
+  /// the live image holding the entry page's content (that page, or an
+  /// equal reset or word-written image, which stays live until the
+  /// first PAGE), the loop replays the tape: each
   /// cycle runs its instruction inline on the controller's registers,
   /// then its phase, without a controller step, configuration write or
   /// plan lookup.  Every cycle keeps the guards above (budget, output
@@ -263,6 +267,11 @@ class Ring {
   const Dnode& dnode_flat(std::size_t index) const;
 
   const FeedbackPipeline& pipeline(std::size_t sw) const;
+
+  /// Stages of pipeline `sw` holding post-reset data, min(pushes,
+  /// fb_depth), with the edges run while resident counted as pushes:
+  /// read without a spill.
+  std::size_t fb_occupancy(std::size_t sw) const;
 
   /// Write a local-control register of a Dnode (controller WRLOC path).
   /// Invalidates the compiled cycle plan and refreshes the local
@@ -388,7 +397,9 @@ class Ring {
   /// which makes a program of a new structure a clean miss.  Counters
   /// are zeroed; outputs and architectural statistics after a reset
   /// are bit-identical to a fresh System, only the ring.plan.*
-  /// counters reflect the warm cache.
+  /// counters reflect the warm cache.  The datapath resets in place:
+  /// the zeroed flat state and window become resident, and the Dnode
+  /// registers, outputs and pipelines take them at the next spill.
   void reset_for_rerun();
 
   /// Mark the end of a System arm: reset_for_rerun() plus the
@@ -653,6 +664,13 @@ class Ring {
   // the registers, outputs and feedback history; the Dnodes and
   // pipelines are stale until spill().
   bool resident_ = false;
+  // The Dnode registers and outputs and the pipelines are those of a
+  // reset (reset_for_rerun() left them stale): the next spill clears
+  // them before storing the resident state.
+  bool datapath_reset_ = false;
+  // A local program may differ from the reset one: written through
+  // write_local() or a mutable Dnode accessor since the last reset.
+  bool locals_written_ = false;
   std::size_t cur_ = 0;
   std::size_t head_ = 0;
   std::uint64_t edges_ = 0;

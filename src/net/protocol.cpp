@@ -124,7 +124,20 @@ void fields(IO& io, M& msg, std::uint16_t version) {
   io.u64(msg.sim_cycles);
   io.u32(msg.worker);
   io.u8(msg.reused_system);
-  counter_fields(io, msg.counters);
+  if constexpr (IO::kDecoding) {
+    counter_fields(io, msg.counters);
+  } else {
+    const std::size_t sim = msg.sim_counters ? kResultCounterNames.size() : 0;
+    io.u32(sim + msg.counters.size());
+    for (std::size_t i = 0; i < sim; ++i) {
+      io.str(kResultCounterNames[i]);
+      io.u64((*msg.sim_counters)[i]);
+    }
+    for (const auto& [name, value] : msg.counters) {
+      io.str(name);
+      io.u64(value);
+    }
+  }
   if (version >= 2) {
     io.u64(msg.trace_id);
     io.u32(msg.queue_wait_us);
@@ -568,25 +581,29 @@ std::uint64_t decode_ping(std::span<const std::uint8_t> payload) {
   return decode<std::uint64_t>(payload, kProtocolVersion);
 }
 
-namespace {
-
-rt::Job to_rt_job_impl(const JobRequest& req) {
+rt::Job to_rt_job(const JobRequest& req,
+                  std::shared_ptr<const LoadableProgram> program) {
   req.geometry.validate();
+  rt::Job job;
   switch (req.kernel) {
     case KernelId::kFir:
-      return kernels::make_spatial_fir_job(req.geometry, req.input,
-                                           req.fir_coeffs);
+      job = kernels::make_spatial_fir_job(req.geometry, req.input,
+                                          req.fir_coeffs, std::move(program));
+      break;
     case KernelId::kMotionEstimation:
       check(req.me_range >= 1,
             "net: motion-estimation range must be at least 1");
       check(req.me_range <= kMaxMotionRange,
             "net: motion-estimation range exceeds limit of " +
                 std::to_string(kMaxMotionRange));
-      return kernels::make_motion_estimation_job(
+      job = kernels::make_motion_estimation_job(
           req.geometry, req.me_ref, req.me_rx, req.me_ry, req.me_cand,
-          static_cast<int>(req.me_range));
+          static_cast<int>(req.me_range), std::move(program));
+      break;
     case KernelId::kDwt53:
-      return kernels::make_dwt53_job(req.geometry, req.input);
+      job = kernels::make_dwt53_job(req.geometry, req.input,
+                                    std::move(program));
+      break;
     case KernelId::kMatvec8: {
       check(req.matvec_m.size() == dsp::kMatvecN * dsp::kMatvecN,
             "net: matvec8 expects a 64-word row-major matrix");
@@ -596,34 +613,26 @@ rt::Job to_rt_job_impl(const JobRequest& req) {
           m[r][c] = req.matvec_m[r * dsp::kMatvecN + c];
         }
       }
-      return kernels::make_matvec8_job(req.geometry, m, req.input);
+      job = kernels::make_matvec8_job(req.geometry, m, req.input,
+                                      std::move(program));
+      break;
     }
+    default:
+      throw SimError("net: unknown kernel id " +
+                     std::to_string(static_cast<unsigned>(req.kernel)));
   }
-  throw SimError("net: unknown kernel id " +
-                 std::to_string(static_cast<unsigned>(req.kernel)));
-}
-
-}  // namespace
-
-rt::Job to_rt_job(const JobRequest& req) {
-  rt::Job job = to_rt_job_impl(req);
   job.trace_id = req.trace_id;
   return job;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> result_counters(
-    const rt::JobResult& result) {
-  const SystemStats& s = result.report.stats;
-  return {
-      {"sim.cycles", s.cycles},
-      {"sim.ring_stall_cycles", s.ring_stall_cycles},
-      {"sim.ctrl_stall_cycles", s.ctrl_stall_cycles},
-      {"sim.dnode_ops", s.dnode_ops},
-      {"sim.arith_ops", s.arith_ops},
-      {"sim.host_words_in", s.host_words_in},
-      {"sim.host_words_out", s.host_words_out},
-      {"sim.plan_hits", s.plan_hits},
-  };
+bool same_program(const JobRequest& a, const JobRequest& b) {
+  // Fields another kernel ignores decode empty, so comparing them all
+  // costs nothing on the wire and is conservative otherwise.
+  return a.kernel == b.kernel && a.geometry == b.geometry &&
+         a.fir_coeffs == b.fir_coeffs && a.me_range == b.me_range &&
+         a.matvec_m == b.matvec_m &&
+         (a.kernel != KernelId::kMatvec8 ||
+          a.input.size() / dsp::kMatvecN == b.input.size() / dsp::kMatvecN);
 }
 
 JobResultMsg make_job_result_msg(std::uint32_t tag,
@@ -634,7 +643,10 @@ JobResultMsg make_job_result_msg(std::uint32_t tag,
   msg.sim_cycles = result.report.stats.cycles;
   msg.worker = static_cast<std::uint32_t>(result.worker);
   msg.reused_system = result.reused_system ? 1 : 0;
-  msg.counters = result_counters(result);
+  const SystemStats& s = result.report.stats;
+  msg.sim_counters = {{s.cycles, s.ring_stall_cycles, s.ctrl_stall_cycles,
+                       s.dnode_ops, s.arith_ops, s.host_words_in,
+                       s.host_words_out, s.plan_hits}};
   msg.trace_id = result.trace_id;
   msg.queue_wait_us = sat_u32(result.timeline.queue_wait_us());
   msg.execute_us = sat_u32(result.timeline.execute_us());

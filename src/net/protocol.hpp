@@ -38,11 +38,13 @@
 // durations) or the v2-only GetStats/StatsReply messages.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -180,6 +182,10 @@ struct JobResultMsg {
   std::uint64_t sim_cycles = 0;
   std::uint32_t worker = 0;
   std::uint8_t reused_system = 0;
+  /// The per-job sim.* slice (kResultCounterNames order), encoded ahead
+  /// of `counters` under the table's names so a reply builds no name
+  /// string.  Decoding returns every counter in `counters` instead.
+  std::optional<std::array<std::uint64_t, 8>> sim_counters;
   std::vector<std::pair<std::string, std::uint64_t>> counters;
 
   // v2+ tail: the request's trace_id plus the job's span durations
@@ -500,15 +506,26 @@ std::uint64_t decode_ping(std::span<const std::uint8_t> payload);
 // Job mapping
 
 /// Rebuild the rt::Job a request describes via the kernels/jobs
-/// descriptors.  Throws SimError on invalid parameters (bad geometry,
-/// wrong matrix size, empty signal) — the server turns that into an
-/// Error{kBadRequest} frame.
-rt::Job to_rt_job(const JobRequest& req);
+/// descriptors, with `program` as its program when given (it must be
+/// the build of a request for which same_program() holds).  Throws
+/// SimError on invalid parameters (bad geometry, wrong matrix size,
+/// empty signal) — the server turns that into an Error{kBadRequest}
+/// frame.
+rt::Job to_rt_job(const JobRequest& req,
+                  std::shared_ptr<const LoadableProgram> program = nullptr);
 
-/// The observability slice shipped in a JobResultMsg: named counters
-/// drawn from the job's SystemStats.
-std::vector<std::pair<std::string, std::uint64_t>> result_counters(
-    const rt::JobResult& result);
+/// True when requests `a` and `b` build the same program: the same
+/// kernel and geometry, and the same taps (FIR), search range (motion
+/// estimation) or matrix and block count (matvec8).
+bool same_program(const JobRequest& a, const JobRequest& b);
+
+/// Names of the observability slice drawn from the job's SystemStats
+/// that a JobResultMsg ships (JobResultMsg::sim_counters), in wire
+/// order.
+inline constexpr std::array<std::string_view, 8> kResultCounterNames{
+    "sim.cycles",    "sim.ring_stall_cycles", "sim.ctrl_stall_cycles",
+    "sim.dnode_ops", "sim.arith_ops",         "sim.host_words_in",
+    "sim.host_words_out", "sim.plan_hits"};
 
 /// Assemble the response message for a successful job.
 JobResultMsg make_job_result_msg(std::uint32_t tag,

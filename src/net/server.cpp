@@ -356,9 +356,16 @@ void Server::handle_submit_batch(Shard& shard, Conn& conn,
     // conversion so the fleet (and the flight recorder) see it too.
     if (jr.trace_id == 0) jr.trace_id = req.trace_id;
     batch->tags[i] = jr.tag;
+    // An entry with an earlier entry's program shares its build: one
+    // allocation per distinct program, and the pool re-arms it
+    // without a compare.
+    std::shared_ptr<const LoadableProgram> program;
+    for (std::size_t k = 0; k < jobs.size() && program == nullptr; ++k) {
+      if (same_program(req.jobs[entries[k]], jr)) program = jobs[k].program;
+    }
     rt::Job job;
     try {
-      job = to_rt_job(jr);
+      job = to_rt_job(jr, std::move(program));
     } catch (const std::exception& e) {
       JobBatchEntryMsg entry;
       entry.ok = 0;
@@ -746,33 +753,27 @@ void Server::finalize_gemm(Shard& shard, GemmState& g) {
   const bool timed = obs::telemetry_enabled();
   const auto s0 = std::chrono::steady_clock::now();
   Conn* conn = find_conn(shard, g.conn_id);
-  if (conn != nullptr) {
-    if (!g.failed) {
-      JobResultMsg msg;
-      msg.tag = g.tag;
-      msg.outputs = tile::narrow_grid(g.sched->spec, g.acc);
-      msg.sim_cycles = g.tiles.sim_cycles;
-      msg.worker = g.tiles.worker;
-      msg.reused_system = g.any_reused ? 1 : 0;
-      msg.counters = {
-          {"sim.cycles", g.tiles.sim_cycles},
-          {"tile.jobs", g.sched->steps.size()},
-          {"tile.scratch.hits", g.scratch.hits()},
-          {"tile.scratch.refills", g.scratch.refills()},
-          {"tile.scratch.evictions", g.scratch.evictions()},
-          {"tile.scratch.bytes_filled", g.scratch.bytes_filled()},
-          {"tile.scratch.bytes_saved", g.scratch.bytes_saved()},
-          {"tile.streamed_bytes", g.sched->streamed_bytes},
-      };
-      msg.trace_id = g.trace_id;
-      msg.total_us = clamp_u32(us_between(g.admitted, s0));
-      send_frame(*conn, MsgType::kJobResult,
-                 encode_job_result(msg, g.version), g.version);
-    } else {
-      send_error(*conn, g.tag, ErrorCode::kJobFailed, g.error, g.version);
-    }
-    if (conn->pending_jobs > 0) --conn->pending_jobs;
-    conn->last_activity = std::chrono::steady_clock::now();
+  std::vector<std::uint8_t> reply;
+  if (conn != nullptr && !g.failed) {
+    JobResultMsg msg;
+    msg.tag = g.tag;
+    msg.outputs = tile::narrow_grid(g.sched->spec, g.acc);
+    msg.sim_cycles = g.tiles.sim_cycles;
+    msg.worker = g.tiles.worker;
+    msg.reused_system = g.any_reused ? 1 : 0;
+    msg.counters = {
+        {"sim.cycles", g.tiles.sim_cycles},
+        {"tile.jobs", g.sched->steps.size()},
+        {"tile.scratch.hits", g.scratch.hits()},
+        {"tile.scratch.refills", g.scratch.refills()},
+        {"tile.scratch.evictions", g.scratch.evictions()},
+        {"tile.scratch.bytes_filled", g.scratch.bytes_filled()},
+        {"tile.scratch.bytes_saved", g.scratch.bytes_saved()},
+        {"tile.streamed_bytes", g.sched->streamed_bytes},
+    };
+    msg.trace_id = g.trace_id;
+    msg.total_us = clamp_u32(us_between(g.admitted, s0));
+    reply = encode_job_result(msg, g.version);
   }
   if (g.failed) {
     counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
@@ -781,7 +782,8 @@ void Server::finalize_gemm(Shard& shard, GemmState& g) {
   }
   if (timed) {
     // The request's one e2e sample and flight record, admission to
-    // reply; its tiles added only their phase samples.
+    // reply encoded, recorded before the reply leaves: a client that
+    // has the reply finds them.  Its tiles added only their phases.
     obs::SpanRecord rec = std::move(g.tiles);
     rec.trace_id = g.trace_id;
     rec.name = "gemm";
@@ -790,6 +792,14 @@ void Server::finalize_gemm(Shard& shard, GemmState& g) {
     record_request(shard, std::move(rec), g.admitted,
                    us_between(s0, std::chrono::steady_clock::now()));
   }
+  if (conn == nullptr) return;
+  if (!g.failed) {
+    send_frame(*conn, MsgType::kJobResult, reply, g.version);
+  } else {
+    send_error(*conn, g.tag, ErrorCode::kJobFailed, g.error, g.version);
+  }
+  if (conn->pending_jobs > 0) --conn->pending_jobs;
+  conn->last_activity = std::chrono::steady_clock::now();
 }
 
 void Server::handle_frame(Shard& shard, Conn& conn, const Frame& frame) {
@@ -977,7 +987,6 @@ void Server::collect_completions(Shard& shard) {
     PendingGroup pending = std::move(*it);
     it = shard.pending.erase(it);
     const std::vector<rt::JobResult> results = pending.results.get();
-    record_phases(shard, results);
     if (pending.gemm != nullptr) {
       // Tile group of a v4 GEMM: fold into the accumulator, no reply
       // yet.  The single response leaves via finalize_gemm once every
@@ -1083,20 +1092,6 @@ void Server::answer_job(Shard& shard, const PendingGroup& pending,
   }
 }
 
-void Server::record_phases(Shard& shard,
-                           const std::vector<rt::JobResult>& results) {
-  if (!obs::telemetry_enabled()) return;
-  // Latency histograms go to the shard's own slice; metrics() merges
-  // the slices, so the totals are invariant to the shard count.
-  std::lock_guard lock(shard.lat_mu);
-  LatencyHistograms& lat = shard.latency;
-  for (const rt::JobResult& r : results) {
-    lat.queue_wait_us.record(r.timeline.queue_wait_us());
-    lat.arm_us.record(r.timeline.arm_us());
-    lat.execute_us.record(r.timeline.execute_us());
-  }
-}
-
 void Server::record_request(Shard& shard, obs::SpanRecord rec,
                             std::chrono::steady_clock::time_point admitted,
                             std::uint64_t serialize_us) {
@@ -1107,8 +1102,8 @@ void Server::record_request(Shard& shard, obs::SpanRecord rec,
   rec.e2e_us = clamp_u32(e2e);
   {
     std::lock_guard lock(shard.lat_mu);
-    shard.latency.serialize_us.record(serialize_us);
-    shard.latency.e2e_us.record(e2e);
+    shard.serialize_us.record(serialize_us);
+    shard.e2e_us.record(e2e);
   }
   std::lock_guard lock(telemetry_mu_);
   recorder_.record(std::move(rec));
@@ -1396,15 +1391,10 @@ obs::Registry Server::metrics() const {
     out.counter(prefix + ".jobs").set(get(shard->jobs_submitted));
     out.counter(prefix + ".connections").set(get(shard->connections));
     std::lock_guard lock(shard->lat_mu);
-    const LatencyHistograms& lat = shard->latency;
     for (const auto& [name, h] :
-         {std::pair{"net.latency.queue_wait_us", &lat.queue_wait_us},
-          std::pair{"net.latency.arm_us", &lat.arm_us},
-          std::pair{"net.latency.execute_us", &lat.execute_us},
-          std::pair{"net.latency.serialize_us", &lat.serialize_us},
-          std::pair{"net.latency.e2e_us", &lat.e2e_us}}) {
-      // Named once it has a sample: fleet jobs feed the phases,
-      // answered requests the serialize and e2e samples.
+         {std::pair{"net.latency.serialize_us", &shard->serialize_us},
+          std::pair{"net.latency.e2e_us", &shard->e2e_us}}) {
+      // Named once it has a sample, one per answered request.
       if (h->count() > 0) out.histogram(name, h->bounds()).merge_from(*h);
     }
   }

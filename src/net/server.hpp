@@ -300,15 +300,6 @@ class Server {
     std::chrono::steady_clock::time_point deadline;
   };
 
-  /// The net.latency.* phases of timed completions, one histogram each.
-  struct LatencyHistograms {
-    obs::Histogram queue_wait_us{obs::latency_bounds_us()};
-    obs::Histogram arm_us{obs::latency_bounds_us()};
-    obs::Histogram execute_us{obs::latency_bounds_us()};
-    obs::Histogram serialize_us{obs::latency_bounds_us()};
-    obs::Histogram e2e_us{obs::latency_bounds_us()};
-  };
-
   /// One event-loop shard: its own poll loop, connections, in-flight
   /// state, wake pipe and telemetry slice.  Only the inbox (fd handoff
   /// from the acceptor) and the latency histograms are ever touched by
@@ -333,10 +324,12 @@ class Server {
     std::atomic<std::uint64_t> jobs_submitted{0};
     std::atomic<std::uint64_t> connections{0};
 
-    /// Shard-local net.latency.* histograms; Server::metrics() names
-    /// and merges every shard's set.
+    /// Shard-local net.latency.* histograms, one sample per answered
+    /// request (the fleet's queue-wait, arm and execute phases are
+    /// rt.latency.*); Server::metrics() names and merges every shard's.
     mutable std::mutex lat_mu;
-    LatencyHistograms latency;
+    obs::Histogram serialize_us{obs::latency_bounds_us()};
+    obs::Histogram e2e_us{obs::latency_bounds_us()};
   };
 
   void send_frame(Conn& conn, MsgType type,
@@ -394,10 +387,6 @@ class Server {
                           const std::vector<rt::JobResult>& results);
   void answer_job(Shard& shard, const PendingGroup& pending,
                   const rt::JobResult& result);
-  /// Fold fleet jobs' queue-wait/arm/execute phases into the shard's
-  /// histograms: one sample per job, GEMM tiles included.
-  void record_phases(Shard& shard,
-                     const std::vector<rt::JobResult>& results);
   /// Record one answered request — a single job, a batch entry or a
   /// whole GEMM — as one e2e and serialize sample and one flight
   /// record.

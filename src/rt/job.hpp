@@ -34,9 +34,11 @@ struct Job {
 
   std::string name;  ///< job label; becomes the RunReport name
 
-  /// The program, shared so a whole batch references one build.  The
-  /// pool re-arms a resident System whose program has the same
-  /// structure (content compared, never pointer identity).
+  /// The program, shared so a whole batch references one build, and
+  /// never modified while a Job holds it.  The pool re-arms a resident
+  /// System whose program has the same structure (content compared),
+  /// and skips the compare when this is the very object that System
+  /// was last armed from.
   std::shared_ptr<const LoadableProgram> program;
 
   std::vector<Word> input;  ///< words sent to the host FIFO before the run

@@ -11,7 +11,9 @@
 // are written, the controller keeps its code and the ring keeps its
 // page index.  A new FIR tap set, a new matrix or the next GEMM A tile
 // of a known kernel is then a re-arm, and an exact rerun is the re-arm
-// that writes nothing: the paper's controller rewriting
+// that writes nothing; a job carrying the very program object the
+// System was last armed from (a shared batch or A-tile program) skips
+// even the compare (System::rerun()): the paper's controller rewriting
 // microinstructions as data over preloaded configuration pages,
 // applied to the fleet.  Any other program is a full load.
 //
@@ -64,6 +66,8 @@ class SystemPool {
     RingGeometry geometry;
     LinkRate link;
     std::unique_ptr<System> system;
+    /// The program object `system` was last armed from.
+    std::shared_ptr<const LoadableProgram> program;
     std::uint64_t last_use = 0;
   };
 

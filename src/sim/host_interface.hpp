@@ -28,6 +28,8 @@ struct LinkRate {
 
   static LinkRate unlimited() noexcept { return {0, 1}; }
 
+  bool operator==(const LinkRate&) const = default;
+
   /// Build from bytes/second at a clock frequency (16-bit words).
   static LinkRate from_bytes_per_second(double bytes_per_s,
                                         double clock_hz);

@@ -31,54 +31,34 @@ void System::load(const LoadableProgram& program) {
   for (const auto& page : program.pages) cfg_.add_page(page);
   ctrl_.load_program(program.controller_code);
   local_init_ = program.local_init;
-  reset_common(program, /*same_structure=*/false);
+  reset_common(/*same_structure=*/false);
   loaded_ = true;
 }
 
-bool System::same_structure(const LoadableProgram& program) const {
+bool System::rearm(const LoadableProgram& program) {
   if (!loaded_ || program.geometry.layers != geom_.layers ||
       program.geometry.lanes != geom_.lanes ||
-      program.pages.size() != cfg_.page_count() ||
       program.controller_code != ctrl_.program() ||
-      program.local_init != local_init_) {
+      program.local_init != local_init_ || !cfg_.patch_imms(program.pages)) {
     return false;
   }
-  for (std::size_t p = 0; p < program.pages.size(); ++p) {
-    const ConfigPage& want = program.pages[p];
-    const ConfigPage& have = cfg_.page(p);
-    if (want.dnode_mode != have.dnode_mode ||
-        want.switch_route != have.switch_route ||
-        want.dnode_instr.size() != have.dnode_instr.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < want.dnode_instr.size(); ++i) {
-      if (((want.dnode_instr[i] ^ have.dnode_instr[i]) & ~kImmFieldMask) !=
-          0) {
-        return false;
-      }
-    }
-  }
+  rerun();
   return true;
 }
 
-bool System::rearm(const LoadableProgram& program) {
-  if (!same_structure(program)) return false;
-  for (std::size_t p = 0; p < program.pages.size(); ++p) {
-    cfg_.patch_imms(p, program.pages[p].dnode_instr);
-  }
+void System::rerun() {
+  check(loaded_, "System::rerun: no program armed");
   cfg_.reset_live();
   ctrl_.reset();
-  reset_common(program, /*same_structure=*/true);
-  return true;
+  reset_common(/*same_structure=*/true);
 }
 
-void System::reset_common(const LoadableProgram& program,
-                          bool same_structure) {
+void System::reset_common(bool same_structure) {
   // Re-arms and loads alike keep the ring's compiled plan cache warm
   // (structure keys re-verified before reuse): a new program of a known
   // kernel differs from it only in immediates.
   ring_.reset_for_rerun();
-  for (const auto& lw : program.local_init) {
+  for (const auto& lw : local_init_) {
     ring_.write_local(lw.dnode, lw.slot, lw.value);
   }
   ring_.finish_arm(same_structure);
@@ -376,7 +356,7 @@ ElementCounters System::element_counters() const {
     e.data.insert(e.data.end(), v->begin(), v->end());
   }
   for (std::size_t sw = 0; sw < switches; ++sw) {
-    e.data.push_back(ring_.pipeline(sw).occupancy());
+    e.data.push_back(ring_.fb_occupancy(sw));
   }
   const auto& depths = ring_.fb_read_depth_counts();
   e.data.insert(e.data.end(), depths.begin(), depths.end());

@@ -146,19 +146,25 @@ class System {
   /// the program last load()ed — the same geometry, the same pages
   /// outside their imm16 fields (kImmFieldMask), exactly the same
   /// controller code and exactly the same local_init, decided by
-  /// comparing content: write only the page immediates that differ
-  /// (ConfigMemory::patch_imms keeps the decoded pages current), reset
-  /// the controller without reloading its code, and reset the rest as
-  /// load() does.  The pages stay decoded in configuration memory — the
-  /// software analogue of the paper's preloaded configuration layer —
-  /// and the ring keeps its page index.  An exact rerun is the re-arm
-  /// that writes nothing.  Afterwards the machine's architectural
-  /// state, outputs and statistics are indistinguishable from a freshly
-  /// constructed System that just load()ed `program`, with ONE
-  /// carve-out: the ring.plan.* counters, and the ring.superstep.*
-  /// counters that follow from them, reflect the warm plan cache.
-  /// Returns false, changing nothing, on any other program.
+  /// comparing content: one pass over the page words compares them and
+  /// writes the immediates that differ (ConfigMemory::patch_imms keeps
+  /// the decoded pages current), then rerun() arms it.  The pages stay
+  /// decoded in configuration memory — the software analogue of the
+  /// paper's preloaded configuration layer — and the ring keeps its
+  /// page index.  Afterwards the machine's architectural state, outputs
+  /// and statistics are indistinguishable from a freshly constructed
+  /// System that just load()ed `program`, with ONE carve-out: the
+  /// ring.plan.* counters, and the ring.superstep.* counters that
+  /// follow from them, reflect the warm plan cache.  Returns false,
+  /// changing nothing, on any other program.
   [[nodiscard]] bool rearm(const LoadableProgram& program);
+
+  /// Arm the program last armed again, unchanged: reset the live
+  /// configuration, the controller (keeping its code) and the rest as
+  /// load() does, with nothing compared or written.  Equivalent to
+  /// rearm() of that program; the caller vouches that it is the same
+  /// content (SystemPool: the very program object it last armed).
+  void rerun();
 
   /// Advance one clock cycle.
   void step();
@@ -220,8 +226,7 @@ class System {
   void set_trace(obs::EventSink* sink);
 
  private:
-  bool same_structure(const LoadableProgram& program) const;
-  void reset_common(const LoadableProgram& program, bool same_structure);
+  void reset_common(bool same_structure);
   /// The controller's part of a cycle (counts its statistics).
   Controller::StepResult step_controller(Word bus, std::uint64_t cycle);
   /// The rest of a cycle after the controller stepped: ring evaluation,

@@ -108,24 +108,31 @@ TEST(ConfigMemory, PatchImmsRewritesOnlyImmediates) {
   const std::uint64_t hash = cfg.content_hash();
   const std::uint64_t gen = cfg.generation();
 
-  std::vector<std::uint64_t> words = page.dnode_instr;
+  ConfigPage want = page;
   mac.imm = static_cast<Word>(-7);
-  words[2] = mac.encode();
-  cfg.patch_imms(p, words);
+  want.dnode_instr[2] = mac.encode();
+  EXPECT_TRUE(cfg.patch_imms({&want, 1}));
   EXPECT_EQ(cfg.dnode_instr(2), mac);
   EXPECT_EQ(cfg.live_imms()[2], mac.imm);
-  EXPECT_EQ(cfg.page(p).dnode_instr, words);
+  EXPECT_EQ(cfg.page(p).dnode_instr, want.dnode_instr);
   EXPECT_EQ(cfg.content_hash(), hash) << "structure unchanged";
   EXPECT_GT(cfg.generation(), gen) << "the live page changed";
 
-  // Anything outside the immediate is another structure: rejected
-  // before any word is written.
-  std::vector<std::uint64_t> other = words;
-  other[0] = DnodeInstr{.op = DnodeOp::kAdd}.encode();
-  other[2] = page.dnode_instr[2];
-  EXPECT_THROW(cfg.patch_imms(p, other), SimError);
-  EXPECT_EQ(cfg.page(p).dnode_instr, words);
-  EXPECT_THROW(cfg.patch_imms(p + 1, words), SimError);
+  // Anything outside the immediate is another structure: rejected, and
+  // the immediate patched before the mismatch was met is undone.
+  const std::uint64_t gen2 = cfg.generation();
+  ConfigPage other = want;
+  DnodeInstr mac9 = mac;
+  mac9.imm = 9;
+  other.dnode_instr[2] = mac9.encode();
+  other.dnode_instr[3] = DnodeInstr{.op = DnodeOp::kAdd}.encode();
+  EXPECT_FALSE(cfg.patch_imms({&other, 1}));
+  EXPECT_EQ(cfg.page(p).dnode_instr, want.dnode_instr);
+  EXPECT_EQ(cfg.dnode_instr(2), mac);
+  EXPECT_EQ(cfg.live_imms()[2], mac.imm);
+  EXPECT_EQ(cfg.generation(), gen2);
+  const std::vector<ConfigPage> two{want, want};
+  EXPECT_FALSE(cfg.patch_imms(two));
 }
 
 TEST(ConfigMemory, PageShapeValidated) {

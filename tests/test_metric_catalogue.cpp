@@ -218,13 +218,24 @@ TEST(MetricCatalogue, EveryProducedNameIsDocumented) {
   }
   EXPECT_GT(produced.size(), 100u);
   EXPECT_TRUE(missing.empty()) << "undocumented metric names:" << missing;
+  // The fleet's queue-wait, arm and execute phases are rt.latency.*
+  // only; the server's duplicates are gone from the code and the docs.
+  for (const char* retired : {"net.latency.queue_wait_us",
+                              "net.latency.arm_us", "net.latency.execute_us"}) {
+    EXPECT_EQ(produced.count(retired), 0u) << retired;
+    EXPECT_EQ(documented.count(retired), 0u) << retired;
+  }
+  for (const char* phase : {"rt.latency.queue_wait_us", "rt.latency.arm_us",
+                            "rt.latency.execute_us"}) {
+    EXPECT_EQ(produced.count(phase), 1u) << phase;
+  }
 
   // Per-job slices: every sim.* name net::result_counters renders, the
   // svc.dfg.* slice of a DFG reply and the tile.* slice of a GEMM reply.
-  for (const auto& [name, value] : net::result_counters(rt::JobResult{})) {
-    EXPECT_EQ(slices.count(name), 1u) << "reply lacks " << name;
+  for (const std::string_view name : net::kResultCounterNames) {
+    EXPECT_EQ(slices.count(std::string(name)), 1u) << "reply lacks " << name;
   }
-  EXPECT_EQ(net::result_counters(rt::JobResult{}).size(), 8u);
+  EXPECT_EQ(net::kResultCounterNames.size(), 8u);
   for (const char* prefix : {"sim.", "svc.dfg.", "tile."}) {
     EXPECT_TRUE(std::any_of(slices.begin(), slices.end(),
                             [prefix](const std::string& n) {

@@ -234,6 +234,69 @@ TEST(NetServer, RoundTripAllKernelsBitExact) {
   EXPECT_EQ(m.find_counter("net.jobs.failed")->value(), 0u);
 }
 
+// A v5 batch that repeats and varies FIR taps, matvec8 matrices and
+// block counts builds one program per distinct set of parameters on
+// the server, shared by its entries.  Every entry must still answer
+// exactly what its own single submission answers.
+TEST(NetServer, BatchSharingProgramsMatchesSingleSubmissions) {
+  Rng rng(0x5A4Eull);
+  const auto words = [&](std::size_t n, int lo, int hi) {
+    std::vector<Word> w(n);
+    for (Word& x : w) x = rng.next_word_in(lo, hi);
+    return w;
+  };
+  const std::vector<std::vector<Word>> taps{
+      {1, static_cast<Word>(-2), 3}, {4, 5}, {1, static_cast<Word>(-2), 4}};
+  const std::vector<std::vector<Word>> matrices{words(64, -128, 127),
+                                                words(64, -128, 127)};
+  std::vector<JobRequest> reqs = all_kernel_requests();
+  for (std::uint32_t i = 0; i < 30; ++i) {
+    JobRequest req;
+    req.geometry = kGeom;
+    switch (i % 3) {
+      case 0:
+        req.kernel = KernelId::kFir;
+        req.fir_coeffs = taps[rng.next_below(taps.size())];
+        req.input = words(16 + rng.next_below(32), -128, 127);
+        break;
+      case 1:
+        req.kernel = KernelId::kMatvec8;
+        req.matvec_m = matrices[rng.next_below(matrices.size())];
+        req.input = words(8 * (1 + rng.next_below(3)), -64, 63);
+        break;
+      default:
+        req.kernel = KernelId::kDwt53;
+        req.input = words(2 * (8 + rng.next_below(16)), -128, 127);
+        break;
+    }
+    reqs.push_back(std::move(req));
+  }
+  for (std::uint32_t i = 0; i < reqs.size(); ++i) reqs[i].tag = i + 1;
+
+  ServerConfig scfg;
+  scfg.runtime.workers = 2;
+  TestServer ts(scfg);
+  Client client(client_config(ts.server.port()));
+  const std::vector<RemoteResult> batch = client.submit_batch_wire(reqs);
+  ASSERT_EQ(batch.size(), reqs.size());
+  // Plan-cache counters describe how warm the pooled System was.
+  const auto sim = [](const RemoteResult& r) {
+    auto counters = r.counters;
+    std::erase_if(counters,
+                  [](const auto& c) { return c.first == "sim.plan_hits"; });
+    return counters;
+  };
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    SCOPED_TRACE("entry " + std::to_string(i));
+    const RemoteResult single = client.submit(reqs[i]);
+    ASSERT_TRUE(batch[i].ok) << batch[i].error;
+    ASSERT_TRUE(single.ok) << single.error;
+    EXPECT_EQ(batch[i].outputs, single.outputs);
+    EXPECT_EQ(batch[i].sim_cycles, single.sim_cycles);
+    EXPECT_EQ(sim(batch[i]), sim(single));
+  }
+}
+
 TEST(NetServer, PingAndServerInfo) {
   ServerConfig scfg;
   scfg.runtime.workers = 1;
@@ -594,9 +657,8 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
       "net.connections.rejected", "net.drains", "net.frames.in",
       "net.frames.out", "net.gemm.requests", "net.gemm.tile_jobs",
       "net.jobs.completed", "net.jobs.failed", "net.jobs.submitted",
-      "net.latency.arm_us", "net.latency.e2e_us",
-      "net.latency.execute_us", "net.latency.queue_wait_us",
-      "net.latency.serialize_us", "net.protocol_errors",
+      "net.latency.e2e_us", "net.latency.serialize_us",
+      "net.protocol_errors",
       "net.rejects.busy", "net.rejects.shutdown", "net.shard.0.connections",
       "net.shard.0.frames_in", "net.shard.0.jobs", "net.shards",
       "net.timeouts", "ring.plan.compiles", "ring.plan.hits",
@@ -660,9 +722,8 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
   EXPECT_EQ(values, want_values);
   for (const char* name :
        {"rt.latency.queue_wait_us", "rt.latency.arm_us",
-        "rt.latency.execute_us", "net.latency.queue_wait_us",
-        "net.latency.arm_us", "net.latency.execute_us",
-        "net.latency.serialize_us", "net.latency.e2e_us"}) {
+        "rt.latency.execute_us", "net.latency.serialize_us",
+        "net.latency.e2e_us"}) {
     const obs::Histogram* h = m.find_histogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_EQ(h->count(), all_kernel_requests().size()) << name;
@@ -699,9 +760,9 @@ TEST(NetServerMetrics, TalliesAppearWithTheFirstAnsweredJob) {
   ts.stop();
   const obs::Registry after = ts.server.metrics();
   for (const char* name :
-       {"net.latency.queue_wait_us", "net.latency.arm_us",
-        "net.latency.execute_us", "net.latency.serialize_us",
-        "net.latency.e2e_us", "rt.latency.queue_wait_us", "rt.job_cycles"}) {
+       {"rt.latency.queue_wait_us", "rt.latency.arm_us",
+        "rt.latency.execute_us", "net.latency.serialize_us",
+        "net.latency.e2e_us", "rt.job_cycles"}) {
     const obs::Histogram* h = after.find_histogram(name);
     ASSERT_NE(h, nullptr) << name;
     EXPECT_EQ(h->count(), 1u) << name;
@@ -760,8 +821,8 @@ TEST(NetServerStats, SnapshotUnderLoadCarriesQuantilesAndRates) {
   // Every pipeline phase shows up with one sample per completed job,
   // and its quantiles are ordered the way quantiles must be.
   for (const char* name :
-       {"net.latency.queue_wait_us", "net.latency.arm_us",
-        "net.latency.execute_us", "net.latency.serialize_us",
+       {"rt.latency.queue_wait_us", "rt.latency.arm_us",
+        "rt.latency.execute_us", "net.latency.serialize_us",
         "net.latency.e2e_us"}) {
     const StatsQuantileMsg* q = nullptr;
     for (const auto& lat : s.latencies) {

@@ -214,10 +214,13 @@ TEST(NetShard, CountersMatchSingleShardTotals) {
     EXPECT_EQ(counter(m, "net.admission.accepted"), kJobs);
     EXPECT_EQ(counter(m, "net.connections.accepted"), kConns);
     // Per-shard latency registries merge into one view: every job
-    // produced exactly one e2e sample.
-    const obs::Histogram* e2e = m.find_histogram("net.latency.e2e_us");
-    ASSERT_NE(e2e, nullptr);
-    EXPECT_EQ(e2e->count(), kJobs);
+    // produced exactly one serialize and one e2e sample.
+    for (const char* name :
+         {"net.latency.serialize_us", "net.latency.e2e_us"}) {
+      const obs::Histogram* h = m.find_histogram(name);
+      ASSERT_NE(h, nullptr) << name;
+      EXPECT_EQ(h->count(), kJobs) << name;
+    }
   }
   EXPECT_EQ(counter(metrics[0], "net.shards"), 1u);
   EXPECT_EQ(counter(metrics[1], "net.shards"), 3u);

@@ -22,11 +22,17 @@
 // immediates midway, and a second counted loop, either nested (it
 // replays while the outer loop records) or following the first.
 //
+// A third generator enters a traced loop by falling into its head
+// after a rerun, on a reset configuration that equals the entry page
+// (the first iteration must replay) or differs from it (it must not),
+// sometimes starving the replay before its first PAGE.
+//
 // Three runs must agree: the interpreter, the planned path with the
-// superstep engine off, and the default.  Outputs and architectural
-// statistics agree across all three; metrics agree minus ring.plan.*
-// and ring.superstep.* against the interpreter, and minus
-// ring.superstep.* between the two planned runs.
+// superstep engine off, and the default.  Outputs, the live page after
+// every run step and architectural statistics agree across all three;
+// metrics agree minus ring.plan.* and ring.superstep.* against the
+// interpreter, and minus ring.superstep.* between the two planned
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,6 +52,7 @@ namespace {
 
 constexpr int kSeeds = 240;
 constexpr int kTraceSeeds = 240;
+constexpr int kFallThroughSeeds = 64;
 
 const RingGeometry kGeometries[] = {{2, 1, 4}, {2, 2, 4}, {3, 2, 4},
                                     {4, 2, 8}};
@@ -144,6 +151,7 @@ struct Case {
   std::vector<Word> input;
   std::vector<Action> drive;
   bool untraceable = false;  ///< every iteration runs a WRCFG
+  std::uint64_t loop_len = 0;  ///< fall-through cases: cycles per iteration
 };
 
 Case make_case(int seed) {
@@ -552,6 +560,64 @@ Case make_trace_case(int seed) {
   return c;
 }
 
+/// A counted loop entered by falling into its head after a rerun, on
+/// the reset configuration.  Its traceable body opens with a register
+/// broadcast and an INPOP before its first PAGE, and every iteration
+/// ends on the entry page: the all-zero page (`zero_entry`, equal to
+/// the reset configuration) or a random one.  With `starve`, the rerun
+/// gets no input for a while, so a replay of the first iteration stops
+/// at the INPOP, before any PAGE.
+Case make_fall_through_case(int seed, bool zero_entry, bool starve) {
+  Rng rng(0xFA11ull * 1000003u + static_cast<std::uint64_t>(seed));
+  Case c;
+  c.g = pick(rng, kGeometries);
+  ProgramBuilder pb(c.g, "fall_through_" + std::to_string(seed));
+  const std::size_t npages = 2 + rng.next_below(5);
+  for (std::size_t i = 0; i < npages; ++i) {
+    pb.add_page(random_global_page(rng, c.g));
+  }
+  const std::size_t entry = zero_entry
+                                ? pb.add_page(ConfigPage::zeroed(c.g))
+                                : rng.next_below(npages);
+  const std::uint64_t iterations = 4 + rng.next_below(16);
+  pb.set_reg(1, iterations);
+  pb.ldi(2, 0);
+  pb.label("loop");
+  pb.ldi(6, static_cast<std::int32_t>(rng.next_below(200)));
+  pb.busw(6);
+  pb.inpop(3);
+  pb.busw(3);
+  c.loop_len = 4;
+  for (std::size_t k = 2 + rng.next_below(6); k > 0; --k) {
+    if (chance(rng, 60)) {
+      pb.page_switch(rng.next_below(npages));
+      ++c.loop_len;
+    } else {
+      pb.inpop(3);
+      pb.busw(3);
+      c.loop_len += 2;
+    }
+  }
+  pb.page_switch(entry);
+  pb.addi(1, 1, -1);
+  pb.branch(RiscOp::kBne, 1, 2, "loop");
+  pb.halt();
+  c.loop_len += 3;
+  c.program = pb.build();
+
+  const std::size_t total = iterations * c.loop_len;
+  for (std::size_t i = 0; i < total; ++i) {
+    c.input.push_back(rng.next_word_in(-300, 300));
+  }
+  c.drive.push_back({Action::kSend, total});
+  c.drive.push_back({Action::kRun, 4000});
+  c.drive.push_back({Action::kRerun, 0});
+  if (starve) c.drive.push_back({Action::kRun, 1 + rng.next_below(20)});
+  c.drive.push_back({Action::kSend, total});
+  c.drive.push_back({Action::kRun, 4000});
+  return c;
+}
+
 enum class Mode { kInterpreter, kPerCycle, kDefault };
 
 /// Metrics snapshot minus the instruments under the given prefixes.
@@ -578,6 +644,9 @@ struct Outcome {
   std::uint64_t superstep_cycles = 0;
   std::uint64_t trace_cycles = 0;
   std::uint64_t output_stop_timeouts = 0;  ///< kOutputs past its budget
+  std::vector<std::ptrdiff_t> live_pages;  ///< after every kRun
+  /// Controller instructions of the last arm not replayed from a trace.
+  std::uint64_t stepped = 0;
 };
 
 Outcome run_case(const Case& c, Mode mode) {
@@ -595,6 +664,7 @@ Outcome run_case(const Case& c, Mode mode) {
         break;
       case Action::kRun:
         sys.run_cycles(a.n);
+        o.live_pages.push_back(sys.config().live_page());
         break;
       case Action::kOutputs:
         // The budget throws at the same cycle on every path.
@@ -622,6 +692,7 @@ Outcome run_case(const Case& c, Mode mode) {
   o.metrics = sys.metrics();
   o.superstep_cycles = sys.ring().superstep_cycles();
   o.trace_cycles += sys.ring().trace_cycles();
+  o.stepped = o.stats.ctrl_instructions - sys.ring().trace_cycles();
   return o;
 }
 
@@ -643,6 +714,8 @@ Outcome run_three_ways(const Case& c) {
 
   EXPECT_EQ(interp.outputs, percycle.outputs);
   EXPECT_EQ(interp.outputs, fused_run.outputs);
+  EXPECT_EQ(interp.live_pages, percycle.live_pages);
+  EXPECT_EQ(interp.live_pages, fused_run.live_pages);
   EXPECT_EQ(arch_only(interp.stats).to_string(),
             arch_only(percycle.stats).to_string());
   EXPECT_EQ(percycle.stats.to_string(), fused_run.stats.to_string());
@@ -709,6 +782,26 @@ TEST(PageScheduleDifferential, TracedLoopsAndGuardMissesAgree) {
         << " controller instructions";
   }
   EXPECT_LT(timeouts, static_cast<std::uint64_t>(kTraceSeeds));
+}
+
+TEST(PageScheduleDifferential, FallThroughHeadReplaysOnlyOnTheEntryContent) {
+  for (int seed = 0; seed < kFallThroughSeeds; ++seed) {
+    SCOPED_TRACE("fall-through seed " + std::to_string(seed));
+    const bool zero_entry = seed % 2 == 0;
+    const bool starve = seed % 4 >= 2;
+    const Case c = make_fall_through_case(seed, zero_entry, starve);
+    const Outcome fused_run = run_three_ways(c);
+    if (testing::Test::HasFailure()) return;
+    if (starve) continue;
+    // The rerun's first iteration replays exactly when the reset
+    // configuration holds the entry page's content: then only the
+    // prologue and the loop exit run cycle by cycle.
+    if (zero_entry) {
+      EXPECT_LT(fused_run.stepped, c.loop_len);
+    } else {
+      EXPECT_GE(fused_run.stepped, c.loop_len);
+    }
+  }
 }
 
 }  // namespace

@@ -393,7 +393,7 @@ TEST(TileServe, GemmRecordsOneE2eSampleAndOneFlightRecord) {
   const obs::Histogram* e2e = m.find_histogram("net.latency.e2e_us");
   ASSERT_NE(e2e, nullptr);
   EXPECT_EQ(e2e->count(), 1u);
-  const obs::Histogram* exec = m.find_histogram("net.latency.execute_us");
+  const obs::Histogram* exec = m.find_histogram("rt.latency.execute_us");
   ASSERT_NE(exec, nullptr);
   EXPECT_EQ(exec->count(), tiles);
   obs::set_telemetry_enabled(telemetry_was);
