@@ -8,18 +8,15 @@
 // Runs five steady-state kernels (spatial FIR, stand-alone running
 // MAC, 5/3 wavelet, block matvec8, full-search motion estimation, its
 // search range scaled so it runs about --samples cycles) on the same
-// input three times — plan cache off; plan on with the
-// superstep engine off; everything on (the shipped default) — and
-// reports simulated cycles per wall-clock second for each path.  The
-// run aborts unless all three paths are bit-exact: identical outputs,
-// identical cycle counts, identical architectural statistics, and
-// (between the stepped planned and superstep paths) identical full
-// statistics and metrics apart from the ring.superstep.* counters.
-//
-// The per-run plan/superstep switches defer to the environment
-// escape hatches: under SRING_NO_PLAN_CACHE or SRING_NO_SUPERSTEP the
-// faster columns degrade to the slower path but every identity check
-// still holds — which is exactly what the CI smoke asserts.
+// input three times — plan cache off (Ring::set_plan_cache_enabled),
+// stepped (one System::step() per cycle under the run_* stop rules,
+// tests/stepped_run.hpp, the reference the tests use too), and the
+// System's own run loop (the shipped default) — and reports simulated
+// cycles per wall-clock second for each path.  The run aborts unless
+// all three paths are bit-exact: identical outputs, identical cycle
+// counts, identical architectural statistics, and (between the stepped
+// planned and superstep paths) identical full statistics and metrics
+// apart from the ring.superstep.* counters.
 //
 // Usage:
 //   bench_cycle [--samples N] [--reps N] [--json <path>]
@@ -42,6 +39,7 @@
 #include "obs/cli.hpp"
 #include "sim/report.hpp"
 #include "sim/system.hpp"
+#include "../tests/stepped_run.hpp"
 
 namespace {
 
@@ -121,26 +119,18 @@ struct RunMeasure {
   std::uint64_t trace_cycles = 0;
 };
 
-/// One timed run of a job on the chosen execution path.  The
-/// interpreter path disables both knobs explicitly; the faster paths
-/// leave the construction-time environment defaults in force so the
-/// escape hatches stay observable end to end.
+/// One timed run of a job on the chosen execution path: the
+/// interpreter and the stepped planned path run one step() per cycle,
+/// the superstep path the System's own run loop.
 RunMeasure timed_run(const rt::Job& job, Path path) {
   System sys({kGeom, job.link});
   if (path == Path::kInterpreter) {
     sys.ring().set_plan_cache_enabled(false);
   }
-  if (path != Path::kSuperstep) {
-    sys.set_superstep_enabled(false);
-  }
   sys.load(*job.program);
   sys.host().send(job.input);
   const auto t0 = std::chrono::steady_clock::now();
-  if (job.run == rt::Job::Run::kUntilOutputs) {
-    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
-  } else {
-    sys.run_until_halt(job.max_cycles, job.drain_cycles);
-  }
+  Drive{.stepped = path != Path::kSuperstep}.job(sys, job);
   const auto t1 = std::chrono::steady_clock::now();
 
   RunMeasure m;

@@ -12,9 +12,10 @@
 // the applied page until the next word write materializes a private
 // copy (copy-on-write).  Page swaps are the hot operation of
 // hardware-multiplexed kernels, so they also carry a precomputed
-// structure hash and memoized per-switch route-change deltas (a dense
-// table indexed by the (from, to) page pair) — the observable semantics
-// (accessors, generation, statistics) are identical to eager copying.
+// structure hash and memoized per-switch route-change deltas (for each
+// page, a list of the pages swapped to from it) — the observable
+// semantics (accessors, generation, statistics) are identical to eager
+// copying.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "core/ring.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -40,8 +39,6 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   window_.assign((window_slack_ + geom_.fb_depth) * geom_.dnode_count(), 0);
   op_vals_.assign(geom_.dnode_count(), 0);
   local_imm_.assign(geom_.dnode_count() * kLocalProgramSlots, 0);
-  const char* no_plan = std::getenv("SRING_NO_PLAN_CACHE");
-  plan_enabled_ = no_plan == nullptr || *no_plan == '\0';
 }
 
 std::size_t Ring::flat_index(std::size_t layer, std::size_t lane) const {

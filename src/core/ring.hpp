@@ -62,14 +62,13 @@
 // flat state and feedback window stay resident, across resets too
 // (a reset zeroes them in place); the Dnodes and pipelines are brought
 // up to date (spilled) only when the interpreter, a state accessor or
-// set_plan_cache_enabled() needs them, never for a report.  A
+// set_plan_cache_enabled(false) needs them, never for a report.  A
 // plan whose local programs repeat with a period above
 // kMaxSuperstepPeriod has no tape and is interpreted.  Outputs and
 // architectural statistics are bit-exact with the interpreter; only
-// the ring.plan.* counters differ.  Set the SRING_NO_PLAN_CACHE
-// environment variable (any non-empty value, read at Ring
-// construction) or call set_plan_cache_enabled(false) to force the
-// interpreter.
+// the ring.plan.* counters differ.  set_plan_cache_enabled(false)
+// forces the interpreter: the reference the planned paths are tested
+// against.
 #pragma once
 
 #include <cstdint>
@@ -347,7 +346,6 @@ class Ring {
   }
   /// Cache entries discarded to stay within kPlanCacheCapacity.
   std::uint64_t plan_evictions() const noexcept { return plan_evictions_; }
-  bool plan_cache_enabled() const noexcept { return plan_enabled_; }
   /// Superstep dispatches (run_planned() calls that completed >= 1
   /// cycle) and total cycles they covered, controller-driven and
   /// ring-stalled cycles included.  Observability only: these
@@ -361,9 +359,10 @@ class Ring {
   }
   /// Of superstep_cycles(), those replayed from a controller loop tape.
   std::uint64_t trace_cycles() const noexcept { return trace_cycles_; }
-  /// Enable/disable the cycle-plan cache at runtime (A/B comparisons).
-  /// Disabling detaches the current plan without counting an
-  /// invalidation — it is a tooling action, not a configuration write.
+  /// Enable/disable the cycle-plan cache: the one path selector, the
+  /// seam to the reference interpreter.  Disabling detaches the current
+  /// plan without counting an invalidation — it is a tooling action,
+  /// not a configuration write.
   void set_plan_cache_enabled(bool enabled) noexcept;
   /// Bumped by every write_local() and reset, never repeated; part of
   /// the plan invalidation key.

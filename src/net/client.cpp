@@ -26,18 +26,27 @@ void set_io_timeout(int fd, int timeout_ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-RemoteResult to_remote_result(JobResultMsg&& msg) {
-  RemoteResult out;
+/// Mark `out` ok and move in the fields every job result shares;
+/// the output words are the caller's.
+template <class Result>
+void take_job_result(Result& out, JobResultMsg& msg) {
   out.ok = true;
-  out.outputs = std::move(msg.outputs);
   out.sim_cycles = msg.sim_cycles;
   out.worker = msg.worker;
   out.reused_system = msg.reused_system != 0;
   out.counters = std::move(msg.counters);
   out.trace_id = msg.trace_id;
-  out.queue_wait_us = msg.queue_wait_us;
-  out.execute_us = msg.execute_us;
   out.total_us = msg.total_us;
+  if constexpr (requires { out.execute_us; }) {
+    out.queue_wait_us = msg.queue_wait_us;
+    out.execute_us = msg.execute_us;
+  }
+}
+
+RemoteResult to_remote_result(JobResultMsg&& msg) {
+  RemoteResult out;
+  out.outputs = std::move(msg.outputs);
+  take_job_result(out, msg);
   return out;
 }
 
@@ -134,9 +143,8 @@ Frame Client::recv_frame() {
       return frame;
     }
     if (status != ParseStatus::kNeedMore) {
-      close();
-      throw ProtocolError("net: malformed frame from server (status " +
-                          std::to_string(static_cast<int>(status)) + ")");
+      fail("net: malformed frame from server (status " +
+           std::to_string(static_cast<int>(status)) + ")");
     }
     const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
@@ -159,8 +167,7 @@ double Client::ping() {
   const Frame frame = recv_frame();
   const auto t1 = std::chrono::steady_clock::now();
   if (frame.type != MsgType::kPong || decode_ping(frame.payload) != token) {
-    close();
-    throw ProtocolError("net: bad ping response");
+    fail("net: bad ping response");
   }
   return std::chrono::duration<double, std::micro>(t1 - t0).count();
 }
@@ -169,63 +176,80 @@ ServerInfoMsg Client::server_info() {
   send_frame(MsgType::kServerInfoReq, {});
   const Frame frame = recv_frame();
   if (frame.type != MsgType::kServerInfo) {
-    close();
-    throw ProtocolError("net: expected ServerInfo response");
+    fail("net: expected ServerInfo response");
   }
   return decode_server_info(frame.payload);
+}
+
+std::optional<Frame> Client::exchange(MsgType type,
+                                      std::span<const std::uint8_t> payload,
+                                      MsgType reply, Shed& shed) {
+  for (int attempt = 0; attempt <= config_.busy_retries; ++attempt) {
+    if (attempt > 0) {
+      // A v5 server says how long to back off; otherwise exponential.
+      if (shed.retry_after_ms > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(shed.retry_after_ms));
+      } else {
+        backoff_sleep(attempt - 1);
+      }
+    }
+    send_frame(type, payload);
+    Frame frame = recv_frame();
+    if (frame.type == reply) return frame;
+    if (frame.type != MsgType::kError) {
+      fail("net: unexpected response type " +
+           std::to_string(static_cast<unsigned>(frame.type)));
+    }
+    const ErrorMsg err = decode_error(frame.payload, frame.version);
+    shed.busy = err.code == ErrorCode::kBusy;
+    if (!shed.busy) {
+      shed.error = err.message;
+      return std::nullopt;
+    }
+    shed.retry_after_ms = err.retry_after_ms;
+  }
+  shed.error = "server busy (queue full) after " +
+               std::to_string(config_.busy_retries + 1) + " attempts";
+  return std::nullopt;
+}
+
+void Client::expect_tag(std::uint32_t got, std::uint32_t sent) {
+  if (got != sent) fail("net: response tag mismatch");
+}
+
+void Client::fail(const std::string& what) {
+  close();
+  throw ProtocolError(what);
+}
+
+template <class Result>
+Result Client::refused(Shed& shed) {
+  Result out;
+  out.busy = shed.busy;
+  out.error = std::move(shed.error);
+  return out;
 }
 
 RemoteResult Client::submit(const JobRequest& req) {
   JobRequest tagged = req;
   if (tagged.tag == 0) tagged.tag = next_tag_++;
-  const std::vector<std::uint8_t> payload =
-      encode_job_request(tagged, config_.protocol_version);
-
+  Shed shed;
+  const std::optional<Frame> frame =
+      exchange(MsgType::kSubmitJob,
+               encode_job_request(tagged, config_.protocol_version),
+               MsgType::kJobResult, shed);
   RemoteResult out;
-  for (int attempt = 0; attempt <= config_.busy_retries; ++attempt) {
-    if (attempt > 0) {
-      // A v5 server says how long to back off; otherwise exponential.
-      if (out.retry_after_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(out.retry_after_ms));
-      } else {
-        backoff_sleep(attempt - 1);
-      }
-    }
-    send_frame(MsgType::kSubmitJob, payload);
-    const Frame frame = recv_frame();
-    if (frame.type == MsgType::kJobResult) {
-      // Decode by the frame's own version: the server mirrors ours,
-      // but trusting the wire keeps mixed-version paths honest.
-      JobResultMsg msg = decode_job_result(frame.payload, frame.version);
-      if (msg.tag != tagged.tag) {
-        close();
-        throw ProtocolError("net: response tag mismatch");
-      }
-      const std::uint32_t hint = out.retry_after_ms;
-      out = to_remote_result(std::move(msg));
-      out.retry_after_ms = hint;
-      return out;
-    }
-    if (frame.type != MsgType::kError) {
-      close();
-      throw ProtocolError("net: unexpected response type " +
-                          std::to_string(
-                              static_cast<unsigned>(frame.type)));
-    }
-    const ErrorMsg err = decode_error(frame.payload, frame.version);
-    if (err.code == ErrorCode::kBusy) {
-      out.busy = true;  // retry with backoff, or report busy when spent
-      out.retry_after_ms = err.retry_after_ms;
-      continue;
-    }
-    out.busy = false;
-    out.ok = false;
-    out.error = err.message;
-    return out;
+  if (frame) {
+    // Decode by the frame's own version: the server mirrors ours, but
+    // trusting the wire keeps mixed-version paths honest.
+    JobResultMsg msg = decode_job_result(frame->payload, frame->version);
+    expect_tag(msg.tag, tagged.tag);
+    out = to_remote_result(std::move(msg));
+  } else {
+    out = refused<RemoteResult>(shed);
   }
-  out.error = "server busy (queue full) after " +
-              std::to_string(config_.busy_retries + 1) + " attempts";
+  out.retry_after_ms = shed.retry_after_ms;
   return out;
 }
 
@@ -238,47 +262,23 @@ RemoteDfgCompiled Client::compile_dfg(const std::vector<std::uint8_t>& dfg,
   req.tag = next_tag_++;
   req.geometry = geometry;
   req.dfg = dfg;
-  const std::vector<std::uint8_t> payload = encode_submit_dfg(req);
-
+  Shed shed;
+  const std::optional<Frame> frame =
+      exchange(MsgType::kSubmitDfg, encode_submit_dfg(req),
+               MsgType::kDfgCompiled, shed);
+  if (!frame) return refused<RemoteDfgCompiled>(shed);
+  DfgCompiledMsg msg = decode_dfg_compiled(frame->payload);
+  expect_tag(msg.tag, req.tag);
   RemoteDfgCompiled out;
-  for (int attempt = 0; attempt <= config_.busy_retries; ++attempt) {
-    if (attempt > 0) backoff_sleep(attempt - 1);
-    send_frame(MsgType::kSubmitDfg, payload);
-    const Frame frame = recv_frame();
-    if (frame.type == MsgType::kDfgCompiled) {
-      DfgCompiledMsg msg = decode_dfg_compiled(frame.payload);
-      if (msg.tag != req.tag) {
-        close();
-        throw ProtocolError("net: response tag mismatch");
-      }
-      out.ok = true;
-      out.dfg_hash = msg.dfg_hash;
-      out.cache_hit = msg.cache_hit != 0;
-      out.compile_us = msg.compile_us;
-      out.dnodes_used = msg.dnodes_used;
-      out.max_latency = msg.max_latency;
-      out.pushes_per_cycle = msg.pushes_per_cycle;
-      out.input_count = msg.input_count;
-      out.outputs = std::move(msg.outputs);
-      return out;
-    }
-    if (frame.type != MsgType::kError) {
-      close();
-      throw ProtocolError("net: unexpected response type " +
-                          std::to_string(
-                              static_cast<unsigned>(frame.type)));
-    }
-    const ErrorMsg err = decode_error(frame.payload, frame.version);
-    if (err.code == ErrorCode::kBusy) {
-      out.busy = true;
-      continue;
-    }
-    out.busy = false;
-    out.error = err.message;
-    return out;
-  }
-  out.error = "server busy (queue full) after " +
-              std::to_string(config_.busy_retries + 1) + " attempts";
+  out.ok = true;
+  out.dfg_hash = msg.dfg_hash;
+  out.cache_hit = msg.cache_hit != 0;
+  out.compile_us = msg.compile_us;
+  out.dnodes_used = msg.dnodes_used;
+  out.max_latency = msg.max_latency;
+  out.pushes_per_cycle = msg.pushes_per_cycle;
+  out.input_count = msg.input_count;
+  out.outputs = std::move(msg.outputs);
   return out;
 }
 
@@ -295,72 +295,35 @@ RemoteDfgResult Client::submit_dfg(
   req.dfg = dfg;
   req.streams = streams;
   req.trace_id = trace_id;
-  const std::vector<std::uint8_t> payload = encode_submit_dfg_job(req);
-
+  Shed shed;
+  const std::optional<Frame> frame =
+      exchange(MsgType::kSubmitDfgJob, encode_submit_dfg_job(req),
+               MsgType::kJobResult, shed);
+  if (!frame) return refused<RemoteDfgResult>(shed);
+  JobResultMsg msg = decode_job_result(frame->payload, frame->version);
+  expect_tag(msg.tag, req.tag);
   RemoteDfgResult out;
-  for (int attempt = 0; attempt <= config_.busy_retries; ++attempt) {
-    if (attempt > 0) backoff_sleep(attempt - 1);
-    send_frame(MsgType::kSubmitDfgJob, payload);
-    const Frame frame = recv_frame();
-    if (frame.type == MsgType::kJobResult) {
-      JobResultMsg msg = decode_job_result(frame.payload, frame.version);
-      if (msg.tag != req.tag) {
-        close();
-        throw ProtocolError("net: response tag mismatch");
-      }
-      // The flat word vector is the per-output streams concatenated in
-      // Dfg output order; the svc.dfg.* counters say how to split it.
-      std::uint64_t n_outputs = 0;
-      std::uint64_t n_samples = 0;
-      for (const auto& [name, value] : msg.counters) {
-        if (name == "svc.dfg.outputs") n_outputs = value;
-        else if (name == "svc.dfg.samples") n_samples = value;
-        else if (name == "svc.dfg.cache_hit") out.cache_hit = value != 0;
-        else if (name == "svc.dfg.hash") out.dfg_hash = value;
-      }
-      if (n_outputs == 0 ||
-          msg.outputs.size() != n_outputs * n_samples) {
-        close();
-        throw ProtocolError(
-            "net: DFG result words do not match its de-lacing metadata");
-      }
-      out.streams.resize(n_outputs);
-      for (std::uint64_t o = 0; o < n_outputs; ++o) {
-        out.streams[o].assign(
-            msg.outputs.begin() +
-                static_cast<std::ptrdiff_t>(o * n_samples),
-            msg.outputs.begin() +
-                static_cast<std::ptrdiff_t>((o + 1) * n_samples));
-      }
-      out.ok = true;
-      out.sim_cycles = msg.sim_cycles;
-      out.worker = msg.worker;
-      out.reused_system = msg.reused_system != 0;
-      out.counters = std::move(msg.counters);
-      out.trace_id = msg.trace_id;
-      out.queue_wait_us = msg.queue_wait_us;
-      out.execute_us = msg.execute_us;
-      out.total_us = msg.total_us;
-      return out;
-    }
-    if (frame.type != MsgType::kError) {
-      close();
-      throw ProtocolError("net: unexpected response type " +
-                          std::to_string(
-                              static_cast<unsigned>(frame.type)));
-    }
-    const ErrorMsg err = decode_error(frame.payload, frame.version);
-    if (err.code == ErrorCode::kBusy) {
-      out.busy = true;
-      continue;
-    }
-    out.busy = false;
-    out.ok = false;
-    out.error = err.message;
-    return out;
+  // The flat word vector is the per-output streams concatenated in Dfg
+  // output order; the svc.dfg.* counters say how to split it.
+  std::uint64_t n_outputs = 0;
+  std::uint64_t n_samples = 0;
+  for (const auto& [name, value] : msg.counters) {
+    if (name == "svc.dfg.outputs") n_outputs = value;
+    else if (name == "svc.dfg.samples") n_samples = value;
+    else if (name == "svc.dfg.cache_hit") out.cache_hit = value != 0;
+    else if (name == "svc.dfg.hash") out.dfg_hash = value;
   }
-  out.error = "server busy (queue full) after " +
-              std::to_string(config_.busy_retries + 1) + " attempts";
+  if (n_outputs == 0 || msg.outputs.size() != n_outputs * n_samples) {
+    fail("net: DFG result words do not match its de-lacing metadata");
+  }
+  out.streams.resize(n_outputs);
+  for (std::uint64_t o = 0; o < n_outputs; ++o) {
+    out.streams[o].assign(
+        msg.outputs.begin() + static_cast<std::ptrdiff_t>(o * n_samples),
+        msg.outputs.begin() +
+            static_cast<std::ptrdiff_t>((o + 1) * n_samples));
+  }
+  take_job_result(out, msg);
   return out;
 }
 
@@ -388,51 +351,19 @@ RemoteGemmResult Client::submit_gemm(const tile::GemmSpec& spec,
   req.a = a;
   req.b = b;
   req.trace_id = trace_id;
-  const std::vector<std::uint8_t> payload = encode_submit_gemm(req);
-
-  RemoteGemmResult out;
-  for (int attempt = 0; attempt <= config_.busy_retries; ++attempt) {
-    if (attempt > 0) backoff_sleep(attempt - 1);
-    send_frame(MsgType::kSubmitGemm, payload);
-    const Frame frame = recv_frame();
-    if (frame.type == MsgType::kJobResult) {
-      JobResultMsg msg = decode_job_result(frame.payload, frame.version);
-      if (msg.tag != req.tag) {
-        close();
-        throw ProtocolError("net: response tag mismatch");
-      }
-      if (msg.outputs.size() != spec.m * spec.n) {
-        close();
-        throw ProtocolError("net: GEMM result size does not match m*n");
-      }
-      out.ok = true;
-      out.c = std::move(msg.outputs);
-      out.sim_cycles = msg.sim_cycles;
-      out.worker = msg.worker;
-      out.reused_system = msg.reused_system != 0;
-      out.counters = std::move(msg.counters);
-      out.trace_id = msg.trace_id;
-      out.total_us = msg.total_us;
-      return out;
-    }
-    if (frame.type != MsgType::kError) {
-      close();
-      throw ProtocolError("net: unexpected response type " +
-                          std::to_string(
-                              static_cast<unsigned>(frame.type)));
-    }
-    const ErrorMsg err = decode_error(frame.payload, frame.version);
-    if (err.code == ErrorCode::kBusy) {
-      out.busy = true;
-      continue;
-    }
-    out.busy = false;
-    out.ok = false;
-    out.error = err.message;
-    return out;
+  Shed shed;
+  const std::optional<Frame> frame =
+      exchange(MsgType::kSubmitGemm, encode_submit_gemm(req),
+               MsgType::kJobResult, shed);
+  if (!frame) return refused<RemoteGemmResult>(shed);
+  JobResultMsg msg = decode_job_result(frame->payload, frame->version);
+  expect_tag(msg.tag, req.tag);
+  if (msg.outputs.size() != spec.m * spec.n) {
+    fail("net: GEMM result size does not match m*n");
   }
-  out.error = "server busy (queue full) after " +
-              std::to_string(config_.busy_retries + 1) + " attempts";
+  RemoteGemmResult out;
+  out.c = std::move(msg.outputs);
+  take_job_result(out, msg);
   return out;
 }
 
@@ -492,15 +423,12 @@ std::vector<RemoteResult> Client::submit_pipelined(
       }
       result.error = err.message;
     } else {
-      close();
-      throw ProtocolError("net: unexpected response type " +
-                          std::to_string(
-                              static_cast<unsigned>(frame.type)));
+      fail("net: unexpected response type " +
+           std::to_string(static_cast<unsigned>(frame.type)));
     }
     const auto found = by_tag.find(tag);
     if (found == by_tag.end()) {
-      close();
-      throw ProtocolError("net: response tag matches no in-flight job");
+      fail("net: response tag matches no in-flight job");
     }
     if (result.busy) busy.push_back(found->second);
     out[found->second] = std::move(result);
@@ -551,14 +479,12 @@ std::vector<RemoteResult> Client::submit_batch_wire(
     return out;
   }
   if (frame.type != MsgType::kJobBatchResult) {
-    close();
-    throw ProtocolError("net: expected JobBatchResult response");
+    fail("net: expected JobBatchResult response");
   }
   JobBatchResultMsg reply =
       decode_job_batch_result(frame.payload, frame.version);
   if (reply.tag != msg.tag || reply.entries.size() != reqs.size()) {
-    close();
-    throw ProtocolError("net: batch result does not match the request");
+    fail("net: batch result does not match the request");
   }
   for (std::size_t i = 0; i < reply.entries.size(); ++i) {
     JobBatchEntryMsg& entry = reply.entries[i];
@@ -581,8 +507,7 @@ StatsReplyMsg Client::stats(bool include_flight) {
              encode_get_stats(include_flight ? kStatsIncludeFlight : 0));
   const Frame frame = recv_frame();
   if (frame.type != MsgType::kStatsReply) {
-    close();
-    throw ProtocolError("net: expected StatsReply response");
+    fail("net: expected StatsReply response");
   }
   return decode_stats_reply(frame.payload);
 }

@@ -10,9 +10,11 @@
 //  * connect() retries with capped exponential backoff, then throws
 //    NetError.
 //  * Server-side Busy (bounded backpressure) is retried
-//    `busy_retries` times with the same backoff, then surfaces as
-//    RemoteResult{busy=true} — the caller decides whether to shed or
-//    spin.
+//    `busy_retries` times, after the server's retry_after_ms hint (v5)
+//    or else with the same backoff, then surfaces as busy=true in the
+//    result — the caller decides whether to shed or spin.  submit(),
+//    compile_dfg(), submit_dfg() and submit_gemm() share that one
+//    exchange.
 //  * A job that raised a SimError on the server comes back as
 //    RemoteResult{ok=false, error=<SimError text verbatim>}.
 //  * Transport damage (timeout, disconnect, malformed frames) throws
@@ -20,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,7 +40,7 @@ struct ClientConfig {
   int backoff_max_ms = 1000;    ///< ...capped here
 
   int io_timeout_ms = 30000;  ///< per send/recv deadline
-  int busy_retries = 8;       ///< Busy resubmissions inside submit()
+  int busy_retries = 8;       ///< Busy resubmissions per request
 
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
 
@@ -201,9 +204,31 @@ class Client {
   bool drain();
 
  private:
+  /// How an exchange() ended without its reply.
+  struct Shed {
+    bool busy = false;                 ///< shed on every attempt
+    std::uint32_t retry_after_ms = 0;  ///< the last Busy shed's hint
+    std::string error;                 ///< server error or busy note
+  };
+
   void send_frame(MsgType type, std::span<const std::uint8_t> payload);
   Frame recv_frame();
   void backoff_sleep(int attempt) const;
+  /// One request/reply exchange: send `payload` as `type` until a
+  /// `reply` frame answers it, resubmitting a Busy shed up to
+  /// busy_retries times after the server's retry_after_ms hint (capped
+  /// exponential backoff when it gives none).  Returns the reply, or
+  /// nullopt with `shed` saying why; any other frame type closes the
+  /// connection and throws ProtocolError.
+  std::optional<Frame> exchange(MsgType type,
+                                std::span<const std::uint8_t> payload,
+                                MsgType reply, Shed& shed);
+  /// A result carrying `shed`'s outcome: still busy, or the error.
+  template <class Result>
+  static Result refused(Shed& shed);
+  void expect_tag(std::uint32_t got, std::uint32_t sent);
+  /// Close the connection and throw ProtocolError(what).
+  [[noreturn]] void fail(const std::string& what);
 
   ClientConfig config_;
   int fd_ = -1;

@@ -33,9 +33,8 @@ Runtime::Runtime(RuntimeConfig config)
   const std::size_t n = resolve_workers(config_.workers);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    auto w = std::make_unique<Worker>(config_.pool_systems_per_worker);
-    if (config_.sink_factory) w->sink = config_.sink_factory(i);
-    workers_.push_back(std::move(w));
+    workers_.push_back(
+        std::make_unique<Worker>(config_.pool_systems_per_worker));
   }
   // Threads start only after every Worker slot exists: worker_main
   // indexes workers_ freely.
@@ -156,7 +155,6 @@ void Runtime::worker_main(std::size_t index) {
     }
     if (env->notify) env->notify();
   }
-  if (w.sink) w.sink->end();
 }
 
 void Runtime::tally_job(Worker& w, const JobResult& result) {
@@ -208,7 +206,6 @@ JobResult Runtime::run_job(const Job& job, std::size_t index,
     System& sys = lease.system;
     result.reused_system = lease.rearmed;
     timeline.stamp(obs::SpanTimeline::kArmed);
-    if (worker.sink) sys.set_trace(worker.sink.get());
 
     sys.host().send(job.input);
     if (job.run == Job::Run::kUntilOutputs) {
@@ -231,7 +228,6 @@ JobResult Runtime::run_job(const Job& job, std::size_t index,
         raw.begin() +
             static_cast<std::ptrdiff_t>(job.discard_prefix + take));
     result.report = RunReport::from_system(job.name, sys);
-    if (worker.sink) sys.set_trace(nullptr);
     result.ok = true;
   } catch (const std::exception& e) {
     result.ok = false;

@@ -22,9 +22,7 @@
 // mutex taken only at job boundaries — the simulation hot path is
 // lock-free, and no job builds or searches an instrument name.
 // metrics() names the tallies (plus queue statistics) into one fleet
-// snapshot.  An optional sink factory gives each worker its own
-// EventSink; a traced worker re-attaches the sink per job, so each job
-// appears as one begin()-delimited trace segment.
+// snapshot.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +34,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/event.hpp"
 #include "obs/metrics.hpp"
 #include "obs/quantile.hpp"
 #include "rt/job.hpp"
@@ -55,12 +52,6 @@ struct RuntimeConfig {
 
   /// Resident Systems per worker (SystemPool LRU bound).
   std::size_t pool_systems_per_worker = 4;
-
-  /// Optional per-worker event sink factory, called once per worker
-  /// at start-up with the worker index.  The worker owns the sink,
-  /// attaches it to the System of every job it runs, and calls end()
-  /// when the runtime shuts down.
-  std::function<std::unique_ptr<obs::EventSink>(std::size_t)> sink_factory;
 };
 
 class Runtime {
@@ -173,7 +164,6 @@ class Runtime {
   struct Worker {
     std::thread thread;
     SystemPool pool;
-    std::unique_ptr<obs::EventSink> sink;
     mutable std::mutex mu;  ///< guards tally; taken per job, not per cycle
     Tally tally;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/error.hpp"
@@ -18,8 +17,6 @@ System::System(const SystemConfig& config)
       host_(config.link) {
   geom_.validate();
   route_marks_.assign(geom_.switch_count(), 0);
-  const char* no_superstep = std::getenv("SRING_NO_SUPERSTEP");
-  superstep_enabled_ = no_superstep == nullptr || *no_superstep == '\0';
 }
 
 void System::load(const LoadableProgram& program) {
@@ -365,9 +362,7 @@ ElementCounters System::element_counters() const {
 
 std::uint64_t System::try_superstep(std::uint64_t cycle_budget,
                                     std::size_t host_out_stop) {
-  if (!superstep_enabled_ || sink_ != nullptr || !host_.unlimited()) {
-    return 0;
-  }
+  if (sink_ != nullptr || !host_.unlimited()) return 0;
   // The controller steps inside the fused loop through this hook; its
   // statistics land in stats_ exactly as step() would count them.  A
   // loop-tape replay runs on its registers and credits the rest here.
@@ -434,47 +429,38 @@ std::uint64_t System::try_superstep(std::uint64_t cycle_budget,
   return res.cycles + 1;
 }
 
-void System::run_until_halt(std::uint64_t max_cycles,
-                            std::uint64_t drain_cycles) {
-  std::uint64_t n = 0;
-  while (!ctrl_.halted()) {
-    const std::uint64_t k =
-        try_superstep(max_cycles - n, std::numeric_limits<std::size_t>::max());
+template <typename Done>
+void System::run_until(Done done, std::uint64_t max_cycles,
+                       std::size_t host_out_stop, const char* overrun) {
+  for (std::uint64_t n = 0; !done(n);) {
+    const std::uint64_t k = try_superstep(max_cycles - n, host_out_stop);
     if (k > 0) {
       n += k;
       continue;
     }
-    check(n++ < max_cycles, "System::run_until_halt: cycle budget exceeded");
+    check(n++ < max_cycles, overrun);
     step();
   }
+}
+
+void System::run_until_halt(std::uint64_t max_cycles,
+                            std::uint64_t drain_cycles) {
+  run_until([this](std::uint64_t) { return ctrl_.halted(); }, max_cycles,
+            std::numeric_limits<std::size_t>::max(),
+            "System::run_until_halt: cycle budget exceeded");
   run_cycles(drain_cycles);
 }
 
 void System::run_until_outputs(std::size_t count, std::uint64_t max_cycles) {
-  std::uint64_t n = 0;
-  while (host_.received().size() < count) {
-    const std::uint64_t k = try_superstep(max_cycles - n, count);
-    if (k > 0) {
-      n += k;
-      continue;
-    }
-    check(n++ < max_cycles,
-          "System::run_until_outputs: cycle budget exceeded");
-    step();
-  }
+  run_until([this, count](std::uint64_t) {
+    return host_.received().size() >= count;
+  }, max_cycles, count, "System::run_until_outputs: cycle budget exceeded");
 }
 
 void System::run_cycles(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n;) {
-    const std::uint64_t k =
-        try_superstep(n - i, std::numeric_limits<std::size_t>::max());
-    if (k > 0) {
-      i += k;
-      continue;
-    }
-    step();
-    ++i;
-  }
+  // Never throws: the loop stops as the budget runs out.
+  run_until([n](std::uint64_t done) { return done >= n; }, n,
+            std::numeric_limits<std::size_t>::max(), "");
 }
 
 }  // namespace sring

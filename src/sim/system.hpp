@@ -169,6 +169,11 @@ class System {
   /// Advance one clock cycle.
   void step();
 
+  // The run_* calls dispatch fused supersteps wherever per-cycle
+  // stepping could not observe the difference (see try_superstep()):
+  // outputs, SystemStats and every metric but ring.superstep.* equal
+  // those of calling step() once per cycle under the same stop rule.
+
   /// Run until the controller halts (or `max_cycles` elapse; throws if
   /// exceeded), then `drain_cycles` extra cycles for in-flight data.
   void run_until_halt(std::uint64_t max_cycles,
@@ -178,18 +183,8 @@ class System {
   /// after `max_cycles`).
   void run_until_outputs(std::size_t count, std::uint64_t max_cycles);
 
+  /// Run `n` cycles.
   void run_cycles(std::uint64_t n);
-
-  /// Enable/disable fused superstep dispatches at runtime (A/B
-  /// comparisons; outputs and SystemStats are bit-identical either
-  /// way, only the ring.superstep.* metrics differ).  Disabled, every
-  /// planned cycle is a one-cycle tape run from Ring::step.  Also
-  /// disabled for the whole System by the SRING_NO_SUPERSTEP
-  /// environment variable (any non-empty value, read at construction).
-  void set_superstep_enabled(bool enabled) noexcept {
-    superstep_enabled_ = enabled;
-  }
-  bool superstep_enabled() const noexcept { return superstep_enabled_; }
 
   // --- accessors --------------------------------------------------------
   Ring& ring() noexcept { return ring_; }
@@ -235,12 +230,21 @@ class System {
   void emit_cycle_events(const Controller::StepResult& ctrl_res,
                          const Ring::CycleResult& ring_res);
 
+  /// The one run loop behind run_until_halt / run_until_outputs /
+  /// run_cycles: fused supersteps where eligible, step() otherwise,
+  /// until `done(n)` holds after n cycles; throws `overrun` when a
+  /// further step would exceed `max_cycles`.  `host_out_stop` as in
+  /// try_superstep().
+  template <typename Done>
+  void run_until(Done done, std::uint64_t max_cycles,
+                 std::size_t host_out_stop, const char* overrun);
+
   /// Try to run a fused superstep covering up to `cycle_budget` cycles
   /// (see Ring::run_planned).  Eligible only while per-cycle stepping
-  /// could not observe anything a fused run skips: superstep enabled,
-  /// no trace sink and an unlimited host link.  A halted controller, or
-  /// one in a multi-cycle WAIT (the fused run is then capped at the
-  /// wake-up), stays outside the loop; an active one steps inside it.
+  /// could not observe anything a fused run skips: no trace sink and an
+  /// unlimited host link.  A halted controller, or one in a multi-cycle
+  /// WAIT (the fused run is then capped at the wake-up), stays outside
+  /// the loop; an active one steps inside it.
   /// `host_out_stop` carries run_until_outputs' target into the ring
   /// (SIZE_MAX otherwise).  Returns the cycles completed, 0 when
   /// ineligible or nothing ran — the caller must then fall back to
@@ -276,8 +280,6 @@ class System {
   }();
   std::array<std::uint64_t, kHostDepthBounds.size() + 1>
       host_depth_counts_{};
-
-  bool superstep_enabled_ = true;
 
   obs::EventSink* sink_ = nullptr;
   std::vector<obs::Track> tracks_;          // built on sink attachment

@@ -4,7 +4,8 @@
 // planned path, and the plan observability counters.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "obs/event.hpp"
 #include "obs/sinks.hpp"
 #include "sim/system.hpp"
+#include "stepped_run.hpp"
 #include "tile/gemm_job.hpp"
 #include "tile/gemm_ref.hpp"
 
@@ -46,12 +48,39 @@ SystemStats arch_only(SystemStats s) {
   return s;
 }
 
-/// Scoped SRING_NO_PLAN_CACHE for kernels that construct their System
-/// internally.  Tests are single-threaded; setenv here is safe.
-struct ScopedNoPlanEnv {
-  ScopedNoPlanEnv() { setenv("SRING_NO_PLAN_CACHE", "1", 1); }
-  ~ScopedNoPlanEnv() { unsetenv("SRING_NO_PLAN_CACHE"); }
-};
+/// The interpreter reference for a kernels::run_* helper: `job`, built
+/// from the same make_*_program, on a fresh System with the plan cache
+/// off, its outputs sliced as an rt worker slices them.
+kernels::FirResult interpret(const rt::Job& job) {
+  System sys({job.program->geometry, job.link});
+  sys.ring().set_plan_cache_enabled(false);
+  sys.load(*job.program);
+  sys.host().send(job.input);
+  Drive{}.job(sys, job);
+  const std::vector<Word> raw = sys.host().take_received();
+  kernels::FirResult r;
+  const auto first = static_cast<std::ptrdiff_t>(job.discard_prefix);
+  r.outputs.assign(raw.begin() + first,
+                   raw.begin() + first +
+                       static_cast<std::ptrdiff_t>(job.take_words));
+  r.stats = sys.stats();
+  return r;
+}
+
+/// kernels::run_paged_serial_fir / run_wordwise_serial_fir's schedule
+/// as a job: x plus `pad` zeros in, run to the halt, the first word
+/// (the boot-time accumulator) dropped.
+rt::Job serial_fir_job(LoadableProgram program, std::span<const Word> x,
+                       std::size_t pad) {
+  rt::Job job;
+  job.program = std::make_shared<const LoadableProgram>(std::move(program));
+  job.input.assign(x.begin(), x.end());
+  job.input.insert(job.input.end(), pad, 0);
+  job.max_cycles = 1000 + 200 * job.input.size();
+  job.discard_prefix = 1;
+  job.take_words = x.size();
+  return job;
+}
 
 DnodeInstr pass_out(DnodeSrc src) {
   DnodeInstr i;
@@ -59,16 +88,6 @@ DnodeInstr pass_out(DnodeSrc src) {
   i.src_a = src;
   i.out_en = true;
   return i;
-}
-
-TEST(CyclePlan, EnvVarDisablesCache) {
-  {
-    ScopedNoPlanEnv no_plan;
-    Ring ring({2, 1, 4});
-    EXPECT_FALSE(ring.plan_cache_enabled());
-  }
-  Ring ring({2, 1, 4});
-  EXPECT_TRUE(ring.plan_cache_enabled());
 }
 
 TEST(CyclePlan, RunningMacBitExactAndServedFromPlan) {
@@ -103,14 +122,14 @@ TEST(CyclePlan, RunningMacBitExactAndServedFromPlan) {
   EXPECT_GE(hits + 4, a.size()) << "the MAC loop must run from the plan";
 }
 
-TEST(CyclePlan, SpatialFirBitExactViaEnvironmentSwitch) {
+TEST(CyclePlan, SpatialFirBitExactAgainstInterpreter) {
   const RingGeometry g{6, 2, 16};
   const std::vector<Word> x = signal(3, 160);
   const std::vector<Word> coeffs{5, static_cast<Word>(-3), 2, 1};
 
   const kernels::FirResult planned = kernels::run_spatial_fir(g, x, coeffs);
-  ScopedNoPlanEnv no_plan;
-  const kernels::FirResult interp = kernels::run_spatial_fir(g, x, coeffs);
+  const kernels::FirResult interp =
+      interpret(kernels::make_spatial_fir_job(g, x, coeffs));
 
   EXPECT_EQ(planned.outputs, interp.outputs);
   EXPECT_EQ(arch_only(planned.stats).to_string(),
@@ -132,11 +151,11 @@ TEST(CyclePlan, HardwareMultiplexingBitExactWithoutRecompileThrash) {
   const kernels::FirResult wordwise =
       kernels::run_wordwise_serial_fir(g, x, coeffs);
   {
-    ScopedNoPlanEnv no_plan;
-    const kernels::FirResult paged_i =
-        kernels::run_paged_serial_fir(g, x, coeffs);
-    const kernels::FirResult wordwise_i =
-        kernels::run_wordwise_serial_fir(g, x, coeffs);
+    const kernels::FirResult paged_i = interpret(serial_fir_job(
+        kernels::make_paged_serial_fir_program(g, coeffs, x.size()), x, 1));
+    const kernels::FirResult wordwise_i = interpret(serial_fir_job(
+        kernels::make_wordwise_serial_fir_program(g, coeffs, x.size()), x,
+        0));
     EXPECT_EQ(paged.outputs, paged_i.outputs);
     EXPECT_EQ(wordwise.outputs, wordwise_i.outputs);
     EXPECT_EQ(arch_only(paged.stats).to_string(),
@@ -163,9 +182,9 @@ TEST(CyclePlan, LimitedLinkStallsBitExact) {
   const kernels::FirResult planned =
       kernels::run_spatial_fir(g, x, coeffs, starved);
   const kernels::FirResult smooth = kernels::run_spatial_fir(g, x, coeffs);
-  ScopedNoPlanEnv no_plan;
-  const kernels::FirResult interp =
-      kernels::run_spatial_fir(g, x, coeffs, starved);
+  rt::Job starved_job = kernels::make_spatial_fir_job(g, x, coeffs);
+  starved_job.link = starved;
+  const kernels::FirResult interp = interpret(starved_job);
 
   ASSERT_GT(planned.stats.ring_stall_cycles, 0u) << "link must starve";
   EXPECT_EQ(planned.outputs, interp.outputs);
@@ -301,14 +320,13 @@ struct SuperRun {
   std::uint64_t ss_cycles = 0;
 };
 
-/// Run `drive` on a fresh System with the superstep engine on or off
-/// and capture everything the engine must not change.
+/// Run `drive` on a fresh System, fused or stepped, and capture
+/// everything the engine must not change.
 template <typename DriveFn>
 SuperRun drive_system(const RingGeometry& g, bool superstep,
                       DriveFn&& drive) {
   System sys({g});
-  sys.set_superstep_enabled(superstep);
-  drive(sys);
+  drive(sys, Drive{!superstep});
   SuperRun r;
   r.outputs = sys.host().take_received();
   r.stats = sys.stats().to_string();
@@ -325,7 +343,7 @@ void expect_transparent(const SuperRun& on, const SuperRun& off) {
   EXPECT_EQ(on.stats, off.stats);
   EXPECT_EQ(on.metrics, off.metrics);
   EXPECT_EQ(off.dispatches, 0u)
-      << "the disabled engine must never dispatch";
+      << "the stepped reference must never dispatch";
 }
 
 TEST(Superstep, HostFifoExhaustionAndRefillBitExact) {
@@ -335,18 +353,18 @@ TEST(Superstep, HostFifoExhaustionAndRefillBitExact) {
   const LoadableProgram program =
       kernels::make_spatial_fir_program(g, coeffs);
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(program);
     // First half, then run long enough to drain the FIFO and sit in
     // ring stalls; refill and finish.  A superstep must break exactly
     // at the exhaustion point and resume after the refill.
     std::vector<Word> first(x.begin(), x.begin() + 60);
     sys.host().send(first);
-    sys.run_cycles(100);
+    run.cycles(sys, 100);
     std::vector<Word> rest(x.begin() + 60, x.end());
     rest.insert(rest.end(), coeffs.size(), 0);  // flush the pipeline
     sys.host().send(rest);
-    sys.run_until_outputs(x.size() + coeffs.size(), 4096);
+    run.until_outputs(sys, x.size() + coeffs.size(), 4096);
   };
 
   const SuperRun on = drive_system(g, true, drive);
@@ -372,10 +390,10 @@ TEST(Superstep, BusDriveBreaksDispatchBitExact) {
     dnode 1.0 { pass none, bus host }
 )");
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(program);
     sys.host().send(signal(22, 48));
-    sys.run_cycles(64);  // trailing cycles stall on the drained FIFO
+    run.cycles(sys, 64);  // trailing cycles stall on the drained FIFO
   };
 
   const SuperRun on = drive_system(g, true, drive);
@@ -407,10 +425,10 @@ TEST(Superstep, ControllerWaitAndPageSwapBitExact) {
     dnode 0.0 { pass none, imm(9) host }
 )");
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(program);
     sys.host().send(signal(23, 40));
-    sys.run_until_halt(400, 6);
+    run.until_halt(sys, 400, 6);
   };
 
   const SuperRun on = drive_system(g, true, drive);
@@ -435,17 +453,17 @@ TEST(Superstep, TraceSinkForcesPerCycleBitExact) {
 
   NullSink sink;
   std::uint64_t dispatches_at_attach = 0;
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(program);
     std::vector<Word> feed = x;
     feed.insert(feed.end(), coeffs.size(), 0);
     sys.host().send(feed);
-    sys.run_cycles(40);
-    if (sys.superstep_enabled()) {
+    run.cycles(sys, 40);
+    if (!run.stepped) {
       dispatches_at_attach = sys.ring().superstep_dispatches();
     }
     sys.set_trace(&sink);
-    sys.run_until_outputs(x.size() + coeffs.size(), 4096);
+    run.until_outputs(sys, x.size() + coeffs.size(), 4096);
     sys.set_trace(nullptr);
   };
 
@@ -471,32 +489,23 @@ TEST(Superstep, RearmRepeatsBitExact) {
 
   for (const bool superstep : {true, false}) {
     System sys({g});
-    sys.set_superstep_enabled(superstep);
+    const Drive run{!superstep};
     std::vector<Word> first, second;
     sys.load(program);
     sys.host().send(interleaved);
-    sys.run_until_outputs(a.size(), 64 + 16 * a.size());
+    run.until_outputs(sys, a.size(), 64 + 16 * a.size());
     first = sys.host().take_received();
     ASSERT_TRUE(sys.rearm(program));
     sys.host().send(interleaved);
-    sys.run_until_outputs(a.size(), 64 + 16 * a.size());
+    run.until_outputs(sys, a.size(), 64 + 16 * a.size());
     second = sys.host().take_received();
     EXPECT_EQ(first, second)
         << "rerun diverged with superstep " << (superstep ? "on" : "off");
   }
 }
 
-TEST(Superstep, CountersAndEnvironmentKnob) {
-  {
-    struct ScopedNoSuperstepEnv {
-      ScopedNoSuperstepEnv() { setenv("SRING_NO_SUPERSTEP", "1", 1); }
-      ~ScopedNoSuperstepEnv() { unsetenv("SRING_NO_SUPERSTEP"); }
-    } env;
-    System sys({RingGeometry{2, 1, 4}});
-    EXPECT_FALSE(sys.superstep_enabled());
-  }
+TEST(Superstep, CountersReachMetrics) {
   System sys({RingGeometry{4, 2, 8}});
-  EXPECT_TRUE(sys.superstep_enabled());
 
   const std::vector<Word> a = signal(27, 100);
   const LoadableProgram program = kernels::make_running_mac_program({4, 2, 8});
@@ -524,22 +533,20 @@ TEST(Superstep, CountersAndEnvironmentKnob) {
 // Controller-driven supersteps: an active controller steps inside the
 // fused loop, page swaps re-attach the predicted plan and its tape.
 
-/// Run `job` the way a runtime worker does.
-void run_job(System& sys, const rt::Job& job) {
+/// Run `job` the way a runtime worker does, or stepped.
+void run_job(System& sys, const rt::Job& job, Drive run = {}) {
   sys.load(*job.program);
   sys.host().send(job.input);
-  if (job.run == rt::Job::Run::kUntilOutputs) {
-    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
-  } else {
-    sys.run_until_halt(job.max_cycles, job.drain_cycles);
-  }
+  run.job(sys, job);
 }
 
 TEST(Superstep, ControllerDrivenMatvec8BitExactAndMostlyFused) {
   const RingGeometry g{8, 2, 16};
   const rt::Job job = kernels::make_matvec8_job(g, dsp::dct8_matrix_q7(),
                                                 signal(31, 8 * 96));
-  const auto drive = [&](System& sys) { run_job(sys, job); };
+  const auto drive = [&](System& sys, const Drive& run) {
+    run_job(sys, job, run);
+  };
 
   const SuperRun on = drive_system(g, true, drive);
   const SuperRun off = drive_system(g, false, drive);
@@ -565,7 +572,9 @@ TEST(Superstep, ControllerDrivenGemmTilesBitExact) {
   ASSERT_GE(sched.steps.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     const rt::Job job = builder.build(sched, sched.steps[i], a, b);
-    const auto drive = [&](System& sys) { run_job(sys, job); };
+    const auto drive = [&](System& sys, const Drive& run) {
+      run_job(sys, job, run);
+    };
     expect_transparent(drive_system(g, true, drive),
                        drive_system(g, false, drive));
   }
@@ -584,7 +593,9 @@ TEST(Superstep, MotionEstimationBitExact) {
   }
   const rt::Job job =
       kernels::make_motion_estimation_job(g, ref, 4, 4, cand, 2);
-  const auto drive = [&](System& sys) { run_job(sys, job); };
+  const auto drive = [&](System& sys, const Drive& run) {
+    run_job(sys, job, run);
+  };
   const SuperRun on = drive_system(g, true, drive);
   expect_transparent(on, drive_system(g, false, drive));
   EXPECT_GT(on.dispatches, 0u);
@@ -623,16 +634,16 @@ loop:
 )");
 
   for (const bool short_budgets : {false, true}) {
-    const auto drive = [&](System& sys) {
+    const auto drive = [&](System& sys, const Drive& run) {
       sys.load(program);
       sys.host().send(signal(35, 170));
       // Uneven budgets start dispatches on every page of the rotation,
       // so page b's feedback read also finds pre-dispatch history.
       for (std::uint64_t k = 1; short_budgets && !sys.controller().halted();
            k = k % 7 + 1) {
-        sys.run_cycles(k);
+        run.cycles(sys, k);
       }
-      sys.run_until_halt(2000, 3);
+      run.until_halt(sys, 2000, 3);
     };
     const SuperRun on = drive_system(g, true, drive);
     expect_transparent(on, drive_system(g, false, drive));
@@ -686,10 +697,10 @@ TEST(Superstep, MidRunConfigWritesBreakFusionAndResume) {
   pb.halt();
   const LoadableProgram program = pb.build();
 
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(program);
     sys.host().send(signal(36, 30));
-    sys.run_until_halt(4000, 2);
+    run.until_halt(sys, 4000, 2);
   };
   const SuperRun on = drive_system(g, true, drive);
   expect_transparent(on, drive_system(g, false, drive));
@@ -715,12 +726,12 @@ loop:
 )");
 
   std::uint64_t stalls = 0;
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(program);
     sys.host().send(signal(37, 50));
-    sys.run_cycles(300);
+    run.cycles(sys, 300);
     sys.host().send(signal(38, 20));
-    sys.run_cycles(100);
+    run.cycles(sys, 100);
     stalls = sys.stats().ring_stall_cycles;
   };
   const SuperRun on = drive_system(g, true, drive);
@@ -736,13 +747,13 @@ TEST(Superstep, ControllerDrivenOutputAndCycleStops) {
   const RingGeometry g{8, 2, 16};
   const rt::Job job = kernels::make_matvec8_job(g, dsp::dct8_matrix_q7(),
                                                 signal(39, 8 * 40));
-  const auto drive = [&](System& sys) {
+  const auto drive = [&](System& sys, const Drive& run) {
     sys.load(*job.program);
     sys.host().send(job.input);
-    sys.run_until_outputs(85, job.max_cycles);
-    sys.run_cycles(137);
-    sys.run_until_outputs(203, job.max_cycles);
-    sys.run_until_halt(job.max_cycles, job.drain_cycles);
+    run.until_outputs(sys, 85, job.max_cycles);
+    run.cycles(sys, 137);
+    run.until_outputs(sys, 203, job.max_cycles);
+    run.until_halt(sys, job.max_cycles, job.drain_cycles);
   };
   const SuperRun on = drive_system(g, true, drive);
   expect_transparent(on, drive_system(g, false, drive));
@@ -843,7 +854,7 @@ TEST(CyclePlan, LocalPeriodOverTheCapBitExact) {
   // Local programs of 5, 7 and 8 slots repeat every 280 cycles, above
   // kMaxSuperstepPeriod: no tape covers that schedule.  Outputs,
   // statistics and every per-element counter must still match the
-  // interpreter, with the superstep engine on and off.
+  // interpreter, fused and stepped.
   const RingGeometry g{3, 1, 4};
   ProgramBuilder pb(g, "long_period");
   PageBuilder page(g);
@@ -894,12 +905,12 @@ TEST(CyclePlan, LocalPeriodOverTheCapBitExact) {
   const auto run = [&](bool planned, bool superstep) {
     System sys({g});
     sys.ring().set_plan_cache_enabled(planned);
-    sys.set_superstep_enabled(superstep);
+    const Drive drive{!superstep};
     sys.load(program);
     sys.host().send(std::span<const Word>(input).first(500));
-    sys.run_cycles(333);
+    drive.cycles(sys, 333);
     sys.host().send(std::span<const Word>(input).subspan(500));
-    sys.run_cycles(1200);  // drains the FIFO, then stalls
+    drive.cycles(sys, 1200);  // drains the FIFO, then stalls
     Run r;
     r.outputs = sys.host().take_received();
     r.stats = arch_only(sys.stats()).to_string();

@@ -27,8 +27,8 @@
 // (the first iteration must replay) or differs from it (it must not),
 // sometimes starving the replay before its first PAGE.
 //
-// Three runs must agree: the interpreter, the planned path with the
-// superstep engine off, and the default.  Outputs, the live page after
+// Three runs must agree: the interpreter, the planned path stepped one
+// System::step() per cycle, and the default.  Outputs, the live page after
 // every run step and architectural statistics agree across all three;
 // metrics agree minus ring.plan.* and ring.superstep.* against the
 // interpreter, and minus ring.superstep.* between the two planned
@@ -46,6 +46,7 @@
 #include "common/rng.hpp"
 #include "obs/json.hpp"
 #include "sim/system.hpp"
+#include "stepped_run.hpp"
 
 namespace sring {
 namespace {
@@ -652,7 +653,7 @@ struct Outcome {
 Outcome run_case(const Case& c, Mode mode) {
   System sys({c.g, c.link});
   sys.ring().set_plan_cache_enabled(mode != Mode::kInterpreter);
-  sys.set_superstep_enabled(mode == Mode::kDefault);
+  const Drive drive{mode != Mode::kDefault};
   sys.load(c.program);
   Outcome o;
   std::size_t sent = 0;
@@ -663,13 +664,13 @@ Outcome run_case(const Case& c, Mode mode) {
         sent += a.n;
         break;
       case Action::kRun:
-        sys.run_cycles(a.n);
+        drive.cycles(sys, a.n);
         o.live_pages.push_back(sys.config().live_page());
         break;
       case Action::kOutputs:
         // The budget throws at the same cycle on every path.
         try {
-          sys.run_until_outputs(sys.host().received().size() + a.n, 300);
+          drive.until_outputs(sys, sys.host().received().size() + a.n, 300);
         } catch (const SimError&) {
           ++o.output_stop_timeouts;
         }

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/ring.hpp"
 #include "sim/system.hpp"
+#include "stepped_run.hpp"
 
 namespace sring {
 namespace {
@@ -124,10 +125,10 @@ PageCycleRun run_page_cycle(const LoadableProgram& program,
                             bool plan_enabled, bool superstep) {
   System sys({kGeom});
   sys.ring().set_plan_cache_enabled(plan_enabled);
-  sys.set_superstep_enabled(superstep);
   sys.load(program);
   sys.host().send(input);
-  sys.run_until_outputs(input.size(), 64 + 16 * input.size());
+  Drive{!superstep}.until_outputs(sys, input.size(),
+                                  64 + 16 * input.size());
   PageCycleRun r;
   r.outputs = sys.host().take_received();
   r.stats = sys.stats();
@@ -364,7 +365,7 @@ TEST(PlanCache, LoadOfNewImmediatesCompilesNothing) {
   EXPECT_EQ(sys.ring().plan_compiles(), kPages - 1);
 }
 
-/// Runs `program` with the plan cache on (superstep engine on or off)
+/// Runs `program` with the plan cache on (fused or stepped)
 /// or off, to its halt.
 struct HaltedRun {
   std::vector<Word> outputs;
@@ -377,10 +378,9 @@ HaltedRun run_to_halt(const LoadableProgram& program,
                       bool superstep) {
   System sys({kGeom});
   sys.ring().set_plan_cache_enabled(plan_enabled);
-  sys.set_superstep_enabled(superstep);
   sys.load(program);
   sys.host().send(input);
-  sys.run_until_halt(64 + 16 * input.size(), 2);
+  Drive{!superstep}.until_halt(sys, 64 + 16 * input.size(), 2);
   HaltedRun r;
   r.outputs = sys.host().take_received();
   r.stats = sys.stats();

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +26,7 @@
 #include "rt/system_pool.hpp"
 #include "sim/report.hpp"
 #include "sim/system.hpp"
+#include "stepped_run.hpp"
 
 namespace sring::rt {
 namespace {
@@ -215,44 +215,41 @@ TEST(RtDeterminism, RearmUnderLinkStallsReproducesStallPattern) {
             first_report);
 }
 
-/// Sets SRING_NO_SUPERSTEP for a scope.  Workers construct their
-/// Systems while a batch is in flight, so the variable must stay set
-/// across the whole submit_batch call.
-class ScopedNoSuperstep {
- public:
-  ScopedNoSuperstep() { setenv("SRING_NO_SUPERSTEP", "1", 1); }
-  ~ScopedNoSuperstep() { unsetenv("SRING_NO_SUPERSTEP"); }
-};
-
 TEST(RtDeterminism, SuperstepEngineTransparentAcrossBatch) {
   Runtime fused({.workers = 4, .queue_capacity = 8});
   const std::vector<JobResult> with = fused.submit_batch(mixed_batch());
 
-  std::vector<JobResult> without;
-  {
-    ScopedNoSuperstep env;
-    Runtime percycle({.workers = 4, .queue_capacity = 8});
-    without = percycle.submit_batch(mixed_batch());
-  }
-
-  ASSERT_EQ(with.size(), without.size());
+  // The reference: every job on a fresh System, one step() per cycle,
+  // its outputs sliced as the worker slices them.
+  const std::vector<Job> jobs = mixed_batch();
+  ASSERT_EQ(with.size(), jobs.size());
   std::uint64_t fused_dispatches = 0;
-  for (std::size_t i = 0; i < with.size(); ++i) {
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    System sys({job.program->geometry, job.link});
+    sys.load(*job.program);
+    sys.host().send(job.input);
+    Drive{.stepped = true}.job(sys, job);
+    std::vector<Word> stepped = sys.host().take_received();
+    stepped.erase(stepped.begin(),
+                  stepped.begin() +
+                      static_cast<std::ptrdiff_t>(job.discard_prefix));
+    if (job.take_words > 0) stepped.resize(job.take_words);
+    const RunReport report = RunReport::from_system(job.name, sys);
+
     ASSERT_TRUE(with[i].ok) << with[i].error;
-    ASSERT_TRUE(without[i].ok) << without[i].error;
-    EXPECT_EQ(with[i].outputs, without[i].outputs) << "job " << i;
-    EXPECT_EQ(report_normalized(with[i].report),
-              report_normalized(without[i].report))
+    EXPECT_EQ(with[i].outputs, stepped) << "job " << i;
+    EXPECT_EQ(report_normalized(with[i].report), report_normalized(report))
         << "job " << i;
     const obs::Counter* fused_c =
         with[i].report.metrics.find_counter("ring.superstep.dispatches");
     const obs::Counter* plain_c =
-        without[i].report.metrics.find_counter("ring.superstep.dispatches");
+        report.metrics.find_counter("ring.superstep.dispatches");
     ASSERT_NE(fused_c, nullptr);
     ASSERT_NE(plain_c, nullptr);
     fused_dispatches += fused_c->value();
     EXPECT_EQ(plain_c->value(), 0u)
-        << "job " << i << ": env knob must reach pooled Systems";
+        << "job " << i << ": the stepped reference never dispatches";
   }
   EXPECT_GT(fused_dispatches, 0u)
       << "default path must actually exercise the superstep engine";

@@ -18,6 +18,7 @@
 #include "obs/host_shape.hpp"
 #include "sim/report.hpp"
 #include "sim/system.hpp"
+#include "stepped_run.hpp"
 #include "svc/dfg_job.hpp"
 
 namespace sring {
@@ -267,15 +268,12 @@ rt::Job dfg_job(const RingGeometry& g) {
   return svc::make_dfg_job(compiled, {signal(5, 48)});
 }
 
-/// Run `job` on a fresh System, the way a runtime worker does.
-void run_fresh(System& sys, const rt::Job& job) {
+/// Run `job` on a fresh System the way a runtime worker does, or
+/// stepped.
+void run_fresh(System& sys, const rt::Job& job, Drive drive = {}) {
   sys.load(*job.program);
   sys.host().send(job.input);
-  if (job.run == rt::Job::Run::kUntilOutputs) {
-    sys.run_until_outputs(job.expected_outputs, job.max_cycles);
-  } else {
-    sys.run_until_halt(job.max_cycles, job.drain_cycles);
-  }
+  drive.job(sys, job);
 }
 
 /// Serialized report with the ring.superstep.* counters zeroed.
@@ -352,8 +350,7 @@ TEST(RunReport, SerializedReportIsPinnedPerKernelAndGeometry) {
     // with those zeroed, the report of the same job run per cycle is
     // the same bytes.
     System percycle({g});
-    percycle.set_superstep_enabled(false);
-    run_fresh(percycle, make_job(p.kernel, g));
+    run_fresh(percycle, make_job(p.kernel, g), Drive{.stepped = true});
     EXPECT_EQ(without_superstep(RunReport::from_system(p.kernel, sys)),
               without_superstep(RunReport::from_system(p.kernel, percycle)));
   }

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/image.hpp"
 #include "common/rng.hpp"
 #include "mapper/mapper.hpp"
 #include "net/client.hpp"
@@ -359,6 +361,72 @@ TEST(SvcServe, DfgJobNameLandsInTheFlightRecorder) {
     if (rec.name == want && rec.trace_id == 42) found = true;
   }
   EXPECT_TRUE(found) << "no flight record named " << want;
+}
+
+// A shed submit_dfg waits the server's retry_after_ms hint before it
+// resubmits, not the client's exponential backoff: the four request
+// kinds share submit()'s exchange.  One worker and a one-deep queue
+// (both watermarks at 1): a running batch of wide motion searches pins
+// the worker and a second batch holds the queue at the high watermark,
+// so the DFG job is shed on arrival.
+TEST(SvcServe, ShedDfgJobWaitsTheServersRetryHint) {
+  ServerConfig cfg;
+  cfg.runtime.workers = 1;
+  cfg.runtime.queue_capacity = 1;
+  cfg.retry_after_hint_ms = 100;
+  TestServer ts(cfg);
+  ClientConfig ccfg = client_config(ts.server.port());
+  ccfg.backoff_initial_ms = 1;
+  ccfg.busy_retries = 1;
+  Client client(ccfg);
+  const auto blob = blob_of(kMacGraph);
+  // Compiles inline on the shard (never shed), so the job below hits.
+  ASSERT_TRUE(client.compile_dfg(blob, kGeom).ok);
+
+  const auto metric = [&ts](const char* name) {
+    const obs::Registry reg = ts.server.metrics();
+    const obs::Counter* c = reg.find_counter(name);
+    return c != nullptr ? c->value() : 0;
+  };
+  const auto wait_for = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  const auto me_batch = [](std::uint32_t tag, std::uint32_t jobs) {
+    SubmitJobBatchMsg msg;
+    msg.tag = tag;
+    for (std::uint32_t i = 0; i < jobs; ++i) {
+      JobRequest req;
+      req.kernel = KernelId::kMotionEstimation;
+      req.geometry = kGeom;
+      req.tag = tag * 100 + i + 1;
+      req.me_ref = Image(16, 16);
+      req.me_cand = Image(16, 16);
+      req.me_range = kMaxMotionRange;  // 129^2 candidates, ~570k cycles
+      msg.jobs.push_back(std::move(req));
+    }
+    std::vector<std::uint8_t> wire;
+    append_frame(wire, MsgType::kSubmitJobBatch,
+                 encode_submit_job_batch(msg));
+    return wire;
+  };
+  RawConn raw(ts.server.port());
+  raw.send_all(me_batch(1, 12));  // a few hundred ms of work
+  ASSERT_TRUE(wait_for([&] { return metric("rt.queue.dequeued") >= 1; }));
+  raw.send_all(me_batch(2, 1));
+  ASSERT_TRUE(wait_for([&] { return metric("rt.queue.enqueued") >= 2; }));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const RemoteDfgResult r =
+      client.submit_dfg(blob, random_streams(1, 16, 4), kGeom);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(metric("net.admission.shed"), 1u);
+  EXPECT_GE(waited, std::chrono::milliseconds(cfg.retry_after_hint_ms))
+      << (r.busy ? "shed twice" : "shed, then ran");
 }
 
 }  // namespace
