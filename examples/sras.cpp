@@ -57,7 +57,8 @@
 //       bit-exact against the scalar reference and print the
 //       tile.scratch.* staging behaviour; with --port, resubmit the
 //       same GEMM to a live server (protocol v4) and hold the served
-//       words bit-identical to the local run.
+//       words, sim cycles and every tile.* reply counter identical to
+//       the local run.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -685,8 +686,16 @@ int cmd_gemm(int argc, char** argv) {
                     (r.busy ? std::string("busy") : r.error));
     check(r.c == res.c,
           "sras gemm: served outputs diverged from the local fleet");
-    check(r.counter("tile.scratch.hits") == res.scratch_hits,
-          "sras gemm: served scratchpad behaviour diverged from local");
+    // Every tile.* counter the reply carries, and its sim cycles, must
+    // equal the local run's: both come from one tile::GemmDriver.
+    check(r.sim_cycles == res.sim_cycles,
+          "sras gemm: served sim cycles diverged from local");
+    check(r.counters.size() == res.counters.size(),
+          "sras gemm: served reply counters differ from local");
+    for (const auto& [name, value] : res.counters) {
+      check(r.counter(name) == value,
+            "sras gemm: served " + name + " diverged from local");
+    }
     served = true;
     std::printf(
         "  served == local bit-exact (%llu sim cycles, %u us server "

@@ -2,6 +2,7 @@
 
 #include "asm/program_builder.hpp"
 #include "common/error.hpp"
+#include "kernels/jobs.hpp"
 #include "sim/system.hpp"
 
 namespace sring::kernels {
@@ -195,18 +196,12 @@ dsp::Subbands dwt53_bands_from_raw(std::span<const Word> raw,
 }
 
 DwtResult run_dwt53(const RingGeometry& g, std::span<const Word> x) {
-  const std::size_t pairs = x.size() / 2;
-
+  const rt::Job job = make_dwt53_job(g, x);
   System sys({g});
-  sys.load(make_dwt53_program(g));
+  sys.load(*job.program);
 
-  const std::vector<Word> feed = make_dwt53_feed(x);
-  sys.host().send(feed);
-  sys.run_until_outputs(dwt53_output_words(pairs), 64 + 8 * feed.size());
-
-  const auto raw = sys.host().take_received();
   DwtResult result;
-  result.bands = dwt53_bands_from_raw(raw, pairs);
+  result.bands = dwt53_bands_from_raw(rt::run_on(sys, job), x.size() / 2);
   result.stats = sys.stats();
   result.cycles_per_sample =
       static_cast<double>(result.stats.cycles) /

@@ -3,6 +3,7 @@
 #include "asm/program_builder.hpp"
 #include "common/error.hpp"
 #include "dsp/fir.hpp"
+#include "kernels/jobs.hpp"
 #include "sim/system.hpp"
 
 namespace sring::kernels {
@@ -74,29 +75,20 @@ LoadableProgram make_spatial_fir_program(const RingGeometry& g,
 
 FirResult run_spatial_fir(const RingGeometry& g, std::span<const Word> x,
                           std::span<const Word> coeffs, LinkRate link) {
-  const std::size_t taps = coeffs.size();
+  rt::Job job = make_spatial_fir_job(g, x, coeffs);
+  job.link = link;
   System sys({g, link});
-  sys.load(make_spatial_fir_program(g, coeffs));
-
-  // Feed x plus `taps` flush zeros; the first `taps` emitted words are
-  // pipeline warm-up (zero history) and are discarded.
-  std::vector<Word> feed(x.begin(), x.end());
-  feed.insert(feed.end(), taps, 0);
-  sys.host().send(feed);
-  sys.run_until_outputs(x.size() + taps, 64 + 16 * feed.size());
+  sys.load(*job.program);
 
   FirResult result;
-  const auto raw = sys.host().take_received();
-  result.outputs.assign(raw.begin() + static_cast<std::ptrdiff_t>(taps),
-                        raw.begin() + static_cast<std::ptrdiff_t>(
-                                          taps + x.size()));
+  result.outputs = rt::run_on(sys, job);
   result.stats = sys.stats();
   result.cycles_per_sample =
       x.empty() ? 0.0
                 : static_cast<double>(result.stats.cycles) /
                       static_cast<double>(x.size());
-  result.report = RunReport::from_system("fir.spatial", sys);
-  result.report.extra("taps", std::uint64_t{taps})
+  result.report = RunReport::from_system(job.name, sys);
+  result.report.extra("taps", std::uint64_t{coeffs.size()})
       .extra("samples", std::uint64_t{x.size()})
       .extra("cycles_per_sample", result.cycles_per_sample);
   return result;

@@ -20,8 +20,8 @@ rt::Job make_spatial_fir_job(
                     : std::make_shared<const LoadableProgram>(
                           make_spatial_fir_program(g, coeffs));
 
-  // Same feed/run/slice schedule as run_spatial_fir: x plus `taps`
-  // flush zeros in, the first `taps` received words are warm-up.
+  // x plus `taps` flush zeros in; the first `taps` received words are
+  // pipeline warm-up (zero history).
   job.input.assign(x.begin(), x.end());
   job.input.insert(job.input.end(), taps, 0);
   job.run = rt::Job::Run::kUntilOutputs;

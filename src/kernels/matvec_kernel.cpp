@@ -4,6 +4,7 @@
 
 #include "asm/program_builder.hpp"
 #include "common/error.hpp"
+#include "kernels/jobs.hpp"
 #include "sim/system.hpp"
 
 namespace sring::kernels {
@@ -69,22 +70,16 @@ void set_matvec8_matrix(LoadableProgram& program, const dsp::Matrix8& m) {
 
 MatvecResult run_block_matvec8(const RingGeometry& g, const dsp::Matrix8& m,
                                std::span<const Word> x) {
-  check(x.size() % dsp::kMatvecN == 0 && !x.empty(),
-        "run_block_matvec8: length must be a positive multiple of 8");
-  const std::size_t blocks = x.size() / dsp::kMatvecN;
-
+  const rt::Job job = make_matvec8_job(g, m, x);
   System sys({g});
-  sys.load(make_matvec8_program(g, m, blocks));
-  sys.host().send(std::vector<Word>(x.begin(), x.end()));
-  sys.run_until_halt(64 + 40 * x.size(), /*drain_cycles=*/2);
+  sys.load(*job.program);
 
   MatvecResult result;
-  result.outputs = sys.host().take_received();
-  check(result.outputs.size() == blocks * dsp::kMatvecN,
-        "run_block_matvec8: unexpected output count");
+  result.outputs = rt::run_on(sys, job);
   result.stats = sys.stats();
-  result.cycles_per_block = static_cast<double>(result.stats.cycles) /
-                            static_cast<double>(blocks);
+  result.cycles_per_block =
+      static_cast<double>(result.stats.cycles) /
+      static_cast<double>(x.size() / dsp::kMatvecN);
   return result;
 }
 

@@ -2,6 +2,7 @@
 
 #include "asm/program_builder.hpp"
 #include "common/error.hpp"
+#include "kernels/jobs.hpp"
 #include "sim/system.hpp"
 
 namespace sring::kernels {
@@ -160,37 +161,19 @@ MotionEstimationResult run_motion_estimation(const RingGeometry& g,
                                              const Image& ref,
                                              std::size_t rx, std::size_t ry,
                                              const Image& cand, int range) {
-  const std::size_t n = dsp::kBlockSize;
-  const std::size_t units = g.layers;
-
-  const auto disp = sad_displacements(range);
-  const std::size_t batches = (disp.size() + units - 1) / units;
-
+  const rt::Job job = make_motion_estimation_job(g, ref, rx, ry, cand, range);
   System sys({g});
-  sys.load(make_sad_engine_program(g, n * n, batches));
-  sys.host().send(make_sad_feed(ref, rx, ry, cand, disp, units, n));
-  sys.run_until_halt(batches * (n * n + 16) + 1000, /*drain_cycles=*/2);
+  sys.load(*job.program);
 
   MotionEstimationResult result;
-  const auto raw = sys.host().take_received();
-  check(raw.size() >= batches * units,
-        "motion estimation: missing SAD outputs");
-  result.sads.reserve(disp.size());
-  for (std::size_t c = 0; c < disp.size(); ++c) {
-    result.sads.push_back(raw[c]);
-  }
-  bool first = true;
-  for (std::size_t c = 0; c < disp.size(); ++c) {
-    if (first || result.sads[c] < result.best.sad) {
-      result.best = {disp[c].first, disp[c].second, result.sads[c]};
-      first = false;
-    }
-  }
+  const std::vector<Word> sads = rt::run_on(sys, job);
+  result.sads.assign(sads.begin(), sads.end());
+  result.best = best_motion_vector(sads, range);
   result.stats = sys.stats();
   result.cycles = result.stats.cycles;
-  result.report = RunReport::from_system("motion_estimation", sys);
-  result.report.extra("candidates", std::uint64_t{disp.size()})
-      .extra("batches", std::uint64_t{batches})
+  result.report = RunReport::from_system(job.name, sys);
+  result.report.extra("candidates", std::uint64_t{sads.size()})
+      .extra("batches", std::uint64_t{(sads.size() + g.layers - 1) / g.layers})
       .extra("best_sad", std::uint64_t{result.best.sad});
   return result;
 }

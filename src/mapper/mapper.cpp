@@ -405,44 +405,69 @@ std::string mapping_report(const MappedProgram& mapped) {
   return out;
 }
 
-MappedRun run_mapped(const MappedProgram& mapped,
-                     const std::vector<std::vector<Word>>& input_streams) {
-  check(input_streams.size() == mapped.input_count,
-        "run_mapped: input stream count mismatch");
+rt::Job make_mapped_job(std::shared_ptr<const MappedProgram> mapped,
+                        const std::vector<std::vector<Word>>& input_streams) {
+  check(input_streams.size() == mapped->input_count,
+        "mapped program expects " + std::to_string(mapped->input_count) +
+            " input stream(s), got " + std::to_string(input_streams.size()));
   const std::size_t samples =
       input_streams.empty() ? 0 : input_streams[0].size();
   for (const auto& s : input_streams) {
-    check(s.size() == samples, "run_mapped: ragged input streams");
+    check(s.size() == samples, "mapped job: ragged input streams");
   }
-  check(samples > 0, "run_mapped: empty input");
+  check(samples > 0, "mapped job: empty input streams");
 
+  // One word per stream per cycle, padded by the pipeline depth so the
+  // last real sample's outputs drain.
+  const std::size_t pad = mapped->max_latency;
+  rt::Job job;
+  job.name = mapped->program.name;
+  job.input.reserve((samples + pad) * mapped->input_count);
+  for (std::size_t n = 0; n < samples + pad; ++n) {
+    for (const auto& stream : input_streams) {
+      job.input.push_back(n < samples ? stream[n] : Word{0});
+    }
+  }
+  job.run = rt::Job::Run::kUntilOutputs;
+  job.expected_outputs = mapped->pushes_per_cycle * (samples + pad);
+  job.max_cycles = 64 + 8 * job.input.size();
+  // Aliasing pointer: the job's program shares `mapped`'s lifetime.
+  const LoadableProgram* program = &mapped->program;
+  job.program =
+      std::shared_ptr<const LoadableProgram>(std::move(mapped), program);
+  return job;
+}
+
+std::vector<std::vector<Word>> delace_outputs(const MappedProgram& mapped,
+                                              std::span<const Word> raw,
+                                              std::size_t samples) {
+  std::vector<std::vector<Word>> outputs(mapped.outputs.size());
+  for (std::size_t o = 0; o < mapped.outputs.size(); ++o) {
+    const MappedOutput& mo = mapped.outputs[o];
+    outputs[o].resize(samples);
+    for (std::size_t n = 0; n < samples; ++n) {
+      const std::size_t at =
+          (n + mo.latency) * mapped.pushes_per_cycle + mo.push_rank;
+      check(at < raw.size(), "mapped: raw output stream shorter than the "
+                             "mapped program promises");
+      outputs[o][n] = raw[at];
+    }
+  }
+  return outputs;
+}
+
+MappedRun run_mapped(const MappedProgram& mapped,
+                     const std::vector<std::vector<Word>>& input_streams) {
+  // A non-owning handle: the job lives only for this call.
+  const rt::Job job = make_mapped_job(
+      std::shared_ptr<const MappedProgram>(std::shared_ptr<void>(), &mapped),
+      input_streams);
   System sys({mapped.geometry});
   sys.load(mapped.program);
 
-  const std::size_t pad = mapped.max_latency;
-  std::vector<Word> feed;
-  feed.reserve((samples + pad) * mapped.input_count);
-  for (std::size_t n = 0; n < samples + pad; ++n) {
-    for (const auto& stream : input_streams) {
-      feed.push_back(n < samples ? stream[n] : Word{0});
-    }
-  }
-  sys.host().send(feed);
-  sys.run_until_outputs(mapped.pushes_per_cycle * (samples + pad),
-                        64 + 8 * feed.size());
-
-  const auto raw = sys.host().take_received();
+  const std::size_t samples = input_streams[0].size();
   MappedRun run;
-  run.outputs.resize(mapped.outputs.size());
-  for (std::size_t o = 0; o < mapped.outputs.size(); ++o) {
-    const auto& mo = mapped.outputs[o];
-    run.outputs[o].resize(samples);
-    for (std::size_t n = 0; n < samples; ++n) {
-      const std::size_t group = n + mo.latency;
-      run.outputs[o][n] =
-          raw[group * mapped.pushes_per_cycle + mo.push_rank];
-    }
-  }
+  run.outputs = delace_outputs(mapped, rt::run_on(sys, job), samples);
   run.stats = sys.stats();
   run.cycles_per_sample = static_cast<double>(run.stats.cycles) /
                           static_cast<double>(samples);

@@ -31,10 +31,13 @@
 // filters need the half-rate scheme of kernels/iir_kernel).
 #pragma once
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "mapper/dfg.hpp"
+#include "rt/job.hpp"
 #include "sim/program.hpp"
 #include "sim/stats.hpp"
 
@@ -82,7 +85,26 @@ struct MappedRun {
   double cycles_per_sample = 0.0;
 };
 
-/// Execute a mapped program over equal-length input streams.
+/// One run of `mapped` over equal-length input streams as an rt::Job,
+/// the one definition of a mapped program's launch: one word per
+/// stream per cycle, padded by max_latency so the last sample drains,
+/// run until every push group has arrived.  Outputs are the raw
+/// interleaved host words; split them with delace_outputs.  The job's
+/// program aliases `mapped`, sharing its lifetime.  Throws SimError
+/// when the stream count differs from input_count, on ragged streams
+/// and on empty ones.
+rt::Job make_mapped_job(std::shared_ptr<const MappedProgram> mapped,
+                        const std::vector<std::vector<Word>>& input_streams);
+
+/// De-lace a mapped job's raw output words into per-output streams of
+/// `samples` words, in Dfg output order.  Throws SimError if `raw` is
+/// shorter than the program promises.
+std::vector<std::vector<Word>> delace_outputs(const MappedProgram& mapped,
+                                              std::span<const Word> raw,
+                                              std::size_t samples);
+
+/// Execute a mapped program over equal-length input streams: its
+/// make_mapped_job on a fresh System, de-laced.
 MappedRun run_mapped(const MappedProgram& mapped,
                      const std::vector<std::vector<Word>>& input_streams);
 

@@ -69,20 +69,12 @@ std::vector<rt::Job> one_job(rt::Job job) {
 /// The flight record of one finished fleet job, up to its e2e stamps.
 obs::SpanRecord span_record(const std::string& name,
                             const rt::JobResult& result) {
-  const obs::SpanTimeline& tl = result.timeline;
   obs::SpanRecord rec;
   rec.trace_id = result.trace_id;
   rec.name = name;
   rec.ok = result.ok;
   rec.error = result.error;
-  rec.worker = static_cast<std::uint32_t>(result.worker);
-  rec.sim_cycles = result.report.stats.cycles;
-  rec.plan_hits = result.report.stats.plan_hits;
-  rec.superstep_cycles =
-      result.report.metrics.value(RingMetrics::kSuperstepCycles);
-  rec.queue_wait_us = clamp_u32(tl.queue_wait_us());
-  rec.arm_us = clamp_u32(tl.arm_us());
-  rec.execute_us = clamp_u32(tl.execute_us());
+  rt::add_to_record(rec, result);
   return rec;
 }
 
@@ -381,8 +373,8 @@ void Server::handle_submit_batch(Shard& shard, Conn& conn,
   }
   // The runnable entries go to the fleet as at most one contiguous
   // group per worker, each admitted as a unit.
-  const std::size_t workers = runtime_->worker_count();
-  const std::size_t per_group = (jobs.size() + workers - 1) / workers;
+  const std::size_t per_group =
+      rt::group_size(jobs.size(), runtime_->worker_count());
   for (std::size_t first = 0; first < jobs.size(); first += per_group) {
     const std::size_t last = std::min(jobs.size(), first + per_group);
     PendingGroup meta;
@@ -623,7 +615,7 @@ void Server::handle_submit_gemm(Shard& shard, Conn& conn,
     // schedule is immutable and shared across requests and shards.
     state = std::make_shared<GemmState>(
         req.geometry, plan_cache_.get_or_plan(req.spec, req.scratch_tiles),
-        std::move(req.a), std::move(req.b), req.scratch_tiles);
+        std::move(req.a), std::move(req.b));
   } catch (const SimError& e) {
     // Geometry the tile engine cannot lower (e.g. fewer than 8
     // Dnodes); the connection stays open.
@@ -651,23 +643,17 @@ void Server::pump_gemms(Shard& shard) {
   for (auto& gp : shard.gemms) {
     if (queue_full) break;
     GemmState& g = *gp;
-    const std::size_t steps = g.sched->steps.size();
-    while (!g.failed && (!g.held.empty() || g.next_step < steps)) {
+    while (!g.driver.failed() &&
+           (!g.held.empty() || !g.driver.lowered_all())) {
       if (g.held.empty()) {
-        // Lowering stays here, in schedule order through the GEMM's one
-        // scratchpad, so its tile.scratch.* equal the local run's.
+        g.held_first = g.driver.next_step();
         try {
-          g.held = g.builder.build_group(
-              *g.sched, g.next_step,
-              tile::GemmJobBuilder::group_steps(*g.sched, workers), g.a,
-              g.b);
+          g.held = g.driver.lower_group(workers);
         } catch (const SimError& e) {
-          g.fail(e.what());
+          g.driver.fail(e.what());
           break;
         }
         for (rt::Job& job : g.held) job.trace_id = g.trace_id;
-        g.held_first = g.next_step;
-        g.next_step += g.held.size();
       }
       const std::size_t tiles = g.held.size();
       auto submitted = runtime_->try_submit_group(g.held, [wake_fd] {
@@ -680,7 +666,7 @@ void Server::pump_gemms(Shard& shard) {
         break;
       }
       if (submitted.status == rt::Runtime::SubmitStatus::kShutDown) {
-        g.fail("runtime is shut down");
+        g.driver.fail("runtime is shut down");
         break;
       }
       PendingGroup pj;
@@ -693,10 +679,13 @@ void Server::pump_gemms(Shard& shard) {
       counters_.gemm_tile_jobs.fetch_add(tiles, std::memory_order_relaxed);
     }
   }
+  // A failed GEMM drops its held group and finalizes once its
+  // submitted groups have landed.
   for (auto it = shard.gemms.begin(); it != shard.gemms.end();) {
     GemmState& g = **it;
-    if (g.outstanding > 0 || !g.held.empty() ||
-        (!g.failed && g.next_step < g.sched->steps.size())) {
+    if (g.outstanding > 0 ||
+        (!g.driver.failed() &&
+         (!g.held.empty() || !g.driver.lowered_all()))) {
       ++it;
       continue;
     }
@@ -705,77 +694,32 @@ void Server::pump_gemms(Shard& shard) {
   }
 }
 
-void Server::fold_gemm_group(const PendingGroup& pending,
-                             const std::vector<rt::JobResult>& results) {
-  GemmState& g = *pending.gemm;
-  if (g.outstanding > 0) --g.outstanding;
-  const auto add = [](std::uint32_t& sum, std::uint64_t us) {
-    sum = clamp_u32(std::uint64_t{sum} + us);
-  };
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const rt::JobResult& r = results[i];
-    add(g.tiles.queue_wait_us, r.timeline.queue_wait_us());
-    add(g.tiles.arm_us, r.timeline.arm_us());
-    add(g.tiles.execute_us, r.timeline.execute_us());
-    if (g.failed) continue;
-    if (!r.ok) {
-      g.fail(r.error);
-      continue;
-    }
-    try {
-      tile::accumulate_tile(*g.sched, g.sched->steps[pending.first_step + i],
-                            r.outputs, g.acc);
-    } catch (const SimError& e) {
-      // Output shape the schedule does not expect — a server bug, not
-      // a client one; fail the request without crashing.
-      g.fail(e.what());
-      continue;
-    }
-    g.tiles.sim_cycles += r.report.stats.cycles;
-    g.tiles.plan_hits += r.report.stats.plan_hits;
-    g.tiles.superstep_cycles +=
-        r.report.metrics.value(RingMetrics::kSuperstepCycles);
-    g.tiles.worker = static_cast<std::uint32_t>(r.worker);
-    g.any_reused = g.any_reused || r.reused_system;
-  }
-}
-
 void Server::finalize_gemm(Shard& shard, GemmState& g) {
-  counters_.gemm_scratch_hits.fetch_add(g.scratch.hits(),
+  const auto scratch = g.driver.scratch().counters();
+  for (std::size_t i = 0; i < scratch.size(); ++i) {
+    counters_.gemm_scratch[i].fetch_add(scratch[i],
                                         std::memory_order_relaxed);
-  counters_.gemm_scratch_refills.fetch_add(g.scratch.refills(),
-                                           std::memory_order_relaxed);
-  counters_.gemm_bytes_filled.fetch_add(g.scratch.bytes_filled(),
-                                        std::memory_order_relaxed);
-  counters_.gemm_bytes_saved.fetch_add(g.scratch.bytes_saved(),
-                                       std::memory_order_relaxed);
+  }
 
+  const bool failed = g.driver.failed();
+  const obs::SpanRecord& tiles = g.driver.totals();
   const bool timed = obs::telemetry_enabled();
   const auto s0 = std::chrono::steady_clock::now();
   Conn* conn = find_conn(shard, g.conn_id);
   std::vector<std::uint8_t> reply;
-  if (conn != nullptr && !g.failed) {
+  if (conn != nullptr && !failed) {
     JobResultMsg msg;
     msg.tag = g.tag;
-    msg.outputs = tile::narrow_grid(g.sched->spec, g.acc);
-    msg.sim_cycles = g.tiles.sim_cycles;
-    msg.worker = g.tiles.worker;
-    msg.reused_system = g.any_reused ? 1 : 0;
-    msg.counters = {
-        {"sim.cycles", g.tiles.sim_cycles},
-        {"tile.jobs", g.sched->steps.size()},
-        {"tile.scratch.hits", g.scratch.hits()},
-        {"tile.scratch.refills", g.scratch.refills()},
-        {"tile.scratch.evictions", g.scratch.evictions()},
-        {"tile.scratch.bytes_filled", g.scratch.bytes_filled()},
-        {"tile.scratch.bytes_saved", g.scratch.bytes_saved()},
-        {"tile.streamed_bytes", g.sched->streamed_bytes},
-    };
+    msg.outputs = g.driver.result();
+    msg.sim_cycles = tiles.sim_cycles;
+    msg.worker = tiles.worker;
+    msg.reused_system = g.driver.any_reused() ? 1 : 0;
+    msg.counters = g.driver.reply_counters();
     msg.trace_id = g.trace_id;
     msg.total_us = clamp_u32(us_between(g.admitted, s0));
     reply = encode_job_result(msg, g.version);
   }
-  if (g.failed) {
+  if (failed) {
     counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
   } else {
     counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
@@ -784,19 +728,20 @@ void Server::finalize_gemm(Shard& shard, GemmState& g) {
     // The request's one e2e sample and flight record, admission to
     // reply encoded, recorded before the reply leaves: a client that
     // has the reply finds them.  Its tiles added only their phases.
-    obs::SpanRecord rec = std::move(g.tiles);
+    obs::SpanRecord rec = tiles;
     rec.trace_id = g.trace_id;
     rec.name = "gemm";
-    rec.ok = !g.failed;
-    rec.error = g.error;
+    rec.ok = !failed;
+    rec.error = g.driver.error();
     record_request(shard, std::move(rec), g.admitted,
                    us_between(s0, std::chrono::steady_clock::now()));
   }
   if (conn == nullptr) return;
-  if (!g.failed) {
+  if (!failed) {
     send_frame(*conn, MsgType::kJobResult, reply, g.version);
   } else {
-    send_error(*conn, g.tag, ErrorCode::kJobFailed, g.error, g.version);
+    send_error(*conn, g.tag, ErrorCode::kJobFailed, g.driver.error(),
+               g.version);
   }
   if (conn->pending_jobs > 0) --conn->pending_jobs;
   conn->last_activity = std::chrono::steady_clock::now();
@@ -992,7 +937,8 @@ void Server::collect_completions(Shard& shard) {
       // yet.  The single response leaves via finalize_gemm once every
       // group has landed (pump_gemms runs right after this sweep —
       // never during it, since it push_backs into pending).
-      fold_gemm_group(pending, results);
+      --pending.gemm->outstanding;
+      pending.gemm->driver.fold(pending.first_step, results);
     } else if (pending.batch != nullptr) {
       settle_batch_group(shard, pending, results);
     } else {
@@ -1373,13 +1319,10 @@ obs::Registry Server::metrics() const {
   out.counter("net.batch.jobs").set(get(counters_.batch_jobs));
   out.counter("net.gemm.requests").set(get(counters_.gemm_requests));
   out.counter("net.gemm.tile_jobs").set(get(counters_.gemm_tile_jobs));
-  out.counter("tile.scratch.hits").set(get(counters_.gemm_scratch_hits));
-  out.counter("tile.scratch.refills")
-      .set(get(counters_.gemm_scratch_refills));
-  out.counter("tile.scratch.bytes_filled")
-      .set(get(counters_.gemm_bytes_filled));
-  out.counter("tile.scratch.bytes_saved")
-      .set(get(counters_.gemm_bytes_saved));
+  for (std::size_t i = 0; i < counters_.gemm_scratch.size(); ++i) {
+    out.counter(tile::Scratchpad::kCounterNames[i])
+        .set(get(counters_.gemm_scratch[i]));
+  }
   out.counter("tile.plan.hits").set(plan_cache_.hits());
   out.counter("tile.plan.misses").set(plan_cache_.misses());
   out.counter("tile.plan.evictions").set(plan_cache_.evictions());

@@ -33,6 +33,7 @@
 //    jobs, flushes every response, then returns from run().
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -189,16 +190,12 @@ class Server {
     std::uint16_t version = kProtocolVersion;
   };
 
-  /// One in-flight tiled GEMM (v4): the server-side analogue of
-  /// tile::run_gemm, unrolled into the shard loop so the tile groups of
-  /// many clients interleave on the fleet.  The pump lowers the
-  /// schedule in order, one group of GemmJobBuilder::group_steps steps
-  /// at a time, and submits each group as one fleet envelope; group
-  /// completions fold into `acc` in whatever order they land (wrapping
-  /// adds are order-independent — see tile/gemm_ref.hpp), and the
+  /// One in-flight tiled GEMM (v4): the request's connection state
+  /// around the tile::GemmDriver that run_gemm drives too.  The pump
+  /// lowers one group at a time and submits it as one fleet envelope;
+  /// group completions fold in whatever order they land, and the
   /// single JobResult reply goes out once the last group has been
-  /// folded.  The schedule is shared with (and may outlive) the plan
-  /// cache.
+  /// folded.
   struct GemmState {
     std::uint64_t conn_id = 0;
     std::uint32_t tag = 0;
@@ -206,44 +203,17 @@ class Server {
     std::uint64_t trace_id = 0;
     std::chrono::steady_clock::time_point admitted;  ///< e2e epoch
 
-    std::shared_ptr<const tile::TileSchedule> sched;
-    std::vector<Word> a, b;
-    tile::Scratchpad scratch;
-    tile::GemmJobBuilder builder;  ///< holds a reference to `scratch`
-    std::vector<Word> acc;         ///< m*n wrapping accumulator grid
-
-    std::size_t next_step = 0;    ///< first un-lowered schedule step
+    tile::GemmDriver driver;
     /// A lowered group the full queue refused; it is resubmitted as-is
     /// (lowering again would replay the scratchpad).
     std::vector<rt::Job> held;
     std::size_t held_first = 0;   ///< schedule step of held.front()
     std::size_t outstanding = 0;  ///< submitted groups not yet folded
-    /// Totals over the folded tiles (sim cycles, plan hits, superstep
-    /// cycles, summed phases; worker = the last tile's) — the body of
-    /// the GEMM's one flight record.
-    obs::SpanRecord tiles;
-    bool any_reused = false;
-    bool failed = false;
-    std::string error;  ///< first tile failure, verbatim
-
-    /// Fail the request with its first error and abandon the tiles
-    /// not yet submitted; submitted groups still land and are counted.
-    void fail(std::string why) {
-      if (!failed) error = std::move(why);
-      failed = true;
-      held.clear();
-    }
 
     GemmState(const RingGeometry& geometry,
               std::shared_ptr<const tile::TileSchedule> schedule,
-              std::vector<Word> a_in, std::vector<Word> b_in,
-              std::size_t scratch_tiles)
-        : sched(std::move(schedule)),
-          a(std::move(a_in)),
-          b(std::move(b_in)),
-          scratch(scratch_tiles),
-          builder(geometry, scratch),
-          acc(sched->spec.m * sched->spec.n, 0) {}
+              std::vector<Word> a, std::vector<Word> b)
+        : driver(geometry, std::move(schedule), std::move(a), std::move(b)) {}
   };
 
   /// One in-flight v5 SubmitJobBatch: entries settle independently
@@ -356,8 +326,6 @@ class Server {
   /// tick), then finalize every GEMM whose last group has been folded.
   /// Never called while collect_completions() iterates pending.
   void pump_gemms(Shard& shard);
-  void fold_gemm_group(const PendingGroup& pending,
-                       const std::vector<rt::JobResult>& results);
   void finalize_gemm(Shard& shard, GemmState& gemm);
   /// Watermark admission shared by every submit path, one unit at a
   /// time (a single job or a group of batch entries): accept below
@@ -457,10 +425,10 @@ class Server {
     // `sras stats` sees the scratchpad behaviour across all requests.
     std::atomic<std::uint64_t> gemm_requests{0};
     std::atomic<std::uint64_t> gemm_tile_jobs{0};
-    std::atomic<std::uint64_t> gemm_scratch_hits{0};
-    std::atomic<std::uint64_t> gemm_scratch_refills{0};
-    std::atomic<std::uint64_t> gemm_bytes_filled{0};
-    std::atomic<std::uint64_t> gemm_bytes_saved{0};
+    /// tile.scratch.*, in tile::Scratchpad::kCounterNames order.
+    std::array<std::atomic<std::uint64_t>,
+               tile::Scratchpad::kCounterNames.size()>
+        gemm_scratch{};
   };
   NetCounters counters_;
 

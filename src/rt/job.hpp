@@ -11,7 +11,11 @@
 //
 // Jobs are value types — each one runs on a private System owned by
 // exactly one worker thread, which is what makes per-job results
-// bit-identical regardless of worker count.
+// bit-identical regardless of worker count.  run_on() is the one job
+// executor: the fleet's workers and every local kernel helper
+// (kernels::run_*, mapper::run_mapped) run their jobs through it, so a
+// kernel's feed, budget, stop rule and output slice exist only in its
+// job builder.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +27,13 @@
 #include "sim/host_interface.hpp"
 #include "sim/program.hpp"
 #include "sim/report.hpp"
+
+namespace sring {
+class System;
+namespace obs {
+struct SpanRecord;
+}
+}  // namespace sring
 
 namespace sring::rt {
 
@@ -50,7 +61,7 @@ struct Job {
 
   /// Output slicing: drop `discard_prefix` warm-up words, then keep
   /// `take_words` words (0 = everything remaining).  Kernels use this
-  /// to strip pipeline warm-up exactly like their run_* helpers do.
+  /// to strip pipeline warm-up.
   std::size_t discard_prefix = 0;
   std::size_t take_words = 0;
 
@@ -75,5 +86,17 @@ struct JobResult {
   std::uint64_t trace_id = 0;    ///< Job::trace_id, echoed back
   obs::SpanTimeline timeline;    ///< wall-clock spans (empty if disabled)
 };
+
+/// Run `job` on `sys`, which must be armed with `job.program`: send
+/// the input, run under the job's policy, and return the host output
+/// words sliced by discard_prefix / take_words.  Throws SimError when
+/// the run overruns its budget or leaves too few words to slice.
+std::vector<Word> run_on(System& sys, const Job& job);
+
+/// Add `result`'s ring totals (sim cycles, plan hits, superstep
+/// cycles) and its phases to the flight record `rec`, saturating, and
+/// make its worker the record's: a single job's record, or the sum
+/// over a GEMM's tiles.
+void add_to_record(obs::SpanRecord& rec, const JobResult& result);
 
 }  // namespace sring::rt

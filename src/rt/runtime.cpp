@@ -201,32 +201,12 @@ JobResult Runtime::run_job(const Job& job, std::size_t index,
   result.worker = index;
   result.trace_id = job.trace_id;
   try {
-    check(job.program != nullptr, "rt job '" + job.name + "': no program");
     const SystemPool::Lease lease = worker.pool.acquire(job);
     System& sys = lease.system;
     result.reused_system = lease.rearmed;
     timeline.stamp(obs::SpanTimeline::kArmed);
-
-    sys.host().send(job.input);
-    if (job.run == Job::Run::kUntilOutputs) {
-      sys.run_until_outputs(job.expected_outputs, job.max_cycles);
-    } else {
-      sys.run_until_halt(job.max_cycles, job.drain_cycles);
-    }
+    result.outputs = run_on(sys, job);
     timeline.stamp(obs::SpanTimeline::kExecuted);
-
-    std::vector<Word> raw = sys.host().take_received();
-    check(raw.size() >= job.discard_prefix,
-          "rt job '" + job.name + "': fewer outputs than discard_prefix");
-    const std::size_t avail = raw.size() - job.discard_prefix;
-    const std::size_t take =
-        job.take_words == 0 ? avail : std::min(job.take_words, avail);
-    check(job.take_words == 0 || avail >= job.take_words,
-          "rt job '" + job.name + "': fewer outputs than requested");
-    result.outputs.assign(
-        raw.begin() + static_cast<std::ptrdiff_t>(job.discard_prefix),
-        raw.begin() +
-            static_cast<std::ptrdiff_t>(job.discard_prefix + take));
     result.report = RunReport::from_system(job.name, sys);
     result.ok = true;
   } catch (const std::exception& e) {

@@ -25,6 +25,7 @@
 // snapshot.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -53,6 +54,16 @@ struct RuntimeConfig {
   /// Resident Systems per worker (SystemPool LRU bound).
   std::size_t pool_systems_per_worker = 4;
 };
+
+/// The fan-out rule of every multi-job request (v5 batches, GEMM
+/// tiles): `jobs` jobs split into one contiguous run per worker, so a
+/// group holds ceil(jobs / workers) of them, capped at `cap`, and at
+/// least one.
+inline std::size_t group_size(std::size_t jobs, std::size_t workers,
+                              std::size_t cap = SIZE_MAX) noexcept {
+  const std::size_t w = std::max<std::size_t>(1, workers);
+  return std::max<std::size_t>(1, std::min((jobs + w - 1) / w, cap));
+}
 
 class Runtime {
  public:

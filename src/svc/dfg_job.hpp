@@ -3,10 +3,10 @@
 // through the existing worker fleet, superstep engine and telemetry
 // spans exactly like the named kernels do.
 //
-// The feed/budget/slice arithmetic here mirrors mapper::run_mapped
-// word for word (pad by max_latency, interleave one sample per input
-// stream per cycle, budget 64 + 8*feed cycles), so a DFG job executed
-// by rt::Runtime is bit-identical to a local run_mapped call — the
+// Both functions are thin wrappers over the mapper's one job builder
+// and de-lacer (mapper::make_mapped_job, mapper::delace_outputs),
+// which mapper::run_mapped runs too, so a DFG job executed by
+// rt::Runtime is bit-identical to a local run_mapped call — the
 // loopback acceptance test holds exactly that.
 #pragma once
 
@@ -24,7 +24,8 @@ namespace sring::svc {
 /// MappedProgram — no program copy); jobs of the same graph share its
 /// structure, so the SystemPool re-arms instead of reloading between
 /// them.  Outputs are the *raw* interleaved host words; split
-/// them with delace_outputs.  Throws SimError on stream mismatch.
+/// them with delace_outputs.  Throws SimError on stream mismatch; the
+/// job is named "dfg/<hash>".
 rt::Job make_dfg_job(const std::shared_ptr<const CompiledDfg>& compiled,
                      const std::vector<std::vector<Word>>& input_streams);
 

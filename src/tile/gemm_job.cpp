@@ -1,9 +1,8 @@
 #include "tile/gemm_job.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "kernels/matvec_kernel.hpp"
+#include "rt/runtime.hpp"
 
 namespace sring::tile {
 
@@ -98,26 +97,9 @@ rt::Job GemmJobBuilder::build(const TileSchedule& sched,
   return job;
 }
 
-std::vector<rt::Job> GemmJobBuilder::build_group(const TileSchedule& sched,
-                                                 std::size_t first,
-                                                 std::size_t count,
-                                                 std::span<const Word> a,
-                                                 std::span<const Word> b) {
-  const std::size_t end = std::min(sched.steps.size(), first + count);
-  std::vector<rt::Job> jobs;
-  jobs.reserve(end > first ? end - first : 0);
-  for (std::size_t i = first; i < end; ++i) {
-    jobs.push_back(build(sched, sched.steps[i], a, b));
-  }
-  return jobs;
-}
-
 std::size_t GemmJobBuilder::group_steps(const TileSchedule& sched,
                                         std::size_t workers) {
-  const std::size_t w = std::max<std::size_t>(1, workers);
-  const std::size_t per_worker = (sched.steps.size() + w - 1) / w;
-  return std::max<std::size_t>(
-      1, std::min(per_worker, sched.scratch_capacity));
+  return rt::group_size(sched.steps.size(), workers, sched.scratch_capacity);
 }
 
 }  // namespace sring::tile

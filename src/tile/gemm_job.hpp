@@ -41,19 +41,12 @@ class GemmJobBuilder {
   rt::Job build(const TileSchedule& sched, const TileStep& step,
                 std::span<const Word> a, std::span<const Word> b);
 
-  /// Lower up to `count` steps starting at schedule step `first`, in
-  /// schedule order: one fleet group (rt::Runtime::submit_group).
-  std::vector<rt::Job> build_group(const TileSchedule& sched,
-                                   std::size_t first, std::size_t count,
-                                   std::span<const Word> a,
-                                   std::span<const Word> b);
-
-  /// Steps per fleet group, the one fan-out rule of local and served
-  /// GEMMs: the schedule split into one contiguous run per worker,
-  /// ceil(steps / workers), capped at the schedule's scratchpad
-  /// capacity so a group never holds more lowered steps than the
-  /// scratchpad holds tiles.  Consecutive steps share operand tiles,
-  /// so a run on one worker keeps its A tile's program armed there.
+  /// Steps per fleet group, the fan-out rule of local and served GEMMs
+  /// (rt::group_size, which v5 batches use too): one contiguous run
+  /// per worker, capped at the schedule's scratchpad capacity so a
+  /// group never holds more lowered steps than the scratchpad holds
+  /// tiles.  Consecutive steps share operand tiles, so a run on one
+  /// worker keeps its A tile's program armed there.
   static std::size_t group_steps(const TileSchedule& sched,
                                  std::size_t workers);
 

@@ -1,5 +1,6 @@
 #include "tile/gemm_runner.hpp"
 
+#include <algorithm>
 #include <future>
 
 #include "common/error.hpp"
@@ -37,38 +38,96 @@ std::vector<Word> narrow_grid(const GemmSpec& spec,
   return out;
 }
 
+GemmDriver::GemmDriver(const RingGeometry& geometry,
+                       std::shared_ptr<const TileSchedule> sched,
+                       std::vector<Word> a, std::vector<Word> b)
+    : sched_(std::move(sched)),
+      a_(std::move(a)),
+      b_(std::move(b)),
+      scratch_(sched_->scratch_capacity),
+      builder_(geometry, scratch_),
+      acc_(sched_->spec.m * sched_->spec.n, 0) {}
+
+std::vector<rt::Job> GemmDriver::lower_group(std::size_t workers) {
+  const std::size_t end =
+      std::min(sched_->steps.size(),
+               next_ + GemmJobBuilder::group_steps(*sched_, workers));
+  std::vector<rt::Job> jobs;
+  jobs.reserve(end - next_);
+  for (; next_ < end; ++next_) {
+    jobs.push_back(builder_.build(*sched_, sched_->steps[next_], a_, b_));
+  }
+  return jobs;
+}
+
+void GemmDriver::fold(std::size_t first,
+                      const std::vector<rt::JobResult>& results) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const rt::JobResult& r = results[i];
+    rt::add_to_record(totals_, r);
+    if (failed_) continue;
+    if (!r.ok) {
+      fail(r.error);
+      continue;
+    }
+    try {
+      accumulate_tile(*sched_, sched_->steps[first + i], r.outputs, acc_);
+    } catch (const SimError& e) {
+      fail(e.what());
+      continue;
+    }
+    any_reused_ = any_reused_ || r.reused_system;
+  }
+}
+
+void GemmDriver::fail(std::string why) {
+  if (!failed_) error_ = std::move(why);
+  failed_ = true;
+}
+
+std::vector<Word> GemmDriver::result() const {
+  return narrow_grid(sched_->spec, acc_);
+}
+
+GemmDriver::Counters GemmDriver::reply_counters() const {
+  Counters out{{"sim.cycles", totals_.sim_cycles},
+               {"tile.jobs", sched_->steps.size()}};
+  const auto values = scratch_.counters();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out.emplace_back(Scratchpad::kCounterNames[i], values[i]);
+  }
+  out.emplace_back("tile.streamed_bytes", sched_->streamed_bytes);
+  return out;
+}
+
 GemmResult run_gemm(rt::Runtime& rt, const GemmRunConfig& cfg,
                     const GemmSpec& spec, std::span<const Word> a,
                     std::span<const Word> b) {
-  GemmResult res;
-  res.schedule = plan_gemm(spec, cfg.scratch_tiles);
+  GemmDriver driver(
+      cfg.geometry,
+      std::make_shared<const TileSchedule>(plan_gemm(spec, cfg.scratch_tiles)),
+      {a.begin(), a.end()}, {b.begin(), b.end()});
 
-  Scratchpad scratch(cfg.scratch_tiles);
-  GemmJobBuilder builder(cfg.geometry, scratch);
-
-  // Lowering runs in schedule order through the one scratchpad, group
-  // by group, so the scratch counters do not depend on the fleet.
-  const std::vector<TileStep>& steps = res.schedule.steps;
-  const std::size_t per_group =
-      GemmJobBuilder::group_steps(res.schedule, rt.worker_count());
-  std::vector<std::future<std::vector<rt::JobResult>>> groups;
-  for (std::size_t first = 0; first < steps.size(); first += per_group) {
-    groups.push_back(rt.submit_group(
-        builder.build_group(res.schedule, first, per_group, a, b)));
+  std::vector<std::pair<std::size_t, std::future<std::vector<rt::JobResult>>>>
+      groups;
+  while (!driver.lowered_all()) {
+    const std::size_t first = driver.next_step();
+    groups.emplace_back(first,
+                        rt.submit_group(driver.lower_group(rt.worker_count())));
   }
-
-  std::vector<Word> acc(spec.m * spec.n, 0);
-  std::size_t step = 0;
-  for (auto& group : groups) {
-    for (const rt::JobResult& r : group.get()) {
-      check(r.ok, "tile: tile job failed: " + r.error);
-      accumulate_tile(res.schedule, steps[step++], r.outputs, acc);
-      res.sim_cycles += r.report.stats.cycles;
+  for (auto& [first, group] : groups) {
+    driver.fold(first, group.get());
+    if (driver.failed()) {
+      throw SimError("tile: tile job failed: " + driver.error());
     }
   }
-  res.c = narrow_grid(spec, acc);
 
-  res.jobs = steps.size();
+  GemmResult res;
+  res.c = driver.result();
+  res.schedule = driver.schedule();
+  res.jobs = res.schedule.steps.size();
+  res.sim_cycles = driver.totals().sim_cycles;
+  const Scratchpad& scratch = driver.scratch();
   res.scratch_hits = scratch.hits();
   res.scratch_refills = scratch.refills();
   res.scratch_evictions = scratch.evictions();
@@ -79,6 +138,7 @@ GemmResult run_gemm(rt::Runtime& rt, const GemmRunConfig& cfg,
           ? static_cast<double>(res.schedule.streamed_bytes) /
                 static_cast<double>(res.bytes_filled)
           : 1.0;
+  res.counters = driver.reply_counters();
   return res;
 }
 

@@ -1,24 +1,25 @@
 // Tiled GEMM/conv execution on the rt worker fleet.
 //
-// run_gemm plans the schedule, stages tiles through a Scratchpad,
-// lowers every step to an rt::Job (GemmJobBuilder) and submits the
-// steps to the fleet as contiguous groups, one run per worker
-// (GemmJobBuilder::group_steps, the rule the net server uses too).
-// Per-chunk partial products are folded into a
-// 16-bit accumulator grid with wrapping adds — order-independent
-// (mod-2^16 addition is associative and commutative), which is what
-// makes the result bit-identical at any worker count and lets the net
-// server accumulate tile completions asynchronously.  The final grid
-// is narrowed with the rounding-saturating readback.
-//
-// accumulate_tile and narrow_grid are exposed separately because the
-// server's poll loop performs the same fold incrementally as tile
-// groups complete.
+// GemmDriver is the one orchestration of a tiled GEMM: it stages tiles
+// through a Scratchpad, lowers the schedule to rt::Jobs
+// (GemmJobBuilder) in contiguous groups, one run per worker
+// (GemmJobBuilder::group_steps), folds finished groups into a 16-bit
+// accumulator grid with wrapping adds and names the reply counters.
+// The fold is order-independent (mod-2^16 addition is associative and
+// commutative), which makes the result bit-identical at any worker
+// count and lets groups land in any order.  The final grid is narrowed
+// with the rounding-saturating readback.  run_gemm drives it
+// synchronously; net::Server drives it from its poll loop, submitting
+// groups as the queue admits them and folding them as they complete.
 #pragma once
 
+#include <memory>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "rt/runtime.hpp"
 #include "tile/gemm_job.hpp"
 
@@ -47,6 +48,10 @@ struct GemmResult {
   /// streamed_bytes / bytes_filled — operand-traffic reduction vs the
   /// stream-every-job baseline.
   double traffic_reduction = 1.0;
+
+  /// The counters a served run of this GEMM replies with
+  /// (GemmDriver::reply_counters).
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
 };
 
 /// Fold one tile job's host outputs into the m*n accumulator grid
@@ -57,6 +62,71 @@ void accumulate_tile(const TileSchedule& sched, const TileStep& step,
 /// Apply the rounding-saturating readback to a full accumulator grid.
 std::vector<Word> narrow_grid(const GemmSpec& spec,
                               std::span<const Word> acc);
+
+/// One tiled GEMM in flight.  It owns the operands, the schedule, the
+/// scratchpad and its builder, the accumulator grid and the cursor of
+/// the next step to lower.  Lowering runs in schedule order through
+/// the one scratchpad, so the tile.scratch.* counters do not depend on
+/// the fleet.  Not copyable or movable: the builder refers to the
+/// scratchpad.
+class GemmDriver {
+ public:
+  using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+  /// The scratchpad holds `sched->scratch_capacity` tiles.  Throws
+  /// SimError on a geometry the tile engine cannot lower.
+  GemmDriver(const RingGeometry& geometry,
+             std::shared_ptr<const TileSchedule> sched, std::vector<Word> a,
+             std::vector<Word> b);
+  GemmDriver(const GemmDriver&) = delete;
+  GemmDriver& operator=(const GemmDriver&) = delete;
+
+  const TileSchedule& schedule() const noexcept { return *sched_; }
+  const Scratchpad& scratch() const noexcept { return scratch_; }
+  /// First schedule step not yet lowered.
+  std::size_t next_step() const noexcept { return next_; }
+  bool lowered_all() const noexcept { return next_ == sched_->steps.size(); }
+
+  /// Lower the next group_steps(schedule, workers) steps and advance
+  /// the cursor past them.  Throws SimError on operands that do not
+  /// match the spec.
+  std::vector<rt::Job> lower_group(std::size_t workers);
+
+  /// Fold the results of the group lowered at schedule step `first`.
+  /// A failed job or an unexpected output shape fails the GEMM with
+  /// its first error; every result still adds to totals().
+  void fold(std::size_t first, const std::vector<rt::JobResult>& results);
+
+  /// Fail the GEMM with `why` unless it already failed.
+  void fail(std::string why);
+  bool failed() const noexcept { return failed_; }
+  const std::string& error() const noexcept { return error_; }
+
+  /// Totals over the tiles' results (rt::add_to_record): sim cycles,
+  /// plan hits, superstep cycles and summed phases; worker is the last
+  /// tile's.  Of a GEMM that did not fail, these are the folded tiles'.
+  const obs::SpanRecord& totals() const noexcept { return totals_; }
+  bool any_reused() const noexcept { return any_reused_; }
+
+  /// The narrowed m*n result of the folded tiles.
+  std::vector<Word> result() const;
+
+  /// The counters of a GEMM reply: sim.cycles, tile.jobs, the
+  /// scratchpad's tile.scratch.* and tile.streamed_bytes.
+  Counters reply_counters() const;
+
+ private:
+  std::shared_ptr<const TileSchedule> sched_;
+  std::vector<Word> a_, b_;
+  Scratchpad scratch_;
+  GemmJobBuilder builder_;  ///< holds a reference to scratch_
+  std::vector<Word> acc_;   ///< m*n wrapping accumulator grid
+  std::size_t next_ = 0;
+  obs::SpanRecord totals_;
+  bool any_reused_ = false;
+  bool failed_ = false;
+  std::string error_;  ///< first failure, verbatim
+};
 
 /// Execute `spec` over the fleet.  Throws SimError on invalid
 /// operands or a failed tile job.

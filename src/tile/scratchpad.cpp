@@ -88,14 +88,4 @@ void Scratchpad::clear() {
   lru_.clear();
 }
 
-void Scratchpad::export_metrics(obs::Registry& reg) const {
-  reg.counter("tile.scratch.hits").add(hits_);
-  reg.counter("tile.scratch.refills").add(refills_);
-  reg.counter("tile.scratch.evictions").add(evictions_);
-  reg.counter("tile.scratch.bytes_filled").add(bytes_filled_);
-  reg.counter("tile.scratch.bytes_saved").add(bytes_saved_);
-  reg.counter("tile.scratch.resident").set(entries_.size());
-  reg.counter("tile.scratch.capacity").set(capacity_);
-}
-
 }  // namespace sring::tile

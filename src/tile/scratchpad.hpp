@@ -11,7 +11,8 @@
 // also re-arms the ring from the plan/pool caches instead of
 // recompiling.
 //
-// Counters (exported as tile.scratch.* via export_metrics):
+// Counters (named tile.scratch.* by kCounterNames, the one place those
+// names are built; GEMM replies and server stats both use it):
 //   hits          tile already staged when requested
 //   refills       tile staged from operand memory (miss or explicit)
 //   evictions     LRU or explicit evictions
@@ -20,15 +21,16 @@
 //                 have refetched (tile bytes per hit)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
-#include "obs/metrics.hpp"
 #include "sim/program.hpp"
 
 namespace sring::tile {
@@ -103,8 +105,13 @@ class Scratchpad {
   std::uint64_t bytes_filled() const noexcept { return bytes_filled_; }
   std::uint64_t bytes_saved() const noexcept { return bytes_saved_; }
 
-  /// Export the tile.scratch.* counters into `reg`.
-  void export_metrics(obs::Registry& reg) const;
+  /// The counters' names, in counters() order.
+  static constexpr std::array<std::string_view, 5> kCounterNames{
+      "tile.scratch.hits", "tile.scratch.refills", "tile.scratch.evictions",
+      "tile.scratch.bytes_filled", "tile.scratch.bytes_saved"};
+  std::array<std::uint64_t, 5> counters() const noexcept {
+    return {hits_, refills_, evictions_, bytes_filled_, bytes_saved_};
+  }
 
  private:
   struct Entry {

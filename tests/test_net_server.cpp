@@ -678,8 +678,8 @@ TEST(NetServerMetrics, SnapshotNamesAndRuntimeCountersArePinned) {
       "svc.compile.hits", "svc.compile.latency_us", "svc.compile.misses",
       "svc.compile.validations", "tile.plan.evictions", "tile.plan.hits",
       "tile.plan.misses", "tile.scratch.bytes_filled",
-      "tile.scratch.bytes_saved", "tile.scratch.hits",
-      "tile.scratch.refills",
+      "tile.scratch.bytes_saved", "tile.scratch.evictions",
+      "tile.scratch.hits", "tile.scratch.refills",
   };
   EXPECT_EQ(names, want_names);
 

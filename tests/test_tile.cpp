@@ -7,6 +7,7 @@
 // determinism, and im2col conv2d.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -162,10 +163,11 @@ TEST(Scratchpad, LruEvictionAndCounters) {
   EXPECT_EQ(spad.bytes_saved(), 8u);
   EXPECT_EQ(spad.resident_tiles(), 2u);
 
-  obs::Registry reg;
-  spad.export_metrics(reg);
-  EXPECT_EQ(reg.find_counter("tile.scratch.hits")->value(), 1u);
-  EXPECT_EQ(reg.find_counter("tile.scratch.bytes_saved")->value(), 8u);
+  // counters() lines up with the names GEMM replies and server stats
+  // carry.
+  EXPECT_EQ(spad.counters(), (std::array<std::uint64_t, 5>{1, 3, 1, 24, 8}));
+  EXPECT_EQ(Scratchpad::kCounterNames[0], "tile.scratch.hits");
+  EXPECT_EQ(Scratchpad::kCounterNames[4], "tile.scratch.bytes_saved");
 }
 
 TEST(Scratchpad, RetainPinsAgainstEviction) {
