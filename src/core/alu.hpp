@@ -15,68 +15,82 @@ namespace sring {
 
 /// Evaluate one Dnode operation.  Pure combinational function: signed
 /// two's-complement semantics, results wrap to 16 bits except for the
-/// saturating variants (kAdds/kSubs).  Defined inline: this is the
-/// innermost call of every executed Dnode cycle and must fold into the
-/// ring's fused loop without LTO.
-inline Word alu_execute(DnodeOp op, Word a, Word b, Word c) noexcept {
-  const std::int32_t sa = as_signed(a);
-  const std::int32_t sb = as_signed(b);
-  const std::int32_t sc = as_signed(c);
+/// saturating variants (kAdds/kSubs).  The operands are fetched on
+/// demand: `get_a`, `get_b` and `get_c` run only for the ones `op`
+/// reads.  Defined inline: this is the innermost call of every executed
+/// Dnode cycle and must fold into the ring's fused loop without LTO.
+template <typename GetA, typename GetB, typename GetC>
+inline Word alu_apply(DnodeOp op, GetA get_a, GetB get_b,
+                      GetC get_c) noexcept {
+  const auto sa = [&] { return as_signed(get_a()); };
+  const auto sb = [&] { return as_signed(get_b()); };
+  const auto sc = [&] { return as_signed(get_c()); };
   switch (op) {
     case DnodeOp::kNop:
       return 0;
     case DnodeOp::kPass:
-      return a;
+      return get_a();
     case DnodeOp::kAdd:
-      return to_word(sa + sb);
+      return to_word(sa() + sb());
     case DnodeOp::kSub:
-      return to_word(sa - sb);
+      return to_word(sa() - sb());
     case DnodeOp::kRsub:
-      return to_word(sb - sa);
+      return to_word(sb() - sa());
     case DnodeOp::kAdds:
-      return to_word_saturated(sa + sb);
+      return to_word_saturated(sa() + sb());
     case DnodeOp::kSubs:
-      return to_word_saturated(sa - sb);
+      return to_word_saturated(sa() - sb());
     case DnodeOp::kMul:
-      return to_word(static_cast<std::int64_t>(sa) * sb);
+      return to_word(static_cast<std::int64_t>(sa()) * sb());
     case DnodeOp::kMulh:
-      return to_word((static_cast<std::int64_t>(sa) * sb) >> 16);
+      return to_word((static_cast<std::int64_t>(sa()) * sb()) >> 16);
     case DnodeOp::kMac:
-      return to_word(static_cast<std::int64_t>(sa) * sb + sc);
+      return to_word(static_cast<std::int64_t>(sa()) * sb() + sc());
     case DnodeOp::kMsu:
-      return to_word(sc - static_cast<std::int64_t>(sa) * sb);
+      return to_word(sc() - static_cast<std::int64_t>(sa()) * sb());
     case DnodeOp::kAnd:
-      return static_cast<Word>(a & b);
+      return static_cast<Word>(get_a() & get_b());
     case DnodeOp::kOr:
-      return static_cast<Word>(a | b);
+      return static_cast<Word>(get_a() | get_b());
     case DnodeOp::kXor:
-      return static_cast<Word>(a ^ b);
+      return static_cast<Word>(get_a() ^ get_b());
     case DnodeOp::kNot:
-      return static_cast<Word>(~a);
+      return static_cast<Word>(~get_a());
     case DnodeOp::kShl:
-      return to_word(static_cast<std::int64_t>(a) << (b & 15u));
+      return to_word(static_cast<std::int64_t>(get_a()) << (get_b() & 15u));
     case DnodeOp::kShr:
-      return static_cast<Word>(a >> (b & 15u));
+      return static_cast<Word>(get_a() >> (get_b() & 15u));
     case DnodeOp::kAsr:
-      return to_word(sa >> (b & 15u));
-    case DnodeOp::kAbs:
-      return to_word(sa < 0 ? -sa : sa);  // |-32768| wraps to -32768
-    case DnodeOp::kAbsdiff:
-      return to_word(sa >= sb ? sa - sb : sb - sa);
+      return to_word(sa() >> (get_b() & 15u));
+    case DnodeOp::kAbs: {
+      const std::int32_t a = sa();
+      return to_word(a < 0 ? -a : a);  // |-32768| wraps to -32768
+    }
+    case DnodeOp::kAbsdiff: {
+      const std::int32_t a = sa();
+      const std::int32_t b = sb();
+      return to_word(a >= b ? a - b : b - a);
+    }
     case DnodeOp::kMin:
-      return to_word(std::min(sa, sb));
+      return to_word(std::min(sa(), sb()));
     case DnodeOp::kMax:
-      return to_word(std::max(sa, sb));
+      return to_word(std::max(sa(), sb()));
     case DnodeOp::kCmpeq:
-      return a == b ? 1u : 0u;
+      return get_a() == get_b() ? 1u : 0u;
     case DnodeOp::kCmplt:
-      return sa < sb ? 1u : 0u;
+      return sa() < sb() ? 1u : 0u;
     case DnodeOp::kSelect:
-      return a != 0 ? b : c;
+      return get_a() != 0 ? get_b() : get_c();
     case DnodeOp::kOpCount:
       break;
   }
   return 0;
+}
+
+/// alu_apply() over operand values.
+inline Word alu_execute(DnodeOp op, Word a, Word b, Word c) noexcept {
+  return alu_apply(op, [a] { return a; }, [b] { return b; },
+                   [c] { return c; });
 }
 
 }  // namespace sring

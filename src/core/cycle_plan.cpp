@@ -280,12 +280,12 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
     if (op_uses_b(in.op)) op.b = ref(in.src_b);
     if (op_uses_c(in.op)) op.c = ref(in.src_c);
     op.dst = in.dst != DnodeDst::kNone ? lay.reg(i, dst_reg_index(in.dst))
-                                       : lay.sink();
+                                       : lay.val(i);
     op.out = in.out_en ? lay.out(i) : lay.sink();
     t.reads_window = t.reads_window || op.a.base == TapeRef::kWindow ||
                      op.b.base == TapeRef::kWindow ||
                      op.c.base == TapeRef::kWindow;
-    if (op.dst != lay.sink()) writes.push_back(op.dst);
+    if (in.dst != DnodeDst::kNone) writes.push_back(op.dst);
     if (op.out != lay.sink()) writes.push_back(op.out);
     if (op.host_en || op.bus_en) {
       t.effects.push_back(static_cast<std::uint32_t>(t.ops.size()));
@@ -313,6 +313,17 @@ void finish_tape(SuperstepTape& t,
     t.written.insert(t.written.end(), writes[p].begin(), writes[p].end());
   }
   t.carry_begin[period] = static_cast<std::uint32_t>(t.carry.size());
+  t.pop_sum.assign(period + 1, 0);
+  t.out_sum.assign(period + 1, 0);
+  for (std::size_t p = 0; p < period; ++p) {
+    std::uint32_t outs = t.taps_begin[p + 1] - t.taps_begin[p];
+    for (std::uint32_t j = t.effects_begin[p]; j < t.effects_begin[p + 1];
+         ++j) {
+      outs += t.ops[t.effects[j]].host_en ? 1u : 0u;
+    }
+    t.pop_sum[p + 1] = t.pop_sum[p] + t.pops[p];
+    t.out_sum[p + 1] = t.out_sum[p] + outs;
+  }
   std::sort(t.written.begin(), t.written.end());
   t.written.erase(std::unique(t.written.begin(), t.written.end()),
                   t.written.end());
@@ -347,6 +358,21 @@ void compile_loop_tape(const RingGeometry& geom,
     lower_phase(geom, *plans[i], dnodes, 0, pages[i] * n, i, t, writes[i]);
   }
   finish_tape(t, writes);
+}
+
+std::uint64_t tape_fit(std::span<const std::uint32_t> sum, std::size_t s,
+                       std::uint64_t c) noexcept {
+  const std::size_t period = sum.size() - 1;
+  const std::uint64_t total = sum[period];
+  if (total == 0) return ~std::uint64_t{0};
+  // Phases x from 0 whose prefix stays <= sum[s] + c: whole periods,
+  // then the phases of the next whose prefix fits the rest.  A smaller
+  // c only shortens the answer, so clamping it keeps the product exact.
+  const std::uint64_t v = sum[s] + std::min(c, std::uint64_t{1} << 40);
+  const auto part = std::upper_bound(sum.begin(), sum.begin() + period,
+                                     v % total) -
+                    sum.begin();
+  return v / total * period + static_cast<std::uint64_t>(part) - s - 1;
 }
 
 std::ptrdiff_t tape_phase(const SuperstepTape& t, const CyclePlan& plan,

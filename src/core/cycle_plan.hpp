@@ -112,8 +112,10 @@ struct CyclePlan {
 
 /// Flat state the superstep tape runs over, one vector per buffer:
 /// a constant zero, the shared bus, four registers per Dnode, one
-/// output register per Dnode, and a sink slot that absorbs writes an
-/// instruction does not make.  Slot 0 is never written.
+/// output register per Dnode, a sink slot that absorbs output writes
+/// an instruction does not make, and one value slot per Dnode that
+/// holds its result when it writes no register.  Slot 0 is never
+/// written; value slots are read only in the cycle that wrote them.
 struct TapeLayout {
   static constexpr std::uint16_t kZero = 0;
   static constexpr std::uint16_t kBus = 1;
@@ -133,7 +135,10 @@ struct TapeLayout {
   std::uint16_t sink() const noexcept {
     return static_cast<std::uint16_t>(outs() + dnodes);
   }
-  std::size_t size() const noexcept { return sink() + 1u; }
+  std::uint16_t val(std::size_t dnode) const noexcept {
+    return static_cast<std::uint16_t>(sink() + 1 + dnode);
+  }
+  std::size_t size() const noexcept { return sink() + 1u + dnodes; }
 };
 
 /// One operand of a tape micro-op: word `off` of one of five bases —
@@ -159,7 +164,9 @@ struct TapeOp {
   bool host_en = false;
   bool bus_en = false;
   TapeRef a, b, c;
-  std::uint16_t dst = 0;  ///< register slot, or the sink
+  /// Register slot, or the Dnode's value slot: the result is there
+  /// after the op either way.
+  std::uint16_t dst = 0;
   std::uint16_t out = 0;  ///< output-register slot, or the sink
 };
 
@@ -186,6 +193,12 @@ struct SuperstepTape {
   std::vector<Source> sources;              ///< parallel to ops
   std::vector<std::uint32_t> begin;         ///< [period + 1] into ops
   std::vector<std::uint32_t> pops;          ///< [period] host words
+  /// Prefix sums over phases [0, p), [period + 1]: the host words the
+  /// cycles consume (a loop tape adds each replayed INPOP's word) and
+  /// the host words they output.  A guard-free span is sized from them
+  /// (tape_sum, tape_fit).
+  std::vector<std::uint32_t> pop_sum;
+  std::vector<std::uint32_t> out_sum;
   /// Indices into ops of the hostEn/busEn micro-ops, phase-major.
   std::vector<std::uint32_t> effects;
   std::vector<std::uint32_t> effects_begin;  ///< [period + 1]
@@ -203,6 +216,20 @@ struct SuperstepTape {
   std::vector<std::uint64_t> phase_cycles;
   bool queued = false;  ///< in the Ring's flush queue (unflushed cycles)
 };
+
+/// What the `k` cycles from phase `s` add to a prefix-summed per-phase
+/// count (SuperstepTape::pop_sum, out_sum), wrapping the period.
+inline std::uint64_t tape_sum(std::span<const std::uint32_t> sum,
+                              std::size_t s, std::uint64_t k) noexcept {
+  const std::size_t period = sum.size() - 1;
+  const std::uint64_t end = s + k;
+  return end / period * sum[period] + sum[end % period] - sum[s];
+}
+
+/// The most cycles from phase `s` whose tape_sum stays <= `c`
+/// (UINT64_MAX when a whole period sums to 0).
+std::uint64_t tape_fit(std::span<const std::uint32_t> sum, std::size_t s,
+                       std::uint64_t c) noexcept;
 
 /// Lower `plan` into `tape`, starting phase 0 at the local counters
 /// the Dnodes hold now.

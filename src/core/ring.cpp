@@ -37,7 +37,6 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   window_slack_ = std::max<std::size_t>(geom_.fb_depth,
                                         4096 / geom_.dnode_count());
   window_.assign((window_slack_ + geom_.fb_depth) * geom_.dnode_count(), 0);
-  op_vals_.assign(geom_.dnode_count(), 0);
   local_imm_.assign(geom_.dnode_count() * kLocalProgramSlots, 0);
 }
 
@@ -223,20 +222,21 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
   result.host_words_out = static_cast<unsigned>(r.host_words_out);
   if (r.bus_driven) result.bus_drive = r.bus;
   if (trace_views_ && !result.stalled) {
-    // Issue views from the phase that ran and its micro-op results; the
-    // fetched instruction is the live one (the plan holds no imm).
+    // Issue views from the phase that ran and its micro-op results (in
+    // the state it wrote); the fetched instruction is the live one (the
+    // plan holds no imm).
     std::fill(effects_.begin(), effects_.end(), Dnode::Effects{});
     const SuperstepTape& t = *last_tape_;
-    const std::uint32_t first = t.begin[last_phase_];
-    for (std::uint32_t k = first; k < t.begin[last_phase_ + 1]; ++k) {
+    for (std::uint32_t k = t.begin[last_phase_]; k < t.begin[last_phase_ + 1];
+         ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const DnodeInstr& in =
           e->plan.dnodes[src.dnode].is_local
               ? dnodes_[src.dnode].local().instr_at(src.local_slot)
               : cfg.dnode_instr(src.dnode);
       fetched_[src.dnode] = &in;
-      effects_[src.dnode] = {true, op_vals_[k - first], in.out_en, in.bus_en,
-                             in.host_en};
+      effects_[src.dnode] = {true, flat_[cur_ + t.ops[k].dst], in.out_en,
+                             in.bus_en, in.host_en};
     }
   }
   return result;
@@ -719,6 +719,39 @@ void Ring::settle_last_tape() noexcept {
   last_tape_ = nullptr;
 }
 
+namespace {
+
+/// BEQ, BNE, BLT, BGE: the branches a loop-tape replay guards.
+bool is_conditional(RiscOp op) noexcept {
+  return op == RiscOp::kBeq || op == RiscOp::kBne || op == RiscOp::kBlt ||
+         op == RiscOp::kBge;
+}
+
+/// Credit `probe` with the host-FIFO depths at the top of `k` cycles
+/// from phase `s`: `depth` at the first, less the words (`sum`, see
+/// tape_sum) of the cycles before each.  The depths only fall, so every
+/// bucket takes one run of cycles.
+void credit_depths(const Ring::HostDepthProbe& probe,
+                   std::span<const std::uint32_t> sum, std::size_t s,
+                   std::uint64_t k, std::size_t depth) {
+  if (probe.counts == nullptr) return;
+  const std::uint8_t* const lut_end = probe.lut + probe.lut_max + 1;
+  for (std::uint64_t j = 0; j < k;) {
+    const std::size_t d = depth - tape_sum(sum, s, j);
+    const std::uint8_t b = probe.lut[std::min(d, probe.lut_max)];
+    // The bucket's lowest depth: cycles stay in it while the words
+    // consumed before them leave at least that many.
+    const auto lo =
+        static_cast<std::size_t>(std::lower_bound(probe.lut, lut_end, b) -
+                                 probe.lut);
+    const std::uint64_t end = std::min(k - 1, tape_fit(sum, s, depth - lo)) + 1;
+    probe.counts[b] += end - j;
+    j = end;
+  }
+}
+
+}  // namespace
+
 void Ring::flush_tape(SuperstepTape& t, SuperstepResult& res) {
   for (std::size_t p = 0; p < t.phase_cycles.size(); ++p) {
     const std::uint64_t cnt = t.phase_cycles[p];
@@ -857,6 +890,177 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     imms = ctx.cfg.live_imms();
   };
 
+  // The cycles from `phase` that no guard can stop, the first admitted
+  // by the caller: the budget left, what the host-input words feed, and
+  // the output stop, which admits cycle j > 0 against host_out's size
+  // at the top of cycle j - 1.  A replay's span ends with the iteration:
+  // a branch may end it early, and the output range it reserves stays
+  // one iteration's.
+  const auto span_len = [&] {
+    const SuperstepTape& t = *tape;
+    std::uint64_t k = ctx.max_cycles - res.cycles;
+    if (replay != nullptr) k = std::min<std::uint64_t>(k, t.period - phase);
+    k = std::min(k, tape_fit(t.pop_sum, phase, host_in.size()));
+    const std::size_t stop = ctx.host_out_stop;
+    if (stop != std::numeric_limits<std::size_t>::max()) {
+      const std::size_t top = host_out.size();
+      if (top >= stop) return std::uint64_t{1};
+      const std::uint64_t fit = tape_fit(t.out_sum, phase, stop - top - 1);
+      if (fit < k - 1) k = fit + 2;
+    }
+    return k;
+  };
+
+  // Run up to `k` cycles of `tape` from `phase` with no stop check: the
+  // caller admitted the first (host_out held `top` words at its top)
+  // and sized `k` so no budget, output-stop or host-input guard can stop
+  // the rest.  A replay runs each cycle's recorded instruction first
+  // and, from the second cycle on, guards its conditional branches: a
+  // miss ends the span before that cycle.  Returns the cycles run.
+  const auto run_span = [&](std::uint64_t k, std::size_t top, auto replaying) {
+    constexpr bool kReplay = decltype(replaying)::value;
+    const SuperstepTape& t = *tape;
+    const std::size_t out_at = host_out.size();
+    host_out.resize(out_at + tape_sum(t.out_sum, phase, k));
+    Word* const out0 = host_out.data() + out_at;
+    Word* out = out0;
+    Word* last_out = out;  // the output cursor at the last cycle's top
+    const TraceCycle* const rec = kReplay ? replay->cycles.data() : nullptr;
+    const TapeOp* const ops = t.ops.data();
+    // Locals, not members: a replay's register writes cannot alias them.
+    const std::size_t period = t.period;
+    const std::size_t row = n;
+    const std::size_t slack = window_slack_;
+    const std::size_t keep = (geom_.fb_depth - 1) * row;
+    Word* const win = window_.data();
+    Word* c = cur;
+    Word* x = nxt;
+    std::size_t h = head;
+    std::size_t p = phase;
+    bool drove = driven;
+    const Word* const in0 = host_in.data();
+    const Word* in = in0;  // the next host-input word
+    std::uint64_t in_words = 0;
+    std::uint64_t drives = 0;
+    std::uint64_t conflicts = 0;
+    std::uint64_t j = 0;
+    for (; j < k; ++j) {
+      if constexpr (kReplay) {
+        // The recorded instruction, inline: its page swap (if any) is
+        // already the phase's plan, and its branch must resolve as
+        // recorded.
+        const TraceCycle& tc = rec[p];
+        const RiscInstr& op = tc.instr;
+        if (j > 0 && is_conditional(op.op) &&
+            risc_taken(op.op, regs[op.ra], regs[op.rb]) != tc.taken) {
+          break;
+        }
+        switch (op.op) {
+          case RiscOp::kBusw:
+            c[TapeLayout::kBus] = static_cast<Word>(regs[op.ra] & 0xFFFFu);
+            break;
+          case RiscOp::kRdbus:
+            regs[op.rd] = c[TapeLayout::kBus];
+            break;
+          case RiscOp::kInpop:
+            regs[op.rd] = *in++;
+            break;
+          case RiscOp::kNop:
+          case RiscOp::kPage:
+          case RiscOp::kBeq:
+          case RiscOp::kBne:
+          case RiscOp::kBlt:
+          case RiscOp::kBge:
+          case RiscOp::kJmp:
+            break;
+          default:
+            regs[op.rd] = risc_alu(op, regs[op.rd], regs[op.ra], regs[op.rb]);
+            break;
+        }
+      }
+
+      // The phase: operand fetch, ALU, latch into the next buffer.
+      // Every per-op statistic is a tape constant, settled by
+      // flush_tape() from the per-phase cycle counts.
+      last_out = out;
+      const Word* const base[5] = {c, win + h * row, in, imms, local_imms};
+      for (std::uint32_t m = t.carry_begin[p]; m < t.carry_begin[p + 1];
+           ++m) {
+        x[t.carry[m]] = c[t.carry[m]];
+      }
+      for (std::uint32_t m = t.begin[p]; m < t.begin[p + 1]; ++m) {
+        const TapeOp& o = ops[m];
+        const Word v = alu_apply(
+            o.op, [&] { return base[o.a.base][o.a.off]; },
+            [&] { return base[o.b.base][o.b.off]; },
+            [&] { return base[o.c.base][o.c.off]; });
+        x[o.dst] = v;
+        x[o.out] = v;
+      }
+      in += t.pops[p];
+      in_words += t.pops[p];
+
+      // Host output: switch taps first (switch order), then Dnode
+      // hostEn results (Dnode order).  Bus: highest Dnode index wins.
+      for (std::uint32_t m = t.taps_begin[p]; m < t.taps_begin[p + 1]; ++m) {
+        *out++ = c[outs + t.taps[m].src];
+      }
+      Word bus = c[TapeLayout::kBus];
+      drove = false;
+      for (std::uint32_t e = t.effects_begin[p]; e < t.effects_begin[p + 1];
+           ++e) {
+        const std::uint32_t m = t.effects[e];
+        const Word v = x[ops[m].dst];
+        if (ops[m].host_en) *out++ = v;
+        if (ops[m].bus_en) {
+          ++drives;
+          if (drove) ++conflicts;
+          drove = true;
+          bus = v;
+        }
+      }
+      x[TapeLayout::kBus] = bus;
+
+      // Clock edge: every pipeline latches its upstream layer's
+      // pre-edge outputs — one row of the shared window.
+      if (h == 0) {
+        std::copy(win, win + keep, win + (slack + 1) * row);
+        h = slack + 1;
+      }
+      --h;
+      std::copy(c + outs, c + outs + row, win + h * row);
+      std::swap(c, x);
+      if (++p == period) p = 0;
+    }
+    // Per-phase cycle counts: j / period rounds over every phase, then
+    // the j % period phases from the span's first.
+    std::uint64_t* const counts = tape->phase_cycles.data();
+    if (const std::uint64_t rounds = j / period; rounds > 0) {
+      for (std::size_t q = 0; q < period; ++q) counts[q] += rounds;
+    }
+    for (std::uint64_t q = phase, rest = j % period; rest > 0; --rest) {
+      ++counts[q];
+      if (++q == period) q = 0;
+    }
+    host_in.drop(static_cast<std::size_t>(in - in0));
+    host_out.resize(static_cast<std::size_t>(out - host_out.data()));
+    bus_drives_ += drives;
+    bus_conflicts_ += conflicts;
+    cur = c;
+    nxt = x;
+    head = h;
+    phase = p;
+    driven = drove;
+    tape_ran = true;
+    edges += j;
+    res.cycles += j;
+    res.host_words_in += in_words;
+    res.host_words_out += static_cast<std::uint64_t>(out - out0);
+    prev_top = top + static_cast<std::size_t>(last_out - out0);
+    have_prev_top = true;
+    return j;
+  };
+
   for (;;) {
     if (res.cycles >= ctx.max_cycles || inert) break;
     const std::size_t top = host_out.size();
@@ -864,14 +1068,13 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     // run_until_outputs loop admits cycle c against a host mirror one
     // tick stale — host_out's size at the top of cycle c-1.
     if (have_prev_top && prev_top >= ctx.host_out_stop) break;
-    // The cycle happens: sample_depth() records the host-FIFO depth
-    // histogram where System::step does (after the link tick, before
-    // any pop).
+    // The cycle happens.  The host-FIFO depth histogram records depths
+    // where System::step samples them (after the link tick, before any
+    // pop): a span credits its cycles' run of depths at once.
     if (control == nullptr) {
       // Nothing can end a host-input stall inside the loop: hand back
       // so step() replays it.
       if (host_in.size() < tape->pops[phase]) break;
-      sample_depth();
     } else {
       if (pending != nullptr) {
         // A loop head: replay when the machine is where the recording
@@ -899,49 +1102,13 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
         // and a conditional branch resolves the way it was recorded.
         const TraceCycle& c = replay->cycles[phase];
         const RiscInstr& in = c.instr;
-        bool miss = host_in.size() <
-                    tape->pops[phase] + (in.op == RiscOp::kInpop ? 1u : 0u);
-        switch (in.op) {
-          case RiscOp::kBeq:
-          case RiscOp::kBne:
-          case RiscOp::kBlt:
-          case RiscOp::kBge:
-            miss = miss ||
-                   risc_taken(in.op, regs[in.ra], regs[in.rb]) != c.taken;
-            break;
-          default:
-            break;
-        }
-        if (miss) {
+        if (host_in.size() <
+                tape->pops[phase] + (in.op == RiscOp::kInpop ? 1u : 0u) ||
+            (is_conditional(in.op) &&
+             risc_taken(in.op, regs[in.ra], regs[in.rb]) != c.taken)) {
           stop_replay();
           switch_to(enter_tape(*entry, phase, tape_ran));
           continue;  // the cycle runs through the controller step
-        }
-        sample_depth();
-        // The recorded instruction, inline: its page swap (if any) is
-        // already the phase's plan, and its branch was guarded above.
-        switch (in.op) {
-          case RiscOp::kBusw:
-            cur[TapeLayout::kBus] = static_cast<Word>(regs[in.ra] & 0xFFFFu);
-            break;
-          case RiscOp::kRdbus:
-            regs[in.rd] = cur[TapeLayout::kBus];
-            break;
-          case RiscOp::kInpop:
-            regs[in.rd] = host_in.pop();
-            break;
-          case RiscOp::kNop:
-          case RiscOp::kPage:
-          case RiscOp::kBeq:
-          case RiscOp::kBne:
-          case RiscOp::kBlt:
-          case RiscOp::kBge:
-          case RiscOp::kJmp:
-            break;
-          default:
-            regs[in.rd] =
-                risc_alu(in, regs[in.rd], regs[in.ra], regs[in.rb]);
-            break;
         }
       } else {
         sample_depth();
@@ -982,79 +1149,17 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
           continue;
         }
         if (!mode_synced_) sync_modes(entry->plan);
+        run_span(1, top, std::false_type{});
+        continue;
       }
     }
-
-    // Execute the phase: operand fetch, ALU, latch into the next
-    // buffer.  Every per-op statistic is a tape constant, settled
-    // by flush_tape() from the per-phase cycle counts.
-    const Word* const base[5] = {cur, window_.data() + head * n,
-                                 host_in.data(), imms, local_imms};
-    for (std::uint32_t k = tape->carry_begin[phase];
-         k < tape->carry_begin[phase + 1]; ++k) {
-      nxt[tape->carry[k]] = cur[tape->carry[k]];
-    }
-    const std::uint32_t first = tape->begin[phase];
-    const std::uint32_t last = tape->begin[phase + 1];
-    const TapeOp* const ops = tape->ops.data();
-    Word* const vals = op_vals_.data();
-    for (std::uint32_t k = first; k < last; ++k) {
-      const TapeOp& o = ops[k];
-      const Word v = alu_execute(o.op, base[o.a.base][o.a.off],
-                                 base[o.b.base][o.b.off],
-                                 base[o.c.base][o.c.off]);
-      nxt[o.dst] = v;
-      nxt[o.out] = v;
-      vals[k - first] = v;
-    }
-    const std::uint32_t need = tape->pops[phase];
-    host_in.drop(need);
-    res.host_words_in += need;
-
-    // Host output: switch taps first (switch order), then Dnode hostEn
-    // results (Dnode order).  Bus: highest Dnode index wins.
-    const std::uint32_t taps_end = tape->taps_begin[phase + 1];
-    for (std::uint32_t k = tape->taps_begin[phase]; k < taps_end; ++k) {
-      host_out.push_back(cur[outs + tape->taps[k].src]);
-    }
-    res.host_words_out += taps_end - tape->taps_begin[phase];
-    Word bus = cur[TapeLayout::kBus];
-    driven = false;
-    for (std::uint32_t j = tape->effects_begin[phase];
-         j < tape->effects_begin[phase + 1]; ++j) {
-      const std::uint32_t k = tape->effects[j];
-      const Word v = vals[k - first];
-      if (ops[k].host_en) {
-        host_out.push_back(v);
-        ++res.host_words_out;
-      }
-      if (ops[k].bus_en) {
-        ++bus_drives_;
-        if (driven) ++bus_conflicts_;
-        driven = true;
-        bus = v;
-      }
-    }
-    nxt[TapeLayout::kBus] = bus;
-
-    // Clock edge: every pipeline latches its upstream layer's pre-edge
-    // outputs — one row of the shared window.
-    if (head == 0) {
-      std::copy(window_.data(), window_.data() + (geom_.fb_depth - 1) * n,
-                window_.data() + (window_slack_ + 1) * n);
-      head = window_slack_ + 1;
-    }
-    --head;
-    std::copy(cur + outs, cur + outs + n, window_.data() + head * n);
-    std::swap(cur, nxt);
-
-    ++tape->phase_cycles[phase];
-    if (++phase == tape->period) phase = 0;
-    tape_ran = true;
-    ++edges;
-    ++res.cycles;
-    prev_top = top;
-    have_prev_top = true;
+    const std::size_t depth = host_in.size();
+    const std::size_t from = phase;
+    const std::uint64_t k = span_len();
+    const std::uint64_t ran = replay != nullptr
+                                  ? run_span(k, top, std::true_type{})
+                                  : run_span(k, top, std::false_type{});
+    credit_depths(ctx.probe, tape->pop_sum, from, ran, depth);
   }
   if (replay != nullptr) stop_replay();
 
@@ -1237,6 +1342,13 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
   t.cycles.shrink_to_fit();
   t.credit = std::move(credit);
   compile_loop_tape(geom_, plans, pages, dnodes_, t.tape);
+  if (!t.tape.valid) return;
+  // A replayed INPOP takes its word from the ring's input FIFO too.
+  std::uint32_t inpops = 0;
+  for (std::size_t i = 0; i < t.cycles.size(); ++i) {
+    inpops += t.cycles[i].instr.op == RiscOp::kInpop ? 1u : 0u;
+    t.tape.pop_sum[i + 1] += inpops;
+  }
 }
 
 void Ring::end_replay(LoopTrace& t, std::uint64_t iters, std::size_t at,

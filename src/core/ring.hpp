@@ -239,10 +239,11 @@ class Ring {
   /// first PAGE), the loop replays the tape: each
   /// cycle runs its instruction inline on the controller's registers,
   /// then its phase, without a controller step, configuration write or
-  /// plan lookup.  Every cycle keeps the guards above (budget, output
-  /// stop, INPOP's word and the phase's host pops present) and its
-  /// branch must resolve as recorded; on a miss the replay stops at
-  /// that cycle boundary and the cycle runs as before.  A stopped
+  /// plan lookup.  The guards above (budget, output stop, INPOP's word
+  /// and the phase's host pops present) size a span of cycles up to the
+  /// iteration's end, and each conditional branch must resolve as
+  /// recorded; on a miss the replay stops at that cycle boundary and
+  /// the cycle runs as before.  A stopped
   /// replay credits the controller (pc, instruction and bus-write
   /// counts), the configuration memory (live page, generation, words
   /// written, route changes) and ring.plan.* exactly as per-cycle
@@ -254,7 +255,11 @@ class Ring {
   /// Without a controller, the dispatch stops before an impending
   /// stall (step() replays it).  Both modes stop at the output stop and
   /// the cycle budget, and in-loop controller mode also once the
-  /// controller goes inert.  Architectural state, outputs and
+  /// controller goes inert.  Without a controller step in the cycle
+  /// (no controller, or a replay), those guards are checked once per
+  /// span: the cycles the budget, the input FIFO's words and the output
+  /// stop all admit are sized from the tape's pop and output prefix
+  /// sums and run with no per-cycle check.  Architectural state, outputs and
   /// statistics are bit-identical with the same cycles run through
   /// step(); only the ring.superstep.* counters differ.
   SuperstepResult run_planned(const SuperstepContext& ctx);
@@ -656,7 +661,6 @@ class Ring {
   std::vector<Word> flat_;       // two TapeLayout buffers, back to back
   std::vector<Word> window_;     // feedback history, one outs row each
   std::size_t window_slack_ = 0; // rows pushed before a relocation
-  std::vector<Word> op_vals_;    // this cycle's micro-op results
   // Resident state: while resident_, flat_ (current buffer at offset
   // cur_) and window_ (depth-0 row head_, edges_ rows pushed since the
   // load, the pipelines' history below them once window_loaded_) hold

@@ -49,7 +49,8 @@ SystemPool::Lease SystemPool::acquire(const Job& job) {
   }
   if (target == nullptr) {
     target = &entries_.emplace_back(
-        Entry{g, job.link, std::make_unique<System>(SystemConfig{g, job.link})});
+        Entry{g, job.link, std::make_unique<System>(SystemConfig{g, job.link}),
+              nullptr, 0});
     ++constructed_;
   }
   target->last_use = tick_;

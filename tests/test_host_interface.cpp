@@ -66,7 +66,9 @@ TEST(HostFifo, MatchesDequeAcrossReclaimChurn) {
       ref.pop_front();
     }
     ASSERT_EQ(f.size(), ref.size());
-    if (!ref.empty()) ASSERT_EQ(f.front(), ref.front());
+    if (!ref.empty()) {
+      ASSERT_EQ(f.front(), ref.front());
+    }
   }
   while (!ref.empty()) {
     ASSERT_EQ(f.pop(), ref.front());

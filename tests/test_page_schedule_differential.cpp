@@ -52,7 +52,7 @@ namespace sring {
 namespace {
 
 constexpr int kSeeds = 240;
-constexpr int kTraceSeeds = 240;
+constexpr int kTraceSeeds = 340;
 constexpr int kFallThroughSeeds = 64;
 
 const RingGeometry kGeometries[] = {{2, 1, 4}, {2, 2, 4}, {3, 2, 4},
@@ -357,6 +357,26 @@ ConfigPage with_new_imms(Rng& rng, ConfigPage page) {
   return page;
 }
 
+/// `page` with every host read replaced by a zero operand: a loop over
+/// such pages consumes host input only through the controller's INPOP.
+ConfigPage without_host_pops(ConfigPage page) {
+  for (std::uint64_t& w : page.dnode_instr) {
+    DnodeInstr in = DnodeInstr::decode(w);
+    for (DnodeSrc* src : {&in.src_a, &in.src_b, &in.src_c}) {
+      if (*src == DnodeSrc::kHost) *src = DnodeSrc::kZero;
+    }
+    w = in.encode();
+  }
+  for (std::uint64_t& w : page.switch_route) {
+    SwitchRoute r = SwitchRoute::decode(w);
+    for (PortRoute* p : {&r.in1, &r.in2}) {
+      if (p->kind == RouteKind::kHost) *p = PortRoute::zero();
+    }
+    w = r.encode();
+  }
+  return page;
+}
+
 /// Trace-case variants (seed % kTraceVariants).
 enum TraceVariant {
   kPlain,       // traceable body, all input up front
@@ -366,6 +386,9 @@ enum TraceVariant {
   kWrcfg,       // a WRCFG in the body: always, or on one iteration
   kRearm,       // a rerun or a re-arm with new page immediates midway
   kNested,      // a second counted loop, in the body or after it
+  kHeadFlip,    // the flipping BEQ is the loop head: cycle 0 of an iteration
+  kHeadStarve,  // the head is the only INPOP and the pages pop nothing
+  kBoundary,    // run_cycles budgets that end on iteration boundaries
   kTraceVariants
 };
 
@@ -387,6 +410,7 @@ Case make_trace_case(int seed) {
     pages.push_back(i > 0 && chance(rng, 35)
                         ? with_new_imms(rng, pages[rng.next_below(i)])
                         : random_global_page(rng, g));
+    if (variant == kHeadStarve) pages.back() = without_host_pops(pages.back());
     pb.add_page(pages.back());
     alt.add_page(with_new_imms(rng, pages.back()));
   }
@@ -429,15 +453,18 @@ Case make_trace_case(int seed) {
     b.set_reg(7, flip);
   });
   std::size_t live = rng.next_below(npages);
+  const std::size_t head_pc = pb.build().controller_code.size();
   emit([&](ProgramBuilder& b) {
     b.label("loop");
-    b.page_switch(live);
+    if (variant == kHeadStarve) b.inpop(3);
+    if (variant != kHeadFlip) b.page_switch(live);
   });
   const std::size_t body = 3 + rng.next_below(12);
-  const std::size_t special = rng.next_below(body);
+  const std::size_t special =
+      variant == kHeadFlip ? 0 : rng.next_below(body);
   int labels = 0;
   for (std::size_t k = 0; k < body; ++k) {
-    if (k == special && variant == kBranchFlip) {
+    if (k == special && (variant == kBranchFlip || variant == kHeadFlip)) {
       // Data-dependent: the iteration counter meets r7 once.
       const std::string l = "flip" + std::to_string(labels++);
       const std::size_t a = rng.next_below(npages);
@@ -485,7 +512,7 @@ Case make_trace_case(int seed) {
         b.page_switch(page);
         b.page_switch(live);
       } else if (roll < 65) {  // pop and broadcast
-        b.inpop(3);
+        if (variant != kHeadStarve) b.inpop(3);
         b.busw(3);
       } else if (roll < 75) {
         b.ldi(6, imm);
@@ -508,6 +535,10 @@ Case make_trace_case(int seed) {
     b.page_switch(live);
     b.addi(1, 1, -1);
     b.branch(RiscOp::kBne, 1, 2, "loop");
+  });
+  // Every instruction of the body takes one cycle while input lasts.
+  const std::size_t loop_len = pb.build().controller_code.size() - head_pc;
+  emit([&](ProgramBuilder& b) {
     if (second.after) second_loop(b, live);
     b.halt();
   });
@@ -522,14 +553,16 @@ Case make_trace_case(int seed) {
     c.input.push_back(rng.next_word_in(-300, 300));
   }
   switch (variant) {
+    case kHeadStarve:  // each feed lasts whole iterations: the head starves
     case kStarve: {
+      const std::uint64_t runs = variant == kStarve ? 60 : 300;
       std::size_t sent = 0;
       while (sent < total) {
         const std::size_t k =
             std::min<std::size_t>(total - sent, 1 + rng.next_below(12));
         c.drive.push_back({Action::kSend, k});
         sent += k;
-        c.drive.push_back({Action::kRun, 1 + rng.next_below(60)});
+        c.drive.push_back({Action::kRun, 1 + rng.next_below(runs)});
       }
       break;
     }
@@ -541,6 +574,14 @@ Case make_trace_case(int seed) {
         } else {
           c.drive.push_back({Action::kRun, 1 + rng.next_below(50)});
         }
+      }
+      break;
+    case kBoundary:
+      c.drive.push_back({Action::kSend, total});
+      c.drive.push_back(
+          {Action::kRun, head_pc + loop_len * (1 + rng.next_below(3))});
+      for (std::uint64_t k = 2 + rng.next_below(6); k > 0; --k) {
+        c.drive.push_back({Action::kRun, loop_len * (1 + rng.next_below(4))});
       }
       break;
     case kRearm: {
