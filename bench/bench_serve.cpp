@@ -5,10 +5,13 @@
 // every sweep point (clients x pipeline depth x shards), drives it
 // from C concurrent client threads — sequentially (pipeline 0) or
 // with up to W frames in flight per connection (submit_pipelined) —
-// and reports per-request latency (p50/p99/mean) plus jobs/s for
-// every point.  Every remote output is compared word for word against
-// a local rt::Runtime run of the identical jobs — a latency number
-// only counts if the serving stack stayed bit-exact.
+// and reports jobs/s for every point, plus per-request latency for
+// the sequential points only: a pipelined window hides the round
+// trips, so wall / n is not a latency and those points report null.
+// A point with fewer than 40 samples reports only its median.  Every
+// remote output is compared word for word against a local
+// rt::Runtime run of the identical jobs — a number only counts if the
+// serving stack stayed bit-exact.
 //
 // On a single-core host shard scaling is not measurable (the shards
 // time-slice one core); the report says so with a null shard_speedup
@@ -26,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,19 +122,38 @@ std::vector<std::size_t> parse_list(const std::string& text,
   return out;
 }
 
-/// One sweep point's outcome; latencies are per-request for the
-/// sequential mode and per-window-amortized for the pipelined modes.
+/// Fewest latency samples a point needs for a p99 and a mean.
+constexpr std::size_t kMinTailSamples = 40;
+
+/// One sweep point's outcome.  Latencies are per request and exist for
+/// the sequential mode only; with fewer than kMinTailSamples samples
+/// only the median does.
 struct SweepPoint {
   std::size_t clients = 0;
   std::size_t pipeline = 0;  ///< 0 = sequential submit()
   std::size_t shards = 0;
   double seconds = 0.0;
   double jobs_per_s = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double mean_us = 0.0;
+  std::optional<double> p50_us;
+  std::optional<double> p99_us;
+  std::optional<double> mean_us;
   std::uint64_t busy_rejects = 0;
 };
+
+obs::JsonValue json_or_null(std::optional<double> v) {
+  return v ? obs::JsonValue(*v) : obs::JsonValue(nullptr);
+}
+
+/// "%7.0f us", or a dash for a latency the point does not report.
+std::string us_text(std::optional<double> v) {
+  char buf[32];
+  if (v) {
+    std::snprintf(buf, sizeof(buf), "%7.0f us", *v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%7s   ", "-");
+  }
+  return buf;
+}
 
 }  // namespace
 
@@ -261,18 +284,9 @@ int main(int argc, char** argv) {
               const std::vector<net::JobRequest> chunk(
                   reqs.begin() + static_cast<std::ptrdiff_t>(lo),
                   reqs.begin() + static_cast<std::ptrdiff_t>(hi));
-              const auto s0 = std::chrono::steady_clock::now();
               const std::vector<net::RemoteResult> results =
                   client.submit_pipelined(chunk, pipeline);
-              const auto s1 = std::chrono::steady_clock::now();
-              // Amortized per-request latency: the window hides the
-              // round trips, so wall / n is the honest figure.
-              const double per_job_us =
-                  std::chrono::duration<double, std::micro>(s1 - s0)
-                      .count() /
-                  static_cast<double>(hi - lo);
               for (std::size_t i = lo; i < hi; ++i) {
-                latencies_us[i] = per_job_us;
                 const net::RemoteResult& r = results[i - lo];
                 if (!r.ok || r.outputs != expected[i]) {
                   failed.store(true);
@@ -297,18 +311,23 @@ int main(int argc, char** argv) {
           check(!failed.load(),
                 "bench_serve: remote execution diverged or failed");
 
-          std::vector<double> sorted = latencies_us;
-          std::sort(sorted.begin(), sorted.end());
           SweepPoint p;
           p.clients = clients;
           p.pipeline = pipeline;
           p.shards = shards;
           p.seconds = std::chrono::duration<double>(t1 - t0).count();
           p.jobs_per_s = static_cast<double>(jobs) / p.seconds;
-          p.p50_us = obs::percentile_sorted(sorted, 0.50);
-          p.p99_us = obs::percentile_sorted(sorted, 0.99);
-          for (const double v : sorted) p.mean_us += v;
-          p.mean_us /= static_cast<double>(sorted.size());
+          if (pipeline == 0) {
+            std::vector<double> sorted = latencies_us;
+            std::sort(sorted.begin(), sorted.end());
+            p.p50_us = obs::percentile_sorted(sorted, 0.50);
+            if (sorted.size() >= kMinTailSamples) {
+              p.p99_us = obs::percentile_sorted(sorted, 0.99);
+              double sum = 0.0;
+              for (const double v : sorted) sum += v;
+              p.mean_us = sum / static_cast<double>(sorted.size());
+            }
+          }
           const auto* busy = m.find_counter("net.rejects.busy");
           p.busy_rejects = busy != nullptr ? busy->value() : 0;
 
@@ -319,9 +338,10 @@ int main(int argc, char** argv) {
           points.push_back(p);
           std::printf(
               "  shards=%zu clients=%zu pipeline=%-3zu %8.1f jobs/s  "
-              "p50 %7.0f us  p99 %7.0f us  mean %7.0f us  (busy %llu)\n",
-              p.shards, p.clients, p.pipeline, p.jobs_per_s, p.p50_us,
-              p.p99_us, p.mean_us,
+              "p50 %s  p99 %s  mean %s  (busy %llu)\n",
+              p.shards, p.clients, p.pipeline, p.jobs_per_s,
+              us_text(p.p50_us).c_str(), us_text(p.p99_us).c_str(),
+              us_text(p.mean_us).c_str(),
               static_cast<unsigned long long>(p.busy_rejects));
         }
       }
@@ -371,10 +391,17 @@ int main(int argc, char** argv) {
             ? static_cast<double>(plan_hits) /
                   static_cast<double>(plan_compiles + plan_hits)
             : 0.0;
+    // The server's histograms follow the same rule: under
+    // kMinTailSamples samples only the median.
+    const auto tail = [](const net::StatsQuantileMsg& q, double v) {
+      return q.count >= kMinTailSamples ? std::optional<double>(v)
+                                        : std::nullopt;
+    };
     for (const auto& q : primary_stats.latencies) {
-      std::printf("  %-28s p50 %8.0f us  p90 %8.0f us  p99 %8.0f us  "
-                  "(n=%llu)\n",
-                  q.name.c_str(), q.p50_us, q.p90_us, q.p99_us,
+      std::printf("  %-28s p50 %s  p90 %s  p99 %s  (n=%llu)\n",
+                  q.name.c_str(), us_text(q.p50_us).c_str(),
+                  us_text(tail(q, q.p90_us)).c_str(),
+                  us_text(tail(q, q.p99_us)).c_str(),
                   static_cast<unsigned long long>(q.count));
     }
 
@@ -395,9 +422,9 @@ int main(int argc, char** argv) {
                std::uint64_t{std::thread::hardware_concurrency()})
         .extra("seconds", primary.seconds)
         .extra("jobs_per_s", primary.jobs_per_s)
-        .extra("latency_p50_us", primary.p50_us)
-        .extra("latency_p99_us", primary.p99_us)
-        .extra("latency_mean_us", primary.mean_us)
+        .extra("latency_p50_us", json_or_null(primary.p50_us))
+        .extra("latency_p99_us", json_or_null(primary.p99_us))
+        .extra("latency_mean_us", json_or_null(primary.mean_us))
         .extra("busy_rejects", primary.busy_rejects)
         .extra("frames_in", counter("net.frames.in"))
         .extra("bytes_in", counter("net.bytes.in"))
@@ -425,9 +452,9 @@ int main(int argc, char** argv) {
       pt.set("pipeline", std::uint64_t{p.pipeline});
       pt.set("seconds", p.seconds);
       pt.set("jobs_per_s", p.jobs_per_s);
-      pt.set("latency_p50_us", p.p50_us);
-      pt.set("latency_p99_us", p.p99_us);
-      pt.set("latency_mean_us", p.mean_us);
+      pt.set("latency_p50_us", json_or_null(p.p50_us));
+      pt.set("latency_p99_us", json_or_null(p.p99_us));
+      pt.set("latency_mean_us", json_or_null(p.mean_us));
       pt.set("busy_rejects", p.busy_rejects);
       sweep.push_back(std::move(pt));
     }
@@ -435,10 +462,10 @@ int main(int argc, char** argv) {
     for (const auto& q : primary_stats.latencies) {
       obs::JsonValue lat = obs::JsonValue::object();
       lat.set("count", q.count);
-      lat.set("mean_us", q.mean_us);
+      lat.set("mean_us", json_or_null(tail(q, q.mean_us)));
       lat.set("p50_us", q.p50_us);
-      lat.set("p90_us", q.p90_us);
-      lat.set("p99_us", q.p99_us);
+      lat.set("p90_us", json_or_null(tail(q, q.p90_us)));
+      lat.set("p99_us", json_or_null(tail(q, q.p99_us)));
       lat.set("max_us", q.max_us);
       report.extra(q.name, std::move(lat));
     }

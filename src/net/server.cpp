@@ -24,10 +24,16 @@ namespace sring::net {
 namespace {
 
 constexpr int kPollTickMs = 250;
-/// Poll cadence while deferred jobs are parked: their deadlines are
+/// Poll cadence while groups are parked: deferred units' deadlines are
 /// tens of milliseconds, so the shard must look again well before the
 /// regular tick would.
 constexpr int kDeferredTickMs = 5;
+
+// Refusal texts.  A vanished peer's never leaves the server; a GEMM
+// fails with it.
+constexpr const char* kShedText = "job queue is full — resubmit later";
+constexpr const char* kStoppedText = "runtime is shut down";
+constexpr const char* kVanishedText = "connection closed before the reply";
 
 std::uint64_t us_between(std::chrono::steady_clock::time_point from,
                          std::chrono::steady_clock::time_point to) {
@@ -221,7 +227,7 @@ Server::Conn* Server::find_conn(Shard& shard, std::uint64_t id) {
 void Server::close_conn(Conn& conn) {
   if (conn.fd < 0) return;
   close_fd(conn.fd);
-  counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+  count(kConnectionsClosed);
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
 }
 
@@ -260,10 +266,10 @@ void Server::send_frame(Conn& conn, MsgType type,
   // connection interleaving v1..v5 frames, every reply mirrors the
   // version of the exact frame that requested it.
   append_frame(conn.out, type, payload, version);
-  counters_.frames_out.fetch_add(1, std::memory_order_relaxed);
+  count(kFramesOut);
   // Optimistic flush: most responses fit the socket buffer, so the
   // reply leaves in the same loop iteration that produced it.
-  if (!flush_out(conn.fd, conn.out, conn.out_pos, counters_.bytes_out)) {
+  if (!flush_out(conn.fd, conn.out, conn.out_pos, counters_[kBytesOut])) {
     close_conn(conn);
   }
 }
@@ -282,10 +288,27 @@ void Server::send_error(Conn& conn, std::uint32_t tag, ErrorCode code,
 bool Server::refuse_draining(Conn& conn, std::uint32_t tag,
                              std::uint16_t version) {
   if (!drain_requested_.load(std::memory_order_acquire)) return false;
-  counters_.rejects_shutdown.fetch_add(1, std::memory_order_relaxed);
+  count(kRejectsShutdown);
   send_error(conn, tag, ErrorCode::kShuttingDown, "server is draining",
              version);
   return true;
+}
+
+std::shared_ptr<Server::Request> Server::open_request(
+    Conn& conn, std::uint32_t tag, std::uint16_t version,
+    std::size_t groups) {
+  auto req = std::make_shared<Request>();
+  req->conn_id = conn.id;
+  req->version = version;
+  req->reply.tag = tag;
+  req->reply.entries.resize(1);
+  req->outstanding = groups;
+  // Admission is stamped before the enqueue: a worker may arm a job the
+  // instant it lands, and e2e must bracket the execute interval.
+  req->admitted = std::chrono::steady_clock::now();
+  // The request's one window hold; finish() releases it.
+  ++conn.pending_jobs;
+  return req;
 }
 
 void Server::handle_submit(Shard& shard, Conn& conn, const Frame& frame) {
@@ -303,11 +326,9 @@ void Server::handle_submit(Shard& shard, Conn& conn, const Frame& frame) {
                frame.version);
     return;
   }
-  PendingGroup meta;
-  meta.version = frame.version;
-  meta.tag = req.tag;
-  meta.job_name = job.name;
-  admit(shard, conn, one_job(std::move(job)), std::move(meta));
+  auto request = open_request(conn, req.tag, frame.version, 1);
+  request->units.push_back({0, req.tag, job.name});
+  admit(shard, {request, 0, one_job(std::move(job))});
 }
 
 void Server::handle_submit_batch(Shard& shard, Conn& conn,
@@ -317,204 +338,306 @@ void Server::handle_submit_batch(Shard& shard, Conn& conn,
   }
   SubmitJobBatchMsg req = decode_submit_job_batch(frame.payload,
                                                   frame.version);
-  counters_.batch_requests.fetch_add(1, std::memory_order_relaxed);
-  counters_.batch_jobs.fetch_add(req.jobs.size(),
-                                 std::memory_order_relaxed);
+  count(kBatchRequests);
+  count(kBatchJobs, req.jobs.size());
   if (refuse_draining(conn, req.tag, frame.version)) return;
 
-  auto batch = std::make_shared<BatchState>();
-  batch->conn_id = conn.id;
-  batch->version = frame.version;
-  batch->result.tag = req.tag;
-  batch->result.entries.resize(req.jobs.size());
-  batch->remaining = req.jobs.size();
-  batch->tags.resize(req.jobs.size());
-  batch->names.resize(req.jobs.size());
-  if (req.jobs.empty()) {
-    send_frame(conn, MsgType::kJobBatchResult,
-               encode_job_batch_result(batch->result, frame.version),
-               frame.version);
-    return;
-  }
-  // The whole batch is one logical in-flight unit for the pipelining
-  // window and the idle reaper; the reply leaves when the last entry
-  // settles (finalize_batch releases this hold).
-  ++conn.pending_jobs;
+  JobBatchResultMsg reply;
+  reply.tag = req.tag;
+  reply.entries.resize(req.jobs.size());
   std::vector<rt::Job> jobs;
-  std::vector<std::size_t> entries;  // entry index of each job
+  std::vector<Unit> units;  // one per job
   for (std::size_t i = 0; i < req.jobs.size(); ++i) {
     JobRequest& jr = req.jobs[i];
     // Entries without their own trace inherit the batch's, before
     // conversion so the fleet (and the flight recorder) see it too.
     if (jr.trace_id == 0) jr.trace_id = req.trace_id;
-    batch->tags[i] = jr.tag;
     // An entry with an earlier entry's program shares its build: one
     // allocation per distinct program, and the pool re-arms it
     // without a compare.
     std::shared_ptr<const LoadableProgram> program;
     for (std::size_t k = 0; k < jobs.size() && program == nullptr; ++k) {
-      if (same_program(req.jobs[entries[k]], jr)) program = jobs[k].program;
+      if (same_program(req.jobs[units[k].entry], jr)) {
+        program = jobs[k].program;
+      }
     }
     rt::Job job;
     try {
       job = to_rt_job(jr, std::move(program));
     } catch (const std::exception& e) {
-      JobBatchEntryMsg entry;
-      entry.ok = 0;
-      entry.error.tag = jr.tag;
-      entry.error.code = ErrorCode::kBadRequest;
-      entry.error.message = e.what();
-      settle_batch_entry(shard, batch, i, std::move(entry));
+      reply.entries[i].error = {jr.tag, ErrorCode::kBadRequest, e.what()};
       continue;
     }
-    batch->names[i] = job.name;
+    units.push_back({i, jr.tag, job.name});
     jobs.push_back(std::move(job));
-    entries.push_back(i);
+  }
+  if (jobs.empty()) {  // nothing to run: answer now
+    send_frame(conn, MsgType::kJobBatchResult,
+               encode_job_batch_result(reply, frame.version), frame.version);
+    return;
   }
   // The runnable entries go to the fleet as at most one contiguous
   // group per worker, each admitted as a unit.
   const std::size_t per_group =
       rt::group_size(jobs.size(), runtime_->worker_count());
+  auto request = open_request(conn, req.tag, frame.version,
+                              (jobs.size() + per_group - 1) / per_group);
+  request->batch = true;
+  request->reply = std::move(reply);
+  request->units = std::move(units);
   for (std::size_t first = 0; first < jobs.size(); first += per_group) {
     const std::size_t last = std::min(jobs.size(), first + per_group);
-    PendingGroup meta;
-    meta.version = frame.version;
-    meta.batch = batch;
-    meta.entries.assign(entries.begin() + first, entries.begin() + last);
     std::vector<rt::Job> group(
         std::make_move_iterator(jobs.begin() + first),
         std::make_move_iterator(jobs.begin() + last));
-    admit(shard, conn, std::move(group), std::move(meta));
+    admit(shard, {request, first, std::move(group)});
   }
 }
 
-void Server::admit(Shard& shard, Conn& conn, std::vector<rt::Job> jobs,
-                   PendingGroup meta) {
-  // Admission is stamped before the enqueue: a worker may arm the job
-  // the instant it lands, and e2e must bracket the execute interval.
-  meta.admitted = std::chrono::steady_clock::now();
-  meta.conn_id = conn.id;
-  // A single job holds a window slot until it is answered; batch
-  // entries share the hold their batch took.
-  if (meta.batch == nullptr) ++conn.pending_jobs;
+void Server::admit(Shard& shard, Group group) {
   const std::size_t depth = runtime_->queue_depth();
   if (depth >= admission_high_) {
-    refuse(shard, &conn, meta, ErrorCode::kBusy);
+    settle(shard, group, nullptr, ErrorCode::kBusy, kShedText);
     return;
   }
   if (depth >= admission_low_) {
     // Between the watermarks: park the unit instead of either queueing
     // deeper (latency) or shedding (wasted work) — the shard retries
     // as completions pull the depth back down.
-    counters_.admission_delayed.fetch_add(meta.units(),
-                                          std::memory_order_relaxed);
-    const auto deadline = meta.admitted + config_.admission_max_delay;
-    shard.deferred.push_back({std::move(meta), std::move(jobs), deadline});
+    count(kAdmissionDelayed, group.jobs.size());
+    group.deadline = group.req->admitted + config_.admission_max_delay;
+    shard.parked.push_back(std::move(group));
     return;
   }
-  submit_or_refuse(shard, &conn, std::move(jobs), std::move(meta));
+  submit_or_refuse(shard, group);
 }
 
-void Server::submit_or_refuse(Shard& shard, Conn* conn,
-                              std::vector<rt::Job> jobs, PendingGroup meta) {
+rt::Runtime::SubmitStatus Server::submit(Shard& shard, Group& group) {
   const int wake_fd = shard.wake_w;
-  auto submitted = runtime_->try_submit_group(jobs, [wake_fd] {
+  const std::size_t jobs = group.jobs.size();
+  auto submitted = runtime_->try_submit_group(group.jobs, [wake_fd] {
     wake_shard(wake_fd, 'j');
   });
-  switch (submitted.status) {
-    case rt::Runtime::SubmitStatus::kAccepted: {
-      const std::size_t units = meta.units();
-      counters_.admission_accepted.fetch_add(units,
-                                             std::memory_order_relaxed);
-      counters_.jobs_submitted.fetch_add(units, std::memory_order_relaxed);
-      shard.jobs_submitted.fetch_add(units, std::memory_order_relaxed);
-      meta.results = std::move(submitted.result);
-      shard.pending.push_back(std::move(meta));
+  if (submitted.status != rt::Runtime::SubmitStatus::kAccepted) {
+    return submitted.status;
+  }
+  if (group.req->gemm != nullptr) {
+    count(kGemmTileJobs, jobs);  // the GEMM counted one job at admission
+  } else {
+    count(kAdmissionAccepted, jobs);
+    count(kJobsSubmitted, jobs);
+    shard.jobs_submitted.fetch_add(jobs, std::memory_order_relaxed);
+  }
+  shard.pending.push_back(
+      {group.req, group.first, {}, std::move(submitted.result)});
+  return rt::Runtime::SubmitStatus::kAccepted;
+}
+
+void Server::submit_or_refuse(Shard& shard, Group& group) {
+  switch (submit(shard, group)) {
+    case rt::Runtime::SubmitStatus::kAccepted:
       return;
-    }
     case rt::Runtime::SubmitStatus::kQueueFull:
       // The depth read raced another shard past the high watermark, or
-      // a deferred unit's deadline came with the queue still full.
-      refuse(shard, conn, meta, ErrorCode::kBusy);
+      // a parked unit's deadline came with the queue still full.
+      settle(shard, group, nullptr, ErrorCode::kBusy, kShedText);
       return;
     case rt::Runtime::SubmitStatus::kShutDown:
-      refuse(shard, conn, meta, ErrorCode::kShuttingDown);
+      settle(shard, group, nullptr, ErrorCode::kShuttingDown, kStoppedText);
       return;
   }
 }
 
-void Server::refuse(Shard& shard, Conn* conn, const PendingGroup& meta,
-                    ErrorCode code) {
-  const bool busy = code == ErrorCode::kBusy;
-  if (busy) {
-    counters_.admission_shed.fetch_add(meta.units(),
-                                       std::memory_order_relaxed);
-    counters_.rejects_busy.fetch_add(meta.units(),
-                                     std::memory_order_relaxed);
-  } else {
-    counters_.rejects_shutdown.fetch_add(meta.units(),
-                                         std::memory_order_relaxed);
-  }
-  const char* message =
-      busy ? "job queue is full — resubmit later" : "runtime is shut down";
-  const std::uint32_t retry_after_ms =
-      busy ? config_.retry_after_hint_ms : 0;
-  if (meta.batch != nullptr) {
-    for (const std::size_t index : meta.entries) {
-      JobBatchEntryMsg entry;
-      entry.ok = 0;
-      entry.error.tag = meta.batch->tags[index];
-      entry.error.code = code;
-      entry.error.message = message;
-      entry.error.retry_after_ms = retry_after_ms;
-      settle_batch_entry(shard, meta.batch, index, std::move(entry));
+void Server::pump_parked(Shard& shard) {
+  const auto now = std::chrono::steady_clock::now();
+  for (auto it = shard.parked.begin(); it != shard.parked.end();) {
+    Group& group = *it;
+    bool spent = true;
+    if (find_conn(shard, group.req->conn_id) == nullptr) {
+      // The peer is gone: nothing to answer, so nothing more to run.
+      settle(shard, group, nullptr, ErrorCode::kBusy, kVanishedText);
+    } else if (group.req->gemm != nullptr) {
+      spent = pump_gemm(shard, group);
+    } else if (now >= group.deadline ||
+               runtime_->queue_depth() < admission_low_) {
+      // Attempt only when success is likely or the deadline forces an
+      // attempt — an attempt consumes the unit, so a failed one is shed
+      // rather than re-parked.
+      submit_or_refuse(shard, group);
+    } else {
+      spent = false;
     }
+    it = spent ? shard.parked.erase(it) : std::next(it);
+  }
+}
+
+bool Server::pump_gemm(Shard& shard, Group& cursor) {
+  Request& req = *cursor.req;
+  tile::GemmDriver& gemm = *req.gemm;
+  while (!gemm.failed() && (!cursor.jobs.empty() || !gemm.lowered_all())) {
+    if (cursor.jobs.empty()) {
+      cursor.first = gemm.next_step();
+      try {
+        cursor.jobs = gemm.lower_group(runtime_->worker_count());
+      } catch (const SimError& e) {
+        gemm.fail(e.what());
+        break;
+      }
+      for (rt::Job& job : cursor.jobs) job.trace_id = req.trace_id;
+    }
+    switch (submit(shard, cursor)) {
+      case rt::Runtime::SubmitStatus::kAccepted:
+        ++req.outstanding;
+        break;
+      case rt::Runtime::SubmitStatus::kQueueFull:
+        // Backpressure: the lowered group is held and resubmitted as-is
+        // (lowering again would replay the scratchpad) on the next wake
+        // or tick, so one giant GEMM never wedges the loop.
+        return false;
+      case rt::Runtime::SubmitStatus::kShutDown:
+        gemm.fail(kStoppedText);
+        break;
+    }
+  }
+  release(shard, req);  // the cursor's own share
+  return true;
+}
+
+void Server::settle(Shard& shard, Group& group,
+                    const std::vector<rt::JobResult>* results,
+                    ErrorCode code, const char* why) {
+  Request& req = *group.req;
+  if (req.gemm != nullptr) {
+    // Step groups fold in any order; a refused one fails the GEMM.
+    if (results != nullptr) {
+      req.gemm->fold(group.first, *results);
+    } else {
+      req.gemm->fail(why);
+    }
+    release(shard, req);
     return;
   }
-  if (conn == nullptr) return;
-  send_error(*conn, meta.tag, code, message, meta.version, retry_after_ms);
-  if (conn->pending_jobs > 0) --conn->pending_jobs;
-}
-
-void Server::pump_deferred(Shard& shard) {
-  if (shard.deferred.empty()) return;
-  const auto now = std::chrono::steady_clock::now();
-  for (auto it = shard.deferred.begin(); it != shard.deferred.end();) {
-    const bool due = now >= it->deadline;
-    // Attempt only when success is likely (depth back under low) or
-    // the deadline forces the issue — an attempt consumes the unit, so
-    // a failed one settles the request (shed) rather than re-parking.
-    if (!due && runtime_->queue_depth() >= admission_low_) {
-      ++it;
+  const bool timed = obs::telemetry_enabled();
+  const std::size_t n = results != nullptr ? results->size()
+                                           : group.jobs.size();
+  if (results == nullptr) {
+    const bool busy = code == ErrorCode::kBusy;
+    count(busy ? kAdmissionShed : kRejectsShutdown, n);
+    if (busy) count(kRejectsBusy, n);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const Unit& unit = req.units[group.first + i];
+    JobBatchEntryMsg& entry = req.reply.entries[unit.entry];
+    if (results == nullptr) {
+      entry.error = {unit.tag, code, why,
+                     code == ErrorCode::kBusy ? config_.retry_after_hint_ms
+                                              : 0};
       continue;
     }
-    DeferredGroup parked = std::move(*it);
-    it = shard.deferred.erase(it);
-    Conn* conn = find_conn(shard, parked.meta.conn_id);
-    // Peer vanished while parked: nothing to answer, nothing to run.
-    if (conn == nullptr && parked.meta.batch == nullptr) continue;
-    submit_or_refuse(shard, conn, std::move(parked.jobs),
-                     std::move(parked.meta));
+    const rt::JobResult& result = (*results)[i];
+    count(result.ok ? kJobsCompleted : kJobsFailed);
+    if (timed) req.records.push_back(span_record(unit.name, result));
+    if (!result.ok) {
+      // SimError text travels verbatim; the client re-raises it.
+      entry.error = {unit.tag, ErrorCode::kJobFailed, result.error};
+      continue;
+    }
+    entry.ok = 1;
+    entry.result = make_job_result_msg(unit.tag, result);
+    if (req.dfg == nullptr) continue;
+    // DFG job: de-lace the raw fleet words into per-output streams,
+    // concatenated in Dfg output order.  The appended counters tell
+    // the client how to split the flat words back.
+    try {
+      const auto streams =
+          svc::delace_outputs(*req.dfg, result.outputs, req.dfg_samples);
+      JobResultMsg& msg = entry.result;
+      msg.outputs.clear();
+      for (const auto& s : streams) {
+        msg.outputs.insert(msg.outputs.end(), s.begin(), s.end());
+      }
+      msg.counters.emplace_back("svc.dfg.outputs", streams.size());
+      msg.counters.emplace_back("svc.dfg.samples", req.dfg_samples);
+      msg.counters.emplace_back("svc.dfg.cache_hit",
+                                req.dfg_cache_hit ? 1 : 0);
+      msg.counters.emplace_back("svc.dfg.hash", req.dfg->dfg_hash);
+    } catch (const SimError& e) {
+      // Raw stream shorter than the program promises — a server bug,
+      // not a client one; answer it without crashing.
+      entry.ok = 0;
+      entry.error = {unit.tag, ErrorCode::kInternal, e.what()};
+    }
   }
+  release(shard, req);
 }
 
-void Server::settle_batch_entry(Shard& shard,
-                                const std::shared_ptr<BatchState>& batch,
-                                std::size_t index,
-                                JobBatchEntryMsg entry) {
-  BatchState& b = *batch;
-  b.result.entries[index] = std::move(entry);
-  if (b.remaining > 0) --b.remaining;
-  if (b.remaining == 0) finalize_batch(shard, b);
+void Server::release(Shard& shard, Request& req) {
+  if (--req.outstanding == 0) finish(shard, req);
 }
 
-void Server::finalize_batch(Shard& shard, BatchState& batch) {
-  Conn* conn = find_conn(shard, batch.conn_id);
-  if (conn == nullptr) return;  // peer vanished; entries are forfeit
-  send_frame(*conn, MsgType::kJobBatchResult,
-             encode_job_batch_result(batch.result, batch.version),
-             batch.version);
-  if (conn->pending_jobs > 0) --conn->pending_jobs;
+void Server::finish(Shard& shard, Request& req) {
+  const bool timed = obs::telemetry_enabled();
+  const auto s0 = std::chrono::steady_clock::now();
+  Conn* conn = find_conn(shard, req.conn_id);
+  JobBatchEntryMsg& only = req.reply.entries.front();
+  if (req.gemm != nullptr) {
+    // A whole GEMM is one job, however many tiles it ran.
+    const tile::GemmDriver& gemm = *req.gemm;
+    const auto scratch = gemm.scratch().counters();
+    for (std::size_t i = 0; i < scratch.size(); ++i) {
+      gemm_scratch_[i].fetch_add(scratch[i], std::memory_order_relaxed);
+    }
+    const bool failed = gemm.failed();
+    count(failed ? kJobsFailed : kJobsCompleted);
+    const obs::SpanRecord& tiles = gemm.totals();
+    if (failed) {
+      only.error = {req.reply.tag, ErrorCode::kJobFailed, gemm.error()};
+    } else if (conn != nullptr) {
+      only.ok = 1;
+      JobResultMsg& msg = only.result;
+      msg.tag = req.reply.tag;
+      msg.outputs = gemm.result();
+      msg.sim_cycles = tiles.sim_cycles;
+      msg.worker = tiles.worker;
+      msg.reused_system = gemm.any_reused() ? 1 : 0;
+      msg.counters = gemm.reply_counters();
+      msg.trace_id = req.trace_id;
+      msg.total_us = clamp_u32(us_between(req.admitted, s0));
+    }
+    if (timed) {
+      obs::SpanRecord rec = tiles;  // its tiles added only their phases
+      rec.trace_id = req.trace_id;
+      rec.name = "gemm";
+      rec.ok = !failed;
+      rec.error = gemm.error();
+      req.records.push_back(std::move(rec));
+    }
+  }
+  MsgType type = MsgType::kJobBatchResult;
+  std::vector<std::uint8_t> payload;
+  if (conn != nullptr) {
+    if (req.batch) {
+      payload = encode_job_batch_result(req.reply, req.version);
+    } else if (only.ok == 1) {
+      type = MsgType::kJobResult;
+      payload = encode_job_result(only.result, req.version);
+    } else {
+      type = MsgType::kError;
+      payload = encode_error(only.error, req.version);
+    }
+  }
+  // The e2e samples and flight records are taken before the reply
+  // leaves: a client that has the reply finds them.
+  if (timed) {
+    const std::uint64_t serialize_us =
+        us_between(s0, std::chrono::steady_clock::now());
+    for (obs::SpanRecord& rec : req.records) {
+      record_request(shard, std::move(rec), req.admitted, serialize_us);
+    }
+  }
+  if (conn == nullptr) return;
+  send_frame(*conn, type, payload, req.version);
+  --conn->pending_jobs;
   conn->last_activity = std::chrono::steady_clock::now();
 }
 
@@ -590,16 +713,12 @@ void Server::handle_submit_dfg(Shard& shard, Conn& conn,
     return;
   }
   job.trace_id = req.trace_id;
-  const std::size_t samples = req.streams.empty() ? 0
-                                                  : req.streams[0].size();
-  PendingGroup meta;
-  meta.version = frame.version;
-  meta.tag = req.tag;
-  meta.job_name = job.name;
-  meta.dfg = std::move(res.compiled);
-  meta.dfg_samples = samples;
-  meta.dfg_cache_hit = res.cache_hit;
-  admit(shard, conn, one_job(std::move(job)), std::move(meta));
+  auto request = open_request(conn, req.tag, frame.version, 1);
+  request->units.push_back({0, req.tag, job.name});
+  request->dfg = std::move(res.compiled);
+  request->dfg_samples = req.streams.empty() ? 0 : req.streams[0].size();
+  request->dfg_cache_hit = res.cache_hit;
+  admit(shard, {request, 0, one_job(std::move(job))});
 }
 
 void Server::handle_submit_gemm(Shard& shard, Conn& conn,
@@ -609,11 +728,11 @@ void Server::handle_submit_gemm(Shard& shard, Conn& conn,
   }
   SubmitGemmMsg req = decode_submit_gemm(frame.payload);
   if (refuse_draining(conn, req.tag, frame.version)) return;
-  std::shared_ptr<GemmState> state;
+  std::unique_ptr<tile::GemmDriver> gemm;
   try {
     // The plan cache serves repeated shapes without re-planning; the
     // schedule is immutable and shared across requests and shards.
-    state = std::make_shared<GemmState>(
+    gemm = std::make_unique<tile::GemmDriver>(
         req.geometry, plan_cache_.get_or_plan(req.spec, req.scratch_tiles),
         std::move(req.a), std::move(req.b));
   } catch (const SimError& e) {
@@ -623,132 +742,20 @@ void Server::handle_submit_gemm(Shard& shard, Conn& conn,
                frame.version);
     return;
   }
-  state->conn_id = conn.id;
-  state->tag = req.tag;
-  state->version = frame.version;
-  state->trace_id = req.trace_id;
-  state->admitted = std::chrono::steady_clock::now();
-  shard.gemms.push_back(std::move(state));
-  // One logical job from the connection's point of view: the idle
-  // reaper must not cut a peer waiting on a long tile schedule.
-  ++conn.pending_jobs;
-  counters_.gemm_requests.fetch_add(1, std::memory_order_relaxed);
-  pump_gemms(shard);
-}
-
-void Server::pump_gemms(Shard& shard) {
-  const int wake_fd = shard.wake_w;
-  const std::size_t workers = runtime_->worker_count();
-  bool queue_full = false;
-  for (auto& gp : shard.gemms) {
-    if (queue_full) break;
-    GemmState& g = *gp;
-    while (!g.driver.failed() &&
-           (!g.held.empty() || !g.driver.lowered_all())) {
-      if (g.held.empty()) {
-        g.held_first = g.driver.next_step();
-        try {
-          g.held = g.driver.lower_group(workers);
-        } catch (const SimError& e) {
-          g.driver.fail(e.what());
-          break;
-        }
-        for (rt::Job& job : g.held) job.trace_id = g.trace_id;
-      }
-      const std::size_t tiles = g.held.size();
-      auto submitted = runtime_->try_submit_group(g.held, [wake_fd] {
-        wake_shard(wake_fd, 'j');
-      });
-      if (submitted.status == rt::Runtime::SubmitStatus::kQueueFull) {
-        // Backpressure: the held group retries on the next poll tick or
-        // completion, so one giant GEMM never wedges the loop.
-        queue_full = true;
-        break;
-      }
-      if (submitted.status == rt::Runtime::SubmitStatus::kShutDown) {
-        g.driver.fail("runtime is shut down");
-        break;
-      }
-      PendingGroup pj;
-      pj.conn_id = g.conn_id;
-      pj.results = std::move(submitted.result);
-      pj.gemm = gp;
-      pj.first_step = g.held_first;
-      shard.pending.push_back(std::move(pj));
-      ++g.outstanding;
-      counters_.gemm_tile_jobs.fetch_add(tiles, std::memory_order_relaxed);
-    }
-  }
-  // A failed GEMM drops its held group and finalizes once its
-  // submitted groups have landed.
-  for (auto it = shard.gemms.begin(); it != shard.gemms.end();) {
-    GemmState& g = **it;
-    if (g.outstanding > 0 ||
-        (!g.driver.failed() &&
-         (!g.held.empty() || !g.driver.lowered_all()))) {
-      ++it;
-      continue;
-    }
-    finalize_gemm(shard, g);
-    it = shard.gemms.erase(it);
-  }
-}
-
-void Server::finalize_gemm(Shard& shard, GemmState& g) {
-  const auto scratch = g.driver.scratch().counters();
-  for (std::size_t i = 0; i < scratch.size(); ++i) {
-    counters_.gemm_scratch[i].fetch_add(scratch[i],
-                                        std::memory_order_relaxed);
-  }
-
-  const bool failed = g.driver.failed();
-  const obs::SpanRecord& tiles = g.driver.totals();
-  const bool timed = obs::telemetry_enabled();
-  const auto s0 = std::chrono::steady_clock::now();
-  Conn* conn = find_conn(shard, g.conn_id);
-  std::vector<std::uint8_t> reply;
-  if (conn != nullptr && !failed) {
-    JobResultMsg msg;
-    msg.tag = g.tag;
-    msg.outputs = g.driver.result();
-    msg.sim_cycles = tiles.sim_cycles;
-    msg.worker = tiles.worker;
-    msg.reused_system = g.driver.any_reused() ? 1 : 0;
-    msg.counters = g.driver.reply_counters();
-    msg.trace_id = g.trace_id;
-    msg.total_us = clamp_u32(us_between(g.admitted, s0));
-    reply = encode_job_result(msg, g.version);
-  }
-  if (failed) {
-    counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (timed) {
-    // The request's one e2e sample and flight record, admission to
-    // reply encoded, recorded before the reply leaves: a client that
-    // has the reply finds them.  Its tiles added only their phases.
-    obs::SpanRecord rec = tiles;
-    rec.trace_id = g.trace_id;
-    rec.name = "gemm";
-    rec.ok = !failed;
-    rec.error = g.driver.error();
-    record_request(shard, std::move(rec), g.admitted,
-                   us_between(s0, std::chrono::steady_clock::now()));
-  }
-  if (conn == nullptr) return;
-  if (!failed) {
-    send_frame(*conn, MsgType::kJobResult, reply, g.version);
-  } else {
-    send_error(*conn, g.tag, ErrorCode::kJobFailed, g.driver.error(),
-               g.version);
-  }
-  if (conn->pending_jobs > 0) --conn->pending_jobs;
-  conn->last_activity = std::chrono::steady_clock::now();
+  // The cursor is the request's one group until every step is lowered;
+  // each step group it submits adds its own.
+  auto request = open_request(conn, req.tag, frame.version, 1);
+  request->trace_id = req.trace_id;
+  request->gemm = std::move(gemm);
+  count(kGemmRequests);
+  count(kJobsSubmitted);
+  shard.jobs_submitted.fetch_add(1, std::memory_order_relaxed);
+  shard.parked.push_back({std::move(request)});
+  pump_parked(shard);
 }
 
 void Server::handle_frame(Shard& shard, Conn& conn, const Frame& frame) {
-  counters_.frames_in.fetch_add(1, std::memory_order_relaxed);
+  count(kFramesIn);
   shard.frames_in.fetch_add(1, std::memory_order_relaxed);
   try {
     switch (frame.type) {
@@ -765,7 +772,7 @@ void Server::handle_frame(Shard& shard, Conn& conn, const Frame& frame) {
         info.max_frame_bytes =
             static_cast<std::uint32_t>(config_.max_frame_bytes);
         info.jobs_completed =
-            counters_.jobs_completed.load(std::memory_order_relaxed);
+            counters_[kJobsCompleted].load(std::memory_order_relaxed);
         info.server = "sring-serve";
         send_frame(conn, MsgType::kServerInfo, encode_server_info(info),
                    frame.version);
@@ -793,12 +800,12 @@ void Server::handle_frame(Shard& shard, Conn& conn, const Frame& frame) {
                    frame.version);
         return;
       case MsgType::kDrain:
-        counters_.drains.fetch_add(1, std::memory_order_relaxed);
+        count(kDrains);
         send_frame(conn, MsgType::kDrainAck, {}, frame.version);
         request_drain();
         return;
       default:
-        counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+        count(kProtocolErrors);
         send_error(conn, 0, ErrorCode::kBadRequest,
                    "unexpected message type " +
                        std::to_string(
@@ -808,13 +815,13 @@ void Server::handle_frame(Shard& shard, Conn& conn, const Frame& frame) {
         return;
     }
   } catch (const ProtocolError& e) {
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    count(kProtocolErrors);
     send_error(conn, 0, ErrorCode::kBadRequest, e.what(), frame.version);
     conn.closing = true;
   } catch (const std::exception& e) {
     // Last-resort guard for the never-crash invariant: whatever one
     // frame did, only that connection pays for it.
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    count(kProtocolErrors);
     send_error(conn, 0, ErrorCode::kInternal, e.what(), frame.version);
     conn.closing = true;
   }
@@ -844,7 +851,7 @@ void Server::drain_input(Shard& shard, Conn& conn) {
     // Malformed bytes: answer once, then close after the flush.  The
     // frames parsed before the damage were already dispatched — a
     // malformed frame mid-burst costs the connection, not the burst.
-    counters_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    count(kProtocolErrors);
     const char* what = "malformed frame";
     switch (status) {
       case ParseStatus::kBadMagic: what = "bad frame magic"; break;
@@ -873,15 +880,14 @@ void Server::accept_ready(Shard& shard0) {
     }
     if (active_conns_.load(std::memory_order_relaxed) >=
         config_.max_connections) {
-      counters_.connections_rejected.fetch_add(1,
-                                               std::memory_order_relaxed);
+      count(kConnectionsRejected);
       ::close(fd);
       continue;
     }
     set_nonblocking(fd);
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    count(kConnectionsAccepted);
     active_conns_.fetch_add(1, std::memory_order_relaxed);
     // Round-robin handoff: the acceptor keeps every Nth connection and
     // passes the rest to their shard's inbox, waking its loop.
@@ -929,112 +935,10 @@ void Server::collect_completions(Shard& shard) {
       ++it;
       continue;
     }
-    PendingGroup pending = std::move(*it);
+    Group group = std::move(*it);
     it = shard.pending.erase(it);
-    const std::vector<rt::JobResult> results = pending.results.get();
-    if (pending.gemm != nullptr) {
-      // Tile group of a v4 GEMM: fold into the accumulator, no reply
-      // yet.  The single response leaves via finalize_gemm once every
-      // group has landed (pump_gemms runs right after this sweep —
-      // never during it, since it push_backs into pending).
-      --pending.gemm->outstanding;
-      pending.gemm->driver.fold(pending.first_step, results);
-    } else if (pending.batch != nullptr) {
-      settle_batch_group(shard, pending, results);
-    } else {
-      answer_job(shard, pending, results.front());
-    }
-  }
-}
-
-void Server::settle_batch_group(Shard& shard, const PendingGroup& pending,
-                                const std::vector<rt::JobResult>& results) {
-  // Entries of a v5 batch: settle each; the one reply leaves when the
-  // last entry lands.
-  const bool timed = obs::telemetry_enabled();
-  BatchState& batch = *pending.batch;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const rt::JobResult& result = results[i];
-    const std::size_t index = pending.entries[i];
-    JobBatchEntryMsg entry;
-    if (result.ok) {
-      entry.ok = 1;
-      entry.result = make_job_result_msg(batch.tags[index], result);
-      counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      entry.ok = 0;
-      entry.error.tag = batch.tags[index];
-      entry.error.code = ErrorCode::kJobFailed;
-      entry.error.message = result.error;
-      counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (timed) {
-      record_request(shard, span_record(batch.names[index], result),
-                     pending.admitted, 0);
-    }
-    settle_batch_entry(shard, pending.batch, index, std::move(entry));
-  }
-}
-
-void Server::answer_job(Shard& shard, const PendingGroup& pending,
-                        const rt::JobResult& result) {
-  Conn* conn = find_conn(shard, pending.conn_id);
-  const bool timed = obs::telemetry_enabled();
-  std::uint64_t serialize_us = 0;
-  if (conn != nullptr) {
-    const auto s0 = timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{};
-    if (result.ok) {
-      JobResultMsg msg = make_job_result_msg(pending.tag, result);
-      bool deliver = true;
-      if (pending.dfg != nullptr) {
-        // DFG job: de-lace the raw fleet words into per-output
-        // streams, concatenated in Dfg output order.  The appended
-        // counters tell the client how to split the flat words back.
-        try {
-          const auto streams = svc::delace_outputs(
-              *pending.dfg, result.outputs, pending.dfg_samples);
-          msg.outputs.clear();
-          for (const auto& s : streams) {
-            msg.outputs.insert(msg.outputs.end(), s.begin(), s.end());
-          }
-          msg.counters.emplace_back("svc.dfg.outputs", streams.size());
-          msg.counters.emplace_back("svc.dfg.samples", pending.dfg_samples);
-          msg.counters.emplace_back("svc.dfg.cache_hit",
-                                    pending.dfg_cache_hit ? 1 : 0);
-          msg.counters.emplace_back("svc.dfg.hash", pending.dfg->dfg_hash);
-        } catch (const SimError& e) {
-          // Raw stream shorter than the program promises — a server
-          // bug, not a client one; answer it without crashing.
-          send_error(*conn, pending.tag, ErrorCode::kInternal, e.what(),
-                     pending.version);
-          deliver = false;
-        }
-      }
-      if (deliver) {
-        send_frame(*conn, MsgType::kJobResult,
-                   encode_job_result(msg, pending.version),
-                   pending.version);
-      }
-    } else {
-      // SimError text travels verbatim; the client re-raises it.
-      send_error(*conn, pending.tag, ErrorCode::kJobFailed, result.error,
-                 pending.version);
-    }
-    if (timed) {
-      serialize_us = us_between(s0, std::chrono::steady_clock::now());
-    }
-    if (conn->pending_jobs > 0) --conn->pending_jobs;
-    conn->last_activity = std::chrono::steady_clock::now();
-  }
-  if (result.ok) {
-    counters_.jobs_completed.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    counters_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (timed) {
-    record_request(shard, span_record(pending.job_name, result),
-                   pending.admitted, serialize_us);
+    const std::vector<rt::JobResult> results = group.results.get();
+    settle(shard, group, &results);
   }
 }
 
@@ -1092,8 +996,7 @@ void Server::shard_loop(Shard& shard) {
                        [](const Conn& c) { return c.fd < 0; }),
         shard.conns.end());
 
-    if (draining && shard.pending.empty() && shard.gemms.empty() &&
-        shard.deferred.empty()) {
+    if (draining && shard.pending.empty() && shard.parked.empty()) {
       // In-flight work answered; flush what remains and finish.
       const auto flush_now = std::chrono::steady_clock::now();
       if (!drain_flush_armed) {
@@ -1104,7 +1007,7 @@ void Server::shard_loop(Shard& shard) {
       for (auto& conn : shard.conns) {
         if (conn.fd < 0) continue;
         if (!flush_out(conn.fd, conn.out, conn.out_pos,
-                       counters_.bytes_out) ||
+                       counters_[kBytesOut]) ||
             conn.out.empty()) {
           close_conn(conn);
         } else {
@@ -1134,11 +1037,11 @@ void Server::shard_loop(Shard& shard) {
     }
 
     // Tick at least as often as the sampler wants a point, and much
-    // faster while deferred jobs wait on a millisecond deadline.
+    // faster while parked groups wait on a millisecond deadline.
     const int sample_ms = static_cast<int>(
         std::max<std::int64_t>(1, config_.sample_interval.count()));
     int tick_ms = std::min(kPollTickMs, sample_ms);
-    if (!shard.deferred.empty()) {
+    if (!shard.parked.empty()) {
       tick_ms = std::min(tick_ms, kDeferredTickMs);
     }
     const int n = ::poll(fds.data(), fds.size(), tick_ms);
@@ -1154,8 +1057,7 @@ void Server::shard_loop(Shard& shard) {
     }
     adopt_inbox(shard);  // a handoff may have arrived with the wake
     collect_completions(shard);
-    pump_gemms(shard);
-    pump_deferred(shard);
+    pump_parked(shard);
     // Completions freed pipeline windows: resume parsing connections
     // whose buffers still hold frames.
     for (auto& conn : shard.conns) {
@@ -1176,13 +1078,14 @@ void Server::shard_loop(Shard& shard) {
       if (conn == nullptr) continue;
       const short revents = fds[at].revents;
       if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-        // Peer vanished: pending jobs still run, results are dropped.
+        // Peer vanished: submitted groups still run and their results
+        // are dropped; its parked groups are refused on the next pump.
         close_conn(*conn);
         continue;
       }
       if (revents & POLLOUT) {
         if (!flush_out(conn->fd, conn->out, conn->out_pos,
-                       counters_.bytes_out)) {
+                       counters_[kBytesOut])) {
           close_conn(*conn);
           continue;
         }
@@ -1193,8 +1096,7 @@ void Server::shard_loop(Shard& shard) {
         while (true) {
           const ssize_t r = ::recv(conn->fd, buf.data(), buf.size(), 0);
           if (r > 0) {
-            counters_.bytes_in.fetch_add(static_cast<std::uint64_t>(r),
-                                         std::memory_order_relaxed);
+            count(kBytesIn, static_cast<std::uint64_t>(r));
             conn->in.insert(conn->in.end(), buf.data(), buf.data() + r);
             continue;
           }
@@ -1224,7 +1126,7 @@ void Server::shard_loop(Shard& shard) {
     for (auto& conn : shard.conns) {
       if (conn.fd < 0 || (conn.pending_jobs > 0 && !conn.closing)) continue;
       if (reap_now - conn.last_activity > config_.idle_timeout) {
-        counters_.timeouts.fetch_add(1, std::memory_order_relaxed);
+        count(kTimeouts);
         close_conn(conn);
       }
     }
@@ -1264,7 +1166,7 @@ void Server::run() {
     for (int fd : shard->inbox) {
       if (fd < 0) continue;
       ::close(fd);
-      counters_.connections_closed.fetch_add(1, std::memory_order_relaxed);
+      count(kConnectionsClosed);
       active_conns_.fetch_sub(1, std::memory_order_relaxed);
     }
     shard->inbox.clear();
@@ -1289,39 +1191,15 @@ obs::Registry Server::metrics() const {
   const auto get = [](const std::atomic<std::uint64_t>& a) {
     return a.load(std::memory_order_relaxed);
   };
-  out.counter("net.connections.accepted")
-      .set(get(counters_.connections_accepted));
-  out.counter("net.connections.closed")
-      .set(get(counters_.connections_closed));
-  out.counter("net.connections.rejected")
-      .set(get(counters_.connections_rejected));
+  for (std::size_t i = 0; i < kCounterNames.size(); ++i) {
+    out.counter(kCounterNames[i]).set(get(counters_[i]));
+  }
   out.counter("net.connections.active")
-      .set(get(counters_.connections_accepted) -
-           get(counters_.connections_closed));
-  out.counter("net.frames.in").set(get(counters_.frames_in));
-  out.counter("net.frames.out").set(get(counters_.frames_out));
-  out.counter("net.bytes.in").set(get(counters_.bytes_in));
-  out.counter("net.bytes.out").set(get(counters_.bytes_out));
-  out.counter("net.rejects.busy").set(get(counters_.rejects_busy));
-  out.counter("net.rejects.shutdown").set(get(counters_.rejects_shutdown));
-  out.counter("net.protocol_errors").set(get(counters_.protocol_errors));
-  out.counter("net.timeouts").set(get(counters_.timeouts));
-  out.counter("net.jobs.submitted").set(get(counters_.jobs_submitted));
-  out.counter("net.jobs.completed").set(get(counters_.jobs_completed));
-  out.counter("net.jobs.failed").set(get(counters_.jobs_failed));
-  out.counter("net.drains").set(get(counters_.drains));
-  out.counter("net.admission.accepted")
-      .set(get(counters_.admission_accepted));
-  out.counter("net.admission.delayed")
-      .set(get(counters_.admission_delayed));
-  out.counter("net.admission.shed").set(get(counters_.admission_shed));
-  out.counter("net.batch.requests").set(get(counters_.batch_requests));
-  out.counter("net.batch.jobs").set(get(counters_.batch_jobs));
-  out.counter("net.gemm.requests").set(get(counters_.gemm_requests));
-  out.counter("net.gemm.tile_jobs").set(get(counters_.gemm_tile_jobs));
-  for (std::size_t i = 0; i < counters_.gemm_scratch.size(); ++i) {
+      .set(get(counters_[kConnectionsAccepted]) -
+           get(counters_[kConnectionsClosed]));
+  for (std::size_t i = 0; i < gemm_scratch_.size(); ++i) {
     out.counter(tile::Scratchpad::kCounterNames[i])
-        .set(get(counters_.gemm_scratch[i]));
+        .set(get(gemm_scratch_[i]));
   }
   out.counter("tile.plan.hits").set(plan_cache_.hits());
   out.counter("tile.plan.misses").set(plan_cache_.misses());

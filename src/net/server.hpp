@@ -42,6 +42,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/protocol.hpp"
@@ -179,9 +180,8 @@ class Server {
     std::vector<std::uint8_t> in;
     std::vector<std::uint8_t> out;
     std::size_t out_pos = 0;
-    /// Logical in-flight requests (queued jobs, deferred admissions,
-    /// whole GEMMs/batches) — the pipelining window and the idle
-    /// reaper both key off it.
+    /// Requests in flight, one window hold each — the pipelining window
+    /// and the idle reaper both key off it.
     std::size_t pending_jobs = 0;
     bool closing = false;  ///< close once out drains
     std::chrono::steady_clock::time_point last_activity;
@@ -190,84 +190,55 @@ class Server {
     std::uint16_t version = kProtocolVersion;
   };
 
-  /// One in-flight tiled GEMM (v4): the request's connection state
-  /// around the tile::GemmDriver that run_gemm drives too.  The pump
-  /// lowers one group at a time and submits it as one fleet envelope;
-  /// group completions fold in whatever order they land, and the
-  /// single JobResult reply goes out once the last group has been
-  /// folded.
-  struct GemmState {
-    std::uint64_t conn_id = 0;
+  /// One client job of a request: a single job or a v5 batch entry.
+  struct Unit {
+    std::size_t entry = 0;  ///< its slot in Request::reply.entries
     std::uint32_t tag = 0;
-    std::uint16_t version = kProtocolVersion;
-    std::uint64_t trace_id = 0;
-    std::chrono::steady_clock::time_point admitted;  ///< e2e epoch
-
-    tile::GemmDriver driver;
-    /// A lowered group the full queue refused; it is resubmitted as-is
-    /// (lowering again would replay the scratchpad).
-    std::vector<rt::Job> held;
-    std::size_t held_first = 0;   ///< schedule step of held.front()
-    std::size_t outstanding = 0;  ///< submitted groups not yet folded
-
-    GemmState(const RingGeometry& geometry,
-              std::shared_ptr<const tile::TileSchedule> schedule,
-              std::vector<Word> a, std::vector<Word> b)
-        : driver(geometry, std::move(schedule), std::move(a), std::move(b)) {}
+    std::string name;  ///< job name, for the flight recorder
   };
 
-  /// One in-flight v5 SubmitJobBatch: entries settle independently
-  /// (admission errors inline, groups as they complete or are shed)
-  /// and the single JobBatchResult reply goes out when the last entry
-  /// has settled.
-  struct BatchState {
-    std::uint64_t conn_id = 0;
-    std::uint16_t version = kProtocolVersion;
-    JobBatchResultMsg result;   ///< tag + entries, filled as they settle
-    std::size_t remaining = 0;  ///< unsettled entries
-    std::vector<std::uint32_t> tags;  ///< per entry, for its reply
-    std::vector<std::string> names;   ///< per entry job name (flight)
-  };
-
-  /// One fleet group awaiting its results: a client's single job
-  /// (plain or DFG), a run of v5 batch entries, or a run of GEMM tile
-  /// steps.  A deferred admission parks the same record without a
-  /// future.
-  struct PendingGroup {
+  /// One reply-bearing frame in flight: a single or DFG job, a v5
+  /// batch or a tiled GEMM.  Its groups settle into `reply` in any
+  /// order; when the last one has settled, finish() answers the peer
+  /// and releases the window hold the request took when it opened.
+  struct Request {
     std::uint64_t conn_id = 0;
     std::uint16_t version = kProtocolVersion;  ///< reply frame version
+    std::uint64_t trace_id = 0;                ///< a GEMM's
     std::chrono::steady_clock::time_point admitted;  ///< e2e epoch
-    std::future<std::vector<rt::JobResult>> results;
+    std::size_t outstanding = 0;  ///< groups not yet settled
 
-    // A single job answers the client directly.
-    std::uint32_t tag = 0;
-    std::string job_name;  ///< for the flight recorder
-    /// Set for DFG jobs: the raw fleet outputs are de-laced through the
-    /// compiled program's output metadata before the reply is encoded.
+    /// The reply: a JobBatchResult of every entry for a batch, else
+    /// entries[0] alone as a JobResult or an Error.
+    bool batch = false;
+    JobBatchResultMsg reply;
+    std::vector<Unit> units;  ///< fleet job i of a group is unit first + i
+    /// Flight records of the settled units, recorded by finish().
+    std::vector<obs::SpanRecord> records;
+
+    /// A DFG job's raw outputs are de-laced through the compiled
+    /// program's output metadata.
     std::shared_ptr<const svc::CompiledDfg> dfg;
     std::size_t dfg_samples = 0;
     bool dfg_cache_hit = false;
 
-    /// Set for batch entries: job i settles entry entries[i].
-    std::shared_ptr<BatchState> batch;
-    std::vector<std::size_t> entries;
-
-    /// Set for GEMM tiles: job i folds schedule step first_step + i.
-    std::shared_ptr<GemmState> gemm;
-    std::size_t first_step = 0;
-
-    /// Client jobs (batch entries count one each) in this group.
-    std::size_t units() const noexcept {
-      return batch != nullptr ? entries.size() : 1;
-    }
+    /// A GEMM's units are schedule steps: its groups fold into the
+    /// driver, which also builds the reply.
+    std::unique_ptr<tile::GemmDriver> gemm;
   };
 
-  /// A unit parked between the admission watermarks: the shard retries
-  /// it on every tick/wake and sheds Busy past its deadline.
-  struct DeferredGroup {
-    PendingGroup meta;
-    std::vector<rt::Job> jobs;
-    std::chrono::steady_clock::time_point deadline;
+  /// One fleet group of a request: a single job, a run of batch units
+  /// or a run of GEMM steps.  Parked groups hold their jobs; submitted
+  /// ones their future.  A GEMM parks one group as its lowering cursor
+  /// until every step is lowered.
+  struct Group {
+    std::shared_ptr<Request> req;
+    std::size_t first = 0;  ///< first unit (a GEMM's: schedule step)
+    std::vector<rt::Job> jobs{};
+    std::future<std::vector<rt::JobResult>> results{};
+    /// A parked unit is shed past this; a GEMM cursor never is.
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
   };
 
   /// One event-loop shard: its own poll loop, connections, in-flight
@@ -280,9 +251,8 @@ class Server {
     int wake_w = -1;
 
     std::deque<Conn> conns;
-    std::vector<PendingGroup> pending;
-    std::vector<std::shared_ptr<GemmState>> gemms;
-    std::deque<DeferredGroup> deferred;
+    std::vector<Group> pending;  ///< submitted, awaiting results
+    std::deque<Group> parked;    ///< deferred units and GEMM cursors
 
     /// Accepted fds handed off by shard 0; adopted at the loop top.
     std::mutex inbox_mu;
@@ -321,40 +291,39 @@ class Server {
   void handle_submit_dfg(Shard& shard, Conn& conn, const Frame& frame);
   void handle_compile_dfg(Conn& conn, const Frame& frame);
   void handle_submit_gemm(Shard& shard, Conn& conn, const Frame& frame);
-  /// Lower and submit as many tile groups as the fleet will take (a
-  /// full queue stops the pump; the held group retries on the next
-  /// tick), then finalize every GEMM whose last group has been folded.
-  /// Never called while collect_completions() iterates pending.
-  void pump_gemms(Shard& shard);
-  void finalize_gemm(Shard& shard, GemmState& gemm);
-  /// Watermark admission shared by every submit path, one unit at a
-  /// time (a single job or a group of batch entries): accept below
-  /// low, defer between low and high, shed at or above high.
-  void admit(Shard& shard, Conn& conn, std::vector<rt::Job> jobs,
-             PendingGroup meta);
-  /// Submit an admitted unit as one fleet group; a refusing fleet
-  /// settles it kBusy (queue full) or kShuttingDown.
-  void submit_or_refuse(Shard& shard, Conn* conn, std::vector<rt::Job> jobs,
-                        PendingGroup meta);
-  /// Answer a unit that will not run: Error{code} to the peer (kBusy
-  /// carries the retry_after_ms hint), or the same settled entry for
-  /// each of its batch entries.
-  void refuse(Shard& shard, Conn* conn, const PendingGroup& meta,
-              ErrorCode code);
-  /// Retry deferred units (immediately when the depth fell below low or
-  /// the deadline/drain forces the attempt), shedding Busy on a still
-  /// full queue past the deadline.
-  void pump_deferred(Shard& shard);
-  /// Record one settled batch entry; sends the JobBatchResult when the
-  /// last entry lands.
-  void settle_batch_entry(Shard& shard,
-                          const std::shared_ptr<BatchState>& batch,
-                          std::size_t index, JobBatchEntryMsg entry);
-  void finalize_batch(Shard& shard, BatchState& batch);
-  void settle_batch_group(Shard& shard, const PendingGroup& pending,
-                          const std::vector<rt::JobResult>& results);
-  void answer_job(Shard& shard, const PendingGroup& pending,
-                  const rt::JobResult& result);
+  /// A request of `groups` groups and one reply entry, stamped
+  /// admitted; takes its window hold on `conn`.
+  std::shared_ptr<Request> open_request(Conn& conn, std::uint32_t tag,
+                                        std::uint16_t version,
+                                        std::size_t groups);
+  /// Watermark admission shared by every non-GEMM group: accept below
+  /// low, park between low and high, shed at or above high.
+  void admit(Shard& shard, Group group);
+  /// Submit the group's jobs as one fleet envelope and move it to
+  /// pending.  On kQueueFull or kShutDown the group is left intact.
+  rt::Runtime::SubmitStatus submit(Shard& shard, Group& group);
+  /// Submit a group or refuse it: kBusy on a full queue, kShuttingDown
+  /// on a stopped fleet.
+  void submit_or_refuse(Shard& shard, Group& group);
+  /// Retry parked groups.  A unit is attempted when the depth fell
+  /// below low or its deadline/drain forces it, and is shed on a still
+  /// full queue; a GEMM cursor lowers and submits groups until the
+  /// queue is full and then holds its lowered group.  A request whose
+  /// connection is gone submits nothing more: its parked groups are
+  /// refused.
+  void pump_parked(Shard& shard);
+  /// Lower and submit a GEMM's groups; true once its cursor is spent.
+  bool pump_gemm(Shard& shard, Group& cursor);
+  /// The one settle path: record a group's fleet `results`, or with
+  /// nullptr refuse it with `code` (its units shed or refused, a GEMM
+  /// failed with `why`).  The request finishes with its last group.
+  void settle(Shard& shard, Group& group,
+              const std::vector<rt::JobResult>* results,
+              ErrorCode code = ErrorCode::kBusy, const char* why = "");
+  void release(Shard& shard, Request& req);
+  /// Build and send the reply, record the request's e2e and serialize
+  /// samples and flight records, release the window hold.
+  void finish(Shard& shard, Request& req);
   /// Record one answered request — a single job, a batch entry or a
   /// whole GEMM — as one e2e and serialize sample and one flight
   /// record.
@@ -394,43 +363,40 @@ class Server {
   std::size_t admission_low_ = 0;   ///< resolved from config in ctor
   std::size_t admission_high_ = 0;
 
-  struct NetCounters {
-    std::atomic<std::uint64_t> connections_accepted{0};
-    std::atomic<std::uint64_t> connections_closed{0};
-    std::atomic<std::uint64_t> connections_rejected{0};
-    std::atomic<std::uint64_t> frames_in{0};
-    std::atomic<std::uint64_t> frames_out{0};
-    std::atomic<std::uint64_t> bytes_in{0};
-    std::atomic<std::uint64_t> bytes_out{0};
-    std::atomic<std::uint64_t> rejects_busy{0};
-    std::atomic<std::uint64_t> rejects_shutdown{0};
-    std::atomic<std::uint64_t> protocol_errors{0};
-    std::atomic<std::uint64_t> timeouts{0};
-    std::atomic<std::uint64_t> jobs_submitted{0};
-    std::atomic<std::uint64_t> jobs_completed{0};
-    std::atomic<std::uint64_t> jobs_failed{0};
-    std::atomic<std::uint64_t> drains{0};
-    // Watermark admission (net.admission.*): accepted/shed are final
-    // outcomes (every job-class admission ends in exactly one of
-    // them); delayed counts parkings, which later resolve into one of
-    // the two.  Sheds also count in rejects_busy, which remains the
-    // what-the-client-saw counter.
-    std::atomic<std::uint64_t> admission_accepted{0};
-    std::atomic<std::uint64_t> admission_delayed{0};
-    std::atomic<std::uint64_t> admission_shed{0};
-    // v5 batched submits.
-    std::atomic<std::uint64_t> batch_requests{0};
-    std::atomic<std::uint64_t> batch_jobs{0};
-    // v4 tiled-GEMM aggregates, folded in at admission / finalize so
-    // `sras stats` sees the scratchpad behaviour across all requests.
-    std::atomic<std::uint64_t> gemm_requests{0};
-    std::atomic<std::uint64_t> gemm_tile_jobs{0};
-    /// tile.scratch.*, in tile::Scratchpad::kCounterNames order.
-    std::array<std::atomic<std::uint64_t>,
-               tile::Scratchpad::kCounterNames.size()>
-        gemm_scratch{};
+  /// The net.* counters, named once by kCounterNames
+  /// (net.connections.active is derived from two of them).  Watermark
+  /// admission: accepted/shed are final outcomes, every job-class
+  /// admission ends in exactly one of them; delayed counts parkings,
+  /// which later resolve into one of the two.  Sheds also count in
+  /// rejects.busy, the what-the-client-saw counter.
+  enum NetCounter : std::size_t {
+    kConnectionsAccepted, kConnectionsClosed, kConnectionsRejected,
+    kFramesIn, kFramesOut, kBytesIn, kBytesOut,
+    kRejectsBusy, kRejectsShutdown, kProtocolErrors, kTimeouts,
+    kJobsSubmitted, kJobsCompleted, kJobsFailed, kDrains,
+    kAdmissionAccepted, kAdmissionDelayed, kAdmissionShed,
+    kBatchRequests, kBatchJobs, kGemmRequests, kGemmTileJobs,
+    kNetCounterCount
   };
-  NetCounters counters_;
+  static constexpr std::array<std::string_view, kNetCounterCount>
+      kCounterNames{
+          "net.connections.accepted", "net.connections.closed",
+          "net.connections.rejected", "net.frames.in", "net.frames.out",
+          "net.bytes.in", "net.bytes.out", "net.rejects.busy",
+          "net.rejects.shutdown", "net.protocol_errors", "net.timeouts",
+          "net.jobs.submitted", "net.jobs.completed", "net.jobs.failed",
+          "net.drains", "net.admission.accepted", "net.admission.delayed",
+          "net.admission.shed", "net.batch.requests", "net.batch.jobs",
+          "net.gemm.requests", "net.gemm.tile_jobs"};
+  void count(NetCounter c, std::uint64_t n = 1) {
+    counters_[c].fetch_add(n, std::memory_order_relaxed);
+  }
+  std::array<std::atomic<std::uint64_t>, kNetCounterCount> counters_{};
+  /// tile.scratch.*, in tile::Scratchpad::kCounterNames order, folded
+  /// in as each GEMM finishes.
+  std::array<std::atomic<std::uint64_t>,
+             tile::Scratchpad::kCounterNames.size()>
+      gemm_scratch_{};
 
   // Server-wide telemetry.  Shard threads write per completion /
   // sample tick (never per byte), metrics()/stats_snapshot() read from

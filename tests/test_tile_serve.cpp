@@ -478,7 +478,7 @@ TEST(TileServe, DisconnectWhileAGroupIsHeldLeavesServerHealthy) {
   const RemoteGemmResult r = client.submit_gemm(spec, a, b, kGeom, 3);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.c, tile::gemm_reference(spec, a, b));
-  ts.stop();  // returns: the orphaned GEMM finished and was dropped
+  ts.stop();  // returns: the orphaned GEMM stopped lowering and failed
   EXPECT_EQ(counter(ts.server.metrics(), "net.gemm.requests"), 2u);
 }
 
