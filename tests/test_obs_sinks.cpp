@@ -1,16 +1,21 @@
 // Golden-file tests of the event sinks: byte-exact output for
-// hand-fed event streams, plus end-to-end structural validation of a
-// real 3-Dnode MAC run traced through the JSONL and Chrome sinks.
+// hand-fed event streams, end-to-end structural validation of a real
+// 3-Dnode MAC run traced through the JSONL and Chrome sinks, and pinned
+// digests of the text, JSONL and VCD traces of two kernel runs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "asm/program_builder.hpp"
 #include "json_test_util.hpp"
+#include "kernels/jobs.hpp"
+#include "kernels/mac_kernel.hpp"
 #include "obs/sinks.hpp"
 #include "sim/system.hpp"
+#include "sim/vcd.hpp"
 
 namespace sring {
 namespace {
@@ -252,6 +257,117 @@ TEST(TextSink, SystemRunKeepsLegacyLineFormat) {
   std::size_t separators = 0;
   for (const char c : lines.front()) separators += (c == '/');
   EXPECT_EQ(separators, 2u);
+}
+
+// --- pinned traces of kernel runs --------------------------------------
+
+/// "len N fnv H": the size and FNV-1a 64 digest of `bytes`.
+std::string digest(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return "len " + std::to_string(bytes.size()) + " fnv " + hex;
+}
+
+/// Forwards every callback to two sinks.
+class TeeSink : public obs::EventSink {
+ public:
+  TeeSink(obs::EventSink& a, obs::EventSink& b) : a_(a), b_(b) {}
+  void begin(const std::vector<obs::Track>& tracks) override {
+    a_.begin(tracks);
+    b_.begin(tracks);
+  }
+  void event(const obs::Event& e) override {
+    a_.event(e);
+    b_.event(e);
+  }
+  void cycle_end(const obs::CycleState& state) override {
+    a_.cycle_end(state);
+    b_.cycle_end(state);
+  }
+  void end() override {
+    a_.end();
+    b_.end();
+  }
+
+ private:
+  obs::EventSink& a_;
+  obs::EventSink& b_;
+};
+
+struct TraceDigests {
+  std::string text, jsonl, vcd;
+  std::uint64_t cycles = 0;
+  std::uint64_t plan_hits = 0;
+};
+
+/// Run `cycles` System::step() calls of `program` on `input` with the
+/// text and JSONL sinks attached and a VCD sample after every cycle.
+TraceDigests trace_digests(const RingGeometry& g,
+                           const LoadableProgram& program,
+                           const std::vector<Word>& input, int cycles) {
+  System sys({g});
+  sys.load(program);
+  sys.host().send(input);
+  std::ostringstream text, jsonl, vcd_out;
+  obs::TextSink text_sink(text);
+  obs::JsonlSink jsonl_sink(jsonl);
+  TeeSink tee(text_sink, jsonl_sink);
+  VcdWriter vcd(vcd_out, sys);
+  sys.set_trace(&tee);
+  for (int c = 0; c < cycles; ++c) {
+    sys.step();
+    vcd.sample(sys);
+  }
+  sys.set_trace(nullptr);
+  tee.end();
+  return {digest(text.str()), digest(jsonl.str()), digest(vcd_out.str()),
+          sys.stats().cycles, sys.ring().plan_hits()};
+}
+
+std::vector<Word> ramp(std::size_t n, int step) {
+  std::vector<Word> x(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = to_word(static_cast<int>(i % 37) * step - 200);
+  }
+  return x;
+}
+
+// A trace reads the ring state after every cycle.  The bytes of a
+// planned global-mode run and a local-mode run are pinned, so a change
+// to how the sinks read that state shows as a changed digest.
+TEST(TracedRun, FirSpatialDigestsArePinned) {
+  const RingGeometry g{8, 2, 16};
+  const std::vector<Word> coeffs{5, static_cast<Word>(-3), 2, 1};
+  const rt::Job job = kernels::make_spatial_fir_job(g, ramp(96, 11), coeffs);
+  const TraceDigests d = trace_digests(g, *job.program, job.input, 120);
+  EXPECT_GT(d.plan_hits, d.cycles / 2) << "the cycles must run planned";
+  EXPECT_EQ(d.text, "len 19080 fnv 3f68e8941af96535");
+  EXPECT_EQ(d.jsonl, "len 99744 fnv 9d527fce7395ca17");
+  EXPECT_EQ(d.vcd, "len 17951 fnv 4936424be2a953db");
+}
+
+TEST(TracedRun, MacLocalDigestsArePinned) {
+  const RingGeometry g{4, 2, 16};
+  // The running MAC, also driving its output register so the text and
+  // VCD traces show the partial sums.
+  LoadableProgram program = kernels::make_running_mac_program(g);
+  for (auto& lw : program.local_init) {
+    if (lw.slot < kLocalProgramSlots) {
+      DnodeInstr instr = DnodeInstr::decode(lw.value);
+      instr.out_en = true;
+      lw.value = instr.encode();
+    }
+  }
+  const TraceDigests d = trace_digests(g, program, ramp(80, 7), 48);
+  EXPECT_GT(d.plan_hits, d.cycles / 2) << "the cycles must run planned";
+  EXPECT_EQ(d.text, "len 4560 fnv 0c2f9016639d40e3");
+  EXPECT_EQ(d.jsonl, "len 10700 fnv a2b8152d74b418d0");
+  EXPECT_EQ(d.vcd, "len 2418 fnv 46f13c9024874be7");
 }
 
 }  // namespace
