@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "common/error.hpp"
-#include "core/local_control.hpp"
 
 namespace sring {
 
@@ -103,7 +102,8 @@ PlannedSlot compile_slot(const RingGeometry& geom, const DnodeInstr& instr,
 }  // namespace
 
 void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
-                        const std::vector<Dnode>& dnodes, CyclePlan& plan) {
+                        const std::vector<LocalControl>& locals,
+                        CyclePlan& plan) {
   const std::size_t n = geom.dnode_count();
   plan.static_pops = 0;
   plan.superstep_period = 1;
@@ -121,7 +121,7 @@ void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
       pd.is_local = cfg.dnode_mode(i) == DnodeMode::kLocal;
       if (pd.is_local) {
         plan.local_dnodes.push_back(static_cast<std::uint16_t>(i));
-        const LocalControl& lc = dnodes[i].local();
+        const LocalControl& lc = locals[i];
         // The counter never exceeds LIMIT (writes clamp, advance
         // wraps), so slots above it are unreachable and stay NOP.
         for (std::size_t s = 0; s <= lc.limit(); ++s) {
@@ -178,7 +178,6 @@ void begin_tape(SuperstepTape& t, std::size_t period) {
   t.taps.clear();
   t.taps_begin.assign(period + 1, 0);
   t.phase_cycles.assign(period, 0);
-  t.reads_window = false;
 }
 
 /// Lower phase `p` of `t`: `plan` with every local Dnode at slot
@@ -186,7 +185,8 @@ void begin_tape(SuperstepTape& t, std::size_t period) {
 /// reading immediate word imm_base + dnode.  `writes` receives the
 /// phase's written slots, sorted.
 void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
-                 const std::vector<Dnode>& dnodes, std::size_t local_phase,
+                 const std::vector<LocalControl>& locals,
+                 std::size_t local_phase,
                  std::size_t imm_base, std::size_t p, SuperstepTape& t,
                  std::vector<std::uint16_t>& writes) {
   const std::size_t n = geom.dnode_count();
@@ -207,7 +207,7 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
   for (std::uint16_t i = 0; i < n; ++i) {
     const PlannedDnode& pd = plan.dnodes[i];
     const auto slot = static_cast<std::uint8_t>(
-        pd.is_local ? (dnodes[i].local().counter() + local_phase) % pd.local_len
+        pd.is_local ? (locals[i].counter() + local_phase) % pd.local_len
                     : 0);
     const PlannedSlot& ps = pd.is_local ? pd.local[slot] : pd.global;
     if (ps.nop) continue;
@@ -282,9 +282,6 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
     op.dst = in.dst != DnodeDst::kNone ? lay.reg(i, dst_reg_index(in.dst))
                                        : lay.val(i);
     op.out = in.out_en ? lay.out(i) : lay.sink();
-    t.reads_window = t.reads_window || op.a.base == TapeRef::kWindow ||
-                     op.b.base == TapeRef::kWindow ||
-                     op.c.base == TapeRef::kWindow;
     if (in.dst != DnodeDst::kNone) writes.push_back(op.dst);
     if (op.out != lay.sink()) writes.push_back(op.out);
     if (op.host_en || op.bus_en) {
@@ -333,15 +330,15 @@ void finish_tape(SuperstepTape& t,
 }  // namespace
 
 void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
-                  const std::vector<Dnode>& dnodes, SuperstepTape& t) {
+                  const std::vector<LocalControl>& locals, SuperstepTape& t) {
   const std::size_t period = plan.superstep_period;
   begin_tape(t, period);
   for (const std::uint16_t i : plan.local_dnodes) {
-    t.base_counters.push_back(dnodes[i].local().counter());
+    t.base_counters.push_back(locals[i].counter());
   }
   std::vector<std::vector<std::uint16_t>> writes(period);
   for (std::size_t p = 0; p < period; ++p) {
-    lower_phase(geom, plan, dnodes, p, 0, p, t, writes[p]);
+    lower_phase(geom, plan, locals, p, 0, p, t, writes[p]);
   }
   finish_tape(t, writes);
 }
@@ -349,13 +346,14 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
 void compile_loop_tape(const RingGeometry& geom,
                        std::span<const CyclePlan* const> plans,
                        std::span<const std::size_t> pages,
-                       const std::vector<Dnode>& dnodes, SuperstepTape& t) {
+                       const std::vector<LocalControl>& locals,
+                       SuperstepTape& t) {
   const std::size_t n = geom.dnode_count();
   begin_tape(t, plans.size());
   std::vector<std::vector<std::uint16_t>> writes(plans.size());
   for (std::size_t i = 0; i < plans.size(); ++i) {
     if ((pages[i] + 1) * n > std::size_t{1} << 16) return;
-    lower_phase(geom, *plans[i], dnodes, 0, pages[i] * n, i, t, writes[i]);
+    lower_phase(geom, *plans[i], locals, 0, pages[i] * n, i, t, writes[i]);
   }
   finish_tape(t, writes);
 }
@@ -376,13 +374,13 @@ std::uint64_t tape_fit(std::span<const std::uint32_t> sum, std::size_t s,
 }
 
 std::ptrdiff_t tape_phase(const SuperstepTape& t, const CyclePlan& plan,
-                          const std::vector<Dnode>& dnodes) noexcept {
+                          const std::vector<LocalControl>& locals) noexcept {
   for (std::size_t p = 0; p < t.period; ++p) {
     bool match = true;
     for (std::size_t k = 0; k < plan.local_dnodes.size() && match; ++k) {
       const std::uint16_t i = plan.local_dnodes[k];
       match = (t.base_counters[k] + p) % plan.dnodes[i].local_len ==
-              dnodes[i].local().counter();
+              locals[i].counter();
     }
     if (match) return static_cast<std::ptrdiff_t>(p);
   }

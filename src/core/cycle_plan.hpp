@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "core/config_memory.hpp"
-#include "core/dnode.hpp"
+#include "core/local_control.hpp"
 #include "core/switch.hpp"
 #include "isa/dnode_instr.hpp"
 
@@ -211,7 +211,6 @@ struct SuperstepTape {
   /// Host-out taps per phase, switch order.
   std::vector<HostTapPlan> taps;
   std::vector<std::uint32_t> taps_begin;    ///< [period + 1]
-  bool reads_window = false;  ///< some operand reads the feedback window
   /// Cycles executed per phase since the last statistics flush.
   std::vector<std::uint64_t> phase_cycles;
   bool queued = false;  ///< in the Ring's flush queue (unflushed cycles)
@@ -232,9 +231,9 @@ std::uint64_t tape_fit(std::span<const std::uint32_t> sum, std::size_t s,
                        std::uint64_t c) noexcept;
 
 /// Lower `plan` into `tape`, starting phase 0 at the local counters
-/// the Dnodes hold now.
+/// `locals` hold now.
 void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
-                  const std::vector<Dnode>& dnodes, SuperstepTape& tape);
+                  const std::vector<LocalControl>& locals, SuperstepTape& tape);
 
 /// Lower a recorded controller loop into `tape`: phase i runs the
 /// all-global `plans[i]` with its kImm operands reading word
@@ -243,12 +242,13 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
 void compile_loop_tape(const RingGeometry& geom,
                        std::span<const CyclePlan* const> plans,
                        std::span<const std::size_t> pages,
-                       const std::vector<Dnode>& dnodes, SuperstepTape& tape);
+                       const std::vector<LocalControl>& locals,
+                       SuperstepTape& tape);
 
-/// Phase of a valid `tape` that the Dnodes' local counters select, or
+/// Phase of a valid `tape` that the local counters select, or
 /// -1 when no phase matches (the tape must be recompiled).
 std::ptrdiff_t tape_phase(const SuperstepTape& tape, const CyclePlan& plan,
-                          const std::vector<Dnode>& dnodes) noexcept;
+                          const std::vector<LocalControl>& locals) noexcept;
 
 /// Compile the live configuration + local-control programs into `plan`
 /// (storage is reused across recompiles; the caller stamps the
@@ -256,6 +256,7 @@ std::ptrdiff_t tape_phase(const SuperstepTape& tape, const CyclePlan& plan,
 /// interpreter would reject at execution time — pre-validation must
 /// not accept configurations the cycle-accurate path rejects.
 void compile_cycle_plan(const RingGeometry& geom, const ConfigMemory& cfg,
-                        const std::vector<Dnode>& dnodes, CyclePlan& plan);
+                        const std::vector<LocalControl>& locals,
+                        CyclePlan& plan);
 
 }  // namespace sring

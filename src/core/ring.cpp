@@ -6,17 +6,13 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "core/local_control.hpp"
+#include "core/alu.hpp"
 
 namespace sring {
 
 Ring::Ring(const RingGeometry& g) : geom_(g) {
   geom_.validate();
-  dnodes_.resize(geom_.dnode_count());
-  pipes_.reserve(geom_.switch_count());
-  for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
-    pipes_.emplace_back(geom_.lanes, geom_.fb_depth);
-  }
+  locals_.resize(geom_.dnode_count());
   last_mode_.assign(geom_.dnode_count(), DnodeMode::kGlobal);
   ops_per_dnode_.assign(geom_.dnode_count(), 0);
   mac_ops_per_dnode_.assign(geom_.dnode_count(), 0);
@@ -29,7 +25,6 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   is_local_.assign(geom_.dnode_count(), false);
   needs_.assign(geom_.dnode_count(), {});
   effects_.assign(geom_.dnode_count(), {});
-  pre_outs_.assign(geom_.dnode_count(), 0);
   const TapeLayout lay{geom_.dnode_count()};
   flat_.assign(2 * lay.size(), 0);
   // Enough slack rows that relocating the window (fb_depth - 1 rows)
@@ -37,6 +32,7 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   window_slack_ = std::max<std::size_t>(geom_.fb_depth,
                                         4096 / geom_.dnode_count());
   window_.assign((window_slack_ + geom_.fb_depth) * geom_.dnode_count(), 0);
+  head_ = window_slack_;
   local_imm_.assign(geom_.dnode_count() * kLocalProgramSlots, 0);
 }
 
@@ -50,48 +46,32 @@ std::size_t Ring::upstream_layer(std::size_t layer) const noexcept {
   return (layer + geom_.layers - 1) % geom_.layers;
 }
 
-Dnode& Ring::dnode(std::size_t layer, std::size_t lane) {
-  spill();  // the caller may read or mutate the Dnode directly
-  locals_written_ = true;
-  return dnodes_[flat_index(layer, lane)];
+Word Ring::out(std::size_t layer, std::size_t lane) const {
+  const TapeLayout lay{locals_.size()};
+  return flat_[cur_ + lay.out(flat_index(layer, lane))];
 }
 
-const Dnode& Ring::dnode(std::size_t layer, std::size_t lane) const {
-  spill();
-  return dnodes_[flat_index(layer, lane)];
+Word Ring::reg(std::size_t layer, std::size_t lane, std::size_t r) const {
+  check(r < kDnodeRegCount, "Ring: register index out of range");
+  const TapeLayout lay{locals_.size()};
+  return flat_[cur_ + lay.reg(flat_index(layer, lane), r)];
 }
 
-Dnode& Ring::dnode_flat(std::size_t index) {
-  check(index < dnodes_.size(), "Ring: dnode index out of range");
-  spill();
-  locals_written_ = true;
-  return dnodes_[index];
-}
-
-const Dnode& Ring::dnode_flat(std::size_t index) const {
-  check(index < dnodes_.size(), "Ring: dnode index out of range");
-  spill();
-  return dnodes_[index];
-}
-
-const FeedbackPipeline& Ring::pipeline(std::size_t sw) const {
-  check(sw < pipes_.size(), "Ring: switch index out of range");
-  spill();
-  return pipes_[sw];
+const LocalControl& Ring::local(std::size_t dnode_index) const {
+  check(dnode_index < locals_.size(), "Ring: dnode index out of range");
+  return locals_[dnode_index];
 }
 
 std::size_t Ring::fb_occupancy(std::size_t sw) const {
-  check(sw < pipes_.size(), "Ring: switch index out of range");
-  std::uint64_t pushes = datapath_reset_ ? 0 : pipes_[sw].pushes();
-  if (resident_) pushes += edges_;
+  check(sw < geom_.switch_count(), "Ring: switch index out of range");
   return static_cast<std::size_t>(
-      std::min<std::uint64_t>(pushes, geom_.fb_depth));
+      std::min<std::uint64_t>(edges_, geom_.fb_depth));
 }
 
 void Ring::write_local(std::size_t dnode_index, std::size_t slot,
                        std::uint64_t value) {
-  check(dnode_index < dnodes_.size(), "Ring: dnode index out of range");
-  LocalControl& lc = dnodes_[dnode_index].local();
+  check(dnode_index < locals_.size(), "Ring: dnode index out of range");
+  LocalControl& lc = locals_[dnode_index];
   lc.write(slot, value);
   locals_written_ = true;
   if (slot < kLocalProgramSlots) {
@@ -105,8 +85,10 @@ void Ring::write_local(std::size_t dnode_index, std::size_t slot,
 }
 
 Word Ring::read_feedback(const FeedbackAddr& addr) const {
-  check(addr.pipe < pipes_.size(), "Ring: feedback pipe out of range");
-  return pipes_[addr.pipe].read(addr.lane, addr.depth);
+  addr.check_in_range(geom_.switch_count(), geom_.lanes, geom_.fb_depth);
+  // Pipeline s latches layer upstream(s): its lanes sit there in a row.
+  return window_[(head_ + addr.depth) * locals_.size() +
+                 upstream_layer(addr.pipe) * geom_.lanes + addr.lane];
 }
 
 void Ring::note_fb_read(const FeedbackAddr& addr) {
@@ -115,7 +97,6 @@ void Ring::note_fb_read(const FeedbackAddr& addr) {
 }
 
 void Ring::set_plan_cache_enabled(bool enabled) noexcept {
-  spill();
   plan_enabled_ = enabled;
   if (!enabled) {
     current_plan_ = nullptr;
@@ -130,7 +111,7 @@ void Ring::reset_for_rerun() {
   // with different local programs.  An index stamped with an earlier
   // generation lapses unless finish_arm() carries it over.
   if (locals_written_) {
-    for (auto& d : dnodes_) d.local() = LocalControl{};
+    std::fill(locals_.begin(), locals_.end(), LocalControl{});
     std::fill(local_imm_.begin(), local_imm_.end(), 0);
     locals_written_ = false;
   }
@@ -154,19 +135,15 @@ void Ring::reset_for_rerun() {
   }
   ran_.clear();
   rec_.on = false;
-  // The reset datapath is all zeros: zero the flat state and the
-  // window's visible rows in place and keep them resident, instead of
-  // clearing every Dnode and pipeline and reloading from them.
-  const std::size_t n = dnodes_.size();
+  // The reset datapath is all zeros: the flat state and the window's
+  // visible rows.
+  const std::size_t n = locals_.size();
   std::fill(flat_.begin(), flat_.end(), 0);
   std::fill_n(window_.begin() + static_cast<std::ptrdiff_t>(window_slack_ * n),
               geom_.fb_depth * n, 0);
-  resident_ = true;
-  datapath_reset_ = true;
   cur_ = 0;
   head_ = window_slack_;
   edges_ = 0;
-  window_loaded_ = true;
   last_tape_ = nullptr;
   handoff_.reset();
   current_plan_ = nullptr;
@@ -202,10 +179,7 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
   PlanCacheEntry* const e = handoff_ ? *std::exchange(handoff_, std::nullopt)
                             : plan_enabled_ ? lookup(cfg)
                                             : nullptr;
-  if (e == nullptr) {
-    spill();
-    return step_interpreted(cfg, bus, host_in, host_out);
-  }
+  if (e == nullptr) return step_interpreted(cfg, bus, host_in, host_out);
 
   const SuperstepResult r =
       run_tape(*e, {.cfg = cfg,
@@ -225,14 +199,14 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     // Issue views from the phase that ran and its micro-op results (in
     // the state it wrote); the fetched instruction is the live one (the
     // plan holds no imm).
-    std::fill(effects_.begin(), effects_.end(), Dnode::Effects{});
+    std::fill(effects_.begin(), effects_.end(), Effects{});
     const SuperstepTape& t = *last_tape_;
     for (std::uint32_t k = t.begin[last_phase_]; k < t.begin[last_phase_ + 1];
          ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const DnodeInstr& in =
           e->plan.dnodes[src.dnode].is_local
-              ? dnodes_[src.dnode].local().instr_at(src.local_slot)
+              ? locals_[src.dnode].instr_at(src.local_slot)
               : cfg.dnode_instr(src.dnode);
       fetched_[src.dnode] = &in;
       effects_[src.dnode] = {true, flat_[cur_ + t.ops[k].dst], in.out_en,
@@ -277,7 +251,7 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
   // where the interpreter would reject the configuration at execution
   // time.  A plan without a tape (local period over the cap) stays
   // interpret-only and is never attached.
-  compile_cycle_plan(geom_, cfg, dnodes_, e->plan);
+  compile_cycle_plan(geom_, cfg, locals_, e->plan);
   e->compiled = true;
   e->tape.valid = false;
   ++plan_compiles_;
@@ -291,8 +265,7 @@ Ring::PlanCacheEntry* Ring::lookup_changed(const ConfigMemory& cfg) {
 std::uint64_t Ring::local_content_hash() {
   if (local_hash_gen_ == local_generation_) return local_hash_;
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const Dnode& d : dnodes_) {
-    const LocalControl& lc = d.local();
+  for (const LocalControl& lc : locals_) {
     h = hash_mix(h, lc.limit());
     for (const std::uint64_t w : lc.raw_slots()) {
       h = hash_mix(h, w & ~kImmFieldMask);
@@ -315,12 +288,11 @@ void Ring::build_content(const ConfigMemory& cfg,
   const auto& mb = cfg.live_mode_bytes();
   const auto& rw = cfg.live_route_words();
   out.reserve(iw.size() + mb.size() + rw.size() +
-              dnodes_.size() * (1 + kLocalProgramSlots));
+              locals_.size() * (1 + kLocalProgramSlots));
   for (const std::uint64_t w : iw) out.push_back(w & ~kImmFieldMask);
   for (const std::uint8_t b : mb) out.push_back(b);
   out.insert(out.end(), rw.begin(), rw.end());
-  for (const Dnode& d : dnodes_) {
-    const LocalControl& lc = d.local();
+  for (const LocalControl& lc : locals_) {
     out.push_back(lc.limit());
     for (const std::uint64_t w : lc.raw_slots()) {
       out.push_back(w & ~kImmFieldMask);
@@ -334,7 +306,7 @@ bool Ring::content_matches(const ConfigMemory& cfg,
   const auto& mb = cfg.live_mode_bytes();
   const auto& rw = cfg.live_route_words();
   const std::size_t total = iw.size() + mb.size() + rw.size() +
-                            dnodes_.size() * (1 + kLocalProgramSlots);
+                            locals_.size() * (1 + kLocalProgramSlots);
   if (content.size() != total) return false;
   std::size_t k = 0;
   for (const std::uint64_t w : iw) {
@@ -346,8 +318,7 @@ bool Ring::content_matches(const ConfigMemory& cfg,
   for (const std::uint64_t w : rw) {
     if (content[k++] != w) return false;
   }
-  for (const Dnode& d : dnodes_) {
-    const LocalControl& lc = d.local();
+  for (const LocalControl& lc : locals_) {
     if (content[k++] != lc.limit()) return false;
     for (const std::uint64_t w : lc.raw_slots()) {
       if (content[k++] != (w & ~kImmFieldMask)) return false;
@@ -420,9 +391,7 @@ void Ring::attach_plan(PlanCacheEntry* e, const ConfigMemory& cfg) {
 
 void Ring::sync_modes(const CyclePlan& plan) {
   for (const std::uint16_t i : plan.local_dnodes) {
-    if (last_mode_[i] == DnodeMode::kGlobal) {
-      dnodes_[i].local().reset_counter();
-    }
+    if (last_mode_[i] == DnodeMode::kGlobal) locals_[i].reset_counter();
     last_mode_[i] = DnodeMode::kLocal;
   }
   for (const std::uint16_t i : plan.global_dnodes) {
@@ -435,21 +404,23 @@ void Ring::sync_modes(const CyclePlan& plan) {
 
 // --- cycle execution ----------------------------------------------------
 
-void Ring::commit_edge() {
-  const std::size_t n = geom_.dnode_count();
-  // Capture pre-edge output vectors: these are what the feedback
-  // pipelines and host-out taps latch at this clock edge.
-  for (std::size_t i = 0; i < n; ++i) {
-    pre_outs_[i] = dnodes_[i].out();
+namespace {
+
+/// Clock edge of the feedback pipelines: the `row` pre-edge outputs at
+/// `outs` become the window's depth-0 row, `h` moving down one row.
+/// With no slack row left, the other visible rows (`keep` words) move
+/// to the far end first.
+void push_window(Word* win, std::size_t& h, std::size_t slack,
+                 std::size_t keep, std::size_t row, const Word* outs) {
+  if (h == 0) {
+    std::copy(win, win + keep, win + (slack + 1) * row);
+    h = slack + 1;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    dnodes_[i].commit(is_local_[i]);
-  }
-  for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
-    const std::size_t up = upstream_layer(s);
-    pipes_[s].push_from(pre_outs_.data() + up * geom_.lanes);
-  }
+  --h;
+  std::copy(outs, outs + row, win + h * row);
 }
+
+}  // namespace
 
 void Ring::drain_effects(CycleResult& result, std::vector<Word>& host_out) {
   const std::size_t n = geom_.dnode_count();
@@ -479,8 +450,8 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
     is_local_[i] = cfg.dnode_mode(i) == DnodeMode::kLocal;
     if (is_local_[i]) {
       fetched_[i] = last_mode_[i] == DnodeMode::kGlobal
-                        ? &dnodes_[i].local().instr_at(0)
-                        : &dnodes_[i].local().current();
+                        ? &locals_[i].instr_at(0)
+                        : &locals_[i].current();
     } else {
       fetched_[i] = &cfg.dnode_instr(i);
     }
@@ -525,7 +496,7 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
   for (std::size_t i = 0; i < n; ++i) {
     if (is_local_[i]) {
       if (last_mode_[i] == DnodeMode::kGlobal) {
-        dnodes_[i].local().reset_counter();
+        locals_[i].reset_counter();
       }
       last_mode_[i] = DnodeMode::kLocal;
       ++local_cycles_per_dnode_[i];
@@ -535,34 +506,40 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
     }
   }
 
+  // The next buffer takes the last tape's writes, so the edge below
+  // can latch into both buffers.
+  settle_last_tape();
+  const TapeLayout lay{n};
+  Word* const cur = flat_.data() + cur_;
+  Word* const nxt = flat_.data() + (lay.size() - cur_);
+
   // Phase 3+4: route and execute.  Routing reads only pre-edge state
-  // (output registers, pipelines, bus), so evaluation order across
+  // (output registers, feedback window, bus), so evaluation order across
   // Dnodes does not matter except for the documented host pop order.
   for (std::size_t layer = 0; layer < geom_.layers; ++layer) {
     const std::size_t up = upstream_layer(layer);
     for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
       const std::size_t i = layer * geom_.lanes + lane;
-      effects_[i] = Dnode::Effects{};
+      effects_[i] = Effects{};
       const DnodeInstr& instr = *fetched_[i];
       if (instr.op == DnodeOp::kNop) continue;
       const SwitchRoute& route = cfg.switch_route(layer, lane);
 
-      Dnode::Inputs in;
-      const auto resolve_port = [&](const PortRoute& p,
-                                    bool pops) -> Word {
+      const auto pop = [&] {
+        const Word w = host_in.front();
+        host_in.pop_front();
+        ++result.host_words_in;
+        return w;
+      };
+      const auto resolve_port = [&](const PortRoute& p, bool pops) -> Word {
         switch (p.kind) {
           case RouteKind::kZero:
             return 0;
           case RouteKind::kPrev:
             check(p.lane < geom_.lanes, "Ring: route lane out of range");
-            return dnodes_[flat_index(up, p.lane)].out();
-          case RouteKind::kHost: {
-            if (!pops) return 0;
-            const Word w = host_in.front();
-            host_in.pop_front();
-            ++result.host_words_in;
-            return w;
-          }
+            return cur[lay.out(up * geom_.lanes + p.lane)];
+          case RouteKind::kHost:
+            return pops ? pop() : 0;
           case RouteKind::kFeedback:
             return read_feedback(p.fb);
           case RouteKind::kBus:
@@ -573,11 +550,10 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
         throw SimError("Ring: bad route kind");
       };
 
-      in.in1 = resolve_port(route.in1, needs_[i].in1_host);
-      in.in2 = resolve_port(route.in2, needs_[i].in2_host);
-      in.fifo1 = read_feedback(route.fifo1);
-      in.fifo2 = read_feedback(route.fifo2);
-      in.bus = bus;
+      const Word in1 = resolve_port(route.in1, needs_[i].in1_host);
+      const Word in2 = resolve_port(route.in2, needs_[i].in2_host);
+      const Word fifo1 = read_feedback(route.fifo1);
+      const Word fifo2 = read_feedback(route.fifo2);
       // Feedback-occupancy accounting: only reads the instruction
       // actually consumes (the ports above are sampled regardless).
       if (route.in1.kind == RouteKind::kFeedback &&
@@ -590,28 +566,73 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
       }
       if (instr_reads(instr, DnodeSrc::kFifo1)) note_fb_read(route.fifo1);
       if (instr_reads(instr, DnodeSrc::kFifo2)) note_fb_read(route.fifo2);
-      if (needs_[i].direct_host) {
-        in.host = host_in.front();
-        host_in.pop_front();
-        ++result.host_words_in;
-      }
+      const Word host = needs_[i].direct_host ? pop() : 0;
 
-      effects_[i] = dnodes_[i].execute(instr, in);
-      if (effects_[i].executed) {
-        ++result.ops;
-        const bool is_mac =
-            instr.op == DnodeOp::kMac || instr.op == DnodeOp::kMsu;
-        result.arith_ops += is_mac ? 2 : 1;
-        ++ops_per_dnode_[i];
-        if (is_mac) ++mac_ops_per_dnode_[i];
-      }
+      const auto operand = [&](DnodeSrc src) -> Word {
+        switch (src) {
+          case DnodeSrc::kZero:
+            return 0;
+          case DnodeSrc::kIn1:
+            return in1;
+          case DnodeSrc::kIn2:
+            return in2;
+          case DnodeSrc::kFifo1:
+            return fifo1;
+          case DnodeSrc::kFifo2:
+            return fifo2;
+          case DnodeSrc::kBus:
+            return bus;
+          case DnodeSrc::kHost:
+            return host;
+          case DnodeSrc::kImm:
+            return instr.imm;
+          case DnodeSrc::kR0:
+          case DnodeSrc::kR1:
+          case DnodeSrc::kR2:
+          case DnodeSrc::kR3:
+            return cur[lay.reg(i, static_cast<std::size_t>(src) -
+                                      static_cast<std::size_t>(DnodeSrc::kR0))];
+          case DnodeSrc::kSrcCount:
+            break;
+        }
+        raise_sim_error("Dnode::resolve: bad operand source");
+      };
+      const Word a = operand(instr.src_a);
+      const Word b = op_uses_b(instr.op) ? operand(instr.src_b) : Word{0};
+      const Word c = op_uses_c(instr.op) ? operand(instr.src_c) : Word{0};
+      effects_[i] = {true, alu_execute(instr.op, a, b, c), instr.out_en,
+                     instr.bus_en, instr.host_en};
+      ++result.ops;
+      const bool is_mac =
+          instr.op == DnodeOp::kMac || instr.op == DnodeOp::kMsu;
+      result.arith_ops += is_mac ? 2 : 1;
+      ++ops_per_dnode_[i];
+      if (is_mac) ++mac_ops_per_dnode_[i];
     }
   }
 
-  // Phase 5: commit, then host output: switch taps first (switch
-  // order), then Dnode hostEn results (dnode order).  Bus drive:
-  // highest dnode index wins.
-  commit_edge();
+  // Phase 5: clock edge.  Every pipeline latches its upstream layer's
+  // pre-edge outputs (one window row), then the register and output
+  // writes land in both buffers and local counters advance.
+  push_window(window_.data(), head_, window_slack_,
+              (geom_.fb_depth - 1) * n, n, cur + lay.outs());
+  ++edges_;
+  const Word* const pre_outs = window_.data() + head_ * n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Effects& e = effects_[i];
+    if (e.executed) {
+      const DnodeInstr& instr = *fetched_[i];
+      if (instr.dst != DnodeDst::kNone) {
+        const std::uint16_t r = lay.reg(i, dst_reg_index(instr.dst));
+        cur[r] = nxt[r] = e.result;
+      }
+      if (e.out_en) cur[lay.out(i)] = nxt[lay.out(i)] = e.result;
+    }
+    if (is_local_[i]) locals_[i].advance();
+  }
+
+  // Host output: switch taps first (switch order), then Dnode hostEn
+  // results (dnode order).  Bus drive: highest dnode index wins.
   for (std::size_t s = 0; s < geom_.switch_count(); ++s) {
     for (std::size_t lane = 0; lane < geom_.lanes; ++lane) {
       const SwitchRoute& route = cfg.switch_route(s, lane);
@@ -619,7 +640,7 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
         check(route.host_out_lane < geom_.lanes,
               "Ring: host-out lane out of range");
         host_out.push_back(
-            pre_outs_[upstream_layer(s) * geom_.lanes + route.host_out_lane]);
+            pre_outs[upstream_layer(s) * geom_.lanes + route.host_out_lane]);
         ++result.host_words_out;
         ++host_out_words_per_switch_[s];
       }
@@ -642,77 +663,17 @@ SuperstepTape& Ring::enter_tape(PlanCacheEntry& e, std::size_t& phase,
     settle_last_tape();
     // (Re)lower the tape when missing or when the local counters match
     // none of its phases.
-    const std::ptrdiff_t p = t.valid ? tape_phase(t, e.plan, dnodes_) : -1;
-    if (p < 0) compile_tape(geom_, e.plan, dnodes_, t);
+    const std::ptrdiff_t p = t.valid ? tape_phase(t, e.plan, locals_) : -1;
+    if (p < 0) compile_tape(geom_, e.plan, locals_, t);
     phase = p < 0 ? 0 : static_cast<std::size_t>(p);
   }
   queue_tape(t);
   return t;
 }
 
-void Ring::load_resident() {
-  const std::size_t n = dnodes_.size();
-  const TapeLayout lay{n};
-  Word* const s = flat_.data();
-  s[TapeLayout::kZero] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
-      s[lay.reg(i, r)] = dnodes_[i].regs().read(r);
-    }
-    s[lay.out(i)] = dnodes_[i].out();
-  }
-  s[lay.sink()] = 0;
-  std::copy(s, s + lay.size(), s + lay.size());
-  resident_ = true;
-  cur_ = 0;
-  head_ = window_slack_;
-  edges_ = 0;
-  window_loaded_ = false;
-  last_tape_ = nullptr;
-}
-
-void Ring::load_window(std::size_t head, std::uint64_t edges) {
-  // Rows head .. head+edges-1 were pushed since the load; below them
-  // the pipelines' history continues at depth 0.  Pipeline s latches
-  // layer upstream(s), so one row is the whole pre-edge output vector.
-  const std::size_t n = dnodes_.size();
-  for (std::size_t d = edges; d < geom_.fb_depth; ++d) {
-    Word* const row = window_.data() + (head + d) * n;
-    for (std::size_t sw = 0; sw < pipes_.size(); ++sw) {
-      Word* const dst = row + upstream_layer(sw) * geom_.lanes;
-      for (std::size_t l = 0; l < geom_.lanes; ++l) {
-        dst[l] = pipes_[sw].read_fast(l, d - edges);
-      }
-    }
-  }
-}
-
-void Ring::store_resident() {
-  const std::size_t n = dnodes_.size();
-  const TapeLayout lay{n};
-  if (datapath_reset_) {
-    for (auto& d : dnodes_) d.reset_datapath();
-    for (auto& p : pipes_) p.reset();
-    datapath_reset_ = false;
-  }
-  const Word* const state = flat_.data() + cur_;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < kDnodeRegCount; ++r) {
-      dnodes_[i].regs().poke(r, state[lay.reg(i, r)]);
-    }
-    dnodes_[i].set_out(state[lay.out(i)]);
-  }
-  const Word* const rows = window_.data() + head_ * n;
-  for (std::size_t sw = 0; sw < pipes_.size(); ++sw) {
-    pipes_[sw].push_rows(rows + upstream_layer(sw) * geom_.lanes, n, edges_);
-  }
-  resident_ = false;
-  last_tape_ = nullptr;
-}
-
 void Ring::settle_last_tape() noexcept {
   if (last_tape_ == nullptr) return;
-  const std::size_t size = TapeLayout{dnodes_.size()}.size();
+  const std::size_t size = TapeLayout{locals_.size()}.size();
   const Word* const cur = flat_.data() + cur_;
   Word* const nxt = flat_.data() + (size - cur_);
   for (const std::uint16_t slot : last_tape_->written) nxt[slot] = cur[slot];
@@ -817,19 +778,18 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     for (const std::uint16_t i : plan.local_dnodes) {
       const std::uint8_t slot = last_mode_[i] == DnodeMode::kGlobal
                                     ? std::uint8_t{0}
-                                    : dnodes_[i].local().counter();
+                                    : locals_[i].counter();
       pops += plan.dnodes[i].local[slot].pops;
     }
     if (host_in.size() < pops) return res;  // step() replays it
     sync_modes(plan);
   }
 
-  if (!resident_) load_resident();
   std::size_t phase = 0;
   bool tape_ran = false;  // `tape` ran a cycle since its last phase
   SuperstepTape* tape = &enter_tape(*entry, phase, tape_ran);
 
-  const std::size_t n = dnodes_.size();
+  const std::size_t n = locals_.size();
   const TapeLayout lay{n};
   const std::uint16_t outs = lay.outs();
   Word* cur = flat_.data() + cur_;
@@ -841,15 +801,6 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   bool have_prev_top = false;
   bool inert = false;
   bool driven = false;  // a Dnode drove the bus in the last cycle
-  // The pipelines' history is copied in only once a tape reads it;
-  // page rotations without feedback reads never pay for it.
-  const auto use_window = [&] {
-    if (tape->reads_window && !window_loaded_) {
-      load_window(head, edges_ + edges);
-      window_loaded_ = true;
-    }
-  };
-  use_window();
   // The live immediates move only when the controller swaps a page or
   // rewrites a word: without one they are fixed for the dispatch, with
   // one they are re-read after every controller step.  A loop tape
@@ -880,7 +831,6 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   const auto switch_to = [&](SuperstepTape& t) {
     for (const std::uint16_t slot : tape->written) nxt[slot] = cur[slot];
     tape = &t;
-    use_window();
   };
   const auto stop_replay = [&] {
     end_replay(*replay, (res.cycles - replay_from) / replay->tape.period,
@@ -1023,12 +973,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
 
       // Clock edge: every pipeline latches its upstream layer's
       // pre-edge outputs — one row of the shared window.
-      if (h == 0) {
-        std::copy(win, win + keep, win + (slack + 1) * row);
-        h = slack + 1;
-      }
-      --h;
-      std::copy(c + outs, c + outs + row, win + h * row);
+      push_window(win, h, slack, keep, row, c + outs);
       std::swap(c, x);
       if (++p == period) p = 0;
     }
@@ -1163,7 +1108,6 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   }
   if (replay != nullptr) stop_replay();
 
-  // The flat state stays resident for the next run.
   cur_ = static_cast<std::size_t>(cur - flat_.data());
   head_ = head;
   edges_ += edges;
@@ -1182,7 +1126,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   // Every plan a run executes has the same mode split: the entry plan
   // alone, or global-mode pages only.
   for (const std::uint16_t i : entry->plan.local_dnodes) {
-    LocalControl& lc = dnodes_[i].local();
+    LocalControl& lc = locals_[i];
     if (edges == 1) {
       lc.advance();
     } else {
@@ -1341,7 +1285,7 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
   t.cycles.swap(rec_.cycles);
   t.cycles.shrink_to_fit();
   t.credit = std::move(credit);
-  compile_loop_tape(geom_, plans, pages, dnodes_, t.tape);
+  compile_loop_tape(geom_, plans, pages, locals_, t.tape);
   if (!t.tape.valid) return;
   // A replayed INPOP takes its word from the ring's input FIFO too.
   std::uint32_t inpops = 0;

@@ -5,6 +5,12 @@
 // owns the feedback pipeline that latches layer s-1's outputs every
 // clock edge.
 //
+// The datapath state lives once, in flat form: two buffers of every
+// Dnode's four registers and registered output (TapeLayout) and one
+// feedback window shared by every switch's pipeline, each row the
+// pre-edge output vector of one clock edge.  The interpreter and the
+// superstep tapes both read and write that state.
+//
 // Per-cycle evaluation order (one call to step()):
 //   1. every Dnode's microinstruction is fetched from the configuration
 //      memory (global mode) or its local control unit (local mode) — a
@@ -58,11 +64,9 @@
 // replayed from a loop tape: one phase per loop cycle, each carrying
 // its controller instruction, guarded per cycle, with the controller,
 // configuration and plan-cache counters credited in bulk when the
-// replay stops (see run_planned()).  Between runs the tape's
-// flat state and feedback window stay resident, across resets too
-// (a reset zeroes them in place); the Dnodes and pipelines are brought
-// up to date (spilled) only when the interpreter, a state accessor or
-// set_plan_cache_enabled(false) needs them, never for a report.  A
+// replay stops (see run_planned()).  An interpreted cycle reads the
+// same flat state and window and leaves both buffers equal, so a tape
+// can follow it directly.  A
 // plan whose local programs repeat with a period above
 // kMaxSuperstepPeriod has no tape and is interpreted.  Outputs and
 // architectural statistics are bit-exact with the interpreter; only
@@ -80,8 +84,7 @@
 #include "common/host_fifo.hpp"
 #include "core/config_memory.hpp"
 #include "core/cycle_plan.hpp"
-#include "core/dnode.hpp"
-#include "core/feedback_pipeline.hpp"
+#include "core/local_control.hpp"
 #include "core/switch.hpp"
 #include "isa/risc_instr.hpp"
 
@@ -92,6 +95,15 @@ class Ring {
   explicit Ring(const RingGeometry& g);
 
   const RingGeometry& geometry() const noexcept { return geom_; }
+
+  /// What one Dnode's instruction produced in the last cycle.
+  struct Effects {
+    bool executed = false;  ///< true for any op other than NOP
+    Word result = 0;
+    bool out_en = false;
+    bool bus_en = false;
+    bool host_en = false;
+  };
 
   /// Outcome of one clock cycle.
   struct CycleResult {
@@ -264,17 +276,19 @@ class Ring {
   /// step(); only the ring.superstep.* counters differ.
   SuperstepResult run_planned(const SuperstepContext& ctx);
 
-  // --- state access ---------------------------------------------------
-  Dnode& dnode(std::size_t layer, std::size_t lane);
-  const Dnode& dnode(std::size_t layer, std::size_t lane) const;
-  Dnode& dnode_flat(std::size_t index);
-  const Dnode& dnode_flat(std::size_t index) const;
+  // --- state access (read-only) ----------------------------------------
+  /// Registered output of a Dnode: the value latched at the last edge.
+  Word out(std::size_t layer, std::size_t lane) const;
+  /// Register `r` of a Dnode's register file.
+  Word reg(std::size_t layer, std::size_t lane, std::size_t r) const;
+  /// Local control unit of the Dnode at flat index `dnode_index`.
+  const LocalControl& local(std::size_t dnode_index) const;
+  /// Clock edges (non-stalled cycles) since construction or the last
+  /// reset; every feedback pipeline latches once per edge.
+  std::uint64_t edges() const noexcept { return edges_; }
 
-  const FeedbackPipeline& pipeline(std::size_t sw) const;
-
-  /// Stages of pipeline `sw` holding post-reset data, min(pushes,
-  /// fb_depth), with the edges run while resident counted as pushes:
-  /// read without a spill.
+  /// Stages of pipeline `sw` holding post-reset data: min(edges(),
+  /// fb_depth).
   std::size_t fb_occupancy(std::size_t sw) const;
 
   /// Write a local-control register of a Dnode (controller WRLOC path).
@@ -381,7 +395,7 @@ class Ring {
   // only while trace mode is on (the System toggles it with the sink),
   // and last_fetched() only for the Dnodes last_effects() marks
   // executed.
-  std::span<const Dnode::Effects> last_effects() const noexcept {
+  std::span<const Effects> last_effects() const noexcept {
     return effects_;
   }
   const std::vector<const DnodeInstr*>& last_fetched() const noexcept {
@@ -401,9 +415,8 @@ class Ring {
   /// which makes a program of a new structure a clean miss.  Counters
   /// are zeroed; outputs and architectural statistics after a reset
   /// are bit-identical to a fresh System, only the ring.plan.*
-  /// counters reflect the warm cache.  The datapath resets in place:
-  /// the zeroed flat state and window become resident, and the Dnode
-  /// registers, outputs and pipelines take them at the next spill.
+  /// counters reflect the warm cache.  The flat state and the window
+  /// are zeroed in place.
   void reset_for_rerun();
 
   /// Mark the end of a System arm: reset_for_rerun() plus the
@@ -466,19 +479,18 @@ class Ring {
   std::size_t flat_index(std::size_t layer, std::size_t lane) const;
   std::size_t upstream_layer(std::size_t layer) const noexcept;
 
+  /// Validate `addr` against the geometry and read it from the window.
   Word read_feedback(const FeedbackAddr& addr) const;
 
   /// Record one feedback read actually consumed by an instruction.
   void note_fb_read(const FeedbackAddr& addr);
 
-  /// Reference path: re-interpret ConfigMemory + local programs.
+  /// Reference path: re-interpret ConfigMemory + local programs over
+  /// the flat state and the window.
   CycleResult step_interpreted(const ConfigMemory& cfg, Word bus,
                                HostFifo& host_in,
                                std::vector<Word>& host_out);
-  /// Clock-edge tail of the interpreter: capture pre-edge outputs,
-  /// commit every Dnode, latch the feedback pipelines.
-  void commit_edge();
-  /// Dnode hostEn pushes and bus drives (after commit_edge()).
+  /// Dnode hostEn pushes and bus drives (after the clock edge).
   void drain_effects(CycleResult& result, std::vector<Word>& host_out);
 
   // --- plan cache internals -------------------------------------------
@@ -572,21 +584,6 @@ class Ring {
   /// afterwards.
   SuperstepTape& enter_tape(PlanCacheEntry& e, std::size_t& phase,
                             bool& continued);
-  /// Copy the Dnode registers and outputs into both flat buffers and
-  /// make the flat state resident.
-  void load_resident();
-  /// Copy the pipelines' history into the window below the `edges` rows
-  /// already pushed from depth-0 row `head`.
-  void load_window(std::size_t head, std::uint64_t edges);
-  /// Bring the Dnodes and pipelines up to date with the resident state
-  /// (no-op when not resident).  Const: the two are copies of one
-  /// architectural state, so refreshing the stale one changes nothing
-  /// a caller can observe.  A const-defined Ring never runs a tape, so
-  /// it is never resident.
-  void spill() const {
-    if (resident_) const_cast<Ring*>(this)->store_resident();
-  }
-  void store_resident();
   /// The next buffer takes the last tape's written slots from the
   /// current one, so any tape can run next.
   void settle_last_tape() noexcept;
@@ -595,8 +592,7 @@ class Ring {
   void flush_tape(SuperstepTape& t, SuperstepResult& res);
 
   RingGeometry geom_;
-  std::vector<Dnode> dnodes_;              // [layer * lanes + lane]
-  std::vector<FeedbackPipeline> pipes_;    // one per switch / layer
+  std::vector<LocalControl> locals_;       // [layer * lanes + lane]
   std::vector<DnodeMode> last_mode_;       // mode at last NON-stalled cycle
   std::vector<std::uint64_t> ops_per_dnode_;
   std::vector<std::uint64_t> mac_ops_per_dnode_;
@@ -654,31 +650,21 @@ class Ring {
   std::vector<const DnodeInstr*> fetched_;
   std::vector<bool> is_local_;
   std::vector<PortNeed> needs_;
-  std::vector<Dnode::Effects> effects_;
-  std::vector<Word> pre_outs_;             // [layer * lanes + lane]
+  std::vector<Effects> effects_;
 
-  // Superstep state (reused across runs) + counters.
-  std::vector<Word> flat_;       // two TapeLayout buffers, back to back
-  std::vector<Word> window_;     // feedback history, one outs row each
+  // The datapath state: flat_ holds two TapeLayout buffers back to
+  // back, the current one at offset cur_; window_ holds the feedback
+  // history, one pre-edge output row per edge, depth 0 at row head_.
+  std::vector<Word> flat_;
+  std::vector<Word> window_;
   std::size_t window_slack_ = 0; // rows pushed before a relocation
-  // Resident state: while resident_, flat_ (current buffer at offset
-  // cur_) and window_ (depth-0 row head_, edges_ rows pushed since the
-  // load, the pipelines' history below them once window_loaded_) hold
-  // the registers, outputs and feedback history; the Dnodes and
-  // pipelines are stale until spill().
-  bool resident_ = false;
-  // The Dnode registers and outputs and the pipelines are those of a
-  // reset (reset_for_rerun() left them stale): the next spill clears
-  // them before storing the resident state.
-  bool datapath_reset_ = false;
-  // A local program may differ from the reset one: written through
-  // write_local() or a mutable Dnode accessor since the last reset.
-  bool locals_written_ = false;
   std::size_t cur_ = 0;
   std::size_t head_ = 0;
-  std::uint64_t edges_ = 0;
-  bool window_loaded_ = false;
-  // Tape and phase of the last resident cycle: the next buffer lacks
+  std::uint64_t edges_ = 0;      // clock edges since the last reset
+  // A local program may differ from the reset one: written through
+  // write_local() since the last reset.
+  bool locals_written_ = false;
+  // Tape and phase of the last tape cycle: the next buffer lacks
   // that phase's writes unless the same tape continues.
   SuperstepTape* last_tape_ = nullptr;
   std::size_t last_phase_ = 0;

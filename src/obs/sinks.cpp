@@ -20,7 +20,7 @@ void TextSink::cycle_end(const CycleState& state) {
   const auto& g = ring.geometry();
   for (std::size_t layer = 0; layer < g.layers; ++layer) {
     for (std::size_t lane = 0; lane < g.lanes; ++lane) {
-      os << ' ' << std::setw(6) << as_signed(ring.dnode(layer, lane).out());
+      os << ' ' << std::setw(6) << as_signed(ring.out(layer, lane));
     }
     if (layer + 1 < g.layers) os << " /";
   }

@@ -77,8 +77,7 @@ void VcdWriter::sample(const System& system) {
   const auto& g = system.ring().geometry();
   for (std::size_t layer = 0; layer < g.layers; ++layer) {
     for (std::size_t lane = 0; lane < g.lanes; ++lane) {
-      emit(dnode_out_[layer * g.lanes + lane],
-           system.ring().dnode(layer, lane).out());
+      emit(dnode_out_[layer * g.lanes + lane], system.ring().out(layer, lane));
     }
   }
   out << '#' << (2 * time_ + 1) << '\n';

@@ -168,7 +168,7 @@ TEST(Controller, ConfigWrites) {
   EXPECT_EQ(h.cfg.dnode_instr(3), instr);
   EXPECT_EQ(h.cfg.dnode_mode(2), DnodeMode::kLocal);
   EXPECT_EQ(h.cfg.switch_route(1, 1), route);
-  EXPECT_EQ(h.ring.dnode_flat(1).local().current(), instr);
+  EXPECT_EQ(h.ring.local(1).current(), instr);
 }
 
 TEST(Controller, PageApplication) {

@@ -254,15 +254,15 @@ TEST(CyclePlan, PlannedModeEntryUnderStallCommitsOnce) {
   EXPECT_TRUE(ring.step(cfg, 0, in, out).stalled);  // compiles, planned
   EXPECT_TRUE(ring.step(cfg, 0, in, out).stalled);  // plan hit
   EXPECT_EQ(ring.plan_compiles(), 1u);
-  EXPECT_EQ(ring.dnode(0, 0).local().counter(), 0u)
+  EXPECT_EQ(ring.local(0).counter(), 0u)
       << "stalled entry cycles must not advance the local program";
 
   in.push_back(7);
   EXPECT_FALSE(ring.step(cfg, 0, in, out).stalled);
-  EXPECT_EQ(ring.dnode(0, 0).out(), 7u) << "slot 0 runs on the retry";
-  EXPECT_EQ(ring.dnode(0, 0).local().counter(), 1u);
+  EXPECT_EQ(ring.out(0, 0), 7u) << "slot 0 runs on the retry";
+  EXPECT_EQ(ring.local(0).counter(), 1u);
   EXPECT_FALSE(ring.step(cfg, 0, in, out).stalled);  // slot 1, no pop
-  EXPECT_EQ(ring.dnode(0, 0).out(), 20u);
+  EXPECT_EQ(ring.out(0, 0), 20u);
 }
 
 TEST(CyclePlan, CompileRejectsWhatTheInterpreterRejects) {

@@ -265,7 +265,7 @@ TEST(PlanCache, ByteIdenticalRewriteReattachesWithoutRecompile) {
   ring.step(cfg, 0, in, out);
   EXPECT_EQ(ring.plan_compiles(), 2u);
   EXPECT_EQ(ring.plan_content_hits(), 2u);
-  EXPECT_EQ(ring.dnode(0, 0).out(), 7u);
+  EXPECT_EQ(ring.out(0, 0), 7u);
 }
 
 TEST(PlanCache, ImmOnlyRewriteKeepsThePlanAndReadsTheNewValue) {
@@ -283,7 +283,7 @@ TEST(PlanCache, ImmOnlyRewriteKeepsThePlanAndReadsTheNewValue) {
   ring.step(cfg, 0, in, out);  // first sighting: interpreter
   ring.step(cfg, 0, in, out);  // second sighting: compile
   ASSERT_EQ(ring.plan_compiles(), 1u);
-  ASSERT_EQ(ring.dnode(0, 0).out(), 7u);
+  ASSERT_EQ(ring.out(0, 0), 7u);
 
   // Each rewrite changes only the immediate: the same entry re-attaches
   // and the very cycle after the write already latches the new value.
@@ -291,7 +291,7 @@ TEST(PlanCache, ImmOnlyRewriteKeepsThePlanAndReadsTheNewValue) {
     a.imm = imm;
     cfg.write_dnode_instr(0, a.encode());
     ring.step(cfg, 0, in, out);
-    EXPECT_EQ(ring.dnode(0, 0).out(), imm);
+    EXPECT_EQ(ring.out(0, 0), imm);
   }
   EXPECT_EQ(ring.plan_compiles(), 1u);
   EXPECT_EQ(ring.plan_invalidations(), 4u);

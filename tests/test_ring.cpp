@@ -52,14 +52,14 @@ TEST(Ring, SystolicForwardMovement) {
 
   // After k+1 cycles the first word reaches layer k's output register.
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 101u);
+  EXPECT_EQ(h.ring.out(0, 0), 101u);
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 102u);
-  EXPECT_EQ(h.ring.dnode(1, 0).out(), 101u);
+  EXPECT_EQ(h.ring.out(0, 0), 102u);
+  EXPECT_EQ(h.ring.out(1, 0), 101u);
   h.step();
   h.step();
-  EXPECT_EQ(h.ring.dnode(3, 0).out(), 101u);
-  EXPECT_EQ(h.ring.dnode(2, 0).out(), 102u);
+  EXPECT_EQ(h.ring.out(3, 0), 101u);
+  EXPECT_EQ(h.ring.out(2, 0), 102u);
 }
 
 TEST(Ring, ClosesIntoARing) {
@@ -77,13 +77,13 @@ TEST(Ring, ClosesIntoARing) {
   seed.out_en = true;
   h.cfg.write_dnode_instr(3, seed.encode());
   h.step();
-  EXPECT_EQ(h.ring.dnode(3, 0).out(), 77u);
+  EXPECT_EQ(h.ring.out(3, 0), 77u);
   // Restore forwarding; the token must travel 3 -> 0 -> 1 -> 2 -> 3.
   h.cfg.write_dnode_instr(3, pass_out(DnodeSrc::kIn1).encode());
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 77u) << "wrap from last to first";
+  EXPECT_EQ(h.ring.out(0, 0), 77u) << "wrap from last to first";
   h.step();
-  EXPECT_EQ(h.ring.dnode(1, 0).out(), 77u);
+  EXPECT_EQ(h.ring.out(1, 0), 77u);
 }
 
 TEST(Ring, FeedbackPipelineDelaysByDepthPlusOne) {
@@ -108,8 +108,8 @@ TEST(Ring, FeedbackPipelineDelaysByDepthPlusOne) {
   for (int c = 0; c < 9; ++c) h.step();
   // Direct path: layer1 lane0 lags layer0 by 1 cycle; feedback at
   // depth 2 lags the direct path by 3 more (1 latch + 2 depth).
-  const Word direct = h.ring.dnode(1, 0).out();
-  const Word fb = h.ring.dnode(1, 1).out();
+  const Word direct = h.ring.out(1, 0);
+  const Word fb = h.ring.out(1, 1);
   EXPECT_EQ(as_signed(direct) - as_signed(fb), 3);
 }
 
@@ -126,8 +126,8 @@ TEST(Ring, HostPopOrderIsDeterministic) {
   h.in.assign({5, 6});
   const auto res = h.step();
   EXPECT_EQ(res.host_words_in, 2u);
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 5u);
-  EXPECT_EQ(h.ring.dnode(0, 1).out(), 6u);
+  EXPECT_EQ(h.ring.out(0, 0), 5u);
+  EXPECT_EQ(h.ring.out(0, 1), 6u);
 }
 
 TEST(Ring, SamePortReadTwicePopsOnce) {
@@ -145,7 +145,7 @@ TEST(Ring, SamePortReadTwicePopsOnce) {
   h.in.assign({21, 99});
   const auto res = h.step();
   EXPECT_EQ(res.host_words_in, 1u);
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 42u);
+  EXPECT_EQ(h.ring.out(0, 0), 42u);
   EXPECT_EQ(h.in.size(), 1u);
 }
 
@@ -164,7 +164,7 @@ TEST(Ring, StallsAtomicallyOnUnderflow) {
   EXPECT_TRUE(res.stalled);
   EXPECT_EQ(res.ops, 0u);
   EXPECT_EQ(h.in.size(), 1u);
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 0u);
+  EXPECT_EQ(h.ring.out(0, 0), 0u);
   // Providing the second word un-stalls.
   h.in.push_back(6);
   EXPECT_FALSE(h.step().stalled);
@@ -225,7 +225,7 @@ TEST(Ring, BusValueVisibleAndDnodeCanDriveIt) {
   i.bus_en = true;
   h.cfg.write_dnode_instr(0, i.encode());
   const auto res = h.step(to_word(41));
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), to_word(42));
+  EXPECT_EQ(h.ring.out(0, 0), to_word(42));
   ASSERT_TRUE(res.bus_drive.has_value());
   EXPECT_EQ(*res.bus_drive, to_word(42));
 }
@@ -242,11 +242,11 @@ TEST(Ring, LocalModeRunsPrivateProgram) {
   h.ring.write_local(0, LocalControl::kLimitSlot, 1);
   h.cfg.write_dnode_mode(0, DnodeMode::kLocal);
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 10u);
+  EXPECT_EQ(h.ring.out(0, 0), 10u);
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 20u);
+  EXPECT_EQ(h.ring.out(0, 0), 20u);
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 10u);
+  EXPECT_EQ(h.ring.out(0, 0), 10u);
 }
 
 TEST(Ring, LocalCounterResetsOnModeEntry) {
@@ -264,7 +264,7 @@ TEST(Ring, LocalCounterResetsOnModeEntry) {
   h.step();  // global nop; local counter now at 1
   h.cfg.write_dnode_mode(0, DnodeMode::kLocal);
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 10u)
+  EXPECT_EQ(h.ring.out(0, 0), 10u)
       << "re-entering local mode must restart the program at slot 0";
 }
 
@@ -285,19 +285,19 @@ TEST(Ring, StalledCycleDoesNotCommitModeTransition) {
   h.ring.write_local(0, LocalControl::kLimitSlot, 1);
   h.cfg.write_dnode_mode(0, DnodeMode::kLocal);
   h.step();  // slot 0 -> 10; counter now 1
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 10u);
+  EXPECT_EQ(h.ring.out(0, 0), 10u);
 
   // Global instruction needs a host word that never arrives.
   h.cfg.write_dnode_instr(0, pass_out(DnodeSrc::kHost).encode());
   h.cfg.write_dnode_mode(0, DnodeMode::kGlobal);
   EXPECT_TRUE(h.step().stalled);
   EXPECT_TRUE(h.step().stalled);
-  EXPECT_EQ(h.ring.dnode(0, 0).local().counter(), 1u)
+  EXPECT_EQ(h.ring.local(0).counter(), 1u)
       << "stalled cycles must not touch the local counter";
 
   h.cfg.write_dnode_mode(0, DnodeMode::kLocal);
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 20u)
+  EXPECT_EQ(h.ring.out(0, 0), 20u)
       << "no global cycle committed: the program continues at slot 1";
 }
 
@@ -320,18 +320,18 @@ TEST(Ring, ModeEntryStallKeepsLocalCounterUntouched) {
   ASSERT_FALSE(h.step().stalled);
   h.cfg.write_dnode_mode(0, DnodeMode::kGlobal);
   ASSERT_FALSE(h.step().stalled);
-  ASSERT_EQ(h.ring.dnode(0, 0).local().counter(), 1u);
+  ASSERT_EQ(h.ring.local(0).counter(), 1u);
 
   // Re-entry fetches slot 0, which pops -- and the FIFO is empty.
   h.cfg.write_dnode_mode(0, DnodeMode::kLocal);
   EXPECT_TRUE(h.step().stalled);
-  EXPECT_EQ(h.ring.dnode(0, 0).local().counter(), 1u)
+  EXPECT_EQ(h.ring.local(0).counter(), 1u)
       << "the entry reset must not happen on a stalled cycle";
   h.in.push_back(9);
   EXPECT_FALSE(h.step().stalled);
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 9u) << "retry runs slot 0";
+  EXPECT_EQ(h.ring.out(0, 0), 9u) << "retry runs slot 0";
   h.step();
-  EXPECT_EQ(h.ring.dnode(0, 0).out(), 20u) << "then slot 1";
+  EXPECT_EQ(h.ring.out(0, 0), 20u) << "then slot 1";
 }
 
 TEST(Ring, StallLeavesStatisticsUntouched) {
@@ -368,9 +368,9 @@ TEST(Ring, StallLeavesStatisticsUntouched) {
   const auto fb_depths = h.ring.fb_read_depth_counts();
   const auto host_out_words = h.ring.host_out_words_per_switch();
   const auto bus_drives = h.ring.bus_drives();
-  const auto pipe_pushes = h.ring.pipeline(0).pushes();
+  const auto pipe_pushes = h.ring.edges();
   const auto out_words = h.out.size();
-  const auto counter = h.ring.dnode(1, 0).local().counter();
+  const auto counter = h.ring.local(2).counter();
 
   for (int c = 0; c < 3; ++c) {  // FIFO empty: every attempt stalls
     const auto res = h.step();
@@ -388,9 +388,9 @@ TEST(Ring, StallLeavesStatisticsUntouched) {
   EXPECT_EQ(h.ring.fb_read_depth_counts(), fb_depths);
   EXPECT_EQ(h.ring.host_out_words_per_switch(), host_out_words);
   EXPECT_EQ(h.ring.bus_drives(), bus_drives);
-  EXPECT_EQ(h.ring.pipeline(0).pushes(), pipe_pushes);
+  EXPECT_EQ(h.ring.edges(), pipe_pushes);
   EXPECT_EQ(h.out.size(), out_words);
-  EXPECT_EQ(h.ring.dnode(1, 0).local().counter(), counter);
+  EXPECT_EQ(h.ring.local(2).counter(), counter);
 }
 
 TEST(Ring, CountsOpsAndUtilization) {
@@ -439,6 +439,231 @@ TEST(Ring, OutOfGeometryFeedbackReadRejectedAtRuntime) {
   h2.cfg.write_dnode_instr(0, i2.encode());
   h2.cfg.write_switch_route(0, 0, r2.encode());
   EXPECT_THROW(h2.step(), SimError);
+}
+
+// --- Dnode and feedback-pipeline behaviour at the ring level ----------
+
+DnodeInstr imm_to(DnodeDst dst, int imm, bool out_en = false) {
+  DnodeInstr i;
+  i.op = DnodeOp::kPass;
+  i.src_a = DnodeSrc::kImm;
+  i.imm = to_word(imm);
+  i.dst = dst;
+  i.out_en = out_en;
+  return i;
+}
+
+TEST(Ring, RegisterWriteLandsAtTheEdge) {
+  // R1 <- R1 + 42: the cycle reads R1 as latched at the last edge (0),
+  // and the write is visible only after this cycle's edge.
+  Harness h({1, 1, 4});
+  DnodeInstr add;
+  add.op = DnodeOp::kAdd;
+  add.src_a = DnodeSrc::kR1;
+  add.src_b = DnodeSrc::kImm;
+  add.imm = 42;
+  add.dst = DnodeDst::kR1;
+  add.out_en = true;
+  h.cfg.write_dnode_instr(0, add.encode());
+  EXPECT_EQ(h.ring.reg(0, 0, 1), 0u);
+  h.step();
+  EXPECT_EQ(h.ring.out(0, 0), 42u) << "R1 read its pre-edge value, 0";
+  EXPECT_EQ(h.ring.reg(0, 0, 1), 42u);
+  h.step();
+  EXPECT_EQ(h.ring.out(0, 0), 84u);
+}
+
+TEST(Ring, ExecutesAndLatchesAtTheEdge) {
+  Harness h({1, 1, 4});
+  SwitchRoute hr;
+  hr.in1 = PortRoute::host();
+  hr.in2 = PortRoute::host();
+  h.cfg.write_switch_route(0, 0, hr.encode());
+  DnodeInstr add;
+  add.op = DnodeOp::kAdd;
+  add.src_a = DnodeSrc::kIn1;
+  add.src_b = DnodeSrc::kIn2;
+  add.dst = DnodeDst::kR0;
+  add.out_en = true;
+  h.cfg.write_dnode_instr(0, add.encode());
+  h.in.assign({to_word(30), to_word(12)});
+  EXPECT_EQ(h.ring.out(0, 0), 0u) << "output register is master-slave";
+  EXPECT_EQ(h.ring.reg(0, 0, 0), 0u);
+  const auto res = h.step();
+  EXPECT_EQ(res.ops, 1u);
+  EXPECT_EQ(h.ring.out(0, 0), to_word(42));
+  EXPECT_EQ(h.ring.reg(0, 0, 0), to_word(42));
+}
+
+TEST(Ring, RegisterToRegisterOpInOneCycle) {
+  Harness h({1, 1, 4});
+  h.cfg.write_dnode_instr(0, imm_to(DnodeDst::kR1, 6).encode());
+  h.step();
+  h.cfg.write_dnode_instr(0, imm_to(DnodeDst::kR2, 7).encode());
+  h.step();
+  DnodeInstr mul;
+  mul.op = DnodeOp::kMul;
+  mul.src_a = DnodeSrc::kR1;
+  mul.src_b = DnodeSrc::kR2;
+  mul.dst = DnodeDst::kR1;  // result into one of the two registers
+  h.cfg.write_dnode_instr(0, mul.encode());
+  h.step();
+  EXPECT_EQ(h.ring.reg(0, 0, 1), to_word(42));
+  EXPECT_EQ(h.ring.reg(0, 0, 2), to_word(7));
+}
+
+TEST(Ring, MacUsesThirdOperand) {
+  Harness h({1, 1, 4});
+  h.cfg.write_dnode_instr(0, imm_to(DnodeDst::kR0, 100).encode());
+  h.step();
+  SwitchRoute hr;
+  hr.in1 = PortRoute::host();
+  h.cfg.write_switch_route(0, 0, hr.encode());
+  DnodeInstr mac;
+  mac.op = DnodeOp::kMac;
+  mac.src_a = DnodeSrc::kIn1;
+  mac.src_b = DnodeSrc::kImm;
+  mac.src_c = DnodeSrc::kR0;
+  mac.dst = DnodeDst::kR0;
+  mac.imm = to_word(3);
+  h.cfg.write_dnode_instr(0, mac.encode());
+  h.in.assign({to_word(5)});
+  h.step();
+  EXPECT_EQ(h.ring.reg(0, 0, 0), to_word(115));
+}
+
+TEST(Ring, NopDoesNothing) {
+  Harness h({1, 1, 4});
+  const auto res = h.step();
+  EXPECT_EQ(res.ops, 0u);
+  EXPECT_EQ(h.ring.out(0, 0), 0u);
+}
+
+TEST(Ring, OutputHoldsWhenNotDriven) {
+  Harness h({1, 1, 4});
+  h.cfg.write_dnode_instr(0, imm_to(DnodeDst::kNone, 55, true).encode());
+  h.step();
+  EXPECT_EQ(h.ring.out(0, 0), to_word(55));
+  // Now an instruction without outEn: the output register must hold.
+  h.cfg.write_dnode_instr(0, imm_to(DnodeDst::kR3, 99).encode());
+  h.step();
+  EXPECT_EQ(h.ring.out(0, 0), to_word(55));
+  EXPECT_EQ(h.ring.reg(0, 0, 3), to_word(99));
+}
+
+TEST(Ring, StallDiscardsTheCycle) {
+  // Dnode 0 writes R0 and its output; Dnode 1 writes R2 from a host
+  // word that is not there yet, so the whole cycle stalls.
+  Harness h({1, 2, 4});
+  h.cfg.write_dnode_instr(0, imm_to(DnodeDst::kR0, 1, true).encode());
+  DnodeInstr eat;
+  eat.op = DnodeOp::kPass;
+  eat.src_a = DnodeSrc::kHost;
+  eat.dst = DnodeDst::kR2;
+  h.cfg.write_dnode_instr(1, eat.encode());
+  EXPECT_TRUE(h.step().stalled);
+  EXPECT_EQ(h.ring.out(0, 0), 0u);
+  EXPECT_EQ(h.ring.reg(0, 0, 0), 0u);
+  EXPECT_EQ(h.ring.reg(0, 1, 2), 0u);
+  h.in.push_back(7);
+  EXPECT_FALSE(h.step().stalled);
+  EXPECT_EQ(h.ring.out(0, 0), 1u);
+  EXPECT_EQ(h.ring.reg(0, 0, 0), 1u);
+  EXPECT_EQ(h.ring.reg(0, 1, 2), 7u);
+}
+
+TEST(Ring, LocalCounterAdvancesOnlyInLocalMode) {
+  Harness h({1, 1, 4});
+  h.ring.write_local(0, LocalControl::kLimitSlot, 3);
+  h.step();  // global-mode NOP
+  EXPECT_EQ(h.ring.local(0).counter(), 0);
+  h.cfg.write_dnode_mode(0, DnodeMode::kLocal);
+  h.step();  // local-mode NOP
+  EXPECT_EQ(h.ring.local(0).counter(), 1);
+}
+
+/// Layer 0 streams two host words per cycle into its two lanes; layer 1
+/// lane k outputs the feedback read fifo1 = reads[k] (pipe 1 latches
+/// layer 0).
+struct FeedbackProbe {
+  explicit FeedbackProbe(const RingGeometry& g) : h(g) {
+    SwitchRoute host_in;
+    host_in.in1 = PortRoute::host();
+    for (std::size_t lane = 0; lane < g.lanes; ++lane) {
+      h.cfg.write_switch_route(0, lane, host_in.encode());
+      h.cfg.write_dnode_instr(lane, pass_out(DnodeSrc::kIn1).encode());
+      h.cfg.write_dnode_instr(g.lanes + lane,
+                              pass_out(DnodeSrc::kFifo1).encode());
+    }
+  }
+  void read(std::size_t lane, FeedbackAddr addr) {
+    SwitchRoute r;
+    r.fifo1 = addr;
+    h.cfg.write_switch_route(1, lane, r.encode());
+  }
+  Harness h;
+};
+
+TEST(Ring, FeedbackDelaySemantics) {
+  // Layer 0 outputs (10, 20), (11, 21), (12, 22) after cycles 1-3; the
+  // edge of cycle k + 1 latches the k-th vector, which the cycle after
+  // reads at depth 0.
+  FeedbackProbe p({2, 2, 4});
+  p.h.in.assign({10, 20, 11, 21, 12, 22, 13, 23, 14, 24});
+  p.read(0, {1, 0, 0});
+  p.read(1, {1, 1, 0});
+  for (int c = 0; c < 3; ++c) p.h.step();
+  EXPECT_EQ(p.h.ring.out(1, 0), 10u);
+  EXPECT_EQ(p.h.ring.out(1, 1), 20u);
+  p.read(1, {1, 0, 1});
+  p.h.step();
+  EXPECT_EQ(p.h.ring.out(1, 0), 11u);
+  EXPECT_EQ(p.h.ring.out(1, 1), 10u);
+  p.read(0, {1, 0, 2});
+  p.read(1, {1, 1, 1});
+  p.h.step();
+  EXPECT_EQ(p.h.ring.out(1, 0), 10u);
+  EXPECT_EQ(p.h.ring.out(1, 1), 21u);
+}
+
+TEST(Ring, FeedbackDepthPropertyHolds) {
+  // Layer 0 outputs v after cycle v.  Read in cycle t at depth d, the
+  // pipeline has latched k = t - 2 vectors 1..k and returns the
+  // (k-d)-th.
+  FeedbackProbe p({2, 1, 8});
+  for (Word v = 1; v <= 24; ++v) p.h.in.push_back(v);
+  for (std::size_t t = 1; t <= 22; ++t) {
+    const std::size_t d = t % 8;
+    p.read(0, {1, 0, static_cast<std::uint8_t>(d)});
+    p.h.step();
+    if (t >= 2 && d < t - 2) {
+      EXPECT_EQ(p.h.ring.out(1, 0), static_cast<Word>(t - 2 - d))
+          << "cycle " << t << " depth " << d;
+    }
+  }
+}
+
+TEST(Ring, FeedbackBoundsAndReset) {
+  // A lane or a depth beyond this instance's pipelines is rejected
+  // when read.
+  for (const FeedbackAddr bad :
+       {FeedbackAddr{1, 2, 0}, FeedbackAddr{1, 0, 3}}) {
+    FeedbackProbe p({2, 2, 3});
+    p.h.in.assign({1, 2});
+    p.read(0, bad);
+    EXPECT_THROW(p.h.step(), SimError);
+  }
+  // A reset clears every stage.
+  FeedbackProbe p({2, 2, 3});
+  p.h.in.assign({5, 6, 5, 6, 5, 6, 5, 6});
+  p.read(0, {1, 0, 0});
+  for (int c = 0; c < 3; ++c) p.h.step();
+  ASSERT_EQ(p.h.ring.out(1, 0), 5u);
+  p.h.ring.reset_for_rerun();
+  EXPECT_EQ(p.h.ring.edges(), 0u);
+  EXPECT_EQ(p.h.ring.fb_occupancy(1), 0u);
+  p.h.step();
+  EXPECT_EQ(p.h.ring.out(1, 0), 0u);
 }
 
 TEST(Ring, GeometryMismatchRejected) {

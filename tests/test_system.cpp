@@ -105,7 +105,7 @@ TEST(System, LoadResetsState) {
   sys.load(running_mac_program());
   EXPECT_EQ(sys.cycle(), 0u);
   EXPECT_FALSE(sys.controller().halted());
-  EXPECT_EQ(sys.ring().dnode(0, 0).regs().read(0), 0u);
+  EXPECT_EQ(sys.ring().reg(0, 0, 0), 0u);
 }
 
 TEST(System, RunUntilHaltHonorsBudget) {

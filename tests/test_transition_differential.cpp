@@ -155,7 +155,8 @@ Case make_case(Kernel kernel, int seed) {
       c.input = signal(rng, 2 * samples);
       break;
     case Kernel::kDwt53:
-      take(kernels::make_dwt53_job(c.g, signal(rng, samples & ~std::size_t{1})));
+      take(kernels::make_dwt53_job(c.g,
+                                   signal(rng, samples & ~std::size_t{1})));
       break;
     case Kernel::kMatvec8:
       take(kernels::make_matvec8_job(c.g, dsp::dct8_matrix_q7(),
