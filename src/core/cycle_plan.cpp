@@ -186,9 +186,8 @@ void begin_tape(SuperstepTape& t, std::size_t period) {
 /// phase's written slots, sorted.
 void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
                  const std::vector<LocalControl>& locals,
-                 std::size_t local_phase,
-                 std::size_t imm_base, std::size_t p, SuperstepTape& t,
-                 std::vector<std::uint16_t>& writes) {
+                 std::size_t local_phase, std::size_t imm_base, std::size_t p,
+                 SuperstepTape& t, std::vector<std::uint16_t>& writes) {
   const std::size_t n = geom.dnode_count();
   const TapeLayout lay{n};
   const auto window = [&](const FeedbackAddr& fb) {

@@ -495,9 +495,7 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
   synced_valid_ = false;
   for (std::size_t i = 0; i < n; ++i) {
     if (is_local_[i]) {
-      if (last_mode_[i] == DnodeMode::kGlobal) {
-        locals_[i].reset_counter();
-      }
+      if (last_mode_[i] == DnodeMode::kGlobal) locals_[i].reset_counter();
       last_mode_[i] = DnodeMode::kLocal;
       ++local_cycles_per_dnode_[i];
     } else {

@@ -66,9 +66,8 @@
 // configuration and plan-cache counters credited in bulk when the
 // replay stops (see run_planned()).  An interpreted cycle reads the
 // same flat state and window and leaves both buffers equal, so a tape
-// can follow it directly.  A
-// plan whose local programs repeat with a period above
-// kMaxSuperstepPeriod has no tape and is interpreted.  Outputs and
+// can follow it directly.  A plan whose local programs repeat with a
+// period above kMaxSuperstepPeriod has no tape and is interpreted.  Outputs and
 // architectural statistics are bit-exact with the interpreter; only
 // the ring.plan.* counters differ.  set_plan_cache_enabled(false)
 // forces the interpreter: the reference the planned paths are tested
