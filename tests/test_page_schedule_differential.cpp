@@ -36,10 +36,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <initializer_list>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "asm/program_builder.hpp"
