@@ -7,7 +7,9 @@
 //
 // Runs five steady-state kernels (spatial FIR, stand-alone running
 // MAC, 5/3 wavelet, block matvec8, full-search motion estimation, its
-// search range scaled so it runs about --samples cycles) on the same
+// search range scaled so it runs about --samples cycles) and an
+// all-local MAC ring of 8, 16, 64 and 256 Dnodes (rows ring.8 ...
+// ring.256: how the cost of a cycle grows with the ring) on the same
 // input three times — plan cache off (Ring::set_plan_cache_enabled),
 // stepped (one System::step() per cycle under the run_* stop rules,
 // tests/stepped_run.hpp, the reference the tests use too), and the
@@ -16,7 +18,9 @@
 // all three paths are bit-exact: identical outputs, identical cycle
 // counts, identical architectural statistics, and (between the stepped
 // planned and superstep paths) identical full statistics and metrics
-// apart from the ring.superstep.* counters.
+// apart from the ring.superstep.* counters.  Every cycles/s figure and
+// speedup is the median of --reps repeats with its quartiles
+// (bench/repeat.hpp).
 //
 // Usage:
 //   bench_cycle [--samples N] [--reps N] [--json <path>]
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "asm/program_builder.hpp"
 #include "common/error.hpp"
 #include "common/image.hpp"
 #include "common/rng.hpp"
@@ -40,6 +45,7 @@
 #include "sim/report.hpp"
 #include "sim/system.hpp"
 #include "../tests/stepped_run.hpp"
+#include "repeat.hpp"
 
 namespace {
 
@@ -66,6 +72,42 @@ Image random_image(std::uint64_t seed, std::size_t w, std::size_t h) {
     }
   }
   return img;
+}
+
+/// A ring of `dnodes` Dnodes (layers at most 32, lanes doubling past
+/// that) whose every Dnode runs R0 += R1 * R2 in local mode, for
+/// `cycles` cycles after the controller halts.
+rt::Job all_mac_ring_job(std::size_t dnodes, std::size_t cycles) {
+  RingGeometry g{dnodes / 2, 2, 16};
+  while (g.layers > 32) {
+    g.layers /= 2;
+    g.lanes *= 2;
+  }
+  ProgramBuilder pb(g, "all_mac");
+  PageBuilder page(g);
+  for (std::size_t l = 0; l < g.layers; ++l) {
+    for (std::size_t k = 0; k < g.lanes; ++k) {
+      page.mode(l, k, DnodeMode::kLocal);
+    }
+  }
+  pb.add_page(std::move(page));
+  DnodeInstr mac;
+  mac.op = DnodeOp::kMac;
+  mac.src_a = DnodeSrc::kR1;
+  mac.src_b = DnodeSrc::kR2;
+  mac.src_c = DnodeSrc::kR0;
+  mac.dst = DnodeDst::kR0;
+  for (std::size_t d = 0; d < g.dnode_count(); ++d) {
+    pb.local_program(d, {mac});
+  }
+  pb.page_switch(0);
+  pb.halt();
+  rt::Job job;
+  job.name = "ring." + std::to_string(dnodes);
+  job.program =
+      std::make_shared<const LoadableProgram>(std::move(pb).build());
+  job.drain_cycles = cycles;
+  return job;
 }
 
 std::string arch_stats_string(SystemStats s) {
@@ -105,16 +147,17 @@ std::uint64_t fnv64(const std::vector<Word>& words) {
 
 struct RunMeasure {
   double seconds = 0.0;
-  std::uint64_t cycles = 0;
   std::vector<Word> outputs;
-  std::string arch_stats;  ///< SystemStats minus the plan counters
-  std::string full_stats;  ///< SystemStats including the plan counters
+  /// Its plan_content_hits count the detaches whose rewritten
+  /// configuration re-attached a cached plan of the same structure —
+  /// the recompiles the structure-keyed cache avoided.  True misses
+  /// (structure never seen compiled before) = invalidations -
+  /// content_hits.
+  SystemStats stats;
+  std::string arch_stats;  ///< stats minus the plan counters
   std::string metrics;     ///< metrics minus ring.superstep.*
-  std::uint64_t plan_hits = 0;
-  std::uint64_t plan_compiles = 0;
-  std::uint64_t plan_invalidations = 0;
-  std::uint64_t plan_content_hits = 0;
-  std::uint64_t plan_evictions = 0;
+  /// Cycles executed inside fused dispatches (controller-driven ones
+  /// included), and those replayed from a controller loop tape.
   std::uint64_t superstep_cycles = 0;
   std::uint64_t trace_cycles = 0;
 };
@@ -123,7 +166,7 @@ struct RunMeasure {
 /// interpreter and the stepped planned path run one step() per cycle,
 /// the superstep path the System's own run loop.
 RunMeasure timed_run(const rt::Job& job, Path path) {
-  System sys({kGeom, job.link});
+  System sys({job.program->geometry, job.link});
   if (path == Path::kInterpreter) {
     sys.ring().set_plan_cache_enabled(false);
   }
@@ -135,16 +178,10 @@ RunMeasure timed_run(const rt::Job& job, Path path) {
 
   RunMeasure m;
   m.seconds = std::chrono::duration<double>(t1 - t0).count();
-  m.cycles = sys.cycle();
   m.outputs = sys.host().take_received();
-  m.arch_stats = arch_stats_string(sys.stats());
-  m.full_stats = sys.stats().to_string();
+  m.stats = sys.stats();
+  m.arch_stats = arch_stats_string(m.stats);
   m.metrics = metrics_without_superstep(sys.metrics());
-  m.plan_hits = sys.ring().plan_hits();
-  m.plan_compiles = sys.ring().plan_compiles();
-  m.plan_invalidations = sys.ring().plan_invalidations();
-  m.plan_content_hits = sys.ring().plan_content_hits();
-  m.plan_evictions = sys.ring().plan_evictions();
   m.superstep_cycles = sys.ring().superstep_cycles();
   m.trace_cycles = sys.ring().trace_cycles();
   return m;
@@ -152,31 +189,20 @@ RunMeasure timed_run(const rt::Job& job, Path path) {
 
 struct KernelPoint {
   std::string name;
-  std::uint64_t cycles = 0;
-  double cps[kPathCount] = {0.0, 0.0, 0.0};  ///< cycles/s per Path
-  double plan_hit_rate = 0.0;
-  std::uint64_t plan_compiles = 0;
-  std::uint64_t plan_invalidations = 0;
-  /// Detaches whose rewritten configuration re-attached a cached plan
-  /// of the same structure — the recompiles the structure-keyed cache
-  /// avoided.  True misses (structure never seen compiled before) =
-  /// invalidations - content_hits.
-  std::uint64_t plan_content_hits = 0;
-  std::uint64_t plan_evictions = 0;
-  /// Share of the superstep run's cycles executed inside fused
-  /// dispatches (controller-driven ones included).
-  double superstep_cycle_share = 0.0;
-  /// Share of the superstep run's cycles replayed from a controller
-  /// loop tape.
-  double trace_cycle_share = 0.0;
-  std::uint64_t outputs_fnv64 = 0;
+  std::size_t dnodes = 0;
+  RunMeasure super;               ///< the last superstep run
+  bench::Spread cps[kPathCount];  ///< cycles/s per Path
+  bench::Spread speedup;          ///< superstep / interpreter, per rep
 };
 
-/// Best-of-`reps` measurement for one kernel, with the three-way
-/// bit-exactness contract enforced on every repetition.
+/// `reps` measurements of one kernel, with the three-way bit-exactness
+/// contract enforced on every repetition.
 KernelPoint measure(const rt::Job& job, std::size_t reps) {
   KernelPoint p;
   p.name = job.name;
+  p.dnodes = job.program->geometry.dnode_count();
+  std::vector<double> cps[kPathCount];
+  std::vector<double> speedups;
   for (std::size_t r = 0; r < reps; ++r) {
     RunMeasure m[kPathCount];
     for (std::size_t path = 0; path < kPathCount; ++path) {
@@ -187,35 +213,29 @@ KernelPoint measure(const rt::Job& job, std::size_t reps) {
     const RunMeasure& super = m[2];
     check(planned.outputs == interp.outputs && super.outputs == interp.outputs,
           "bench_cycle: " + job.name + ": outputs diverged between paths");
-    check(planned.cycles == interp.cycles && super.cycles == interp.cycles,
+    check(planned.stats.cycles == interp.stats.cycles &&
+              super.stats.cycles == interp.stats.cycles,
           "bench_cycle: " + job.name + ": cycle counts diverged");
     check(planned.arch_stats == interp.arch_stats &&
               super.arch_stats == interp.arch_stats,
           "bench_cycle: " + job.name + ": architectural stats diverged");
-    check(super.full_stats == planned.full_stats,
+    check(super.stats.to_string() == planned.stats.to_string(),
           "bench_cycle: " + job.name +
               ": superstep changed the plan counters");
     check(super.metrics == planned.metrics,
           "bench_cycle: " + job.name +
               ": superstep changed a non-superstep metric");
-    p.cycles = super.cycles;
-    p.plan_hit_rate = static_cast<double>(super.plan_hits) /
-                      static_cast<double>(super.cycles);
-    p.plan_compiles = super.plan_compiles;
-    p.plan_invalidations = super.plan_invalidations;
-    p.plan_content_hits = super.plan_content_hits;
-    p.plan_evictions = super.plan_evictions;
-    p.superstep_cycle_share = static_cast<double>(super.superstep_cycles) /
-                              static_cast<double>(super.cycles);
-    p.trace_cycle_share = static_cast<double>(super.trace_cycles) /
-                          static_cast<double>(super.cycles);
-    p.outputs_fnv64 = fnv64(super.outputs);
     for (std::size_t path = 0; path < kPathCount; ++path) {
-      const double cps =
-          static_cast<double>(m[path].cycles) / m[path].seconds;
-      if (cps > p.cps[path]) p.cps[path] = cps;
+      cps[path].push_back(static_cast<double>(m[path].stats.cycles) /
+                          m[path].seconds);
     }
+    speedups.push_back(cps[2].back() / cps[0].back());
+    p.super = std::move(m[2]);
   }
+  for (std::size_t path = 0; path < kPathCount; ++path) {
+    p.cps[path] = bench::spread_of(cps[path]);
+  }
+  p.speedup = bench::spread_of(speedups);
   return p;
 }
 
@@ -242,8 +262,9 @@ int main(int argc, char** argv) {
     check(samples >= 16, "bench_cycle: --samples must be at least 16");
     check(reps >= 1, "bench_cycle: --reps must be at least 1");
 
-    std::printf("bench_cycle: geometry %zux%zu, %zu samples, best of %zu"
-                " (planned = one tape cycle per Ring::step)\n",
+    std::printf("bench_cycle: kernels on %zux%zu, ring.N on N Dnodes, %zu"
+                " samples, median of %zu (planned = one tape cycle per"
+                " Ring::step)\n",
                 kGeom.layers, kGeom.lanes, samples, reps);
 
     std::vector<rt::Job> jobs;
@@ -293,6 +314,9 @@ int main(int argc, char** argv) {
           kGeom, ref, range + 4, range + 4, cand, static_cast<int>(range)));
       jobs.back().name = "motion_est";
     }
+    for (const std::size_t dnodes : {8, 16, 64, 256}) {
+      jobs.push_back(all_mac_ring_job(dnodes, samples));
+    }
 
     std::vector<KernelPoint> points;
     points.reserve(jobs.size());
@@ -300,30 +324,56 @@ int main(int argc, char** argv) {
 
     double worst_speedup = 0.0;
     std::string worst_kernel;
+    obs::JsonValue kernels_json = obs::JsonValue::array();
     for (const auto& p : points) {
-      const double interp = p.cps[0];
-      const double planned = p.cps[1];
-      const double super = p.cps[2];
-      const double speedup = super / interp;
+      const SystemStats& st = p.super.stats;
+      const auto share = [&st](std::uint64_t n) {
+        return static_cast<double>(n) / static_cast<double>(st.cycles);
+      };
+      const double speedup = p.speedup.median;
       if (worst_kernel.empty() || speedup < worst_speedup) {
         worst_speedup = speedup;
         worst_kernel = p.name;
       }
       std::printf(
           "  %-12s %8llu cycles  interp %9.0f cyc/s  planned %9.0f cyc/s"
-          "  superstep %9.0f cyc/s  speedup %.2fx\n"
+          "  superstep %9.0f cyc/s  speedup %.2fx (%.2f-%.2f)\n"
           "  %-12s hit rate %.1f%%  compiles %llu  detaches %llu"
           "  (re-attached %llu, true misses %llu)  evictions %llu"
           "  fused %.1f%%  traced %.1f%%\n",
-          p.name.c_str(), static_cast<unsigned long long>(p.cycles), interp,
-          planned, super, speedup, "", 100.0 * p.plan_hit_rate,
-          static_cast<unsigned long long>(p.plan_compiles),
-          static_cast<unsigned long long>(p.plan_invalidations),
-          static_cast<unsigned long long>(p.plan_content_hits),
-          static_cast<unsigned long long>(p.plan_invalidations -
-                                          p.plan_content_hits),
-          static_cast<unsigned long long>(p.plan_evictions),
-          100.0 * p.superstep_cycle_share, 100.0 * p.trace_cycle_share);
+          p.name.c_str(), static_cast<unsigned long long>(st.cycles),
+          p.cps[0].median, p.cps[1].median, p.cps[2].median, speedup,
+          p.speedup.q1, p.speedup.q3, "", 100.0 * share(st.plan_hits),
+          static_cast<unsigned long long>(st.plan_compiles),
+          static_cast<unsigned long long>(st.plan_invalidations),
+          static_cast<unsigned long long>(st.plan_content_hits),
+          static_cast<unsigned long long>(st.plan_invalidations -
+                                          st.plan_content_hits),
+          static_cast<unsigned long long>(st.plan_evictions),
+          100.0 * share(p.super.superstep_cycles),
+          100.0 * share(p.super.trace_cycles));
+
+      obs::JsonValue jp = obs::JsonValue::object();
+      jp.set("kernel", p.name);
+      jp.set("dnodes", std::uint64_t{p.dnodes});
+      jp.set("sim_cycles", st.cycles);
+      jp.set("interpreter_cycles_per_s", bench::to_json(p.cps[0]));
+      jp.set("percycle_planned_cycles_per_s", bench::to_json(p.cps[1]));
+      jp.set("planned_cycles_per_s", bench::to_json(p.cps[2]));
+      bench::set_speedup(jp, "speedup", p.speedup);
+      jp.set("plan_hit_rate", share(st.plan_hits));
+      jp.set("plan_compiles", st.plan_compiles);
+      jp.set("plan_invalidations", st.plan_invalidations);
+      jp.set("plan_content_hits", st.plan_content_hits);
+      jp.set("plan_true_misses", st.plan_invalidations - st.plan_content_hits);
+      jp.set("plan_evictions", st.plan_evictions);
+      jp.set("superstep_cycle_share", share(p.super.superstep_cycles));
+      jp.set("trace_cycle_share", share(p.super.trace_cycles));
+      char digest[19];
+      std::snprintf(digest, sizeof digest, "0x%016llx",
+                    static_cast<unsigned long long>(fnv64(p.super.outputs)));
+      jp.set("outputs_fnv64", digest);
+      kernels_json.push_back(std::move(jp));
     }
 
     if (min_speedup > 0.0) {
@@ -337,34 +387,10 @@ int main(int argc, char** argv) {
 
     RunReport report;
     report.name = "bench_cycle";
-    report.extra("schema_version", std::uint64_t{2})
+    report.extra("schema_version", std::uint64_t{3})
         .extra("samples", std::uint64_t{samples})
         .extra("reps", std::uint64_t{reps})
         .extra("outputs_bit_identical", true);
-    obs::JsonValue kernels_json = obs::JsonValue::array();
-    for (const auto& p : points) {
-      obs::JsonValue jp = obs::JsonValue::object();
-      jp.set("kernel", p.name);
-      jp.set("sim_cycles", p.cycles);
-      jp.set("interpreter_cycles_per_s", p.cps[0]);
-      jp.set("percycle_planned_cycles_per_s", p.cps[1]);
-      jp.set("planned_cycles_per_s", p.cps[2]);
-      jp.set("speedup", p.cps[2] / p.cps[0]);
-      jp.set("plan_hit_rate", p.plan_hit_rate);
-      jp.set("plan_compiles", p.plan_compiles);
-      jp.set("plan_invalidations", p.plan_invalidations);
-      jp.set("plan_content_hits", p.plan_content_hits);
-      jp.set("plan_true_misses",
-             p.plan_invalidations - p.plan_content_hits);
-      jp.set("plan_evictions", p.plan_evictions);
-      jp.set("superstep_cycle_share", p.superstep_cycle_share);
-      jp.set("trace_cycle_share", p.trace_cycle_share);
-      char digest[19];
-      std::snprintf(digest, sizeof digest, "0x%016llx",
-                    static_cast<unsigned long long>(p.outputs_fnv64));
-      jp.set("outputs_fnv64", digest);
-      kernels_json.push_back(std::move(jp));
-    }
     report.extra("kernels", std::move(kernels_json));
     maybe_write_run_report(report, json_path);
     return 0;

@@ -8,21 +8,29 @@
 // and reports jobs/s for every point, plus per-request latency for
 // the sequential points only: a pipelined window hides the round
 // trips, so wall / n is not a latency and those points report null.
-// A point with fewer than 40 samples reports only its median.  Every
-// remote output is compared word for word against a local
-// rt::Runtime run of the identical jobs — a number only counts if the
-// serving stack stayed bit-exact.
+// A point with fewer than 40 samples reports only its median.  The
+// server runs the largest --workers count.
 //
-// On a single-core host shard scaling is not measurable (the shards
-// time-slice one core); the report says so with a null shard_speedup
-// instead of a number that looks like a scaling regression — the
-// same discipline as bench_throughput's efficiency column.
+// First the same jobs run straight through a local rt::Runtime at
+// every --workers count (the fleet points, the list starting at 1):
+// one untimed warm-up pass each, so every worker's SystemPool and plan
+// caches are warm, then five timed passes, the fleets taking turns
+// pass by pass.  Each point reports jobs/s, and speedup and efficiency
+// over one worker paired pass by pass, as medians with quartiles
+// (bench/repeat.hpp).  Every fleet pass and every remote output is
+// compared word for word against the 1-worker warm-up pass — a number
+// only counts if the runtime and the serving stack stayed bit-exact.
+//
+// On a single-core host shard and fleet scaling are not measurable
+// (shards and workers time-slice one core); the report says so with
+// null speedups instead of numbers that look like a scaling
+// regression.
 //
 // Usage:
 //   bench_serve [--jobs N] [--clients C[,C...]] [--pipeline W[,W...]]
-//               [--shards S[,S...]] [--workers W] [--queue Q]
+//               [--shards S[,S...]] [--workers 1[,W...]] [--queue Q]
 //               [--mix fir|me|dwt|matvec|mixed] [--json <path>]
-//               [--min-jobs-per-s X]
+//               [--min-jobs-per-s X] [--min-fleet-speedup X]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -44,6 +52,7 @@
 #include "obs/quantile.hpp"
 #include "rt/runtime.hpp"
 #include "sim/report.hpp"
+#include "repeat.hpp"
 
 namespace {
 
@@ -125,6 +134,9 @@ std::vector<std::size_t> parse_list(const std::string& text,
 /// Fewest latency samples a point needs for a p99 and a mean.
 constexpr std::size_t kMinTailSamples = 40;
 
+/// Timed passes per fleet point.
+constexpr std::size_t kFleetPasses = 5;
+
 /// One sweep point's outcome.  Latencies are per request and exist for
 /// the sequential mode only; with fewer than kMinTailSamples samples
 /// only the median does.
@@ -176,9 +188,11 @@ int main(int argc, char** argv) {
     const std::vector<std::size_t> shard_counts = parse_list(
         obs::extract_option(argc, argv, "--shards").value_or("1,2"),
         "--shards", false);
-    const std::size_t workers = std::strtoul(
-        obs::extract_option(argc, argv, "--workers").value_or("2").c_str(),
-        nullptr, 10);
+    const std::vector<std::size_t> worker_counts = parse_list(
+        obs::extract_option(argc, argv, "--workers").value_or("1,2"),
+        "--workers", false);
+    const std::size_t workers =
+        *std::max_element(worker_counts.begin(), worker_counts.end());
     const std::size_t queue = std::strtoul(
         obs::extract_option(argc, argv, "--queue").value_or("64").c_str(),
         nullptr, 10);
@@ -187,8 +201,16 @@ int main(int argc, char** argv) {
             .value_or("0")
             .c_str(),
         nullptr);
-    check(jobs >= 1 && workers >= 1 && queue >= 1,
-          "bench_serve: --jobs/--workers/--queue must be >= 1");
+    // Fleet gate: fail unless the best multi-worker median speedup
+    // reaches this factor (not measurable, and passing, on one core).
+    const double min_fleet_speedup = std::strtod(
+        obs::extract_option(argc, argv, "--min-fleet-speedup")
+            .value_or("0")
+            .c_str(),
+        nullptr);
+    check(jobs >= 1 && queue >= 1,
+          "bench_serve: --jobs/--queue must be >= 1");
+    check(worker_counts.front() == 1, "bench_serve: --workers must start at 1");
 
     std::printf(
         "bench_serve: mix=%s jobs=%zu workers=%zu queue=%zu "
@@ -196,37 +218,104 @@ int main(int argc, char** argv) {
         mix.c_str(), jobs, workers, queue,
         std::thread::hardware_concurrency());
 
-    // Shard scaling needs real parallelism to mean anything: on one
-    // core the shards time-slice, so the comparison reads as noise.
+    // Shard and fleet scaling need real parallelism to mean anything:
+    // on one core they time-slice, so the comparison reads as noise.
     const bool multicore = std::thread::hardware_concurrency() > 1;
-    bool sweep_has_multi_shard = false;
-    for (const std::size_t s : shard_counts) {
-      sweep_has_multi_shard = sweep_has_multi_shard || s > 1;
-    }
-    if (!multicore && sweep_has_multi_shard) {
+    if (!multicore) {
       std::printf(
-          "  WARNING: single-core host — shard scaling not measurable "
-          "(shards time-slice one core), reporting null speedup\n");
+          "  WARNING: single-core host — shard and fleet scaling not "
+          "measurable (they time-slice one core), reporting null "
+          "speedups\n");
     }
 
     const std::vector<net::JobRequest> reqs = build_requests(mix, jobs);
 
-    // Local reference: the same jobs straight through rt::Runtime.
-    std::vector<std::vector<Word>> expected;
-    expected.reserve(jobs);
-    {
+    // Fleet points: the same jobs straight through local rt::Runtimes.
+    std::vector<rt::Job> local_jobs;
+    local_jobs.reserve(jobs);
+    for (const auto& req : reqs) local_jobs.push_back(net::to_rt_job(req));
+    std::vector<std::vector<Word>> expected;  // 1-worker warm-up outputs
+    std::vector<std::unique_ptr<rt::Runtime>> fleets;
+    std::vector<std::vector<double>> fleet_jps(worker_counts.size());
+    const auto run_pass = [&](std::size_t f) {
+      std::vector<rt::Job> batch = local_jobs;
+      const auto t0 = std::chrono::steady_clock::now();
+      std::vector<rt::JobResult> results =
+          fleets[f]->submit_batch(std::move(batch));
+      const auto t1 = std::chrono::steady_clock::now();
+      for (std::size_t i = 0; i < jobs; ++i) {
+        check(results[i].ok, "bench_serve: local job failed: " +
+                                 results[i].error);
+        if (expected.size() < jobs) {
+          expected.push_back(std::move(results[i].outputs));
+        } else {
+          check(results[i].outputs == expected[i],
+                "bench_serve: job " + std::to_string(i) + " DIVERGED at " +
+                    std::to_string(worker_counts[f]) + " workers");
+        }
+      }
+      return static_cast<double>(jobs) /
+             std::chrono::duration<double>(t1 - t0).count();
+    };
+    for (const std::size_t w : worker_counts) {
       rt::RuntimeConfig lcfg;
-      lcfg.workers = workers;
+      lcfg.workers = w;
       lcfg.queue_capacity = queue;
-      rt::Runtime local(lcfg);
-      std::vector<rt::Job> local_jobs;
-      local_jobs.reserve(jobs);
-      for (const auto& req : reqs) local_jobs.push_back(net::to_rt_job(req));
-      for (auto& r : local.submit_batch(std::move(local_jobs))) {
-        check(r.ok, "bench_serve: local reference job failed: " + r.error);
-        expected.push_back(std::move(r.outputs));
+      fleets.push_back(std::make_unique<rt::Runtime>(lcfg));
+      run_pass(fleets.size() - 1);  // warm-up, untimed
+    }
+    for (std::size_t pass = 0; pass < kFleetPasses; ++pass) {
+      for (std::size_t f = 0; f < fleets.size(); ++f) {
+        fleet_jps[f].push_back(run_pass(f));
       }
     }
+    obs::JsonValue fleet_json = obs::JsonValue::array();
+    double best_fleet_speedup = 0.0;
+    for (std::size_t f = 0; f < fleets.size(); ++f) {
+      const double w = static_cast<double>(worker_counts[f]);
+      std::vector<double> speedups;
+      for (std::size_t pass = 0; pass < kFleetPasses; ++pass) {
+        speedups.push_back(fleet_jps[f][pass] / fleet_jps[0][pass]);
+      }
+      const bench::Spread jps = bench::spread_of(fleet_jps[f]);
+      const bench::Spread speedup = bench::spread_of(speedups);
+      const bench::Spread efficiency{speedup.median / w, speedup.q1 / w,
+                                     speedup.q3 / w};
+      obs::JsonValue pt = obs::JsonValue::object();
+      pt.set("workers", std::uint64_t{worker_counts[f]});
+      pt.set("jobs_per_s", bench::to_json(jps));
+      std::printf("  fleet workers=%zu  %8.1f jobs/s (%.1f-%.1f)",
+                  worker_counts[f], jps.median, jps.q1, jps.q3);
+      if (worker_counts[f] > 1 && !multicore) {
+        pt.set("speedup", nullptr);
+        pt.set("efficiency", nullptr);
+        pt.set("null_reason", "single-core host");
+      } else if (worker_counts[f] > 1) {
+        best_fleet_speedup = std::max(best_fleet_speedup, speedup.median);
+        bench::set_speedup(pt, "speedup", speedup);
+        if (efficiency.q1 > 1.0) {
+          pt.set("efficiency", nullptr);
+          pt.set("efficiency_null_reason",
+                 "above 100% beyond its quartiles (q1 " +
+                     std::to_string(efficiency.q1) +
+                     "): not scaling, warm-up or timer noise");
+        } else {
+          pt.set("efficiency", bench::to_json(efficiency));
+        }
+        std::printf("  speedup %.2fx (%.2f-%.2f)  efficiency %.0f%%",
+                    speedup.median, speedup.q1, speedup.q3,
+                    100.0 * efficiency.median);
+      }
+      const obs::Registry m = fleets[f]->metrics();
+      for (const char* name :
+           {"rt.sim_cycles", "rt.pool.fast_resets", "rt.pool.full_loads"}) {
+        const auto* c = m.find_counter(name);
+        pt.set(name, c != nullptr ? c->value() : 0);
+      }
+      std::printf("\n");
+      fleet_json.push_back(std::move(pt));
+    }
+    fleets.clear();  // their idle workers leave before the server sweep
 
     std::vector<SweepPoint> points;
     obs::Registry primary_metrics;
@@ -245,6 +334,16 @@ int main(int argc, char** argv) {
 
           std::vector<double> latencies_us(jobs, 0.0);
           std::atomic<bool> failed{false};
+          const auto verified = [&](std::size_t i,
+                                    const net::RemoteResult& r) {
+            if (r.ok && r.outputs == expected[i]) return true;
+            failed.store(true);
+            std::fprintf(stderr, "bench_serve: job %zu %s\n", i,
+                         !r.ok ? (r.busy ? "shed as busy"
+                                         : ("failed: " + r.error).c_str())
+                               : "DIVERGED from local execution");
+            return false;
+          };
 
           // Static contiguous chunks per client: deterministic work
           // split, no shared claim counter on the submit path.
@@ -268,16 +367,7 @@ int main(int argc, char** argv) {
                   latencies_us[i] =
                       std::chrono::duration<double, std::micro>(s1 - s0)
                           .count();
-                  if (!r.ok || r.outputs != expected[i]) {
-                    failed.store(true);
-                    std::fprintf(
-                        stderr, "bench_serve: job %zu %s\n", i,
-                        !r.ok ? (r.busy
-                                     ? "shed as busy"
-                                     : ("failed: " + r.error).c_str())
-                              : "DIVERGED from local execution");
-                    return;
-                  }
+                  if (!verified(i, r)) return;
                 }
                 return;
               }
@@ -287,16 +377,7 @@ int main(int argc, char** argv) {
               const std::vector<net::RemoteResult> results =
                   client.submit_pipelined(chunk, pipeline);
               for (std::size_t i = lo; i < hi; ++i) {
-                const net::RemoteResult& r = results[i - lo];
-                if (!r.ok || r.outputs != expected[i]) {
-                  failed.store(true);
-                  std::fprintf(
-                      stderr, "bench_serve: job %zu %s\n", i,
-                      !r.ok ? (r.busy ? "shed as busy"
-                                      : ("failed: " + r.error).c_str())
-                            : "DIVERGED from local execution");
-                  return;
-                }
+                if (!verified(i, results[i - lo])) return;
               }
             });
           }
@@ -410,7 +491,7 @@ int main(int argc, char** argv) {
     // The flat fields describe the first sweep point (the legacy
     // single-shard sequential shape under default flags); the sweep
     // array carries every point.
-    report.extra("schema_version", std::uint64_t{2})
+    report.extra("schema_version", std::uint64_t{3})
         .extra("mix", mix)
         .extra("jobs", std::uint64_t{jobs})
         .extra("clients", std::uint64_t{primary.clients})
@@ -443,6 +524,11 @@ int main(int argc, char** argv) {
         .extra("shard_speedup", shard_speedup_measurable
                                     ? obs::JsonValue(shard_speedup)
                                     : obs::JsonValue(nullptr))
+        .extra("best_fleet_speedup", best_fleet_speedup > 0.0
+                                         ? obs::JsonValue(best_fleet_speedup)
+                                         : obs::JsonValue(nullptr))
+        .extra("fleet_passes", std::uint64_t{kFleetPasses})
+        .extra("fleet", std::move(fleet_json))
         .extra("outputs_bit_identical", true);
     obs::JsonValue sweep = obs::JsonValue::array();
     for (const SweepPoint& p : points) {
@@ -480,6 +566,18 @@ int main(int argc, char** argv) {
                 std::to_string(min_jobs_per_s));
       std::printf("  GATE OK: peak %.1f jobs/s >= %.1f\n",
                   peak->jobs_per_s, min_jobs_per_s);
+    }
+    if (min_fleet_speedup > 0.0 && best_fleet_speedup == 0.0) {
+      std::printf("  --min-fleet-speedup not measurable (single-core host "
+                  "or no multi-worker point), passing\n");
+    } else if (min_fleet_speedup > 0.0) {
+      check(best_fleet_speedup >= min_fleet_speedup,
+            "bench_serve: best fleet speedup " +
+                std::to_string(best_fleet_speedup) +
+                "x below --min-fleet-speedup " +
+                std::to_string(min_fleet_speedup) + "x");
+      std::printf("  GATE OK: fleet speedup %.2fx >= %.2fx\n",
+                  best_fleet_speedup, min_fleet_speedup);
     }
     return 0;
   } catch (const SimError& e) {

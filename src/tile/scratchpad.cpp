@@ -13,20 +13,6 @@ void Scratchpad::touch(Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
-void Scratchpad::evict_over_capacity() {
-  // Walk from the LRU end, skipping pinned tiles.  Pinned residency
-  // above capacity is allowed (and is the caller's sizing bug).
-  auto it = lru_.end();
-  while (entries_.size() > capacity_ && it != lru_.begin()) {
-    --it;
-    auto found = entries_.find(*it);
-    if (found == entries_.end() || found->second.tile.pinned) continue;
-    it = lru_.erase(it);
-    entries_.erase(found);
-    ++evictions_;
-  }
-}
-
 const StagedTile& Scratchpad::get_or_fill(const TileKey& key,
                                           const Filler& fill) {
   auto found = entries_.find(key);
@@ -36,56 +22,23 @@ const StagedTile& Scratchpad::get_or_fill(const TileKey& key,
     touch(found->second);
     return found->second.tile;
   }
-  return this->fill(key, fill());
-}
-
-const StagedTile& Scratchpad::fill(const TileKey& key, StagedTile tile) {
-  ++refills_;
-  bytes_filled_ += tile.bytes();
-  auto found = entries_.find(key);
-  if (found != entries_.end()) {
-    const bool pinned = found->second.tile.pinned;
-    found->second.tile = std::move(tile);
-    found->second.tile.pinned = pinned;
-    touch(found->second);
-    return found->second.tile;
-  }
-  lru_.push_front(key);
   Entry entry;
-  entry.tile = std::move(tile);
+  entry.tile = fill();
+  ++refills_;
+  bytes_filled_ += entry.tile.bytes();
+  lru_.push_front(key);
   entry.lru_it = lru_.begin();
   auto [it, inserted] = entries_.emplace(key, std::move(entry));
-  evict_over_capacity();
+  if (entries_.size() > capacity_) {  // evict the least recently used
+    entries_.erase(lru_.back());
+    lru_.pop_back();
+    ++evictions_;
+  }
   return it->second.tile;
 }
 
 bool Scratchpad::contains(const TileKey& key) const {
   return entries_.find(key) != entries_.end();
-}
-
-void Scratchpad::retain(const TileKey& key) {
-  auto found = entries_.find(key);
-  if (found != entries_.end()) found->second.tile.pinned = true;
-}
-
-void Scratchpad::release(const TileKey& key) {
-  auto found = entries_.find(key);
-  if (found != entries_.end()) found->second.tile.pinned = false;
-}
-
-bool Scratchpad::evict(const TileKey& key) {
-  auto found = entries_.find(key);
-  if (found == entries_.end() || found->second.tile.pinned) return false;
-  lru_.erase(found->second.lru_it);
-  entries_.erase(found);
-  ++evictions_;
-  return true;
-}
-
-void Scratchpad::clear() {
-  evictions_ += entries_.size();
-  entries_.clear();
-  lru_.clear();
 }
 
 }  // namespace sring::tile

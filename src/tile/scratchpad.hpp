@@ -14,8 +14,8 @@
 // Counters (named tile.scratch.* by kCounterNames, the one place those
 // names are built; GEMM replies and server stats both use it):
 //   hits          tile already staged when requested
-//   refills       tile staged from operand memory (miss or explicit)
-//   evictions     LRU or explicit evictions
+//   refills       tile staged from operand memory on a miss
+//   evictions     LRU evictions
 //   bytes_filled  operand bytes staged (the scratchpad's real traffic)
 //   bytes_saved   operand bytes a streamed-per-job baseline would
 //                 have refetched (tile bytes per hit)
@@ -63,7 +63,6 @@ struct TileKeyHash {
 struct StagedTile {
   std::vector<Word> words;
   std::shared_ptr<const LoadableProgram> program;
-  bool pinned = false;
 
   std::size_t bytes() const noexcept { return words.size() * sizeof(Word); }
 };
@@ -77,24 +76,11 @@ class Scratchpad {
 
   /// The tile at `key`, staging it via `fill` on a miss.  A hit counts
   /// the tile's bytes as saved traffic; a miss counts a refill and the
-  /// staged bytes, evicting the LRU unpinned tile when over capacity.
+  /// staged bytes, evicting the LRU tile when over capacity.
   /// The reference stays valid until the tile is evicted.
   const StagedTile& get_or_fill(const TileKey& key, const Filler& fill);
 
-  /// Explicit alloc+fill: stage `tile` at `key` now (replacing any
-  /// resident tile), counting a refill.
-  const StagedTile& fill(const TileKey& key, StagedTile tile);
-
   bool contains(const TileKey& key) const;
-
-  /// Pin `key` against LRU eviction (no-op when absent).  Pinned tiles
-  /// can push residency above capacity; that is the caller's bug.
-  void retain(const TileKey& key);
-  void release(const TileKey& key);
-
-  /// Drop `key` now; false when absent or pinned.
-  bool evict(const TileKey& key);
-  void clear();
 
   std::size_t capacity_tiles() const noexcept { return capacity_; }
   std::size_t resident_tiles() const noexcept { return entries_.size(); }
@@ -120,7 +106,6 @@ class Scratchpad {
   };
 
   void touch(Entry& entry);
-  void evict_over_capacity();
 
   std::size_t capacity_;
   std::list<TileKey> lru_;  ///< front = most recently used

@@ -337,60 +337,76 @@ TEST(Ring, ModeEntryStallKeepsLocalCounterUntouched) {
 TEST(Ring, StallLeavesStatisticsUntouched) {
   // A stalled cycle is a pure retry: every instrumentation counter
   // must read exactly as before the attempt.
-  Harness h({2, 2, 4});
-  SwitchRoute r00;  // dnode(0,0): host operand + a consumed fb read
-  r00.in1 = PortRoute::host();
-  r00.fifo1 = {1, 0, 2};
-  h.cfg.write_switch_route(0, 0, r00.encode());
-  DnodeInstr add;
-  add.op = DnodeOp::kAdd;
-  add.src_a = DnodeSrc::kIn1;
-  add.src_b = DnodeSrc::kFifo1;
-  add.out_en = true;
-  add.host_en = true;
-  add.bus_en = true;
-  h.cfg.write_dnode_instr(0, add.encode());
-  SwitchRoute tap;  // switch 1 lane 0 forwards to the host
-  tap.host_out_en = true;
-  h.cfg.write_switch_route(1, 0, tap.encode());
-  DnodeInstr local10 = pass_out(DnodeSrc::kImm);
-  local10.imm = 10;
-  h.ring.write_local(1, 0, local10.encode());
-  h.cfg.write_dnode_mode(1, DnodeMode::kLocal);
+  // The interpreter stalls every attempt; with the plan cache on, the
+  // seed cycle is the structure's first sighting (interpreted) and the
+  // stalls run its compiled tape.
+  for (const bool planned : {false, true}) {
+    SCOPED_TRACE(planned ? "planned" : "interpreted");
+    Harness h({2, 2, 4});
+    h.ring.set_plan_cache_enabled(planned);
+    SwitchRoute r00;  // dnode(0,0): host operand + a consumed fb read
+    r00.in1 = PortRoute::host();
+    r00.fifo1 = {1, 0, 2};
+    h.cfg.write_switch_route(0, 0, r00.encode());
+    DnodeInstr add;
+    add.op = DnodeOp::kAdd;
+    add.src_a = DnodeSrc::kIn1;
+    add.src_b = DnodeSrc::kFifo1;
+    add.out_en = true;
+    add.host_en = true;
+    add.bus_en = true;
+    h.cfg.write_dnode_instr(0, add.encode());
+    SwitchRoute tap;  // switch 1 lane 0 forwards to the host
+    tap.host_out_en = true;
+    h.cfg.write_switch_route(1, 0, tap.encode());
+    // Flat Dnode 1 runs a two-slot local program (LIMIT 1).
+    DnodeInstr local10 = pass_out(DnodeSrc::kImm);
+    local10.imm = 10;
+    DnodeInstr local20 = pass_out(DnodeSrc::kImm);
+    local20.imm = 20;
+    h.ring.write_local(1, 0, local10.encode());
+    h.ring.write_local(1, 1, local20.encode());
+    h.ring.write_local(1, LocalControl::kLimitSlot, 1);
+    h.cfg.write_dnode_mode(1, DnodeMode::kLocal);
 
-  h.in.push_back(3);
-  ASSERT_FALSE(h.step().stalled);  // one committed cycle seeds stats
+    h.in.push_back(3);
+    ASSERT_FALSE(h.step().stalled);  // one committed cycle seeds stats
+    // The seed cycle moved the local counter, so a stall that advanced
+    // it would show.
+    ASSERT_EQ(h.ring.local(1).counter(), 1u);
 
-  const auto ops = h.ring.ops_per_dnode();
-  const auto local_cycles = h.ring.local_cycles_per_dnode();
-  const auto global_cycles = h.ring.global_cycles_per_dnode();
-  const auto fb_reads = h.ring.fb_reads_per_pipe();
-  const auto fb_depths = h.ring.fb_read_depth_counts();
-  const auto host_out_words = h.ring.host_out_words_per_switch();
-  const auto bus_drives = h.ring.bus_drives();
-  const auto pipe_pushes = h.ring.edges();
-  const auto out_words = h.out.size();
-  const auto counter = h.ring.local(2).counter();
+    const auto ops = h.ring.ops_per_dnode();
+    const auto local_cycles = h.ring.local_cycles_per_dnode();
+    const auto global_cycles = h.ring.global_cycles_per_dnode();
+    const auto fb_reads = h.ring.fb_reads_per_pipe();
+    const auto fb_depths = h.ring.fb_read_depth_counts();
+    const auto host_out_words = h.ring.host_out_words_per_switch();
+    const auto bus_drives = h.ring.bus_drives();
+    const auto pipe_pushes = h.ring.edges();
+    const auto out_words = h.out.size();
+    const auto counter = h.ring.local(1).counter();
 
-  for (int c = 0; c < 3; ++c) {  // FIFO empty: every attempt stalls
-    const auto res = h.step();
-    ASSERT_TRUE(res.stalled);
-    EXPECT_EQ(res.ops, 0u);
-    EXPECT_EQ(res.host_words_in, 0u);
-    EXPECT_EQ(res.host_words_out, 0u);
-    EXPECT_FALSE(res.bus_drive.has_value());
+    for (int c = 0; c < 3; ++c) {  // FIFO empty: every attempt stalls
+      const auto res = h.step();
+      ASSERT_TRUE(res.stalled);
+      EXPECT_EQ(res.ops, 0u);
+      EXPECT_EQ(res.host_words_in, 0u);
+      EXPECT_EQ(res.host_words_out, 0u);
+      EXPECT_FALSE(res.bus_drive.has_value());
+    }
+
+    EXPECT_EQ(h.ring.ops_per_dnode(), ops);
+    EXPECT_EQ(h.ring.local_cycles_per_dnode(), local_cycles);
+    EXPECT_EQ(h.ring.global_cycles_per_dnode(), global_cycles);
+    EXPECT_EQ(h.ring.fb_reads_per_pipe(), fb_reads);
+    EXPECT_EQ(h.ring.fb_read_depth_counts(), fb_depths);
+    EXPECT_EQ(h.ring.host_out_words_per_switch(), host_out_words);
+    EXPECT_EQ(h.ring.bus_drives(), bus_drives);
+    EXPECT_EQ(h.ring.edges(), pipe_pushes);
+    EXPECT_EQ(h.out.size(), out_words);
+    EXPECT_EQ(h.ring.local(1).counter(), counter);
+    EXPECT_EQ(h.ring.plan_compiles(), planned ? 1u : 0u);
   }
-
-  EXPECT_EQ(h.ring.ops_per_dnode(), ops);
-  EXPECT_EQ(h.ring.local_cycles_per_dnode(), local_cycles);
-  EXPECT_EQ(h.ring.global_cycles_per_dnode(), global_cycles);
-  EXPECT_EQ(h.ring.fb_reads_per_pipe(), fb_reads);
-  EXPECT_EQ(h.ring.fb_read_depth_counts(), fb_depths);
-  EXPECT_EQ(h.ring.host_out_words_per_switch(), host_out_words);
-  EXPECT_EQ(h.ring.bus_drives(), bus_drives);
-  EXPECT_EQ(h.ring.edges(), pipe_pushes);
-  EXPECT_EQ(h.out.size(), out_words);
-  EXPECT_EQ(h.ring.local(2).counter(), counter);
 }
 
 TEST(Ring, CountsOpsAndUtilization) {

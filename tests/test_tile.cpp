@@ -170,22 +170,6 @@ TEST(Scratchpad, LruEvictionAndCounters) {
   EXPECT_EQ(Scratchpad::kCounterNames[4], "tile.scratch.bytes_saved");
 }
 
-TEST(Scratchpad, RetainPinsAgainstEviction) {
-  Scratchpad spad(2);
-  const TileKey k0{Operand::kA, 0, 0};
-  const TileKey k1{Operand::kA, 0, 1};
-  const TileKey k2{Operand::kA, 0, 2};
-  spad.get_or_fill(k0, [] { return tile_of(4); });
-  spad.retain(k0);
-  spad.get_or_fill(k1, [] { return tile_of(4); });
-  spad.get_or_fill(k2, [] { return tile_of(4); });  // must evict k1, not k0
-  EXPECT_TRUE(spad.contains(k0));
-  EXPECT_FALSE(spad.contains(k1));
-  EXPECT_FALSE(spad.evict(k0)) << "pinned tiles refuse explicit evict";
-  spad.release(k0);
-  EXPECT_TRUE(spad.evict(k0));
-}
-
 // ---------------------------------------------------------------------------
 // Planner
 
