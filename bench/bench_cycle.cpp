@@ -75,8 +75,11 @@ Image random_image(std::uint64_t seed, std::size_t w, std::size_t h) {
 }
 
 /// A ring of `dnodes` Dnodes (layers at most 32, lanes doubling past
-/// that) whose every Dnode runs R0 += R1 * R2 in local mode, for
-/// `cycles` cycles after the controller halts.
+/// that) whose every Dnode runs in1 * in2 + imm in local mode, for
+/// `cycles` cycles after the controller halts: in1 and in2 are the
+/// upstream Dnodes in its own lane and the next one, and imm is its own
+/// odd local immediate.  Switch 0 forwards lane 0 of the last layer to
+/// the host every cycle, so the digest depends on every Dnode.
 rt::Job all_mac_ring_job(std::size_t dnodes, std::size_t cycles) {
   RingGeometry g{dnodes / 2, 2, 16};
   while (g.layers > 32) {
@@ -88,16 +91,23 @@ rt::Job all_mac_ring_job(std::size_t dnodes, std::size_t cycles) {
   for (std::size_t l = 0; l < g.layers; ++l) {
     for (std::size_t k = 0; k < g.lanes; ++k) {
       page.mode(l, k, DnodeMode::kLocal);
+      SwitchRoute r;
+      r.in1 = PortRoute::prev(static_cast<std::uint8_t>(k));
+      r.in2 = PortRoute::prev(static_cast<std::uint8_t>((k + 1) % g.lanes));
+      r.host_out_en = l == 0 && k == 0;
+      page.route(l, k, r);
     }
   }
   pb.add_page(std::move(page));
   DnodeInstr mac;
   mac.op = DnodeOp::kMac;
-  mac.src_a = DnodeSrc::kR1;
-  mac.src_b = DnodeSrc::kR2;
-  mac.src_c = DnodeSrc::kR0;
+  mac.src_a = DnodeSrc::kIn1;
+  mac.src_b = DnodeSrc::kIn2;
+  mac.src_c = DnodeSrc::kImm;
   mac.dst = DnodeDst::kR0;
+  mac.out_en = true;
   for (std::size_t d = 0; d < g.dnode_count(); ++d) {
+    mac.imm = static_cast<Word>(2 * d + 1);
     pb.local_program(d, {mac});
   }
   pb.page_switch(0);
@@ -212,18 +222,18 @@ KernelPoint measure(const rt::Job& job, std::size_t reps) {
     const RunMeasure& planned = m[1];
     const RunMeasure& super = m[2];
     check(planned.outputs == interp.outputs && super.outputs == interp.outputs,
-          "bench_cycle: " + job.name + ": outputs diverged between paths");
+          job.name + ": outputs diverged between paths");
     check(planned.stats.cycles == interp.stats.cycles &&
               super.stats.cycles == interp.stats.cycles,
-          "bench_cycle: " + job.name + ": cycle counts diverged");
+          job.name + ": cycle counts diverged");
     check(planned.arch_stats == interp.arch_stats &&
               super.arch_stats == interp.arch_stats,
-          "bench_cycle: " + job.name + ": architectural stats diverged");
+          job.name + ": architectural stats diverged");
     check(super.stats.to_string() == planned.stats.to_string(),
-          "bench_cycle: " + job.name +
+          job.name +
               ": superstep changed the plan counters");
     check(super.metrics == planned.metrics,
-          "bench_cycle: " + job.name +
+          job.name +
               ": superstep changed a non-superstep metric");
     for (std::size_t path = 0; path < kPathCount; ++path) {
       cps[path].push_back(static_cast<double>(m[path].stats.cycles) /
@@ -259,8 +269,8 @@ int main(int argc, char** argv) {
     const double min_speedup = std::strtod(
         obs::extract_option(argc, argv, "--min-speedup").value_or("0").c_str(),
         nullptr);
-    check(samples >= 16, "bench_cycle: --samples must be at least 16");
-    check(reps >= 1, "bench_cycle: --reps must be at least 1");
+    check(samples >= 16, "--samples must be at least 16");
+    check(reps >= 1, "--reps must be at least 1");
 
     std::printf("bench_cycle: kernels on %zux%zu, ring.N on N Dnodes, %zu"
                 " samples, median of %zu (planned = one tape cycle per"
@@ -378,7 +388,7 @@ int main(int argc, char** argv) {
 
     if (min_speedup > 0.0) {
       check(worst_speedup >= min_speedup,
-            "bench_cycle: " + worst_kernel + " speedup " +
+            worst_kernel + " speedup " +
                 std::to_string(worst_speedup) + "x below --min-speedup " +
                 std::to_string(min_speedup) + "x");
       std::printf("bench_cycle: all kernels at or above %.2fx (worst: %s %.2fx)\n",

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
         obs::extract_option(argc, argv, "--hits").value_or("64").c_str(),
         nullptr, 10);
     check(graphs >= 1 && taps >= 1 && hits >= 1,
-          "bench_dfg_compile: --graphs, --taps and --hits must be >= 1");
+          "--graphs, --taps and --hits must be >= 1");
 
     svc::CompileServiceConfig cfg;
     cfg.cache_capacity = graphs;  // the whole family stays resident
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     const auto t_cold = std::chrono::steady_clock::now();
     for (const auto& blob : blobs) {
       const auto r = service.get_or_compile(blob, kGeom);
-      check(!r.cache_hit, "bench_dfg_compile: unexpected cold-pass hit");
+      check(!r.cache_hit, "unexpected cold-pass hit");
     }
     const double cold_us = us_since(t_cold);
 
@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
     for (std::size_t m = 0; m < hits; ++m) {
       for (const auto& blob : blobs) {
         const auto r = service.get_or_compile(blob, kGeom);
-        check(r.cache_hit, "bench_dfg_compile: unexpected hot-pass miss");
+        check(r.cache_hit, "unexpected hot-pass miss");
       }
     }
     const double hot_us = us_since(t_hot);

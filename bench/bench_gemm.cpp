@@ -65,12 +65,12 @@ Measured run_point(rt::Runtime& rt, const Point& p, std::uint64_t seed) {
   const auto t1 = std::chrono::steady_clock::now();
 
   check(res.c == tile::gemm_reference(p.spec, a, b),
-        "bench_gemm: " + p.name + " diverged from the scalar reference");
+        p.name + " diverged from the scalar reference");
   // The planner's prediction is part of the contract: a traffic
   // number we report must be the one plan_gemm promised up front.
   check(res.scratch_hits == res.schedule.expected_hits &&
             res.scratch_refills == res.schedule.expected_refills,
-        "bench_gemm: " + p.name + " observed scratchpad behaviour "
+        p.name + " observed scratchpad behaviour "
         "diverged from the planner prediction");
 
   Measured m;
@@ -103,7 +103,7 @@ Measured run_conv_point(rt::Runtime& rt, std::uint64_t seed) {
   const tile::GemmSpec as_gemm = conv.as_gemm();
   check(res.c == tile::gemm_reference(as_gemm, filters,
                                       tile::im2col(conv, image)),
-        "bench_gemm: conv2d diverged from the im2col'd scalar reference");
+        "conv2d diverged from the im2col'd scalar reference");
 
   Measured m;
   m.point.name = "conv16x16.3x3.f8.int8.os";
@@ -132,8 +132,8 @@ int main(int argc, char** argv) {
     const double min_reuse = std::strtod(
         obs::extract_option(argc, argv, "--min-reuse").value_or("0").c_str(),
         nullptr);
-    check(workers >= 1, "bench_gemm: --workers must be at least 1");
-    check(scratch >= 1, "bench_gemm: --scratch-tiles must be at least 1");
+    check(workers >= 1, "--workers must be at least 1");
+    check(scratch >= 1, "--scratch-tiles must be at least 1");
 
     rt::RuntimeConfig rcfg;
     rcfg.workers = workers;
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
 
     if (min_reuse > 0.0) {
       check(best_gate_reuse >= min_reuse,
-            "bench_gemm: best 64x64x64 int8 traffic reduction " +
+            "best 64x64x64 int8 traffic reduction " +
                 std::to_string(best_gate_reuse) + "x below --min-reuse " +
                 std::to_string(min_reuse) + "x");
       std::printf("bench_gemm: --min-reuse %.2fx gate passed\n", min_reuse);

@@ -102,7 +102,7 @@ std::vector<net::JobRequest> build_requests(const std::string& mix,
       req.input.resize(64);
       for (auto& w : req.input) w = rng.next_word_in(-64, 63);
     } else {
-      throw SimError("bench_serve: unknown mix '" + mix + "'");
+      throw SimError("unknown mix '" + mix + "'");
     }
     reqs.push_back(std::move(req));
   }
@@ -119,15 +119,15 @@ std::vector<std::size_t> parse_list(const std::string& text,
     const std::string tok =
         text.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
-    check(!tok.empty(), std::string("bench_serve: empty entry in ") + flag);
+    check(!tok.empty(), std::string("empty entry in ") + flag);
     const std::size_t v = std::strtoul(tok.c_str(), nullptr, 10);
     check(allow_zero || v >= 1,
-          std::string("bench_serve: ") + flag + " entries must be >= 1");
+          std::string(flag) + " entries must be >= 1");
     out.push_back(v);
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
-  check(!out.empty(), std::string("bench_serve: empty ") + flag + " list");
+  check(!out.empty(), std::string("empty ") + flag + " list");
   return out;
 }
 
@@ -209,8 +209,8 @@ int main(int argc, char** argv) {
             .c_str(),
         nullptr);
     check(jobs >= 1 && queue >= 1,
-          "bench_serve: --jobs/--queue must be >= 1");
-    check(worker_counts.front() == 1, "bench_serve: --workers must start at 1");
+          "--jobs/--queue must be >= 1");
+    check(worker_counts.front() == 1, "--workers must start at 1");
 
     std::printf(
         "bench_serve: mix=%s jobs=%zu workers=%zu queue=%zu "
@@ -244,13 +244,13 @@ int main(int argc, char** argv) {
           fleets[f]->submit_batch(std::move(batch));
       const auto t1 = std::chrono::steady_clock::now();
       for (std::size_t i = 0; i < jobs; ++i) {
-        check(results[i].ok, "bench_serve: local job failed: " +
+        check(results[i].ok, "local job failed: " +
                                  results[i].error);
         if (expected.size() < jobs) {
           expected.push_back(std::move(results[i].outputs));
         } else {
           check(results[i].outputs == expected[i],
-                "bench_serve: job " + std::to_string(i) + " DIVERGED at " +
+                "job " + std::to_string(i) + " DIVERGED at " +
                     std::to_string(worker_counts[f]) + " workers");
         }
       }
@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
           server_thread.join();
 
           check(!failed.load(),
-                "bench_serve: remote execution diverged or failed");
+                "remote execution diverged or failed");
 
           SweepPoint p;
           p.clients = clients;
@@ -561,7 +561,7 @@ int main(int argc, char** argv) {
     // sweep's peak throughput must clear the bar.
     if (min_jobs_per_s > 0.0) {
       check(peak->jobs_per_s >= min_jobs_per_s,
-            "bench_serve: peak " + std::to_string(peak->jobs_per_s) +
+            "peak " + std::to_string(peak->jobs_per_s) +
                 " jobs/s below --min-jobs-per-s " +
                 std::to_string(min_jobs_per_s));
       std::printf("  GATE OK: peak %.1f jobs/s >= %.1f\n",
@@ -572,7 +572,7 @@ int main(int argc, char** argv) {
                   "or no multi-worker point), passing\n");
     } else if (min_fleet_speedup > 0.0) {
       check(best_fleet_speedup >= min_fleet_speedup,
-            "bench_serve: best fleet speedup " +
+            "best fleet speedup " +
                 std::to_string(best_fleet_speedup) +
                 "x below --min-fleet-speedup " +
                 std::to_string(min_fleet_speedup) + "x");

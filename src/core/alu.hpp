@@ -17,11 +17,12 @@ namespace sring {
 /// two's-complement semantics, results wrap to 16 bits except for the
 /// saturating variants (kAdds/kSubs).  The operands are fetched on
 /// demand: `get_a`, `get_b` and `get_c` run only for the ones `op`
-/// reads.  Defined inline: this is the innermost call of every executed
-/// Dnode cycle and must fold into the ring's fused loop without LTO.
+/// reads.  Always inlined: this is the innermost call of every executed
+/// Dnode cycle and must fold into the ring's fused loop, which GCC's
+/// size heuristics otherwise leave to a call per micro-op.
 template <typename GetA, typename GetB, typename GetC>
-inline Word alu_apply(DnodeOp op, GetA get_a, GetB get_b,
-                      GetC get_c) noexcept {
+[[gnu::always_inline]] inline Word alu_apply(DnodeOp op, GetA get_a,
+                                             GetB get_b, GetC get_c) noexcept {
   const auto sa = [&] { return as_signed(get_a()); };
   const auto sb = [&] { return as_signed(get_b()); };
   const auto sc = [&] { return as_signed(get_c()); };

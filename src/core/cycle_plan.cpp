@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <iterator>
+#include <unordered_map>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -168,17 +170,20 @@ void begin_tape(SuperstepTape& t, std::size_t period) {
   t.base_counters.clear();
   t.ops.clear();
   t.sources.clear();
-  t.begin.assign(period + 1, 0);
-  t.pops.assign(period, 0);
+  t.phases.assign(period + 1, {});
   t.effects.clear();
-  t.effects_begin.assign(period + 1, 0);
+  t.gather.clear();
+  t.consts.clear();
+  t.slots = 0;
   t.carry.clear();
-  t.carry_begin.assign(period + 1, 0);
   t.written.clear();
   t.taps.clear();
-  t.taps_begin.assign(period + 1, 0);
   t.phase_cycles.assign(period, 0);
 }
+
+/// The constant slot of each immediate a tape reads, keyed by its
+/// SuperstepTape::Const source (`from`, bit 31 set for a local one).
+using ConstSlots = std::unordered_map<std::uint32_t, std::uint16_t>;
 
 /// Lower phase `p` of `t`: `plan` with every local Dnode at slot
 /// (counter + local_phase) % local_len, kImm operands of global Dnodes
@@ -187,19 +192,35 @@ void begin_tape(SuperstepTape& t, std::size_t period) {
 void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
                  const std::vector<LocalControl>& locals,
                  std::size_t local_phase, std::size_t imm_base, std::size_t p,
-                 SuperstepTape& t, std::vector<std::uint16_t>& writes) {
+                 SuperstepTape& t, ConstSlots& const_slots,
+                 std::vector<std::uint16_t>& writes) {
   const std::size_t n = geom.dnode_count();
   const TapeLayout lay{n};
+  SuperstepTape::Phase& at = t.phases[p];
+  at.ops = static_cast<std::uint32_t>(t.ops.size());
+  at.effects = static_cast<std::uint32_t>(t.effects.size());
+  at.taps = static_cast<std::uint32_t>(t.taps.size());
+  at.gather = static_cast<std::uint32_t>(t.gather.size());
   const auto window = [&](const FeedbackAddr& fb) {
-    return TapeRef{TapeRef::kWindow,
-                   static_cast<std::uint16_t>(
-                       fb.depth * n + upstream_of(geom, fb.pipe) * geom.lanes +
-                       fb.lane)};
+    const std::uint16_t to = lay.win(t.gather.size() - at.gather);
+    t.gather.push_back(
+        {static_cast<std::uint32_t>(fb.depth * n +
+                                    upstream_of(geom, fb.pipe) * geom.lanes +
+                                    fb.lane),
+         to});
+    return to;
   };
-  t.begin[p] = static_cast<std::uint32_t>(t.ops.size());
-  t.effects_begin[p] = static_cast<std::uint32_t>(t.effects.size());
-  t.taps_begin[p] = static_cast<std::uint32_t>(t.taps.size());
+  const auto constant = [&](std::size_t from, bool local) {
+    const auto key = static_cast<std::uint32_t>(from | (local ? 1u << 31 : 0u));
+    const auto [it, fresh] = const_slots.try_emplace(
+        key, static_cast<std::uint16_t>(lay.consts() + t.consts.size()));
+    if (fresh) {
+      t.consts.push_back({static_cast<std::uint32_t>(from), it->second, local});
+    }
+    return it->second;
+  };
   t.taps.insert(t.taps.end(), plan.host_taps.begin(), plan.host_taps.end());
+  std::vector<std::pair<TapeOp, SuperstepTape::Source>> moves, alus;
   std::uint16_t pops = 0;
   // Ascending Dnode order: the documented host pop and output drain
   // order.
@@ -224,18 +245,18 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
         case PlannedSlot::Port::kZero:
           break;
         case PlannedSlot::Port::kPrev:
-          return TapeRef{TapeRef::kState, lay.out(prev)};
+          return lay.out(prev);
         case PlannedSlot::Port::kHost:
-          return TapeRef{TapeRef::kPops, pop};
+          return lay.pop(pop);
         case PlannedSlot::Port::kFeedback:
           return window(fb);
         case PlannedSlot::Port::kBus:
-          return TapeRef{TapeRef::kState, TapeLayout::kBus};
+          return TapeLayout::kBus;
       }
-      return TapeRef{};
+      return TapeLayout::kZero;
     };
     const DnodeInstr& in = ps.instr;
-    const auto ref = [&](DnodeSrc src) {
+    const auto ref = [&](DnodeSrc src) -> std::uint16_t {
       switch (src) {
         case DnodeSrc::kZero:
         case DnodeSrc::kSrcCount:
@@ -249,26 +270,20 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
         case DnodeSrc::kFifo2:
           return window(ps.fifo2);
         case DnodeSrc::kBus:
-          return TapeRef{TapeRef::kState, TapeLayout::kBus};
+          return TapeLayout::kBus;
         case DnodeSrc::kHost:
-          return TapeRef{TapeRef::kPops, host_pop};
+          return lay.pop(host_pop);
         case DnodeSrc::kImm:
-          return pd.is_local
-                     ? TapeRef{TapeRef::kLocalImm,
-                               static_cast<std::uint16_t>(
-                                   i * kLocalProgramSlots + slot)}
-                     : TapeRef{TapeRef::kImm,
-                               static_cast<std::uint16_t>(imm_base + i)};
+          return pd.is_local ? constant(i * kLocalProgramSlots + slot, true)
+                             : constant(imm_base + i, false);
         case DnodeSrc::kR0:
         case DnodeSrc::kR1:
         case DnodeSrc::kR2:
         case DnodeSrc::kR3:
-          return TapeRef{
-              TapeRef::kState,
-              lay.reg(i, static_cast<std::size_t>(src) -
-                             static_cast<std::size_t>(DnodeSrc::kR0))};
+          return lay.reg(i, static_cast<std::size_t>(src) -
+                                static_cast<std::size_t>(DnodeSrc::kR0));
       }
-      return TapeRef{};
+      return TapeLayout::kZero;
     };
 
     TapeOp op;
@@ -283,41 +298,62 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
     op.out = in.out_en ? lay.out(i) : lay.sink();
     if (in.dst != DnodeDst::kNone) writes.push_back(op.dst);
     if (op.out != lay.sink()) writes.push_back(op.out);
-    if (op.host_en || op.bus_en) {
-      t.effects.push_back(static_cast<std::uint32_t>(t.ops.size()));
-    }
-    t.ops.push_back(op);
-    t.sources.push_back({i, slot, &ps});
+    (in.op == DnodeOp::kPass ? moves : alus).push_back({op, {i, slot, &ps}});
   }
-  t.pops[p] = pops;
+  at.pops = pops;
   std::sort(writes.begin(), writes.end());
+
+  // PASS ops first: the loop runs them as moves, without the ALU
+  // dispatch.  Order within a phase is free: every op reads the
+  // current buffer and writes its own slots of the next (or the sink).
+  at.alu = static_cast<std::uint32_t>(at.ops + moves.size());
+  for (const auto* list : {&moves, &alus}) {
+    for (const auto& [op, src] : *list) {
+      t.ops.push_back(op);
+      t.sources.push_back(src);
+    }
+  }
+  // Host and bus effects drain in Dnode order.
+  for (auto m = at.ops; m < t.ops.size(); ++m) {
+    if (t.ops[m].host_en || t.ops[m].bus_en) t.effects.push_back(m);
+  }
+  std::sort(t.effects.begin() + at.effects, t.effects.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return t.sources[a].dnode < t.sources[b].dnode;
+            });
 }
 
 /// Close `t`: phase bounds, the per-phase carry lists (what the
 /// previous phase wrote and this one does not) and the written set.
-void finish_tape(SuperstepTape& t,
+/// `t` stays invalid when a slot lies beyond a 16-bit offset.
+void finish_tape(const RingGeometry& geom, SuperstepTape& t,
                  const std::vector<std::vector<std::uint16_t>>& writes) {
   const std::size_t period = t.period;
-  t.begin[period] = static_cast<std::uint32_t>(t.ops.size());
-  t.effects_begin[period] = static_cast<std::uint32_t>(t.effects.size());
-  t.taps_begin[period] = static_cast<std::uint32_t>(t.taps.size());
+  t.slots = TapeLayout{geom.dnode_count()}.consts() + t.consts.size();
+  if (t.slots > std::size_t{1} << 16) return;
+  SuperstepTape::Phase& end = t.phases[period];
+  end.ops = static_cast<std::uint32_t>(t.ops.size());
+  end.gather = static_cast<std::uint32_t>(t.gather.size());
+  end.effects = static_cast<std::uint32_t>(t.effects.size());
+  end.taps = static_cast<std::uint32_t>(t.taps.size());
   for (std::size_t p = 0; p < period; ++p) {
-    t.carry_begin[p] = static_cast<std::uint32_t>(t.carry.size());
+    t.phases[p].carry = static_cast<std::uint32_t>(t.carry.size());
     const auto& prev = writes[(p + period - 1) % period];
     std::set_difference(prev.begin(), prev.end(), writes[p].begin(),
                         writes[p].end(), std::back_inserter(t.carry));
     t.written.insert(t.written.end(), writes[p].begin(), writes[p].end());
   }
-  t.carry_begin[period] = static_cast<std::uint32_t>(t.carry.size());
+  end.carry = static_cast<std::uint32_t>(t.carry.size());
   t.pop_sum.assign(period + 1, 0);
   t.out_sum.assign(period + 1, 0);
   for (std::size_t p = 0; p < period; ++p) {
-    std::uint32_t outs = t.taps_begin[p + 1] - t.taps_begin[p];
-    for (std::uint32_t j = t.effects_begin[p]; j < t.effects_begin[p + 1];
-         ++j) {
+    const SuperstepTape::Phase& a = t.phases[p];
+    const SuperstepTape::Phase& b = t.phases[p + 1];
+    std::uint32_t outs = b.taps - a.taps;
+    for (std::uint32_t j = a.effects; j < b.effects; ++j) {
       outs += t.ops[t.effects[j]].host_en ? 1u : 0u;
     }
-    t.pop_sum[p + 1] = t.pop_sum[p] + t.pops[p];
+    t.pop_sum[p + 1] = t.pop_sum[p] + a.pops;
     t.out_sum[p + 1] = t.out_sum[p] + outs;
   }
   std::sort(t.written.begin(), t.written.end());
@@ -336,10 +372,11 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
     t.base_counters.push_back(locals[i].counter());
   }
   std::vector<std::vector<std::uint16_t>> writes(period);
+  ConstSlots const_slots;
   for (std::size_t p = 0; p < period; ++p) {
-    lower_phase(geom, plan, locals, p, 0, p, t, writes[p]);
+    lower_phase(geom, plan, locals, p, 0, p, t, const_slots, writes[p]);
   }
-  finish_tape(t, writes);
+  finish_tape(geom, t, writes);
 }
 
 void compile_loop_tape(const RingGeometry& geom,
@@ -350,11 +387,12 @@ void compile_loop_tape(const RingGeometry& geom,
   const std::size_t n = geom.dnode_count();
   begin_tape(t, plans.size());
   std::vector<std::vector<std::uint16_t>> writes(plans.size());
+  ConstSlots const_slots;
   for (std::size_t i = 0; i < plans.size(); ++i) {
-    if ((pages[i] + 1) * n > std::size_t{1} << 16) return;
-    lower_phase(geom, *plans[i], locals, 0, pages[i] * n, i, t, writes[i]);
+    lower_phase(geom, *plans[i], locals, 0, pages[i] * n, i, t, const_slots,
+                writes[i]);
   }
-  finish_tape(t, writes);
+  finish_tape(geom, t, writes);
 }
 
 std::uint64_t tape_fit(std::span<const std::uint32_t> sum, std::size_t s,

@@ -12,12 +12,13 @@
 // plan.
 //
 // A plan captures the configuration's *structure* only: immediates
-// compile as 0, and the tape reads them live (TapeRef::kImm from the
-// ConfigMemory's live image, TapeRef::kLocalImm from the Ring's copy
-// of the local programs' immediates).  One plan therefore serves every
-// configuration that differs from it only in immediates — a GEMM tile's
-// matrix or a FIR's taps are data, as in the paper's controller, which
-// rewrites microinstructions as data every cycle.
+// compile as 0, and the tape holds them in constant slots that the
+// Ring refills from the ConfigMemory's live image and its copy of the
+// local programs' immediates (SuperstepTape::consts).  One plan
+// therefore serves every configuration that differs from it only in
+// immediates — a GEMM tile's matrix or a FIR's taps are data, as in
+// the paper's controller, which rewrites microinstructions as data
+// every cycle.
 //
 // Attachment contract: a plan is *attached* (executing without any
 // per-cycle checks beyond the stamp compare) exactly while
@@ -110,12 +111,19 @@ struct CyclePlan {
   std::vector<HostTapPlan> host_taps;        ///< switch-asc, lane-asc
 };
 
-/// Flat state the superstep tape runs over, one vector per buffer:
-/// a constant zero, the shared bus, four registers per Dnode, one
-/// output register per Dnode, a sink slot that absorbs output writes
-/// an instruction does not make, and one value slot per Dnode that
-/// holds its result when it writes no register.  Slot 0 is never
+/// Flat state the superstep tape runs over, one buffer per clock
+/// phase: a constant zero, the shared bus, four registers per Dnode,
+/// one output register per Dnode, a sink slot that absorbs output
+/// writes an instruction does not make, and one value slot per Dnode
+/// that holds its result when it writes no register.  Slot 0 is never
 /// written; value slots are read only in the cycle that wrote them.
+///
+/// Past the state (from size()) lie a tape's operand slots, so that a
+/// micro-op reads every operand from the current buffer at one offset:
+/// this cycle's host pops (pop(k), at most three per Dnode) and the
+/// window words the phase reads (win(k), at most one per operand), both
+/// gathered before the phase's ops run, then from consts() the tape's
+/// immediates, held in both buffers.
 struct TapeLayout {
   static constexpr std::uint16_t kZero = 0;
   static constexpr std::uint16_t kBus = 1;
@@ -139,31 +147,25 @@ struct TapeLayout {
     return static_cast<std::uint16_t>(sink() + 1 + dnode);
   }
   std::size_t size() const noexcept { return sink() + 1u + dnodes; }
-};
-
-/// One operand of a tape micro-op: word `off` of one of five bases —
-/// the current state buffer, the feedback window at its depth-0 row
-/// (row-major: depth * dnodes + upstream Dnode), this cycle's host
-/// pops (in pop order), the live configuration's immediates (flat
-/// Dnode index, ConfigMemory::live_imms()), or the local programs'
-/// immediates (Dnode * kLocalProgramSlots + slot).  Both are read
-/// live — the first re-read after every controller step, the second
-/// updated in place by WRLOC — so a page swap or a WRCFG/WRLOC that
-/// changes only immediates keeps the same plan and tape.
-struct TapeRef {
-  enum Base : std::uint8_t { kState = 0, kWindow, kPops, kImm, kLocalImm };
-  std::uint8_t base = kState;
-  std::uint16_t off = TapeLayout::kZero;
+  std::uint16_t pop(std::size_t k) const noexcept {
+    return static_cast<std::uint16_t>(size() + k);
+  }
+  std::uint16_t win(std::size_t k) const noexcept {
+    return static_cast<std::uint16_t>(size() + 3 * dnodes + k);
+  }
+  std::size_t consts() const noexcept { return size() + 6 * dnodes; }
 };
 
 /// One non-NOP Dnode slot lowered for the superstep loop: the ALU
-/// operation, its three operands (unused ones read the zero slot) and
-/// the state slots the result latches into.
+/// operation, the buffer slots of its three operands (unused ones read
+/// the zero slot) and the state slots the result latches into.
 struct TapeOp {
   DnodeOp op = DnodeOp::kNop;
   bool host_en = false;
   bool bus_en = false;
-  TapeRef a, b, c;
+  std::uint16_t a = TapeLayout::kZero;
+  std::uint16_t b = TapeLayout::kZero;
+  std::uint16_t c = TapeLayout::kZero;
   /// Register slot, or the Dnode's value slot: the result is there
   /// after the op either way.
   std::uint16_t dst = 0;
@@ -191,8 +193,22 @@ struct SuperstepTape {
   std::vector<std::uint8_t> base_counters;  ///< per plan.local_dnodes
   std::vector<TapeOp> ops;                  ///< phase-major
   std::vector<Source> sources;              ///< parallel to ops
-  std::vector<std::uint32_t> begin;         ///< [period + 1] into ops
-  std::vector<std::uint32_t> pops;          ///< [period] host words
+  /// Where phase p's entries begin in each per-phase list; entry
+  /// `period` ends them.  `pops` is phase p's own count of host words
+  /// (0 in the last entry).  One row per phase, so a cycle reads its
+  /// bounds from one place.
+  struct Phase {
+    std::uint32_t ops = 0;      ///< into ops and sources
+    /// Into ops: the phase's PASS ops come first and run as plain
+    /// moves, its other ops from here.
+    std::uint32_t alu = 0;
+    std::uint32_t effects = 0;  ///< into effects
+    std::uint32_t gather = 0;   ///< into gather
+    std::uint32_t carry = 0;    ///< into carry
+    std::uint32_t taps = 0;     ///< into taps
+    std::uint32_t pops = 0;
+  };
+  std::vector<Phase> phases;                ///< [period + 1]
   /// Prefix sums over phases [0, p), [period + 1]: the host words the
   /// cycles consume (a loop tape adds each replayed INPOP's word) and
   /// the host words they output.  A guard-free span is sized from them
@@ -201,16 +217,38 @@ struct SuperstepTape {
   std::vector<std::uint32_t> out_sum;
   /// Indices into ops of the hostEn/busEn micro-ops, phase-major.
   std::vector<std::uint32_t> effects;
-  std::vector<std::uint32_t> effects_begin;  ///< [period + 1]
+  /// Per phase: the window words its ops read, as offsets from the
+  /// depth-0 row (row-major: depth * dnodes + upstream Dnode), and the
+  /// win() slots they are copied into before the ops run.
+  struct Gather {
+    std::uint32_t from = 0;
+    std::uint16_t to = 0;
+  };
+  std::vector<Gather> gather;
+  /// The immediates the ops read, one constant slot each in both
+  /// buffers: word `from` of the configuration's immediates (a plan
+  /// tape reads ConfigMemory::live_imms(), a loop tape page_imms()) or,
+  /// `local`, of the local programs' (Dnode * kLocalProgramSlots +
+  /// slot).  The Ring refills them wherever the configuration may have
+  /// changed: at every dispatch, after every controller step and when
+  /// a replay starts.  So a page swap or a WRCFG/WRLOC that changes
+  /// only immediates keeps the same plan and tape.
+  struct Const {
+    std::uint32_t from = 0;
+    std::uint16_t slot = 0;
+    bool local = false;
+  };
+  std::vector<Const> consts;
+  /// Buffer words the tape addresses: the state, the gather slots and
+  /// its constants.
+  std::size_t slots = 0;
   /// Per phase: slots the previous phase wrote and this one does not,
   /// copied forward so both state buffers stay in step.
   std::vector<std::uint16_t> carry;
-  std::vector<std::uint32_t> carry_begin;   ///< [period + 1]
   /// Every slot some phase writes (carried on a switch to another tape).
   std::vector<std::uint16_t> written;
   /// Host-out taps per phase, switch order.
   std::vector<HostTapPlan> taps;
-  std::vector<std::uint32_t> taps_begin;    ///< [period + 1]
   /// Cycles executed per phase since the last statistics flush.
   std::vector<std::uint64_t> phase_cycles;
   bool queued = false;  ///< in the Ring's flush queue (unflushed cycles)
@@ -238,7 +276,7 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
 /// Lower a recorded controller loop into `tape`: phase i runs the
 /// all-global `plans[i]` with its kImm operands reading word
 /// pages[i] * dnode_count + dnode of ConfigMemory::page_imms().  The
-/// tape stays invalid when an immediate lies beyond a TapeRef offset.
+/// tape stays invalid when its slots lie beyond a 16-bit offset.
 void compile_loop_tape(const RingGeometry& geom,
                        std::span<const CyclePlan* const> plans,
                        std::span<const std::size_t> pages,

@@ -1,6 +1,7 @@
 #include "core/ring.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -25,8 +26,8 @@ Ring::Ring(const RingGeometry& g) : geom_(g) {
   is_local_.assign(geom_.dnode_count(), false);
   needs_.assign(geom_.dnode_count(), {});
   effects_.assign(geom_.dnode_count(), {});
-  const TapeLayout lay{geom_.dnode_count()};
-  flat_.assign(2 * lay.size(), 0);
+  stride_ = TapeLayout{geom_.dnode_count()}.size();
+  flat_.assign(2 * stride_, 0);
   // Enough slack rows that relocating the window (fb_depth - 1 rows)
   // is rare next to the one-row push every cycle.
   window_slack_ = std::max<std::size_t>(geom_.fb_depth,
@@ -201,8 +202,8 @@ Ring::CycleResult Ring::step(const ConfigMemory& cfg, Word bus,
     // plan holds no imm).
     std::fill(effects_.begin(), effects_.end(), Effects{});
     const SuperstepTape& t = *last_tape_;
-    for (std::uint32_t k = t.begin[last_phase_]; k < t.begin[last_phase_ + 1];
-         ++k) {
+    for (std::uint32_t k = t.phases[last_phase_].ops;
+         k < t.phases[last_phase_ + 1].ops; ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const DnodeInstr& in =
           e->plan.dnodes[src.dnode].is_local
@@ -417,7 +418,9 @@ void push_window(Word* win, std::size_t& h, std::size_t slack,
     h = slack + 1;
   }
   --h;
-  std::copy(outs, outs + row, win + h * row);
+  // A plain loop, not std::copy: that is a memmove call every cycle.
+  Word* const to = win + h * row;
+  for (std::size_t k = 0; k < row; ++k) to[k] = outs[k];
 }
 
 }  // namespace
@@ -509,7 +512,7 @@ Ring::CycleResult Ring::step_interpreted(const ConfigMemory& cfg, Word bus,
   settle_last_tape();
   const TapeLayout lay{n};
   Word* const cur = flat_.data() + cur_;
-  Word* const nxt = flat_.data() + (lay.size() - cur_);
+  Word* const nxt = flat_.data() + (stride_ - cur_);
 
   // Phase 3+4: route and execute.  Routing reads only pre-edge state
   // (output registers, feedback window, bus), so evaluation order across
@@ -662,7 +665,10 @@ SuperstepTape& Ring::enter_tape(PlanCacheEntry& e, std::size_t& phase,
     // (Re)lower the tape when missing or when the local counters match
     // none of its phases.
     const std::ptrdiff_t p = t.valid ? tape_phase(t, e.plan, locals_) : -1;
-    if (p < 0) compile_tape(geom_, e.plan, locals_, t);
+    if (p < 0) {
+      compile_tape(geom_, e.plan, locals_, t);
+      fit_stride(t);
+    }
     phase = p < 0 ? 0 : static_cast<std::size_t>(p);
   }
   queue_tape(t);
@@ -671,11 +677,29 @@ SuperstepTape& Ring::enter_tape(PlanCacheEntry& e, std::size_t& phase,
 
 void Ring::settle_last_tape() noexcept {
   if (last_tape_ == nullptr) return;
-  const std::size_t size = TapeLayout{locals_.size()}.size();
   const Word* const cur = flat_.data() + cur_;
-  Word* const nxt = flat_.data() + (size - cur_);
+  Word* const nxt = flat_.data() + (stride_ - cur_);
   for (const std::uint16_t slot : last_tape_->written) nxt[slot] = cur[slot];
   last_tape_ = nullptr;
+}
+
+void Ring::fit_stride(const SuperstepTape& t) {
+  if (t.slots <= stride_) return;
+  std::vector<Word> grown(2 * t.slots, 0);
+  std::copy_n(flat_.begin(), stride_, grown.begin());
+  std::copy_n(flat_.begin() + static_cast<std::ptrdiff_t>(stride_), stride_,
+              grown.begin() + static_cast<std::ptrdiff_t>(t.slots));
+  if (cur_ != 0) cur_ = t.slots;
+  stride_ = t.slots;
+  flat_.swap(grown);
+}
+
+void Ring::load_consts(const SuperstepTape& t, const Word* imms) noexcept {
+  Word* const b0 = flat_.data();
+  Word* const b1 = b0 + stride_;
+  for (const SuperstepTape::Const& k : t.consts) {
+    b0[k.slot] = b1[k.slot] = k.local ? local_imm_[k.from] : imms[k.from];
+  }
 }
 
 namespace {
@@ -716,10 +740,12 @@ void Ring::flush_tape(SuperstepTape& t, SuperstepResult& res) {
     const std::uint64_t cnt = t.phase_cycles[p];
     if (cnt == 0) continue;
     t.phase_cycles[p] = 0;
-    for (std::uint32_t k = t.taps_begin[p]; k < t.taps_begin[p + 1]; ++k) {
+    const SuperstepTape::Phase& a = t.phases[p];
+    const SuperstepTape::Phase& b = t.phases[p + 1];
+    for (std::uint32_t k = a.taps; k < b.taps; ++k) {
       host_out_words_per_switch_[t.taps[k].sw] += cnt;
     }
-    for (std::uint32_t k = t.begin[p]; k < t.begin[p + 1]; ++k) {
+    for (std::uint32_t k = a.ops; k < b.ops; ++k) {
       const SuperstepTape::Source& src = t.sources[k];
       const PlannedSlot& ps = *src.slot;
       res.ops += cnt;
@@ -786,25 +812,26 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   std::size_t phase = 0;
   bool tape_ran = false;  // `tape` ran a cycle since its last phase
   SuperstepTape* tape = &enter_tape(*entry, phase, tape_ran);
+  // The immediates move only when the configuration does: between
+  // dispatches, in a controller step (a page swap or a word write) or
+  // at a replay's start, which reads every page's own.  Each of those
+  // refills the running tape's constant slots.
+  load_consts(*tape, ctx.cfg.live_imms());
 
   const std::size_t n = locals_.size();
   const TapeLayout lay{n};
   const std::uint16_t outs = lay.outs();
-  Word* cur = flat_.data() + cur_;
-  Word* nxt = flat_.data() + (lay.size() - cur_);
-  cur[TapeLayout::kBus] = ctx.bus;
+  // The two buffers.  Lowering a tape may move them (fit_stride), so
+  // they are re-derived after each step that may lower one.
+  const auto cur = [&] { return flat_.data() + cur_; };
+  const auto nxt = [&] { return flat_.data() + (stride_ - cur_); };
+  cur()[TapeLayout::kBus] = ctx.bus;
   std::size_t head = head_;       // window row of feedback depth 0
   std::uint64_t edges = 0;        // non-stalled cycles
   std::size_t prev_top = 0;
   bool have_prev_top = false;
   bool inert = false;
   bool driven = false;  // a Dnode drove the bus in the last cycle
-  // The live immediates move only when the controller swaps a page or
-  // rewrites a word: without one they are fixed for the dispatch, with
-  // one they are re-read after every controller step.  A loop tape
-  // reads every page's own.
-  const Word* imms = ctx.cfg.live_imms();
-  const Word* const local_imms = local_imm_.data();
 
   const auto sample_depth = [&] {
     if (ctx.probe.counts != nullptr) {
@@ -827,7 +854,9 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   // Change the running tape at a cycle boundary.  The buffer written
   // next still holds the old tape's slots from two cycles ago.
   const auto switch_to = [&](SuperstepTape& t) {
-    for (const std::uint16_t slot : tape->written) nxt[slot] = cur[slot];
+    const Word* const c = cur();
+    Word* const x = nxt();
+    for (const std::uint16_t slot : tape->written) x[slot] = c[slot];
     tape = &t;
   };
   const auto stop_replay = [&] {
@@ -835,19 +864,23 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
                phase, ctx.cfg, *control);
     replay = nullptr;
     entry = current_plan_;
-    imms = ctx.cfg.live_imms();
   };
 
   // The cycles from `phase` that no guard can stop, the first admitted
   // by the caller: the budget left, what the host-input words feed, and
   // the output stop, which admits cycle j > 0 against host_out's size
-  // at the top of cycle j - 1.  A replay's span ends with the iteration:
-  // a branch may end it early, and the output range it reserves stays
-  // one iteration's.
+  // at the top of cycle j - 1.  A replay's span runs whole iterations,
+  // at most twice as many as the replay has run (one at first): a loop
+  // exit ends it early (its branch guard), and the output range it
+  // reserves stays within twice what the replay wrote.
   const auto span_len = [&] {
     const SuperstepTape& t = *tape;
     std::uint64_t k = ctx.max_cycles - res.cycles;
-    if (replay != nullptr) k = std::min<std::uint64_t>(k, t.period - phase);
+    if (replay != nullptr) {
+      const std::uint64_t iters =
+          std::max<std::uint64_t>(1, (res.cycles - replay_from) / t.period * 2);
+      k = std::min(k, iters * t.period - phase);
+    }
     k = std::min(k, tape_fit(t.pop_sum, phase, host_in.size()));
     const std::size_t stop = ctx.host_out_stop;
     if (stop != std::numeric_limits<std::size_t>::max()) {
@@ -864,8 +897,12 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   // and sized `k` so no budget, output-stop or host-input guard can stop
   // the rest.  A replay runs each cycle's recorded instruction first
   // and, from the second cycle on, guards its conditional branches: a
-  // miss ends the span before that cycle.  Returns the cycles run.
-  const auto run_span = [&](std::uint64_t k, std::size_t top, auto replaying) {
+  // miss (the loop exit among them) ends the span before that cycle,
+  // and the output reserved for the cycles not run is given back.
+  // Returns the cycles run.  Not inlined: the loop keeps more of its
+  // state in registers outside run_tape's frame.
+  const auto run_span = [&](std::uint64_t k, std::size_t top,
+                            auto replaying) __attribute__((noinline)) {
     constexpr bool kReplay = decltype(replaying)::value;
     const SuperstepTape& t = *tape;
     const std::size_t out_at = host_out.size();
@@ -875,20 +912,25 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     Word* last_out = out;  // the output cursor at the last cycle's top
     const TraceCycle* const rec = kReplay ? replay->cycles.data() : nullptr;
     const TapeOp* const ops = t.ops.data();
+    const SuperstepTape::Phase* const phases = t.phases.data();
+    const SuperstepTape::Gather* const gather = t.gather.data();
+    const std::uint16_t* const carry = t.carry.data();
+    const HostTapPlan* const taps = t.taps.data();
+    const std::uint32_t* const effects = t.effects.data();
+    const std::uint16_t pop0 = lay.pop(0);
     // Locals, not members: a replay's register writes cannot alias them.
+    // (The window's slack and depth are read only when it relocates.)
     const std::size_t period = t.period;
     const std::size_t row = n;
-    const std::size_t slack = window_slack_;
-    const std::size_t keep = (geom_.fb_depth - 1) * row;
     Word* const win = window_.data();
-    Word* c = cur;
-    Word* x = nxt;
+    Word* c = cur();
+    Word* x = nxt();
     std::size_t h = head;
     std::size_t p = phase;
     bool drove = driven;
     const Word* const in0 = host_in.data();
     const Word* in = in0;  // the next host-input word
-    std::uint64_t in_words = 0;
+    std::uint64_t in_words = 0;  // a replay's: its INPOPs pop too
     std::uint64_t drives = 0;
     std::uint64_t conflicts = 0;
     std::uint64_t j = 0;
@@ -927,37 +969,55 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
         }
       }
 
-      // The phase: operand fetch, ALU, latch into the next buffer.
+      // The phase: gather, ALU, latch into the next buffer.  The
+      // gather copies this cycle's pops and the window words the phase
+      // reads into their slots, so every operand is a slot of `c`.
       // Every per-op statistic is a tape constant, settled by
       // flush_tape() from the per-phase cycle counts.
       last_out = out;
-      const Word* const base[5] = {c, win + h * row, in, imms, local_imms};
-      for (std::uint32_t m = t.carry_begin[p]; m < t.carry_begin[p + 1];
-           ++m) {
-        x[t.carry[m]] = c[t.carry[m]];
+      const SuperstepTape::Phase& at = phases[p];
+      const SuperstepTape::Phase& end = phases[p + 1];
+      for (std::uint32_t m = at.carry; m < end.carry; ++m) {
+        x[carry[m]] = c[carry[m]];
       }
-      for (std::uint32_t m = t.begin[p]; m < t.begin[p + 1]; ++m) {
+      const Word* const depth0 = win + h * row;
+      for (std::uint32_t m = at.gather; m < end.gather; ++m) {
+        c[gather[m].to] = depth0[gather[m].from];
+      }
+      const std::uint32_t pops = at.pops;
+      std::uint32_t q = 0;
+      for (; q + 4 <= pops; q += 4) {  // four words a move
+        std::uint64_t w;
+        std::memcpy(&w, in + q, sizeof w);
+        std::memcpy(c + pop0 + q, &w, sizeof w);
+      }
+      for (; q < pops; ++q) c[pop0 + q] = in[q];
+      for (std::uint32_t m = at.ops; m < at.alu; ++m) {
         const TapeOp& o = ops[m];
-        const Word v = alu_apply(
-            o.op, [&] { return base[o.a.base][o.a.off]; },
-            [&] { return base[o.b.base][o.b.off]; },
-            [&] { return base[o.c.base][o.c.off]; });
+        const Word v = c[o.a];
         x[o.dst] = v;
         x[o.out] = v;
       }
-      in += t.pops[p];
-      in_words += t.pops[p];
+      for (std::uint32_t m = at.alu; m < end.ops; ++m) {
+        const TapeOp& o = ops[m];
+        const Word v = alu_apply(
+            o.op, [&] { return c[o.a]; }, [&] { return c[o.b]; },
+            [&] { return c[o.c]; });
+        x[o.dst] = v;
+        x[o.out] = v;
+      }
+      in += pops;
+      if constexpr (kReplay) in_words += pops;
 
       // Host output: switch taps first (switch order), then Dnode
       // hostEn results (Dnode order).  Bus: highest Dnode index wins.
-      for (std::uint32_t m = t.taps_begin[p]; m < t.taps_begin[p + 1]; ++m) {
-        *out++ = c[outs + t.taps[m].src];
+      for (std::uint32_t m = at.taps; m < end.taps; ++m) {
+        *out++ = c[outs + taps[m].src];
       }
       Word bus = c[TapeLayout::kBus];
       drove = false;
-      for (std::uint32_t e = t.effects_begin[p]; e < t.effects_begin[p + 1];
-           ++e) {
-        const std::uint32_t m = t.effects[e];
+      for (std::uint32_t e = at.effects; e < end.effects; ++e) {
+        const std::uint32_t m = effects[e];
         const Word v = x[ops[m].dst];
         if (ops[m].host_en) *out++ = v;
         if (ops[m].bus_en) {
@@ -971,7 +1031,8 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
 
       // Clock edge: every pipeline latches its upstream layer's
       // pre-edge outputs — one row of the shared window.
-      push_window(win, h, slack, keep, row, c + outs);
+      push_window(win, h, window_slack_, (geom_.fb_depth - 1) * row, row,
+                  c + outs);
       std::swap(c, x);
       if (++p == period) p = 0;
     }
@@ -989,15 +1050,15 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     host_out.resize(static_cast<std::size_t>(out - host_out.data()));
     bus_drives_ += drives;
     bus_conflicts_ += conflicts;
-    cur = c;
-    nxt = x;
+    cur_ = static_cast<std::size_t>(c - flat_.data());
     head = h;
     phase = p;
     driven = drove;
     tape_ran = true;
     edges += j;
     res.cycles += j;
-    res.host_words_in += in_words;
+    res.host_words_in +=
+        kReplay ? in_words : static_cast<std::uint64_t>(in - in0);
     res.host_words_out += static_cast<std::uint64_t>(out - out0);
     prev_top = top + static_cast<std::size_t>(last_out - out0);
     have_prev_top = true;
@@ -1017,7 +1078,7 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
     if (control == nullptr) {
       // Nothing can end a host-input stall inside the loop: hand back
       // so step() replays it.
-      if (host_in.size() < tape->pops[phase]) break;
+      if (host_in.size() < tape->phases[phase].pops) break;
     } else {
       if (pending != nullptr) {
         // A loop head: replay when the machine is where the recording
@@ -1032,10 +1093,10 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
           replay = pending;
           switch_to(replay->tape);
           queue_tape(*tape);
+          load_consts(*tape, ctx.cfg.page_imms());
           phase = 0;
           tape_ran = false;
           replay_from = res.cycles;
-          imms = ctx.cfg.page_imms();
           regs = control->registers();
         }
         pending = nullptr;
@@ -1046,7 +1107,8 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
         const TraceCycle& c = replay->cycles[phase];
         const RiscInstr& in = c.instr;
         if (host_in.size() <
-                tape->pops[phase] + (in.op == RiscOp::kInpop ? 1u : 0u) ||
+                tape->phases[phase].pops +
+                    (in.op == RiscOp::kInpop ? 1u : 0u) ||
             (is_conditional(in.op) &&
              risc_taken(in.op, regs[in.ra], regs[in.rb]) != c.taken)) {
           stop_replay();
@@ -1055,18 +1117,17 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
         }
       } else {
         sample_depth();
-        const Word bus_top = cur[TapeLayout::kBus];
+        const Word bus_top = cur()[TapeLayout::kBus];
         const ControlHook::Step cs =
             control->step(bus_top, ctx.cycle + res.cycles);
         inert = cs.inert;
-        if (cs.bus_drive) cur[TapeLayout::kBus] = *cs.bus_drive;
-        imms = ctx.cfg.live_imms();
+        if (cs.bus_drive) cur()[TapeLayout::kBus] = *cs.bus_drive;
         PlanCacheEntry* const next = lookup(ctx.cfg);
         if (next != entry) {
           if (next == nullptr || !next->plan.local_dnodes.empty()) {
             // step() finishes this cycle from this lookup: the
             // interpreter or a local-mode plan.
-            cur[TapeLayout::kBus] = bus_top;
+            cur()[TapeLayout::kBus] = bus_top;
             res.out_size_at_last_top = top;
             res.ring_pending = true;
             handoff_ = next;
@@ -1075,7 +1136,8 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
           entry = next;
           switch_to(enter_tape(*entry, phase, tape_ran));
         }
-        const bool stalled = host_in.size() < tape->pops[phase];
+        load_consts(*tape, ctx.cfg.live_imms());
+        const bool stalled = host_in.size() < tape->phases[phase].pops;
         // Only a recording, a backward jump or an arrival at the
         // trace's head has anything to note.
         if (rec_.on ||
@@ -1106,14 +1168,13 @@ Ring::SuperstepResult Ring::run_tape(PlanCacheEntry& start,
   }
   if (replay != nullptr) stop_replay();
 
-  cur_ = static_cast<std::size_t>(cur - flat_.data());
   head_ = head;
   edges_ += edges;
   if (tape_ran) {
     last_tape_ = tape;
     last_phase_ = (phase == 0 ? tape->period : phase) - 1;
   }
-  res.bus = cur[TapeLayout::kBus];
+  res.bus = cur()[TapeLayout::kBus];
   res.bus_driven = driven;
   if (!res.ring_pending) res.out_size_at_last_top = prev_top;
   for (SuperstepTape* const t : ran_) {
@@ -1285,6 +1346,7 @@ void Ring::lower_trace(const ConfigMemory& cfg, std::uint64_t code_id) {
   t.credit = std::move(credit);
   compile_loop_tape(geom_, plans, pages, locals_, t.tape);
   if (!t.tape.valid) return;
+  fit_stride(t.tape);
   // A replayed INPOP takes its word from the ring's input FIFO too.
   std::uint32_t inpops = 0;
   for (std::size_t i = 0; i < t.cycles.size(); ++i) {

@@ -251,10 +251,11 @@ class Ring {
   /// cycle runs its instruction inline on the controller's registers,
   /// then its phase, without a controller step, configuration write or
   /// plan lookup.  The guards above (budget, output stop, INPOP's word
-  /// and the phase's host pops present) size a span of cycles up to the
-  /// iteration's end, and each conditional branch must resolve as
-  /// recorded; on a miss the replay stops at that cycle boundary and
-  /// the cycle runs as before.  A stopped
+  /// and the phase's host pops present) size a span of whole
+  /// iterations, at most twice as many as the replay has run (one at
+  /// first), and each conditional branch must resolve as recorded; on
+  /// a miss the replay stops at that cycle boundary and the cycle runs
+  /// as before.  A stopped
   /// replay credits the controller (pc, instruction and bus-write
   /// counts), the configuration memory (live page, generation, words
   /// written, route changes) and ring.plan.* exactly as per-cycle
@@ -586,6 +587,12 @@ class Ring {
   /// The next buffer takes the last tape's written slots from the
   /// current one, so any tape can run next.
   void settle_last_tape() noexcept;
+  /// Widen both buffers to the slots `t` addresses, keeping their
+  /// contents.
+  void fit_stride(const SuperstepTape& t);
+  /// Fill `t`'s constant slots in both buffers from `imms` (the
+  /// configuration immediates it reads) and the local immediates.
+  void load_consts(const SuperstepTape& t, const Word* imms) noexcept;
   /// Settle the per-op statistics of the cycles `e`'s tape ran since
   /// its last flush (no-op when it ran none).
   void flush_tape(SuperstepTape& t, SuperstepResult& res);
@@ -618,7 +625,8 @@ class Ring {
   bool trace_views_ = false;     // maintain full effects_/fetched_
   std::uint64_t local_generation_ = 0;
   // The local programs' immediates, [dnode * kLocalProgramSlots + slot]
-  // (TapeRef::kLocalImm); write_local() and resets keep them current.
+  // (the source of a tape's local constants); write_local() and resets
+  // keep them current.
   std::vector<Word> local_imm_;
   std::uint64_t local_hash_ = 0;
   std::uint64_t local_hash_gen_ = ~std::uint64_t{0};
@@ -652,9 +660,12 @@ class Ring {
   std::vector<Effects> effects_;
 
   // The datapath state: flat_ holds two TapeLayout buffers back to
-  // back, the current one at offset cur_; window_ holds the feedback
-  // history, one pre-edge output row per edge, depth 0 at row head_.
+  // back, stride_ words each (the state and the operand slots of the
+  // widest tape lowered), the current one at offset cur_; window_
+  // holds the feedback history, one pre-edge output row per edge,
+  // depth 0 at row head_.
   std::vector<Word> flat_;
+  std::size_t stride_ = 0;
   std::vector<Word> window_;
   std::size_t window_slack_ = 0; // rows pushed before a relocation
   std::size_t cur_ = 0;

@@ -20,7 +20,12 @@
 // that land mid-iteration, an untraceable WRCFG in the body (always,
 // or on one iteration only), a rerun or a re-arm with new page
 // immediates midway, and a second counted loop, either nested (it
-// replays while the outer loop records) or following the first.
+// replays while the outer loop records) or following the first.  Four
+// variants run long loops, whose replay spans cover several
+// iterations each: the loop exits inside a span, budgets and output
+// stops land deep inside spans, INPOP starves in a later iteration of
+// a span, and an inner loop whose count changes every outer iteration
+// exits early under an outer loop over a long input.
 //
 // A third generator enters a traced loop by falling into its head
 // after a rerun, on a reset configuration that equals the entry page
@@ -53,7 +58,7 @@ namespace {
 using namespace schedules;
 
 constexpr int kSeeds = 240;
-constexpr int kTraceSeeds = 340;
+constexpr int kTraceSeeds = 476;
 constexpr int kFallThroughSeeds = 64;
 
 /// A page of random global-mode instructions and routes.
@@ -111,6 +116,12 @@ enum TraceVariant {
   kHeadFlip,    // the flipping BEQ is the loop head: cycle 0 of an iteration
   kHeadStarve,  // the head is the only INPOP and the pages pop nothing
   kBoundary,    // run_cycles budgets that end on iteration boundaries
+  // Long loops: a replay span covers up to twice the iterations the
+  // replay has run, so these stop inside multi-iteration spans.
+  kLongExit,    // one long run: the loop exits inside a span
+  kLongStops,   // budgets and output stops deep inside spans
+  kLateStarve,  // input for a few iterations at a time: INPOP starves late
+  kNestedExit,  // an inner loop of 1-4 iterations under a long outer loop
   kTraceVariants
 };
 
@@ -123,6 +134,7 @@ Case make_trace_case(int seed) {
   c.g = pick(rng, kGeometries);
   const RingGeometry& g = c.g;
   const std::size_t n = g.dnode_count();
+  const bool long_loop = variant >= kLongExit;
   ProgramBuilder pb(g, "trace_" + std::to_string(seed));
   ProgramBuilder alt(g, "trace_" + std::to_string(seed));
 
@@ -132,12 +144,16 @@ Case make_trace_case(int seed) {
     pages.push_back(i > 0 && chance(rng, 35)
                         ? with_new_imms(rng, pages[rng.next_below(i)])
                         : random_global_page(rng, g));
-    if (variant == kHeadStarve) pages.back() = without_host_pops(pages.back());
+    // Long loops consume input only through INPOP, so it lasts.
+    if (variant == kHeadStarve || long_loop) {
+      pages.back() = without_host_pops(pages.back());
+    }
     pb.add_page(pages.back());
     alt.add_page(with_new_imms(rng, pages.back()));
   }
 
-  const std::uint64_t iterations = 4 + rng.next_below(40);
+  const std::uint64_t iterations =
+      long_loop ? 40 + rng.next_below(160) : 4 + rng.next_below(40);
   const std::uint64_t flip = 1 + rng.next_below(iterations - 1);
   const bool wrcfg_always = variant == kWrcfg && chance(rng, 50);
   struct {
@@ -150,11 +166,20 @@ Case make_trace_case(int seed) {
     second = {chance(rng, 50), 3 + rng.next_below(6),
               rng.next_below(npages), rng.next_below(npages)};
   }
+  if (variant == kNestedExit) {
+    second = {false, 0, rng.next_below(npages), rng.next_below(npages)};
+  }
   // Nested, its trace exists before the outer loop's second iteration,
   // so it replays while the outer loop records; after the loop, it is
   // lowered in the dispatch that replayed the first loop.
   const auto second_loop = [&](ProgramBuilder& b, std::size_t back) {
-    b.set_reg(13, second.iterations);
+    if (variant == kNestedExit) {  // (r1 & 3) + 1 iterations
+      b.ldi(14, 3);
+      b.alu(RiscOp::kAnd, 13, 1, 14);
+      b.addi(13, 13, 1);
+    } else {
+      b.set_reg(13, second.iterations);
+    }
     b.label("second");
     b.page_switch(second.a);
     b.inpop(3);
@@ -202,7 +227,8 @@ Case make_trace_case(int seed) {
       });
       continue;
     }
-    if (k == special && variant == kNested && !second.after) {
+    if (k == special && (variant == kNested || variant == kNestedExit) &&
+        !second.after) {
       emit([&](ProgramBuilder& b) { second_loop(b, live); });
       continue;
     }
@@ -270,7 +296,8 @@ Case make_trace_case(int seed) {
 
   // Host side.  Plenty of input, all up front unless the variant
   // starves the controller.
-  const std::size_t total = 600 + rng.next_below(600);
+  const std::size_t total =
+      600 + rng.next_below(600) + (long_loop ? iterations * (loop_len + 8) : 0);
   for (std::size_t i = 0; i < total; ++i) {
     c.input.push_back(rng.next_word_in(-300, 300));
   }
@@ -306,6 +333,36 @@ Case make_trace_case(int seed) {
         c.drive.push_back({Action::kRun, loop_len * (1 + rng.next_below(4))});
       }
       break;
+    case kLongStops:
+      c.drive.push_back({Action::kSend, total});
+      for (int step = 0; step < 12; ++step) {
+        if (chance(rng, 50)) {
+          c.drive.push_back({Action::kOutputs, 20 + rng.next_below(400)});
+        } else {
+          c.drive.push_back(
+              {Action::kRun,
+               loop_len * (4 + rng.next_below(30)) + rng.next_below(loop_len)});
+        }
+      }
+      break;
+    case kLateStarve: {  // each feed lasts a few iterations of a longer run
+      const auto& code = c.program.controller_code;
+      const auto inpops = static_cast<std::size_t>(std::count_if(
+          code.begin() + static_cast<std::ptrdiff_t>(head_pc),
+          code.begin() + static_cast<std::ptrdiff_t>(head_pc + loop_len),
+          [](std::uint32_t w) {
+            return RiscInstr::decode(w).op == RiscOp::kInpop;
+          }));
+      std::size_t sent = 0;
+      while (sent < total) {
+        const std::size_t k = std::min<std::size_t>(
+            total - sent, 1 + inpops * (2 + rng.next_below(6)));
+        c.drive.push_back({Action::kSend, k});
+        sent += k;
+        c.drive.push_back({Action::kRun, loop_len * (8 + rng.next_below(20))});
+      }
+      break;
+    }
     case kRearm: {
       const std::size_t half = total / 2;
       c.drive.push_back({Action::kSend, half});
@@ -320,7 +377,8 @@ Case make_trace_case(int seed) {
       c.drive.push_back({Action::kRun, 1 + rng.next_below(400)});
       break;
   }
-  c.drive.push_back({Action::kRun, 2000});
+  c.drive.push_back(
+      {Action::kRun, 2000 + (long_loop ? iterations * (loop_len + 30) : 0)});
   return c;
 }
 
@@ -505,7 +563,8 @@ TEST(PageScheduleDifferential, TracedLoopsAndGuardMissesAgree) {
     timeouts += fused_run.output_stop_timeouts;
     // A body without guard misses replays all but its first iterations;
     // one that writes a configuration word every iteration never does.
-    if (seed % kTraceVariants == kPlain) {
+    if (seed % kTraceVariants == kPlain ||
+        seed % kTraceVariants == kLongExit) {
       EXPECT_GT(fused_run.trace_cycles, 0u);
     }
     if (c.untraceable) {
