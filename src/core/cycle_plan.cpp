@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -181,9 +180,18 @@ void begin_tape(SuperstepTape& t, std::size_t period) {
   t.phase_cycles.assign(period, 0);
 }
 
-/// The constant slot of each immediate a tape reads, keyed by its
-/// SuperstepTape::Const source (`from`, bit 31 set for a local one).
-using ConstSlots = std::unordered_map<std::uint32_t, std::uint16_t>;
+/// The constant slot of each immediate a tape reads (0: none yet):
+/// configuration immediate word `from` at [from], local immediate
+/// `from` at [locals + from].
+struct ConstSlots {
+  std::size_t locals = 0;
+  std::vector<std::uint16_t> at;
+
+  /// Room for configuration immediate words below `words` and every
+  /// local immediate of `n` Dnodes.
+  ConstSlots(std::size_t words, std::size_t n)
+      : locals(words), at(words + n * kLocalProgramSlots, 0) {}
+};
 
 /// Lower phase `p` of `t`: `plan` with every local Dnode at slot
 /// (counter + local_phase) % local_len, kImm operands of global Dnodes
@@ -211,16 +219,14 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
     return to;
   };
   const auto constant = [&](std::size_t from, bool local) {
-    const auto key = static_cast<std::uint32_t>(from | (local ? 1u << 31 : 0u));
-    const auto [it, fresh] = const_slots.try_emplace(
-        key, static_cast<std::uint16_t>(lay.consts() + t.consts.size()));
-    if (fresh) {
-      t.consts.push_back({static_cast<std::uint32_t>(from), it->second, local});
+    std::uint16_t& slot = const_slots.at[local ? const_slots.locals + from : from];
+    if (slot == 0) {
+      slot = static_cast<std::uint16_t>(lay.consts() + t.consts.size());
+      t.consts.push_back({static_cast<std::uint32_t>(from), slot, local});
     }
-    return it->second;
+    return slot;
   };
   t.taps.insert(t.taps.end(), plan.host_taps.begin(), plan.host_taps.end());
-  std::vector<std::pair<TapeOp, SuperstepTape::Source>> moves, alus;
   std::uint16_t pops = 0;
   // Ascending Dnode order: the documented host pop and output drain
   // order.
@@ -298,7 +304,8 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
     op.out = in.out_en ? lay.out(i) : lay.sink();
     if (in.dst != DnodeDst::kNone) writes.push_back(op.dst);
     if (op.out != lay.sink()) writes.push_back(op.out);
-    (in.op == DnodeOp::kPass ? moves : alus).push_back({op, {i, slot, &ps}});
+    t.ops.push_back(op);
+    t.sources.push_back({i, slot, &ps});
   }
   at.pops = pops;
   std::sort(writes.begin(), writes.end());
@@ -306,11 +313,12 @@ void lower_phase(const RingGeometry& geom, const CyclePlan& plan,
   // PASS ops first: the loop runs them as moves, without the ALU
   // dispatch.  Order within a phase is free: every op reads the
   // current buffer and writes its own slots of the next (or the sink).
-  at.alu = static_cast<std::uint32_t>(at.ops + moves.size());
-  for (const auto* list : {&moves, &alus}) {
-    for (const auto& [op, src] : *list) {
-      t.ops.push_back(op);
-      t.sources.push_back(src);
+  at.alu = at.ops;
+  for (auto m = at.ops; m < t.ops.size(); ++m) {
+    if (t.ops[m].op == DnodeOp::kPass) {
+      std::swap(t.ops[m], t.ops[at.alu]);
+      std::swap(t.sources[m], t.sources[at.alu]);
+      ++at.alu;
     }
   }
   // Host and bus effects drain in Dnode order.
@@ -372,7 +380,7 @@ void compile_tape(const RingGeometry& geom, const CyclePlan& plan,
     t.base_counters.push_back(locals[i].counter());
   }
   std::vector<std::vector<std::uint16_t>> writes(period);
-  ConstSlots const_slots;
+  ConstSlots const_slots(geom.dnode_count(), geom.dnode_count());
   for (std::size_t p = 0; p < period; ++p) {
     lower_phase(geom, plan, locals, p, 0, p, t, const_slots, writes[p]);
   }
@@ -387,7 +395,8 @@ void compile_loop_tape(const RingGeometry& geom,
   const std::size_t n = geom.dnode_count();
   begin_tape(t, plans.size());
   std::vector<std::vector<std::uint16_t>> writes(plans.size());
-  ConstSlots const_slots;
+  ConstSlots const_slots((*std::max_element(pages.begin(), pages.end()) + 1) * n,
+                         n);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     lower_phase(geom, *plans[i], locals, 0, pages[i] * n, i, t, const_slots,
                 writes[i]);
