@@ -33,10 +33,9 @@ HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 
 
-def run(cmd, cwd, quiet=True):
-    return subprocess.run(cmd, cwd=cwd, text=True,
-                          stdout=subprocess.PIPE if quiet else None,
-                          stderr=subprocess.STDOUT if quiet else None)
+def run(cmd, cwd):
+    return subprocess.run(cmd, cwd=cwd, text=True, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT)
 
 
 def targets_of(patch):
@@ -92,18 +91,31 @@ def main():
     if not patches:
         sys.exit('no patches')
     plan = {p: targets_of(p) for p in patches}
-    union = sorted({t for ts in plan.values() for t in ts})
 
     tree = args.keep or pathlib.Path(tempfile.mkdtemp(prefix='sring-mutants-'))
+    try:
+        problems = check(tree, plan, args.jobs)
+    finally:
+        if args.keep is None:
+            shutil.rmtree(tree, ignore_errors=True)
+    if problems:
+        print('\n'.join(problems))
+        sys.exit(1)
+    print(f'all {len(plan)} mutants caught')
+
+
+def check(tree, plan, jobs):
+    """Build `tree`, then run every mutant of `plan`; returns the problems."""
     tree.mkdir(parents=True, exist_ok=True)
     copy_tree(tree)
     if run(['cmake', '-B', 'build', '-S', '.'], tree).returncode != 0:
-        sys.exit('configure failed')
-    if not build(tree, union, args.jobs):
-        sys.exit('the unpatched tree does not build')
+        return ['configure failed']
+    union = sorted({t for ts in plan.values() for t in ts})
+    if not build(tree, union, jobs):
+        return ['the unpatched tree does not build']
     bad = failing(tree, union)
     if bad:
-        sys.exit(f'targets fail without any mutant: {" ".join(bad)}')
+        return [f'targets fail without any mutant: {" ".join(bad)}']
 
     problems = []
     for p, targets in plan.items():
@@ -113,7 +125,7 @@ def main():
             continue
         run(['git', 'apply', str(p)], tree)
         try:
-            if not build(tree, targets, args.jobs):
+            if not build(tree, targets, jobs):
                 problems.append(f'{p.name}: does not build')
                 print(f'FAIL {p.name}: does not build', flush=True)
                 continue
@@ -126,13 +138,7 @@ def main():
                 print(f'ok   {p.name}: caught by {" ".join(caught)}', flush=True)
         finally:
             run(['git', 'apply', '-R', str(p)], tree)
-
-    if args.keep is None:
-        shutil.rmtree(tree, ignore_errors=True)
-    if problems:
-        print('\n'.join(problems))
-        sys.exit(1)
-    print(f'all {len(plan)} mutants caught')
+    return problems
 
 
 if __name__ == '__main__':
