@@ -215,7 +215,8 @@ struct SuperstepTape {
   /// (tape_sum, tape_fit).
   std::vector<std::uint32_t> pop_sum;
   std::vector<std::uint32_t> out_sum;
-  /// Indices into ops of the hostEn/busEn micro-ops, phase-major.
+  /// Indices into ops of the hostEn/busEn micro-ops, phase-major and
+  /// in Dnode order within a phase (the order their effects drain).
   std::vector<std::uint32_t> effects;
   /// Per phase: the window words its ops read, as offsets from the
   /// depth-0 row (row-major: depth * dnodes + upstream Dnode), and the
