@@ -12,16 +12,13 @@ into a scratch directory, builds it once and checks that the named
 targets pass there.  Then, for each patch, it applies the patch, rebuilds
 the named targets, runs each of them and reverts the patch.  It fails if
 a patch no longer applies, if a named target passes with the patch
-applied (the mutant survives), or if a target fails without it.
+applied (the mutant survives), if a target fails without it, or if a
+patch does not revert (then it stops: the tree is no longer clean).
 
 Usage:
-    python3 tests/mutants/run.py [--jobs N] [--keep DIR] [patch ...]
-
-With no patch arguments, every *.patch in tests/mutants/ runs.  --keep
-builds in DIR and leaves it behind (a second run there is incremental).
+    python3 tests/mutants/run.py
 """
 
-import argparse
 import os
 import pathlib
 import shutil
@@ -62,9 +59,9 @@ def copy_tree(dest):
         shutil.copy2(src, out)
 
 
-def build(tree, targets, jobs):
-    r = run(['cmake', '--build', 'build', '-j', str(jobs), '--target'] + targets,
-            tree)
+def build(tree, targets):
+    r = run(['cmake', '--build', 'build', '-j', str(os.cpu_count() or 2),
+             '--target'] + targets, tree)
     if r.returncode != 0:
         print(r.stdout[-4000:])
     return r.returncode == 0
@@ -82,36 +79,29 @@ def failing(tree, targets):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument('patches', nargs='*', type=pathlib.Path)
-    ap.add_argument('--jobs', type=int, default=os.cpu_count() or 2)
-    ap.add_argument('--keep', type=pathlib.Path)
-    args = ap.parse_args()
-    patches = [p.resolve() for p in args.patches] or sorted(HERE.glob('*.patch'))
+    patches = sorted(HERE.glob('*.patch'))
     if not patches:
         sys.exit('no patches')
     plan = {p: targets_of(p) for p in patches}
 
-    tree = args.keep or pathlib.Path(tempfile.mkdtemp(prefix='sring-mutants-'))
+    tree = pathlib.Path(tempfile.mkdtemp(prefix='sring-mutants-'))
     try:
-        problems = check(tree, plan, args.jobs)
+        problems = check(tree, plan)
     finally:
-        if args.keep is None:
-            shutil.rmtree(tree, ignore_errors=True)
+        shutil.rmtree(tree, ignore_errors=True)
     if problems:
         print('\n'.join(problems))
         sys.exit(1)
     print(f'all {len(plan)} mutants caught')
 
 
-def check(tree, plan, jobs):
+def check(tree, plan):
     """Build `tree`, then run every mutant of `plan`; returns the problems."""
-    tree.mkdir(parents=True, exist_ok=True)
     copy_tree(tree)
     if run(['cmake', '-B', 'build', '-S', '.'], tree).returncode != 0:
         return ['configure failed']
     union = sorted({t for ts in plan.values() for t in ts})
-    if not build(tree, union, jobs):
+    if not build(tree, union):
         return ['the unpatched tree does not build']
     bad = failing(tree, union)
     if bad:
@@ -120,26 +110,31 @@ def check(tree, plan, jobs):
     problems = []
     for p, targets in plan.items():
         if run(['git', 'apply', '--check', str(p)], tree).returncode != 0:
-            problems.append(f'{p.name}: no longer applies')
-            print(f'FAIL {p.name}: no longer applies', flush=True)
-            continue
-        run(['git', 'apply', str(p)], tree)
-        try:
-            if not build(tree, targets, jobs):
-                problems.append(f'{p.name}: does not build')
-                print(f'FAIL {p.name}: does not build', flush=True)
-                continue
-            caught = failing(tree, targets)
-            survived = [t for t in targets if t not in caught]
-            if survived:
-                problems.append(f'{p.name}: survives {" ".join(survived)}')
-                print(f'FAIL {p.name}: {" ".join(survived)} passed', flush=True)
-            else:
-                print(f'ok   {p.name}: caught by {" ".join(caught)}', flush=True)
-        finally:
-            run(['git', 'apply', '-R', str(p)], tree)
+            problem = 'no longer applies'
+        else:
+            run(['git', 'apply', str(p)], tree)
+            problem = verdict(tree, targets)
+            if run(['git', 'apply', '-R', str(p)], tree).returncode != 0:
+                problems.append(f'{p.name}: does not revert; the mutants '
+                                'after it were not run')
+                print(f'FAIL {problems[-1]}', flush=True)
+                break
+        if problem:
+            problems.append(f'{p.name}: {problem}')
+            print(f'FAIL {problems[-1]}', flush=True)
+        else:
+            print(f'ok   {p.name}: caught by {" ".join(targets)}', flush=True)
     return problems
 
+
+def verdict(tree, targets):
+    """Rebuild the patched `tree`; None when every target fails."""
+    if not build(tree, targets):
+        return 'does not build'
+    survived = [t for t in targets if t not in failing(tree, targets)]
+    if survived:
+        return f'survives {" ".join(survived)}'
+    return None
 
 if __name__ == '__main__':
     main()
